@@ -176,24 +176,6 @@ def format_config(config: RunConfig) -> list[str]:
     return out + tail
 
 
-def _thread_count() -> int:
-    """Validated ABC_THREADS value.
-
-    Execution is sequential; any valid worker count produces the same
-    output, so the variable only needs to fail loudly when malformed.
-    """
-    raw = os.environ.get("ABC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"ABC_THREADS must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise ValueError(f"ABC_THREADS must be at least 1, got {count}")
-    return count
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -249,14 +231,18 @@ def _cmd_conjtest(config: RunConfig) -> int:
             f"oracle radius {oracle_radius} is below the ball radius {config.radius}"
         )
     index = enumerate_ball(ctx, oracle_radius, config.element_cap)
+    key_of = {
+        g: conjugacy_key(ctx, g, config.orbit_bound)
+        for g in index.elements(config.radius)
+    }
     by_key: dict = {}
-    for g in index.elements(config.radius):
-        by_key.setdefault(conjugacy_key(ctx, g, config.orbit_bound), []).append(g)
+    for g, key in key_of.items():
+        by_key.setdefault(key, []).append(g)
     blocks = brute_force_partition(ctx, index, config.radius, oracle_radius)
     block_of = {g: i for i, block in enumerate(blocks) for g in block}
     mismatches = []
     for block in blocks:
-        keys = {conjugacy_key(ctx, g, config.orbit_bound) for g in block}
+        keys = {key_of[g] for g in block}
         if len(keys) > 1:
             mismatches.append(
                 {
@@ -281,6 +267,7 @@ def _cmd_conjtest(config: RunConfig) -> int:
         "classes_by_key": len(by_key),
         "classes_by_oracle": len(blocks),
         "mismatches": mismatches[:20],
+        "mismatch_count": len(mismatches),
         "agreement": not mismatches,
     }
     _write_text(config.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -356,7 +343,6 @@ _HANDLERS = {
 def run(argv=None) -> int:
     try:
         config = parse_config(argv)
-        _thread_count()
         return _HANDLERS[config.command](config)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

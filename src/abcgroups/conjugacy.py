@@ -181,6 +181,24 @@ def _matrix_shift_canonical(ctx: MatrixContext, v, bound: int) -> tuple[int, ...
 # ---------------------------------------------------------------------------
 
 
+def _bs_residue(k: int, n: int, w) -> int:
+    # class of w = num / k^e in Z[1/k] / (k^n - 1) = Z / (k^n - 1)
+    num, e = w
+    modulus = k**n - 1
+    return num * pow(k, -e % n, modulus) % modulus
+
+
+def _lamplighter_class_sums(ctx: LamplighterContext, n: int, conf) -> tuple:
+    # lamp sums over each class of indices mod n: the class of conf in
+    # K / (1 - phi^n) K
+    sums = [0] * n
+    for i, v in conf:
+        sums[i % n] += v
+    if ctx.m:
+        return tuple(v % ctx.m for v in sums)
+    return tuple(sums)
+
+
 def _strip_factors(num: int, k: int) -> int:
     while num and num % k == 0:
         num //= k
@@ -191,7 +209,7 @@ def conjugacy_key(ctx: GroupContext, g: Element, orbit_bound: int = DEFAULT_ORBI
     """Canonical, order-comparable conjugacy invariant (complete; see module doc)."""
     p = g.texp
     if isinstance(ctx, BaumslagSolitarContext):
-        num, e = g.kpart
+        num = g.kpart[0]
         k = ctx.k
         if p == 0:
             return (0, _strip_factors(num, k))
@@ -199,7 +217,7 @@ def conjugacy_key(ctx: GroupContext, g: Element, orbit_bound: int = DEFAULT_ORBI
         modulus = k**n - 1
         if modulus == 1:
             return (p, 0)
-        res = num * pow(k, (-e) % n, modulus) % modulus
+        res = _bs_residue(k, n, g.kpart)
         best = res
         for _ in range(n - 1):
             res = res * k % modulus
@@ -214,12 +232,8 @@ def conjugacy_key(ctx: GroupContext, g: Element, orbit_bound: int = DEFAULT_ORBI
             base = conf[0][0]
             return (0, tuple((i - base, v) for i, v in conf))
         n = abs(p)
-        sums = [0] * n
-        for i, v in conf:
-            sums[i % n] += v
-        if ctx.m:
-            sums = [v % ctx.m for v in sums]
-        return (p, min(tuple(sums[i:] + sums[:i]) for i in range(n)))
+        sums = _lamplighter_class_sums(ctx, n, conf)
+        return (p, min(sums[i:] + sums[:i] for i in range(n)))
     if isinstance(ctx, MatrixContext):
         _require_conjugacy_support(ctx)
         if p == 0:
@@ -278,12 +292,28 @@ class UnionFind:
 # Brute-force partition
 #
 # The partition is the union-find closure of the pairs {g, x g x^-1} with
-# g, x g x^-1 in S^r and x in S^RC.  Instead of sweeping every x, each
-# candidate pair (g, h) in a stratum is tested by solving
+# g, x g x^-1 in S^r and x in S^RC.  Instead of sweeping every x, a pair
+# (g, h) in a stratum p != 0 is tested by solving
 #     (1 - phi^p)(b) = h.kpart - phi^j(g.kpart)
-# for b at each |j| <= RC; the solution is unique when p != 0, and the
-# pair merges exactly when some solution (b, t^j) lies in S^RC.  This
-# computes the same relation as the elementwise sweep.
+# for b at each |j| <= RC; the solution is unique, and the pair merges
+# exactly when some solution (b, t^j) lies in S^RC.  This computes the same
+# relation as the elementwise sweep.
+#
+# A solution exists exactly when h.kpart and phi^j(g.kpart) have the same
+# residue in K / (1 - phi^p)K, so each stratum is bucketed by residue and g
+# is solved only against the bucket of residue(phi^j(g.kpart)).  A skipped
+# pair has no conjugator part at all, of any length, so skipping it leaves
+# the relation unchanged.  The residues are the ones the keys use: the
+# class mod k^|p| - 1 (bs), the class sums over indices mod |p| (lamplighter)
+# and the Smith coordinates of the quotient (matrix).  A bucketed pair
+# without a solution means residue and solver disagree, and raises.  The
+# bucket hits of g are grouped by h, so that each pair stops at its first
+# conjugator in S^RC and a pair already in one block is not solved at all.
+#
+# Each unordered pair is tested in one orientation: g against the elements
+# before it in its stratum.  x g x^-1 = h exactly when x^-1 h x = g, and
+# |x^-1| = |x| because the generating set is symmetric, so a conjugator in
+# S^RC exists in one direction exactly when it exists in the other.
 # ---------------------------------------------------------------------------
 
 
@@ -291,6 +321,9 @@ def _bs_block_solver(ctx: BaumslagSolitarContext, p: int):
     k = ctx.k
     n = abs(p)
     den = k**n - 1
+
+    def residue(w):
+        return _bs_residue(k, n, w)
 
     def solve(w):
         if p > 0:
@@ -302,12 +335,15 @@ def _bs_block_solver(ctx: BaumslagSolitarContext, p: int):
             return None
         return ctx.canonical_kpart((num // den, e))
 
-    return solve
+    return residue, solve
 
 
 def _lamplighter_block_solver(ctx: LamplighterContext, p: int):
     n = abs(p)
     norm = ctx._norm_value
+
+    def residue(w):
+        return _lamplighter_class_sums(ctx, n, w)
 
     def solve(w):
         if not w:
@@ -332,7 +368,7 @@ def _lamplighter_block_solver(ctx: LamplighterContext, p: int):
                     out.extend((i + step * q, running) for q in range(gap // n))
         return tuple(sorted(out))
 
-    return solve
+    return residue, solve
 
 
 def _matrix_block_solver(ctx: MatrixContext, p: int):
@@ -348,10 +384,11 @@ def _matrix_block_solver(ctx: MatrixContext, p: int):
             return None
         return tuple(x // det for x in raw)
 
-    return solve
+    return matrix_quotient(ctx, p).coords, solve
 
 
 def _block_solver(ctx: GroupContext, p: int):
+    """(residue, solve) for the stratum p != 0; see the comment above."""
     if isinstance(ctx, BaumslagSolitarContext):
         return _bs_block_solver(ctx, p)
     if isinstance(ctx, LamplighterContext):
@@ -402,20 +439,32 @@ def brute_force_partition(
                     if h in ball_set:
                         uf.union(g, h)
             continue
-        solve = _block_solver(ctx, p)
-        for i, g in enumerate(els):
-            for h in els[i + 1 :]:
-                if uf.same(g, h):
+        residue, solve = _block_solver(ctx, p)
+        buckets: dict = {}
+        for g in els:
+            # h -> the (j, phi^j(g.kpart)) whose residue h shares
+            tries: dict[Element, list] = {}
+            for j in span:
+                moved = ctx.phi_power(g.kpart, j)
+                for h in buckets.get(residue(moved), ()):
+                    tries.setdefault(h, []).append((j, moved))
+            root = uf.find(g)
+            for h, shifts in tries.items():
+                if uf.find(h) == root:
                     continue
-                for j in span:
-                    w = _kpart_sub(ctx, h.kpart, ctx.phi_power(g.kpart, j))
-                    b = solve(w)
+                for j, moved in shifts:
+                    b = solve(_kpart_sub(ctx, h.kpart, moved))
                     if b is None:
-                        continue
+                        raise RuntimeError(
+                            f"residue admits no conjugator part for "
+                            f"{ctx.format_element(g)} and {ctx.format_element(h)}"
+                        )
                     x = Element(b, j)
                     if x in big and big.word_length(x) <= conjugator_radius:
                         uf.union(g, h)
+                        root = uf.find(g)
                         break
+            buckets.setdefault(residue(g.kpart), []).append(g)
 
     blocks = [sorted(block, key=ctx.encode) for block in uf.blocks()]
     blocks.sort(key=lambda block: ctx.encode(block[0]))

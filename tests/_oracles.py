@@ -1,12 +1,15 @@
 """Slow reference implementations used only by the tests.
 
 Everything here recomputes results from first principles (raw generator
-words, elementwise conjugation sweeps) so the fast code paths have an
-independent answer to match.
+words, elementwise conjugation sweeps) or by the plain exhaustive loop a
+fast path replaced (pairwise conjugator solving), so the fast code paths
+have an independent answer to match.
 """
 
 from __future__ import annotations
 
+from abcgroups.conjugacy import UnionFind, _block_solver
+from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import Element, GroupContext
 from abcgroups.words import generator_letters, letter_element
 
@@ -72,3 +75,50 @@ def conjugation_sweep(
     for c in codes.values():
         blocks.setdefault(find(c), set()).add(c)
     return {frozenset(v) for v in blocks.values()}
+
+
+def pairwise_partition(
+    ctx: GroupContext, index, r: int, conjugator_radius: int
+) -> list[list[Element]]:
+    """brute_force_partition without residue buckets.
+
+    Solves for a conjugator of g to h for every pair (g, h) of a stratum,
+    g listed first, at every |j| <= RC.  Blocks are sorted the same way.
+    """
+    big = index if index.radius >= conjugator_radius else enumerate_ball(
+        ctx, conjugator_radius
+    )
+    ball = list(index.elements(r))
+    ball_set = set(ball)
+    uf = UnionFind(ball)
+    strata: dict[int, list[Element]] = {}
+    for g in ball:
+        strata.setdefault(g.texp, []).append(g)
+
+    span = range(-conjugator_radius, conjugator_radius + 1)
+    for p, els in sorted(strata.items()):
+        if p == 0:
+            for g in els:
+                for j in span:
+                    h = Element(ctx.phi_power(g.kpart, j), 0)
+                    if h in ball_set:
+                        uf.union(g, h)
+            continue
+        _, solve = _block_solver(ctx, p)
+        for i, g in enumerate(els):
+            for h in els[i + 1 :]:
+                if uf.same(g, h):
+                    continue
+                for j in span:
+                    w = ctx.kpart_add(h.kpart, ctx.kpart_neg(ctx.phi_power(g.kpart, j)))
+                    b = solve(w)
+                    if b is None:
+                        continue
+                    x = Element(b, j)
+                    if x in big and big.word_length(x) <= conjugator_radius:
+                        uf.union(g, h)
+                        break
+
+    blocks = [sorted(block, key=ctx.encode) for block in uf.blocks()]
+    blocks.sort(key=lambda block: ctx.encode(block[0]))
+    return blocks

@@ -91,6 +91,7 @@ def test_conjtest_agreement(capsys):
     assert report["classes_by_key"] == report["classes_by_oracle"] == 13
     assert report["ball"] == 43
     assert report["mismatches"] == []
+    assert report["mismatch_count"] == 0
     assert report["oracle_radius"] == 6
 
 
@@ -187,18 +188,6 @@ def test_exit_codes(capsys):
     capsys.readouterr()
     assert run(["frobnicate"]) == 1
     capsys.readouterr()
-
-
-def test_abc_threads(monkeypatch, capsys):
-    monkeypatch.setenv("ABC_THREADS", "4")
-    assert run(["enumerate", "--group", "bs:2", "--radius", "2"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("ABC_THREADS", "0")
-    assert run(["enumerate", "--group", "bs:2", "--radius", "2"]) == 1
-    capsys.readouterr()
-    monkeypatch.setenv("ABC_THREADS", "many")
-    assert run(["enumerate", "--group", "bs:2", "--radius", "2"]) == 1
-    assert "ABC_THREADS" in capsys.readouterr().err
 
 
 def test_config_round_trip(tmp_path):

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from _oracles import conjugation_sweep
+from _oracles import conjugation_sweep, pairwise_partition
 from abcgroups.conjugacy import (
     DEFAULT_ORBIT_BOUND,
     UnionFind,
+    _block_solver,
     are_conjugate,
     brute_force_partition,
     conjugacy_key,
@@ -174,6 +176,10 @@ AGREEMENT_CASES = [
     ("bs", 3, 3, 6, 17),
     ("lamplighter", 2, 4, 8, 19),
     ("lamplighter", 3, 3, 6, 17),
+    ("bs", 3, 6, 12, 77),
+    ("lamplighter", 3, 6, 12, 79),
+    ("lamplighter", 0, 5, 10, 95),
+    ("matrix", HYP, 6, 12, 111),
 ]
 
 
@@ -218,6 +224,67 @@ def test_partition_matches_elementwise_sweep():
             ctx, list(index.elements(r)), list(index.elements(rc))
         )
         assert fast == slow
+
+
+@pytest.mark.parametrize(
+    "family,param,r,rc",
+    [
+        ("bs", 2, 5, 10),
+        ("bs", 3, 4, 8),
+        ("lamplighter", 2, 5, 10),
+        ("lamplighter", 3, 4, 8),
+        ("lamplighter", 0, 4, 8),
+        ("matrix", HYP, 4, 8),
+    ],
+)
+def test_partition_matches_pairwise_reference(family, param, r, rc):
+    # the residue buckets only skip pairs that have no conjugator, so the
+    # blocks and their order equal those of the exhaustive pairwise loop
+    ctx = build(family, param)
+    index = enumerate_ball(ctx, rc)
+    assert brute_force_partition(ctx, index, r, rc) == pairwise_partition(
+        ctx, index, r, rc
+    )
+
+
+# A stratum's residue must vanish on a K-part exactly when the solver finds
+# its preimage under (1 - phi^p); otherwise the buckets would drop pairs
+# that have a conjugator.
+KPART_SAMPLES = {
+    "bs": st.tuples(st.integers(-(10**6), 10**6), st.integers(0, 6)),
+    "lamplighter": st.lists(
+        st.tuples(st.integers(-8, 8), st.integers(-3, 3)), max_size=6
+    ),
+    "matrix": st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+}
+
+
+@pytest.mark.parametrize(
+    "family,param",
+    [
+        ("bs", 2),
+        ("bs", 3),
+        ("lamplighter", 2),
+        ("lamplighter", 3),
+        ("lamplighter", 0),
+        ("matrix", HYP),
+    ],
+)
+@given(data=st.data())
+def test_residue_matches_solver(family, param, data):
+    ctx = build(family, param)
+    p = data.draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]))
+    a, b, c = (
+        ctx.canonical_kpart(data.draw(KPART_SAMPLES[family])) for _ in range(3)
+    )
+    residue, solve = _block_solver(ctx, p)
+    if data.draw(st.booleans()):
+        # force a shared residue: b = a + (1 - phi^p)(c), so a - b = -c
+        image = ctx.kpart_add(c, ctx.kpart_neg(ctx.phi_power(c, p)))
+        b = ctx.kpart_add(a, image)
+        assert solve(ctx.kpart_add(a, ctx.kpart_neg(b))) == ctx.kpart_neg(c)
+    w = ctx.kpart_add(a, ctx.kpart_neg(b))
+    assert (residue(a) == residue(b)) == (solve(w) is not None)
 
 
 def test_partition_coarsens_with_conjugator_radius():
