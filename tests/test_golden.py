@@ -1,0 +1,48 @@
+"""Golden CLI outputs: stdout of fixed commands, compared byte for byte.
+
+Each command runs through ``cli.run`` from inside ``tests/golden``, so the
+matrix configs stored there are named by relative paths and the outputs
+do not depend on where the repository lives.  The outputs pin layer
+order, block order and every printed figure; a change that alters any of
+them must say so and re-record the file deliberately.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from abcgroups.cli import run
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+GOLDEN = {
+    "enumerate_bs2": ["enumerate", "--group", "bs:2", "--radius", "10"],
+    "enumerate_lamplighter2": ["enumerate", "--group", "lamplighter:2", "--radius", "10"],
+    "ratio_bs2": ["ratio", "--group", "bs:2", "--radius", "8"],
+    "ratio_lamplighter2": ["ratio", "--group", "lamplighter:2", "--radius", "8"],
+    "folner_json": ["folner", "--k", "2", "--n", "2"],
+    "folner_csv": ["folner", "--k", "2", "--n", "3", "--emit", "csv"],
+    "spectral_unit_root": ["spectral", "--matrix", "unit_root.json", "--radius", "6"],
+    "rewrite_bs2": ["rewrite", "--group", "bs:2", "T g0 t t"],
+    "rewrite_lamplighter2": ["rewrite", "--group", "lamplighter:2", "t g0 t G0 T g0 t"],
+    # 12 mismatches, whose element lists expose layer order and block order
+    "conjtest_hyperbolic": [
+        "conjtest",
+        "--group",
+        "matrix:hyperbolic.json",
+        "--radius",
+        "4",
+        "--oracle-radius",
+        "8",
+        "--orbit-bound",
+        "0",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_stdout(name, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN_DIR)
+    assert run(GOLDEN[name]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN_DIR / f"{name}.out").read_bytes()
