@@ -9,16 +9,7 @@ from .conjugacy import (
     conjugacy_key,
     matrix_quotient,
 )
-from .enumeration import (
-    BallIndex,
-    CacheCorruptError,
-    CacheError,
-    CacheVersionError,
-    ResourceCapError,
-    enumerate_ball,
-    load_index,
-    save_index,
-)
+from .enumeration import BallIndex, ResourceCapError, enumerate_ball
 from .folner import (
     congruence_witness,
     finite_n_solutions,

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: enumerate (build or cache a ball index), ratio (class-ratio
+Subcommands: enumerate (ball and sphere sizes), ratio (class-ratio
 CSV plus a gnuplot script), conjtest (key partition versus brute-force
 oracle, JSON report), folner (translated-box report), spectral (periodic
 part and projection-norm CSV), rewrite (word normal forms).
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -21,21 +20,13 @@ from .conjugacy import (
     brute_force_partition,
     conjugacy_key,
 )
-from .enumeration import (
-    DEFAULT_ELEMENT_CAP,
-    BallIndex,
-    CacheError,
-    ResourceCapError,
-    enumerate_ball,
-    load_index,
-    save_index,
-)
+from .enumeration import DEFAULT_ELEMENT_CAP, ResourceCapError, enumerate_ball
 from .folner import (
     DEFAULT_BOX_CAP,
     N1_SEARCH_CAP,
     translate_experiment,
 )
-from .groups import GroupContext, load_matrix_config, make_bs, parse_group_descriptor
+from .groups import load_matrix_config, make_bs, parse_group_descriptor
 from .ratios import gnuplot_script, ratio_table, write_csv
 from .spectral import (
     epsilon_norm_table,
@@ -72,7 +63,6 @@ class RunConfig:
     radius: int | None = None
     f: str = "sqrt"
     out: str | None = None
-    cache: str | None = None
     oracle_radius: int | None = None
     k: int = 2
     n: int | None = None
@@ -85,8 +75,8 @@ class RunConfig:
 
 
 _COMMAND_FIELDS = {
-    "enumerate": ("group", "radius", "cache", "element_cap"),
-    "ratio": ("group", "radius", "f", "out", "cache", "element_cap"),
+    "enumerate": ("group", "radius", "element_cap"),
+    "ratio": ("group", "radius", "f", "out", "element_cap"),
     "conjtest": (
         "group",
         "radius",
@@ -108,7 +98,6 @@ def build_parser() -> _Parser:
     enum = sub.add_parser("enumerate", help="enumerate a ball and report sizes")
     enum.add_argument("--group", required=True)
     enum.add_argument("--radius", type=int, required=True)
-    enum.add_argument("--cache", help="binary index path to reuse or create")
     enum.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP)
 
     ratio = sub.add_parser("ratio", help="conjugacy ratio table as CSV")
@@ -116,7 +105,6 @@ def build_parser() -> _Parser:
     ratio.add_argument("--radius", type=int, required=True)
     ratio.add_argument("--f", default="sqrt", help="sqrt, log2 or const:<c>")
     ratio.add_argument("--out", help="CSV path; a .gp script is written next to it")
-    ratio.add_argument("--cache")
     ratio.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP)
 
     conj = sub.add_parser("conjtest", help="compare keys against the oracle")
@@ -184,23 +172,9 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _obtain_index(ctx: GroupContext, config: RunConfig) -> BallIndex:
-    if config.cache and os.path.exists(config.cache):
-        index = load_index(config.cache)
-        if (
-            index.ctx.describe() == ctx.describe()
-            and index.radius >= config.radius
-        ):
-            return index
-    index = enumerate_ball(ctx, config.radius, config.element_cap)
-    if config.cache:
-        save_index(index, config.cache)
-    return index
-
-
 def _cmd_enumerate(config: RunConfig) -> int:
     ctx = parse_group_descriptor(config.group)
-    index = _obtain_index(ctx, config)
+    index = enumerate_ball(ctx, config.radius, config.element_cap)
     lines = ["r,ball,sphere"]
     for r in range(config.radius + 1):
         lines.append(f"{r},{index.ball_size(r)},{len(index.sphere(r))}")
@@ -210,7 +184,7 @@ def _cmd_enumerate(config: RunConfig) -> int:
 
 def _cmd_ratio(config: RunConfig) -> int:
     ctx = parse_group_descriptor(config.group)
-    index = _obtain_index(ctx, config)
+    index = enumerate_ball(ctx, config.radius, config.element_cap)
     table = ratio_table(ctx, index, config.f, config.radius)
     if config.out is None:
         write_csv(table, sys.stdout)
@@ -347,7 +321,7 @@ def run(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, CacheError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

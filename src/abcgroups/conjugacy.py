@@ -466,6 +466,6 @@ def brute_force_partition(
                         break
             buckets.setdefault(residue(g.kpart), []).append(g)
 
-    blocks = [sorted(block, key=ctx.encode) for block in uf.blocks()]
-    blocks.sort(key=lambda block: ctx.encode(block[0]))
+    blocks = [sorted(block, key=ctx.sort_key) for block in uf.blocks()]
+    blocks.sort(key=lambda block: ctx.sort_key(block[0]))
     return blocks

@@ -1,4 +1,4 @@
-"""Breadth-first enumeration of word-metric balls, with a binary disk cache.
+"""Breadth-first enumeration of word-metric balls.
 
 The index stores, per element of the ball S^R: the word length, the index
 of a generator finishing some geodesic, and the minimum number of t
@@ -8,45 +8,23 @@ distance r minimizes over its distance r-1 predecessors).
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 from typing import Iterator, Optional
 
-from .groups import Element, GroupContext, context_from_descriptor
+from .groups import Element, GroupContext
 from .words import Word, generator_letters
 
 __all__ = [
     "BallIndex",
     "enumerate_ball",
-    "save_index",
-    "load_index",
     "ResourceCapError",
-    "CacheError",
-    "CacheVersionError",
-    "CacheCorruptError",
     "DEFAULT_ELEMENT_CAP",
 ]
 
 DEFAULT_ELEMENT_CAP = 50_000_000
 
-_MAGIC = b"ABCIDX1"
-
 
 class ResourceCapError(RuntimeError):
     """An explicit resource cap was hit; results were not truncated."""
-
-
-class CacheError(RuntimeError):
-    pass
-
-
-class CacheVersionError(CacheError):
-    pass
-
-
-class CacheCorruptError(CacheError):
-    pass
 
 
 class BallIndex:
@@ -56,7 +34,7 @@ class BallIndex:
         self.ctx = ctx
         self.radius = radius
         self._records = records  # Element -> (dist, pred_gen_index, min_t)
-        self._layers = layers  # layers[r]: list of Element, sorted by encoding
+        self._layers = layers  # layers[r]: list of Element, sorted by ctx.sort_key
 
     def __contains__(self, g: Element) -> bool:
         return g in self._records
@@ -169,90 +147,10 @@ def enumerate_ball(
             raise ResourceCapError(
                 f"ball exceeds the element cap ({element_cap}) at radius {r}"
             )
-        layer = sorted(pending, key=ctx.encode)
+        layer = sorted(pending, key=ctx.sort_key)
         for h in layer:
             slot = pending[h]
             records[h] = (r, slot[1], slot[0])
         layers.append(layer)
     return BallIndex(ctx, radius, records, layers)
 
-
-# ---------------------------------------------------------------------------
-# Disk format: magic, context descriptor, per-radius blocks of
-# (encoding, length, predecessor, min_t), then a 64-bit blake2b checksum.
-# ---------------------------------------------------------------------------
-
-
-def _descriptor_bytes(index: BallIndex) -> bytes:
-    return json.dumps(index.ctx.describe(), sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
-    )
-
-
-def save_index(index: BallIndex, path: str) -> None:
-    parts = [_MAGIC]
-    desc = _descriptor_bytes(index)
-    parts.append(struct.pack(">I", len(desc)))
-    parts.append(desc)
-    parts.append(struct.pack(">I", index.radius))
-    for r in range(index.radius + 1):
-        layer = index._layers[r]
-        parts.append(struct.pack(">Q", len(layer)))
-        for g in layer:
-            enc = index.ctx.encode(g)
-            dist, pred, min_t = index._records[g]
-            parts.append(struct.pack(">H", len(enc)))
-            parts.append(enc)
-            parts.append(struct.pack(">HhH", dist, pred, min_t))
-    blob = b"".join(parts)
-    digest = hashlib.blake2b(blob, digest_size=8).digest()
-    with open(path, "wb") as fh:
-        fh.write(blob)
-        fh.write(digest)
-
-
-def load_index(path: str) -> BallIndex:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(_MAGIC) + 8:
-        raise CacheCorruptError(f"{path}: file too short for a ball index")
-    if raw[: len(_MAGIC)] != _MAGIC:
-        if raw[: len(_MAGIC) - 1] == _MAGIC[:-1]:
-            raise CacheVersionError(
-                f"{path}: unsupported index version {raw[len(_MAGIC) - 1:len(_MAGIC)]!r}"
-            )
-        raise CacheVersionError(f"{path}: not a ball index file")
-    blob, digest = raw[:-8], raw[-8:]
-    if hashlib.blake2b(blob, digest_size=8).digest() != digest:
-        raise CacheCorruptError(f"{path}: checksum mismatch")
-    offset = len(_MAGIC)
-    try:
-        (desc_len,) = struct.unpack_from(">I", blob, offset)
-        offset += 4
-        ctx = context_from_descriptor(json.loads(blob[offset : offset + desc_len]))
-        offset += desc_len
-        (radius,) = struct.unpack_from(">I", blob, offset)
-        offset += 4
-        records: dict[Element, tuple[int, int, int]] = {}
-        layers: list[list[Element]] = []
-        for r in range(radius + 1):
-            (count,) = struct.unpack_from(">Q", blob, offset)
-            offset += 8
-            layer = []
-            for _ in range(count):
-                (enc_len,) = struct.unpack_from(">H", blob, offset)
-                offset += 2
-                g = ctx.decode(blob[offset : offset + enc_len])
-                offset += enc_len
-                dist, pred, min_t = struct.unpack_from(">HhH", blob, offset)
-                offset += 6
-                if dist != r:
-                    raise CacheCorruptError(f"{path}: element distance {dist} in layer {r}")
-                records[g] = (dist, pred, min_t)
-                layer.append(g)
-            layers.append(layer)
-        if offset != len(blob):
-            raise CacheCorruptError(f"{path}: {len(blob) - offset} trailing bytes")
-    except (struct.error, ValueError, KeyError, IndexError) as exc:
-        raise CacheCorruptError(f"{path}: malformed index ({exc})") from exc
-    return BallIndex(ctx, radius, records, layers)

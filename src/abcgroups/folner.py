@@ -238,7 +238,7 @@ def separating_translate(
     correct.  Raises when no candidate n1 within the cap verifies.
     """
     ctx = _require_bs(ctx)
-    elems = sorted(set(_element_set(collection)), key=ctx.encode)
+    elems = _element_set(collection)
     n2 = max(e for (_, e), _ in elems)
     cleared = [num * ctx.k ** (n2 - e) for (num, e), _ in elems]
     shift = 2 * max(abs(v) for v in cleared) + 1

@@ -31,7 +31,6 @@ __all__ = [
     "make_matrix_context",
     "load_matrix_config",
     "parse_group_descriptor",
-    "context_from_descriptor",
 ]
 
 
@@ -40,52 +39,6 @@ class Element(NamedTuple):
 
     kpart: Any
     texp: int
-
-
-# ---------------------------------------------------------------------------
-# Order-preserving integer codec.
-#
-# Lexicographic order on the encoded bytes must equal numeric order, for
-# arbitrary-precision signed integers.  Nonnegative values are prefixed with
-# 0x81 and a big-endian length; negatives with 0x7e, a complemented length
-# and a complemented magnitude so that more negative sorts earlier.
-# ---------------------------------------------------------------------------
-
-_LEN_CAP = 0xFFFF
-
-
-def encode_int(n: int) -> bytes:
-    if n >= 0:
-        mag = n.to_bytes((n.bit_length() + 7) // 8 or 1, "big")
-        if len(mag) > _LEN_CAP:
-            raise ValueError("integer magnitude too large to encode")
-        return b"\x81" + len(mag).to_bytes(2, "big") + mag
-    mag = (-n).to_bytes(((-n).bit_length() + 7) // 8, "big")
-    if len(mag) > _LEN_CAP:
-        raise ValueError("integer magnitude too large to encode")
-    inv = bytes(255 - b for b in mag)
-    return b"\x7e" + (_LEN_CAP - len(mag)).to_bytes(2, "big") + inv
-
-
-def decode_int(blob: bytes, offset: int) -> tuple[int, int]:
-    """Decode one integer, returning (value, next offset)."""
-    tag = blob[offset]
-    size = int.from_bytes(blob[offset + 1 : offset + 3], "big")
-    if tag == 0x81:
-        start = offset + 3
-        end = start + size
-        if end > len(blob):
-            raise ValueError("truncated integer encoding")
-        return int.from_bytes(blob[start:end], "big"), end
-    if tag == 0x7E:
-        size = _LEN_CAP - size
-        start = offset + 3
-        end = start + size
-        if end > len(blob):
-            raise ValueError("truncated integer encoding")
-        mag = bytes(255 - b for b in blob[start:end])
-        return -int.from_bytes(mag, "big"), end
-    raise ValueError(f"bad integer tag byte {tag:#x}")
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +70,16 @@ class GroupContext:
         """Apply the defining automorphism i times (i may be negative)."""
         raise NotImplementedError
 
-    def encode_kpart(self, a) -> bytes:
-        raise NotImplementedError
-
-    def decode_kpart(self, blob: bytes, offset: int):
-        raise NotImplementedError
-
     def format_kpart(self, a) -> str:
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        """JSON-serializable descriptor, sufficient to rebuild the context."""
+    def sort_key(self, g: Element):
+        """Tuple key fixing the deterministic order of layers and blocks.
+
+        Each family's key orders elements exactly as the byte codec of
+        earlier versions did, so layers, predecessor indices and block
+        listings match results recorded with those versions.
+        """
         raise NotImplementedError
 
     # Element level operations.
@@ -160,16 +112,6 @@ class GroupContext:
         gens.append(Element(zero, 1))
         gens.append(Element(zero, -1))
         return gens
-
-    def encode(self, g: Element) -> bytes:
-        return encode_int(g.texp) + self.encode_kpart(g.kpart)
-
-    def decode(self, blob: bytes) -> Element:
-        texp, offset = decode_int(blob, 0)
-        kpart, offset = self.decode_kpart(blob, offset)
-        if offset != len(blob):
-            raise ValueError("trailing bytes in element encoding")
-        return Element(kpart, texp)
 
     def format_element(self, g: Element) -> str:
         return f"({self.format_kpart(g.kpart)}; t^{g.texp})"
@@ -266,33 +208,13 @@ class LamplighterContext(GroupContext):
             return a
         return tuple((idx + i, v) for idx, v in a)
 
-    def encode_kpart(self, a) -> bytes:
-        parts = [encode_int(len(a))]
-        for idx, v in a:
-            parts.append(encode_int(idx))
-            parts.append(encode_int(v))
-        return b"".join(parts)
-
-    def decode_kpart(self, blob: bytes, offset: int):
-        count, offset = decode_int(blob, offset)
-        pairs = []
-        for _ in range(count):
-            idx, offset = decode_int(blob, offset)
-            v, offset = decode_int(blob, offset)
-            pairs.append((idx, v))
-        return tuple(pairs), offset
+    def sort_key(self, g: Element):
+        return (g.texp, len(g.kpart), g.kpart)
 
     def format_kpart(self, a) -> str:
         if not a:
             return "0"
         return "+".join(f"{v}@{i}" for i, v in a)
-
-    def describe(self) -> dict:
-        return {
-            "family": self.family,
-            "m": self.m,
-            "kgens": [[list(pair) for pair in a] for a in self.kgen_list],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -367,26 +289,15 @@ class BaumslagSolitarContext(GroupContext):
             e -= 1
         return (num, e)
 
-    def encode_kpart(self, a) -> bytes:
-        return encode_int(a[1]) + encode_int(a[0])
-
-    def decode_kpart(self, blob: bytes, offset: int):
-        e, offset = decode_int(blob, offset)
-        num, offset = decode_int(blob, offset)
-        return (num, e), offset
+    def sort_key(self, g: Element):
+        num, e = g.kpart
+        return (g.texp, e, num)
 
     def format_kpart(self, a) -> str:
         num, e = a
         if e == 0:
             return str(num)
         return f"{num}/{self.k}^{e}"
-
-    def describe(self) -> dict:
-        return {
-            "family": self.family,
-            "k": self.k,
-            "kgens": [list(a) for a in self.kgen_list],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -456,25 +367,11 @@ class MatrixContext(GroupContext):
             return a
         return mat_vec(self.matrix_power(i), a)
 
-    def encode_kpart(self, a) -> bytes:
-        return b"".join(encode_int(x) for x in a)
-
-    def decode_kpart(self, blob: bytes, offset: int):
-        coords = []
-        for _ in range(self.n):
-            x, offset = decode_int(blob, offset)
-            coords.append(x)
-        return tuple(coords), offset
+    def sort_key(self, g: Element):
+        return (g.texp, g.kpart)
 
     def format_kpart(self, a) -> str:
         return "(" + ",".join(str(x) for x in a) + ")"
-
-    def describe(self) -> dict:
-        return {
-            "family": self.family,
-            "rows": [list(row) for row in self.matrix],
-            "kgens": [list(a) for a in self.kgen_list],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -531,15 +428,3 @@ def parse_group_descriptor(desc: str) -> GroupContext:
         return load_matrix_config(rest)
     raise ValueError(f"unknown group family {head!r}")
 
-
-def context_from_descriptor(data: dict) -> GroupContext:
-    """Rebuild a context from GroupContext.describe() output."""
-    family = data.get("family")
-    if family == "lamplighter":
-        kgens = [tuple(tuple(pair) for pair in a) for a in data["kgens"]]
-        return LamplighterContext(data["m"], kgens)
-    if family == "bs":
-        return BaumslagSolitarContext(data["k"], [tuple(a) for a in data["kgens"]])
-    if family == "matrix":
-        return MatrixContext(data["rows"], [tuple(a) for a in data["kgens"]])
-    raise ValueError(f"unknown family in descriptor: {family!r}")

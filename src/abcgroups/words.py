@@ -174,4 +174,4 @@ def cyclic_permutations(w: Word) -> list[Word]:
 
 def distinct_cyclic_values(ctx: GroupContext, w: Word) -> int:
     rotations = cyclic_permutations(w) or [w]
-    return len({ctx.encode(evaluate(ctx, rot)) for rot in rotations})
+    return len({evaluate(ctx, rot) for rot in rotations})

@@ -46,34 +46,31 @@ def word_ball(ctx: GroupContext, radius: int) -> dict[Element, tuple[int, int]]:
 
 def conjugation_sweep(
     ctx: GroupContext, elements, conjugators
-) -> set[frozenset[bytes]]:
+) -> set[frozenset[Element]]:
     """Partition of `elements` under single conjugation moves.
 
     Merges g with x g x^-1 whenever the conjugate lands back in the set,
     for every x in `conjugators`, then takes the transitive closure.
     """
     pool = list(elements)
-    codes = {g: ctx.encode(g) for g in pool}
-    inside = set(codes.values())
-    parent: dict[bytes, bytes] = {c: c for c in codes.values()}
+    parent: dict[Element, Element] = {g: g for g in pool}
 
-    def find(c: bytes) -> bytes:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
+    def find(g: Element) -> Element:
+        while parent[g] != g:
+            parent[g] = parent[parent[g]]
+            g = parent[g]
+        return g
 
     for g in pool:
         for x in conjugators:
             h = ctx.conjugate(x, g)
-            hc = ctx.encode(h)
-            if hc in inside:
-                ra, rb = find(codes[g]), find(hc)
+            if h in parent:
+                ra, rb = find(g), find(h)
                 if ra != rb:
                     parent[rb] = ra
-    blocks: dict[bytes, set[bytes]] = {}
-    for c in codes.values():
-        blocks.setdefault(find(c), set()).add(c)
+    blocks: dict[Element, set[Element]] = {}
+    for g in pool:
+        blocks.setdefault(find(g), set()).add(g)
     return {frozenset(v) for v in blocks.values()}
 
 
@@ -119,6 +116,6 @@ def pairwise_partition(
                         uf.union(g, h)
                         break
 
-    blocks = [sorted(block, key=ctx.encode) for block in uf.blocks()]
-    blocks.sort(key=lambda block: ctx.encode(block[0]))
+    blocks = [sorted(block, key=ctx.sort_key) for block in uf.blocks()]
+    blocks.sort(key=lambda block: ctx.sort_key(block[0]))
     return blocks

@@ -58,8 +58,8 @@ def partition_agreement(ctx, index, r, rc):
     by_key: dict = {}
     for g in index.elements(r):
         by_key.setdefault(conjugacy_key(ctx, g), []).append(g)
-    fast = {frozenset(ctx.encode(g) for g in pool) for pool in by_key.values()}
-    slow = {frozenset(ctx.encode(g) for g in block) for block in blocks}
+    fast = {frozenset(pool) for pool in by_key.values()}
+    slow = {frozenset(block) for block in blocks}
     return fast == slow, len(by_key), len(blocks)
 
 

@@ -26,31 +26,6 @@ def test_enumerate_stdout(capsys):
         assert lines[1 + r] == f"{r},{ball},{sphere}"
 
 
-def test_enumerate_cache_reuse(tmp_path, capsys):
-    cache = str(tmp_path / "ball.idx")
-    args = ["enumerate", "--group", "bs:2", "--radius", "4", "--cache", cache]
-    assert run(args) == 0
-    first = capsys.readouterr().out
-    blob = open(cache, "rb").read()
-    assert run(args) == 0
-    assert capsys.readouterr().out == first
-    assert open(cache, "rb").read() == blob
-    # a larger cached radius still serves smaller requests
-    assert run(["enumerate", "--group", "bs:2", "--radius", "2", "--cache", cache]) == 0
-    assert open(cache, "rb").read() == blob
-
-
-def test_enumerate_corrupt_cache_fails(tmp_path, capsys):
-    cache = tmp_path / "ball.idx"
-    args = ["enumerate", "--group", "bs:2", "--radius", "3", "--cache", str(cache)]
-    assert run(args) == 0
-    capsys.readouterr()
-    raw = cache.read_bytes()
-    cache.write_bytes(raw[:-4])
-    assert run(args) == 1
-    assert "error:" in capsys.readouterr().err
-
-
 def test_ratio_files(tmp_path):
     out = tmp_path / "ratios.csv"
     code = run(

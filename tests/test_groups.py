@@ -5,9 +5,6 @@ from hypothesis import given, strategies as st
 
 from abcgroups.groups import (
     Element,
-    context_from_descriptor,
-    decode_int,
-    encode_int,
     load_matrix_config,
     make_bs,
     make_lamplighter,
@@ -102,24 +99,6 @@ def test_matrix_arithmetic():
     assert ctx.phi_power(ctx.phi_power((4, -7), 3), -3) == (4, -7)
 
 
-def test_encode_decode_round_trip():
-    for ctx, kpart in (
-        (make_bs(2), (5, 3)),
-        (make_lamplighter(3), ((-2, 1), (0, 2), (4, 1))),
-        (make_matrix_context(HYP), (-3, 11)),
-    ):
-        g = Element(kpart, -4)
-        assert ctx.decode(ctx.encode(g)) == g
-    with pytest.raises(ValueError):
-        make_bs(2).decode(make_bs(2).encode(Element((1, 0), 2)) + b"\x00")
-
-
-@given(st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30))
-def test_encode_int_preserves_order(a, b):
-    assert (a < b) == (encode_int(a) < encode_int(b))
-    assert decode_int(encode_int(a), 0) == (a, len(encode_int(a)))
-
-
 bs_elements = st.builds(
     lambda num, e, p: (num, e, p),
     st.integers(-50, 50),
@@ -166,16 +145,6 @@ def test_canonical_idempotent(cfg):
     assert ctx.canonical_kpart(once) == once
     assert all(v == 1 for _, v in once)
     assert [i for i, _ in once] == sorted(i for i, _ in once)
-
-
-def test_descriptor_round_trip():
-    for ctx in (make_bs(3), make_lamplighter(4), make_matrix_context(HYP)):
-        desc = ctx.describe()
-        json.dumps(desc)
-        rebuilt = context_from_descriptor(desc)
-        assert rebuilt.describe() == desc
-        g = ctx.generators()[1]
-        assert rebuilt.encode(g) == ctx.encode(g)
 
 
 def test_parse_group_descriptor():
