@@ -204,6 +204,10 @@ def _cmd_conjtest(config: RunConfig) -> int:
         raise ValueError(
             f"oracle radius {oracle_radius} is below the ball radius {config.radius}"
         )
+    if config.orbit_bound < 0:
+        raise ValueError(
+            f"--orbit-bound must be nonnegative, got {config.orbit_bound}"
+        )
     index = enumerate_ball(ctx, oracle_radius, config.element_cap)
     key_of = {
         g: conjugacy_key(ctx, g, config.orbit_bound)

@@ -18,7 +18,13 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, NamedTuple, Optional
 
-from .linalg import det_int, identity_matrix, mat_vec, unimodular_inverse
+from .linalg import (
+    det_int,
+    identity_matrix,
+    mat_vec,
+    smith_normal_form,
+    unimodular_inverse,
+)
 
 __all__ = [
     "Element",
@@ -305,13 +311,22 @@ class BaumslagSolitarContext(GroupContext):
 # ---------------------------------------------------------------------------
 
 
+def _int_entries(values, what: str) -> tuple[int, ...]:
+    """The entries as a tuple; floats, bools and other non-ints are refused."""
+    out = tuple(values)
+    for x in out:
+        if type(x) is not int:
+            raise ValueError(f"{what} entries must be integers, got {x!r}")
+    return out
+
+
 class MatrixContext(GroupContext):
     """K = Z^n with phi(v) = M v for an integer matrix M, |det M| = 1."""
 
     family = "matrix"
 
     def __init__(self, rows: Iterable[Iterable[int]], kgens: Optional[Iterable] = None):
-        matrix = tuple(tuple(int(x) for x in row) for row in rows)
+        matrix = tuple(_int_entries(row, "matrix") for row in rows)
         n = len(matrix)
         if n == 0 or any(len(row) != n for row in matrix):
             raise ValueError("matrix must be square and nonempty")
@@ -357,7 +372,7 @@ class MatrixContext(GroupContext):
         return tuple(-x for x in a)
 
     def canonical_kpart(self, a):
-        v = tuple(int(x) for x in a)
+        v = _int_entries(a, "kernel vector")
         if len(v) != self.n:
             raise ValueError(f"kernel vector must have length {self.n}")
         return v
@@ -400,19 +415,34 @@ def load_matrix_config(path: str) -> MatrixContext:
     rows = data.get("rows")
     if rows is None:
         raise ValueError("matrix config is missing 'rows'")
+    if not _is_list_of_lists(rows):
+        raise ValueError("matrix config 'rows' must be a list of lists")
     n = data.get("n", len(rows))
     if n != len(rows):
         raise ValueError(f"matrix config declares n={n} but has {len(rows)} rows")
     kgens = None
     if "generators" in data:
+        if not _is_list_of_lists(data["generators"]):
+            raise ValueError("matrix config 'generators' must be a list of lists")
         ctx_probe = MatrixContext(rows)
-        units = []
-        for vec in data["generators"]:
-            v = ctx_probe.canonical_kpart(tuple(vec))
-            units.append(v)
-            units.append(ctx_probe.kpart_neg(v))
-        kgens = [ctx_probe.kpart_zero()] + units
+        vectors = [ctx_probe.canonical_kpart(vec) for vec in data["generators"]]
+        # det M = +-1 makes M^-1 an integer polynomial in M, so the
+        # Z[M, M^-1]-span of the generators is the Z-span of M^i g, 0 <= i < n
+        columns = [ctx_probe.phi_power(v, i) for v in vectors for i in range(n)]
+        diag = smith_normal_form(tuple(zip(*columns))).diag if columns else ()
+        if len(diag) != n or any(d != 1 for d in diag):
+            raise ValueError(
+                "matrix config 'generators' do not generate Z^n as a module "
+                f"over M (Smith diagonal {list(diag)})"
+            )
+        kgens = [ctx_probe.kpart_zero()]
+        for v in vectors:
+            kgens.extend((v, ctx_probe.kpart_neg(v)))
     return MatrixContext(rows, kgens)
+
+
+def _is_list_of_lists(value) -> bool:
+    return isinstance(value, list) and all(isinstance(row, list) for row in value)
 
 
 def parse_group_descriptor(desc: str) -> GroupContext:

@@ -44,6 +44,25 @@ def word_ball(ctx: GroupContext, radius: int) -> dict[Element, tuple[int, int]]:
     return best
 
 
+def lamplighter_word_length(ctx: GroupContext, g: Element) -> int:
+    """Word length of g in the lamplighter group, in closed form.
+
+    Cleary and Taback (Q. J. Math. 2005), after Parry (Trans. AMS 1992):
+    each lamp of value v costs min(v, m - v) letters (|v| for integer
+    lamps), and the cursor walks from 0 to the cursor position p past
+    every lit lamp, turning once at the leftmost point l and once at the
+    rightmost point r of {0, p, lit lamps}, whichever end it visits first.
+    Holds for the default generators: the lamp at the cursor and t.
+    """
+    m = ctx.m
+    lamps = sum(min(v, m - v) if m else abs(v) for _, v in g.kpart)
+    p = g.texp
+    points = [0, p, *(i for i, _ in g.kpart)]
+    lo, hi = min(points), max(points)
+    travel = min(-lo + (hi - lo) + (hi - p), hi + (hi - lo) + (p - lo))
+    return lamps + travel
+
+
 def conjugation_sweep(
     ctx: GroupContext, elements, conjugators
 ) -> set[frozenset[Element]]:

@@ -1,6 +1,11 @@
 import sys
 from pathlib import Path
 
+import pytest
+
+from abcgroups.enumeration import enumerate_ball
+from abcgroups.groups import make_lamplighter
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 ACCEPTANCE_LINES: list[str] = []
@@ -8,6 +13,14 @@ ACCEPTANCE_LINES: list[str] = []
 
 def record_acceptance(line: str) -> None:
     ACCEPTANCE_LINES.append(line)
+
+
+@pytest.fixture(scope="session")
+def lamp18():
+    """lamplighter:2 and its radius-18 ball, shared by the acceptance gate
+    and the closed-form word-length check."""
+    ctx = make_lamplighter(2)
+    return ctx, enumerate_ball(ctx, 18)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

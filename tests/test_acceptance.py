@@ -41,12 +41,6 @@ def bs16():
 
 
 @pytest.fixture(scope="module")
-def lamp18():
-    ctx = make_lamplighter(2)
-    return ctx, enumerate_ball(ctx, 18)
-
-
-@pytest.fixture(scope="module")
 def mixed8():
     ctx = make_matrix_context(MIXED3)
     return ctx, enumerate_ball(ctx, 8)

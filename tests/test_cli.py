@@ -78,6 +78,32 @@ def test_conjtest_bad_oracle_radius(capsys):
     assert "oracle radius" in capsys.readouterr().err
 
 
+def test_conjtest_rejects_negative_orbit_bound(capsys):
+    code = run(
+        ["conjtest", "--group", "bs:2", "--radius", "2", "--orbit-bound", "-3"]
+    )
+    assert code == 1
+    assert "--orbit-bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"rows": [[2.7, 1], [1, 1.2]]},
+        {"rows": [[2, 1], [1, 1]], "generators": [[1.9, 0]]},
+        {"rows": [[2, 1], [1, 1]], "generators": [[0, 0]]},
+        {"rows": [[2, 1], [1, 1]], "generators": [[2, 0]]},
+    ],
+)
+def test_enumerate_rejects_bad_matrix_config(tmp_path, capsys, config):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(config))
+    assert run(["enumerate", "--group", f"matrix:{path}", "--radius", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_folner_json(capsys):
     assert run(["folner", "--k", "2", "--n", "1"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -1,6 +1,6 @@
 import pytest
 
-from _oracles import word_ball
+from _oracles import lamplighter_word_length, word_ball
 from abcgroups.enumeration import ResourceCapError, enumerate_ball
 from abcgroups.groups import Element, make_bs, make_lamplighter, make_matrix_context
 from abcgroups.words import evaluate, t_exponent
@@ -102,6 +102,42 @@ def test_negative_radius():
         enumerate_ball(make_bs(2), -1)
 
 
+@pytest.mark.parametrize(
+    "ctx, r, texp, listing",
+    [
+        (make_lamplighter(2), 5, 2, ["(1@-1; t^2)", "(1@3; t^2)", "(1@0+1@1+1@2; t^2)"]),
+        (
+            make_lamplighter(0),
+            3,
+            1,
+            [
+                "(-2@0; t^1)",
+                "(2@0; t^1)",
+                "(-2@1; t^1)",
+                "(2@1; t^1)",
+                "(-1@0+-1@1; t^1)",
+                "(-1@0+1@1; t^1)",
+                "(1@0+-1@1; t^1)",
+                "(1@0+1@1; t^1)",
+            ],
+        ),
+        (make_bs(2), 2, -1, ["(-1; t^-1)", "(1; t^-1)", "(-1/2^1; t^-1)", "(1/2^1; t^-1)"]),
+        (
+            make_matrix_context(HYP),
+            1,
+            0,
+            ["((-1,0); t^0)", "((0,-1); t^0)", "((0,1); t^0)", "((1,0); t^0)"],
+        ),
+    ],
+    ids=["lamplighter-2", "lamplighter-0", "bs-2", "matrix"],
+)
+def test_sphere_order_is_frozen(ctx, r, texp, listing):
+    # recorded before sort_key replaced the byte codec: fewer lamps first,
+    # then lamps by index; denominator exponent before numerator
+    sphere = enumerate_ball(ctx, r).sphere(r)
+    assert [ctx.format_element(g) for g in sphere if g.texp == texp] == listing
+
+
 def test_determinism():
     a = enumerate_ball(make_lamplighter(3), 4)
     b = enumerate_ball(make_lamplighter(3), 4)
@@ -116,3 +152,24 @@ def test_geodesic_t_exponent_matches():
     index = enumerate_ball(ctx, 4)
     for g in index.elements():
         assert t_exponent(index.geodesic_word(g)) == g.texp
+
+
+def check_closed_form_lengths(ctx, index):
+    # equal lengths, plus closure under one more letter inside the radius,
+    # so the ball also holds every element of closed-form length <= R
+    gens = ctx.generators()
+    for g in index.elements():
+        length = index.word_length(g)
+        assert length == lamplighter_word_length(ctx, g)
+        if length < index.radius:
+            assert all(ctx.multiply(g, s) in index for s in gens)
+
+
+def test_lamplighter2_lengths_match_closed_form(lamp18):
+    check_closed_form_lengths(*lamp18)
+
+
+@pytest.mark.parametrize("m, radius", [(3, 12), (0, 10)])
+def test_lamplighter_lengths_match_closed_form(m, radius):
+    ctx = make_lamplighter(m)
+    check_closed_form_lengths(ctx, enumerate_ball(ctx, radius))

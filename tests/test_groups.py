@@ -186,3 +186,61 @@ def test_format_element():
     lamp = make_lamplighter(3)
     assert lamp.format_element(Element(((0, 2), (5, 1)), 4)) == "(2@0+1@5; t^4)"
     assert lamp.format_element(lamp.identity) == "(0; t^0)"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"rows": [[2.7, 1], [1, 1.2]]},
+        {"rows": [[2.0, 1], [1, 1]]},
+        {"rows": [[True, 0], [0, True]]},
+        {"rows": [[2, 1], [1, "1"]]},
+        {"rows": [[2, 1], [1, 1]], "generators": [[1.9, 0]]},
+        {"rows": [[2, 1], [1, 1]], "generators": [[False, True]]},
+        {"rows": 5},
+        {"rows": [[2, 1], [1, 1]], "generators": [1, 0]},
+    ],
+)
+def test_load_matrix_config_rejects_non_integer_entries(tmp_path, config):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ValueError):
+        load_matrix_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "rows, generators",
+    [
+        ([[2, 1], [1, 1]], [[0, 0]]),
+        # (2, 0) and M (2, 0) = (4, 2) span a subgroup of index 4
+        ([[2, 1], [1, 1]], [[2, 0]]),
+        ([[2, 1], [1, 1]], []),
+        # M fixes the first coordinate axis, which these never reach
+        ([[1, 0, 0], [0, 2, 1], [0, 1, 1]], [[0, 1, 0], [0, 0, 1]]),
+    ],
+)
+def test_load_matrix_config_rejects_proper_submodules(tmp_path, rows, generators):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"rows": rows, "generators": generators}))
+    with pytest.raises(ValueError, match="generate"):
+        load_matrix_config(str(path))
+
+
+def test_load_matrix_config_accepts_module_generators(tmp_path):
+    # one vector can generate Z^3 over M, and a redundant set is fine
+    path = tmp_path / "matrix.json"
+    rows = [[0, 0, 1], [1, 0, -1], [0, 1, 0]]
+    path.write_text(json.dumps({"rows": rows, "generators": [[1, 0, 0]]}))
+    assert load_matrix_config(str(path)).kgen_nonzero == ((1, 0, 0), (-1, 0, 0))
+    path.write_text(
+        json.dumps({"rows": [[2, 1], [1, 1]], "generators": [[2, 0], [0, 1]]})
+    )
+    assert len(load_matrix_config(str(path)).generators()) == 7
+
+
+def test_matrix_context_rejects_non_integer_entries():
+    with pytest.raises(ValueError):
+        make_matrix_context([[2.7, 1], [1, 1.2]])
+    ctx = make_matrix_context(HYP)
+    with pytest.raises(ValueError):
+        ctx.canonical_kpart((1.9, 0))
