@@ -105,7 +105,12 @@ def test_negative_radius():
 @pytest.mark.parametrize(
     "ctx, r, texp, listing",
     [
-        (make_lamplighter(2), 5, 2, ["(1@-1; t^2)", "(1@3; t^2)", "(1@0+1@1+1@2; t^2)"]),
+        (
+            make_lamplighter(2),
+            5,
+            2,
+            ["(1@-1; t^2)", "(1@3; t^2)", "(1@0+1@1+1@2; t^2)"],
+        ),
         (
             make_lamplighter(0),
             3,
@@ -121,7 +126,12 @@ def test_negative_radius():
                 "(1@0+1@1; t^1)",
             ],
         ),
-        (make_bs(2), 2, -1, ["(-1; t^-1)", "(1; t^-1)", "(-1/2^1; t^-1)", "(1/2^1; t^-1)"]),
+        (
+            make_bs(2),
+            2,
+            -1,
+            ["(-1; t^-1)", "(1; t^-1)", "(-1/2^1; t^-1)", "(1/2^1; t^-1)"],
+        ),
         (
             make_matrix_context(HYP),
             1,
