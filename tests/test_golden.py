@@ -21,6 +21,7 @@ GOLDEN = {
     "ratio_bs2": ["ratio", "--group", "bs:2", "--radius", "8"],
     "ratio_lamplighter2": ["ratio", "--group", "lamplighter:2", "--radius", "8"],
     "folner_json": ["folner", "--k", "2", "--n", "2"],
+    "folner_k3_json": ["folner", "--k", "3", "--n", "2"],
     "folner_csv": ["folner", "--k", "2", "--n", "3", "--emit", "csv"],
     "spectral_unit_root": ["spectral", "--matrix", "unit_root.json", "--radius", "6"],
     "rewrite_bs2": ["rewrite", "--group", "bs:2", "T g0 t t"],
