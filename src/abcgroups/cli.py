@@ -56,6 +56,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def positive_int(text: str) -> int:
+    """argparse type for caps: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -98,21 +106,21 @@ def build_parser() -> _Parser:
     enum = sub.add_parser("enumerate", help="enumerate a ball and report sizes")
     enum.add_argument("--group", required=True)
     enum.add_argument("--radius", type=int, required=True)
-    enum.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP)
+    enum.add_argument("--element-cap", type=positive_int, default=DEFAULT_ELEMENT_CAP)
 
     ratio = sub.add_parser("ratio", help="conjugacy ratio table as CSV")
     ratio.add_argument("--group", required=True)
     ratio.add_argument("--radius", type=int, required=True)
     ratio.add_argument("--f", default="sqrt", help="sqrt, log2 or const:<c>")
     ratio.add_argument("--out", help="CSV path; a .gp script is written next to it")
-    ratio.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP)
+    ratio.add_argument("--element-cap", type=positive_int, default=DEFAULT_ELEMENT_CAP)
 
     conj = sub.add_parser("conjtest", help="compare keys against the oracle")
     conj.add_argument("--group", required=True)
     conj.add_argument("--radius", type=int, required=True)
     conj.add_argument("--oracle-radius", type=int)
     conj.add_argument("--out")
-    conj.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP)
+    conj.add_argument("--element-cap", type=positive_int, default=DEFAULT_ELEMENT_CAP)
     conj.add_argument("--orbit-bound", type=int, default=DEFAULT_ORBIT_BOUND)
 
     fol = sub.add_parser("folner", help="translated-box experiment report")
@@ -120,14 +128,14 @@ def build_parser() -> _Parser:
     fol.add_argument("--n", type=int, required=True)
     fol.add_argument("--emit", choices=("json", "csv"), default="json")
     fol.add_argument("--out")
-    fol.add_argument("--element-cap", type=int, default=DEFAULT_BOX_CAP)
-    fol.add_argument("--n1-cap", type=int, default=N1_SEARCH_CAP)
+    fol.add_argument("--element-cap", type=positive_int, default=DEFAULT_BOX_CAP)
+    fol.add_argument("--n1-cap", type=positive_int, default=N1_SEARCH_CAP)
 
     spec = sub.add_parser("spectral", help="periodic part and projection norms")
     spec.add_argument("--matrix", required=True, help="matrix family JSON path")
     spec.add_argument("--radius", type=int, required=True)
     spec.add_argument("--out")
-    spec.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP)
+    spec.add_argument("--element-cap", type=positive_int, default=DEFAULT_ELEMENT_CAP)
 
     rew = sub.add_parser("rewrite", help="staircase and ascending word forms")
     rew.add_argument("--group", required=True)
@@ -259,14 +267,16 @@ def _cmd_folner(config: RunConfig) -> int:
     if config.emit == "csv":
         lines = ["n,box_size,classes,ratio,right_defect_t,left_defect_t"]
         for n in range(1, config.n + 1):
-            report = translate_experiment(ctx, n, config.element_cap)
+            report = translate_experiment(ctx, n, config.element_cap, config.n1_cap)
             lines.append(
                 f"{n},{report.box_size},{report.classes},{report.ratio},"
                 f"{report.right_defects['t']},{report.left_defect_t}"
             )
         _write_text(config.out, "\n".join(lines) + "\n")
         return EXIT_OK
-    report = translate_experiment(ctx, config.n, config.element_cap)
+    report = translate_experiment(
+        ctx, config.n, config.element_cap, config.n1_cap
+    )
     payload = json.dumps(report.as_dict(ctx), indent=2, sort_keys=True)
     _write_text(config.out, payload + "\n")
     return EXIT_OK

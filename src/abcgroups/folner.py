@@ -13,7 +13,13 @@ cleared K-parts to positive values with no power-of-k quotients among
 them (for the nonnegative K-parts used here), and n1 grows until the
 conjugacy keys of gA are pairwise distinct.  Only finitely many moduli
 k^N - 1 can fuse a fixed pair with distinct such K-parts, so the search
-terminates; a candidate cap guards it anyway.
+terminates; a candidate cap guards it anyway.  A candidate is dropped at
+its first repeated key, since two equal keys already prove two elements
+of gA conjugate; only the accepted candidate has every key computed, and
+that single pass also gives the class count of the translated box.
+
+Right defects are computed once per inverse pair of generators:
+|F x^-1 sym-diff F| = |(F sym-diff F x) x^-1| = |F sym-diff F x|.
 """
 
 from __future__ import annotations
@@ -226,6 +232,7 @@ class SeparatingTranslate:
     n1: int
     n2: int
     shift: int
+    classes: int
 
 
 def separating_translate(
@@ -233,9 +240,13 @@ def separating_translate(
 ) -> SeparatingTranslate:
     """A left translate g with every element of gA in its own class.
 
-    g = t^{n1} (shift, 1) t^{n2}; the result is verified by computing the
-    conjugacy keys of gA before returning, so a returned value is always
-    correct.  Raises when no candidate n1 within the cap verifies.
+    g = t^{n1} (shift, 1) t^{n2}, with n1 tried upward from 1 - min texp.
+    Each candidate's keys are computed one element at a time and the
+    candidate is rejected at its first repeated key.  The accepted one has
+    the conjugacy key of every element of gA computed, so a returned value
+    is always verified, and ``classes`` is the number of distinct keys
+    found in that pass.  Raises when no candidate n1 within the cap
+    verifies.
     """
     ctx = _require_bs(ctx)
     elems = _element_set(collection)
@@ -246,9 +257,14 @@ def separating_translate(
     base = ctx.canonical_kpart((shift, 0))
     for n1 in range(start, start + n1_cap):
         g = Element(ctx.phi_power(base, n1), n1 + n2)
-        keys = {conjugacy_key(ctx, ctx.multiply(g, el)) for el in elems}
-        if len(keys) == len(elems):
-            return SeparatingTranslate(g, n1, n2, shift)
+        keys = set()
+        for el in elems:
+            key = conjugacy_key(ctx, ctx.multiply(g, el))
+            if key in keys:
+                break
+            keys.add(key)
+        else:
+            return SeparatingTranslate(g, n1, n2, shift, len(keys))
     raise ResourceCapError(
         f"no separating translate found within {n1_cap} candidates"
     )
@@ -288,28 +304,34 @@ class TranslateReport:
 
 
 def translate_experiment(
-    ctx: GroupContext, n: int, element_cap: int = DEFAULT_BOX_CAP
+    ctx: GroupContext,
+    n: int,
+    element_cap: int = DEFAULT_BOX_CAP,
+    n1_cap: int = N1_SEARCH_CAP,
 ) -> TranslateReport:
     """Translate the box F_n so that its conjugacy-to-size ratio is 1."""
     ctx = _require_bs(ctx)
     box = folner_box(ctx, n, element_cap)
-    sep = separating_translate(ctx, box)
-    translated = {ctx.multiply(sep.element, x) for x in box.elements}
-    classes = len({conjugacy_key(ctx, y) for y in translated})
-    letters = generator_letters(ctx)
-    defects = {
-        letter: right_defect(ctx, box, gen)
-        for letter, gen in zip(letters[1:], ctx.generators()[1:])
-    }
+    sep = separating_translate(ctx, box, n1_cap)
+    gens = ctx.generators()[1:]
+    by_gen: dict = {}
+    for gen in gens:
+        inverse = ctx.invert(gen)
+        if inverse in by_gen:
+            by_gen[gen] = by_gen[inverse]
+        else:
+            by_gen[gen] = right_defect(ctx, box, gen)
+    defects = dict(zip(generator_letters(ctx)[1:], (by_gen[gen] for gen in gens)))
     left_t = left_defect(ctx, box, Element(ctx.kpart_zero(), 1))
     return TranslateReport(
         k=ctx.k,
         n=n,
         box_size=box.size,
         translate=sep,
-        classes=classes,
-        ratio=Fraction(classes, box.size),
+        classes=sep.classes,
+        ratio=Fraction(sep.classes, box.size),
         right_defects=defects,
         left_defect_t=left_t,
-        matches=classes == box.size and len(translated) == box.size,
+        # left translation is injective, so gF_n has |F_n| elements
+        matches=sep.classes == box.size,
     )

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import make_bs
 
 MIXED3 = [[1, 0, 0], [0, 2, 1], [0, 1, 1]]
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def matrix_path(tmp_path, rows=None):
@@ -125,6 +127,43 @@ def test_folner_csv(capsys):
 def test_folner_rejects_bad_n(capsys):
     assert run(["folner", "--k", "2", "--n", "0"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_folner_n1_cap_is_applied(capsys):
+    # the k=2, n=2 box needs n1 = 12
+    assert run(["folner", "--k", "2", "--n", "2", "--n1-cap", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no separating translate found within 5 candidates" in captured.err
+    assert run(["folner", "--k", "2", "--n", "2", "--n1-cap", "12"]) == 0
+    assert json.loads(capsys.readouterr().out)["translate"]["n1"] == 12
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_folner_rejects_bad_n1_cap(cap, capsys):
+    assert run(["folner", "--k", "2", "--n", "1", "--n1-cap", cap]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n1-cap" in captured.err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--group", "bs:2", "--radius", "3"],
+        ["ratio", "--group", "bs:2", "--radius", "3"],
+        ["conjtest", "--group", "bs:2", "--radius", "2"],
+        ["folner", "--k", "2", "--n", "1"],
+        ["spectral", "--matrix", str(GOLDEN_DIR / "unit_root.json"), "--radius", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_nonpositive_element_cap_is_refused(argv, cap, capsys):
+    assert run([*argv, "--element-cap", cap]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--element-cap" in captured.err
 
 
 def test_spectral_csv(tmp_path, capsys):

@@ -234,3 +234,71 @@ def test_translate_experiment_cap():
     ctx = make_bs(2)
     with pytest.raises(ResourceCapError):
         translate_experiment(ctx, 3, element_cap=1000)
+
+
+# boxes on which the search result is rechecked by full key scans
+SCANNED_BOXES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+
+
+def full_key_count(ctx, g, elements) -> int:
+    return len({conjugacy_key(ctx, ctx.multiply(g, x)) for x in elements})
+
+
+@pytest.mark.parametrize("k,n", SCANNED_BOXES)
+def test_separating_translate_rechecked_by_full_scan(k, n):
+    ctx = make_bs(k)
+    box = folner_box(ctx, n)
+    sep = separating_translate(ctx, box)
+    assert sep.classes == box.size
+    assert full_key_count(ctx, sep.element, box.elements) == box.size
+    # every earlier candidate fuses two classes, so the returned n1 is the
+    # least one; texp of the box starts at 0, so the search starts at 1
+    base = ctx.canonical_kpart((sep.shift, 0))
+    for n1 in range(1, sep.n1):
+        g = Element(ctx.phi_power(base, n1), n1 + sep.n2)
+        assert full_key_count(ctx, g, box.elements) < box.size
+
+
+@pytest.mark.parametrize("k,n", SCANNED_BOXES)
+def test_right_defect_is_inverse_symmetric(k, n):
+    ctx = make_bs(k)
+    box = folner_box(ctx, n)
+    for gen in ctx.generators():
+        assert right_defect(ctx, box, gen) == right_defect(ctx, box, ctx.invert(gen))
+
+
+def test_translate_experiment_reports_the_search_count():
+    ctx = make_bs(3)
+    report = translate_experiment(ctx, 2)
+    assert report.classes == report.translate.classes == report.box_size == 1458
+    assert report.matches
+    assert report.right_defects["g0"] == report.right_defects["g1"]
+    assert report.right_defects["t"] == report.right_defects["T"]
+
+
+def test_search_rejects_at_first_repeated_key(monkeypatch):
+    import abcgroups.folner as folner
+
+    calls = []
+
+    def counting_key(ctx, g, *args):
+        calls.append(g)
+        return conjugacy_key(ctx, g, *args)
+
+    monkeypatch.setattr(folner, "conjugacy_key", counting_key)
+    ctx = make_bs(2)
+    box = folner_box(ctx, 3)
+    sep = separating_translate(ctx, box)
+    candidates = sep.n1
+    assert candidates > 1
+    # the accepted candidate keys the whole box; each rejected one stops
+    # short of it, at the element whose key repeats
+    assert box.size + (candidates - 1) < len(calls) < candidates * box.size
+    assert len(set(calls[-box.size:])) == box.size
+
+
+def test_translate_experiment_n1_cap():
+    ctx = make_bs(2)
+    with pytest.raises(ResourceCapError):
+        translate_experiment(ctx, 2, n1_cap=5)
+    assert translate_experiment(ctx, 2, n1_cap=12).translate.n1 == 12
