@@ -274,9 +274,7 @@ def _cmd_folner(config: RunConfig) -> int:
             )
         _write_text(config.out, "\n".join(lines) + "\n")
         return EXIT_OK
-    report = translate_experiment(
-        ctx, config.n, config.element_cap, config.n1_cap
-    )
+    report = translate_experiment(ctx, config.n, config.element_cap, config.n1_cap)
     payload = json.dumps(report.as_dict(ctx), indent=2, sort_keys=True)
     _write_text(config.out, payload + "\n")
     return EXIT_OK
