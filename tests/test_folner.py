@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import abcgroups.folner as folner
 from abcgroups.conjugacy import are_conjugate, conjugacy_key
 from abcgroups.enumeration import ResourceCapError
 from abcgroups.folner import (
@@ -277,8 +278,6 @@ def test_translate_experiment_reports_the_search_count():
 
 
 def test_search_rejects_at_first_repeated_key(monkeypatch):
-    import abcgroups.folner as folner
-
     calls = []
 
     def counting_key(ctx, g, *args):
