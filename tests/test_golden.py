@@ -20,6 +20,7 @@ GOLDEN = {
     "enumerate_lamplighter2": ["enumerate", "--group", "lamplighter:2", "--radius", "10"],
     "ratio_bs2": ["ratio", "--group", "bs:2", "--radius", "8"],
     "ratio_lamplighter2": ["ratio", "--group", "lamplighter:2", "--radius", "8"],
+    "ratio_hyperbolic": ["ratio", "--group", "matrix:hyperbolic.json", "--radius", "9"],
     "folner_json": ["folner", "--k", "2", "--n", "2"],
     "folner_k3_json": ["folner", "--k", "3", "--n", "2"],
     "folner_csv": ["folner", "--k", "2", "--n", "3", "--emit", "csv"],
