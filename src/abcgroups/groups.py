@@ -21,6 +21,7 @@ from typing import Any, Iterable, NamedTuple, Optional
 from .linalg import (
     det_int,
     identity_matrix,
+    mat_pow,
     mat_vec,
     smith_normal_form,
     unimodular_inverse,
@@ -354,12 +355,8 @@ class MatrixContext(GroupContext):
         cached = self._powers.get(i)
         if cached is not None:
             return cached
-        step = self.matrix if i > 0 else self._inverse
-        base = self.matrix_power(i - 1 if i > 0 else i + 1)
-        from .linalg import mat_mul
-
-        result = mat_mul(step, base)
-        self._powers[i] = result
+        base = self.matrix if i > 0 else self._inverse
+        result = self._powers[i] = mat_pow(base, abs(i))
         return result
 
     def kpart_zero(self):

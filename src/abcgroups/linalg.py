@@ -11,6 +11,7 @@ from typing import NamedTuple
 __all__ = [
     "identity_matrix",
     "mat_mul",
+    "mat_pow",
     "mat_vec",
     "mat_sub",
     "det_int",
@@ -33,6 +34,20 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
     )
+
+
+def mat_pow(a: Matrix, e: int) -> Matrix:
+    """a^e for e >= 0, by repeated squaring."""
+    if e < 0:
+        raise ValueError(f"exponent must be nonnegative, got {e}")
+    acc = identity_matrix(len(a))
+    while e:
+        if e & 1:
+            acc = mat_mul(acc, a)
+        e >>= 1
+        if e:
+            a = mat_mul(a, a)
+    return acc
 
 
 def mat_vec(a: Matrix, v) -> tuple[int, ...]:

@@ -20,6 +20,7 @@ from .linalg import (
     identity_matrix,
     integer_kernel_basis,
     mat_mul,
+    mat_pow,
     mat_sub,
     mat_vec,
 )
@@ -121,13 +122,6 @@ def unit_root_period(matrix) -> int:
     return math.lcm(*cyclotomic_orders(matrix))
 
 
-def _matrix_power(matrix, e: int):
-    acc = identity_matrix(len(matrix))
-    for _ in range(e):
-        acc = mat_mul(acc, matrix)
-    return acc
-
-
 def periodic_subgroup_basis(matrix) -> tuple[tuple[int, ...], ...]:
     """Integer basis of P = {v : M^N v = v}, N the unit-root period.
 
@@ -136,7 +130,7 @@ def periodic_subgroup_basis(matrix) -> tuple[tuple[int, ...], ...]:
     periodic subgroup.
     """
     period = unit_root_period(matrix)
-    shifted = mat_sub(_matrix_power(matrix, period), identity_matrix(len(matrix)))
+    shifted = mat_sub(mat_pow(matrix, period), identity_matrix(len(matrix)))
     return integer_kernel_basis(shifted)
 
 
@@ -217,9 +211,9 @@ def unit_root_projection(matrix) -> ProjectionSetup:
     """
     n = len(matrix)
     period = unit_root_period(matrix)
-    shifted = mat_sub(_matrix_power(matrix, period), identity_matrix(n))
+    shifted = mat_sub(mat_pow(matrix, period), identity_matrix(n))
     kernel = integer_kernel_basis(shifted)
-    power = _matrix_power(shifted, n)
+    power = mat_pow(shifted, n)
     basis = list(kernel)
     image = []
     for c in range(n):

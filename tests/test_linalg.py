@@ -7,6 +7,7 @@ from abcgroups.linalg import (
     identity_matrix,
     integer_kernel_basis,
     mat_mul,
+    mat_pow,
     mat_sub,
     mat_vec,
     smith_normal_form,
@@ -28,6 +29,18 @@ def test_mat_helpers():
     assert mat_mul(a, b) == ((2, 1), (4, 3))
     assert mat_sub(a, b) == ((1, 1), (2, 4))
     assert mat_vec(a, (1, -1)) == (-1, -1)
+
+
+@given(
+    st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+    st.integers(0, 12),
+)
+def test_mat_pow_matches_repeated_product(entries, e):
+    a = (tuple(entries[:2]), tuple(entries[2:]))
+    acc = identity_matrix(2)
+    for _ in range(e):
+        acc = mat_mul(acc, a)
+    assert mat_pow(a, e) == acc
 
 
 small_matrix = st.integers(1, 3).flatmap(
