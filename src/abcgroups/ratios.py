@@ -23,8 +23,6 @@ __all__ = [
     "DecayFit",
     "threshold_function",
     "ratio_table",
-    "sphere_class_histogram",
-    "low_t_count",
     "decay_fit",
     "write_csv",
     "gnuplot_script",
@@ -78,15 +76,6 @@ def threshold_function(spec: str) -> tuple[Callable[[int], int], str]:
     raise ValueError(f"unknown threshold spec {spec!r} (try sqrt, log2, const:c)")
 
 
-def sphere_class_histogram(ctx: GroupContext, index: BallIndex, r: int) -> dict:
-    """Class key -> number of sphere-r elements carrying it."""
-    out: dict = {}
-    for g in index.sphere(r):
-        key = conjugacy_key(ctx, g)
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
 def _min_t_buckets(index: BallIndex, radius: int) -> list[dict[int, int]]:
     # buckets[r][m] counts sphere-r elements whose geodesics need m t-letters
     out = []
@@ -97,16 +86,6 @@ def _min_t_buckets(index: BallIndex, radius: int) -> list[dict[int, int]]:
             counts[m] = counts.get(m, 0) + 1
         out.append(counts)
     return out
-
-
-def low_t_count(index: BallIndex, r: int, bound: int) -> int:
-    """Number of elements of S^r with a geodesic using at most bound t-letters."""
-    total = 0
-    for rr in range(r + 1):
-        for g in index.sphere(rr):
-            if index.min_t_count(g) <= bound:
-                total += 1
-    return total
 
 
 def ratio_table(

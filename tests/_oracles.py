@@ -8,8 +8,8 @@ have an independent answer to match.
 
 from __future__ import annotations
 
-from abcgroups.conjugacy import UnionFind, _block_solver
-from abcgroups.enumeration import enumerate_ball
+from abcgroups.conjugacy import UnionFind, _block_solver, conjugacy_key
+from abcgroups.enumeration import BallIndex, enumerate_ball
 from abcgroups.groups import Element, GroupContext
 from abcgroups.words import generator_letters, letter_element
 
@@ -138,3 +138,22 @@ def pairwise_partition(
     blocks = [sorted(block, key=ctx.sort_key) for block in uf.blocks()]
     blocks.sort(key=lambda block: ctx.sort_key(block[0]))
     return blocks
+
+
+def sphere_class_histogram(ctx: GroupContext, index: BallIndex, r: int) -> dict:
+    """Class key -> number of sphere-r elements carrying it."""
+    out: dict = {}
+    for g in index.sphere(r):
+        key = conjugacy_key(ctx, g)
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def low_t_count(index: BallIndex, r: int, bound: int) -> int:
+    """Number of elements of B^r with a geodesic using at most bound t-letters."""
+    total = 0
+    for rr in range(r + 1):
+        for g in index.sphere(rr):
+            if index.min_t_count(g) <= bound:
+                total += 1
+    return total

@@ -3,6 +3,7 @@ from math import log
 
 import pytest
 
+from _oracles import low_t_count, sphere_class_histogram
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import make_bs, make_lamplighter
 from abcgroups.ratios import (
@@ -11,9 +12,7 @@ from abcgroups.ratios import (
     RatioTable,
     decay_fit,
     gnuplot_script,
-    low_t_count,
     ratio_table,
-    sphere_class_histogram,
     threshold_function,
     write_csv,
 )
