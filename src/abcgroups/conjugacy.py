@@ -17,16 +17,21 @@ admits an exact canonical form for that data:
 * lamplighter, p = 0: the support-shifted normal form of the configuration.
 * matrix, p != 0: coordinates in Z^n / (I - M^p) Z^n via the Smith form,
   minimized over the induced orbit of M (needs det(I - M^p) != 0, which
-  holds whenever no eigenvalue of M is a root of unity).
+  holds whenever no eigenvalue of M is a root of unity).  The orbit is
+  walked in quotient coordinates, one product by U M U^-1 and a reduction
+  mod the Smith diagonal per step, until it returns to its start; the
+  minimum is then memoised for every class of the orbit on the stratum's
+  cached QuotientDescriptor, so each orbit is walked once per context.
 * matrix, p = 0: the orbit M^i v is searched for |i| <= orbit_bound only,
   keeping candidates no larger than the current vector in sup-norm; the
   key is exact for spectra without unit-circle eigenvalues at this scale
-  but is a bounded search by construction.
+  but is a bounded search by construction.  Each orbit point is computed
+  once per key and shared by the re-centred windows that contain it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .enumeration import BallIndex, enumerate_ball
@@ -41,6 +46,7 @@ from .linalg import (
     adjugate,
     det_int,
     identity_matrix,
+    mat_mul,
     mat_sub,
     mat_vec,
     smith_normal_form,
@@ -74,12 +80,19 @@ class QuotientDescriptor:
     With U (I - M^p) V = diag, a vector w lies in (I - M^p) Z^n exactly
     when each coordinate of U w is divisible by the matching diagonal
     entry, so coords() is a complete residue invariant.
+
+    M commutes with I - M^p, so it permutes the quotient.  In these
+    coordinates it acts by action = U M U^-1 followed by reduction mod
+    diag (step()).  orbit_min maps each class met so far to the least
+    class of its M-orbit.
     """
 
     texp: int
     diag: tuple[int, ...]
     left: tuple[tuple[int, ...], ...]
     left_inverse: tuple[tuple[int, ...], ...]
+    action: tuple[tuple[int, ...], ...]
+    orbit_min: dict = field(default_factory=dict, compare=False, repr=False)
 
     def coords(self, v) -> tuple[int, ...]:
         w = mat_vec(self.left, v)
@@ -87,6 +100,11 @@ class QuotientDescriptor:
 
     def representative(self, coords) -> tuple[int, ...]:
         return mat_vec(self.left_inverse, coords)
+
+    def step(self, coords) -> tuple[int, ...]:
+        """coords(M v) for any v with coords(v) == coords."""
+        w = mat_vec(self.action, coords)
+        return tuple(x % d for x, d in zip(w, self.diag))
 
     @property
     def order(self) -> int:
@@ -129,25 +147,28 @@ def matrix_quotient(ctx: MatrixContext, texp: int) -> QuotientDescriptor:
             f"I - M^{texp} is singular; the stratum has no finite quotient"
         )
     snf = smith_normal_form(d_mat)
-    qd = QuotientDescriptor(
-        texp, snf.diag, snf.left, unimodular_inverse(snf.left)
-    )
+    left_inverse = unimodular_inverse(snf.left)
+    action = mat_mul(snf.left, mat_mul(ctx.matrix, left_inverse))
+    qd = QuotientDescriptor(texp, snf.diag, snf.left, left_inverse, action)
     cache[texp] = qd
     return qd
 
 
-def _matrix_orbit_min(ctx: MatrixContext, qd: QuotientDescriptor, v) -> tuple[int, ...]:
-    # lexicographic minimum of the induced M-orbit of v in the quotient
+def _matrix_orbit_min(qd: QuotientDescriptor, v) -> tuple[int, ...]:
+    # lexicographic minimum of the induced M-orbit of v in the quotient;
+    # M permutes the finite quotient, so the orbit is a cycle through start
     start = qd.coords(v)
-    best = cur = start
-    seen = {start}
-    while True:
-        cur = qd.coords(ctx.phi_power(qd.representative(cur), 1))
-        if cur in seen:
-            return best
-        seen.add(cur)
-        if cur < best:
-            best = cur
+    best = qd.orbit_min.get(start)
+    if best is not None:
+        return best
+    orbit = [start]
+    cur = qd.step(start)
+    while cur != start:
+        orbit.append(cur)
+        cur = qd.step(cur)
+    best = min(orbit)
+    qd.orbit_min.update(dict.fromkeys(orbit, best))
+    return best
 
 
 def _matrix_shift_canonical(ctx: MatrixContext, v, bound: int) -> tuple[int, ...]:
@@ -157,23 +178,27 @@ def _matrix_shift_canonical(ctx: MatrixContext, v, bound: int) -> tuple[int, ...
     zero = ctx.kpart_zero()
     if v == zero:
         return zero
-
-    def rank(w):
-        return (max(abs(x) for x in w), w)
-
-    cur = v
+    # i -> (sup-norm, M^i v), computed once and shared by every window
+    # that contains i; each window is scanned outwards from its centre,
+    # so the neighbour a new point is computed from is always there
+    ranks = {0: (max(map(abs, v)), v)}
+    centre = 0
     while True:
-        best, best_rank = cur, rank(cur)
+        best, best_rank = centre, ranks[centre]
         for step in (1, -1):
-            w = cur
+            m = ctx.matrix_power(step)
+            i = centre
             for _ in range(bound):
-                w = ctx.phi_power(w, step)
-                r = rank(w)
+                i += step
+                r = ranks.get(i)
+                if r is None:
+                    w = mat_vec(m, ranks[i - step][1])
+                    r = ranks[i] = (max(map(abs, w)), w)
                 if r < best_rank:
-                    best, best_rank = w, r
-        if best == cur:
-            return cur
-        cur = best
+                    best, best_rank = i, r
+        if best == centre:
+            return best_rank[1]
+        centre = best
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +263,7 @@ def conjugacy_key(ctx: GroupContext, g: Element, orbit_bound: int = DEFAULT_ORBI
         _require_conjugacy_support(ctx)
         if p == 0:
             return (0, _matrix_shift_canonical(ctx, g.kpart, orbit_bound))
-        return (p, _matrix_orbit_min(ctx, matrix_quotient(ctx, p), g.kpart))
+        return (p, _matrix_orbit_min(matrix_quotient(ctx, p), g.kpart))
     raise TypeError(f"unsupported context {type(ctx).__name__}")
 
 

@@ -2,15 +2,15 @@
 
 Everything here recomputes results from first principles (raw generator
 words, elementwise conjugation sweeps) or by the plain exhaustive loop a
-fast path replaced (pairwise conjugator solving), so the fast code paths
-have an independent answer to match.
+fast path replaced (pairwise conjugator solving, step-by-step orbit
+walks), so the fast code paths have an independent answer to match.
 """
 
 from __future__ import annotations
 
 from abcgroups.conjugacy import UnionFind, _block_solver, conjugacy_key
 from abcgroups.enumeration import BallIndex, enumerate_ball
-from abcgroups.groups import Element, GroupContext
+from abcgroups.groups import Element, GroupContext, MatrixContext
 from abcgroups.words import generator_letters, letter_element
 
 
@@ -157,3 +157,50 @@ def low_t_count(index: BallIndex, r: int, bound: int) -> int:
             if index.min_t_count(g) <= bound:
                 total += 1
     return total
+
+
+def matrix_orbit_min(ctx: MatrixContext, qd, v) -> tuple[int, ...]:
+    """The matrix p != 0 key, walked one class at a time.
+
+    Each step lifts the class to a vector, applies M and reduces again,
+    and the walk stops at the first class it has seen; nothing is cached.
+    """
+    start = qd.coords(v)
+    best = cur = start
+    seen = {start}
+    while True:
+        cur = qd.coords(ctx.phi_power(qd.representative(cur), 1))
+        if cur in seen:
+            return best
+        seen.add(cur)
+        if cur < best:
+            best = cur
+
+
+def matrix_shift_canonical(ctx: MatrixContext, v, bound: int) -> tuple[int, ...]:
+    """The matrix p = 0 key, recomputing every window from its centre.
+
+    Minimizes (sup-norm, lex) over M^i cur for |i| <= bound, scanning
+    i = 1..bound then -1..-bound with strict <, and re-centres at the
+    winner until the centre itself wins.
+    """
+    zero = ctx.kpart_zero()
+    if v == zero:
+        return zero
+
+    def rank(w):
+        return (max(abs(x) for x in w), w)
+
+    cur = v
+    while True:
+        best, best_rank = cur, rank(cur)
+        for step in (1, -1):
+            w = cur
+            for _ in range(bound):
+                w = ctx.phi_power(w, step)
+                r = rank(w)
+                if r < best_rank:
+                    best, best_rank = w, r
+        if best == cur:
+            return cur
+        cur = best

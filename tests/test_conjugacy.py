@@ -1,7 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import conjugation_sweep, pairwise_partition
+from _oracles import (
+    conjugation_sweep,
+    matrix_orbit_min,
+    matrix_shift_canonical,
+    pairwise_partition,
+)
 from abcgroups.conjugacy import (
     DEFAULT_ORBIT_BOUND,
     UnionFind,
@@ -20,6 +27,8 @@ from abcgroups.groups import (
 )
 
 HYP = ((2, 1), (1, 1))
+# companion of x^3 - x - 1: one real eigenvalue above 1, a complex pair inside
+PISOT = ((0, 0, 1), (1, 0, 1), (0, 1, 0))
 
 
 def as_block_set(blocks):
@@ -148,6 +157,80 @@ def test_quotient_coords_well_defined():
 def test_matrix_quotient_is_cached():
     ctx = make_matrix_context(HYP)
     assert matrix_quotient(ctx, 3) is matrix_quotient(ctx, 3)
+
+
+# ---------------------------------------------------------------------------
+# Matrix keys against the step-by-step reference walks
+# ---------------------------------------------------------------------------
+
+
+def reference_key(ctx, g, orbit_bound):
+    p = g.texp
+    if p == 0:
+        return (0, matrix_shift_canonical(ctx, g.kpart, orbit_bound))
+    return (p, matrix_orbit_min(ctx, matrix_quotient(ctx, p), g.kpart))
+
+
+@pytest.mark.parametrize("rows,r", [(HYP, 9), (PISOT, 6)])
+def test_matrix_keys_match_reference(rows, r):
+    ctx = make_matrix_context(rows)
+    for g in enumerate_ball(ctx, r).elements():
+        # orbit_bound only reaches the p = 0 key
+        for bound in (0, 8, 64) if g.texp == 0 else (DEFAULT_ORBIT_BOUND,):
+            assert conjugacy_key(ctx, g, bound) == reference_key(ctx, g, bound)
+
+
+def test_matrix_keys_do_not_depend_on_order():
+    ctx = make_matrix_context(HYP)
+    ball = list(enumerate_ball(ctx, 9).elements())
+    forward = [conjugacy_key(ctx, g) for g in ball]
+    fresh = make_matrix_context(HYP)
+    backward = [conjugacy_key(fresh, g) for g in reversed(ball)]
+    assert backward[::-1] == forward
+
+
+@given(
+    p=st.sampled_from([-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6]),
+    raw=st.tuples(st.integers(0, 10**4), st.integers(0, 10**4)),
+)
+def test_quotient_step_is_the_induced_action(p, raw):
+    ctx = make_matrix_context(HYP)
+    qd = matrix_quotient(ctx, p)
+    c = tuple(x % d for x, d in zip(raw, qd.diag))
+    assert qd.step(c) == qd.coords(ctx.phi_power(qd.representative(c), 1))
+
+
+# ---------------------------------------------------------------------------
+# Keys are conjugation invariants: key(x g x^-1) == key(g)
+# ---------------------------------------------------------------------------
+
+
+def random_element(ctx, rng, length):
+    gens = ctx.generators()[1:]
+    g = ctx.identity
+    for _ in range(length):
+        g = ctx.multiply(g, rng.choice(gens))
+    return g
+
+
+@pytest.mark.parametrize(
+    "family,param",
+    [
+        ("bs", 2),
+        ("bs", 3),
+        ("lamplighter", 2),
+        ("lamplighter", 0),
+        ("matrix", HYP),
+        ("matrix", PISOT),
+    ],
+)
+def test_key_is_conjugation_invariant(family, param):
+    ctx = build(family, param)
+    rng = random.Random(20240)
+    for _ in range(150):
+        g = random_element(ctx, rng, rng.randint(0, 12))
+        x = random_element(ctx, rng, rng.randint(0, 40))
+        assert conjugacy_key(ctx, ctx.conjugate(x, g)) == conjugacy_key(ctx, g)
 
 
 # ---------------------------------------------------------------------------
