@@ -99,6 +99,15 @@ def test_matrix_arithmetic():
     assert ctx.phi_power(ctx.phi_power((4, -7), 3), -3) == (4, -7)
 
 
+def test_matrix_power_far_out():
+    # a power is not built from the chain of all smaller ones
+    ctx = make_matrix_context(HYP)
+    assert ctx.phi_power(ctx.phi_power((4, -7), 1500), -1500) == (4, -7)
+    # M^n = [[F(2n+1), F(2n)], [F(2n), F(2n-1)]] for Fibonacci numbers F
+    (a, b), (c, d) = ctx.matrix_power(1500)
+    assert b == c and a == b + d and a * d - b * c == 1
+
+
 bs_elements = st.builds(
     lambda num, e, p: (num, e, p),
     st.integers(-50, 50),

@@ -43,6 +43,11 @@ def test_mat_pow_matches_repeated_product(entries, e):
     assert mat_pow(a, e) == acc
 
 
+def test_mat_pow_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        mat_pow(((2, 1), (1, 1)), -1)
+
+
 small_matrix = st.integers(1, 3).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-6, 6), min_size=n, max_size=n),
