@@ -33,6 +33,7 @@ from .groups import (
     parse_group_descriptor,
 )
 from .linalg import (
+    cyclotomic_orders,
     det_int,
     integer_kernel_basis,
     smith_normal_form,
@@ -40,7 +41,6 @@ from .linalg import (
 )
 from .ratios import decay_fit, ratio_table, threshold_function, write_csv
 from .spectral import (
-    cyclotomic_orders,
     epsilon_norm_table,
     periodic_subgroup_basis,
     relative_growth_table,

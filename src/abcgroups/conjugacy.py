@@ -44,6 +44,7 @@ from .groups import (
 )
 from .linalg import (
     adjugate,
+    cyclotomic_orders,
     det_int,
     identity_matrix,
     mat_mul,
@@ -52,7 +53,6 @@ from .linalg import (
     smith_normal_form,
     unimodular_inverse,
 )
-from .spectral import cyclotomic_orders
 
 __all__ = [
     "conjugacy_key",

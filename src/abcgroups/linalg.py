@@ -1,4 +1,5 @@
-"""Exact integer matrix helpers: products, determinants, Smith normal form.
+"""Exact integer matrix helpers: products, determinants, Smith normal form,
+and the root-of-unity orders in a matrix's spectrum.
 
 Matrices are tuples of row tuples of Python ints, so everything here is
 arbitrary precision and hashable.
@@ -20,6 +21,9 @@ __all__ = [
     "SmithNormalForm",
     "smith_normal_form",
     "integer_kernel_basis",
+    "totient",
+    "cyclotomic_poly",
+    "cyclotomic_orders",
 ]
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -240,3 +244,89 @@ def integer_kernel_basis(matrix) -> tuple[tuple[int, ...], ...]:
         if d == 0:
             cols.append(tuple(snf.right[r][idx] for r in range(nc)))
     return tuple(cols)
+
+
+# ---------------------------------------------------------------------------
+# Cyclotomic orders of a spectrum
+#
+# A primitive d-th root of unity is an eigenvalue of M exactly when the
+# d-th cyclotomic polynomial kills a nonzero vector, i.e. when
+# det(Phi_d(M)) == 0.  Only finitely many d can occur: deg Phi_d = phi(d)
+# must be at most n, and phi(d) >= sqrt(d/2) bounds the scan by 2 n^2 + 2.
+# Polynomials are integer coefficient lists, low degree first.
+# ---------------------------------------------------------------------------
+
+
+def totient(d: int) -> int:
+    if d < 1:
+        raise ValueError(f"totient needs a positive argument, got {d}")
+    out = d
+    rem = d
+    p = 2
+    while p * p <= rem:
+        if rem % p == 0:
+            out -= out // p
+            while rem % p == 0:
+                rem //= p
+        p += 1
+    if rem > 1:
+        out -= out // rem
+    return out
+
+
+def _poly_divexact(a: list[int], b) -> list[int]:
+    rem = list(a)
+    out = [0] * (len(rem) - len(b) + 1)
+    for i in reversed(range(len(out))):
+        lead = rem[i + len(b) - 1]
+        q, r = divmod(lead, b[-1])
+        if r:
+            raise ValueError("inexact polynomial division")
+        out[i] = q
+        for j, bv in enumerate(b):
+            rem[i + j] -= q * bv
+    if any(rem):
+        raise ValueError("inexact polynomial division")
+    return out
+
+
+_CYCLOTOMIC_CACHE: dict[int, tuple[int, ...]] = {1: (-1, 1)}
+
+
+def cyclotomic_poly(d: int) -> tuple[int, ...]:
+    """Coefficients of the d-th cyclotomic polynomial, low degree first."""
+    cached = _CYCLOTOMIC_CACHE.get(d)
+    if cached is not None:
+        return cached
+    # x^d - 1 equals the product of Phi_e over all divisors e of d
+    coeffs = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            coeffs = _poly_divexact(coeffs, cyclotomic_poly(e))
+    out = tuple(coeffs)
+    _CYCLOTOMIC_CACHE[d] = out
+    return out
+
+
+def _poly_at_matrix(coeffs, matrix):
+    n = len(matrix)
+    ident = identity_matrix(n)
+    acc = tuple(tuple(0 for _ in range(n)) for _ in range(n))
+    for c in reversed(coeffs):
+        acc = mat_mul(acc, matrix)
+        acc = tuple(
+            tuple(x + c * e for x, e in zip(ra, re)) for ra, re in zip(acc, ident)
+        )
+    return acc
+
+
+def cyclotomic_orders(matrix) -> list[int]:
+    """Orders d such that some eigenvalue of M is a primitive d-th root of unity."""
+    n = len(matrix)
+    out = []
+    for d in range(1, 2 * n * n + 3):
+        if totient(d) > n:
+            continue
+        if det_int(_poly_at_matrix(cyclotomic_poly(d), matrix)) == 0:
+            out.append(d)
+    return out

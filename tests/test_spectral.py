@@ -5,14 +5,17 @@ from hypothesis import given, strategies as st
 
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import make_matrix_context
-from abcgroups.linalg import identity_matrix, mat_vec
-from abcgroups.spectral import (
+from abcgroups.linalg import (
     cyclotomic_orders,
     cyclotomic_poly,
+    identity_matrix,
+    mat_vec,
+    totient,
+)
+from abcgroups.spectral import (
     epsilon_norm_table,
     periodic_subgroup_basis,
     relative_growth_table,
-    totient,
     unit_root_period,
     unit_root_projection,
 )
