@@ -7,7 +7,6 @@ from .conjugacy import (
     are_conjugate,
     brute_force_partition,
     conjugacy_key,
-    matrix_quotient,
 )
 from .enumeration import BallIndex, ResourceCapError, enumerate_ball
 from .folner import (

@@ -16,12 +16,17 @@ Three kernel families are supported:
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from typing import Any, Iterable, NamedTuple, Optional
 
 from .linalg import (
+    adjugate,
+    cyclotomic_orders,
     det_int,
     identity_matrix,
+    mat_mul,
     mat_pow,
+    mat_sub,
     mat_vec,
     smith_normal_form,
     unimodular_inverse,
@@ -33,6 +38,7 @@ __all__ = [
     "LamplighterContext",
     "BaumslagSolitarContext",
     "MatrixContext",
+    "QuotientDescriptor",
     "make_lamplighter",
     "make_bs",
     "make_matrix_context",
@@ -86,6 +92,21 @@ class GroupContext:
         Each family's key orders elements exactly as the byte codec of
         earlier versions did, so layers, predecessor indices and block
         listings match results recorded with those versions.
+        """
+        raise NotImplementedError
+
+    # Conjugacy data supplied by each family; the conjugacy module
+    # explains why each family's invariants are complete.
+
+    def conjugacy_key(self, g: Element, orbit_bound: int):
+        """Canonical, order-comparable conjugacy invariant of g."""
+        raise NotImplementedError
+
+    def block_solver(self, p: int):
+        """(residue, solve) for the stratum p != 0.
+
+        residue(w) is the class of w in K / (1 - phi^p) K, and solve(w) is
+        the unique b with (1 - phi^p)(b) = w, or None when there is none.
         """
         raise NotImplementedError
 
@@ -223,6 +244,61 @@ class LamplighterContext(GroupContext):
             return "0"
         return "+".join(f"{v}@{i}" for i, v in a)
 
+    def conjugacy_key(self, g: Element, orbit_bound: int):
+        # orbit_bound only bounds the matrix p = 0 search
+        p = g.texp
+        conf = g.kpart
+        if p == 0:
+            if not conf:
+                return (0, ())
+            base = conf[0][0]
+            return (0, tuple((i - base, v) for i, v in conf))
+        n = abs(p)
+        sums = self._class_sums(n, conf)
+        return (p, min(sums[i:] + sums[:i] for i in range(n)))
+
+    def _class_sums(self, n: int, conf) -> tuple:
+        # lamp sums over each class of indices mod n: the class of conf in
+        # K / (1 - phi^n) K
+        sums = [0] * n
+        for i, v in conf:
+            sums[i % n] += v
+        if self.m:
+            return tuple(v % self.m for v in sums)
+        return tuple(sums)
+
+    def block_solver(self, p: int):
+        n = abs(p)
+        norm = self._norm_value
+
+        def residue(w):
+            return self._class_sums(n, w)
+
+        def solve(w):
+            if not w:
+                return ()
+            by_class: dict[int, list[tuple[int, int]]] = {}
+            for i, v in w:
+                by_class.setdefault(i % n, []).append((i, v))
+            out = []
+            for idxs in by_class.values():
+                if p < 0:
+                    idxs = idxs[::-1]
+                running = 0
+                for (i, v), nxt in zip(idxs, idxs[1:] + [None]):
+                    running = norm(running + v)
+                    if nxt is None:
+                        if running:
+                            return None
+                        break
+                    if running:
+                        gap = abs(nxt[0] - i)
+                        step = n if p > 0 else -n
+                        out.extend((i + step * q, running) for q in range(gap // n))
+            return tuple(sorted(out))
+
+        return residue, solve
+
 
 # ---------------------------------------------------------------------------
 # Baumslag-Solitar family BS(1,k)
@@ -306,6 +382,57 @@ class BaumslagSolitarContext(GroupContext):
             return str(num)
         return f"{num}/{self.k}^{e}"
 
+    def conjugacy_key(self, g: Element, orbit_bound: int):
+        # orbit_bound only bounds the matrix p = 0 search
+        p = g.texp
+        num = g.kpart[0]
+        k = self.k
+        if p == 0:
+            return (0, self._strip_factors(num))
+        n = abs(p)
+        modulus = k**n - 1
+        if modulus == 1:
+            return (p, 0)
+        res = self._residue(n, g.kpart)
+        best = res
+        for _ in range(n - 1):
+            res = res * k % modulus
+            if res < best:
+                best = res
+        return (p, best)
+
+    def _strip_factors(self, num: int) -> int:
+        k = self.k
+        while num and num % k == 0:
+            num //= k
+        return num
+
+    def _residue(self, n: int, w) -> int:
+        # class of w = num / k^e in Z[1/k] / (k^n - 1) = Z / (k^n - 1)
+        num, e = w
+        k = self.k
+        modulus = k**n - 1
+        return num * pow(k, -e % n, modulus) % modulus
+
+    def block_solver(self, p: int):
+        n = abs(p)
+        den = self.k**n - 1
+
+        def residue(w):
+            return self._residue(n, w)
+
+        def solve(w):
+            if p > 0:
+                num, e = w
+                num = -num
+            else:
+                num, e = self.phi_power(w, n)
+            if num % den:
+                return None
+            return self.canonical_kpart((num // den, e))
+
+        return residue, solve
+
 
 # ---------------------------------------------------------------------------
 # Matrix family Z^n x| <t>
@@ -319,6 +446,56 @@ def _int_entries(values, what: str) -> tuple[int, ...]:
         if type(x) is not int:
             raise ValueError(f"{what} entries must be integers, got {x!r}")
     return out
+
+
+@dataclass(frozen=True)
+class QuotientDescriptor:
+    """Z^n / (I - M^p) Z^n in diagonal coordinates.
+
+    With U (I - M^p) V = diag, a vector w lies in (I - M^p) Z^n exactly
+    when each coordinate of U w is divisible by the matching diagonal
+    entry, so coords() is a complete residue invariant.
+
+    M commutes with I - M^p, so it permutes the quotient.  In these
+    coordinates it acts by action = U M U^-1 followed by reduction mod
+    diag (step()).  orbit_min maps each class met so far to the least
+    class of its M-orbit.
+    """
+
+    texp: int
+    diag: tuple[int, ...]
+    left: tuple[tuple[int, ...], ...]
+    left_inverse: tuple[tuple[int, ...], ...]
+    action: tuple[tuple[int, ...], ...]
+    orbit_min: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def coords(self, v) -> tuple[int, ...]:
+        w = mat_vec(self.left, v)
+        return tuple(x % d for x, d in zip(w, self.diag))
+
+    def representative(self, coords) -> tuple[int, ...]:
+        return mat_vec(self.left_inverse, coords)
+
+    def step(self, coords) -> tuple[int, ...]:
+        """coords(M v) for any v with coords(v) == coords."""
+        w = mat_vec(self.action, coords)
+        return tuple(x % d for x, d in zip(w, self.diag))
+
+    def least_class(self, v) -> tuple[int, ...]:
+        """Lexicographic minimum of the M-orbit of the class of v."""
+        # M permutes the finite quotient, so the orbit is a cycle through start
+        start = self.coords(v)
+        best = self.orbit_min.get(start)
+        if best is not None:
+            return best
+        orbit = [start]
+        cur = self.step(start)
+        while cur != start:
+            orbit.append(cur)
+            cur = self.step(cur)
+        best = min(orbit)
+        self.orbit_min.update(dict.fromkeys(orbit, best))
+        return best
 
 
 class MatrixContext(GroupContext):
@@ -342,6 +519,8 @@ class MatrixContext(GroupContext):
             1: matrix,
             -1: self._inverse,
         }
+        self._unit_root_orders = cyclotomic_orders(matrix)
+        self._quotients: dict[int, QuotientDescriptor] = {}
         if kgens is None:
             units = []
             for i in range(n):
@@ -384,6 +563,80 @@ class MatrixContext(GroupContext):
 
     def format_kpart(self, a) -> str:
         return "(" + ",".join(str(x) for x in a) + ")"
+
+    def conjugacy_key(self, g: Element, orbit_bound: int):
+        if self._unit_root_orders:
+            raise ValueError(
+                f"conjugacy invariants are unavailable: M has root-of-unity "
+                f"eigenvalues of orders {self._unit_root_orders}"
+            )
+        p = g.texp
+        if p == 0:
+            return (0, self._shift_canonical(g.kpart, orbit_bound))
+        return (p, self.quotient(p).least_class(g.kpart))
+
+    def _shift_canonical(self, v, bound: int) -> tuple[int, ...]:
+        # minimize (sup-norm, lex) over the orbit window; the composite order
+        # makes the result orbit-invariant whenever both endpoints see the
+        # norm dip, which a hyperbolic M guarantees at these scales
+        zero = self.kpart_zero()
+        if v == zero:
+            return zero
+        # i -> (sup-norm, M^i v), computed once and shared by every window
+        # that contains i; each window is scanned outwards from its centre,
+        # so the neighbour a new point is computed from is always there
+        ranks = {0: (max(map(abs, v)), v)}
+        centre = 0
+        while True:
+            best, best_rank = centre, ranks[centre]
+            for step in (1, -1):
+                m = self.matrix_power(step)
+                i = centre
+                for _ in range(bound):
+                    i += step
+                    r = ranks.get(i)
+                    if r is None:
+                        w = mat_vec(m, ranks[i - step][1])
+                        r = ranks[i] = (max(map(abs, w)), w)
+                    if r < best_rank:
+                        best, best_rank = i, r
+            if best == centre:
+                return best_rank[1]
+            centre = best
+
+    def quotient(self, texp: int) -> QuotientDescriptor:
+        """Quotient descriptor for the stratum of t-exponent texp != 0."""
+        if texp == 0:
+            raise ValueError("quotient is only defined for nonzero t-exponent")
+        qd = self._quotients.get(texp)
+        if qd is not None:
+            return qd
+        d_mat = mat_sub(identity_matrix(self.n), self.matrix_power(texp))
+        if det_int(d_mat) == 0:
+            raise ValueError(
+                f"I - M^{texp} is singular; the stratum has no finite quotient"
+            )
+        snf = smith_normal_form(d_mat)
+        left_inverse = unimodular_inverse(snf.left)
+        action = mat_mul(snf.left, mat_mul(self.matrix, left_inverse))
+        qd = QuotientDescriptor(texp, snf.diag, snf.left, left_inverse, action)
+        self._quotients[texp] = qd
+        return qd
+
+    def block_solver(self, p: int):
+        d_mat = mat_sub(identity_matrix(self.n), self.matrix_power(p))
+        det = det_int(d_mat)
+        if det == 0:
+            raise ValueError(f"I - M^{p} is singular; no unique conjugator part")
+        adj = adjugate(d_mat)
+
+        def solve(w):
+            raw = mat_vec(adj, w)
+            if any(x % det for x in raw):
+                return None
+            return tuple(x // det for x in raw)
+
+        return self.quotient(p).coords, solve
 
 
 # ---------------------------------------------------------------------------

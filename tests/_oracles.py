@@ -8,7 +8,7 @@ walks), so the fast code paths have an independent answer to match.
 
 from __future__ import annotations
 
-from abcgroups.conjugacy import UnionFind, _block_solver, conjugacy_key
+from abcgroups.conjugacy import UnionFind, conjugacy_key
 from abcgroups.enumeration import BallIndex, enumerate_ball
 from abcgroups.groups import Element, GroupContext, MatrixContext
 from abcgroups.words import generator_letters, letter_element
@@ -120,7 +120,7 @@ def pairwise_partition(
                     if h in ball_set:
                         uf.union(g, h)
             continue
-        _, solve = _block_solver(ctx, p)
+        _, solve = ctx.block_solver(p)
         for i, g in enumerate(els):
             for h in els[i + 1 :]:
                 if uf.same(g, h):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -12,11 +13,9 @@ from _oracles import (
 from abcgroups.conjugacy import (
     DEFAULT_ORBIT_BOUND,
     UnionFind,
-    _block_solver,
     are_conjugate,
     brute_force_partition,
     conjugacy_key,
-    matrix_quotient,
 )
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import (
@@ -131,9 +130,9 @@ def test_unit_root_refusal():
 
 def test_quotient_descriptor_round_trip():
     ctx = make_matrix_context(HYP)
-    qd = matrix_quotient(ctx, 2)
+    qd = ctx.quotient(2)
     # |det(I - M^2)| = 5
-    assert qd.order == 5
+    assert math.prod(qd.diag) == 5
     seen = set()
     for residue in range(5):
         coords = (0, residue) if qd.diag == (1, 5) else (residue, 0)
@@ -145,7 +144,7 @@ def test_quotient_descriptor_round_trip():
 
 def test_quotient_coords_well_defined():
     ctx = make_matrix_context(HYP)
-    qd = matrix_quotient(ctx, 2)
+    qd = ctx.quotient(2)
     shift = tuple(
         a - b for a, b in zip((7, -3), ctx.phi_power((7, -3), 2))
     )
@@ -156,7 +155,7 @@ def test_quotient_coords_well_defined():
 
 def test_matrix_quotient_is_cached():
     ctx = make_matrix_context(HYP)
-    assert matrix_quotient(ctx, 3) is matrix_quotient(ctx, 3)
+    assert ctx.quotient(3) is ctx.quotient(3)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +167,7 @@ def reference_key(ctx, g, orbit_bound):
     p = g.texp
     if p == 0:
         return (0, matrix_shift_canonical(ctx, g.kpart, orbit_bound))
-    return (p, matrix_orbit_min(ctx, matrix_quotient(ctx, p), g.kpart))
+    return (p, matrix_orbit_min(ctx, ctx.quotient(p), g.kpart))
 
 
 @pytest.mark.parametrize("rows,r", [(HYP, 9), (PISOT, 6)])
@@ -195,7 +194,7 @@ def test_matrix_keys_do_not_depend_on_order():
 )
 def test_quotient_step_is_the_induced_action(p, raw):
     ctx = make_matrix_context(HYP)
-    qd = matrix_quotient(ctx, p)
+    qd = ctx.quotient(p)
     c = tuple(x % d for x, d in zip(raw, qd.diag))
     assert qd.step(c) == qd.coords(ctx.phi_power(qd.representative(c), 1))
 
@@ -360,7 +359,7 @@ def test_residue_matches_solver(family, param, data):
     a, b, c = (
         ctx.canonical_kpart(data.draw(KPART_SAMPLES[family])) for _ in range(3)
     )
-    residue, solve = _block_solver(ctx, p)
+    residue, solve = ctx.block_solver(p)
     if data.draw(st.booleans()):
         # force a shared residue: b = a + (1 - phi^p)(c), so a - b = -c
         image = ctx.kpart_add(c, ctx.kpart_neg(ctx.phi_power(c, p)))
