@@ -52,7 +52,8 @@ class BallIndex:
         return self._record(g)[0]
 
     def predecessor_index(self, g: Element) -> int:
-        """Index into ctx.generators() of a final geodesic letter (-1 at the identity)."""
+        """Index into ctx.generators() of the last letter of some geodesic
+        word for g; -1 at the identity, which has the empty word."""
         return self._record(g)[1]
 
     def min_t_count(self, g: Element) -> int:
@@ -97,13 +98,10 @@ def enumerate_ball(
     """Enumerate S^radius; raises ResourceCapError beyond element_cap elements."""
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    gens = ctx.generators()
     identity = ctx.identity
     kmoves = []  # (gen index, kernel part), shift cached per t-level
     tmoves = []  # (gen index, +-1)
-    for idx, s in enumerate(gens):
-        if s == identity:
-            continue
+    for idx, s in enumerate(ctx.generators()):
         if s.texp == 0:
             kmoves.append((idx, s.kpart))
         else:

@@ -313,7 +313,7 @@ def translate_experiment(
     ctx = _require_bs(ctx)
     box = folner_box(ctx, n, element_cap)
     sep = separating_translate(ctx, box, n1_cap)
-    gens = ctx.generators()[1:]
+    gens = ctx.generators()
     by_gen: dict = {}
     for gen in gens:
         inverse = ctx.invert(gen)
@@ -321,7 +321,7 @@ def translate_experiment(
             by_gen[gen] = by_gen[inverse]
         else:
             by_gen[gen] = right_defect(ctx, box, gen)
-    defects = dict(zip(generator_letters(ctx)[1:], (by_gen[gen] for gen in gens)))
+    defects = dict(zip(generator_letters(ctx), (by_gen[gen] for gen in gens)))
     left_t = left_defect(ctx, box, Element(ctx.kpart_zero(), 1))
     return TranslateReport(
         k=ctx.k,

@@ -133,13 +133,10 @@ class GroupContext:
         return self.multiply(self.multiply(x, g), self.invert(x))
 
     def generators(self) -> list[Element]:
-        """Generating set: identity, nonzero kernel generators, then t, t^-1."""
-        gens = [self.identity]
-        gens.extend(Element(r, 0) for r in self.kgen_nonzero)
+        """Generating set: nonzero kernel generators, then t, t^-1."""
         zero = self.kpart_zero()
-        gens.append(Element(zero, 1))
-        gens.append(Element(zero, -1))
-        return gens
+        kgens = [Element(r, 0) for r in self.kgen_nonzero]
+        return kgens + [Element(zero, 1), Element(zero, -1)]
 
     def format_element(self, g: Element) -> str:
         return f"({self.format_kpart(g.kpart)}; t^{g.texp})"
@@ -160,7 +157,6 @@ class GroupContext:
                 raise ValueError(
                     f"kernel generator set is not symmetric: missing inverse of {a!r}"
                 )
-        self.kgen_list = tuple(seen)
         self.kgen_nonzero = tuple(a for a in seen if a != zero)
 
 

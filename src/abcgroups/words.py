@@ -65,13 +65,9 @@ def format_word(w: Word) -> str:
     return " ".join(w.letters)
 
 
-def generator_letters(ctx: GroupContext) -> list[str | None]:
-    """Letter token for each entry of ctx.generators(); None for the identity."""
-    out: list[str | None] = [None]
-    out.extend(f"g{i}" for i in range(len(ctx.kgen_nonzero)))
-    out.append("t")
-    out.append("T")
-    return out
+def generator_letters(ctx: GroupContext) -> list[str]:
+    """Letter token for each entry of ctx.generators()."""
+    return [f"g{i}" for i in range(len(ctx.kgen_nonzero))] + ["t", "T"]
 
 
 def letter_element(ctx: GroupContext, letter: str) -> Element:

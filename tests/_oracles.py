@@ -22,8 +22,10 @@ def word_ball(ctx: GroupContext, radius: int) -> dict[Element, tuple[int, int]]:
     states at each exact distance is enough to minimize the t-count over
     all geodesics.
     """
-    letters = [x for x in generator_letters(ctx) if x is not None]
-    steps = [(letter_element(ctx, x), 1 if x in ("t", "T") else 0) for x in letters]
+    steps = [
+        (letter_element(ctx, x), 1 if x in ("t", "T") else 0)
+        for x in generator_letters(ctx)
+    ]
     best: dict[Element, tuple[int, int]] = {ctx.identity: (0, 0)}
     frontier = {(ctx.identity, 0)}
     for dist in range(1, radius + 1):

@@ -205,7 +205,7 @@ def test_quotient_step_is_the_induced_action(p, raw):
 
 
 def random_element(ctx, rng, length):
-    gens = ctx.generators()[1:]
+    gens = ctx.generators()
     g = ctx.identity
     for _ in range(length):
         g = ctx.multiply(g, rng.choice(gens))

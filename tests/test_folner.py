@@ -71,7 +71,7 @@ def test_left_defect_values():
 def test_right_defects_decrease():
     ctx = make_bs(2)
     boxes = [folner_box(ctx, n) for n in range(1, 5)]
-    for gen in ctx.generators()[1:]:
+    for gen in ctx.generators():
         values = [right_defect(ctx, box, gen) for box in boxes]
         assert all(a > b for a, b in zip(values, values[1:]))
 

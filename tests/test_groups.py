@@ -37,14 +37,14 @@ def test_kgen_set_validation():
         make_bs(2, kgens=((1, 0), (-1, 0)))
 
 
-def test_generator_counts_and_identity_first():
-    assert len(make_bs(2).generators()) == 5
+def test_generator_counts_and_order():
+    assert len(make_bs(2).generators()) == 4
     # with mod 2 lamps the lamp generator is its own inverse
-    assert len(make_lamplighter(2).generators()) == 4
-    assert len(make_matrix_context(HYP).generators()) == 7
+    assert len(make_lamplighter(2).generators()) == 3
+    assert len(make_matrix_context(HYP).generators()) == 6
     for ctx in (make_bs(2), make_lamplighter(3), make_matrix_context(HYP)):
         gens = ctx.generators()
-        assert gens[0] == ctx.identity
+        assert ctx.identity not in gens
         assert gens[-2].texp == 1 and gens[-1].texp == -1
 
 
@@ -170,7 +170,7 @@ def test_load_matrix_config(tmp_path):
     path.write_text(json.dumps({"n": 2, "rows": [[2, 1], [1, 1]]}))
     ctx = load_matrix_config(str(path))
     assert ctx.matrix == HYP
-    assert len(ctx.generators()) == 7
+    assert len(ctx.generators()) == 6
 
     custom = tmp_path / "gen.json"
     custom.write_text(
@@ -244,7 +244,7 @@ def test_load_matrix_config_accepts_module_generators(tmp_path):
     path.write_text(
         json.dumps({"rows": [[2, 1], [1, 1]], "generators": [[2, 0], [0, 1]]})
     )
-    assert len(load_matrix_config(str(path)).generators()) == 7
+    assert len(load_matrix_config(str(path)).generators()) == 6
 
 
 def test_matrix_context_rejects_non_integer_entries():

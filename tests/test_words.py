@@ -182,6 +182,5 @@ def test_generator_letters_alignment():
         letters = generator_letters(ctx)
         gens = ctx.generators()
         assert len(letters) == len(gens)
-        assert letters[0] is None
-        for letter, gen in zip(letters[1:], gens[1:]):
+        for letter, gen in zip(letters, gens):
             assert letter_element(ctx, letter) == gen
