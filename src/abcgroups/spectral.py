@@ -14,12 +14,15 @@ from fractions import Fraction
 from .enumeration import BallIndex
 from .groups import MatrixContext
 from .linalg import (
+    adjugate,
     cyclotomic_orders,
+    det_int,
     identity_matrix,
     integer_kernel_basis,
     mat_pow,
     mat_sub,
     mat_vec,
+    smith_normal_form,
 )
 
 __all__ = [
@@ -51,45 +54,6 @@ def periodic_subgroup_basis(matrix) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 # Projection onto the periodic part
 # ---------------------------------------------------------------------------
-
-
-def _rank(vectors) -> int:
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _fraction_inverse(matrix):
-    n = len(matrix)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 @dataclass(frozen=True)
@@ -132,7 +96,10 @@ def unit_root_projection(matrix) -> ProjectionSetup:
     image = []
     for c in range(n):
         col = tuple(power[r][c] for r in range(n))
-        if any(col) and _rank(basis + [col]) > len(basis):
+        if not any(col):
+            continue
+        # the rank is the number of nonzero Smith diagonal entries
+        if sum(1 for d in smith_normal_form(basis + [col]).diag if d) > len(basis):
             basis.append(col)
             image.append(col)
     if len(basis) != n:
@@ -141,7 +108,10 @@ def unit_root_projection(matrix) -> ProjectionSetup:
             "part of M is not semisimple"
         )
     change = tuple(tuple(basis[j][i] for j in range(n)) for i in range(n))
-    change_inv = _fraction_inverse(change)
+    det = det_int(change)
+    change_inv = tuple(
+        tuple(Fraction(x, det) for x in row) for row in adjugate(change)
+    )
     k = len(kernel)
     proj = tuple(
         tuple(
