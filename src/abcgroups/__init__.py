@@ -4,20 +4,16 @@ unit-root spectral tables."""
 
 from .conjugacy import (
     UnionFind,
-    are_conjugate,
     brute_force_partition,
     conjugacy_key,
 )
 from .enumeration import BallIndex, ResourceCapError, enumerate_ball
 from .folner import (
-    congruence_witness,
-    finite_n_solutions,
     folner_box,
     left_defect,
     right_defect,
     separating_translate,
     translate_experiment,
-    window_nonempty,
 )
 from .groups import (
     BaumslagSolitarContext,
@@ -38,10 +34,9 @@ from .linalg import (
     smith_normal_form,
     unimodular_inverse,
 )
-from .ratios import decay_fit, ratio_table, threshold_function, write_csv
+from .ratios import ratio_table, threshold_function, write_csv
 from .spectral import (
     epsilon_norm_table,
-    periodic_subgroup_basis,
     relative_growth_table,
     unit_root_period,
     unit_root_projection,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .conjugacy import (
     DEFAULT_ORBIT_BOUND,
@@ -42,7 +42,7 @@ from .words import (
     to_staircase,
 )
 
-__all__ = ["RunConfig", "parse_config", "format_config", "run", "main"]
+__all__ = ["RunConfig", "parse_config", "run", "main"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -80,23 +80,6 @@ class RunConfig:
     orbit_bound: int = DEFAULT_ORBIT_BOUND
     emit: str = "json"
     word: str | None = None
-
-
-_COMMAND_FIELDS = {
-    "enumerate": ("group", "radius", "element_cap"),
-    "ratio": ("group", "radius", "f", "out", "element_cap"),
-    "conjtest": (
-        "group",
-        "radius",
-        "oracle_radius",
-        "out",
-        "element_cap",
-        "orbit_bound",
-    ),
-    "folner": ("k", "n", "emit", "out", "element_cap", "n1_cap"),
-    "spectral": ("matrix", "radius", "out", "element_cap"),
-    "rewrite": ("group", "word"),
-}
 
 
 def build_parser() -> _Parser:
@@ -149,27 +132,6 @@ def parse_config(argv) -> RunConfig:
     values = vars(namespace)
     command = values.pop("command")
     return RunConfig(command=command, **values)
-
-
-def format_config(config: RunConfig) -> list[str]:
-    """Argument list that parses back to the same config."""
-    known = {f.name for f in fields(RunConfig)}
-    wanted = _COMMAND_FIELDS.get(config.command)
-    if wanted is None:
-        raise ValueError(f"unknown subcommand {config.command!r}")
-    out = [config.command]
-    tail: list[str] = []
-    for name in wanted:
-        if name not in known:
-            raise ValueError(f"unknown config field {name!r}")
-        value = getattr(config, name)
-        if value is None:
-            continue
-        if name == "word":
-            tail.append(value)
-            continue
-        out.extend((f"--{name.replace('_', '-')}", str(value)))
-    return out + tail
 
 
 def _write_text(path: str | None, text: str) -> None:

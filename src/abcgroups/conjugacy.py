@@ -43,7 +43,6 @@ from .groups import Element, GroupContext
 
 __all__ = [
     "conjugacy_key",
-    "are_conjugate",
     "UnionFind",
     "brute_force_partition",
     "DEFAULT_ORBIT_BOUND",
@@ -55,14 +54,6 @@ DEFAULT_ORBIT_BOUND = 64
 def conjugacy_key(ctx: GroupContext, g: Element, orbit_bound: int = DEFAULT_ORBIT_BOUND):
     """Canonical, order-comparable conjugacy invariant (complete; see module doc)."""
     return ctx.conjugacy_key(g, orbit_bound)
-
-
-def are_conjugate(
-    ctx: GroupContext, g: Element, h: Element, orbit_bound: int = DEFAULT_ORBIT_BOUND
-) -> bool:
-    if g.texp != h.texp:
-        return False
-    return conjugacy_key(ctx, g, orbit_bound) == conjugacy_key(ctx, h, orbit_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .conjugacy import conjugacy_key
 from .enumeration import ResourceCapError
@@ -38,10 +38,6 @@ __all__ = [
     "folner_box",
     "right_defect",
     "left_defect",
-    "congruence_witness",
-    "window_nonempty",
-    "CongruenceSolutions",
-    "finite_n_solutions",
     "SeparatingTranslate",
     "separating_translate",
     "TranslateReport",
@@ -114,111 +110,6 @@ def left_defect(ctx: GroupContext, collection, x: Element) -> Fraction:
     elems = _element_set(collection)
     moved = sum(1 for e in elems if ctx.multiply(x, e) not in elems)
     return Fraction(2 * moved, len(elems))
-
-
-# ---------------------------------------------------------------------------
-# Congruence machinery
-# ---------------------------------------------------------------------------
-
-
-def congruence_witness(
-    ctx: GroupContext, a: int, b: int, n: int
-) -> Optional[int]:
-    """Least m in [0, n) with k^m a = b mod k^n - 1, or None.
-
-    None certifies (a, t^n) and (b, t^n) are not conjugate; the converse
-    holds as well because k has multiplicative order n mod k^n - 1.
-    """
-    ctx = _require_bs(ctx)
-    if n < 1:
-        raise ValueError(f"the exponent n must be at least 1, got {n}")
-    modulus = ctx.k**n - 1
-    if modulus == 1:
-        return 0
-    cur = a % modulus
-    target = b % modulus
-    for m in range(n):
-        if cur == target:
-            return m
-        cur = cur * ctx.k % modulus
-    return None
-
-
-def window_nonempty(ctx: GroupContext, a: int, b: int, n: int) -> bool:
-    """Whether some power k^j lies in [(k^n - 1 + b)/a, k^n b / (k^n - 1 + a)].
-
-    For k^n - 1 > max(a, b) and b/a not a power of k, any witness for the
-    congruence forces its power into this interval, so an empty window
-    rules the exponent n out.
-    """
-    ctx = _require_bs(ctx)
-    if a < 1 or b < 1:
-        raise ValueError(f"window bounds need positive entries, got {a}, {b}")
-    if n < 1:
-        raise ValueError(f"the exponent n must be at least 1, got {n}")
-    k = ctx.k
-    lower = Fraction(k**n - 1 + b, a)
-    upper = Fraction(k**n * b, k**n - 1 + a)
-    if lower > upper:
-        return False
-    power = Fraction(1)
-    while power < lower:
-        power *= k
-    while power / k >= lower:
-        power /= k
-    return power <= upper
-
-
-def _strip_k(value: int, k: int) -> int:
-    while value % k == 0:
-        value //= k
-    return value
-
-
-@dataclass(frozen=True)
-class CongruenceSolutions:
-    a: int
-    b: int
-    n_max: int
-    solutions: tuple[int, ...]
-    window_limit: int
-
-
-def finite_n_solutions(
-    ctx: GroupContext, a: int, b: int, n_max: int
-) -> CongruenceSolutions:
-    """All exponents n <= n_max whose congruence has a witness, plus the
-    largest n whose power window is nonempty (0 when every window is empty).
-
-    Beyond both bounds no further solutions exist, which is the finiteness
-    statement being exercised.
-    """
-    ctx = _require_bs(ctx)
-    if a < 1 or b < 1:
-        raise ValueError(f"need positive entries, got {a}, {b}")
-    k = ctx.k
-    if _strip_k(a, k) == _strip_k(b, k):
-        raise ValueError(
-            f"{b}/{a} is a power of {k}; every exponent admits a witness"
-        )
-    solutions = tuple(
-        n for n in range(1, n_max + 1) if congruence_witness(ctx, a, b, n) is not None
-    )
-    # the window edges cross like k^2n versus k^n; once the interval is
-    # empty past the vertex of (x - 1 + a)(x - 1 + b) - abx in x = k^n it
-    # stays empty for every larger n
-    vertex_doubled = a * b + 2 - a - b
-    limit = 0
-    n = 1
-    while True:
-        k_n = k**n
-        if Fraction(k_n - 1 + b, a) <= Fraction(k_n * b, k_n - 1 + a):
-            if window_nonempty(ctx, a, b, n):
-                limit = n
-        elif 2 * k_n >= vertex_doubled:
-            break
-        n += 1
-    return CongruenceSolutions(a, b, n_max, solutions, limit)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, isqrt, log
-from typing import Callable, NamedTuple, TextIO
+from typing import Callable, TextIO
 
 from .conjugacy import conjugacy_key
 from .enumeration import BallIndex
@@ -20,10 +20,8 @@ from .groups import GroupContext
 __all__ = [
     "RatioRow",
     "RatioTable",
-    "DecayFit",
     "threshold_function",
     "ratio_table",
-    "decay_fit",
     "write_csv",
     "gnuplot_script",
     "CSV_HEADER",
@@ -50,12 +48,6 @@ class RatioRow:
 class RatioTable:
     f_label: str
     rows: tuple[RatioRow, ...]
-
-
-class DecayFit(NamedTuple):
-    cr_constant: float
-    scr_constant: float
-    rows_used: int
 
 
 def threshold_function(spec: str) -> tuple[Callable[[int], int], str]:
@@ -142,19 +134,6 @@ def ratio_table(
             )
         )
     return RatioTable(label, tuple(rows))
-
-
-def decay_fit(table: RatioTable) -> DecayFit:
-    """Least constants C with cr(r) <= C log(r)/r and likewise for scr,
-    over the rows with r >= 3."""
-    rows = [row for row in table.rows if row.r >= 3]
-    if len(rows) < 4:
-        raise ValueError(
-            f"decay fit needs at least 4 rows with r >= 3, got {len(rows)}"
-        )
-    cr_c = max(row.cr * row.r / log(row.r) for row in rows)
-    scr_c = max(row.scr * row.r / log(row.r) for row in rows)
-    return DecayFit(cr_c, scr_c, len(rows))
 
 
 def write_csv(table: RatioTable, dest) -> None:

@@ -27,7 +27,6 @@ from .linalg import (
 
 __all__ = [
     "unit_root_period",
-    "periodic_subgroup_basis",
     "ProjectionSetup",
     "unit_root_projection",
     "relative_growth_table",
@@ -37,18 +36,6 @@ __all__ = [
 
 def unit_root_period(matrix) -> int:
     return math.lcm(*cyclotomic_orders(matrix))
-
-
-def periodic_subgroup_basis(matrix) -> tuple[tuple[int, ...], ...]:
-    """Integer basis of P = {v : M^N v = v}, N the unit-root period.
-
-    Any v with a finite M-orbit satisfies M^N v = v because every root of
-    unity in the spectrum has order dividing N, so this kernel is the full
-    periodic subgroup.
-    """
-    period = unit_root_period(matrix)
-    shifted = mat_sub(mat_pow(matrix, period), identity_matrix(len(matrix)))
-    return integer_kernel_basis(shifted)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,6 @@ __all__ = [
     "t_exponent",
     "to_staircase",
     "cyclic_reduce",
-    "is_ascending_form",
-    "cyclic_permutations",
-    "distinct_cyclic_values",
 ]
 
 _LETTER_RE = re.compile(r"^(t|T|[gG]\d+)$")
@@ -156,18 +153,3 @@ def cyclic_reduce(ctx: GroupContext, w: Word) -> Word:
         letters.extend(block)
         letters.append("t")
     return Word(tuple(letters))
-
-
-def is_ascending_form(w: Word) -> bool:
-    """True for words u_0 t u_1 t ... u_{m-1} t with no T letters, m > 0."""
-    return bool(w.letters) and "T" not in w.letters and w.letters[-1] == "t"
-
-
-def cyclic_permutations(w: Word) -> list[Word]:
-    letters = w.letters
-    return [Word(letters[i:] + letters[:i]) for i in range(len(letters))]
-
-
-def distinct_cyclic_values(ctx: GroupContext, w: Word) -> int:
-    rotations = cyclic_permutations(w) or [w]
-    return len({evaluate(ctx, rot) for rot in rotations})

@@ -4,13 +4,22 @@ Everything here recomputes results from first principles (raw generator
 words, elementwise conjugation sweeps) or by the plain exhaustive loop a
 fast path replaced (pairwise conjugator solving, step-by-step orbit
 walks), so the fast code paths have an independent answer to match.
+Helpers that only tests call live here too: are_conjugate, the decay fit
+of a ratio table and the bs congruence witnesses and power windows.
 """
 
 from __future__ import annotations
 
-from abcgroups.conjugacy import UnionFind, conjugacy_key
+from dataclasses import dataclass
+from fractions import Fraction
+from math import log
+from typing import NamedTuple, Optional
+
+from abcgroups.conjugacy import DEFAULT_ORBIT_BOUND, UnionFind, conjugacy_key
 from abcgroups.enumeration import BallIndex, enumerate_ball
+from abcgroups.folner import _require_bs
 from abcgroups.groups import Element, GroupContext, MatrixContext
+from abcgroups.ratios import RatioTable
 from abcgroups.words import generator_letters, letter_element
 
 
@@ -206,3 +215,130 @@ def matrix_shift_canonical(ctx: MatrixContext, v, bound: int) -> tuple[int, ...]
         if best == cur:
             return cur
         cur = best
+
+
+def are_conjugate(
+    ctx: GroupContext, g: Element, h: Element, orbit_bound: int = DEFAULT_ORBIT_BOUND
+) -> bool:
+    if g.texp != h.texp:
+        return False
+    return conjugacy_key(ctx, g, orbit_bound) == conjugacy_key(ctx, h, orbit_bound)
+
+
+class DecayFit(NamedTuple):
+    cr_constant: float
+    scr_constant: float
+    rows_used: int
+
+
+def decay_fit(table: RatioTable) -> DecayFit:
+    """Least constants C with cr(r) <= C log(r)/r and likewise for scr,
+    over the rows with r >= 3."""
+    rows = [row for row in table.rows if row.r >= 3]
+    if len(rows) < 4:
+        raise ValueError(
+            f"decay fit needs at least 4 rows with r >= 3, got {len(rows)}"
+        )
+    cr_c = max(row.cr * row.r / log(row.r) for row in rows)
+    scr_c = max(row.scr * row.r / log(row.r) for row in rows)
+    return DecayFit(cr_c, scr_c, len(rows))
+
+
+def congruence_witness(
+    ctx: GroupContext, a: int, b: int, n: int
+) -> Optional[int]:
+    """Least m in [0, n) with k^m a = b mod k^n - 1, or None.
+
+    None certifies (a, t^n) and (b, t^n) are not conjugate; the converse
+    holds as well because k has multiplicative order n mod k^n - 1.
+    """
+    ctx = _require_bs(ctx)
+    if n < 1:
+        raise ValueError(f"the exponent n must be at least 1, got {n}")
+    modulus = ctx.k**n - 1
+    if modulus == 1:
+        return 0
+    cur = a % modulus
+    target = b % modulus
+    for m in range(n):
+        if cur == target:
+            return m
+        cur = cur * ctx.k % modulus
+    return None
+
+
+def window_nonempty(ctx: GroupContext, a: int, b: int, n: int) -> bool:
+    """Whether some power k^j lies in [(k^n - 1 + b)/a, k^n b / (k^n - 1 + a)].
+
+    For k^n - 1 > max(a, b) and b/a not a power of k, any witness for the
+    congruence forces its power into this interval, so an empty window
+    rules the exponent n out.
+    """
+    ctx = _require_bs(ctx)
+    if a < 1 or b < 1:
+        raise ValueError(f"window bounds need positive entries, got {a}, {b}")
+    if n < 1:
+        raise ValueError(f"the exponent n must be at least 1, got {n}")
+    k = ctx.k
+    lower = Fraction(k**n - 1 + b, a)
+    upper = Fraction(k**n * b, k**n - 1 + a)
+    if lower > upper:
+        return False
+    power = Fraction(1)
+    while power < lower:
+        power *= k
+    while power / k >= lower:
+        power /= k
+    return power <= upper
+
+
+def _strip_k(value: int, k: int) -> int:
+    while value % k == 0:
+        value //= k
+    return value
+
+
+@dataclass(frozen=True)
+class CongruenceSolutions:
+    a: int
+    b: int
+    n_max: int
+    solutions: tuple[int, ...]
+    window_limit: int
+
+
+def finite_n_solutions(
+    ctx: GroupContext, a: int, b: int, n_max: int
+) -> CongruenceSolutions:
+    """All exponents n <= n_max whose congruence has a witness, plus the
+    largest n whose power window is nonempty (0 when every window is empty).
+
+    Beyond both bounds no further solutions exist, which is the finiteness
+    statement being exercised.
+    """
+    ctx = _require_bs(ctx)
+    if a < 1 or b < 1:
+        raise ValueError(f"need positive entries, got {a}, {b}")
+    k = ctx.k
+    if _strip_k(a, k) == _strip_k(b, k):
+        raise ValueError(
+            f"{b}/{a} is a power of {k}; every exponent admits a witness"
+        )
+    solutions = tuple(
+        n for n in range(1, n_max + 1) if congruence_witness(ctx, a, b, n) is not None
+    )
+    # the window edges cross like k^2n versus k^n; once the interval is
+    # empty past the vertex of (x - 1 + a)(x - 1 + b) - abx in x = k^n it
+    # stays empty for every larger n
+    vertex_doubled = a * b + 2 - a - b
+    limit = 0
+    n = 1
+    while True:
+        k_n = k**n
+        if Fraction(k_n - 1 + b, a) <= Fraction(k_n * b, k_n - 1 + a):
+            if window_nonempty(ctx, a, b, n):
+                limit = n
+        elif 2 * k_n >= vertex_doubled:
+            break
+        n += 1
+    return CongruenceSolutions(a, b, n_max, solutions, limit)

@@ -1,14 +1,53 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from abcgroups.cli import RunConfig, format_config, parse_config, run
+from abcgroups.cli import RunConfig, parse_config, run
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import make_bs
 
 MIXED3 = [[1, 0, 0], [0, 2, 1], [0, 1, 1]]
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+_COMMAND_FIELDS = {
+    "enumerate": ("group", "radius", "element_cap"),
+    "ratio": ("group", "radius", "f", "out", "element_cap"),
+    "conjtest": (
+        "group",
+        "radius",
+        "oracle_radius",
+        "out",
+        "element_cap",
+        "orbit_bound",
+    ),
+    "folner": ("k", "n", "emit", "out", "element_cap", "n1_cap"),
+    "spectral": ("matrix", "radius", "out", "element_cap"),
+    "rewrite": ("group", "word"),
+}
+
+
+def format_config(config: RunConfig) -> list[str]:
+    """Argument list that parses back to the same config."""
+    known = {f.name for f in fields(RunConfig)}
+    wanted = _COMMAND_FIELDS.get(config.command)
+    if wanted is None:
+        raise ValueError(f"unknown subcommand {config.command!r}")
+    out = [config.command]
+    tail: list[str] = []
+    for name in wanted:
+        if name not in known:
+            raise ValueError(f"unknown config field {name!r}")
+        value = getattr(config, name)
+        if value is None:
+            continue
+        if name == "word":
+            tail.append(value)
+            continue
+        out.extend((f"--{name.replace('_', '-')}", str(value)))
+    return out + tail
 
 
 def matrix_path(tmp_path, rows=None):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import (
+    are_conjugate,
     conjugation_sweep,
     matrix_orbit_min,
     matrix_shift_canonical,
@@ -13,7 +14,6 @@ from _oracles import (
 from abcgroups.conjugacy import (
     DEFAULT_ORBIT_BOUND,
     UnionFind,
-    are_conjugate,
     brute_force_partition,
     conjugacy_key,
 )

@@ -4,17 +4,20 @@ from fractions import Fraction
 import pytest
 
 import abcgroups.folner as folner
-from abcgroups.conjugacy import are_conjugate, conjugacy_key
-from abcgroups.enumeration import ResourceCapError
-from abcgroups.folner import (
+from _oracles import (
+    are_conjugate,
     congruence_witness,
     finite_n_solutions,
+    window_nonempty,
+)
+from abcgroups.conjugacy import conjugacy_key
+from abcgroups.enumeration import ResourceCapError
+from abcgroups.folner import (
     folner_box,
     left_defect,
     right_defect,
     separating_translate,
     translate_experiment,
-    window_nonempty,
 )
 from abcgroups.groups import Element, make_bs, make_lamplighter
 

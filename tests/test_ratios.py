@@ -3,14 +3,13 @@ from math import log
 
 import pytest
 
-from _oracles import low_t_count, sphere_class_histogram
+from _oracles import decay_fit, low_t_count, sphere_class_histogram
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import make_bs, make_lamplighter
 from abcgroups.ratios import (
     CSV_HEADER,
     RatioRow,
     RatioTable,
-    decay_fit,
     gnuplot_script,
     ratio_table,
     threshold_function,

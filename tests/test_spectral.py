@@ -9,12 +9,14 @@ from abcgroups.linalg import (
     cyclotomic_orders,
     cyclotomic_poly,
     identity_matrix,
+    integer_kernel_basis,
+    mat_pow,
+    mat_sub,
     mat_vec,
     totient,
 )
 from abcgroups.spectral import (
     epsilon_norm_table,
-    periodic_subgroup_basis,
     relative_growth_table,
     unit_root_period,
     unit_root_projection,
@@ -24,6 +26,18 @@ HYP = ((2, 1), (1, 1))
 ROT4 = ((0, -1), (1, 0))
 BLOCK = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1))
 MIXED3 = ((1, 0, 0), (0, 2, 1), (0, 1, 1))
+
+
+def periodic_subgroup_basis(matrix) -> tuple[tuple[int, ...], ...]:
+    """Integer basis of P = {v : M^N v = v}, N the unit-root period.
+
+    Any v with a finite M-orbit satisfies M^N v = v because every root of
+    unity in the spectrum has order dividing N, so this kernel is the full
+    periodic subgroup.
+    """
+    period = unit_root_period(matrix)
+    shifted = mat_sub(mat_pow(matrix, period), identity_matrix(len(matrix)))
+    return integer_kernel_basis(shifted)
 
 
 def test_totient():

@@ -2,21 +2,33 @@ import pytest
 from hypothesis import given, strategies as st
 
 from abcgroups.conjugacy import conjugacy_key
-from abcgroups.groups import Element, make_bs, make_lamplighter
+from abcgroups.groups import Element, GroupContext, make_bs, make_lamplighter
 from abcgroups.words import (
     Word,
-    cyclic_permutations,
     cyclic_reduce,
-    distinct_cyclic_values,
     evaluate,
     format_word,
     generator_letters,
-    is_ascending_form,
     letter_element,
     parse_word,
     t_exponent,
     to_staircase,
 )
+
+
+def is_ascending_form(w: Word) -> bool:
+    """True for words u_0 t u_1 t ... u_{m-1} t with no T letters, m > 0."""
+    return bool(w.letters) and "T" not in w.letters and w.letters[-1] == "t"
+
+
+def cyclic_permutations(w: Word) -> list[Word]:
+    letters = w.letters
+    return [Word(letters[i:] + letters[:i]) for i in range(len(letters))]
+
+
+def distinct_cyclic_values(ctx: GroupContext, w: Word) -> int:
+    rotations = cyclic_permutations(w) or [w]
+    return len({evaluate(ctx, rot) for rot in rotations})
 
 
 def test_parse_format_round_trip():
