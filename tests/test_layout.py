@@ -1,0 +1,76 @@
+"""Layout guard: src/abcgroups holds no code that only tests call.
+
+Every name a submodule defines at module level, which includes every name
+in its __all__, must be referenced somewhere in src/abcgroups outside its
+own definition, the __all__ lists and the package __init__.  A helper that
+only tests need belongs in tests/.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "abcgroups"
+
+# The library constructor beside make_bs and make_lamplighter.  The CLI
+# builds matrix contexts from config files, so nothing in src calls it,
+# but it is the public way to build a matrix context in code.
+EXEMPT = {"make_matrix_context"}
+
+
+def _defined_names(node) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _referenced_names(node) -> set[str]:
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def uncalled_names(src: Path = SRC) -> list[str]:
+    """module:name for each module-level name with no reference elsewhere."""
+    # (module, top-level statement, names it defines, names it references)
+    statements = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            defined = _defined_names(node)
+            if defined == ["__all__"]:
+                continue
+            statements.append((path.stem, node, defined, _referenced_names(node)))
+    out = []
+    for module, node, defined, _ in statements:
+        for name in defined:
+            if name in EXEMPT or (name.startswith("__") and name.endswith("__")):
+                continue
+            if not any(
+                name in refs for _, other, _, refs in statements if other is not node
+            ):
+                out.append(f"{module}:{name}")
+    return out
+
+
+def test_every_module_level_name_has_a_caller_in_src():
+    assert uncalled_names() == []
+
+
+def test_guard_flags_a_name_only_tests_call(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '__all__ = ["used", "orphan"]\n\n\n'
+        "def used():\n    return 1\n\n\n"
+        "def orphan():\n    return orphan() + used()\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "__init__.py").write_text("from .mod import orphan, used\n")
+    assert uncalled_names(tmp_path) == ["mod:orphan"]
