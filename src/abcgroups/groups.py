@@ -664,6 +664,8 @@ def load_matrix_config(path: str) -> MatrixContext:
     if not _is_list_of_lists(rows):
         raise ValueError("matrix config 'rows' must be a list of lists")
     n = data.get("n", len(rows))
+    if type(n) is not int:
+        raise ValueError(f"matrix config 'n' must be an integer, got {n!r}")
     if n != len(rows):
         raise ValueError(f"matrix config declares n={n} but has {len(rows)} rows")
     kgens = None

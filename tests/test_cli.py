@@ -134,6 +134,8 @@ def test_conjtest_rejects_negative_orbit_bound(capsys):
         {"rows": [[2, 1], [1, 1]], "generators": [[1.9, 0]]},
         {"rows": [[2, 1], [1, 1]], "generators": [[0, 0]]},
         {"rows": [[2, 1], [1, 1]], "generators": [[2, 0]]},
+        {"n": 2.0, "rows": [[2, 1], [1, 1]]},
+        {"n": True, "rows": [[1]]},
     ],
 )
 def test_enumerate_rejects_bad_matrix_config(tmp_path, capsys, config):

@@ -208,6 +208,8 @@ def test_format_element():
         {"rows": [[2, 1], [1, 1]], "generators": [[False, True]]},
         {"rows": 5},
         {"rows": [[2, 1], [1, 1]], "generators": [1, 0]},
+        {"n": 2.0, "rows": [[2, 1], [1, 1]]},
+        {"n": True, "rows": [[1]]},
     ],
 )
 def test_load_matrix_config_rejects_non_integer_entries(tmp_path, config):
