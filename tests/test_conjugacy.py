@@ -119,6 +119,9 @@ def test_unit_root_refusal():
     rotation = make_matrix_context(((0, -1), (1, 0)))
     with pytest.raises(ValueError):
         are_conjugate(rotation, Element((1, 0), 0), Element((0, 1), 0))
+    # det(I - M) = 2 here, so only the root-of-unity check refuses this key
+    with pytest.raises(ValueError, match="root"):
+        conjugacy_key(rotation, Element((1, 0), 1))
     # enumeration does not involve class keys and still works
     assert enumerate_ball(parabolic, 3).ball_size() > 1
 
