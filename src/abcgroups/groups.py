@@ -11,6 +11,9 @@ Three kernel families are supported:
   m = 0), phi shifts the support up by one.
 * bs: K = Z[1/k] for Baumslag-Solitar BS(1,k), phi multiplies by k.
 * matrix: K = Z^n with phi given by an integer matrix of determinant +-1.
+
+Each family's context also supplies its conjugacy key and the conjugator
+solver of the brute-force oracle; the conjugacy module explains them.
 """
 
 from __future__ import annotations
@@ -90,13 +93,12 @@ class GroupContext:
         """Tuple key fixing the deterministic order of layers and blocks.
 
         Each family's key orders elements exactly as the byte codec of
-        earlier versions did, so layers, predecessor indices and block
+        earlier versions did, so layers, geodesic witnesses and block
         listings match results recorded with those versions.
         """
         raise NotImplementedError
 
-    # Conjugacy data supplied by each family; the conjugacy module
-    # explains why each family's invariants are complete.
+    # Conjugacy data supplied by each family.
 
     def conjugacy_key(self, g: Element, orbit_bound: int):
         """Canonical, order-comparable conjugacy invariant of g."""
