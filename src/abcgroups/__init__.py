@@ -22,14 +22,10 @@ from .groups import (
     LamplighterContext,
     MatrixContext,
     load_matrix_config,
-    make_bs,
-    make_lamplighter,
-    make_matrix_context,
     parse_group_descriptor,
 )
 from .linalg import (
     cyclotomic_orders,
-    det_int,
     integer_kernel_basis,
     smith_normal_form,
     unimodular_inverse,

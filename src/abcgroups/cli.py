@@ -26,7 +26,7 @@ from .folner import (
     N1_SEARCH_CAP,
     translate_experiment,
 )
-from .groups import load_matrix_config, make_bs, parse_group_descriptor
+from .groups import BaumslagSolitarContext, load_matrix_config, parse_group_descriptor
 from .ratios import gnuplot_script, ratio_table, write_csv
 from .spectral import (
     epsilon_norm_table,
@@ -223,7 +223,7 @@ def _cmd_conjtest(config: RunConfig) -> int:
 
 
 def _cmd_folner(config: RunConfig) -> int:
-    ctx = make_bs(config.k)
+    ctx = BaumslagSolitarContext(config.k)
     if config.n is None or config.n < 1:
         raise ValueError(f"--n must be at least 1, got {config.n}")
     if config.emit == "csv":
@@ -266,10 +266,10 @@ def _cmd_rewrite(config: RunConfig) -> int:
     ]
     exponent = t_exponent(word)
     if exponent >= 0:
-        staircase = to_staircase(ctx, word)
+        staircase = to_staircase(word)
         lines.append(f"staircase: {format_word(staircase)}")
     if exponent > 0:
-        ascending = cyclic_reduce(ctx, word)
+        ascending = cyclic_reduce(word)
         lines.append(f"ascending: {format_word(ascending)}")
         lines.append(
             f"ascending_value: {ctx.format_element(evaluate(ctx, ascending))}"

@@ -23,9 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, NamedTuple, Optional
 
 from .linalg import (
-    adjugate,
     cyclotomic_orders,
-    det_int,
     identity_matrix,
     mat_mul,
     mat_pow,
@@ -42,9 +40,6 @@ __all__ = [
     "BaumslagSolitarContext",
     "MatrixContext",
     "QuotientDescriptor",
-    "make_lamplighter",
-    "make_bs",
-    "make_matrix_context",
     "load_matrix_config",
     "parse_group_descriptor",
 ]
@@ -129,10 +124,6 @@ class GroupContext:
 
     def invert(self, g: Element) -> Element:
         return Element(self.phi_power(self.kpart_neg(g.kpart), -g.texp), -g.texp)
-
-    def conjugate(self, x: Element, g: Element) -> Element:
-        """x g x^-1."""
-        return self.multiply(self.multiply(x, g), self.invert(x))
 
     def generators(self) -> list[Element]:
         """Generating set: nonzero kernel generators, then t, t^-1."""
@@ -452,7 +443,8 @@ class QuotientDescriptor:
 
     With U (I - M^p) V = diag, a vector w lies in (I - M^p) Z^n exactly
     when each coordinate of U w is divisible by the matching diagonal
-    entry, so coords() is a complete residue invariant.
+    entry, so coords() is a complete residue invariant, and dividing
+    those coordinates out and applying V gives the preimage (solve()).
 
     M commutes with I - M^p, so it permutes the quotient.  In these
     coordinates it acts by action = U M U^-1 followed by reduction mod
@@ -463,7 +455,7 @@ class QuotientDescriptor:
     texp: int
     diag: tuple[int, ...]
     left: tuple[tuple[int, ...], ...]
-    left_inverse: tuple[tuple[int, ...], ...]
+    right: tuple[tuple[int, ...], ...]
     action: tuple[tuple[int, ...], ...]
     orbit_min: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -471,8 +463,12 @@ class QuotientDescriptor:
         w = mat_vec(self.left, v)
         return tuple(x % d for x, d in zip(w, self.diag))
 
-    def representative(self, coords) -> tuple[int, ...]:
-        return mat_vec(self.left_inverse, coords)
+    def solve(self, w) -> Optional[tuple[int, ...]]:
+        """The unique b with (I - M^p) b = w, or None outside the image."""
+        x = mat_vec(self.left, w)
+        if any(xi % d for xi, d in zip(x, self.diag)):
+            return None
+        return mat_vec(self.right, [xi // d for xi, d in zip(x, self.diag)])
 
     def step(self, coords) -> tuple[int, ...]:
         """coords(M v) for any v with coords(v) == coords."""
@@ -506,12 +502,9 @@ class MatrixContext(GroupContext):
         n = len(matrix)
         if n == 0 or any(len(row) != n for row in matrix):
             raise ValueError("matrix must be square and nonempty")
-        det = det_int(matrix)
-        if det not in (1, -1):
-            raise ValueError(f"matrix must have determinant +-1, got {det}")
         self.matrix = matrix
         self.n = n
-        self._inverse = unimodular_inverse(matrix, det)
+        self._inverse = unimodular_inverse(matrix)
         self._powers: dict[int, tuple[tuple[int, ...], ...]] = {
             0: identity_matrix(n),
             1: matrix,
@@ -610,48 +603,19 @@ class MatrixContext(GroupContext):
         if qd is not None:
             return qd
         d_mat = mat_sub(identity_matrix(self.n), self.matrix_power(texp))
-        if det_int(d_mat) == 0:
+        snf = smith_normal_form(d_mat)
+        if 0 in snf.diag:
             raise ValueError(
                 f"I - M^{texp} is singular; the stratum has no finite quotient"
             )
-        snf = smith_normal_form(d_mat)
-        left_inverse = unimodular_inverse(snf.left)
-        action = mat_mul(snf.left, mat_mul(self.matrix, left_inverse))
-        qd = QuotientDescriptor(texp, snf.diag, snf.left, left_inverse, action)
+        action = mat_mul(snf.left, mat_mul(self.matrix, unimodular_inverse(snf.left)))
+        qd = QuotientDescriptor(texp, snf.diag, snf.left, snf.right, action)
         self._quotients[texp] = qd
         return qd
 
     def block_solver(self, p: int):
-        d_mat = mat_sub(identity_matrix(self.n), self.matrix_power(p))
-        det = det_int(d_mat)
-        if det == 0:
-            raise ValueError(f"I - M^{p} is singular; no unique conjugator part")
-        adj = adjugate(d_mat)
-
-        def solve(w):
-            raw = mat_vec(adj, w)
-            if any(x % det for x in raw):
-                return None
-            return tuple(x // det for x in raw)
-
-        return self.quotient(p).coords, solve
-
-
-# ---------------------------------------------------------------------------
-# Factories
-# ---------------------------------------------------------------------------
-
-
-def make_lamplighter(m: int, kgens: Optional[Iterable] = None) -> LamplighterContext:
-    return LamplighterContext(m, kgens)
-
-
-def make_bs(k: int, kgens: Optional[Iterable] = None) -> BaumslagSolitarContext:
-    return BaumslagSolitarContext(k, kgens)
-
-
-def make_matrix_context(rows, kgens: Optional[Iterable] = None) -> MatrixContext:
-    return MatrixContext(rows, kgens)
+        qd = self.quotient(p)
+        return qd.coords, qd.solve
 
 
 def load_matrix_config(path: str) -> MatrixContext:
@@ -670,25 +634,25 @@ def load_matrix_config(path: str) -> MatrixContext:
         raise ValueError(f"matrix config 'n' must be an integer, got {n!r}")
     if n != len(rows):
         raise ValueError(f"matrix config declares n={n} but has {len(rows)} rows")
-    kgens = None
+    if "generators" in data and not _is_list_of_lists(data["generators"]):
+        raise ValueError("matrix config 'generators' must be a list of lists")
+    ctx = MatrixContext(rows)
     if "generators" in data:
-        if not _is_list_of_lists(data["generators"]):
-            raise ValueError("matrix config 'generators' must be a list of lists")
-        ctx_probe = MatrixContext(rows)
-        vectors = [ctx_probe.canonical_kpart(vec) for vec in data["generators"]]
+        vectors = [ctx.canonical_kpart(vec) for vec in data["generators"]]
         # det M = +-1 makes M^-1 an integer polynomial in M, so the
         # Z[M, M^-1]-span of the generators is the Z-span of M^i g, 0 <= i < n
-        columns = [ctx_probe.phi_power(v, i) for v in vectors for i in range(n)]
+        columns = [ctx.phi_power(v, i) for v in vectors for i in range(n)]
         diag = smith_normal_form(tuple(zip(*columns))).diag if columns else ()
         if len(diag) != n or any(d != 1 for d in diag):
             raise ValueError(
                 "matrix config 'generators' do not generate Z^n as a module "
                 f"over M (Smith diagonal {list(diag)})"
             )
-        kgens = [ctx_probe.kpart_zero()]
+        kgens = [ctx.kpart_zero()]
         for v in vectors:
-            kgens.extend((v, ctx_probe.kpart_neg(v)))
-    return MatrixContext(rows, kgens)
+            kgens.extend((v, ctx.kpart_neg(v)))
+        ctx._set_kgens(kgens)
+    return ctx
 
 
 def _is_list_of_lists(value) -> bool:
@@ -701,9 +665,9 @@ def parse_group_descriptor(desc: str) -> GroupContext:
     if not sep:
         raise ValueError(f"bad group descriptor {desc!r}: expected family:parameter")
     if head == "lamplighter":
-        return make_lamplighter(int(rest))
+        return LamplighterContext(int(rest))
     if head == "bs":
-        return make_bs(int(rest))
+        return BaumslagSolitarContext(int(rest))
     if head == "matrix":
         return load_matrix_config(rest)
     raise ValueError(f"unknown group family {head!r}")

@@ -1,5 +1,6 @@
-"""Exact integer matrix helpers: products, determinants, Smith normal form,
-and the root-of-unity orders in a matrix's spectrum.
+"""Exact integer matrix helpers: products, Smith normal form and what it
+yields (unimodular inverses, integer kernels), and the root-of-unity orders
+in a matrix's spectrum.
 
 Matrices are tuples of row tuples of Python ints, so everything here is
 arbitrary precision and hashable.
@@ -15,12 +16,10 @@ __all__ = [
     "mat_pow",
     "mat_vec",
     "mat_sub",
-    "det_int",
-    "adjugate",
-    "unimodular_inverse",
     "SmithNormalForm",
     "smith_normal_form",
     "integer_kernel_basis",
+    "unimodular_inverse",
     "totient",
     "cyclotomic_poly",
     "cyclotomic_orders",
@@ -60,62 +59,6 @@ def mat_vec(a: Matrix, v) -> tuple[int, ...]:
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def det_int(matrix: Matrix) -> int:
-    """Fraction-free Bareiss elimination; exact for integer input."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    a = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            pivot = next((i for i in range(t + 1, n) if a[i][t] != 0), None)
-            if pivot is None:
-                return 0
-            a[t], a[pivot] = a[pivot], a[t]
-            sign = -sign
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[n - 1][n - 1]
-
-
-def _cofactor_det(matrix: list[list[int]]) -> int:
-    return det_int(tuple(tuple(row) for row in matrix))
-
-
-def adjugate(matrix: Matrix) -> Matrix:
-    """Transposed cofactor matrix; matrix @ adjugate == det * identity."""
-    n = len(matrix)
-    if n == 1:
-        return ((1,),)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [matrix[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            adj[j][i] = (-1) ** (i + j) * _cofactor_det(minor)
-    return tuple(tuple(row) for row in adj)
-
-
-def unimodular_inverse(matrix: Matrix, det: int | None = None) -> Matrix:
-    """Integer inverse of a matrix with determinant +-1 (via the adjugate)."""
-    if det is None:
-        det = det_int(matrix)
-    if det not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det {det})")
-    adj = adjugate(matrix)
-    if det == 1:
-        return adj
-    return tuple(tuple(-x for x in row) for row in adj)
 
 
 class SmithNormalForm(NamedTuple):
@@ -246,13 +189,27 @@ def integer_kernel_basis(matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(cols)
 
 
+def unimodular_inverse(matrix: Matrix) -> Matrix:
+    """Integer inverse of a square matrix with determinant +-1.
+
+    U A V = I gives A^-1 = V U; any other Smith diagonal means |det A| != 1.
+    """
+    snf = smith_normal_form(matrix)
+    if len(snf.left) != len(snf.right) or any(d != 1 for d in snf.diag):
+        raise ValueError(
+            f"matrix must have determinant +-1, its Smith diagonal is {list(snf.diag)}"
+        )
+    return mat_mul(snf.right, snf.left)
+
+
 # ---------------------------------------------------------------------------
 # Cyclotomic orders of a spectrum
 #
 # A primitive d-th root of unity is an eigenvalue of M exactly when the
-# d-th cyclotomic polynomial kills a nonzero vector, i.e. when
-# det(Phi_d(M)) == 0.  Only finitely many d can occur: deg Phi_d = phi(d)
-# must be at most n, and phi(d) >= sqrt(d/2) bounds the scan by 2 n^2 + 2.
+# d-th cyclotomic polynomial kills a nonzero vector, i.e. when Phi_d(M) is
+# singular: its Smith diagonal has a zero.  Only finitely many d can occur:
+# deg Phi_d = phi(d) must be at most n, and phi(d) >= sqrt(d/2) bounds the
+# scan by 2 n^2 + 2.
 # Polynomials are integer coefficient lists, low degree first.
 # ---------------------------------------------------------------------------
 
@@ -327,6 +284,6 @@ def cyclotomic_orders(matrix) -> list[int]:
     for d in range(1, 2 * n * n + 3):
         if totient(d) > n:
             continue
-        if det_int(_poly_at_matrix(cyclotomic_poly(d), matrix)) == 0:
+        if 0 in smith_normal_form(_poly_at_matrix(cyclotomic_poly(d), matrix)).diag:
             out.append(d)
     return out

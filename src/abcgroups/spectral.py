@@ -14,11 +14,10 @@ from fractions import Fraction
 from .enumeration import BallIndex
 from .groups import MatrixContext
 from .linalg import (
-    adjugate,
     cyclotomic_orders,
-    det_int,
     identity_matrix,
     integer_kernel_basis,
+    mat_mul,
     mat_pow,
     mat_sub,
     mat_vec,
@@ -95,10 +94,12 @@ def unit_root_projection(matrix) -> ProjectionSetup:
             "part of M is not semisimple"
         )
     change = tuple(tuple(basis[j][i] for j in range(n)) for i in range(n))
-    det = det_int(change)
-    change_inv = tuple(
-        tuple(Fraction(x, det) for x in row) for row in adjugate(change)
+    # U change V = diag inverts as change^-1 = V diag^-1 U
+    snf = smith_normal_form(change)
+    scaled_left = tuple(
+        tuple(Fraction(x, d) for x in row) for row, d in zip(snf.left, snf.diag)
     )
+    change_inv = mat_mul(snf.right, scaled_left)
     k = len(kernel)
     proj = tuple(
         tuple(

@@ -106,7 +106,7 @@ def _level_blocks(w: Word) -> tuple[dict[int, list[str]], int]:
     return buckets, level
 
 
-def to_staircase(ctx: GroupContext, w: Word) -> Word:
+def to_staircase(w: Word) -> Word:
     """Rewrite into staircase form without increasing length.
 
     The value is unchanged.  Requires a nonnegative t-exponent sum.
@@ -126,7 +126,7 @@ def to_staircase(ctx: GroupContext, w: Word) -> Word:
     return Word(tuple(letters))
 
 
-def cyclic_reduce(ctx: GroupContext, w: Word) -> Word:
+def cyclic_reduce(w: Word) -> Word:
     """Reduce a word of positive t-exponent sum to ascending form.
 
     The output evaluates to a conjugate of the input value and is never

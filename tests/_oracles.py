@@ -4,8 +4,11 @@ Everything here recomputes results from first principles (raw generator
 words, elementwise conjugation sweeps) or by the plain exhaustive loop a
 fast path replaced (pairwise conjugator solving, step-by-step orbit
 walks), so the fast code paths have an independent answer to match.
-Helpers that only tests call live here too: are_conjugate, the decay fit
-of a ratio table and the bs congruence witnesses and power windows.
+Helpers that only tests call live here too: conjugation, are_conjugate,
+quotient representatives, the decay fit of a ratio table and the bs
+congruence witnesses and power windows.  det_int and adjugate are the
+Bareiss determinant and cofactor inverse that the Smith-form inverse,
+solve and singularity tests of the package are checked against.
 """
 
 from __future__ import annotations
@@ -19,8 +22,63 @@ from abcgroups.conjugacy import DEFAULT_ORBIT_BOUND, UnionFind, conjugacy_key
 from abcgroups.enumeration import BallIndex, enumerate_ball
 from abcgroups.folner import _require_bs
 from abcgroups.groups import Element, GroupContext, MatrixContext
+from abcgroups.linalg import Matrix, mat_vec, unimodular_inverse
 from abcgroups.ratios import RatioTable
 from abcgroups.words import generator_letters, letter_element
+
+
+def det_int(matrix: Matrix) -> int:
+    """Fraction-free Bareiss elimination; exact for integer input."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    a = [list(row) for row in matrix]
+    sign = 1
+    prev = 1
+    for t in range(n - 1):
+        if a[t][t] == 0:
+            pivot = next((i for i in range(t + 1, n) if a[i][t] != 0), None)
+            if pivot is None:
+                return 0
+            a[t], a[pivot] = a[pivot], a[t]
+            sign = -sign
+        for i in range(t + 1, n):
+            for j in range(t + 1, n):
+                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
+            a[i][t] = 0
+        prev = a[t][t]
+    return sign * a[n - 1][n - 1]
+
+
+def _cofactor_det(matrix: list[list[int]]) -> int:
+    return det_int(tuple(tuple(row) for row in matrix))
+
+
+def adjugate(matrix: Matrix) -> Matrix:
+    """Transposed cofactor matrix; matrix @ adjugate == det * identity."""
+    n = len(matrix)
+    if n == 1:
+        return ((1,),)
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [matrix[r][c] for c in range(n) if c != j]
+                for r in range(n)
+                if r != i
+            ]
+            adj[j][i] = (-1) ** (i + j) * _cofactor_det(minor)
+    return tuple(tuple(row) for row in adj)
+
+
+def conjugate(ctx: GroupContext, x: Element, g: Element) -> Element:
+    """x g x^-1."""
+    return ctx.multiply(ctx.multiply(x, g), ctx.invert(x))
+
+
+def quotient_representative(qd, coords) -> tuple[int, ...]:
+    """A vector whose class in the quotient descriptor qd is coords."""
+    return mat_vec(unimodular_inverse(qd.left), coords)
 
 
 def word_ball(ctx: GroupContext, radius: int) -> dict[Element, tuple[int, int]]:
@@ -93,7 +151,7 @@ def conjugation_sweep(
 
     for g in pool:
         for x in conjugators:
-            h = ctx.conjugate(x, g)
+            h = conjugate(ctx, x, g)
             if h in parent:
                 ra, rb = find(g), find(h)
                 if ra != rb:
@@ -134,7 +192,7 @@ def pairwise_partition(
         _, solve = ctx.block_solver(p)
         for i, g in enumerate(els):
             for h in els[i + 1 :]:
-                if uf.same(g, h):
+                if uf.find(g) == uf.find(h):
                     continue
                 for j in span:
                     w = ctx.kpart_add(h.kpart, ctx.kpart_neg(ctx.phi_power(g.kpart, j)))
@@ -180,7 +238,7 @@ def matrix_orbit_min(ctx: MatrixContext, qd, v) -> tuple[int, ...]:
     best = cur = start
     seen = {start}
     while True:
-        cur = qd.coords(ctx.phi_power(qd.representative(cur), 1))
+        cur = qd.coords(ctx.phi_power(quotient_representative(qd, cur), 1))
         if cur in seen:
             return best
         seen.add(cur)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from abcgroups.enumeration import enumerate_ball
-from abcgroups.groups import make_lamplighter
+from abcgroups.groups import LamplighterContext
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -19,7 +19,7 @@ def record_acceptance(line: str) -> None:
 def lamp18():
     """lamplighter:2 and its radius-18 ball, shared by the acceptance gate
     and the closed-form word-length check."""
-    ctx = make_lamplighter(2)
+    ctx = LamplighterContext(2)
     return ctx, enumerate_ball(ctx, 18)
 
 

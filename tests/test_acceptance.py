@@ -20,7 +20,7 @@ from _oracles import (
 from abcgroups.conjugacy import brute_force_partition, conjugacy_key
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.folner import translate_experiment
-from abcgroups.groups import make_bs, make_lamplighter, make_matrix_context
+from abcgroups.groups import BaumslagSolitarContext, MatrixContext
 from abcgroups.ratios import ratio_table
 from abcgroups.spectral import epsilon_norm_table, relative_growth_table
 from abcgroups.words import cyclic_reduce, evaluate, to_staircase
@@ -37,13 +37,13 @@ def check(criterion: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def bs16():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     return ctx, enumerate_ball(ctx, 16)
 
 
 @pytest.fixture(scope="module")
 def mixed8():
-    ctx = make_matrix_context(MIXED3)
+    ctx = MatrixContext(MIXED3)
     return ctx, enumerate_ball(ctx, 8)
 
 
@@ -104,7 +104,7 @@ def test_criterion_3_ratio_decay(bs16, lamp18):
 
 
 def test_criterion_4_translated_boxes():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     reports = [translate_experiment(ctx, n) for n in (1, 2, 3)]
     sizes_ok = [r.box_size for r in reports] == [8, 128, 1536]
     classes_ok = all(r.classes == r.box_size and r.matches for r in reports)
@@ -131,7 +131,7 @@ def test_criterion_5_congruence_cross_check():
     mismatches = 0
     checked = 0
     for k in (2, 3):
-        ctx = make_bs(k)
+        ctx = BaumslagSolitarContext(k)
         for n in range(1, 7):
             for a in range(-20, 21):
                 ga = ctx.element((a, 0), n)
@@ -143,7 +143,7 @@ def test_criterion_5_congruence_cross_check():
                     checked += 1
                     if (witness is not None) != conj:
                         mismatches += 1
-    ctx2 = make_bs(2)
+    ctx2 = BaumslagSolitarContext(2)
     sol = finite_n_solutions(ctx2, 1, 3, 30)
     window_empty = all(not window_nonempty(ctx2, 1, 3, n) for n in range(2, 31))
     ok = mismatches == 0 and sol.solutions == (1,) and window_empty
@@ -164,7 +164,7 @@ def test_criterion_6_rewrite_forms(bs16, lamp18):
             if g.texp < 0:
                 continue
             w = index.geodesic_word(g)
-            s = to_staircase(ctx, w)
+            s = to_staircase(w)
             if len(s) != len(w) or evaluate(ctx, s) != g:
                 stair_ok = False
                 break
@@ -175,7 +175,7 @@ def test_criterion_6_rewrite_forms(bs16, lamp18):
         cyclic_ok = True
         for members in by_class.values():
             fix = min(
-                len(cyclic_reduce(ctx, index.geodesic_word(g))) for g in members
+                len(cyclic_reduce(index.geodesic_word(g))) for g in members
             )
             shortest = min(index.word_length(g) for g in members)
             if fix != shortest:

@@ -6,7 +6,7 @@ import pytest
 
 from abcgroups.cli import RunConfig, parse_config, run
 from abcgroups.enumeration import enumerate_ball
-from abcgroups.groups import make_bs
+from abcgroups.groups import BaumslagSolitarContext
 
 MIXED3 = [[1, 0, 0], [0, 2, 1], [0, 1, 1]]
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -60,7 +60,7 @@ def test_enumerate_stdout(capsys):
     assert run(["enumerate", "--group", "bs:2", "--radius", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "r,ball,sphere"
-    index = enumerate_ball(make_bs(2), 3)
+    index = enumerate_ball(BaumslagSolitarContext(2), 3)
     for r in range(4):
         ball = index.ball_size(r)
         sphere = len(index.sphere(r))

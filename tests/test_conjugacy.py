@@ -2,14 +2,18 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import (
+    adjugate,
     are_conjugate,
+    conjugate,
     conjugation_sweep,
+    det_int,
     matrix_orbit_min,
     matrix_shift_canonical,
     pairwise_partition,
+    quotient_representative,
 )
 from abcgroups.conjugacy import (
     DEFAULT_ORBIT_BOUND,
@@ -19,10 +23,18 @@ from abcgroups.conjugacy import (
 )
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import (
+    BaumslagSolitarContext,
     Element,
-    make_bs,
-    make_lamplighter,
-    make_matrix_context,
+    LamplighterContext,
+    MatrixContext,
+    QuotientDescriptor,
+)
+from abcgroups.linalg import (
+    identity_matrix,
+    mat_pow,
+    mat_sub,
+    mat_vec,
+    smith_normal_form,
 )
 
 HYP = ((2, 1), (1, 1))
@@ -47,7 +59,7 @@ def key_partition(ctx, index, r):
 
 
 def test_bs_positive_stratum():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     # conjugation multiplies the kernel entry by powers of 2 mod 2^2 - 1
     assert are_conjugate(ctx, Element((1, 0), 2), Element((2, 0), 2))
     assert not are_conjugate(ctx, Element((1, 0), 2), Element((3, 0), 2))
@@ -60,7 +72,7 @@ def test_bs_positive_stratum():
 
 
 def test_bs_zero_stratum():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     # t-conjugation scales by 2, so the odd part is the invariant
     assert are_conjugate(ctx, Element((1, 0), 0), Element((2, 0), 0))
     assert are_conjugate(ctx, Element((3, 2), 0), Element((12, 0), 0))
@@ -70,13 +82,13 @@ def test_bs_zero_stratum():
 
 
 def test_texp_is_invariant():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     assert not are_conjugate(ctx, Element((0, 0), 1), Element((0, 0), -1))
     assert not are_conjugate(ctx, Element((1, 0), 0), Element((1, 0), 2))
 
 
 def test_lamplighter_positive_stratum():
-    ctx = make_lamplighter(2)
+    ctx = LamplighterContext(2)
     a = Element(((0, 1), (3, 1)), 2)
     b = Element(((1, 1), (2, 1)), 2)
     assert are_conjugate(ctx, a, b)
@@ -85,7 +97,7 @@ def test_lamplighter_positive_stratum():
 
 
 def test_lamplighter_zero_stratum():
-    ctx = make_lamplighter(2)
+    ctx = LamplighterContext(2)
     assert are_conjugate(ctx, Element(((0, 1),), 0), Element(((5, 1),), 0))
     assert are_conjugate(
         ctx, Element(((0, 1), (1, 1)), 0), Element(((3, 1), (4, 1)), 0)
@@ -97,14 +109,14 @@ def test_lamplighter_zero_stratum():
 
 def test_matrix_stratum_one_collapses():
     # |det(I - M)| = 1, so the t-exponent 1 stratum is a single class
-    ctx = make_matrix_context(HYP)
+    ctx = MatrixContext(HYP)
     index = enumerate_ball(ctx, 4)
     keys = {conjugacy_key(ctx, g) for g in index.elements() if g.texp == 1}
     assert len(keys) == 1
 
 
 def test_matrix_zero_stratum():
-    ctx = make_matrix_context(HYP)
+    ctx = MatrixContext(HYP)
     e1 = Element((1, 0), 0)
     assert are_conjugate(ctx, e1, Element((2, 1), 0))
     assert are_conjugate(ctx, e1, Element((1, -1), 0))
@@ -113,10 +125,10 @@ def test_matrix_zero_stratum():
 
 
 def test_unit_root_refusal():
-    parabolic = make_matrix_context(((1, 1), (0, 1)))
+    parabolic = MatrixContext(((1, 1), (0, 1)))
     with pytest.raises(ValueError, match="root"):
         conjugacy_key(parabolic, Element((1, 0), 1))
-    rotation = make_matrix_context(((0, -1), (1, 0)))
+    rotation = MatrixContext(((0, -1), (1, 0)))
     with pytest.raises(ValueError):
         are_conjugate(rotation, Element((1, 0), 0), Element((0, 1), 0))
     # det(I - M) = 2 here, so only the root-of-unity check refuses this key
@@ -132,21 +144,21 @@ def test_unit_root_refusal():
 
 
 def test_quotient_descriptor_round_trip():
-    ctx = make_matrix_context(HYP)
+    ctx = MatrixContext(HYP)
     qd = ctx.quotient(2)
     # |det(I - M^2)| = 5
     assert math.prod(qd.diag) == 5
     seen = set()
     for residue in range(5):
         coords = (0, residue) if qd.diag == (1, 5) else (residue, 0)
-        rep = qd.representative(coords)
+        rep = quotient_representative(qd, coords)
         assert qd.coords(rep) == coords
         seen.add(qd.coords(rep))
     assert len(seen) == 5
 
 
 def test_quotient_coords_well_defined():
-    ctx = make_matrix_context(HYP)
+    ctx = MatrixContext(HYP)
     qd = ctx.quotient(2)
     shift = tuple(
         a - b for a, b in zip((7, -3), ctx.phi_power((7, -3), 2))
@@ -157,8 +169,61 @@ def test_quotient_coords_well_defined():
 
 
 def test_matrix_quotient_is_cached():
-    ctx = make_matrix_context(HYP)
+    ctx = MatrixContext(HYP)
     assert ctx.quotient(3) is ctx.quotient(3)
+
+
+def adjugate_solve(a, w):
+    """The unique b with a b = w as adj(a) w / det a, or None if not integral."""
+    det = det_int(a)
+    raw = mat_vec(adjugate(a), w)
+    if any(x % det for x in raw):
+        return None
+    return tuple(x // det for x in raw)
+
+
+nonsingular_up_to_4 = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        ).map(lambda rows: tuple(tuple(r) for r in rows)),
+        st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+        st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+    )
+)
+
+
+@given(nonsingular_up_to_4)
+@settings(max_examples=200)
+def test_quotient_solve_matches_adjugate(case):
+    a, w, b = case
+    assume(det_int(a) != 0)
+    snf = smith_normal_form(a)
+    # solve reads only diag, left and right; texp and action are unused
+    qd = QuotientDescriptor(0, snf.diag, snf.left, snf.right, identity_matrix(len(a)))
+    assert qd.solve(w) == adjugate_solve(a, w)
+    image = mat_vec(a, b)
+    assert qd.solve(image) == adjugate_solve(a, image) == tuple(b)
+
+
+HYP_INV = ((1, -1), (-1, 2))
+
+
+def test_every_stratum_solver_matches_adjugate():
+    ctx = MatrixContext(HYP)
+    rng = random.Random(7)
+    for p in [p for p in range(-12, 13) if p]:
+        d_mat = mat_sub(identity_matrix(2), mat_pow(HYP if p > 0 else HYP_INV, abs(p)))
+        residue, solve = ctx.block_solver(p)
+        assert residue == ctx.quotient(p).coords
+        for _ in range(100):
+            w = (rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+            assert solve(w) == adjugate_solve(d_mat, w)
+            b = (rng.randint(-50, 50), rng.randint(-50, 50))
+            image = mat_vec(d_mat, b)
+            assert solve(image) == adjugate_solve(d_mat, image) == b
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +240,7 @@ def reference_key(ctx, g, orbit_bound):
 
 @pytest.mark.parametrize("rows,r", [(HYP, 9), (PISOT, 6)])
 def test_matrix_keys_match_reference(rows, r):
-    ctx = make_matrix_context(rows)
+    ctx = MatrixContext(rows)
     for g in enumerate_ball(ctx, r).elements():
         # orbit_bound only reaches the p = 0 key
         for bound in (0, 8, 64) if g.texp == 0 else (DEFAULT_ORBIT_BOUND,):
@@ -183,10 +248,10 @@ def test_matrix_keys_match_reference(rows, r):
 
 
 def test_matrix_keys_do_not_depend_on_order():
-    ctx = make_matrix_context(HYP)
+    ctx = MatrixContext(HYP)
     ball = list(enumerate_ball(ctx, 9).elements())
     forward = [conjugacy_key(ctx, g) for g in ball]
-    fresh = make_matrix_context(HYP)
+    fresh = MatrixContext(HYP)
     backward = [conjugacy_key(fresh, g) for g in reversed(ball)]
     assert backward[::-1] == forward
 
@@ -196,10 +261,11 @@ def test_matrix_keys_do_not_depend_on_order():
     raw=st.tuples(st.integers(0, 10**4), st.integers(0, 10**4)),
 )
 def test_quotient_step_is_the_induced_action(p, raw):
-    ctx = make_matrix_context(HYP)
+    ctx = MatrixContext(HYP)
     qd = ctx.quotient(p)
     c = tuple(x % d for x, d in zip(raw, qd.diag))
-    assert qd.step(c) == qd.coords(ctx.phi_power(qd.representative(c), 1))
+    rep = quotient_representative(qd, c)
+    assert qd.step(c) == qd.coords(ctx.phi_power(rep, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +298,7 @@ def test_key_is_conjugation_invariant(family, param):
     for _ in range(150):
         g = random_element(ctx, rng, rng.randint(0, 12))
         x = random_element(ctx, rng, rng.randint(0, 40))
-        assert conjugacy_key(ctx, ctx.conjugate(x, g)) == conjugacy_key(ctx, g)
+        assert conjugacy_key(ctx, conjugate(ctx, x, g)) == conjugacy_key(ctx, g)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +311,8 @@ def test_union_find():
     uf.union(0, 1)
     uf.union(2, 3)
     uf.union(1, 2)
-    assert uf.same(0, 3)
-    assert not uf.same(0, 4)
+    assert uf.find(0) == uf.find(3)
+    assert uf.find(0) != uf.find(4)
     blocks = {frozenset(b) for b in uf.blocks()}
     assert blocks == {frozenset({0, 1, 2, 3}), frozenset({4}), frozenset({5})}
 
@@ -270,10 +336,10 @@ AGREEMENT_CASES = [
 
 def build(family, param):
     if family == "bs":
-        return make_bs(param)
+        return BaumslagSolitarContext(param)
     if family == "lamplighter":
-        return make_lamplighter(param)
-    return make_matrix_context(param)
+        return LamplighterContext(param)
+    return MatrixContext(param)
 
 
 @pytest.mark.parametrize("family,param,r,rc,expected", AGREEMENT_CASES)
@@ -287,7 +353,7 @@ def test_partition_matches_keys(family, param, r, rc, expected):
 
 
 def test_matrix_partition_matches_keys():
-    ctx = make_matrix_context(HYP)
+    ctx = MatrixContext(HYP)
     index = enumerate_ball(ctx, 6)
     blocks = brute_force_partition(ctx, index, 3, 6)
     classes = key_partition(ctx, index, 3)
@@ -299,9 +365,9 @@ def test_partition_matches_elementwise_sweep():
     # the solver-based merge must compute the same closure as literally
     # conjugating by every element of the conjugator ball
     for ctx, r, rc in (
-        (make_bs(2), 3, 5),
-        (make_lamplighter(2), 3, 5),
-        (make_matrix_context(HYP), 2, 4),
+        (BaumslagSolitarContext(2), 3, 5),
+        (LamplighterContext(2), 3, 5),
+        (MatrixContext(HYP), 2, 4),
     ):
         index = enumerate_ball(ctx, rc)
         fast = as_block_set(brute_force_partition(ctx, index, r, rc))
@@ -373,7 +439,7 @@ def test_residue_matches_solver(family, param, data):
 
 
 def test_partition_coarsens_with_conjugator_radius():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     index = enumerate_ball(ctx, 8)
     small = brute_force_partition(ctx, index, 3, 4)
     large = brute_force_partition(ctx, index, 3, 8)
@@ -385,7 +451,7 @@ def test_partition_coarsens_with_conjugator_radius():
 
 def test_partition_is_sound():
     # every merge the oracle makes is confirmed by the class invariant
-    ctx = make_lamplighter(2)
+    ctx = LamplighterContext(2)
     index = enumerate_ball(ctx, 6)
     for block in brute_force_partition(ctx, index, 3, 6):
         keys = {conjugacy_key(ctx, g) for g in block}
@@ -393,7 +459,7 @@ def test_partition_is_sound():
 
 
 def test_partition_blocks_are_sorted():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     index = enumerate_ball(ctx, 4)
     blocks = brute_force_partition(ctx, index, 2, 4)
     for block in blocks:
@@ -403,7 +469,7 @@ def test_partition_blocks_are_sorted():
 
 
 def test_partition_argument_validation():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     index = enumerate_ball(ctx, 4)
     with pytest.raises(ValueError):
         brute_force_partition(ctx, index, 4, 3)
@@ -413,7 +479,7 @@ def test_partition_argument_validation():
 
 def test_key_partition_closed_under_inversion():
     # g ~ h forces g^-1 ~ h^-1; the key partitions must respect that
-    for ctx in (make_bs(2), make_lamplighter(3), make_matrix_context(HYP)):
+    for ctx in (BaumslagSolitarContext(2), LamplighterContext(3), MatrixContext(HYP)):
         index = enumerate_ball(ctx, 4)
         strata: dict[int, list[Element]] = {}
         for g in index.elements():
@@ -426,7 +492,7 @@ def test_key_partition_closed_under_inversion():
 
 
 def test_orbit_bound_parameter():
-    ctx = make_matrix_context(HYP)
+    ctx = MatrixContext(HYP)
     g = Element((3, -2), 0)
     assert conjugacy_key(ctx, g, orbit_bound=DEFAULT_ORBIT_BOUND) == conjugacy_key(
         ctx, g, orbit_bound=8

@@ -2,7 +2,12 @@ import pytest
 
 from _oracles import lamplighter_word_length, word_ball
 from abcgroups.enumeration import ResourceCapError, enumerate_ball
-from abcgroups.groups import Element, make_bs, make_lamplighter, make_matrix_context
+from abcgroups.groups import (
+    BaumslagSolitarContext,
+    Element,
+    LamplighterContext,
+    MatrixContext,
+)
 from abcgroups.words import evaluate, t_exponent
 
 HYP = ((2, 1), (1, 1))
@@ -10,11 +15,11 @@ HYP = ((2, 1), (1, 1))
 
 def contexts():
     return [
-        (make_bs(2), 5),
-        (make_bs(3), 4),
-        (make_lamplighter(2), 5),
-        (make_lamplighter(3), 4),
-        (make_matrix_context(HYP), 4),
+        (BaumslagSolitarContext(2), 5),
+        (BaumslagSolitarContext(3), 4),
+        (LamplighterContext(2), 5),
+        (LamplighterContext(3), 4),
+        (MatrixContext(HYP), 4),
     ]
 
 
@@ -29,15 +34,15 @@ def test_ball_matches_word_oracle():
 
 
 def test_frozen_ball_sizes():
-    index = enumerate_ball(make_bs(2), 5)
+    index = enumerate_ball(BaumslagSolitarContext(2), 5)
     assert [index.ball_size(r) for r in range(6)] == [1, 5, 17, 43, 93, 191]
-    lamp = enumerate_ball(make_lamplighter(2), 5)
+    lamp = enumerate_ball(LamplighterContext(2), 5)
     assert [lamp.ball_size(r) for r in range(6)] == [1, 4, 10, 22, 44, 84]
 
 
 def test_far_lamp_needs_a_long_word():
     # lighting only the lamp at 5 costs t^5 g0 T^5
-    ctx = make_lamplighter(2)
+    ctx = LamplighterContext(2)
     index = enumerate_ball(ctx, 11)
     g = Element(((5, 1),), 0)
     assert index.word_length(g) == 11
@@ -45,7 +50,7 @@ def test_far_lamp_needs_a_long_word():
 
 
 def test_sphere_and_elements():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     index = enumerate_ball(ctx, 3)
     assert index.sphere(0) == [ctx.identity]
     assert sorted(index.sphere(1), key=ctx.sort_key) == index.sphere(1)
@@ -81,7 +86,7 @@ def test_geodesic_words():
 
 
 def test_min_t_parity_and_bound():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     index = enumerate_ball(ctx, 6)
     for g in index.elements():
         m = index.min_t_count(g)
@@ -91,28 +96,28 @@ def test_min_t_parity_and_bound():
 
 def test_element_cap():
     with pytest.raises(ResourceCapError):
-        enumerate_ball(make_bs(2), 5, element_cap=50)
+        enumerate_ball(BaumslagSolitarContext(2), 5, element_cap=50)
     # the cap is checked before the layer is committed
-    index = enumerate_ball(make_bs(2), 2, element_cap=17)
+    index = enumerate_ball(BaumslagSolitarContext(2), 2, element_cap=17)
     assert len(index) == 17
 
 
 def test_negative_radius():
     with pytest.raises(ValueError):
-        enumerate_ball(make_bs(2), -1)
+        enumerate_ball(BaumslagSolitarContext(2), -1)
 
 
 @pytest.mark.parametrize(
     "ctx, r, texp, listing",
     [
         (
-            make_lamplighter(2),
+            LamplighterContext(2),
             5,
             2,
             ["(1@-1; t^2)", "(1@3; t^2)", "(1@0+1@1+1@2; t^2)"],
         ),
         (
-            make_lamplighter(0),
+            LamplighterContext(0),
             3,
             1,
             [
@@ -127,13 +132,13 @@ def test_negative_radius():
             ],
         ),
         (
-            make_bs(2),
+            BaumslagSolitarContext(2),
             2,
             -1,
             ["(-1; t^-1)", "(1; t^-1)", "(-1/2^1; t^-1)", "(1/2^1; t^-1)"],
         ),
         (
-            make_matrix_context(HYP),
+            MatrixContext(HYP),
             1,
             0,
             ["((-1,0); t^0)", "((0,-1); t^0)", "((0,1); t^0)", "((1,0); t^0)"],
@@ -149,8 +154,8 @@ def test_sphere_order_is_frozen(ctx, r, texp, listing):
 
 
 def test_determinism():
-    a = enumerate_ball(make_lamplighter(3), 4)
-    b = enumerate_ball(make_lamplighter(3), 4)
+    a = enumerate_ball(LamplighterContext(3), 4)
+    b = enumerate_ball(LamplighterContext(3), 4)
     assert list(a.elements()) == list(b.elements())
     for g in a.elements():
         assert a.word_length(g) == b.word_length(g)
@@ -158,7 +163,7 @@ def test_determinism():
 
 
 def test_geodesic_t_exponent_matches():
-    ctx = make_matrix_context(HYP)
+    ctx = MatrixContext(HYP)
     index = enumerate_ball(ctx, 4)
     for g in index.elements():
         assert t_exponent(index.geodesic_word(g)) == g.texp
@@ -181,5 +186,5 @@ def test_lamplighter2_lengths_match_closed_form(lamp18):
 
 @pytest.mark.parametrize("m, radius", [(3, 12), (0, 10)])
 def test_lamplighter_lengths_match_closed_form(m, radius):
-    ctx = make_lamplighter(m)
+    ctx = LamplighterContext(m)
     check_closed_form_lengths(ctx, enumerate_ball(ctx, radius))

@@ -19,19 +19,19 @@ from abcgroups.folner import (
     separating_translate,
     translate_experiment,
 )
-from abcgroups.groups import Element, make_bs, make_lamplighter
+from abcgroups.groups import BaumslagSolitarContext, Element, LamplighterContext
 
 
 def test_box_sizes():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     assert folner_box(ctx, 1).size == 8
     assert folner_box(ctx, 2).size == 128
     assert folner_box(ctx, 3).size == 1536
-    assert folner_box(make_bs(3), 1).size == 27
+    assert folner_box(BaumslagSolitarContext(3), 1).size == 27
 
 
 def test_box_contents():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     box = folner_box(ctx, 2)
     assert ctx.identity in box.elements
     for (num, e), p in box.elements:
@@ -43,17 +43,17 @@ def test_box_contents():
 
 
 def test_box_rejects_bad_arguments():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     with pytest.raises(ValueError):
         folner_box(ctx, 0)
     with pytest.raises(ValueError):
-        folner_box(make_lamplighter(2), 1)
+        folner_box(LamplighterContext(2), 1)
     with pytest.raises(ResourceCapError):
         folner_box(ctx, 3, element_cap=100)
 
 
 def test_right_defect_values():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     g0 = Element((1, 0), 0)
     t = Element((0, 0), 1)
     expected = {1: Fraction(1, 2), 2: Fraction(3, 16), 3: Fraction(7, 96)}
@@ -65,14 +65,14 @@ def test_right_defect_values():
 
 
 def test_left_defect_values():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     t = Element((0, 0), 1)
     for n, value in ((1, Fraction(2)), (2, Fraction(3, 2)), (3, Fraction(4, 3))):
         assert left_defect(ctx, folner_box(ctx, n), t) == value
 
 
 def test_right_defects_decrease():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     boxes = [folner_box(ctx, n) for n in range(1, 5)]
     for gen in ctx.generators():
         values = [right_defect(ctx, box, gen) for box in boxes]
@@ -80,7 +80,7 @@ def test_right_defects_decrease():
 
 
 def test_defect_of_plain_set():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     shard = {Element((a, 0), 0) for a in range(4)}
     assert right_defect(ctx, shard, Element((1, 0), 0)) == Fraction(1, 2)
     with pytest.raises(ValueError):
@@ -88,7 +88,7 @@ def test_defect_of_plain_set():
 
 
 def test_congruence_witness_examples():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     assert congruence_witness(ctx, 5, 5, 1) == 0
     assert congruence_witness(ctx, 1, 2, 2) == 1
     assert congruence_witness(ctx, 1, 3, 2) is None
@@ -99,7 +99,7 @@ def test_congruence_witness_examples():
 
 def test_witness_agrees_with_class_keys():
     for k in (2, 3):
-        ctx = make_bs(k)
+        ctx = BaumslagSolitarContext(k)
         for n in range(1, 5):
             for a in range(1, 13):
                 ga = ctx.element((a, 0), n)
@@ -110,7 +110,7 @@ def test_witness_agrees_with_class_keys():
 
 
 def test_window_nonempty():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     assert window_nonempty(ctx, 7, 4, 2)
     # interval [6, 12/5] is empty
     assert not window_nonempty(ctx, 1, 3, 2)
@@ -121,7 +121,7 @@ def test_window_nonempty():
 
 
 def test_finite_n_solutions():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     sol = finite_n_solutions(ctx, 1, 3, 30)
     assert sol.solutions == (1,)
     assert sol.window_limit == 0
@@ -134,7 +134,7 @@ def test_finite_n_solutions():
 
 
 def test_finite_n_solutions_rejects_power_ratios():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     with pytest.raises(ValueError):
         finite_n_solutions(ctx, 1, 4, 10)
     with pytest.raises(ValueError):
@@ -144,14 +144,14 @@ def test_finite_n_solutions_rejects_power_ratios():
 
 
 def test_separating_translate_singleton():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     sep = separating_translate(ctx, [Element((1, 0), 1)])
     assert sep.element == Element((3, 0), 0)
     assert (sep.n1, sep.n2, sep.shift) == (0, 0, 3)
 
 
 def test_separating_translate_pair():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     coll = [Element((1, 0), 1), Element((3, 0), 1)]
     sep = separating_translate(ctx, coll)
     assert (sep.n1, sep.n2, sep.shift) == (2, 0, 7)
@@ -161,14 +161,14 @@ def test_separating_translate_pair():
 
 
 def test_separating_translate_mixed_strata():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     coll = [Element((1, 0), 1), Element((1, 0), 2)]
     sep = separating_translate(ctx, coll)
     assert (sep.n1, sep.n2) == (0, 0)
 
 
 def test_separating_translate_negative_texp():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     sep = separating_translate(ctx, [Element((1, 0), -2)])
     # the candidate exponent starts at 1 - min texp
     assert sep.n1 == 3
@@ -176,7 +176,7 @@ def test_separating_translate_negative_texp():
 
 
 def test_separating_translate_clears_denominators():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     coll = [Element((1, 1), 1), Element((3, 0), 1)]
     sep = separating_translate(ctx, coll)
     assert sep.n2 == 1
@@ -186,11 +186,11 @@ def test_separating_translate_clears_denominators():
 
 
 def test_separating_translate_validation():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     with pytest.raises(ValueError):
         separating_translate(ctx, [])
     with pytest.raises(ValueError):
-        separating_translate(make_lamplighter(2), [Element((), 1)])
+        separating_translate(LamplighterContext(2), [Element((), 1)])
     with pytest.raises(ResourceCapError):
         separating_translate(ctx, [Element((1, 0), 1)], n1_cap=0)
 
@@ -198,7 +198,7 @@ def test_separating_translate_validation():
 def test_separation_always_verified():
     # the search only returns after the key count check, so any output
     # separates, whatever n1 it landed on
-    ctx = make_bs(3)
+    ctx = BaumslagSolitarContext(3)
     coll = [Element((a, 0), 2) for a in (1, 2, 5, 7)]
     sep = separating_translate(ctx, coll)
     keys = {conjugacy_key(ctx, ctx.multiply(sep.element, g)) for g in coll}
@@ -206,7 +206,7 @@ def test_separation_always_verified():
 
 
 def test_translate_experiment_small():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     report = translate_experiment(ctx, 1)
     assert report.k == 2 and report.n == 1
     assert report.box_size == 8
@@ -223,7 +223,7 @@ def test_translate_experiment_small():
 
 
 def test_translate_experiment_as_dict():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     report = translate_experiment(ctx, 1)
     data = report.as_dict(ctx)
     blob = json.dumps(data, sort_keys=True)
@@ -235,7 +235,7 @@ def test_translate_experiment_as_dict():
 
 
 def test_translate_experiment_cap():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     with pytest.raises(ResourceCapError):
         translate_experiment(ctx, 3, element_cap=1000)
 
@@ -250,7 +250,7 @@ def full_key_count(ctx, g, elements) -> int:
 
 @pytest.mark.parametrize("k,n", SCANNED_BOXES)
 def test_separating_translate_rechecked_by_full_scan(k, n):
-    ctx = make_bs(k)
+    ctx = BaumslagSolitarContext(k)
     box = folner_box(ctx, n)
     sep = separating_translate(ctx, box)
     assert sep.classes == box.size
@@ -265,14 +265,14 @@ def test_separating_translate_rechecked_by_full_scan(k, n):
 
 @pytest.mark.parametrize("k,n", SCANNED_BOXES)
 def test_right_defect_is_inverse_symmetric(k, n):
-    ctx = make_bs(k)
+    ctx = BaumslagSolitarContext(k)
     box = folner_box(ctx, n)
     for gen in ctx.generators():
         assert right_defect(ctx, box, gen) == right_defect(ctx, box, ctx.invert(gen))
 
 
 def test_translate_experiment_reports_the_search_count():
-    ctx = make_bs(3)
+    ctx = BaumslagSolitarContext(3)
     report = translate_experiment(ctx, 2)
     assert report.classes == report.translate.classes == report.box_size == 1458
     assert report.matches
@@ -288,7 +288,7 @@ def test_search_rejects_at_first_repeated_key(monkeypatch):
         return conjugacy_key(ctx, g, *args)
 
     monkeypatch.setattr(folner, "conjugacy_key", counting_key)
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     box = folner_box(ctx, 3)
     sep = separating_translate(ctx, box)
     candidates = sep.n1
@@ -300,7 +300,7 @@ def test_search_rejects_at_first_repeated_key(monkeypatch):
 
 
 def test_translate_experiment_n1_cap():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     with pytest.raises(ResourceCapError):
         translate_experiment(ctx, 2, n1_cap=5)
     assert translate_experiment(ctx, 2, n1_cap=12).translate.n1 == 12

@@ -11,11 +11,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "abcgroups"
 
-# The library constructor beside make_bs and make_lamplighter.  The CLI
-# builds matrix contexts from config files, so nothing in src calls it,
-# but it is the public way to build a matrix context in code.
-EXEMPT = {"make_matrix_context"}
-
 
 def _defined_names(node) -> list[str]:
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -52,7 +47,7 @@ def uncalled_names(src: Path = SRC) -> list[str]:
     out = []
     for module, node, defined, _ in statements:
         for name in defined:
-            if name in EXEMPT or (name.startswith("__") and name.endswith("__")):
+            if name.startswith("__") and name.endswith("__"):
                 continue
             if not any(
                 name in refs for _, other, _, refs in statements if other is not node

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from _oracles import adjugate, det_int
 from abcgroups.linalg import (
-    adjugate,
-    det_int,
+    cyclotomic_orders,
+    cyclotomic_poly,
     identity_matrix,
     integer_kernel_basis,
     mat_mul,
@@ -11,6 +12,7 @@ from abcgroups.linalg import (
     mat_sub,
     mat_vec,
     smith_normal_form,
+    totient,
     unimodular_inverse,
 )
 
@@ -73,10 +75,10 @@ def test_adjugate_base_case():
 
 def test_unimodular_inverse():
     m = ((2, 1), (1, 1))
-    inv = unimodular_inverse(m, 1)
+    inv = unimodular_inverse(m)
     assert mat_mul(m, inv) == identity_matrix(2)
     flip = ((0, 1), (1, 0))
-    assert mat_mul(flip, unimodular_inverse(flip, -1)) == identity_matrix(2)
+    assert mat_mul(flip, unimodular_inverse(flip)) == identity_matrix(2)
 
 
 def test_smith_normal_form_examples():
@@ -130,5 +132,110 @@ def test_kernel_vectors_annihilate(m):
 
 def test_unimodular_inverse_round_trip():
     for m in (((1, 1), (0, 1)), ((3, 2), (4, 3)), ((0, -1), (1, 0))):
-        inv = unimodular_inverse(m, det_int(m))
+        inv = unimodular_inverse(m)
         assert mat_mul(inv, m) == identity_matrix(2)
+
+
+# ---------------------------------------------------------------------------
+# Smith-form inverse and singularity test against the Bareiss reference
+# ---------------------------------------------------------------------------
+
+matrix_up_to_4 = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    ).map(lambda rows: tuple(tuple(r) for r in rows))
+)
+
+
+@st.composite
+def unimodular_matrix(draw):
+    """A product of row negations and row additions, so det is +-1."""
+    n = draw(st.integers(1, 4))
+    rows = [list(row) for row in identity_matrix(n)]
+    for _ in range(draw(st.integers(0, 12))):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 1))
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            q = draw(st.integers(-3, 3))
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    return tuple(tuple(row) for row in rows)
+
+
+@given(unimodular_matrix())
+@settings(max_examples=150)
+def test_unimodular_inverse_matches_adjugate(m):
+    d = det_int(m)
+    assert d in (1, -1)
+    # A^-1 = adj(A) / det A, and 1 / det = det for det = +-1
+    assert unimodular_inverse(m) == tuple(
+        tuple(d * x for x in row) for row in adjugate(m)
+    )
+
+
+@given(matrix_up_to_4)
+@settings(max_examples=150)
+def test_unimodular_inverse_refuses_other_determinants(m):
+    assume(det_int(m) not in (1, -1))
+    with pytest.raises(ValueError, match="determinant"):
+        unimodular_inverse(m)
+
+
+@given(matrix_up_to_4, st.integers(-3, 3))
+@settings(max_examples=100)
+def test_unimodular_inverse_refuses_singular(m, q):
+    # the last row becomes a multiple of the first (zero when n = 1)
+    rows = list(m)
+    rows[-1] = tuple(q * x for x in rows[0]) if len(m) > 1 else (0,)
+    singular = tuple(rows)
+    assert det_int(singular) == 0
+    with pytest.raises(ValueError, match="determinant"):
+        unimodular_inverse(singular)
+
+
+def test_unimodular_inverse_refuses_non_square():
+    with pytest.raises(ValueError, match="determinant"):
+        unimodular_inverse(((1, 0),))
+
+
+def _poly_at(coeffs, m):
+    n = len(m)
+    acc = tuple((0,) * n for _ in range(n))
+    for c in reversed(coeffs):
+        acc = mat_mul(acc, m)
+        acc = tuple(
+            tuple(x + (c if i == j else 0) for j, x in enumerate(row))
+            for i, row in enumerate(acc)
+        )
+    return acc
+
+
+def reference_orders(m) -> list[int]:
+    """Every d with det(Phi_d(M)) == 0, scanning well past the package's bound."""
+    n = len(m)
+    return [
+        d
+        for d in range(1, 8 * n * n + 8)
+        if totient(d) <= n and det_int(_poly_at(cyclotomic_poly(d), m)) == 0
+    ]
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        ).map(lambda rows: tuple(tuple(r) for r in rows))
+    )
+)
+# a 3-cycle, a rotation beside an order-3 companion, the Phi_12 companion
+@example(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+@example(((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, -1)))
+@example(((0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0)))
+@settings(max_examples=150)
+def test_cyclotomic_orders_match_determinant_scan(m):
+    assert cyclotomic_orders(m) == reference_orders(m)

@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import decay_fit, low_t_count, sphere_class_histogram
 from abcgroups.enumeration import enumerate_ball
-from abcgroups.groups import make_bs, make_lamplighter
+from abcgroups.groups import BaumslagSolitarContext, LamplighterContext
 from abcgroups.ratios import (
     CSV_HEADER,
     RatioRow,
@@ -47,7 +47,7 @@ def test_threshold_const():
 
 
 def test_ratio_table_first_rows():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     index = enumerate_ball(ctx, 6)
     table = ratio_table(ctx, index)
     assert table.f_label == "sqrt"
@@ -64,7 +64,7 @@ def test_ratio_table_first_rows():
 
 
 def test_ratio_table_cumulative_consistency():
-    ctx = make_lamplighter(2)
+    ctx = LamplighterContext(2)
     index = enumerate_ball(ctx, 6)
     table = ratio_table(ctx, index)
     balls = [index.ball_size(r) for r in range(7)]
@@ -83,7 +83,7 @@ def test_ratio_table_cumulative_consistency():
 
 
 def test_histogram_sums_to_sphere():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     index = enumerate_ball(ctx, 5)
     for r in range(6):
         hist = sphere_class_histogram(ctx, index, r)
@@ -92,7 +92,7 @@ def test_histogram_sums_to_sphere():
 
 
 def test_u_count_matches_direct_scan():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     index = enumerate_ball(ctx, 6)
     f, _ = threshold_function("sqrt")
     table = ratio_table(ctx, index)
@@ -102,7 +102,7 @@ def test_u_count_matches_direct_scan():
 
 def test_u_count_with_identity_threshold_is_ball():
     # min_t never exceeds the word length, so f(r) = r counts everything
-    ctx = make_lamplighter(2)
+    ctx = LamplighterContext(2)
     index = enumerate_ball(ctx, 5)
     table = ratio_table(ctx, index, f=lambda r: r)
     assert table.f_label == "<lambda>"
@@ -112,7 +112,7 @@ def test_u_count_with_identity_threshold_is_ball():
 
 def test_low_t_count_zero_bound():
     # bound 0 keeps exactly the elements spelled without t letters
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     index = enumerate_ball(ctx, 4)
     count = low_t_count(index, 4, 0)
     assert count == sum(
@@ -122,7 +122,7 @@ def test_low_t_count_zero_bound():
 
 
 def test_ratio_table_radius_argument():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     index = enumerate_ball(ctx, 5)
     short = ratio_table(ctx, index, radius=3)
     assert len(short.rows) == 4
@@ -155,7 +155,7 @@ def test_decay_fit_constant_table():
 
 
 def test_decay_fit_needs_enough_rows():
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     index = enumerate_ball(ctx, 5)
     table = ratio_table(ctx, index)  # rows 3, 4, 5 only
     with pytest.raises(ValueError):
@@ -166,7 +166,7 @@ def test_decay_fit_needs_enough_rows():
 
 
 def test_write_csv_format(tmp_path):
-    ctx = make_bs(2)
+    ctx = BaumslagSolitarContext(2)
     index = enumerate_ball(ctx, 3)
     table = ratio_table(ctx, index)
     buf = io.StringIO()

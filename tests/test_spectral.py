@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from abcgroups.enumeration import enumerate_ball
-from abcgroups.groups import make_matrix_context
+from abcgroups.groups import MatrixContext
 from abcgroups.linalg import (
     cyclotomic_orders,
     cyclotomic_poly,
@@ -164,7 +164,7 @@ def test_projection_commutes_on_vectors(v):
 
 
 def test_relative_growth_table():
-    ctx = make_matrix_context(MIXED3)
+    ctx = MatrixContext(MIXED3)
     index = enumerate_ball(ctx, 4)
     rows = relative_growth_table(ctx, index)
     assert [r for r, _, _ in rows] == [0, 1, 2, 3, 4]
@@ -175,14 +175,14 @@ def test_relative_growth_table():
 
 
 def test_relative_growth_table_trivial_subgroup():
-    ctx = make_matrix_context(HYP)
+    ctx = MatrixContext(HYP)
     index = enumerate_ball(ctx, 3)
     rows = relative_growth_table(ctx, index)
     assert [p for _, _, p in rows] == [1, 1, 1, 1]
 
 
 def test_epsilon_norm_table():
-    ctx = make_matrix_context(MIXED3)
+    ctx = MatrixContext(MIXED3)
     index = enumerate_ball(ctx, 4)
     rows = epsilon_norm_table(ctx, index)
     # the projection keeps the first coordinate, whose reach grows with r
@@ -190,7 +190,7 @@ def test_epsilon_norm_table():
 
 
 def test_epsilon_norm_table_is_monotone():
-    ctx = make_matrix_context(MIXED3)
+    ctx = MatrixContext(MIXED3)
     index = enumerate_ball(ctx, 4)
     setup = unit_root_projection(ctx.matrix)
     rows = epsilon_norm_table(ctx, index, setup)
