@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from _oracles import lamplighter_word_length, word_ball
@@ -8,7 +10,7 @@ from abcgroups.groups import (
     LamplighterContext,
     MatrixContext,
 )
-from abcgroups.words import evaluate, t_exponent
+from abcgroups.words import evaluate, format_word, t_exponent
 
 HYP = ((2, 1), (1, 1))
 
@@ -167,6 +169,39 @@ def test_geodesic_t_exponent_matches():
     index = enumerate_ball(ctx, 4)
     for g in index.elements():
         assert t_exponent(index.geodesic_word(g)) == g.texp
+
+
+# sha256 over "element word\n" lines in elements() order, recorded from the
+# predecessor chain the BFS once stored: the geodesic choice is pinned
+GEODESIC_DIGESTS = [
+    (
+        BaumslagSolitarContext(2),
+        6,
+        "9066a3720d0feb2a7da78d3ea3dfe0ddb0d6b7441922c97261a9ef236837b123",
+    ),
+    (
+        LamplighterContext(2),
+        6,
+        "3d4e5a48bdb2697871564b0f8865c5a55891fcc56c373425f98633d1f972649d",
+    ),
+    (
+        MatrixContext(HYP),
+        5,
+        "27298ec66f3f9aba44cfcc90712f05c55dae2495f2c6c3262830913aa7fdc488",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "ctx, radius, digest", GEODESIC_DIGESTS, ids=["bs-2", "lamplighter-2", "matrix"]
+)
+def test_geodesic_choice_is_pinned(ctx, radius, digest):
+    index = enumerate_ball(ctx, radius)
+    text = "".join(
+        f"{ctx.format_element(g)} {format_word(index.geodesic_word(g))}\n"
+        for g in index.elements()
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def check_closed_form_lengths(ctx, index):
