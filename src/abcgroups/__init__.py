@@ -34,7 +34,6 @@ from .ratios import ratio_table, threshold_function, write_csv
 from .spectral import (
     epsilon_norm_table,
     relative_growth_table,
-    unit_root_period,
     unit_root_projection,
 )
 from .words import (

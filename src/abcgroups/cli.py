@@ -28,11 +28,7 @@ from .folner import (
 )
 from .groups import BaumslagSolitarContext, load_matrix_config, parse_group_descriptor
 from .ratios import gnuplot_script, ratio_table, write_csv
-from .spectral import (
-    epsilon_norm_table,
-    relative_growth_table,
-    unit_root_projection,
-)
+from .spectral import epsilon_norm_table, relative_growth_table
 from .words import (
     cyclic_reduce,
     evaluate,
@@ -245,9 +241,8 @@ def _cmd_folner(config: RunConfig) -> int:
 def _cmd_spectral(config: RunConfig) -> int:
     ctx = load_matrix_config(config.matrix)
     index = enumerate_ball(ctx, config.radius, config.element_cap)
-    setup = unit_root_projection(ctx.matrix)
-    growth = relative_growth_table(ctx, index, setup.period)
-    norms = epsilon_norm_table(ctx, index, setup)
+    growth = relative_growth_table(ctx, index)
+    norms = epsilon_norm_table(ctx, index)
     lines = ["r,ball,p_count,eps_max_num,eps_max_den"]
     for (r, ball, p_count), (_, eps) in zip(growth, norms):
         lines.append(f"{r},{ball},{p_count},{eps.numerator},{eps.denominator}")

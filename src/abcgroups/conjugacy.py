@@ -84,9 +84,6 @@ class UnionFind:
         self._parent[rb] = ra
         self._size[ra] += self._size[rb]
 
-    def same(self, a, b) -> bool:
-        return self.find(a) == self.find(b)
-
     def blocks(self) -> list[list]:
         by_root: dict = {}
         for x in self._parent:

@@ -1,9 +1,8 @@
 """Breadth-first enumeration of word-metric balls.
 
-The index stores, per element of the ball S^R: the word length, the index
-of a generator finishing some geodesic, and the minimum number of t
-letters over all geodesics (computed layer by layer: an element at
-distance r minimizes over its distance r-1 predecessors).
+The index stores, per element of the ball S^R: the word length and the
+minimum number of t letters over all geodesics (computed layer by layer:
+an element at distance r minimizes over its distance r-1 predecessors).
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .groups import Element, GroupContext
-from .words import Word, generator_letters
 
 __all__ = [
     "BallIndex",
@@ -28,12 +26,12 @@ class ResourceCapError(RuntimeError):
 
 
 class BallIndex:
-    """Ball S^R with per-element word length, geodesic witness and t-count."""
+    """Ball S^R with per-element word length and t-count."""
 
     def __init__(self, ctx: GroupContext, radius: int, records, layers):
         self.ctx = ctx
         self.radius = radius
-        self._records = records  # Element -> (dist, pred_gen_index, min_t)
+        self._records = records  # Element -> (dist, min_t)
         self._layers = layers  # layers[r]: list of Element, sorted by ctx.sort_key
 
     def __contains__(self, g: Element) -> bool:
@@ -51,13 +49,8 @@ class BallIndex:
     def word_length(self, g: Element) -> int:
         return self._record(g)[0]
 
-    def predecessor_index(self, g: Element) -> int:
-        """Index into ctx.generators() of the last letter of some geodesic
-        word for g; -1 at the identity, which has the empty word."""
-        return self._record(g)[1]
-
     def min_t_count(self, g: Element) -> int:
-        return self._record(g)[2]
+        return self._record(g)[1]
 
     def sphere(self, r: int) -> list[Element]:
         if not 0 <= r <= self.radius:
@@ -76,21 +69,6 @@ class BallIndex:
         for r in range(top + 1):
             yield from self._layers[r]
 
-    def geodesic_word(self, g: Element) -> Word:
-        """A geodesic spelling of g, read off the predecessor chain."""
-        letters_by_gen = generator_letters(self.ctx)
-        gens = self.ctx.generators()
-        out = []
-        cur = g
-        while True:
-            dist, pred, _ = self._record(cur)
-            if dist == 0:
-                break
-            out.append(letters_by_gen[pred])
-            cur = self.ctx.multiply(cur, self.ctx.invert(gens[pred]))
-        out.reverse()
-        return Word(tuple(out))
-
 
 def enumerate_ball(
     ctx: GroupContext, radius: int, element_cap: int = DEFAULT_ELEMENT_CAP
@@ -100,24 +78,24 @@ def enumerate_ball(
         raise ValueError(f"radius must be nonnegative, got {radius}")
     identity = ctx.identity
     kmoves = []  # (gen index, kernel part), shift cached per t-level
-    tmoves = []  # (gen index, +-1)
+    tmoves = []  # +-1
     for idx, s in enumerate(ctx.generators()):
         if s.texp == 0:
             kmoves.append((idx, s.kpart))
         else:
-            tmoves.append((idx, s.texp))
+            tmoves.append(s.texp)
 
     kadd = ctx.kpart_add
     phip = ctx.phi_power
     shift_cache: dict[tuple[int, int], object] = {}
 
-    records: dict[Element, tuple[int, int, int]] = {identity: (0, -1, 0)}
+    records: dict[Element, tuple[int, int]] = {identity: (0, 0)}
     layers: list[list[Element]] = [[identity]]
     for r in range(1, radius + 1):
-        pending: dict[Element, list[int]] = {}
+        pending: dict[Element, int] = {}  # Element -> min_t
         for g in layers[r - 1]:
             a, p = g
-            min_t = records[g][2]
+            min_t = records[g][1]
             for idx, dk in kmoves:
                 key = (idx, p)
                 shifted = shift_cache.get(key)
@@ -126,29 +104,24 @@ def enumerate_ball(
                 h = Element(kadd(a, shifted), p)
                 if h in records:
                     continue
-                slot = pending.get(h)
-                if slot is None:
-                    pending[h] = [min_t, idx]
-                elif min_t < slot[0]:
-                    slot[0] = min_t
-            for idx, dt in tmoves:
+                seen = pending.get(h)
+                if seen is None or min_t < seen:
+                    pending[h] = min_t
+            for dt in tmoves:
                 h = Element(a, p + dt)
                 if h in records:
                     continue
                 nt = min_t + 1
-                slot = pending.get(h)
-                if slot is None:
-                    pending[h] = [nt, idx]
-                elif nt < slot[0]:
-                    slot[0] = nt
+                seen = pending.get(h)
+                if seen is None or nt < seen:
+                    pending[h] = nt
         if len(records) + len(pending) > element_cap:
             raise ResourceCapError(
                 f"ball exceeds the element cap ({element_cap}) at radius {r}"
             )
         layer = sorted(pending, key=ctx.sort_key)
         for h in layer:
-            slot = pending[h]
-            records[h] = (r, slot[1], slot[0])
+            records[h] = (r, pending[h])
         layers.append(layer)
     return BallIndex(ctx, radius, records, layers)
 

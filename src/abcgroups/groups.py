@@ -510,7 +510,7 @@ class MatrixContext(GroupContext):
             1: matrix,
             -1: self._inverse,
         }
-        self._unit_root_orders = cyclotomic_orders(matrix)
+        self.unit_root_orders = cyclotomic_orders(matrix)
         self._quotients: dict[int, QuotientDescriptor] = {}
         if kgens is None:
             units = []
@@ -556,10 +556,10 @@ class MatrixContext(GroupContext):
         return "(" + ",".join(str(x) for x in a) + ")"
 
     def conjugacy_key(self, g: Element, orbit_bound: int):
-        if self._unit_root_orders:
+        if self.unit_root_orders:
             raise ValueError(
                 f"conjugacy invariants are unavailable: M has root-of-unity "
-                f"eigenvalues of orders {self._unit_root_orders}"
+                f"eigenvalues of orders {self.unit_root_orders}"
             )
         p = g.texp
         if p == 0:

@@ -1,8 +1,9 @@
 """Unit-root spectrum of an integer matrix and the periodic-part projection.
 
 The unit-root period N is the lcm of the root-of-unity orders in the
-spectrum (linalg.cyclotomic_orders).  Everything is exact (integer
-matrices, Fraction projections).
+spectrum, which the MatrixContext scans once when it is built
+(linalg.cyclotomic_orders).  Everything is exact (integer matrices,
+Fraction projections).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from fractions import Fraction
 from .enumeration import BallIndex
 from .groups import MatrixContext
 from .linalg import (
-    cyclotomic_orders,
     identity_matrix,
     integer_kernel_basis,
     mat_mul,
@@ -25,16 +25,11 @@ from .linalg import (
 )
 
 __all__ = [
-    "unit_root_period",
     "ProjectionSetup",
     "unit_root_projection",
     "relative_growth_table",
     "epsilon_norm_table",
 ]
-
-
-def unit_root_period(matrix) -> int:
-    return math.lcm(*cyclotomic_orders(matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +60,7 @@ class ProjectionSetup:
         )
 
 
-def unit_root_projection(matrix) -> ProjectionSetup:
+def unit_root_projection(ctx: MatrixContext) -> ProjectionSetup:
     """Projection onto P = ker(M^N - I) along the image of (M^N - I)^n.
 
     (M^N - I)^n splits Q^n into its kernel and image; when the unit-root
@@ -73,8 +68,8 @@ def unit_root_projection(matrix) -> ProjectionSetup:
     the image is an M-invariant complement.  Otherwise no invariant
     complement exists and this raises.
     """
-    n = len(matrix)
-    period = unit_root_period(matrix)
+    matrix, n = ctx.matrix, ctx.n
+    period = math.lcm(*ctx.unit_root_orders)
     shifted = mat_sub(mat_pow(matrix, period), identity_matrix(n))
     kernel = integer_kernel_basis(shifted)
     power = mat_pow(shifted, n)
@@ -120,12 +115,10 @@ def unit_root_projection(matrix) -> ProjectionSetup:
 
 
 def relative_growth_table(
-    ctx: MatrixContext, index: BallIndex, period: int | None = None
+    ctx: MatrixContext, index: BallIndex
 ) -> list[tuple[int, int, int]]:
     """Rows (r, |S^r|, |P intersect S^r|) with both counts cumulative."""
-    if period is None:
-        period = unit_root_period(ctx.matrix)
-    mpow = ctx.matrix_power(period)
+    mpow = ctx.matrix_power(math.lcm(*ctx.unit_root_orders))
     rows = []
     ball = 0
     inside = 0
@@ -140,12 +133,11 @@ def relative_growth_table(
 
 
 def epsilon_norm_table(
-    ctx: MatrixContext, index: BallIndex, setup: ProjectionSetup | None = None
+    ctx: MatrixContext, index: BallIndex
 ) -> list[tuple[int, Fraction]]:
     """Rows (r, max sup-norm of the projection over kernel elements of S^r),
     cumulative in r."""
-    if setup is None:
-        setup = unit_root_projection(ctx.matrix)
+    setup = unit_root_projection(ctx)
     rows = []
     best = Fraction(0)
     for r in range(index.radius + 1):

@@ -1,9 +1,10 @@
 """Slow reference implementations used only by the tests.
 
 Everything here recomputes results from first principles (raw generator
-words, elementwise conjugation sweeps) or by the plain exhaustive loop a
-fast path replaced (pairwise conjugator solving, step-by-step orbit
-walks), so the fast code paths have an independent answer to match.
+words, elementwise conjugation sweeps, geodesic words rebuilt from the
+sphere order) or by the plain exhaustive loop a fast path replaced
+(pairwise conjugator solving, step-by-step orbit walks), so the fast code
+paths have an independent answer to match.
 Helpers that only tests call live here too: conjugation, are_conjugate,
 quotient representatives, the decay fit of a ratio table and the bs
 congruence witnesses and power windows.  det_int and adjugate are the
@@ -24,7 +25,7 @@ from abcgroups.folner import _require_bs
 from abcgroups.groups import Element, GroupContext, MatrixContext
 from abcgroups.linalg import Matrix, mat_vec, unimodular_inverse
 from abcgroups.ratios import RatioTable
-from abcgroups.words import generator_letters, letter_element
+from abcgroups.words import Word, generator_letters, letter_element
 
 
 def det_int(matrix: Matrix) -> int:
@@ -111,6 +112,32 @@ def word_ball(ctx: GroupContext, radius: int) -> dict[Element, tuple[int, int]]:
                     best[h] = (dist, state[1])
         frontier = nxt
     return best
+
+
+def geodesic_words(
+    ctx: GroupContext, index: BallIndex, radius: int
+) -> dict[Element, Word]:
+    """A geodesic word for each element of the radius-ball, by the BFS's
+    first-discovery rule.
+
+    h on sphere r extends the word of the predecessor h s_i^-1 on sphere
+    r-1 that comes first in sphere order, ties going to the lower generator
+    index i, by the letter of s_i.
+    """
+    gens = ctx.generators()
+    inverses = [ctx.invert(s) for s in gens]
+    letters = generator_letters(ctx)
+    words = {ctx.identity: Word(())}
+    for r in range(1, radius + 1):
+        position = {g: pos for pos, g in enumerate(index.sphere(r - 1))}
+        for h in index.sphere(r):
+            _, i, pred = min(
+                (position[pred], i, pred)
+                for i, inv in enumerate(inverses)
+                if (pred := ctx.multiply(h, inv)) in position
+            )
+            words[h] = Word(words[pred].letters + (letters[i],))
+    return words
 
 
 def lamplighter_word_length(ctx: GroupContext, g: Element) -> int:

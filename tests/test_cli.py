@@ -1,9 +1,11 @@
 import json
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from abcgroups import linalg
 from abcgroups.cli import RunConfig, parse_config, run
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import BaumslagSolitarContext
@@ -216,6 +218,25 @@ def test_spectral_csv(tmp_path, capsys):
     assert [int(r[2]) for r in rows] == [1, 3, 5, 7]
     assert [int(r[3]) for r in rows] == [0, 1, 2, 3]
     assert all(int(r[4]) == 1 for r in rows)
+
+
+def test_spectral_scans_the_spectrum_once(monkeypatch, capsys):
+    # the MatrixContext holds the root-of-unity orders; the tables reuse them
+    original = linalg.cyclotomic_orders
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "abcgroups":
+            if getattr(module, "cyclotomic_orders", None) is original:
+                monkeypatch.setattr(module, "cyclotomic_orders", counting)
+    argv = ["spectral", "--matrix", str(GOLDEN_DIR / "unit_root.json")]
+    assert run([*argv, "--radius", "2"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_spectral_refuses_non_semisimple(tmp_path, capsys):

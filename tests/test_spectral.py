@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,6 @@ from abcgroups.linalg import (
 from abcgroups.spectral import (
     epsilon_norm_table,
     relative_growth_table,
-    unit_root_period,
     unit_root_projection,
 )
 
@@ -35,7 +35,7 @@ def periodic_subgroup_basis(matrix) -> tuple[tuple[int, ...], ...]:
     unity in the spectrum has order dividing N, so this kernel is the full
     periodic subgroup.
     """
-    period = unit_root_period(matrix)
+    period = math.lcm(*cyclotomic_orders(matrix))
     shifted = mat_sub(mat_pow(matrix, period), identity_matrix(len(matrix)))
     return integer_kernel_basis(shifted)
 
@@ -88,10 +88,13 @@ def test_cyclotomic_orders():
 
 
 def test_unit_root_period():
-    assert unit_root_period(HYP) == 1
-    assert unit_root_period(ROT4) == 4
-    assert unit_root_period(BLOCK) == 4
-    assert unit_root_period(((-1, 0), (0, -1))) == 2
+    def period(matrix):
+        return unit_root_projection(MatrixContext(matrix)).period
+
+    assert period(HYP) == 1
+    assert period(ROT4) == 4
+    assert period(BLOCK) == 4
+    assert period(((-1, 0), (0, -1))) == 2
 
 
 def test_periodic_subgroup_basis():
@@ -105,14 +108,14 @@ def test_periodic_subgroup_basis():
 
 
 def test_projection_identity_cases():
-    setup = unit_root_projection(ROT4)
+    setup = unit_root_projection(MatrixContext(ROT4))
     assert setup.period == 4
     assert setup.denominator_lcm == 1
     assert setup.matrix == (
         (Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(1)),
     )
-    minus = unit_root_projection(((-1, 0), (0, -1)))
+    minus = unit_root_projection(MatrixContext(((-1, 0), (0, -1))))
     assert minus.period == 2
     assert minus.matrix[0][0] == 1 and minus.matrix[1][1] == 1
 
@@ -120,7 +123,7 @@ def test_projection_identity_cases():
 def test_projection_properties():
     for rows in (BLOCK, MIXED3):
         n = len(rows)
-        setup = unit_root_projection(rows)
+        setup = unit_root_projection(MatrixContext(rows))
         e = setup.matrix
         # idempotent
         for i in range(n):
@@ -146,14 +149,14 @@ def test_projection_properties():
 
 def test_projection_refuses_non_semisimple():
     with pytest.raises(ValueError, match="semisimple"):
-        unit_root_projection(((1, 1), (0, 1)))
+        unit_root_projection(MatrixContext(((1, 1), (0, 1))))
     with pytest.raises(ValueError):
-        unit_root_projection(((1, 0), (1, 1)))
+        unit_root_projection(MatrixContext(((1, 0), (1, 1))))
 
 
 @given(st.tuples(*(st.integers(-30, 30) for _ in range(4))))
 def test_projection_commutes_on_vectors(v):
-    setup = unit_root_projection(BLOCK)
+    setup = unit_root_projection(MatrixContext(BLOCK))
     mv = mat_vec(BLOCK, v)
     lhs = setup.apply(mv)
     rhs = tuple(
@@ -192,7 +195,6 @@ def test_epsilon_norm_table():
 def test_epsilon_norm_table_is_monotone():
     ctx = MatrixContext(MIXED3)
     index = enumerate_ball(ctx, 4)
-    setup = unit_root_projection(ctx.matrix)
-    rows = epsilon_norm_table(ctx, index, setup)
+    rows = epsilon_norm_table(ctx, index)
     values = [v for _, v in rows]
     assert all(a <= b for a, b in zip(values, values[1:]))
