@@ -68,9 +68,9 @@ def unit_root_projection(ctx: MatrixContext) -> ProjectionSetup:
     the image is an M-invariant complement.  Otherwise no invariant
     complement exists and this raises.
     """
-    matrix, n = ctx.matrix, ctx.n
+    n = ctx.n
     period = math.lcm(*ctx.unit_root_orders)
-    shifted = mat_sub(mat_pow(matrix, period), identity_matrix(n))
+    shifted = mat_sub(ctx.matrix_power(period), identity_matrix(n))
     kernel = integer_kernel_basis(shifted)
     power = mat_pow(shifted, n)
     basis = list(kernel)
