@@ -241,8 +241,9 @@ def _cmd_folner(config: RunConfig) -> int:
 def _cmd_spectral(config: RunConfig) -> int:
     ctx = load_matrix_config(config.matrix)
     index = enumerate_ball(ctx, config.radius, config.element_cap)
-    growth = relative_growth_table(ctx, index)
+    # the projection refuses a non-semisimple M, so build it first
     norms = epsilon_norm_table(ctx, index)
+    growth = relative_growth_table(ctx, index)
     lines = ["r,ball,p_count,eps_max_num,eps_max_den"]
     for (r, ball, p_count), (_, eps) in zip(growth, norms):
         lines.append(f"{r},{ball},{p_count},{eps.numerator},{eps.denominator}")
