@@ -2,9 +2,10 @@
 
 Each command runs through ``cli.run`` from inside ``tests/golden``, so the
 matrix configs stored there are named by relative paths and the outputs
-do not depend on where the repository lives.  The outputs pin layer
-order, block order and every printed figure; a change that alters any of
-them must say so and re-record the file deliberately.
+do not depend on where the repository lives.  The outputs pin every
+printed figure; a change that alters any of them must say so and
+re-record the file deliberately.  The oracle's block order, which the
+conjtest mismatch listing prints, is pinned by digest in test_conjugacy.
 """
 
 from pathlib import Path
@@ -27,7 +28,6 @@ GOLDEN = {
     "spectral_unit_root": ["spectral", "--matrix", "unit_root.json", "--radius", "6"],
     "rewrite_bs2": ["rewrite", "--group", "bs:2", "T g0 t t"],
     "rewrite_lamplighter2": ["rewrite", "--group", "lamplighter:2", "t g0 t G0 T g0 t"],
-    # 12 mismatches, whose element lists expose layer order and block order
     "conjtest_hyperbolic": [
         "conjtest",
         "--group",
@@ -36,8 +36,6 @@ GOLDEN = {
         "4",
         "--oracle-radius",
         "8",
-        "--orbit-bound",
-        "0",
     ],
 }
 
