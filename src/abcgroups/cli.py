@@ -13,13 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from .conjugacy import (
-    DEFAULT_ORBIT_BOUND,
-    brute_force_partition,
-    conjugacy_key,
-)
+from .conjugacy import brute_force_partition, conjugacy_key
 from .enumeration import DEFAULT_ELEMENT_CAP, ResourceCapError, enumerate_ball
 from .folner import (
     DEFAULT_BOX_CAP,
@@ -38,7 +33,7 @@ from .words import (
     to_staircase,
 )
 
-__all__ = ["RunConfig", "parse_config", "run", "main"]
+__all__ = ["run", "main"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -58,24 +53,6 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    group: str | None = None
-    radius: int | None = None
-    f: str = "sqrt"
-    out: str | None = None
-    oracle_radius: int | None = None
-    k: int = 2
-    n: int | None = None
-    matrix: str | None = None
-    element_cap: int = DEFAULT_ELEMENT_CAP
-    n1_cap: int = N1_SEARCH_CAP
-    orbit_bound: int = DEFAULT_ORBIT_BOUND
-    emit: str = "json"
-    word: str | None = None
 
 
 def build_parser() -> _Parser:
@@ -100,7 +77,6 @@ def build_parser() -> _Parser:
     conj.add_argument("--oracle-radius", type=int)
     conj.add_argument("--out")
     conj.add_argument("--element-cap", type=positive_int, default=DEFAULT_ELEMENT_CAP)
-    conj.add_argument("--orbit-bound", type=int, default=DEFAULT_ORBIT_BOUND)
 
     fol = sub.add_parser("folner", help="translated-box experiment report")
     fol.add_argument("--k", type=int, default=2)
@@ -123,13 +99,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def parse_config(argv) -> RunConfig:
-    namespace = build_parser().parse_args(argv)
-    values = vars(namespace)
-    command = values.pop("command")
-    return RunConfig(command=command, **values)
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -138,51 +107,44 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _cmd_enumerate(config: RunConfig) -> int:
-    ctx = parse_group_descriptor(config.group)
-    index = enumerate_ball(ctx, config.radius, config.element_cap)
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    ctx = parse_group_descriptor(args.group)
+    index = enumerate_ball(ctx, args.radius, args.element_cap)
     lines = ["r,ball,sphere"]
-    for r in range(config.radius + 1):
+    for r in range(args.radius + 1):
         lines.append(f"{r},{index.ball_size(r)},{len(index.sphere(r))}")
-    _write_text(config.out, "\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _cmd_ratio(config: RunConfig) -> int:
-    ctx = parse_group_descriptor(config.group)
-    index = enumerate_ball(ctx, config.radius, config.element_cap)
-    table = ratio_table(ctx, index, config.f, config.radius)
-    if config.out is None:
-        write_csv(table, sys.stdout)
+def _cmd_ratio(args: argparse.Namespace) -> int:
+    ctx = parse_group_descriptor(args.group)
+    index = enumerate_ball(ctx, args.radius, args.element_cap)
+    rows = ratio_table(ctx, index, args.f)
+    if args.out is None:
+        write_csv(rows, sys.stdout)
     else:
-        write_csv(table, config.out)
-        with open(config.out + ".gp", "w", encoding="utf-8") as fh:
-            fh.write(gnuplot_script(config.out))
+        write_csv(rows, args.out)
+        with open(args.out + ".gp", "w", encoding="utf-8") as fh:
+            fh.write(gnuplot_script(args.out))
     return EXIT_OK
 
 
-def _cmd_conjtest(config: RunConfig) -> int:
-    ctx = parse_group_descriptor(config.group)
-    oracle_radius = config.oracle_radius
+def _cmd_conjtest(args: argparse.Namespace) -> int:
+    ctx = parse_group_descriptor(args.group)
+    oracle_radius = args.oracle_radius
     if oracle_radius is None:
-        oracle_radius = config.radius + 8
-    if oracle_radius < config.radius:
+        oracle_radius = args.radius + 8
+    if oracle_radius < args.radius:
         raise ValueError(
-            f"oracle radius {oracle_radius} is below the ball radius {config.radius}"
+            f"oracle radius {oracle_radius} is below the ball radius {args.radius}"
         )
-    if config.orbit_bound < 0:
-        raise ValueError(
-            f"--orbit-bound must be nonnegative, got {config.orbit_bound}"
-        )
-    index = enumerate_ball(ctx, oracle_radius, config.element_cap)
-    key_of = {
-        g: conjugacy_key(ctx, g, config.orbit_bound)
-        for g in index.elements(config.radius)
-    }
+    index = enumerate_ball(ctx, oracle_radius, args.element_cap)
+    key_of = {g: conjugacy_key(ctx, g) for g in index.elements(args.radius)}
     by_key: dict = {}
     for g, key in key_of.items():
         by_key.setdefault(key, []).append(g)
-    blocks = brute_force_partition(ctx, index, config.radius, oracle_radius)
+    blocks = brute_force_partition(ctx, index, args.radius, oracle_radius)
     block_of = {g: i for i, block in enumerate(blocks) for g in block}
     mismatches = []
     for block in blocks:
@@ -204,56 +166,56 @@ def _cmd_conjtest(config: RunConfig) -> int:
                 }
             )
     report = {
-        "group": config.group,
-        "radius": config.radius,
+        "group": args.group,
+        "radius": args.radius,
         "oracle_radius": oracle_radius,
-        "ball": index.ball_size(config.radius),
+        "ball": index.ball_size(args.radius),
         "classes_by_key": len(by_key),
         "classes_by_oracle": len(blocks),
         "mismatches": mismatches[:20],
         "mismatch_count": len(mismatches),
         "agreement": not mismatches,
     }
-    _write_text(config.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
-def _cmd_folner(config: RunConfig) -> int:
-    ctx = BaumslagSolitarContext(config.k)
-    if config.n is None or config.n < 1:
-        raise ValueError(f"--n must be at least 1, got {config.n}")
-    if config.emit == "csv":
+def _cmd_folner(args: argparse.Namespace) -> int:
+    ctx = BaumslagSolitarContext(args.k)
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
+    if args.emit == "csv":
         lines = ["n,box_size,classes,ratio,right_defect_t,left_defect_t"]
-        for n in range(1, config.n + 1):
-            report = translate_experiment(ctx, n, config.element_cap, config.n1_cap)
+        for n in range(1, args.n + 1):
+            report = translate_experiment(ctx, n, args.element_cap, args.n1_cap)
             lines.append(
                 f"{n},{report.box_size},{report.classes},{report.ratio},"
                 f"{report.right_defects['t']},{report.left_defect_t}"
             )
-        _write_text(config.out, "\n".join(lines) + "\n")
+        _write_text(args.out, "\n".join(lines) + "\n")
         return EXIT_OK
-    report = translate_experiment(ctx, config.n, config.element_cap, config.n1_cap)
+    report = translate_experiment(ctx, args.n, args.element_cap, args.n1_cap)
     payload = json.dumps(report.as_dict(ctx), indent=2, sort_keys=True)
-    _write_text(config.out, payload + "\n")
+    _write_text(args.out, payload + "\n")
     return EXIT_OK
 
 
-def _cmd_spectral(config: RunConfig) -> int:
-    ctx = load_matrix_config(config.matrix)
-    index = enumerate_ball(ctx, config.radius, config.element_cap)
+def _cmd_spectral(args: argparse.Namespace) -> int:
+    ctx = load_matrix_config(args.matrix)
+    index = enumerate_ball(ctx, args.radius, args.element_cap)
     # the projection refuses a non-semisimple M, so build it first
     norms = epsilon_norm_table(ctx, index)
     growth = relative_growth_table(ctx, index)
     lines = ["r,ball,p_count,eps_max_num,eps_max_den"]
     for (r, ball, p_count), (_, eps) in zip(growth, norms):
         lines.append(f"{r},{ball},{p_count},{eps.numerator},{eps.denominator}")
-    _write_text(config.out, "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _cmd_rewrite(config: RunConfig) -> int:
-    ctx = parse_group_descriptor(config.group)
-    word = parse_word(config.word)
+def _cmd_rewrite(args: argparse.Namespace) -> int:
+    ctx = parse_group_descriptor(args.group)
+    word = parse_word(args.word)
     value = evaluate(ctx, word)
     lines = [
         f"word: {format_word(word)}",
@@ -270,7 +232,7 @@ def _cmd_rewrite(config: RunConfig) -> int:
         lines.append(
             f"ascending_value: {ctx.format_element(evaluate(ctx, ascending))}"
         )
-    _write_text(config.out, "\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -286,8 +248,8 @@ _HANDLERS = {
 
 def run(argv=None) -> int:
     try:
-        config = parse_config(argv)
-        return _HANDLERS[config.command](config)
+        args = build_parser().parse_args(argv)
+        return _HANDLERS[args.command](args)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -22,14 +22,16 @@ admits an exact canonical form for that data:
   mod the Smith diagonal per step, until it returns to its start; the
   minimum is then memoised for every class of the orbit on the stratum's
   cached QuotientDescriptor, so each orbit is walked once per context.
-* matrix, p = 0: the orbit M^i v is searched for |i| <= orbit_bound only,
-  keeping candidates no larger than the current vector in sup-norm; the
+* matrix, p = 0: the orbit M^i v is searched in a fixed window of
+  P0_WINDOW = 64 steps on each side of a centre, which moves to the
+  window's least (sup-norm, lex) point until it is the least itself.  The
   key is exact for spectra without unit-circle eigenvalues at this scale
-  but is a bounded search by construction.  Each orbit point is computed
-  once per key and shared by the re-centred windows that contain it.
+  but is a bounded search by construction, and nothing certifies it.
+  Each orbit point is computed once per key and shared by the re-centred
+  windows that contain it.
 
-Each context class implements its family's key as
-conjugacy_key(g, orbit_bound) and the stratum solver of the oracle below
+Each context class implements its family's key as conjugacy_key(g)
+and the stratum solver of the oracle below
 as block_solver(p); this module adds the entry point, the union-find and
 the oracle.
 """
@@ -38,22 +40,19 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .enumeration import BallIndex, enumerate_ball
+from .enumeration import BallIndex
 from .groups import Element, GroupContext
 
 __all__ = [
     "conjugacy_key",
     "UnionFind",
     "brute_force_partition",
-    "DEFAULT_ORBIT_BOUND",
 ]
 
-DEFAULT_ORBIT_BOUND = 64
 
-
-def conjugacy_key(ctx: GroupContext, g: Element, orbit_bound: int = DEFAULT_ORBIT_BOUND):
+def conjugacy_key(ctx: GroupContext, g: Element):
     """Canonical, order-comparable conjugacy invariant (complete; see module doc)."""
-    return ctx.conjugacy_key(g, orbit_bound)
+    return ctx.conjugacy_key(g)
 
 
 # ---------------------------------------------------------------------------
@@ -133,17 +132,18 @@ def brute_force_partition(
     """Partition of S^r merged under conjugation by every element of S^RC.
 
     Sound by construction: merged pairs are genuinely conjugate.  Small
-    conjugator radii may under-merge.
+    conjugator radii may under-merge.  The index must cover the conjugator
+    radius, which in turn must cover r.
     """
     if conjugator_radius < r:
         raise ValueError(
             f"conjugator radius {conjugator_radius} is below the ball radius {r}"
         )
-    if index.radius < r:
-        raise ValueError(f"index radius {index.radius} does not cover radius {r}")
-    big = index if index.radius >= conjugator_radius else enumerate_ball(
-        ctx, conjugator_radius
-    )
+    if index.radius < conjugator_radius:
+        raise ValueError(
+            f"index radius {index.radius} does not cover the conjugator "
+            f"radius {conjugator_radius}"
+        )
 
     ball = list(index.elements(r))
     ball_set = set(ball)
@@ -182,7 +182,7 @@ def brute_force_partition(
                             f"{ctx.format_element(g)} and {ctx.format_element(h)}"
                         )
                     x = Element(b, j)
-                    if x in big and big.word_length(x) <= conjugator_radius:
+                    if x in index and index.word_length(x) <= conjugator_radius:
                         uf.union(g, h)
                         root = uf.find(g)
                         break

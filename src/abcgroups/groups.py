@@ -88,14 +88,14 @@ class GroupContext:
         """Tuple key fixing the deterministic order of layers and blocks.
 
         Each family's key orders elements exactly as the byte codec of
-        earlier versions did, so layers, geodesic witnesses and block
-        listings match results recorded with those versions.
+        earlier versions did, so layers and block listings match results
+        recorded with those versions.
         """
         raise NotImplementedError
 
     # Conjugacy data supplied by each family.
 
-    def conjugacy_key(self, g: Element, orbit_bound: int):
+    def conjugacy_key(self, g: Element):
         """Canonical, order-comparable conjugacy invariant of g."""
         raise NotImplementedError
 
@@ -112,9 +112,6 @@ class GroupContext:
     @property
     def identity(self) -> Element:
         return Element(self.kpart_zero(), 0)
-
-    def element(self, kpart, texp: int = 0) -> Element:
-        return Element(self.canonical_kpart(kpart), texp)
 
     def multiply(self, g: Element, h: Element) -> Element:
         return Element(
@@ -233,8 +230,7 @@ class LamplighterContext(GroupContext):
             return "0"
         return "+".join(f"{v}@{i}" for i, v in a)
 
-    def conjugacy_key(self, g: Element, orbit_bound: int):
-        # orbit_bound only bounds the matrix p = 0 search
+    def conjugacy_key(self, g: Element):
         p = g.texp
         conf = g.kpart
         if p == 0:
@@ -371,8 +367,7 @@ class BaumslagSolitarContext(GroupContext):
             return str(num)
         return f"{num}/{self.k}^{e}"
 
-    def conjugacy_key(self, g: Element, orbit_bound: int):
-        # orbit_bound only bounds the matrix p = 0 search
+    def conjugacy_key(self, g: Element):
         p = g.texp
         num = g.kpart[0]
         k = self.k
@@ -426,6 +421,9 @@ class BaumslagSolitarContext(GroupContext):
 # ---------------------------------------------------------------------------
 # Matrix family Z^n x| <t>
 # ---------------------------------------------------------------------------
+
+# steps searched on each side of the centre by the p = 0 key's orbit window
+P0_WINDOW = 64
 
 
 def _int_entries(values, what: str) -> tuple[int, ...]:
@@ -555,7 +553,7 @@ class MatrixContext(GroupContext):
     def format_kpart(self, a) -> str:
         return "(" + ",".join(str(x) for x in a) + ")"
 
-    def conjugacy_key(self, g: Element, orbit_bound: int):
+    def conjugacy_key(self, g: Element):
         if self.unit_root_orders:
             raise ValueError(
                 f"conjugacy invariants are unavailable: M has root-of-unity "
@@ -563,10 +561,10 @@ class MatrixContext(GroupContext):
             )
         p = g.texp
         if p == 0:
-            return (0, self._shift_canonical(g.kpart, orbit_bound))
+            return (0, self._shift_canonical(g.kpart))
         return (p, self.quotient(p).least_class(g.kpart))
 
-    def _shift_canonical(self, v, bound: int) -> tuple[int, ...]:
+    def _shift_canonical(self, v) -> tuple[int, ...]:
         # minimize (sup-norm, lex) over the orbit window; the composite order
         # makes the result orbit-invariant whenever both endpoints see the
         # norm dip, which a hyperbolic M guarantees at these scales
@@ -583,7 +581,7 @@ class MatrixContext(GroupContext):
             for step in (1, -1):
                 m = self.matrix_power(step)
                 i = centre
-                for _ in range(bound):
+                for _ in range(P0_WINDOW):
                     i += step
                     r = ranks.get(i)
                     if r is None:

@@ -19,7 +19,6 @@ from .groups import GroupContext
 
 __all__ = [
     "RatioRow",
-    "RatioTable",
     "threshold_function",
     "ratio_table",
     "write_csv",
@@ -44,19 +43,13 @@ class RatioRow:
     u_count: int
 
 
-@dataclass(frozen=True)
-class RatioTable:
-    f_label: str
-    rows: tuple[RatioRow, ...]
-
-
-def threshold_function(spec: str) -> tuple[Callable[[int], int], str]:
+def threshold_function(spec: str) -> Callable[[int], int]:
     """Threshold choices: sqrt -> ceil(sqrt(r)), log2 -> ceil(ln(r)^2),
     const:c -> the constant c."""
     if spec == "sqrt":
-        return (lambda r: 0 if r == 0 else isqrt(r - 1) + 1), "sqrt"
+        return lambda r: 0 if r == 0 else isqrt(r - 1) + 1
     if spec == "log2":
-        return (lambda r: 0 if r == 0 else ceil(log(r) ** 2)), "log2"
+        return lambda r: 0 if r == 0 else ceil(log(r) ** 2)
     if spec.startswith("const:"):
         try:
             c = int(spec.split(":", 1)[1])
@@ -64,14 +57,14 @@ def threshold_function(spec: str) -> tuple[Callable[[int], int], str]:
             raise ValueError(f"bad constant threshold {spec!r}") from None
         if c < 0:
             raise ValueError(f"threshold constant must be nonnegative, got {c}")
-        return (lambda r: c), spec
+        return lambda r: c
     raise ValueError(f"unknown threshold spec {spec!r} (try sqrt, log2, const:c)")
 
 
-def _min_t_buckets(index: BallIndex, radius: int) -> list[dict[int, int]]:
+def _min_t_buckets(index: BallIndex) -> list[dict[int, int]]:
     # buckets[r][m] counts sphere-r elements whose geodesics need m t-letters
     out = []
-    for r in range(radius + 1):
+    for r in range(index.radius + 1):
         counts: dict[int, int] = {}
         for g in index.sphere(r):
             m = index.min_t_count(g)
@@ -81,26 +74,16 @@ def _min_t_buckets(index: BallIndex, radius: int) -> list[dict[int, int]]:
 
 
 def ratio_table(
-    ctx: GroupContext,
-    index: BallIndex,
-    f: Callable[[int], int] | str = "sqrt",
-    radius: int | None = None,
-) -> RatioTable:
-    if isinstance(f, str):
-        f, label = threshold_function(f)
-    else:
-        label = getattr(f, "__name__", "custom")
-    if radius is None:
-        radius = index.radius
-    if radius > index.radius:
-        raise ValueError(f"radius {radius} exceeds the index radius {index.radius}")
-
-    buckets = _min_t_buckets(index, radius)
+    ctx: GroupContext, index: BallIndex, f: str = "sqrt"
+) -> tuple[RatioRow, ...]:
+    """One row per radius of the index, under the threshold spec f."""
+    bound_at = threshold_function(f)
+    buckets = _min_t_buckets(index)
     seen_keys: set = set()
     rows = []
     ball = 0
     u_prefix: list[dict[int, int]] = []
-    for r in range(radius + 1):
+    for r in range(index.radius + 1):
         sphere = index.sphere(r)
         ball += len(sphere)
         new_hist: dict = {}
@@ -109,7 +92,7 @@ def ratio_table(
             if key not in seen_keys:
                 new_hist[key] = new_hist.get(key, 0) + 1
         seen_keys.update(new_hist)
-        bound = f(r)
+        bound = bound_at(r)
         u_prefix.append(buckets[r])
         u_count = sum(
             count
@@ -133,17 +116,17 @@ def ratio_table(
                 u_count=u_count,
             )
         )
-    return RatioTable(label, tuple(rows))
+    return tuple(rows)
 
 
-def write_csv(table: RatioTable, dest) -> None:
+def write_csv(rows: tuple[RatioRow, ...], dest) -> None:
     if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
         with open(dest, "w", encoding="utf-8") as fh:
-            write_csv(table, fh)
+            write_csv(rows, fh)
         return
     fh: TextIO = dest
     fh.write(CSV_HEADER + "\n")
-    for row in table.rows:
+    for row in rows:
         fh.write(
             f"{row.r},{row.ball},{row.sphere},{row.classes_cum},"
             f"{row.classes_new},{row.cr!r},{row.scr!r},{row.f_size},"
@@ -151,11 +134,11 @@ def write_csv(table: RatioTable, dest) -> None:
         )
 
 
-def gnuplot_script(csv_path: str, title: str = "class ratios") -> str:
+def gnuplot_script(csv_path: str) -> str:
     return "\n".join(
         [
             "set datafile separator ','",
-            f"set title '{title}'",
+            "set title 'class ratios'",
             "set logscale y",
             "set xlabel 'r'",
             "set key top right",

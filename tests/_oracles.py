@@ -5,8 +5,8 @@ words, elementwise conjugation sweeps, geodesic words rebuilt from the
 sphere order) or by the plain exhaustive loop a fast path replaced
 (pairwise conjugator solving, step-by-step orbit walks), so the fast code
 paths have an independent answer to match.
-Helpers that only tests call live here too: conjugation, are_conjugate,
-quotient representatives, the decay fit of a ratio table and the bs
+Helpers that only tests call live here too: element construction from a
+raw kernel part, conjugation, are_conjugate, quotient representatives, the decay fit of a ratio table and the bs
 congruence witnesses and power windows.  det_int and adjugate are the
 Bareiss determinant and cofactor inverse that the Smith-form inverse,
 solve and singularity tests of the package are checked against.
@@ -19,12 +19,12 @@ from fractions import Fraction
 from math import log
 from typing import NamedTuple, Optional
 
-from abcgroups.conjugacy import DEFAULT_ORBIT_BOUND, UnionFind, conjugacy_key
+from abcgroups.conjugacy import UnionFind, conjugacy_key
 from abcgroups.enumeration import BallIndex, enumerate_ball
 from abcgroups.folner import _require_bs
 from abcgroups.groups import Element, GroupContext, MatrixContext
 from abcgroups.linalg import Matrix, mat_vec, unimodular_inverse
-from abcgroups.ratios import RatioTable
+from abcgroups.ratios import RatioRow
 from abcgroups.words import Word, generator_letters, letter_element
 
 
@@ -70,6 +70,11 @@ def adjugate(matrix: Matrix) -> Matrix:
             ]
             adj[j][i] = (-1) ** (i + j) * _cofactor_det(minor)
     return tuple(tuple(row) for row in adj)
+
+
+def element(ctx: GroupContext, kpart, texp: int = 0) -> Element:
+    """The element with the canonical form of a raw kernel part."""
+    return Element(ctx.canonical_kpart(kpart), texp)
 
 
 def conjugate(ctx: GroupContext, x: Element, g: Element) -> Element:
@@ -273,12 +278,12 @@ def matrix_orbit_min(ctx: MatrixContext, qd, v) -> tuple[int, ...]:
             best = cur
 
 
-def matrix_shift_canonical(ctx: MatrixContext, v, bound: int) -> tuple[int, ...]:
+def matrix_shift_canonical(ctx: MatrixContext, v) -> tuple[int, ...]:
     """The matrix p = 0 key, recomputing every window from its centre.
 
-    Minimizes (sup-norm, lex) over M^i cur for |i| <= bound, scanning
-    i = 1..bound then -1..-bound with strict <, and re-centres at the
-    winner until the centre itself wins.
+    Minimizes (sup-norm, lex) over M^i cur for |i| <= 64, scanning
+    i = 1..64 then -1..-64 with strict <, and re-centres at the winner
+    until the centre itself wins.
     """
     zero = ctx.kpart_zero()
     if v == zero:
@@ -292,7 +297,7 @@ def matrix_shift_canonical(ctx: MatrixContext, v, bound: int) -> tuple[int, ...]
         best, best_rank = cur, rank(cur)
         for step in (1, -1):
             w = cur
-            for _ in range(bound):
+            for _ in range(64):
                 w = ctx.phi_power(w, step)
                 r = rank(w)
                 if r < best_rank:
@@ -302,12 +307,10 @@ def matrix_shift_canonical(ctx: MatrixContext, v, bound: int) -> tuple[int, ...]
         cur = best
 
 
-def are_conjugate(
-    ctx: GroupContext, g: Element, h: Element, orbit_bound: int = DEFAULT_ORBIT_BOUND
-) -> bool:
+def are_conjugate(ctx: GroupContext, g: Element, h: Element) -> bool:
     if g.texp != h.texp:
         return False
-    return conjugacy_key(ctx, g, orbit_bound) == conjugacy_key(ctx, h, orbit_bound)
+    return conjugacy_key(ctx, g) == conjugacy_key(ctx, h)
 
 
 class DecayFit(NamedTuple):
@@ -316,10 +319,10 @@ class DecayFit(NamedTuple):
     rows_used: int
 
 
-def decay_fit(table: RatioTable) -> DecayFit:
+def decay_fit(table: tuple[RatioRow, ...]) -> DecayFit:
     """Least constants C with cr(r) <= C log(r)/r and likewise for scr,
     over the rows with r >= 3."""
-    rows = [row for row in table.rows if row.r >= 3]
+    rows = [row for row in table if row.r >= 3]
     if len(rows) < 4:
         raise ValueError(
             f"decay fit needs at least 4 rows with r >= 3, got {len(rows)}"

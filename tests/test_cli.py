@@ -1,55 +1,18 @@
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from abcgroups import linalg
-from abcgroups.cli import RunConfig, parse_config, run
+from abcgroups import cli, linalg
+from abcgroups.cli import run
+from abcgroups.conjugacy import brute_force_partition
 from abcgroups.enumeration import enumerate_ball
-from abcgroups.groups import BaumslagSolitarContext
+from abcgroups.groups import BaumslagSolitarContext, MatrixContext
 
 MIXED3 = [[1, 0, 0], [0, 2, 1], [0, 1, 1]]
+HYP = ((2, 1), (1, 1))
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-
-_COMMAND_FIELDS = {
-    "enumerate": ("group", "radius", "element_cap"),
-    "ratio": ("group", "radius", "f", "out", "element_cap"),
-    "conjtest": (
-        "group",
-        "radius",
-        "oracle_radius",
-        "out",
-        "element_cap",
-        "orbit_bound",
-    ),
-    "folner": ("k", "n", "emit", "out", "element_cap", "n1_cap"),
-    "spectral": ("matrix", "radius", "out", "element_cap"),
-    "rewrite": ("group", "word"),
-}
-
-
-def format_config(config: RunConfig) -> list[str]:
-    """Argument list that parses back to the same config."""
-    known = {f.name for f in fields(RunConfig)}
-    wanted = _COMMAND_FIELDS.get(config.command)
-    if wanted is None:
-        raise ValueError(f"unknown subcommand {config.command!r}")
-    out = [config.command]
-    tail: list[str] = []
-    for name in wanted:
-        if name not in known:
-            raise ValueError(f"unknown config field {name!r}")
-        value = getattr(config, name)
-        if value is None:
-            continue
-        if name == "word":
-            tail.append(value)
-            continue
-        out.extend((f"--{name.replace('_', '-')}", str(value)))
-    return out + tail
 
 
 def matrix_path(tmp_path, rows=None):
@@ -121,12 +84,48 @@ def test_conjtest_bad_oracle_radius(capsys):
     assert "oracle radius" in capsys.readouterr().err
 
 
-def test_conjtest_rejects_negative_orbit_bound(capsys):
+def test_conjtest_has_no_orbit_bound_option(capsys):
     code = run(
-        ["conjtest", "--group", "bs:2", "--radius", "2", "--orbit-bound", "-3"]
+        ["conjtest", "--group", "bs:2", "--radius", "2", "--orbit-bound", "5"]
     )
     assert code == 1
-    assert "--orbit-bound" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --orbit-bound 5" in captured.err
+
+
+def conjtest_hyperbolic(monkeypatch, capsys, key):
+    """The r4/rc8 hyperbolic conjtest report under a substitute class key."""
+    monkeypatch.setattr(cli, "conjugacy_key", key)
+    group = f"matrix:{GOLDEN_DIR / 'hyperbolic.json'}"
+    argv = ["conjtest", "--group", group, "--radius", "4", "--oracle-radius", "8"]
+    assert run(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_conjtest_lists_split_blocks(monkeypatch, capsys):
+    # a key finer than conjugacy splits every oracle block with two elements
+    report = conjtest_hyperbolic(monkeypatch, capsys, lambda ctx, g: g)
+    ctx = MatrixContext(HYP)
+    blocks = brute_force_partition(ctx, enumerate_ball(ctx, 8), 4, 8)
+    split = [
+        {"kind": "split", "elements": [ctx.format_element(g) for g in block]}
+        for block in blocks
+        if len(block) > 1
+    ]
+    assert len(split) > 20
+    assert report["mismatch_count"] == len(split)
+    assert report["mismatches"] == split[:20]
+    assert report["agreement"] is False
+
+
+def test_conjtest_lists_unmerged_keys(monkeypatch, capsys):
+    # a key coarser than conjugacy joins oracle blocks of one t-exponent
+    report = conjtest_hyperbolic(monkeypatch, capsys, lambda ctx, g: g.texp)
+    kinds = {m["kind"] for m in report["mismatches"]}
+    assert kinds == {"unmerged"}
+    assert report["classes_by_key"] == 9
+    assert report["agreement"] is False
 
 
 @pytest.mark.parametrize(
@@ -291,31 +290,3 @@ def test_exit_codes(capsys):
     assert run(["frobnicate"]) == 1
     capsys.readouterr()
 
-
-def test_config_round_trip(tmp_path):
-    samples = [
-        ["enumerate", "--group", "bs:2", "--radius", "5"],
-        [
-            "ratio",
-            "--group",
-            "lamplighter:3",
-            "--radius",
-            "7",
-            "--f",
-            "log2",
-            "--out",
-            str(tmp_path / "r.csv"),
-        ],
-        ["conjtest", "--group", "bs:3", "--radius", "4", "--oracle-radius", "9"],
-        ["folner", "--k", "3", "--n", "2", "--emit", "csv"],
-        ["spectral", "--matrix", matrix_path(tmp_path), "--radius", "4"],
-        ["rewrite", "--group", "bs:2", "g0 t T"],
-    ]
-    for argv in samples:
-        config = parse_config(argv)
-        assert parse_config(format_config(config)) == config
-
-
-def test_format_config_rejects_unknown_command():
-    with pytest.raises(ValueError):
-        format_config(RunConfig(command="mystery"))

@@ -16,12 +16,7 @@ from _oracles import (
     pairwise_partition,
     quotient_representative,
 )
-from abcgroups.conjugacy import (
-    DEFAULT_ORBIT_BOUND,
-    UnionFind,
-    brute_force_partition,
-    conjugacy_key,
-)
+from abcgroups.conjugacy import UnionFind, brute_force_partition, conjugacy_key
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import (
     BaumslagSolitarContext,
@@ -232,10 +227,10 @@ def test_every_stratum_solver_matches_adjugate():
 # ---------------------------------------------------------------------------
 
 
-def reference_key(ctx, g, orbit_bound):
+def reference_key(ctx, g):
     p = g.texp
     if p == 0:
-        return (0, matrix_shift_canonical(ctx, g.kpart, orbit_bound))
+        return (0, matrix_shift_canonical(ctx, g.kpart))
     return (p, matrix_orbit_min(ctx, ctx.quotient(p), g.kpart))
 
 
@@ -243,9 +238,7 @@ def reference_key(ctx, g, orbit_bound):
 def test_matrix_keys_match_reference(rows, r):
     ctx = MatrixContext(rows)
     for g in enumerate_ball(ctx, r).elements():
-        # orbit_bound only reaches the p = 0 key
-        for bound in (0, 8, 64) if g.texp == 0 else (DEFAULT_ORBIT_BOUND,):
-            assert conjugacy_key(ctx, g, bound) == reference_key(ctx, g, bound)
+        assert conjugacy_key(ctx, g) == reference_key(ctx, g)
 
 
 def test_matrix_keys_do_not_depend_on_order():
@@ -491,6 +484,9 @@ def test_partition_argument_validation():
         brute_force_partition(ctx, index, 4, 3)
     with pytest.raises(ValueError):
         brute_force_partition(ctx, index, 5, 6)
+    # the index must cover the conjugator radius, not only r
+    with pytest.raises(ValueError):
+        brute_force_partition(ctx, index, 2, 6)
 
 
 def test_key_partition_closed_under_inversion():
@@ -506,10 +502,3 @@ def test_key_partition_closed_under_inversion():
                     if are_conjugate(ctx, g, h):
                         assert are_conjugate(ctx, ctx.invert(g), ctx.invert(h))
 
-
-def test_orbit_bound_parameter():
-    ctx = MatrixContext(HYP)
-    g = Element((3, -2), 0)
-    assert conjugacy_key(ctx, g, orbit_bound=DEFAULT_ORBIT_BOUND) == conjugacy_key(
-        ctx, g, orbit_bound=8
-    )

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import conjugate
+from _oracles import conjugate, element
 from abcgroups.groups import (
     BaumslagSolitarContext,
     Element,
@@ -122,7 +122,7 @@ bs_elements = st.builds(
 @given(bs_elements, bs_elements, bs_elements)
 def test_bs_associativity(ta, tb, tc):
     ctx = BaumslagSolitarContext(2)
-    a, b, c = (ctx.element((num, e), p) for num, e, p in (ta, tb, tc))
+    a, b, c = (element(ctx, (num, e), p) for num, e, p in (ta, tb, tc))
     lhs = ctx.multiply(ctx.multiply(a, b), c)
     rhs = ctx.multiply(a, ctx.multiply(b, c))
     assert lhs == rhs
@@ -136,8 +136,8 @@ lamp_config = st.lists(
 @given(lamp_config, lamp_config, st.integers(-3, 3), st.integers(-3, 3))
 def test_lamplighter_associativity_and_inverse(ka, kb, pa, pb):
     ctx = LamplighterContext(3)
-    a = ctx.element(ka, pa)
-    b = ctx.element(kb, pb)
+    a = element(ctx, ka, pa)
+    b = element(ctx, kb, pb)
     ab = ctx.multiply(a, b)
     assert ctx.multiply(ab, ctx.invert(ab)) == ctx.identity
     assert ctx.invert(ab) == ctx.multiply(ctx.invert(b), ctx.invert(a))

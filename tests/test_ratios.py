@@ -9,7 +9,6 @@ from abcgroups.groups import BaumslagSolitarContext, LamplighterContext
 from abcgroups.ratios import (
     CSV_HEADER,
     RatioRow,
-    RatioTable,
     gnuplot_script,
     ratio_table,
     threshold_function,
@@ -18,16 +17,14 @@ from abcgroups.ratios import (
 
 
 def test_threshold_sqrt():
-    f, label = threshold_function("sqrt")
-    assert label == "sqrt"
+    f = threshold_function("sqrt")
     assert [f(r) for r in (0, 1, 2, 4, 5, 9, 10, 16, 17)] == [
         0, 1, 2, 2, 3, 3, 4, 4, 5,
     ]
 
 
 def test_threshold_log2():
-    f, label = threshold_function("log2")
-    assert label == "log2"
+    f = threshold_function("log2")
     assert f(0) == 0
     assert f(1) == 0
     assert f(3) == 2
@@ -35,8 +32,7 @@ def test_threshold_log2():
 
 
 def test_threshold_const():
-    f, label = threshold_function("const:3")
-    assert label == "const:3"
+    f = threshold_function("const:3")
     assert f(0) == f(100) == 3
     with pytest.raises(ValueError):
         threshold_function("const:-1")
@@ -50,17 +46,16 @@ def test_ratio_table_first_rows():
     ctx = BaumslagSolitarContext(2)
     index = enumerate_ball(ctx, 6)
     table = ratio_table(ctx, index)
-    assert table.f_label == "sqrt"
-    row0 = table.rows[0]
+    row0 = table[0]
     assert (row0.r, row0.ball, row0.sphere) == (0, 1, 1)
     assert (row0.classes_cum, row0.classes_new) == (1, 1)
     assert row0.cr == 1.0 and row0.scr == 1.0
     # every radius-1 element is alone in its class
-    row1 = table.rows[1]
+    row1 = table[1]
     assert row1.cr == 1.0
     # (2, t^0) merges into the class of (1, t^0) at radius 2
-    assert table.rows[2].cr < 1.0
-    assert [row.r for row in table.rows] == list(range(7))
+    assert table[2].cr < 1.0
+    assert [row.r for row in table] == list(range(7))
 
 
 def test_ratio_table_cumulative_consistency():
@@ -68,12 +63,12 @@ def test_ratio_table_cumulative_consistency():
     index = enumerate_ball(ctx, 6)
     table = ratio_table(ctx, index)
     balls = [index.ball_size(r) for r in range(7)]
-    assert [row.ball for row in table.rows] == balls
-    assert [row.sphere for row in table.rows] == [
+    assert [row.ball for row in table] == balls
+    assert [row.sphere for row in table] == [
         len(index.sphere(r)) for r in range(7)
     ]
     total_new = 0
-    for row in table.rows:
+    for row in table:
         total_new += row.classes_new
         assert row.classes_cum == total_new
         assert row.cr == row.classes_cum / row.ball
@@ -94,19 +89,18 @@ def test_histogram_sums_to_sphere():
 def test_u_count_matches_direct_scan():
     ctx = BaumslagSolitarContext(2)
     index = enumerate_ball(ctx, 6)
-    f, _ = threshold_function("sqrt")
+    f = threshold_function("sqrt")
     table = ratio_table(ctx, index)
-    for row in table.rows:
+    for row in table:
         assert row.u_count == low_t_count(index, row.r, f(row.r))
 
 
 def test_u_count_with_identity_threshold_is_ball():
-    # min_t never exceeds the word length, so f(r) = r counts everything
+    # min_t never exceeds the word length, so f = 5 counts everything
     ctx = LamplighterContext(2)
     index = enumerate_ball(ctx, 5)
-    table = ratio_table(ctx, index, f=lambda r: r)
-    assert table.f_label == "<lambda>"
-    for row in table.rows:
+    table = ratio_table(ctx, index, f="const:5")
+    for row in table:
         assert row.u_count == row.ball
 
 
@@ -119,15 +113,6 @@ def test_low_t_count_zero_bound():
         1 for g in index.elements() if index.min_t_count(g) == 0
     )
     assert count == 9  # (a, t^0) for a in -4..4
-
-
-def test_ratio_table_radius_argument():
-    ctx = BaumslagSolitarContext(2)
-    index = enumerate_ball(ctx, 5)
-    short = ratio_table(ctx, index, radius=3)
-    assert len(short.rows) == 4
-    with pytest.raises(ValueError):
-        ratio_table(ctx, index, radius=6)
 
 
 def test_decay_fit_constant_table():
@@ -146,7 +131,7 @@ def test_decay_fit_constant_table():
         )
         for r in range(3, 7)
     )
-    fit = decay_fit(RatioTable("sqrt", rows))
+    fit = decay_fit(rows)
     assert fit.rows_used == 4
     assert fit.cr_constant == pytest.approx(max(r / log(r) for r in range(3, 7)))
     assert fit.scr_constant == pytest.approx(
@@ -177,7 +162,7 @@ def test_write_csv_format(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "1"
     # floats written via repr so the table re-parses exactly
-    row2 = table.rows[2]
+    row2 = table[2]
     assert lines[3].split(",")[5] == repr(row2.cr)
 
     path = tmp_path / "table.csv"
@@ -186,8 +171,8 @@ def test_write_csv_format(tmp_path):
 
 
 def test_gnuplot_script():
-    script = gnuplot_script("out.csv", title="bs growth")
+    script = gnuplot_script("out.csv")
     assert "set datafile separator ','" in script
     assert "out.csv" in script
-    assert "bs growth" in script
+    assert "set title 'class ratios'" in script
     assert script.endswith("\n")
