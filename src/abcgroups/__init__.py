@@ -26,7 +26,6 @@ from .groups import (
 )
 from .linalg import (
     cyclotomic_orders,
-    integer_kernel_basis,
     smith_normal_form,
     unimodular_inverse,
 )
@@ -37,7 +36,6 @@ from .spectral import (
     unit_root_projection,
 )
 from .words import (
-    Word,
     cyclic_reduce,
     evaluate,
     format_word,

@@ -28,8 +28,7 @@ class ResourceCapError(RuntimeError):
 class BallIndex:
     """Ball S^R with per-element word length and t-count."""
 
-    def __init__(self, ctx: GroupContext, radius: int, records, layers):
-        self.ctx = ctx
+    def __init__(self, radius: int, records, layers):
         self.radius = radius
         self._records = records  # Element -> (dist, min_t)
         self._layers = layers  # layers[r]: list of Element, sorted by ctx.sort_key
@@ -123,5 +122,5 @@ def enumerate_ball(
         for h in layer:
             records[h] = (r, pending[h])
         layers.append(layer)
-    return BallIndex(ctx, radius, records, layers)
+    return BallIndex(radius, records, layers)
 

@@ -52,7 +52,6 @@ N1_SEARCH_CAP = 512
 
 @dataclass(frozen=True)
 class FolnerBox:
-    n: int
     elements: frozenset
 
     @property
@@ -86,7 +85,7 @@ def folner_box(
         for b in range(width)
         for p in range(n)
     )
-    return FolnerBox(n, elements)
+    return FolnerBox(elements)
 
 
 def _element_set(collection) -> frozenset:

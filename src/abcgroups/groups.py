@@ -450,7 +450,6 @@ class QuotientDescriptor:
     class of its M-orbit.
     """
 
-    texp: int
     diag: tuple[int, ...]
     left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
@@ -607,7 +606,7 @@ class MatrixContext(GroupContext):
                 f"I - M^{texp} is singular; the stratum has no finite quotient"
             )
         action = mat_mul(snf.left, mat_mul(self.matrix, unimodular_inverse(snf.left)))
-        qd = QuotientDescriptor(texp, snf.diag, snf.left, snf.right, action)
+        qd = QuotientDescriptor(snf.diag, snf.left, snf.right, action)
         self._quotients[texp] = qd
         return qd
 

@@ -1,6 +1,6 @@
 """Exact integer matrix helpers: products, Smith normal form and what it
-yields (unimodular inverses, integer kernels), and the root-of-unity orders
-in a matrix's spectrum.
+yields (unimodular inverses, singularity tests), and the root-of-unity
+orders in a matrix's spectrum.
 
 Matrices are tuples of row tuples of Python ints, so everything here is
 arbitrary precision and hashable.
@@ -18,7 +18,6 @@ __all__ = [
     "mat_sub",
     "SmithNormalForm",
     "smith_normal_form",
-    "integer_kernel_basis",
     "unimodular_inverse",
     "totient",
     "cyclotomic_poly",
@@ -175,18 +174,6 @@ def smith_normal_form(matrix) -> SmithNormalForm:
         tuple(tuple(row) for row in u),
         tuple(tuple(row) for row in v),
     )
-
-
-def integer_kernel_basis(matrix) -> tuple[tuple[int, ...], ...]:
-    """Basis of the integer kernel {x : A x = 0}, from the Smith form of A."""
-    snf = smith_normal_form(matrix)
-    nc = len(snf.right)
-    cols = []
-    for idx in range(nc):
-        d = snf.diag[idx] if idx < len(snf.diag) else 0
-        if d == 0:
-            cols.append(tuple(snf.right[r][idx] for r in range(nc)))
-    return tuple(cols)
 
 
 def unimodular_inverse(matrix: Matrix) -> Matrix:

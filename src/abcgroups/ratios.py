@@ -61,28 +61,16 @@ def threshold_function(spec: str) -> Callable[[int], int]:
     raise ValueError(f"unknown threshold spec {spec!r} (try sqrt, log2, const:c)")
 
 
-def _min_t_buckets(index: BallIndex) -> list[dict[int, int]]:
-    # buckets[r][m] counts sphere-r elements whose geodesics need m t-letters
-    out = []
-    for r in range(index.radius + 1):
-        counts: dict[int, int] = {}
-        for g in index.sphere(r):
-            m = index.min_t_count(g)
-            counts[m] = counts.get(m, 0) + 1
-        out.append(counts)
-    return out
-
-
 def ratio_table(
     ctx: GroupContext, index: BallIndex, f: str = "sqrt"
 ) -> tuple[RatioRow, ...]:
     """One row per radius of the index, under the threshold spec f."""
     bound_at = threshold_function(f)
-    buckets = _min_t_buckets(index)
     seen_keys: set = set()
+    # t_hist[m] counts ball elements whose geodesics need m t-letters
+    t_hist: dict[int, int] = {}
     rows = []
     ball = 0
-    u_prefix: list[dict[int, int]] = []
     for r in range(index.radius + 1):
         sphere = index.sphere(r)
         ball += len(sphere)
@@ -91,15 +79,11 @@ def ratio_table(
             key = conjugacy_key(ctx, g)
             if key not in seen_keys:
                 new_hist[key] = new_hist.get(key, 0) + 1
+            m = index.min_t_count(g)
+            t_hist[m] = t_hist.get(m, 0) + 1
         seen_keys.update(new_hist)
         bound = bound_at(r)
-        u_prefix.append(buckets[r])
-        u_count = sum(
-            count
-            for counts in u_prefix
-            for m, count in counts.items()
-            if m <= bound
-        )
+        u_count = sum(count for m, count in t_hist.items() if m <= bound)
         f_classes = sum(1 for c in new_hist.values() if c <= bound)
         f_size = sum(c for c in new_hist.values() if c <= bound)
         rows.append(

@@ -2,30 +2,26 @@
 
 The unit-root period N is the lcm of the root-of-unity orders in the
 spectrum, which the MatrixContext scans once when it is built
-(linalg.cyclotomic_orders).  Everything is exact (integer matrices,
-Fraction projections).
+(linalg.cyclotomic_orders).  The periodic subgroup is P = ker A with
+A = M^N - I.  One Smith form U A V = diag of rank r gives both halves of
+the splitting: the columns of V past r span ker A, and the first r columns
+of A V span im A.  When the unit-root part of M is semisimple these two
+subspaces are complementary and im A is M-invariant, so the projection
+onto P along im A is the unique M-equivariant one; otherwise ker A meets
+im A, the change of basis is singular and the projection is refused.
+Everything is exact (integer matrices, Fraction projections).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import BallIndex
 from .groups import MatrixContext
-from .linalg import (
-    identity_matrix,
-    integer_kernel_basis,
-    mat_mul,
-    mat_pow,
-    mat_sub,
-    mat_vec,
-    smith_normal_form,
-)
+from .linalg import identity_matrix, mat_mul, mat_sub, mat_vec, smith_normal_form
 
 __all__ = [
-    "ProjectionSetup",
     "unit_root_projection",
     "relative_growth_table",
     "epsilon_norm_table",
@@ -37,76 +33,45 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjectionSetup:
-    """Linear projection of Q^n onto the periodic part along an M-invariant
-    complement.
+def unit_root_projection(ctx: MatrixContext) -> tuple[tuple[Fraction, ...], ...]:
+    """Matrix of the projection onto P = ker(M^N - I) along im(M^N - I).
 
-    denominator_lcm is the lcm of the denominators of the inverse basis
-    matrix; it clears every entry of the projection, and 1/denominator_lcm
-    times the basis lattice contains Z^n.
-    """
-
-    period: int
-    kernel_basis: tuple[tuple[int, ...], ...]
-    image_basis: tuple[tuple[int, ...], ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
-    denominator_lcm: int
-
-    def apply(self, v) -> tuple[Fraction, ...]:
-        return tuple(
-            sum((c * x for c, x in zip(row, v)), start=Fraction(0))
-            for row in self.matrix
-        )
-
-
-def unit_root_projection(ctx: MatrixContext) -> ProjectionSetup:
-    """Projection onto P = ker(M^N - I) along the image of (M^N - I)^n.
-
-    (M^N - I)^n splits Q^n into its kernel and image; when the unit-root
-    eigenvalues are semisimple the kernel of the power equals P itself and
-    the image is an M-invariant complement.  Otherwise no invariant
-    complement exists and this raises.
+    With U A V = diag of rank r, the basis [V_ker | (A V)_img] (columns of
+    V past r, then the first r columns of A V) is inverted through its own
+    Smith form, U' B V' = diag' giving B^-1 = V' diag'^-1 U', and the
+    projection is B[:, :k] B^-1[:k, :] with k = n - r.  A 0 on diag' means
+    ker A meets im A: the unit-root part of M is not semisimple, no
+    invariant complement exists and this raises.
     """
     n = ctx.n
-    period = math.lcm(*ctx.unit_root_orders)
-    shifted = mat_sub(ctx.matrix_power(period), identity_matrix(n))
-    kernel = integer_kernel_basis(shifted)
-    power = mat_pow(shifted, n)
-    basis = list(kernel)
-    image = []
-    for c in range(n):
-        col = tuple(power[r][c] for r in range(n))
-        if not any(col):
-            continue
-        # the rank is the number of nonzero Smith diagonal entries
-        if sum(1 for d in smith_normal_form(basis + [col]).diag if d) > len(basis):
-            basis.append(col)
-            image.append(col)
-    if len(basis) != n:
+    shifted = mat_sub(
+        ctx.matrix_power(math.lcm(*ctx.unit_root_orders)), identity_matrix(n)
+    )
+    snf = smith_normal_form(shifted)
+    rank = sum(1 for d in snf.diag if d)
+    image = mat_mul(shifted, snf.right)
+    change = tuple(
+        kernel_row[rank:] + image_row[:rank]
+        for kernel_row, image_row in zip(snf.right, image)
+    )
+    inv = smith_normal_form(change)
+    if 0 in inv.diag:
         raise ValueError(
             "no invariant complement to the periodic subgroup: the unit-root "
             "part of M is not semisimple"
         )
-    change = tuple(tuple(basis[j][i] for j in range(n)) for i in range(n))
-    # U change V = diag inverts as change^-1 = V diag^-1 U
-    snf = smith_normal_form(change)
     scaled_left = tuple(
-        tuple(Fraction(x, d) for x in row) for row, d in zip(snf.left, snf.diag)
+        tuple(Fraction(x, d) for x in row) for row, d in zip(inv.left, inv.diag)
     )
-    change_inv = mat_mul(snf.right, scaled_left)
-    k = len(kernel)
-    proj = tuple(
+    change_inv = mat_mul(inv.right, scaled_left)
+    k = n - rank
+    return tuple(
         tuple(
             sum((change[i][s] * change_inv[s][j] for s in range(k)), start=Fraction(0))
             for j in range(n)
         )
         for i in range(n)
     )
-    # scaling by the inverse-basis denominator clears every entry of the
-    # projection, and (1/denom) times the basis lattice contains Z^n
-    denom = math.lcm(*(entry.denominator for row in change_inv for entry in row))
-    return ProjectionSetup(period, tuple(kernel), tuple(image), proj, denom)
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +102,14 @@ def epsilon_norm_table(
 ) -> list[tuple[int, Fraction]]:
     """Rows (r, max sup-norm of the projection over kernel elements of S^r),
     cumulative in r."""
-    setup = unit_root_projection(ctx)
+    proj = unit_root_projection(ctx)
     rows = []
     best = Fraction(0)
     for r in range(index.radius + 1):
         for g in index.sphere(r):
             if g.texp != 0:
                 continue
-            image = setup.apply(g.kpart)
+            image = mat_vec(proj, g.kpart)
             norm = max((abs(x) for x in image), default=Fraction(0))
             if norm > best:
                 best = norm

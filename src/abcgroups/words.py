@@ -1,7 +1,7 @@
 """Words over the standard generating set, and two canonical rewrites.
 
-Letters are the tokens "t", "T" (= t^-1), "g<i>" for the i-th nonzero
-kernel generator and "G<i>" for its inverse.
+A word is a tuple of letters, the tokens "t", "T" (= t^-1), "g<i>" for
+the i-th nonzero kernel generator and "G<i>" for its inverse.
 
 Two word shapes matter here.  The staircase form
 
@@ -23,12 +23,10 @@ one T.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .groups import Element, GroupContext
 
 __all__ = [
-    "Word",
     "parse_word",
     "format_word",
     "generator_letters",
@@ -42,24 +40,17 @@ __all__ = [
 _LETTER_RE = re.compile(r"^(t|T|[gG]\d+)$")
 
 
-class Word(NamedTuple):
-    letters: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-
-def parse_word(text: str) -> Word:
+def parse_word(text: str) -> tuple[str, ...]:
     """Parse a whitespace-separated token string."""
     letters = tuple(text.split())
     for tok in letters:
         if not _LETTER_RE.match(tok):
             raise ValueError(f"bad word letter {tok!r}")
-    return Word(letters)
+    return letters
 
 
-def format_word(w: Word) -> str:
-    return " ".join(w.letters)
+def format_word(w: tuple[str, ...]) -> str:
+    return " ".join(w)
 
 
 def generator_letters(ctx: GroupContext) -> list[str]:
@@ -81,22 +72,22 @@ def letter_element(ctx: GroupContext, letter: str) -> Element:
     return Element(kpart, 0)
 
 
-def evaluate(ctx: GroupContext, w: Word) -> Element:
+def evaluate(ctx: GroupContext, w: tuple[str, ...]) -> Element:
     g = ctx.identity
-    for letter in w.letters:
+    for letter in w:
         g = ctx.multiply(g, letter_element(ctx, letter))
     return g
 
 
-def t_exponent(w: Word) -> int:
-    return sum(1 if x == "t" else -1 if x == "T" else 0 for x in w.letters)
+def t_exponent(w: tuple[str, ...]) -> int:
+    return sum(1 if x == "t" else -1 if x == "T" else 0 for x in w)
 
 
-def _level_blocks(w: Word) -> tuple[dict[int, list[str]], int]:
+def _level_blocks(w: tuple[str, ...]) -> tuple[dict[int, list[str]], int]:
     """Kernel letters grouped by the t-level they act at, plus the net t-exponent."""
     level = 0
     buckets: dict[int, list[str]] = {}
-    for letter in w.letters:
+    for letter in w:
         if letter == "t":
             level += 1
         elif letter == "T":
@@ -106,7 +97,7 @@ def _level_blocks(w: Word) -> tuple[dict[int, list[str]], int]:
     return buckets, level
 
 
-def to_staircase(w: Word) -> Word:
+def to_staircase(w: tuple[str, ...]) -> tuple[str, ...]:
     """Rewrite into staircase form without increasing length.
 
     The value is unchanged.  Requires a nonnegative t-exponent sum.
@@ -123,10 +114,10 @@ def to_staircase(w: Word) -> Word:
             letters.append("t")
     tail = m - hi
     letters.extend(["t"] * tail if tail >= 0 else ["T"] * (-tail))
-    return Word(tuple(letters))
+    return tuple(letters)
 
 
-def cyclic_reduce(w: Word) -> Word:
+def cyclic_reduce(w: tuple[str, ...]) -> tuple[str, ...]:
     """Reduce a word of positive t-exponent sum to ascending form.
 
     The output evaluates to a conjugate of the input value and is never
@@ -152,4 +143,4 @@ def cyclic_reduce(w: Word) -> Word:
     for block in blocks:
         letters.extend(block)
         letters.append("t")
-    return Word(tuple(letters))
+    return tuple(letters)

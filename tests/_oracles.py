@@ -6,7 +6,8 @@ sphere order) or by the plain exhaustive loop a fast path replaced
 (pairwise conjugator solving, step-by-step orbit walks), so the fast code
 paths have an independent answer to match.
 Helpers that only tests call live here too: element construction from a
-raw kernel part, conjugation, are_conjugate, quotient representatives, the decay fit of a ratio table and the bs
+raw kernel part, conjugation, are_conjugate, quotient representatives,
+integer kernel bases, the decay fit of a ratio table and the bs
 congruence witnesses and power windows.  det_int and adjugate are the
 Bareiss determinant and cofactor inverse that the Smith-form inverse,
 solve and singularity tests of the package are checked against.
@@ -23,9 +24,9 @@ from abcgroups.conjugacy import UnionFind, conjugacy_key
 from abcgroups.enumeration import BallIndex, enumerate_ball
 from abcgroups.folner import _require_bs
 from abcgroups.groups import Element, GroupContext, MatrixContext
-from abcgroups.linalg import Matrix, mat_vec, unimodular_inverse
+from abcgroups.linalg import Matrix, mat_vec, smith_normal_form, unimodular_inverse
 from abcgroups.ratios import RatioRow
-from abcgroups.words import Word, generator_letters, letter_element
+from abcgroups.words import generator_letters, letter_element
 
 
 def det_int(matrix: Matrix) -> int:
@@ -70,6 +71,18 @@ def adjugate(matrix: Matrix) -> Matrix:
             ]
             adj[j][i] = (-1) ** (i + j) * _cofactor_det(minor)
     return tuple(tuple(row) for row in adj)
+
+
+def integer_kernel_basis(matrix) -> tuple[tuple[int, ...], ...]:
+    """Basis of the integer kernel {x : A x = 0}, from the Smith form of A."""
+    snf = smith_normal_form(matrix)
+    nc = len(snf.right)
+    cols = []
+    for idx in range(nc):
+        d = snf.diag[idx] if idx < len(snf.diag) else 0
+        if d == 0:
+            cols.append(tuple(snf.right[r][idx] for r in range(nc)))
+    return tuple(cols)
 
 
 def element(ctx: GroupContext, kpart, texp: int = 0) -> Element:
@@ -121,7 +134,7 @@ def word_ball(ctx: GroupContext, radius: int) -> dict[Element, tuple[int, int]]:
 
 def geodesic_words(
     ctx: GroupContext, index: BallIndex, radius: int
-) -> dict[Element, Word]:
+) -> dict[Element, tuple[str, ...]]:
     """A geodesic word for each element of the radius-ball, by the BFS's
     first-discovery rule.
 
@@ -132,7 +145,7 @@ def geodesic_words(
     gens = ctx.generators()
     inverses = [ctx.invert(s) for s in gens]
     letters = generator_letters(ctx)
-    words = {ctx.identity: Word(())}
+    words = {ctx.identity: ()}
     for r in range(1, radius + 1):
         position = {g: pos for pos, g in enumerate(index.sphere(r - 1))}
         for h in index.sphere(r):
@@ -141,7 +154,7 @@ def geodesic_words(
                 for i, inv in enumerate(inverses)
                 if (pred := ctx.multiply(h, inv)) in position
             )
-            words[h] = Word(words[pred].letters + (letters[i],))
+            words[h] = words[pred] + (letters[i],)
     return words
 
 

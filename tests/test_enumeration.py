@@ -84,7 +84,7 @@ def test_geodesic_words():
             w = words[g]
             assert len(w) == index.word_length(g)
             assert evaluate(ctx, w) == g
-            tcount = sum(1 for x in w.letters if x in ("t", "T"))
+            tcount = sum(1 for x in w if x in ("t", "T"))
             assert tcount >= index.min_t_count(g)
 
 

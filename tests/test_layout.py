@@ -5,8 +5,17 @@ in its __all__, must be referenced somewhere in src/abcgroups outside its
 own definition, the __all__ lists and the package __init__.  Every method
 of a class defined there must be referenced outside its own body; dunder
 methods are exempt, and so are overrides of a base class from outside the
-package (argparse calls _Parser.error).  A helper that only tests need
-belongs in tests/.
+package (argparse calls _Parser.error).  Two kinds of name do not count as
+a reference to a method: a field definition (an annotated name in a class
+body), and an attribute that is not called when its name is also a field
+or self.x name, since obj.x then most likely reads that field.  Every
+field (an annotated name in a class body, which covers dataclass and
+NamedTuple fields) and every self.x attribute must be read as an attribute
+somewhere in src/abcgroups or bench/, which reads ctx.family.  A helper
+that only tests need belongs in tests/.
+
+The checks match by name, so a field or method that shares its name with
+one that is read elsewhere passes unseen.
 """
 
 import ast
@@ -14,7 +23,9 @@ import importlib
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "abcgroups"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "abcgroups"
+BENCH = ROOT / "bench"
 
 
 def _defined_names(node) -> list[str]:
@@ -61,29 +72,77 @@ def uncalled_names(src: Path = SRC) -> list[str]:
     return out
 
 
-def _reference_counts(node) -> Counter:
+def _module_trees(src: Path) -> dict[str, ast.Module]:
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(src.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+def _classes(tree: ast.Module) -> list[ast.ClassDef]:
+    return [node for node in tree.body if isinstance(node, ast.ClassDef)]
+
+
+def _annotated_names(cls: ast.ClassDef) -> list[ast.Name]:
+    return [
+        node.target
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+
+
+def _class_fields(cls: ast.ClassDef) -> list[str]:
+    """Annotated names in the class body, then self.x targets in its methods."""
+    out = [target.id for target in _annotated_names(cls)]
+    for node in cls.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for sub in ast.walk(node):
+            if (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "self"
+            ):
+                out.append(sub.attr)
+    return list(dict.fromkeys(out))
+
+
+def _reference_counts(node, fields: set[str]) -> Counter:
+    called = {id(sub.func) for sub in ast.walk(node) if isinstance(sub, ast.Call)}
+    definitions = {
+        id(target)
+        for cls in ast.walk(node)
+        if isinstance(cls, ast.ClassDef)
+        for target in _annotated_names(cls)
+    }
     out = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and id(sub) not in definitions:
             out[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and (
+            id(sub) in called or sub.attr not in fields
+        ):
             out[sub.attr] += 1
     return out
 
 
 def uncalled_methods(src: Path = SRC, package: str = "abcgroups") -> list[str]:
     """module:Class.method for each method with no reference outside its body."""
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(src.glob("*.py"))
-        if path.name != "__init__.py"
+    trees = _module_trees(src)
+    fields = {
+        name
+        for tree in trees.values()
+        for cls in _classes(tree)
+        for name in _class_fields(cls)
     }
-    total = sum((_reference_counts(tree) for tree in trees.values()), Counter())
+    total = sum(
+        (_reference_counts(tree, fields) for tree in trees.values()), Counter()
+    )
     out = []
     for module, tree in trees.items():
-        for cls in tree.body:
-            if not isinstance(cls, ast.ClassDef):
-                continue
+        for cls in _classes(tree):
             live = getattr(importlib.import_module(f"{package}.{module}"), cls.name)
             outside = [
                 base
@@ -98,9 +157,28 @@ def uncalled_methods(src: Path = SRC, package: str = "abcgroups") -> list[str]:
                     continue
                 if any(name in vars(base) for base in outside):
                     continue
-                if total[name] == _reference_counts(node)[name]:
+                if total[name] == _reference_counts(node, fields)[name]:
                     out.append(f"{module}:{cls.name}.{name}")
     return out
+
+
+def unread_fields(src: Path = SRC, readers=(SRC, BENCH)) -> list[str]:
+    """module:Class.field for each field or self.x attribute that no
+    attribute load in the reader directories reads."""
+    loads = {
+        sub.attr
+        for folder in readers
+        for path in sorted(folder.glob("*.py"))
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    return [
+        f"{module}:{cls.name}.{name}"
+        for module, tree in _module_trees(src).items()
+        for cls in _classes(tree)
+        for name in _class_fields(cls)
+        if name not in loads
+    ]
 
 
 def test_every_module_level_name_has_a_caller_in_src():
@@ -126,15 +204,64 @@ def test_guard_flags_a_method_only_tests_call(tmp_path, monkeypatch):
     pkg = tmp_path / "layout_probe"
     pkg.mkdir()
     (pkg / "__init__.py").write_text("")
+    # Ctx.element is named only by a field definition and a read of that
+    # field; Ctx.shift is called, so the field of that name does not hide it
     (pkg / "mod.py").write_text(
-        "import argparse\n\n\n"
+        "import argparse\n"
+        "from dataclasses import dataclass\n\n\n"
         "class Parser(argparse.ArgumentParser):\n"
         "    def error(self, message):\n        raise SystemExit(2)\n\n\n"
         "class Box:\n"
         "    def __len__(self):\n        return self.used()\n\n"
         "    def used(self):\n        return 1\n\n"
-        "    def orphan(self):\n        return self.orphan()\n",
+        "    def orphan(self):\n        return self.orphan()\n\n\n"
+        "class Ctx:\n"
+        "    def element(self):\n        return 1\n\n"
+        "    def shift(self):\n        return 2\n\n\n"
+        "@dataclass\n"
+        "class Translate:\n"
+        "    element: int\n"
+        "    shift: int\n\n\n"
+        "def read(obj, ctx):\n    return obj.element + obj.shift + ctx.shift()\n",
         encoding="utf-8",
     )
     monkeypatch.syspath_prepend(str(tmp_path))
-    assert uncalled_methods(pkg, "layout_probe") == ["mod:Box.orphan"]
+    assert uncalled_methods(pkg, "layout_probe") == ["mod:Box.orphan", "mod:Ctx.element"]
+
+
+def test_every_field_is_read_in_src_or_bench():
+    assert unread_fields() == []
+
+
+def test_guard_flags_a_field_only_tests_read(tmp_path):
+    src = tmp_path / "src"
+    bench = tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n\n\n"
+        "@dataclass\n"
+        "class Box:\n    size: int\n    orphan: int\n\n\n"
+        "class Pair(NamedTuple):\n    left: int\n    right: int\n\n\n"
+        "class Index:\n"
+        "    family: str = ''\n\n"
+        "    def __init__(self, ctx, radius):\n"
+        "        self.ctx = ctx\n"
+        "        self.radius = radius\n\n"
+        "    def __len__(self):\n        return self.radius\n\n\n"
+        "def use(box, pair):\n    return box.size + pair.left\n",
+        encoding="utf-8",
+    )
+    (bench / "probe.py").write_text("def probe(index):\n    return index.family\n")
+    assert unread_fields(src, (src, bench)) == [
+        "mod:Box.orphan",
+        "mod:Pair.right",
+        "mod:Index.ctx",
+    ]
+    assert unread_fields(src, (src,)) == [
+        "mod:Box.orphan",
+        "mod:Pair.right",
+        "mod:Index.family",
+        "mod:Index.ctx",
+    ]

@@ -1,12 +1,11 @@
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from _oracles import adjugate, det_int
+from _oracles import adjugate, det_int, integer_kernel_basis
 from abcgroups.linalg import (
     cyclotomic_orders,
     cyclotomic_poly,
     identity_matrix,
-    integer_kernel_basis,
     mat_mul,
     mat_pow,
     mat_sub,

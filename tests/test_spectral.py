@@ -2,15 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from _oracles import integer_kernel_basis
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import MatrixContext
 from abcgroups.linalg import (
     cyclotomic_orders,
     cyclotomic_poly,
     identity_matrix,
-    integer_kernel_basis,
+    mat_mul,
     mat_pow,
     mat_sub,
     mat_vec,
@@ -26,6 +27,9 @@ HYP = ((2, 1), (1, 1))
 ROT4 = ((0, -1), (1, 0))
 BLOCK = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1))
 MIXED3 = ((1, 0, 0), (0, 2, 1), (0, 1, 1))
+ROT6 = ((0, -1), (1, 1))
+PISOT = ((0, 0, 1), (1, 0, 1), (0, 1, 0))
+JORDAN = ((1, 1), (0, 1))
 
 
 def periodic_subgroup_basis(matrix) -> tuple[tuple[int, ...], ...]:
@@ -89,7 +93,7 @@ def test_cyclotomic_orders():
 
 def test_unit_root_period():
     def period(matrix):
-        return unit_root_projection(MatrixContext(matrix)).period
+        return math.lcm(*MatrixContext(matrix).unit_root_orders)
 
     assert period(HYP) == 1
     assert period(ROT4) == 4
@@ -108,43 +112,96 @@ def test_periodic_subgroup_basis():
 
 
 def test_projection_identity_cases():
-    setup = unit_root_projection(MatrixContext(ROT4))
-    assert setup.period == 4
-    assert setup.denominator_lcm == 1
-    assert setup.matrix == (
+    proj = unit_root_projection(MatrixContext(ROT4))
+    assert proj == (
         (Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(1)),
     )
     minus = unit_root_projection(MatrixContext(((-1, 0), (0, -1))))
-    assert minus.period == 2
-    assert minus.matrix[0][0] == 1 and minus.matrix[1][1] == 1
+    assert minus[0][0] == 1 and minus[1][1] == 1
+
+
+def assert_projection_properties(rows, proj):
+    """The four properties that determine the projection onto
+    P = ker(M^N - I) along im((M^N - I)^n), however it was built."""
+    n = len(rows)
+    shifted = mat_sub(
+        mat_pow(rows, math.lcm(*cyclotomic_orders(rows))), identity_matrix(n)
+    )
+    assert all(isinstance(x, Fraction) for row in proj for x in row)
+    # idempotent
+    assert mat_mul(proj, proj) == proj
+    # fixes the periodic subgroup pointwise
+    for v in integer_kernel_basis(shifted):
+        assert mat_vec(proj, v) == v
+    # kills every column of (M^N - I)^n
+    power = mat_pow(shifted, n)
+    for c in range(n):
+        assert not any(mat_vec(proj, [row[c] for row in power]))
+    # commutes with the defining matrix
+    assert mat_mul(proj, rows) == mat_mul(rows, proj)
 
 
 def test_projection_properties():
     for rows in (BLOCK, MIXED3):
-        n = len(rows)
-        setup = unit_root_projection(MatrixContext(rows))
-        e = setup.matrix
-        # idempotent
-        for i in range(n):
-            for j in range(n):
-                assert sum(e[i][s] * e[s][j] for s in range(n)) == e[i][j]
-        # fixes the periodic subgroup pointwise
-        for v in setup.kernel_basis:
-            assert setup.apply(v) == tuple(Fraction(x) for x in v)
-        # kills the complement spanned by the image columns
-        for w in setup.image_basis:
-            assert all(x == 0 for x in setup.apply(w))
-        # commutes with the defining matrix
-        for i in range(n):
-            for j in range(n):
-                via_m = sum(Fraction(rows[i][s]) * e[s][j] for s in range(n))
-                via_e = sum(e[i][s] * Fraction(rows[s][j]) for s in range(n))
-                assert via_m == via_e
-        # the declared denominator clears every entry
-        for row in e:
-            for entry in row:
-                assert setup.denominator_lcm % entry.denominator == 0
+        assert_projection_properties(rows, unit_root_projection(MatrixContext(rows)))
+
+
+def block_sum(blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at : at + len(b)] = row
+        at += len(b)
+    return tuple(tuple(row) for row in out)
+
+
+BLOCKS = [((1,),), ((-1,),), ROT4, ROT6, HYP, PISOT, JORDAN, ((-1, 1), (0, -1))]
+NONTRIVIAL_UNIT_ROOT_JORDAN = {JORDAN, ((-1, 1), (0, -1))}
+
+
+@st.composite
+def conjugated_block_sum(draw):
+    """(S B S^-1, B's blocks) for a block sum B of at most 5 rows and a
+    unimodular S built from elementary row operations."""
+    blocks = draw(
+        st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=3).filter(
+            lambda bs: sum(len(b) for b in bs) <= 5
+        )
+    )
+    n = sum(len(b) for b in blocks)
+    s = [list(row) for row in identity_matrix(n)]
+    s_inv = [list(row) for row in identity_matrix(n)]
+    if n > 1:
+        ops = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2)
+                ).filter(lambda op: op[0] != op[1]),
+                max_size=6,
+            )
+        )
+        for i, j, c in ops:
+            # row_i += c row_j on S, column_j -= c column_i on S^-1
+            s[i] = [x + c * y for x, y in zip(s[i], s[j])]
+            for row in s_inv:
+                row[j] -= c * row[i]
+    s, s_inv = tuple(map(tuple, s)), tuple(map(tuple, s_inv))
+    return mat_mul(mat_mul(s, block_sum(blocks)), s_inv), blocks
+
+
+@given(conjugated_block_sum())
+@settings(deadline=None)
+def test_projection_on_conjugated_block_sums(case):
+    rows, blocks = case
+    ctx = MatrixContext(rows)
+    if any(b in NONTRIVIAL_UNIT_ROOT_JORDAN for b in blocks):
+        with pytest.raises(ValueError, match="semisimple"):
+            unit_root_projection(ctx)
+        return
+    assert_projection_properties(rows, unit_root_projection(ctx))
 
 
 def test_projection_refuses_non_semisimple():
@@ -156,14 +213,8 @@ def test_projection_refuses_non_semisimple():
 
 @given(st.tuples(*(st.integers(-30, 30) for _ in range(4))))
 def test_projection_commutes_on_vectors(v):
-    setup = unit_root_projection(MatrixContext(BLOCK))
-    mv = mat_vec(BLOCK, v)
-    lhs = setup.apply(mv)
-    rhs = tuple(
-        sum(Fraction(BLOCK[i][j]) * x for j, x in enumerate(setup.apply(v)))
-        for i in range(4)
-    )
-    assert lhs == rhs
+    proj = unit_root_projection(MatrixContext(BLOCK))
+    assert mat_vec(proj, mat_vec(BLOCK, v)) == mat_vec(BLOCK, mat_vec(proj, v))
 
 
 def test_relative_growth_table():

@@ -10,7 +10,6 @@ from abcgroups.groups import (
     LamplighterContext,
 )
 from abcgroups.words import (
-    Word,
     cyclic_reduce,
     evaluate,
     format_word,
@@ -22,26 +21,25 @@ from abcgroups.words import (
 )
 
 
-def is_ascending_form(w: Word) -> bool:
+def is_ascending_form(w: tuple[str, ...]) -> bool:
     """True for words u_0 t u_1 t ... u_{m-1} t with no T letters, m > 0."""
-    return bool(w.letters) and "T" not in w.letters and w.letters[-1] == "t"
+    return bool(w) and "T" not in w and w[-1] == "t"
 
 
-def cyclic_permutations(w: Word) -> list[Word]:
-    letters = w.letters
-    return [Word(letters[i:] + letters[:i]) for i in range(len(letters))]
+def cyclic_permutations(w: tuple[str, ...]) -> list[tuple[str, ...]]:
+    return [w[i:] + w[:i] for i in range(len(w))]
 
 
-def distinct_cyclic_values(ctx: GroupContext, w: Word) -> int:
+def distinct_cyclic_values(ctx: GroupContext, w: tuple[str, ...]) -> int:
     rotations = cyclic_permutations(w) or [w]
     return len({evaluate(ctx, rot) for rot in rotations})
 
 
 def test_parse_format_round_trip():
     w = parse_word("g0 t T g12 G3")
-    assert w.letters == ("g0", "t", "T", "g12", "G3")
+    assert w == ("g0", "t", "T", "g12", "G3")
     assert format_word(w) == "g0 t T g12 G3"
-    assert parse_word("") == Word(())
+    assert parse_word("") == ()
     with pytest.raises(ValueError):
         parse_word("g0 x t")
     with pytest.raises(ValueError):
@@ -77,12 +75,12 @@ def test_staircase_examples():
     ctx = BaumslagSolitarContext(2)
     w = parse_word("t g0 T g0 t t")
     s = to_staircase(w)
-    assert s.letters == ("g0", "t", "g0", "t")
+    assert s == ("g0", "t", "g0", "t")
     assert evaluate(ctx, s) == evaluate(ctx, w)
     # letters below the baseline force a leading T block
     w2 = parse_word("T g0 t t")
     s2 = to_staircase(w2)
-    assert s2.letters == ("T", "g0", "t", "t")
+    assert s2 == ("T", "g0", "t", "t")
     assert evaluate(ctx, s2) == evaluate(ctx, w2)
     with pytest.raises(ValueError):
         to_staircase(parse_word("T"))
@@ -102,7 +100,7 @@ def test_cyclic_reduce_examples():
     ctx = BaumslagSolitarContext(2)
     w = parse_word("T g0 t t")
     red = cyclic_reduce(w)
-    assert red.letters == ("g0", "t")
+    assert red == ("g0", "t")
     assert is_ascending_form(red)
     # conjugate values: T g0 t t evaluates to (1/2; t), g0 t to (1; t)
     a = evaluate(ctx, w)
@@ -137,8 +135,8 @@ def test_cyclic_permutations():
     rots = cyclic_permutations(w)
     assert len(rots) == 3
     assert rots[0] == w
-    assert rots[1].letters == ("t", "T", "g0")
-    assert cyclic_permutations(Word(())) == []
+    assert rots[1] == ("t", "T", "g0")
+    assert cyclic_permutations(()) == []
 
 
 def test_cyclic_permutations_stay_conjugate():
@@ -147,14 +145,14 @@ def test_cyclic_permutations_stay_conjugate():
     base = evaluate(ctx, w)
     for i, rot in enumerate(cyclic_permutations(w)):
         # rotating by i conjugates by the inverted prefix
-        prefix = evaluate(ctx, Word(w.letters[:i]))
+        prefix = evaluate(ctx, w[:i])
         assert evaluate(ctx, rot) == conjugate(ctx, ctx.invert(prefix), base)
 
 
 def test_distinct_cyclic_values():
     ctx = BaumslagSolitarContext(2)
     assert distinct_cyclic_values(ctx, parse_word("t t")) == 1
-    assert distinct_cyclic_values(ctx, Word(())) == 1
+    assert distinct_cyclic_values(ctx, ()) == 1
     lamp = LamplighterContext(2)
     # rotations of g0 t place the lamp at levels 0 and -1
     assert distinct_cyclic_values(lamp, parse_word("g0 t")) == 2
@@ -163,7 +161,7 @@ def test_distinct_cyclic_values():
 @st.composite
 def random_word(draw, letters=("g0", "G0", "t", "T")):
     toks = draw(st.lists(st.sampled_from(letters), min_size=0, max_size=10))
-    return Word(tuple(toks))
+    return tuple(toks)
 
 
 @given(random_word())
