@@ -16,11 +16,7 @@ import sys
 
 from .conjugacy import brute_force_partition, conjugacy_key
 from .enumeration import DEFAULT_ELEMENT_CAP, ResourceCapError, enumerate_ball
-from .folner import (
-    DEFAULT_BOX_CAP,
-    N1_SEARCH_CAP,
-    translate_experiment,
-)
+from .folner import DEFAULT_BOX_CAP, translate_experiment
 from .groups import BaumslagSolitarContext, load_matrix_config, parse_group_descriptor
 from .ratios import gnuplot_script, ratio_table, write_csv
 from .spectral import epsilon_norm_table, relative_growth_table
@@ -84,7 +80,6 @@ def build_parser() -> _Parser:
     fol.add_argument("--emit", choices=("json", "csv"), default="json")
     fol.add_argument("--out")
     fol.add_argument("--element-cap", type=positive_int, default=DEFAULT_BOX_CAP)
-    fol.add_argument("--n1-cap", type=positive_int, default=N1_SEARCH_CAP)
 
     spec = sub.add_parser("spectral", help="periodic part and projection norms")
     spec.add_argument("--matrix", required=True, help="matrix family JSON path")
@@ -187,14 +182,14 @@ def _cmd_folner(args: argparse.Namespace) -> int:
     if args.emit == "csv":
         lines = ["n,box_size,classes,ratio,right_defect_t,left_defect_t"]
         for n in range(1, args.n + 1):
-            report = translate_experiment(ctx, n, args.element_cap, args.n1_cap)
+            report = translate_experiment(ctx, n, args.element_cap)
             lines.append(
                 f"{n},{report.box_size},{report.classes},{report.ratio},"
                 f"{report.right_defects['t']},{report.left_defect_t}"
             )
         _write_text(args.out, "\n".join(lines) + "\n")
         return EXIT_OK
-    report = translate_experiment(ctx, args.n, args.element_cap, args.n1_cap)
+    report = translate_experiment(ctx, args.n, args.element_cap)
     payload = json.dumps(report.as_dict(ctx), indent=2, sort_keys=True)
     _write_text(args.out, payload + "\n")
     return EXIT_OK

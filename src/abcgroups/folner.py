@@ -7,16 +7,19 @@ sequence is right-Folner but not left-Folner.  Translating F_n on the
 left by a suitable g makes every element lie in its own conjugacy class,
 which keeps the conjugacy-to-size ratio of the translated boxes at 1.
 
-The separating translate g = t^{n1} (L, 1) t^{n2} is found by search:
-n2 clears all denominators of A, L = 2 max|k^{n2} a_i| + 1 shifts the
-cleared K-parts to positive values with no power-of-k quotients among
-them (for the nonnegative K-parts used here), and n1 grows until the
-conjugacy keys of gA are pairwise distinct.  Only finitely many moduli
-k^N - 1 can fuse a fixed pair with distinct such K-parts, so the search
-terminates; a candidate cap guards it anyway.  A candidate is dropped at
-its first repeated key, since two equal keys already prove two elements
-of gA conjugate; only the accepted candidate has every key computed, and
-that single pass also gives the class count of the translated box.
+The separating translate g = t^{n1} (L, 1) t^{n2} comes from the box
+itself: n2 clears all denominators of A, and L = 2 max|k^{n2} a_i| + 1
+shifts the cleared K-parts to positive values x < k^D.  An element of gA
+in stratum P = n1 + n2 + p is (k^{n1} x, t^P), and its class key is the
+least cyclic rotation of the P-digit base-k string of x.  Taking
+n1 = (1 - min texp) + max(0, 2D - n2) makes every P exceed 2D, so the
+wrap-around zero run (at least P - D > D digits) is the unique longest
+run of that string, and two parts in one stratum share a key only when
+their ratio is a power of k.  The box's parts x lie in [2M + 1, 3M + 1],
+where every ratio is below 3/2 < k, so every element of gF_n has its
+own class.  One key pass over gA still counts the classes; a repeated
+key there means two elements differ by a power of k, which t^s
+conjugates for every n1, so the collection is refused.
 
 Right defects are computed once per inverse pair of generators:
 |F x^-1 sym-diff F| = |(F sym-diff F x) x^-1| = |F sym-diff F x|.
@@ -43,11 +46,9 @@ __all__ = [
     "TranslateReport",
     "translate_experiment",
     "DEFAULT_BOX_CAP",
-    "N1_SEARCH_CAP",
 ]
 
 DEFAULT_BOX_CAP = 5_000_000
-N1_SEARCH_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -126,38 +127,40 @@ class SeparatingTranslate:
 
 
 def separating_translate(
-    ctx: GroupContext, collection: Iterable[Element], n1_cap: int = N1_SEARCH_CAP
+    ctx: GroupContext, collection: Iterable[Element]
 ) -> SeparatingTranslate:
     """A left translate g with every element of gA in its own class.
 
-    g = t^{n1} (shift, 1) t^{n2}, with n1 tried upward from 1 - min texp.
-    Each candidate's keys are computed one element at a time and the
-    candidate is rejected at its first repeated key.  The accepted one has
-    the conjugacy key of every element of gA computed, so a returned value
-    is always verified, and ``classes`` is the number of distinct keys
-    found in that pass.  Raises when no candidate n1 within the cap
-    verifies.
+    g = t^{n1} (shift, 1) t^{n2}, with n1 derived from the digit count of
+    the shifted K-parts as in the module doc.  The conjugacy key of every
+    element of gA is computed, so ``classes`` is the number of distinct
+    keys found in that pass.  Raises ValueError, naming the pair, when two
+    elements share a key: their shifted K-parts differ by a power of k,
+    so no translate of this form separates them.
     """
     ctx = _require_bs(ctx)
     elems = _element_set(collection)
+    k = ctx.k
     n2 = max(e for (_, e), _ in elems)
-    cleared = [num * ctx.k ** (n2 - e) for (num, e), _ in elems]
+    cleared = [num * k ** (n2 - e) for (num, e), _ in elems]
     shift = 2 * max(abs(v) for v in cleared) + 1
-    start = 1 - min(el.texp for el in elems)
-    base = ctx.canonical_kpart((shift, 0))
-    for n1 in range(start, start + n1_cap):
-        g = Element(ctx.phi_power(base, n1), n1 + n2)
-        keys = set()
-        for el in elems:
-            key = conjugacy_key(ctx, ctx.multiply(g, el))
-            if key in keys:
-                break
-            keys.add(key)
-        else:
-            return SeparatingTranslate(g, n1, n2, shift, len(keys))
-    raise ResourceCapError(
-        f"no separating translate found within {n1_cap} candidates"
-    )
+    top = shift + max(cleared)
+    digits = 0
+    while top:
+        top //= k
+        digits += 1
+    n1 = 1 - min(el.texp for el in elems) + max(0, 2 * digits - n2)
+    g = Element(ctx.phi_power(ctx.canonical_kpart((shift, 0)), n1), n1 + n2)
+    owners: dict = {}
+    for el in elems:
+        other = owners.setdefault(conjugacy_key(ctx, ctx.multiply(g, el)), el)
+        if other != el:
+            raise ValueError(
+                f"no translate separates {ctx.format_element(other)} and "
+                f"{ctx.format_element(el)}: their shifted K-parts differ "
+                f"by a power of {k}"
+            )
+    return SeparatingTranslate(g, n1, n2, shift, len(owners))
 
 
 @dataclass(frozen=True)
@@ -194,15 +197,12 @@ class TranslateReport:
 
 
 def translate_experiment(
-    ctx: GroupContext,
-    n: int,
-    element_cap: int = DEFAULT_BOX_CAP,
-    n1_cap: int = N1_SEARCH_CAP,
+    ctx: GroupContext, n: int, element_cap: int = DEFAULT_BOX_CAP
 ) -> TranslateReport:
     """Translate the box F_n so that its conjugacy-to-size ratio is 1."""
     ctx = _require_bs(ctx)
     box = folner_box(ctx, n, element_cap)
-    sep = separating_translate(ctx, box, n1_cap)
+    sep = separating_translate(ctx, box)
     gens = ctx.generators()
     by_gen: dict = {}
     for gen in gens:

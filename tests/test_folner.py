@@ -2,8 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-import abcgroups.folner as folner
 from _oracles import (
     are_conjugate,
     congruence_witness,
@@ -147,16 +147,17 @@ def test_finite_n_solutions_rejects_power_ratios():
 def test_separating_translate_singleton():
     ctx = BaumslagSolitarContext(2)
     sep = separating_translate(ctx, [Element((1, 0), 1)])
-    assert sep.element == Element((3, 0), 0)
-    assert (sep.n1, sep.n2, sep.shift) == (0, 0, 3)
+    # shift + max cleared part = 4 has D = 3 binary digits, so n1 = 0 + 6
+    assert sep.element == Element((192, 0), 6)
+    assert (sep.n1, sep.n2, sep.shift) == (6, 0, 3)
 
 
 def test_separating_translate_pair():
     ctx = BaumslagSolitarContext(2)
     coll = [Element((1, 0), 1), Element((3, 0), 1)]
     sep = separating_translate(ctx, coll)
-    assert (sep.n1, sep.n2, sep.shift) == (2, 0, 7)
-    assert sep.element == Element((28, 0), 2)
+    assert (sep.n1, sep.n2, sep.shift) == (8, 0, 7)
+    assert sep.element == Element((1792, 0), 8)
     keys = {conjugacy_key(ctx, ctx.multiply(sep.element, g)) for g in coll}
     assert len(keys) == 2
 
@@ -165,15 +166,15 @@ def test_separating_translate_mixed_strata():
     ctx = BaumslagSolitarContext(2)
     coll = [Element((1, 0), 1), Element((1, 0), 2)]
     sep = separating_translate(ctx, coll)
-    assert (sep.n1, sep.n2) == (0, 0)
+    assert (sep.n1, sep.n2) == (6, 0)
 
 
 def test_separating_translate_negative_texp():
     ctx = BaumslagSolitarContext(2)
     sep = separating_translate(ctx, [Element((1, 0), -2)])
-    # the candidate exponent starts at 1 - min texp
-    assert sep.n1 == 3
-    assert sep.element == Element((24, 0), 3)
+    # n1 = (1 - min texp) + 2D with D = 3 digits of 3 + 1
+    assert sep.n1 == 9
+    assert sep.element == Element((1536, 0), 9)
 
 
 def test_separating_translate_clears_denominators():
@@ -192,13 +193,13 @@ def test_separating_translate_validation():
         separating_translate(ctx, [])
     with pytest.raises(ValueError):
         separating_translate(LamplighterContext(2), [Element((), 1)])
-    with pytest.raises(ResourceCapError):
-        separating_translate(ctx, [Element((1, 0), 1)], n1_cap=0)
+    # shifted by 7, the K-parts -3 and 1 become 4 and 8, which t conjugates
+    with pytest.raises(ValueError, match=r"separates \(.*\) and \(.*\): .* power of 2"):
+        separating_translate(ctx, [Element((-3, 0), 1), Element((1, 0), 1)])
 
 
 def test_separation_always_verified():
-    # the search only returns after the key count check, so any output
-    # separates, whatever n1 it landed on
+    # the returned class count comes from a key pass over gA
     ctx = BaumslagSolitarContext(3)
     coll = [Element((a, 0), 2) for a in (1, 2, 5, 7)]
     sep = separating_translate(ctx, coll)
@@ -249,6 +250,27 @@ def full_key_count(ctx, g, elements) -> int:
     return len({conjugacy_key(ctx, ctx.multiply(g, x)) for x in elements})
 
 
+def shifted_parts(ctx, collection) -> dict:
+    """texp -> shifted cleared K-parts of the collection, from the module
+    doc's formulas: n2 = max denominator exponent, shift = 2 max|v| + 1."""
+    n2 = max(e for (_, e), _ in collection)
+    cleared = [(num * ctx.k ** (n2 - e), p) for (num, e), p in collection]
+    shift = 2 * max(abs(v) for v, _ in cleared) + 1
+    out: dict = {}
+    for v, p in cleared:
+        out.setdefault(p, []).append(shift + v)
+    return out
+
+
+def power_of_k_ratio(k: int, x: int, y: int) -> bool:
+    def strip(v):
+        while v % k == 0:
+            v //= k
+        return v
+
+    return strip(x) == strip(y)
+
+
 @pytest.mark.parametrize("k,n", SCANNED_BOXES)
 def test_separating_translate_rechecked_by_full_scan(k, n):
     ctx = BaumslagSolitarContext(k)
@@ -256,12 +278,52 @@ def test_separating_translate_rechecked_by_full_scan(k, n):
     sep = separating_translate(ctx, box)
     assert sep.classes == box.size
     assert full_key_count(ctx, sep.element, box.elements) == box.size
-    # every earlier candidate fuses two classes, so the returned n1 is the
-    # least one; texp of the box starts at 0, so the search starts at 1
-    base = ctx.canonical_kpart((sep.shift, 0))
-    for n1 in range(1, sep.n1):
-        g = Element(ctx.phi_power(base, n1), n1 + sep.n2)
-        assert full_key_count(ctx, g, box.elements) < box.size
+    # no pair in a stratum of gF_n is conjugate at the derived exponent,
+    # checked by the congruence alone, without the class key
+    for p, parts in shifted_parts(ctx, box.elements).items():
+        exponent = sep.n1 + sep.n2 + p
+        for i, x in enumerate(parts):
+            for y in parts[i + 1 :]:
+                assert congruence_witness(ctx, x, y, exponent) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(2, 5),
+    raw=st.lists(
+        st.tuples(st.integers(-40, 40), st.integers(0, 3), st.integers(-3, 3)),
+        min_size=1,
+        max_size=6,
+    ),
+    twin=st.none() | st.tuples(st.integers(0, 10**6), st.integers(-3, 3)),
+)
+def test_separating_translate_refuses_exactly_power_of_k_pairs(k, raw, twin):
+    ctx = BaumslagSolitarContext(k)
+    coll = {element(ctx, (num, e), p) for num, e, p in raw}
+    if twin is not None:
+        # shifted parts lie in [M + 1, 3M + 1]; add x and kx in one stratum
+        # without moving n2 or M (there is room only for k = 2)
+        pick, p = twin
+        n2 = max(e for (_, e), _ in coll)
+        m = max(abs(num * k ** (n2 - e)) for (num, e), _ in coll)
+        room = (3 * m + 1) // k - m
+        if room > 0:
+            x = m + 1 + pick % room
+            for part in (x, k * x):
+                coll.add(element(ctx, (part - 2 * m - 1, n2), p))
+    fused = any(
+        power_of_k_ratio(k, x, y)
+        for parts in shifted_parts(ctx, coll).values()
+        for i, x in enumerate(parts)
+        for y in parts[i + 1 :]
+    )
+    if fused:
+        with pytest.raises(ValueError):
+            separating_translate(ctx, coll)
+    else:
+        sep = separating_translate(ctx, coll)
+        assert sep.classes == len(coll)
+        assert full_key_count(ctx, sep.element, coll) == len(coll)
 
 
 @pytest.mark.parametrize("k,n", SCANNED_BOXES)
@@ -272,36 +334,10 @@ def test_right_defect_is_inverse_symmetric(k, n):
         assert right_defect(ctx, box, gen) == right_defect(ctx, box, ctx.invert(gen))
 
 
-def test_translate_experiment_reports_the_search_count():
+def test_translate_experiment_reports_the_key_pass_count():
     ctx = BaumslagSolitarContext(3)
     report = translate_experiment(ctx, 2)
     assert report.classes == report.translate.classes == report.box_size == 1458
     assert report.matches
     assert report.right_defects["g0"] == report.right_defects["g1"]
     assert report.right_defects["t"] == report.right_defects["T"]
-
-
-def test_search_rejects_at_first_repeated_key(monkeypatch):
-    calls = []
-
-    def counting_key(ctx, g):
-        calls.append(g)
-        return conjugacy_key(ctx, g)
-
-    monkeypatch.setattr(folner, "conjugacy_key", counting_key)
-    ctx = BaumslagSolitarContext(2)
-    box = folner_box(ctx, 3)
-    sep = separating_translate(ctx, box)
-    candidates = sep.n1
-    assert candidates > 1
-    # the accepted candidate keys the whole box; each rejected one stops
-    # short of it, at the element whose key repeats
-    assert box.size + (candidates - 1) < len(calls) < candidates * box.size
-    assert len(set(calls[-box.size:])) == box.size
-
-
-def test_translate_experiment_n1_cap():
-    ctx = BaumslagSolitarContext(2)
-    with pytest.raises(ResourceCapError):
-        translate_experiment(ctx, 2, n1_cap=5)
-    assert translate_experiment(ctx, 2, n1_cap=12).translate.n1 == 12

@@ -11,11 +11,14 @@ body), and an attribute that is not called when its name is also a field
 or self.x name, since obj.x then most likely reads that field.  Every
 field (an annotated name in a class body, which covers dataclass and
 NamedTuple fields) and every self.x attribute must be read as an attribute
-somewhere in src/abcgroups or bench/, which reads ctx.family.  A helper
-that only tests need belongs in tests/.
+somewhere in src/abcgroups or bench/, which reads ctx.family; a self.x
+read in the methods of class C counts as a read of that field only for C
+and its bases.  A helper that only tests need belongs in tests/.
 
-The checks match by name, so a field or method that shares its name with
-one that is read elsewhere passes unseen.
+Other receivers are matched by name, so a field that shares its name with
+one read elsewhere through another receiver passes unseen.  Methods are
+matched by name for every receiver, self included, because self.f() in a
+base class also calls the overrides of f.
 """
 
 import ast
@@ -92,21 +95,43 @@ def _annotated_names(cls: ast.ClassDef) -> list[ast.Name]:
     ]
 
 
+def _self_attributes(cls: ast.ClassDef) -> list[ast.Attribute]:
+    """Every self.x node in the methods of the class."""
+    return [
+        sub
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute)
+        and isinstance(sub.value, ast.Name)
+        and sub.value.id == "self"
+    ]
+
+
 def _class_fields(cls: ast.ClassDef) -> list[str]:
     """Annotated names in the class body, then self.x targets in its methods."""
     out = [target.id for target in _annotated_names(cls)]
-    for node in cls.body:
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        for sub in ast.walk(node):
-            if (
-                isinstance(sub, ast.Attribute)
-                and isinstance(sub.ctx, ast.Store)
-                and isinstance(sub.value, ast.Name)
-                and sub.value.id == "self"
-            ):
-                out.append(sub.attr)
+    out += [
+        sub.attr for sub in _self_attributes(cls) if isinstance(sub.ctx, ast.Store)
+    ]
     return list(dict.fromkeys(out))
+
+
+def _lineages(trees) -> dict[str, set[str]]:
+    """Class name -> the class and its bases defined in the package."""
+    bases = {
+        cls.name: [base.id for base in cls.bases if isinstance(base, ast.Name)]
+        for tree in trees
+        for cls in _classes(tree)
+    }
+
+    def lineage(name: str) -> set[str]:
+        out = {name}
+        for base in bases.get(name, ()):
+            out |= lineage(base)
+        return out
+
+    return {name: lineage(name) for name in bases}
 
 
 def _reference_counts(node, fields: set[str]) -> Counter:
@@ -165,19 +190,33 @@ def uncalled_methods(src: Path = SRC, package: str = "abcgroups") -> list[str]:
 def unread_fields(src: Path = SRC, readers=(SRC, BENCH)) -> list[str]:
     """module:Class.field for each field or self.x attribute that no
     attribute load in the reader directories reads."""
-    loads = {
-        sub.attr
-        for folder in readers
-        for path in sorted(folder.glob("*.py"))
-        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
-    }
+    trees = _module_trees(src)
+    lineages = _lineages(trees.values())
+    loads = set()  # names read through any receiver but self
+    self_loads = set()  # (class, name) for each self.name read it receives
+    for folder in readers:
+        for path in sorted(folder.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            owner = {
+                id(sub): cls.name
+                for cls in _classes(tree)
+                for sub in _self_attributes(cls)
+            }
+            for sub in ast.walk(tree):
+                if not (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)):
+                    continue
+                if id(sub) not in owner:
+                    loads.add(sub.attr)
+                    continue
+                reader = owner[id(sub)]
+                for cls in lineages.get(reader, {reader}):
+                    self_loads.add((cls, sub.attr))
     return [
         f"{module}:{cls.name}.{name}"
-        for module, tree in _module_trees(src).items()
+        for module, tree in trees.items()
         for cls in _classes(tree)
         for name in _class_fields(cls)
-        if name not in loads
+        if name not in loads and (cls.name, name) not in self_loads
     ]
 
 
@@ -248,20 +287,33 @@ def test_guard_flags_a_field_only_tests_read(tmp_path):
         "    family: str = ''\n\n"
         "    def __init__(self, ctx, radius):\n"
         "        self.ctx = ctx\n"
-        "        self.radius = radius\n\n"
+        "        self.radius = radius\n"
+        "        self.width = 0\n\n"
         "    def __len__(self):\n        return self.radius\n\n\n"
-        "def use(box, pair):\n    return box.size + pair.left\n",
+        "class Shell(Index):\n"
+        "    def outer(self):\n        return self.width\n\n\n"
+        "@dataclass\n"
+        "class FolnerBox:\n    elements: frozenset\n    n: int\n\n\n"
+        "@dataclass\n"
+        "class TranslateReport:\n    n: int\n\n"
+        "    def row(self):\n        return [self.n]\n\n\n"
+        "def use(box, pair, shell, folner, report):\n"
+        "    return box.size + pair.left + shell.outer() + report.row(), folner.elements\n",
         encoding="utf-8",
     )
     (bench / "probe.py").write_text("def probe(index):\n    return index.family\n")
+    # TranslateReport reads self.n, which does not count for FolnerBox.n;
+    # Shell reads self.width, which counts for its base Index
     assert unread_fields(src, (src, bench)) == [
         "mod:Box.orphan",
         "mod:Pair.right",
         "mod:Index.ctx",
+        "mod:FolnerBox.n",
     ]
     assert unread_fields(src, (src,)) == [
         "mod:Box.orphan",
         "mod:Pair.right",
         "mod:Index.family",
         "mod:Index.ctx",
+        "mod:FolnerBox.n",
     ]
