@@ -9,17 +9,19 @@ which keeps the conjugacy-to-size ratio of the translated boxes at 1.
 
 The separating translate g = t^{n1} (L, 1) t^{n2} comes from the box
 itself: n2 clears all denominators of A, and L = 2 max|k^{n2} a_i| + 1
-shifts the cleared K-parts to positive values x < k^D.  An element of gA
-in stratum P = n1 + n2 + p is (k^{n1} x, t^P), and its class key is the
-least cyclic rotation of the P-digit base-k string of x.  Taking
+shifts the cleared K-parts to positive values x, all below k^D for D the
+base-k digit count of the largest.  An element of gA in stratum
+P = n1 + n2 + p is (k^{n1} x, t^P), and its class key is the least
+cyclic rotation of the P-digit base-k string of x.  Taking
 n1 = (1 - min texp) + max(0, 2D - n2) makes every P exceed 2D, so the
 wrap-around zero run (at least P - D > D digits) is the unique longest
 run of that string, and two parts in one stratum share a key only when
-their ratio is a power of k.  The box's parts x lie in [2M + 1, 3M + 1],
-where every ratio is below 3/2 < k, so every element of gF_n has its
-own class.  One key pass over gA still counts the classes; a repeated
-key there means two elements differ by a power of k, which t^s
-conjugates for every n1, so the collection is refused.
+their ratio is a power of k.  The box's cleared parts lie in [0, M], so
+its x lie in [2M + 1, 3M + 1], where every ratio is below 3/2 < k, and
+every element of gF_n has its own class.  One key pass over gA still
+counts the classes; a repeated key there means two elements differ by a
+power of k, which t^s conjugates for every n1, so the collection is
+refused.
 
 Right defects are computed once per inverse pair of generators:
 |F x^-1 sym-diff F| = |(F sym-diff F x) x^-1| = |F sym-diff F x|.
@@ -144,10 +146,8 @@ def separating_translate(
     n2 = max(e for (_, e), _ in elems)
     cleared = [num * k ** (n2 - e) for (num, e), _ in elems]
     shift = 2 * max(abs(v) for v in cleared) + 1
-    top = shift + max(cleared)
     digits = 0
-    while top:
-        top //= k
+    while k**digits <= shift + max(cleared):
         digits += 1
     n1 = 1 - min(el.texp for el in elems) + max(0, 2 * digits - n2)
     g = Element(ctx.phi_power(ctx.canonical_kpart((shift, 0)), n1), n1 + n2)
