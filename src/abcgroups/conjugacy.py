@@ -22,13 +22,24 @@ admits an exact canonical form for that data:
   mod the Smith diagonal per step, until it returns to its start; the
   minimum is then memoised for every class of the orbit on the stratum's
   cached QuotientDescriptor, so each orbit is walked once per context.
-* matrix, p = 0: the orbit M^i v is searched in a fixed window of
-  P0_WINDOW = 64 steps on each side of a centre, which moves to the
-  window's least (sup-norm, lex) point until it is the least itself.  The
-  key is exact for spectra without unit-circle eigenvalues at this scale
-  but is a bounded search by construction, and nothing certifies it.
-  Each orbit point is computed once per key and shared by the re-centred
-  windows that contain it.
+* matrix, p = 0: the class is the orbit {M^i v}.  When M's roots are real
+  and distinct, MatrixContext.trace_form gives an integer positive-definite
+  Q with Q M = M^T Q, that is Q = W^T W for a real W with W M = D W, D the
+  diagonal of the roots l_k.  Then f(i) = Q(M^i v) = sum_k c_k l_k^(2i)
+  with c_k = (W v)_k^2 >= 0, and
+  f(i+1) + f(i-1) - 2 f(i) = sum_k c_k l_k^(2i-2) (l_k^2 - 1)^2 > 0 for
+  v != 0, since W is invertible and no l_k is +-1 (roots of unity are
+  refused).  f takes positive integer values on the nonzero orbit, so it
+  cannot tend to 0 in either direction and, being a sum of exponentials,
+  tends to infinity in both.  So f is strictly convex with a minimum
+  attained at one i or at two adjacent ones, and a walk from v in the
+  direction where f strictly drops stops there after finitely many steps,
+  each of which lowers a positive integer.  The key is the lexicographically
+  least minimiser: exact, with no bound.  Spectra without such a form
+  (complex or repeated roots, as in the Pisot companion, or no cyclic e_i)
+  keep a bounded search: a window of P0_WINDOW = 64 steps on each side of
+  a centre, which moves to the window's least (sup-norm, lex) point until
+  it is the least itself.  Nothing certifies that search.
 
 Each context class implements its family's key as conjugacy_key(g)
 and the stratum solver of the oracle below

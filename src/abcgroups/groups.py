@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import prod
 from typing import Any, Iterable, NamedTuple, Optional
 
 from .linalg import (
@@ -29,6 +31,7 @@ from .linalg import (
     mat_pow,
     mat_sub,
     mat_vec,
+    positive_definite,
     smith_normal_form,
     unimodular_inverse,
 )
@@ -422,7 +425,8 @@ class BaumslagSolitarContext(GroupContext):
 # Matrix family Z^n x| <t>
 # ---------------------------------------------------------------------------
 
-# steps searched on each side of the centre by the p = 0 key's orbit window
+# steps searched on each side of the centre by the p = 0 key's orbit window,
+# which keys the spectra that have no trace form
 P0_WINDOW = 64
 
 
@@ -560,8 +564,62 @@ class MatrixContext(GroupContext):
             )
         p = g.texp
         if p == 0:
-            return (0, self._shift_canonical(g.kpart))
+            form = self.trace_form
+            if form is None:
+                return (0, self._shift_canonical(g.kpart))
+            return (0, self._descend(form, g.kpart))
         return (p, self.quotient(p).least_class(g.kpart))
+
+    @cached_property
+    def trace_form(self) -> Optional[tuple[tuple[int, ...], ...]]:
+        """An integer Q > 0 with Q M = M^T Q, or None (see below).
+
+        Hermite's trace form H = (tr M^(i+j)) satisfies H C = C^T H for the
+        companion C = P^-1 M P, P = [u, Mu, ...] for the first cyclic u
+        among e_1..e_n, so Q = adj(P)^T H adj(P) satisfies Q M = M^T Q.  H,
+        and with it Q, is positive definite exactly when the roots are real
+        and distinct.  None when they are not, or when no e_i is cyclic.
+        """
+        n = self.n
+        sums = [
+            sum(self.matrix_power(j)[i][i] for i in range(n)) for j in range(2 * n - 1)
+        ]
+        hankel = tuple(tuple(sums[i + j] for j in range(n)) for i in range(n))
+        for u in range(n):
+            krylov = [[self.matrix_power(j)[r][u] for j in range(n)] for r in range(n)]
+            snf = smith_normal_form(krylov)
+            if 0 not in snf.diag:
+                break
+        else:
+            return None
+        # U P V = D gives adj(P) = +-V (det D) D^-1 U; the sign cancels in Q
+        det = prod(snf.diag)
+        scaled = tuple(
+            tuple(det // d * x for x in row) for d, row in zip(snf.diag, snf.left)
+        )
+        adj = mat_mul(snf.right, scaled)
+        form = mat_mul(tuple(zip(*adj)), mat_mul(hankel, adj))
+        return form if positive_definite(form) else None
+
+    def _descend(self, form, v) -> tuple[int, ...]:
+        # i -> Q(M^i v) is strictly convex with at most two minimisers, so
+        # walk downhill while it strictly drops (see the conjugacy module)
+        def height(w):
+            return sum(x * y for x, y in zip(w, mat_vec(form, w)))
+
+        best, low = v, height(v)
+        for step in (1, -1):
+            m = self.matrix_power(step)
+            w = mat_vec(m, best)
+            h = height(w)
+            if h > low:
+                continue
+            while h < low:
+                best, low = w, h
+                w = mat_vec(m, w)
+                h = height(w)
+            return min(best, w) if h == low else best
+        return best
 
     def _shift_canonical(self, v) -> tuple[int, ...]:
         # minimize (sup-norm, lex) over the orbit window; the composite order

@@ -1,6 +1,6 @@
 """Exact integer matrix helpers: products, Smith normal form and what it
-yields (unimodular inverses, singularity tests), and the root-of-unity
-orders in a matrix's spectrum.
+yields (unimodular inverses, singularity tests), a positive-definiteness
+test, and the root-of-unity orders in a matrix's spectrum.
 
 Matrices are tuples of row tuples of Python ints, so everything here is
 arbitrary precision and hashable.
@@ -8,6 +8,7 @@ arbitrary precision and hashable.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 __all__ = [
@@ -19,6 +20,7 @@ __all__ = [
     "SmithNormalForm",
     "smith_normal_form",
     "unimodular_inverse",
+    "positive_definite",
     "totient",
     "cyclotomic_poly",
     "cyclotomic_orders",
@@ -187,6 +189,25 @@ def unimodular_inverse(matrix: Matrix) -> Matrix:
             f"matrix must have determinant +-1, its Smith diagonal is {list(snf.diag)}"
         )
     return mat_mul(snf.right, snf.left)
+
+
+def positive_definite(matrix: Matrix) -> bool:
+    """Whether a symmetric integer matrix is positive definite.
+
+    Elimination without row exchanges has k-th pivot equal to the ratio of
+    the k-th and (k-1)-th leading principal minors, so every pivot is > 0
+    exactly when every leading minor is (Sylvester's criterion).
+    """
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    for t in range(n):
+        if a[t][t] <= 0:
+            return False
+        for i in range(t + 1, n):
+            r = a[i][t] / a[t][t]
+            for j in range(t, n):
+                a[i][j] -= r * a[t][j]
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,16 @@
 Everything here recomputes results from first principles (raw generator
 words, elementwise conjugation sweeps, geodesic words rebuilt from the
 sphere order) or by the plain exhaustive loop a fast path replaced
-(pairwise conjugator solving, step-by-step orbit walks), so the fast code
-paths have an independent answer to match.
+(pairwise conjugator solving, step-by-step orbit walks, whole-window
+orbit scans), so the fast code paths have an independent answer to match.
 Helpers that only tests call live here too: element construction from a
 raw kernel part, conjugation, are_conjugate, quotient representatives,
 integer kernel bases, the decay fit of a ratio table and the bs
 congruence witnesses and power windows.  det_int and adjugate are the
 Bareiss determinant and cofactor inverse that the Smith-form inverse,
-solve and singularity tests of the package are checked against.
+solve and singularity tests of the package are checked against, and
+leading_minors (Sylvester's criterion) checks its positive-definiteness
+test.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ from abcgroups.conjugacy import UnionFind, conjugacy_key
 from abcgroups.enumeration import BallIndex, enumerate_ball
 from abcgroups.folner import _require_bs
 from abcgroups.groups import Element, GroupContext, MatrixContext
-from abcgroups.linalg import Matrix, mat_vec, smith_normal_form, unimodular_inverse
+from abcgroups.linalg import (
+    Matrix,
+    mat_mul,
+    mat_vec,
+    smith_normal_form,
+    unimodular_inverse,
+)
 from abcgroups.ratios import RatioRow
 from abcgroups.words import generator_letters, letter_element
 
@@ -318,6 +326,37 @@ def matrix_shift_canonical(ctx: MatrixContext, v) -> tuple[int, ...]:
         if best == cur:
             return cur
         cur = best
+
+
+def leading_minors(matrix: Matrix) -> list[int]:
+    """det of each leading principal k x k block, k = 1..n, by Bareiss."""
+    return [
+        det_int(tuple(row[:k] for row in matrix[:k])) for k in range(1, len(matrix) + 1)
+    ]
+
+
+def matrix_form_minimum(ctx: MatrixContext, v) -> tuple[int, ...]:
+    """The matrix p = 0 key under the trace form, by a plain orbit scan.
+
+    Checks on its own that Q = ctx.trace_form satisfies Q M = M^T Q and has
+    every leading minor > 0, then returns the w with the least (Q(w), w)
+    over w = M^i v for |i| <= 64; no descent and no re-centring.
+    """
+    q = ctx.trace_form
+    m = ctx.matrix
+    assert mat_mul(q, m) == mat_mul(tuple(zip(*m)), q)
+    assert all(minor > 0 for minor in leading_minors(q))
+
+    def height(w):
+        return sum(x * y for x, y in zip(w, mat_vec(q, w)))
+
+    orbit = [v]
+    for step in (1, -1):
+        w = v
+        for _ in range(64):
+            w = ctx.phi_power(w, step)
+            orbit.append(w)
+    return min((height(w), w) for w in orbit)[1]
 
 
 def are_conjugate(ctx: GroupContext, g: Element, h: Element) -> bool:

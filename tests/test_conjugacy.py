@@ -11,6 +11,7 @@ from _oracles import (
     conjugate,
     conjugation_sweep,
     det_int,
+    matrix_form_minimum,
     matrix_orbit_min,
     matrix_shift_canonical,
     pairwise_partition,
@@ -27,6 +28,7 @@ from abcgroups.groups import (
 )
 from abcgroups.linalg import (
     identity_matrix,
+    mat_mul,
     mat_pow,
     mat_sub,
     mat_vec,
@@ -227,26 +229,37 @@ def test_every_stratum_solver_matches_adjugate():
 # ---------------------------------------------------------------------------
 
 
-def reference_key(ctx, g):
+def reference_key(ctx, g, p0_reference):
     p = g.texp
     if p == 0:
-        return (0, matrix_shift_canonical(ctx, g.kpart))
+        return (0, p0_reference(ctx, g.kpart))
     return (p, matrix_orbit_min(ctx, ctx.quotient(p), g.kpart))
 
 
 @pytest.mark.parametrize(
-    "rows,r,p0_only",
-    [(HYP, 9, False), (PISOT, 6, False), (HYP, 11, True)],
+    "rows,r,p0_only,p0_reference,p0_classes",
+    [
+        (HYP, 9, False, matrix_form_minimum, 125),
+        (PISOT, 6, False, matrix_shift_canonical, 97),
+        (HYP, 11, True, matrix_form_minimum, 265),
+    ],
     ids=["rows0-9", "rows1-6", "rows2-11-p0"],
 )
-def test_matrix_keys_match_reference(rows, r, p0_only):
+def test_matrix_keys_match_reference(rows, r, p0_only, p0_reference, p0_classes):
     # the p != 0 reference walk is too slow for the whole r11 ball (68,607
     # elements), so that case checks its t-exponent-0 stratum (1,465)
     ctx = MatrixContext(rows)
+    pairs = set()
     for g in enumerate_ball(ctx, r).elements():
         if p0_only and g.texp != 0:
             continue
-        assert conjugacy_key(ctx, g) == reference_key(ctx, g)
+        key = conjugacy_key(ctx, g)
+        assert key == reference_key(ctx, g, p0_reference)
+        if g.texp == 0:
+            pairs.add((key, matrix_shift_canonical(ctx, g.kpart)))
+    # on p = 0 the keys and the window search induce the same partition
+    keys, window = zip(*pairs)
+    assert len(set(keys)) == len(set(window)) == len(pairs) == p0_classes
 
 
 def test_matrix_keys_do_not_depend_on_order():
@@ -256,6 +269,53 @@ def test_matrix_keys_do_not_depend_on_order():
     fresh = MatrixContext(HYP)
     backward = [conjugacy_key(fresh, g) for g in reversed(ball)]
     assert backward[::-1] == forward
+
+
+# a symmetric hyperbolic matrix with three real roots (x^3 - 2x^2 - x + 1)
+SYM3 = ((1, 1, 1), (1, 1, 0), (1, 0, 0))
+# each root twice, so no vector is cyclic
+HYP_SUM = ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1))
+
+
+@st.composite
+def conjugated(draw, base):
+    """S B S^-1 for S a product of elementary matrices I + c E_ij."""
+    n = len(base)
+    m = base
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-3, 3))
+        s = [list(row) for row in identity_matrix(n)]
+        s[i][j] = c
+        s_inv = [list(row) for row in identity_matrix(n)]
+        s_inv[i][j] = -c
+        m = mat_mul(mat_mul(s, m), s_inv)
+    return m
+
+
+@given(data=st.data(), base=st.sampled_from([HYP, ((3, 1), (2, 1)), SYM3]))
+@settings(deadline=None)
+def test_trace_form_key_is_orbit_invariant(data, base):
+    m = data.draw(conjugated(base))
+    ctx = MatrixContext(m)
+    assert ctx.trace_form is not None
+    v = data.draw(st.tuples(*[st.integers(-50, 50)] * len(m)))
+    key = conjugacy_key(ctx, Element(v, 0))
+    # the reference checks Q M = M^T Q and Q > 0 itself
+    assert key == (0, matrix_form_minimum(ctx, v))
+    for j in data.draw(st.lists(st.integers(-40, 40), min_size=1, max_size=4)):
+        assert conjugacy_key(ctx, Element(ctx.phi_power(v, j), 0)) == key
+
+
+@given(data=st.data(), base=st.sampled_from([PISOT, HYP_SUM]))
+@settings(deadline=None)
+def test_spectra_without_trace_form_keep_the_window_key(data, base):
+    # the Pisot companion's Hermite form has leading minors 3, 6, -23
+    m = data.draw(conjugated(base))
+    ctx = MatrixContext(m)
+    assert ctx.trace_form is None
+    v = data.draw(st.tuples(*[st.integers(-20, 20)] * len(m)))
+    assert conjugacy_key(ctx, Element(v, 0)) == (0, matrix_shift_canonical(ctx, v))
 
 
 @given(

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from _oracles import adjugate, det_int, integer_kernel_basis
+from _oracles import adjugate, det_int, integer_kernel_basis, leading_minors
 from abcgroups.linalg import (
     cyclotomic_orders,
     cyclotomic_poly,
@@ -10,6 +10,7 @@ from abcgroups.linalg import (
     mat_pow,
     mat_sub,
     mat_vec,
+    positive_definite,
     smith_normal_form,
     totient,
     unimodular_inverse,
@@ -109,6 +110,27 @@ def test_smith_normal_form_properties(m):
     assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
     # zero entries trail the nonzero ones
     assert list(snf.diag) == diag + [0] * (n - len(diag))
+
+
+def test_positive_definite_examples():
+    # the Hermite trace form of x^3 - x - 1, which has a complex root pair
+    hermite = ((3, 0, 2), (0, 2, 3), (2, 3, 2))
+    assert leading_minors(hermite) == [3, 6, -23]
+    assert not positive_definite(hermite)
+    assert positive_definite(((2, -1), (-1, 3)))
+    assert not positive_definite(((0, 0), (0, 1)))
+
+
+@given(small_matrix, st.integers(-3, 3))
+@settings(max_examples=150)
+def test_positive_definite_matches_leading_minors(m, shift):
+    # m^T m is positive semidefinite, so the shift decides the borderline
+    s = mat_mul(tuple(zip(*m)), m)
+    s = tuple(
+        tuple(x + (shift if i == j else 0) for j, x in enumerate(row))
+        for i, row in enumerate(s)
+    )
+    assert positive_definite(s) == all(minor > 0 for minor in leading_minors(s))
 
 
 def test_integer_kernel_basis():
