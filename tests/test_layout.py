@@ -11,14 +11,16 @@ body), and an attribute that is not called when its name is also a field
 or self.x name, since obj.x then most likely reads that field.  Every
 field (an annotated name in a class body, which covers dataclass and
 NamedTuple fields) and every self.x attribute must be read as an attribute
-somewhere in src/abcgroups or bench/, which reads ctx.family; a self.x
-read in the methods of class C counts as a read of that field only for C
-and its bases.  A helper that only tests need belongs in tests/.
+somewhere in src/abcgroups or bench/, which reads ctx.family.  A read
+through a resolved receiver counts as a read of that field only for the
+receiver's class C and its bases: self.x in the methods of C, and x.f in a
+function where every binding of the name x is x = C(...).  A helper that
+only tests need belongs in tests/.
 
-Other receivers are matched by name, so a field that shares its name with
-one read elsewhere through another receiver passes unseen.  Methods are
-matched by name for every receiver, self included, because self.f() in a
-base class also calls the overrides of f.
+Other receivers, parameters among them, are matched by name, so a field
+that shares its name with one read elsewhere through such a receiver
+passes unseen.  Methods are matched by name for every receiver, self
+included, because self.f() in a base class also calls the overrides of f.
 """
 
 import ast
@@ -187,21 +189,62 @@ def uncalled_methods(src: Path = SRC, package: str = "abcgroups") -> list[str]:
     return out
 
 
+def _constructed_receivers(tree: ast.Module, classes) -> dict[int, str]:
+    """id of each attribute node x.f -> C, where every binding of the name x
+    in the function that binds it is x = C(...) for a class C in classes."""
+    out = {}
+    # ast.walk visits an outer function before the functions nested in it,
+    # so a name an inner function binds again is decided there
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        built = {
+            id(node.targets[0]): node.value.func.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name)
+            and node.value.func.id in classes
+        }
+        bindings: dict[str, set] = {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.arg):
+                bindings.setdefault(node.arg, set()).add(None)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bindings.setdefault(node.id, set()).add(built.get(id(node)))
+        for node in ast.walk(fn):
+            if not (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bindings
+            ):
+                continue
+            bound = bindings[node.value.id]
+            if None in bound or len(bound) > 1:
+                out.pop(id(node), None)
+            else:
+                out[id(node)] = next(iter(bound))
+    return out
+
+
 def unread_fields(src: Path = SRC, readers=(SRC, BENCH)) -> list[str]:
     """module:Class.field for each field or self.x attribute that no
     attribute load in the reader directories reads."""
     trees = _module_trees(src)
     lineages = _lineages(trees.values())
-    loads = set()  # names read through any receiver but self
-    self_loads = set()  # (class, name) for each self.name read it receives
+    loads = set()  # names read through a receiver that is not resolved
+    resolved_loads = set()  # (class, name) for each resolved read of name
     for folder in readers:
         for path in sorted(folder.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
-            owner = {
-                id(sub): cls.name
+            owner = _constructed_receivers(tree, lineages)
+            owner.update(
+                (id(sub), cls.name)
                 for cls in _classes(tree)
                 for sub in _self_attributes(cls)
-            }
+            )
             for sub in ast.walk(tree):
                 if not (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)):
                     continue
@@ -210,13 +253,13 @@ def unread_fields(src: Path = SRC, readers=(SRC, BENCH)) -> list[str]:
                     continue
                 reader = owner[id(sub)]
                 for cls in lineages.get(reader, {reader}):
-                    self_loads.add((cls, sub.attr))
+                    resolved_loads.add((cls, sub.attr))
     return [
         f"{module}:{cls.name}.{name}"
         for module, tree in trees.items()
         for cls in _classes(tree)
         for name in _class_fields(cls)
-        if name not in loads and (cls.name, name) not in self_loads
+        if name not in loads and (cls.name, name) not in resolved_loads
     ]
 
 
@@ -317,3 +360,30 @@ def test_guard_flags_a_field_only_tests_read(tmp_path):
         "mod:Index.ctx",
         "mod:FolnerBox.n",
     ]
+
+
+def test_guard_resolves_constructor_bound_receivers(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n\n\n"
+        "class Element(NamedTuple):\n    kpart: int\n    texp: int\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class QuotientDescriptor:\n    diag: tuple\n    texp: int\n\n"
+        "    def coords(self, v):\n        return v % self.diag[0]\n\n\n"
+        "@dataclass\n"
+        "class Box:\n    width: int\n\n\n"
+        "@dataclass\n"
+        "class Pane:\n    width: int\n\n\n"
+        "def key(kpart, texp):\n"
+        "    g = Element(kpart, texp)\n"
+        "    qd = QuotientDescriptor((3,), g.texp)\n"
+        "    return g.texp, qd.coords(g.kpart)\n\n\n"
+        "def rebound(pane):\n"
+        "    box = Box(1)\n"
+        "    if pane:\n        box = pane\n"
+        "    return box.width\n",
+        encoding="utf-8",
+    )
+    # g.texp reads Element.texp only; box may be a Pane, so box.width is
+    # matched by name and counts for Pane.width too
+    assert unread_fields(tmp_path, (tmp_path,)) == ["mod:QuotientDescriptor.texp"]
