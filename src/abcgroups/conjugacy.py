@@ -36,15 +36,16 @@ admits an exact canonical form for that data:
   direction where f strictly drops stops there after finitely many steps,
   each of which lowers a positive integer.  The key is the lexicographically
   least minimiser: exact, with no bound.  Spectra without such a form
-  (complex or repeated roots, as in the Pisot companion, or no cyclic e_i)
+  (complex or repeated roots, as in the Pisot companion, or no cyclic
+  vector among e_i and e_1 + ... + e_n)
   keep a bounded search: a window of P0_WINDOW = 64 steps on each side of
   a centre, which moves to the window's least (sup-norm, lex) point until
   it is the least itself.  Nothing certifies that search.
 
-Each context class implements its family's key as conjugacy_key(g)
-and the stratum solver of the oracle below
-as block_solver(p); this module adds the entry point, the union-find and
-the oracle.
+Each context class implements its family's key as conjugacy_key(g), the
+stratum solver of the oracle below as block_solver(p) and, where a closed
+form exists, the conjugator lengths of the oracle as word_length(g); this
+module adds the entry point, the union-find and the oracle.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "conjugacy_key",
     "UnionFind",
     "brute_force_partition",
+    "closed_form_lengths",
 ]
 
 
@@ -112,6 +114,13 @@ class UnionFind:
 # exactly when some solution (b, t^j) lies in S^RC.  This computes the same
 # relation as the elementwise sweep.
 #
+# |(b, t^j)| <= RC is read off the family's closed-form word length when it
+# has one (ctx.word_length: bs and the lamplighter with their standard
+# generators), so the oracle needs only the ball S^r and, for these
+# families, rests on that formula; tests/ checks it against BFS on whole
+# balls.  Every other context looks the conjugator up in a ball that covers
+# S^RC.
+#
 # A solution exists exactly when h.kpart and phi^j(g.kpart) have the same
 # residue in K / (1 - phi^p)K, so each stratum is bucketed by residue and g
 # is solved only against the bucket of residue(phi^j(g.kpart)).  A skipped
@@ -120,14 +129,25 @@ class UnionFind:
 # class mod k^|p| - 1 (bs), the class sums over indices mod |p| (lamplighter)
 # and the Smith coordinates of the quotient (matrix).  A bucketed pair
 # without a solution means residue and solver disagree, and raises.  The
-# bucket hits of g are grouped by h, so that each pair stops at its first
-# conjugator in S^RC and a pair already in one block is not solved at all.
+# shifts of g are grouped by residue, so each h of a bucket is tried at all
+# the shifts its residue admits, in order of j, stopping at its first
+# conjugator in S^RC, and a pair already in one block is not solved at all.
 #
 # Each unordered pair is tested in one orientation: g against the elements
 # before it in its stratum.  x g x^-1 = h exactly when x^-1 h x = g, and
 # |x^-1| = |x| because the generating set is symmetric, so a conjugator in
 # S^RC exists in one direction exactly when it exists in the other.
 # ---------------------------------------------------------------------------
+
+
+def closed_form_lengths(ctx: GroupContext) -> bool:
+    """Whether ctx.word_length gives exact lengths; without it the oracle
+    reads conjugator lengths off a ball that covers the conjugator radius."""
+    try:
+        ctx.word_length(ctx.identity)
+    except NotImplementedError:
+        return False
+    return True
 
 
 def _kpart_sub(ctx: GroupContext, a, b):
@@ -143,17 +163,27 @@ def brute_force_partition(
     """Partition of S^r merged under conjugation by every element of S^RC.
 
     Sound by construction: merged pairs are genuinely conjugate.  Small
-    conjugator radii may under-merge.  The index must cover the conjugator
-    radius, which in turn must cover r.
+    conjugator radii may under-merge.  The conjugator radius must cover r,
+    and the index must cover r, or the conjugator radius when the context
+    has no closed-form word length.
     """
     if conjugator_radius < r:
         raise ValueError(
             f"conjugator radius {conjugator_radius} is below the ball radius {r}"
         )
-    if index.radius < conjugator_radius:
+    if closed_form_lengths(ctx):
+        needed = r
+        length = ctx.word_length
+    else:
+        needed = conjugator_radius
+
+        def length(x):
+            return index.word_length(x) if x in index else conjugator_radius + 1
+
+    if index.radius < needed:
         raise ValueError(
-            f"index radius {index.radius} does not cover the conjugator "
-            f"radius {conjugator_radius}"
+            f"index radius {index.radius} does not cover the radius {needed} "
+            f"the oracle needs"
         )
 
     ball = list(index.elements(r))
@@ -175,28 +205,28 @@ def brute_force_partition(
         residue, solve = ctx.block_solver(p)
         buckets: dict = {}
         for g in els:
-            # h -> the (j, phi^j(g.kpart)) whose residue h shares
-            tries: dict[Element, list] = {}
+            # residue -> the (j, phi^j(g.kpart)) that have it
+            shifts_by_residue: dict = {}
             for j in span:
                 moved = ctx.phi_power(g.kpart, j)
-                for h in buckets.get(residue(moved), ()):
-                    tries.setdefault(h, []).append((j, moved))
+                shifts_by_residue.setdefault(residue(moved), []).append((j, moved))
             root = uf.find(g)
-            for h, shifts in tries.items():
-                if uf.find(h) == root:
-                    continue
-                for j, moved in shifts:
-                    b = solve(_kpart_sub(ctx, h.kpart, moved))
-                    if b is None:
-                        raise RuntimeError(
-                            f"residue admits no conjugator part for "
-                            f"{ctx.format_element(g)} and {ctx.format_element(h)}"
-                        )
-                    x = Element(b, j)
-                    if x in index and index.word_length(x) <= conjugator_radius:
-                        uf.union(g, h)
-                        root = uf.find(g)
-                        break
+            for res, shifts in shifts_by_residue.items():
+                for h in buckets.get(res, ()):
+                    if uf.find(h) == root:
+                        continue
+                    for j, moved in shifts:
+                        b = solve(_kpart_sub(ctx, h.kpart, moved))
+                        if b is None:
+                            raise RuntimeError(
+                                f"residue admits no conjugator part for "
+                                f"{ctx.format_element(g)} and "
+                                f"{ctx.format_element(h)}"
+                            )
+                        if length(Element(b, j)) <= conjugator_radius:
+                            uf.union(g, h)
+                            root = uf.find(g)
+                            break
             buckets.setdefault(residue(g.kpart), []).append(g)
 
     blocks = [sorted(block, key=ctx.sort_key) for block in uf.blocks()]

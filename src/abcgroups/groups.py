@@ -13,7 +13,8 @@ Three kernel families are supported:
 * matrix: K = Z^n with phi given by an integer matrix of determinant +-1.
 
 Each family's context also supplies its conjugacy key and the conjugator
-solver of the brute-force oracle; the conjugacy module explains them.
+solver of the brute-force oracle, and bs and the lamplighter an exact word
+length for their standard generators; the conjugacy module explains them.
 """
 
 from __future__ import annotations
@@ -110,6 +111,17 @@ class GroupContext:
         """
         raise NotImplementedError
 
+    def word_length(self, g: Element) -> int:
+        """Exact word length of g over generators(), without a ball.
+
+        Families with a closed form implement it for their standard
+        generating set only; every other context raises, and its lengths
+        come from an enumerated ball.
+        """
+        raise NotImplementedError(
+            f"no closed-form word length for this {self.family} generating set"
+        )
+
     # Element level operations.
 
     @property
@@ -171,10 +183,10 @@ class LamplighterContext(GroupContext):
         if m == 1 or m < 0:
             raise ValueError(f"lamp modulus must be 0 (integer lamps) or >= 2, got {m}")
         self.m = m
-        if kgens is None:
-            delta = ((0, 1),)
-            kgens = ((), delta, self.kpart_neg(delta))
-        self._set_kgens(kgens)
+        delta = ((0, 1),)
+        standard = ((), delta, self.kpart_neg(delta))
+        self._set_kgens(standard if kgens is None else kgens)
+        self._standard_gens = set(self.kgen_nonzero) == set(standard[1:])
 
     def kpart_zero(self):
         return ()
@@ -232,6 +244,28 @@ class LamplighterContext(GroupContext):
         if not a:
             return "0"
         return "+".join(f"{v}@{i}" for i, v in a)
+
+    def word_length(self, g: Element) -> int:
+        """Word length of g for the standard generators, in closed form.
+
+        Cleary and Taback (Q. J. Math. 2005), after Parry (Trans. AMS 1992):
+        each lamp of value v costs min(v, m - v) letters (|v| for integer
+        lamps), and the cursor walks from 0 to p past every lit lamp, so it
+        covers [lo, hi], the hull of {0, p, lit lamps}, at the least cost
+        2 (hi - lo) - |p| of turning at whichever end lies away from p.
+        """
+        if not self._standard_gens:
+            return super().word_length(g)
+        m = self.m
+        conf = g.kpart
+        p = g.texp
+        if m:
+            lamps = sum(min(v, m - v) for _, v in conf)
+        else:
+            lamps = sum(abs(v) for _, v in conf)
+        # lamps are sorted by index
+        ends = (0, p, conf[0][0], conf[-1][0]) if conf else (0, p)
+        return lamps + 2 * (max(ends) - min(ends)) - abs(p)
 
     def conjugacy_key(self, g: Element):
         p = g.texp
@@ -306,9 +340,9 @@ class BaumslagSolitarContext(GroupContext):
         if k < 2:
             raise ValueError(f"bs parameter k must be >= 2, got {k}")
         self.k = k
-        if kgens is None:
-            kgens = ((0, 0), (1, 0), (-1, 0))
-        self._set_kgens(kgens)
+        standard = ((0, 0), (1, 0), (-1, 0))
+        self._set_kgens(standard if kgens is None else kgens)
+        self._standard_gens = set(self.kgen_nonzero) == set(standard[1:])
 
     def kpart_zero(self):
         return (0, 0)
@@ -369,6 +403,67 @@ class BaumslagSolitarContext(GroupContext):
         if e == 0:
             return str(num)
         return f"{num}/{self.k}^{e}"
+
+    def word_length(self, g: Element) -> int:
+        """Word length of g = (num / k^e, t^p) for the generators a, t.
+
+        Reading a word left to right, a letter a^c at t-level l adds c k^l,
+        and the t-letters walk from level 0 to p.  A walk that covers the
+        interval [L, H] (L <= min(0, p), H >= max(0, p)) costs at least
+        2 (H - L) - |p| t-letters, turning at whichever end lies away from
+        p, and a walk of that cost can drop a^(c_l) at each level l of
+        [L, H] on its first visit.  So |g| is the least 2 (H - L) - |p|
+        + sum |c_l| over intervals and digits with sum c_l k^l = num / k^e.
+
+        The digits need L <= -e.  Going lower never helps: a nonzero
+        lowest digit below -e is a multiple of k, and moving it up one
+        level as c / k makes the digit sum smaller.  So L = min(0, p, -e),
+        and the digits write N = num k^(-e-L) as sum c_j k^j, j = l - L.
+        Below the top level H every digit lies in (-k, k): a digit c >= k
+        becomes c - k with one more on the next level, which saves k - 1
+        or more, and likewise for c <= -k.  So with v the value still to
+        write at a level and r = v mod k, its digit is r or r - k, the next
+        level writes (v - digit) / k, and the top digit is the whole value
+        left.  Those next values are q = v div k and q + 1, so one pass
+        upward from L keeps just v and v + 1, with least digit sums a and
+        b.  Writing v + 1 instead of v costs at most 1 more (one unit on
+        the current digit), and back, so the pass may start from a = 0,
+        b = 1 without changing any minimum.  Each level H >= max(0, p)
+        gives the candidate path + min(a + |v|, b + |v + 1|).  min(a, b)
+        never falls while the path grows by 2 a level, so the pass stops
+        once path + min(a, b) reaches the best candidate, or when v is 0
+        or -1 at a level H: v then stays there and no later candidate is
+        lower.  Elder (Illinois J. Math. 2010) gives linear-time geodesics
+        in BS(1, k).
+        """
+        if not self._standard_gens:
+            return super().word_length(g)
+        k = self.k
+        num, e = g.kpart
+        p = g.texp
+        low = min(0, p, -e)
+        top = max(0, p)
+        # a and b: least digit sums with v and with v + 1 still to write
+        v = num * k ** (-e - low)
+        a, b = 0, 1
+        best = None
+        level = low
+        while True:
+            path = 2 * (level - low) - abs(p)
+            if best is not None and path + min(a, b) >= best:
+                return best
+            if level >= top:
+                here = path + min(a + abs(v), b + abs(v + 1))
+                if best is None or here < best:
+                    best = here
+                if v in (0, -1):
+                    return best
+            q, r = divmod(v, k)
+            # q from v by digit r or from v + 1 by r + 1, q + 1 by r - k or
+            # r + 1 - k; the digits +-k this admits are valid, never better
+            a, b = r + min(a, b + 1), k - r - 1 + min(a + 1, b)
+            v = q
+            level += 1
 
     def conjugacy_key(self, g: Element):
         p = g.texp
@@ -576,17 +671,19 @@ class MatrixContext(GroupContext):
 
         Hermite's trace form H = (tr M^(i+j)) satisfies H C = C^T H for the
         companion C = P^-1 M P, P = [u, Mu, ...] for the first cyclic u
-        among e_1..e_n, so Q = adj(P)^T H adj(P) satisfies Q M = M^T Q.  H,
-        and with it Q, is positive definite exactly when the roots are real
-        and distinct.  None when they are not, or when no e_i is cyclic.
+        among e_1..e_n and e_1 + ... + e_n, so Q = adj(P)^T H adj(P)
+        satisfies Q M = M^T Q.  H, and with it Q, is positive definite
+        exactly when the roots are real and distinct.  None when they are
+        not, or when none of those u is cyclic.
         """
         n = self.n
         sums = [
             sum(self.matrix_power(j)[i][i] for i in range(n)) for j in range(2 * n - 1)
         ]
         hankel = tuple(tuple(sums[i + j] for j in range(n)) for i in range(n))
-        for u in range(n):
-            krylov = [[self.matrix_power(j)[r][u] for j in range(n)] for r in range(n)]
+        for u in (*identity_matrix(n), (1,) * n):
+            # column j is M^j u
+            krylov = tuple(zip(*(self.phi_power(u, j) for j in range(n))))
             snf = smith_normal_form(krylov)
             if 0 not in snf.diag:
                 break

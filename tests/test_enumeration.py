@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from _oracles import geodesic_words, lamplighter_word_length, word_ball
+from _oracles import geodesic_words, word_ball
 from abcgroups.enumeration import ResourceCapError, enumerate_ball
 from abcgroups.groups import (
     BaumslagSolitarContext,
@@ -207,14 +207,20 @@ def test_geodesic_choice_is_pinned(ctx, radius, digest):
 
 
 def check_closed_form_lengths(ctx, index):
-    # equal lengths, plus closure under one more letter inside the radius,
-    # so the ball also holds every element of closed-form length <= R
+    # BFS is the reference: equal lengths on the whole ball, every neighbour
+    # of the inner ball inside it, and every neighbour of the sphere outside
+    # it at length R + 1; those neighbours are the whole sphere R + 1
     gens = ctx.generators()
+    radius = index.radius
     for g in index.elements():
         length = index.word_length(g)
-        assert length == lamplighter_word_length(ctx, g)
-        if length < index.radius:
-            assert all(ctx.multiply(g, s) in index for s in gens)
+        assert ctx.word_length(g) == length
+        for s in gens:
+            h = ctx.multiply(g, s)
+            if length < radius:
+                assert h in index
+            elif h not in index:
+                assert ctx.word_length(h) == radius + 1
 
 
 def test_lamplighter2_lengths_match_closed_form(lamp18):
@@ -224,4 +230,10 @@ def test_lamplighter2_lengths_match_closed_form(lamp18):
 @pytest.mark.parametrize("m, radius", [(3, 12), (0, 10)])
 def test_lamplighter_lengths_match_closed_form(m, radius):
     ctx = LamplighterContext(m)
+    check_closed_form_lengths(ctx, enumerate_ball(ctx, radius))
+
+
+@pytest.mark.parametrize("k, radius", [(2, 14), (3, 10), (5, 8)])
+def test_bs_lengths_match_digit_program(k, radius):
+    ctx = BaumslagSolitarContext(k)
     check_closed_form_lengths(ctx, enumerate_ball(ctx, radius))
