@@ -1,9 +1,10 @@
 """Conjugacy invariants for the three families, plus a brute-force oracle.
 
 Conjugating (x, t^p) by (c, t^j) gives (phi^j(x) + (1 - phi^p)(c), t^p),
-so the t-exponent is invariant and the class of x in K is determined by
-the image of K under (1 - phi^p) together with the phi-orbit.  Each family
-admits an exact canonical form for that data:
+so the t-exponent is invariant and, for p != 0, a class is a phi-orbit in
+K / (1 - phi^p)K.  Since phi^p(x) - x lies in (1 - phi^p)K, phi^p fixes
+that quotient, and every orbit is just the |p| images phi^j(x),
+0 <= j < |p|.  Each family admits an exact canonical form for that data:
 
 * bs, p != 0: (1 - phi^p) Z[1/k] = (k^|p| - 1) Z[1/k] (the two differ by
   the unit -k^|p|), and Z[1/k] / (k^|p| - 1) = Z / (k^|p| - 1) because k
@@ -16,12 +17,10 @@ admits an exact canonical form for that data:
   |p| sums, so the key is the lexicographically least rotation.
 * lamplighter, p = 0: the support-shifted normal form of the configuration.
 * matrix, p != 0: coordinates in Z^n / (I - M^p) Z^n via the Smith form,
-  minimized over the induced orbit of M (needs det(I - M^p) != 0, which
-  holds whenever no eigenvalue of M is a root of unity).  The orbit is
-  walked in quotient coordinates, one product by U M U^-1 and a reduction
-  mod the Smith diagonal per step, until it returns to its start; the
-  minimum is then memoised for every class of the orbit on the stratum's
-  cached QuotientDescriptor, so each orbit is walked once per context.
+  minimized over the |p| images M^j v (needs det(I - M^p) != 0, which
+  holds whenever no eigenvalue of M is a root of unity).  The minimum is
+  memoised for every class of the orbit on the stratum's cached
+  QuotientDescriptor, so each orbit is computed once per context.
 * matrix, p = 0: the class is the orbit {M^i v}.  When M's roots are real
   and distinct, MatrixContext.trace_form gives an integer positive-definite
   Q with Q M = M^T Q, that is Q = W^T W for a real W with W M = D W, D the
@@ -129,9 +128,12 @@ class UnionFind:
 # class mod k^|p| - 1 (bs), the class sums over indices mod |p| (lamplighter)
 # and the Smith coordinates of the quotient (matrix).  A bucketed pair
 # without a solution means residue and solver disagree, and raises.  The
-# shifts of g are grouped by residue, so each h of a bucket is tried at all
-# the shifts its residue admits, in order of j, stopping at its first
-# conjugator in S^RC, and a pair already in one block is not solved at all.
+# residue of phi^j(g.kpart) depends only on j mod |p| (module doc), so it is
+# computed for |p| shifts only, and phi^j(g.kpart) only for the shifts whose
+# residue has a bucket.  The shifts of g are grouped by residue, so each h
+# of a bucket is tried at all the shifts its residue admits, in order of j,
+# stopping at its first conjugator in S^RC, and a pair already in one block
+# is not solved at all.
 #
 # Each unordered pair is tested in one orientation: g against the elements
 # before it in its stratum.  x g x^-1 = h exactly when x^-1 h x = g, and
@@ -203,20 +205,25 @@ def brute_force_partition(
                         uf.union(g, h)
             continue
         residue, solve = ctx.block_solver(p)
+        n = abs(p)
         buckets: dict = {}
         for g in els:
-            # residue -> the (j, phi^j(g.kpart)) that have it
+            # phi^p fixes K / (1 - phi^p)K, so shift j has residue orbit[j % n]
+            orbit = [residue(ctx.phi_power(g.kpart, i)) for i in range(n)]
             shifts_by_residue: dict = {}
             for j in span:
-                moved = ctx.phi_power(g.kpart, j)
-                shifts_by_residue.setdefault(residue(moved), []).append((j, moved))
+                shifts_by_residue.setdefault(orbit[j % n], []).append(j)
             root = uf.find(g)
             for res, shifts in shifts_by_residue.items():
-                for h in buckets.get(res, ()):
+                bucket = buckets.get(res)
+                if bucket is None:
+                    continue
+                moved = [(j, ctx.phi_power(g.kpart, j)) for j in shifts]
+                for h in bucket:
                     if uf.find(h) == root:
                         continue
-                    for j, moved in shifts:
-                        b = solve(_kpart_sub(ctx, h.kpart, moved))
+                    for j, image in moved:
+                        b = solve(_kpart_sub(ctx, h.kpart, image))
                         if b is None:
                             raise RuntimeError(
                                 f"residue admits no conjugator part for "
@@ -227,7 +234,7 @@ def brute_force_partition(
                             uf.union(g, h)
                             root = uf.find(g)
                             break
-            buckets.setdefault(residue(g.kpart), []).append(g)
+            buckets.setdefault(orbit[0], []).append(g)
 
     blocks = [sorted(block, key=ctx.sort_key) for block in uf.blocks()]
     blocks.sort(key=lambda block: ctx.sort_key(block[0]))

@@ -473,8 +473,6 @@ class BaumslagSolitarContext(GroupContext):
             return (0, self._strip_factors(num))
         n = abs(p)
         modulus = k**n - 1
-        if modulus == 1:
-            return (p, 0)
         res = self._residue(n, g.kpart)
         best = res
         for _ in range(n - 1):
@@ -538,21 +536,14 @@ def _int_entries(values, what: str) -> tuple[int, ...]:
 class QuotientDescriptor:
     """Z^n / (I - M^p) Z^n in diagonal coordinates.
 
-    With U (I - M^p) V = diag, a vector w lies in (I - M^p) Z^n exactly
-    when each coordinate of U w is divisible by the matching diagonal
-    entry, so coords() is a complete residue invariant, and dividing
-    those coordinates out and applying V gives the preimage (solve()).
-
-    M commutes with I - M^p, so it permutes the quotient.  In these
-    coordinates it acts by action = U M U^-1 followed by reduction mod
-    diag (step()).  orbit_min maps each class met so far to the least
-    class of its M-orbit.
+    With U (I - M^p) V = diag, coords(w) = U w mod diag is a complete
+    residue invariant, and solve() divides it out and applies V.
+    orbit_min maps each class met so far to the least class of its orbit.
     """
 
     diag: tuple[int, ...]
     left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
-    action: tuple[tuple[int, ...], ...]
     orbit_min: dict = field(default_factory=dict, compare=False, repr=False)
 
     def coords(self, v) -> tuple[int, ...]:
@@ -565,27 +556,6 @@ class QuotientDescriptor:
         if any(xi % d for xi, d in zip(x, self.diag)):
             return None
         return mat_vec(self.right, [xi // d for xi, d in zip(x, self.diag)])
-
-    def step(self, coords) -> tuple[int, ...]:
-        """coords(M v) for any v with coords(v) == coords."""
-        w = mat_vec(self.action, coords)
-        return tuple(x % d for x, d in zip(w, self.diag))
-
-    def least_class(self, v) -> tuple[int, ...]:
-        """Lexicographic minimum of the M-orbit of the class of v."""
-        # M permutes the finite quotient, so the orbit is a cycle through start
-        start = self.coords(v)
-        best = self.orbit_min.get(start)
-        if best is not None:
-            return best
-        orbit = [start]
-        cur = self.step(start)
-        while cur != start:
-            orbit.append(cur)
-            cur = self.step(cur)
-        best = min(orbit)
-        self.orbit_min.update(dict.fromkeys(orbit, best))
-        return best
 
 
 class MatrixContext(GroupContext):
@@ -663,7 +633,14 @@ class MatrixContext(GroupContext):
             if form is None:
                 return (0, self._shift_canonical(g.kpart))
             return (0, self._descend(form, g.kpart))
-        return (p, self.quotient(p).least_class(g.kpart))
+        qd = self.quotient(p)
+        best = qd.orbit_min.get(qd.coords(g.kpart))
+        if best is None:
+            # M^p fixes the quotient, so the orbit is the |p| images M^j v
+            orbit = [qd.coords(self.phi_power(g.kpart, j)) for j in range(abs(p))]
+            best = min(orbit)
+            qd.orbit_min.update(dict.fromkeys(orbit, best))
+        return (p, best)
 
     @cached_property
     def trace_form(self) -> Optional[tuple[tuple[int, ...], ...]]:
@@ -760,8 +737,7 @@ class MatrixContext(GroupContext):
             raise ValueError(
                 f"I - M^{texp} is singular; the stratum has no finite quotient"
             )
-        action = mat_mul(snf.left, mat_mul(self.matrix, unimodular_inverse(snf.left)))
-        qd = QuotientDescriptor(snf.diag, snf.left, snf.right, action)
+        qd = QuotientDescriptor(snf.diag, snf.left, snf.right)
         self._quotients[texp] = qd
         return qd
 

@@ -204,8 +204,7 @@ def test_quotient_solve_matches_adjugate(case):
     a, w, b = case
     assume(det_int(a) != 0)
     snf = smith_normal_form(a)
-    # solve reads only diag, left and right; action is unused
-    qd = QuotientDescriptor(snf.diag, snf.left, snf.right, identity_matrix(len(a)))
+    qd = QuotientDescriptor(snf.diag, snf.left, snf.right)
     assert qd.solve(w) == adjugate_solve(a, w)
     image = mat_vec(a, b)
     assert qd.solve(image) == adjugate_solve(a, image) == tuple(b)
@@ -345,16 +344,37 @@ def test_spectra_without_trace_form_keep_the_window_key(data, base):
     assert conjugacy_key(ctx, Element(v, 0)) == (0, matrix_shift_canonical(ctx, v))
 
 
+RESIDUE_CONTEXTS = [
+    BaumslagSolitarContext(2),
+    BaumslagSolitarContext(3),
+    LamplighterContext(2),
+    LamplighterContext(0),
+    MatrixContext(HYP),
+    MatrixContext(PISOT),
+]
+
+
 @given(
+    data=st.data(),
+    ctx=st.sampled_from(RESIDUE_CONTEXTS),
     p=st.sampled_from([-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6]),
-    raw=st.tuples(st.integers(0, 10**4), st.integers(0, 10**4)),
 )
-def test_quotient_step_is_the_induced_action(p, raw):
-    ctx = MatrixContext(HYP)
-    qd = ctx.quotient(p)
-    c = tuple(x % d for x, d in zip(raw, qd.diag))
-    rep = quotient_representative(qd, c)
-    assert qd.step(c) == qd.coords(ctx.phi_power(rep, 1))
+@settings(deadline=None)
+def test_phi_p_fixes_the_stratum_quotient(data, ctx, p):
+    # the oracle reads the residue of every shift j off the |p| images
+    letters = data.draw(st.lists(st.sampled_from(ctx.generators()), max_size=20))
+    g = ctx.identity
+    for x in letters:
+        g = ctx.multiply(g, x)
+    w = g.kpart
+    residue, _ = ctx.block_solver(p)
+    assert residue(ctx.phi_power(w, p)) == residue(w)
+    for j in range(-12, 13):
+        assert residue(ctx.phi_power(w, j)) == residue(ctx.phi_power(w, j % abs(p)))
+    if ctx.family == "matrix":
+        # the key over |p| images equals the walk until return
+        qd = ctx.quotient(p)
+        assert conjugacy_key(ctx, Element(w, p)) == (p, matrix_orbit_min(ctx, qd, w))
 
 
 # ---------------------------------------------------------------------------
