@@ -172,6 +172,7 @@ def _cmd_conjtest(args: argparse.Namespace) -> int:
         "mismatches": mismatches[:20],
         "mismatch_count": len(mismatches),
         "agreement": not mismatches,
+        "window_keys": ctx.window_keys,
     }
     _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK

@@ -99,6 +99,10 @@ class GroupContext:
 
     # Conjugacy data supplied by each family.
 
+    # keys computed so far by a bounded search that nothing certifies (only
+    # the matrix p = 0 window, for spectra without a trace form)
+    window_keys = 0
+
     def conjugacy_key(self, g: Element):
         """Canonical, order-comparable conjugacy invariant of g."""
         raise NotImplementedError
@@ -702,6 +706,7 @@ class MatrixContext(GroupContext):
         zero = self.kpart_zero()
         if v == zero:
             return zero
+        self.window_keys += 1
         # i -> (sup-norm, M^i v), computed once and shared by every window
         # that contains i; each window is scanned outwards from its centre,
         # so the neighbour a new point is computed from is always there

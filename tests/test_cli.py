@@ -94,6 +94,22 @@ def test_conjtest_has_no_orbit_bound_option(capsys):
     assert "unrecognized arguments: --orbit-bound 5" in captured.err
 
 
+@pytest.mark.parametrize(
+    "rows,window_keys",
+    [(((0, 0, 1), (1, 0, 1), (0, 1, 0)), 62), (HYP, 0)],
+    ids=["pisot", "hyperbolic"],
+)
+def test_conjtest_counts_window_keys(tmp_path, capsys, rows, window_keys):
+    # the Pisot companion has no trace form, so each of its 62 nonzero
+    # p = 0 elements in S^3 is keyed by the uncertified window search
+    group = f"matrix:{matrix_path(tmp_path, rows)}"
+    argv = ["conjtest", "--group", group, "--radius", "3", "--oracle-radius", "6"]
+    assert run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["agreement"] is True
+    assert report["window_keys"] == window_keys
+
+
 def conjtest_hyperbolic(monkeypatch, capsys, key):
     """The r4/rc8 hyperbolic conjtest report under a substitute class key."""
     monkeypatch.setattr(cli, "conjugacy_key", key)
