@@ -83,8 +83,9 @@ def t_exponent(w: tuple[str, ...]) -> int:
     return sum(1 if x == "t" else -1 if x == "T" else 0 for x in w)
 
 
-def _level_blocks(w: tuple[str, ...]) -> tuple[dict[int, list[str]], int]:
-    """Kernel letters grouped by the t-level they act at, plus the net t-exponent."""
+def _level_blocks(w: tuple[str, ...]) -> tuple[dict[int, list[str]], int, int, int]:
+    """Kernel letters grouped by the t-level they act at, the net t-exponent,
+    and the lowest and highest of level 0 and the levels with letters."""
     level = 0
     buckets: dict[int, list[str]] = {}
     for letter in w:
@@ -94,7 +95,7 @@ def _level_blocks(w: tuple[str, ...]) -> tuple[dict[int, list[str]], int]:
             level -= 1
         else:
             buckets.setdefault(level, []).append(letter)
-    return buckets, level
+    return buckets, level, min((0, *buckets)), max((0, *buckets))
 
 
 def to_staircase(w: tuple[str, ...]) -> tuple[str, ...]:
@@ -102,11 +103,9 @@ def to_staircase(w: tuple[str, ...]) -> tuple[str, ...]:
 
     The value is unchanged.  Requires a nonnegative t-exponent sum.
     """
-    buckets, m = _level_blocks(w)
+    buckets, m, lo, hi = _level_blocks(w)
     if m < 0:
         raise ValueError(f"t-exponent sum must be nonnegative, got {m}")
-    lo = min(0, min(buckets)) if buckets else 0
-    hi = max(0, max(buckets)) if buckets else 0
     letters: list[str] = ["T"] * (-lo)
     for level in range(lo, hi + 1):
         letters.extend(buckets.get(level, ()))
@@ -123,11 +122,9 @@ def cyclic_reduce(w: tuple[str, ...]) -> tuple[str, ...]:
     The output evaluates to a conjugate of the input value and is never
     longer; every merge step removes exactly two t-letters.
     """
-    buckets, m = _level_blocks(w)
+    buckets, m, lo, hi = _level_blocks(w)
     if m <= 0:
         raise ValueError(f"t-exponent sum must be positive, got {m}")
-    lo = min(0, min(buckets)) if buckets else 0
-    hi = max(0, max(buckets)) if buckets else 0
     # Staircase blocks with the leading T^p rotated to the end, so the word
     # reads u_0 t u_1 t ... u_l t^(m-l) with l = hi - lo.
     blocks = [list(buckets.get(level, ())) for level in range(lo, hi + 1)]
