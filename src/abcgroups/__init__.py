@@ -29,7 +29,7 @@ from .linalg import (
     smith_normal_form,
     unimodular_inverse,
 )
-from .ratios import ratio_table, threshold_function, write_csv
+from .ratios import format_csv, ratio_table, threshold_function
 from .spectral import (
     epsilon_norm_table,
     relative_growth_table,

@@ -18,7 +18,7 @@ from .conjugacy import brute_force_partition, closed_form_lengths, conjugacy_key
 from .enumeration import DEFAULT_ELEMENT_CAP, ResourceCapError, enumerate_ball
 from .folner import DEFAULT_BOX_CAP, translate_experiment
 from .groups import BaumslagSolitarContext, load_matrix_config, parse_group_descriptor
-from .ratios import gnuplot_script, ratio_table, write_csv
+from .ratios import format_csv, gnuplot_script, ratio_table
 from .spectral import epsilon_norm_table, relative_growth_table
 from .words import (
     cyclic_reduce,
@@ -115,13 +115,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_ratio(args: argparse.Namespace) -> int:
     ctx = parse_group_descriptor(args.group)
     index = enumerate_ball(ctx, args.radius, args.element_cap)
-    rows = ratio_table(ctx, index, args.f)
-    if args.out is None:
-        write_csv(rows, sys.stdout)
-    else:
-        write_csv(rows, args.out)
-        with open(args.out + ".gp", "w", encoding="utf-8") as fh:
-            fh.write(gnuplot_script(args.out))
+    _write_text(args.out, format_csv(ratio_table(ctx, index, args.f)))
+    if args.out is not None:
+        _write_text(args.out + ".gp", gnuplot_script(args.out))
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, isqrt, log
-from typing import Callable, TextIO
+from typing import Callable
 
 from .conjugacy import conjugacy_key
 from .enumeration import BallIndex
@@ -21,7 +21,7 @@ __all__ = [
     "RatioRow",
     "threshold_function",
     "ratio_table",
-    "write_csv",
+    "format_csv",
     "gnuplot_script",
     "CSV_HEADER",
 ]
@@ -103,19 +103,16 @@ def ratio_table(
     return tuple(rows)
 
 
-def write_csv(rows: tuple[RatioRow, ...], dest) -> None:
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        with open(dest, "w", encoding="utf-8") as fh:
-            write_csv(rows, fh)
-        return
-    fh: TextIO = dest
-    fh.write(CSV_HEADER + "\n")
+def format_csv(rows: tuple[RatioRow, ...]) -> str:
+    """The table as CSV text; floats via repr, so it re-parses exactly."""
+    lines = [CSV_HEADER]
     for row in rows:
-        fh.write(
+        lines.append(
             f"{row.r},{row.ball},{row.sphere},{row.classes_cum},"
             f"{row.classes_new},{row.cr!r},{row.scr!r},{row.f_size},"
-            f"{row.f_classes},{row.u_count}\n"
+            f"{row.f_classes},{row.u_count}"
         )
+    return "\n".join(lines) + "\n"
 
 
 def gnuplot_script(csv_path: str) -> str:
