@@ -129,8 +129,8 @@ class UnionFind:
 # and the Smith coordinates of the quotient (matrix).  A bucketed pair
 # without a solution means residue and solver disagree, and raises.  The
 # residue of phi^j(g.kpart) depends only on j mod |p| (module doc), so it is
-# computed for |p| shifts only, and phi^j(g.kpart) only for the shifts whose
-# residue has a bucket.  The shifts of g are grouped by residue, so each h
+# computed for |p| shifts only, and phi^j(g.kpart) only for a shift at which
+# a pair is solved.  The shifts of g are grouped by residue, so each h
 # of a bucket is tried at all the shifts its residue admits, in order of j,
 # stopping at its first conjugator in S^RC, and a pair already in one block
 # is not solved at all.
@@ -213,17 +213,16 @@ def brute_force_partition(
             shifts_by_residue: dict = {}
             for j in span:
                 shifts_by_residue.setdefault(orbit[j % n], []).append(j)
+            moved: dict = {}  # j -> phi^j(g.kpart), computed at its first solve
             root = uf.find(g)
             for res, shifts in shifts_by_residue.items():
-                bucket = buckets.get(res)
-                if bucket is None:
-                    continue
-                moved = [(j, ctx.phi_power(g.kpart, j)) for j in shifts]
-                for h in bucket:
+                for h in buckets.get(res, ()):
                     if uf.find(h) == root:
                         continue
-                    for j, image in moved:
-                        b = solve(_kpart_sub(ctx, h.kpart, image))
+                    for j in shifts:
+                        if j not in moved:
+                            moved[j] = ctx.phi_power(g.kpart, j)
+                        b = solve(_kpart_sub(ctx, h.kpart, moved[j]))
                         if b is None:
                             raise RuntimeError(
                                 f"residue admits no conjugator part for "
