@@ -26,6 +26,7 @@ GOLDEN = {
     "folner_k3_json": ["folner", "--k", "3", "--n", "2"],
     "folner_csv": ["folner", "--k", "2", "--n", "3", "--emit", "csv"],
     "spectral_unit_root": ["spectral", "--matrix", "unit_root.json", "--radius", "6"],
+    "spectral_den5": ["spectral", "--matrix", "den5.json", "--radius", "7"],
     "rewrite_bs2": ["rewrite", "--group", "bs:2", "T g0 t t"],
     "rewrite_lamplighter2": ["rewrite", "--group", "lamplighter:2", "t g0 t G0 T g0 t"],
     "conjtest_hyperbolic": [
