@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
+from operator import add, mod, neg
 from typing import Any, Iterable, NamedTuple, Optional
 
 from .linalg import (
@@ -281,7 +282,9 @@ class LamplighterContext(GroupContext):
             return (0, tuple((i - base, v) for i, v in conf))
         n = abs(p)
         sums = self._class_sums(n, conf)
-        return (p, min(sums[i:] + sums[:i] for i in range(n)))
+        # the rotations of sums are the windows of length n of sums + sums
+        doubled = sums + sums
+        return (p, min([doubled[i : i + n] for i in range(n)]))
 
     def _class_sums(self, n: int, conf) -> tuple:
         # lamp sums over each class of indices mod n: the class of conf in
@@ -289,8 +292,9 @@ class LamplighterContext(GroupContext):
         sums = [0] * n
         for i, v in conf:
             sums[i % n] += v
-        if self.m:
-            return tuple(v % self.m for v in sums)
+        m = self.m
+        if m:
+            return tuple([v % m for v in sums])
         return tuple(sums)
 
     def block_solver(self, p: int):
@@ -551,8 +555,7 @@ class QuotientDescriptor:
     orbit_min: dict = field(default_factory=dict, compare=False, repr=False)
 
     def coords(self, v) -> tuple[int, ...]:
-        w = mat_vec(self.left, v)
-        return tuple(x % d for x, d in zip(w, self.diag))
+        return tuple(map(mod, mat_vec(self.left, v), self.diag))
 
     def solve(self, w) -> Optional[tuple[int, ...]]:
         """The unique b with (I - M^p) b = w, or None outside the image."""
@@ -603,10 +606,10 @@ class MatrixContext(GroupContext):
         return (0,) * self.n
 
     def kpart_add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def kpart_neg(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def canonical_kpart(self, a):
         v = _int_entries(a, "kernel vector")

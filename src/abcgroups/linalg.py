@@ -3,12 +3,14 @@ yields (unimodular inverses, singularity tests), a positive-definiteness
 test, and the root-of-unity orders in a matrix's spectrum.
 
 Matrices are tuples of row tuples of Python ints, so everything here is
-arbitrary precision and hashable.
+arbitrary precision and hashable.  mat_vec also takes Fraction entries, in
+the matrix or the vector, and then returns Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 __all__ = [
@@ -54,8 +56,8 @@ def mat_pow(a: Matrix, e: int) -> Matrix:
     return acc
 
 
-def mat_vec(a: Matrix, v) -> tuple[int, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+def mat_vec(a: Matrix, v) -> tuple:
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:

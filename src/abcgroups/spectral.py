@@ -101,17 +101,23 @@ def epsilon_norm_table(
     ctx: MatrixContext, index: BallIndex
 ) -> list[tuple[int, Fraction]]:
     """Rows (r, max sup-norm of the projection over kernel elements of S^r),
-    cumulative in r."""
+    cumulative in r.
+
+    The scan runs in integers: with den the lcm of the projection's
+    denominators, den P is an integer matrix and max |P v| is
+    max |den P v| / den exactly.
+    """
     proj = unit_root_projection(ctx)
+    den = math.lcm(*(x.denominator for row in proj for x in row))
+    scaled = tuple(tuple(int(x * den) for x in row) for row in proj)
     rows = []
-    best = Fraction(0)
+    best = 0
     for r in range(index.radius + 1):
         for g in index.sphere(r):
             if g.texp != 0:
                 continue
-            image = mat_vec(proj, g.kpart)
-            norm = max((abs(x) for x in image), default=Fraction(0))
+            norm = max(map(abs, mat_vec(scaled, g.kpart)))
             if norm > best:
                 best = norm
-        rows.append((r, best))
+        rows.append((r, Fraction(best, den)))
     return rows

@@ -4,7 +4,8 @@ Everything here recomputes results from first principles (raw generator
 words, elementwise conjugation sweeps, geodesic words rebuilt from the
 sphere order) or by the plain exhaustive loop a fast path replaced
 (pairwise conjugator solving, step-by-step orbit walks, whole-window
-orbit scans), so the fast code paths have an independent answer to match.
+orbit scans, all-rotations keys, Fraction projection scans), so the fast
+code paths have an independent answer to match.
 Helpers that only tests call live here too: element construction from a
 raw kernel part, conjugation, are_conjugate, quotient representatives,
 integer kernel bases, the decay fit of a ratio table and the bs
@@ -25,7 +26,7 @@ from typing import NamedTuple, Optional
 from abcgroups.conjugacy import UnionFind, conjugacy_key
 from abcgroups.enumeration import BallIndex, enumerate_ball
 from abcgroups.folner import _require_bs
-from abcgroups.groups import Element, GroupContext, MatrixContext
+from abcgroups.groups import Element, GroupContext, LamplighterContext, MatrixContext
 from abcgroups.linalg import (
     Matrix,
     mat_mul,
@@ -34,6 +35,7 @@ from abcgroups.linalg import (
     unimodular_inverse,
 )
 from abcgroups.ratios import RatioRow
+from abcgroups.spectral import unit_root_projection
 from abcgroups.words import generator_letters, letter_element
 
 
@@ -280,6 +282,22 @@ def matrix_orbit_min(ctx: MatrixContext, qd, v) -> tuple[int, ...]:
             best = cur
 
 
+def lamplighter_rotation_key(ctx: LamplighterContext, g: Element):
+    """The lamplighter p != 0 key, building every rotation of the class sums.
+
+    Sums the lamps over each index class mod |p|, reduces mod m, and takes
+    the least of the |p| rotations sums[i:] + sums[:i].
+    """
+    n = abs(g.texp)
+    sums = [0] * n
+    for i, v in g.kpart:
+        sums[i % n] += v
+    if ctx.m:
+        sums = [v % ctx.m for v in sums]
+    sums = tuple(sums)
+    return (g.texp, min(sums[i:] + sums[:i] for i in range(n)))
+
+
 def matrix_shift_canonical(ctx: MatrixContext, v) -> tuple[int, ...]:
     """The matrix p = 0 key, recomputing every window from its centre.
 
@@ -338,6 +356,26 @@ def matrix_form_minimum(ctx: MatrixContext, v) -> tuple[int, ...]:
             w = ctx.phi_power(w, step)
             orbit.append(w)
     return min((height(w), w) for w in orbit)[1]
+
+
+def epsilon_norm_reference(
+    ctx: MatrixContext, index: BallIndex
+) -> list[tuple[int, Fraction]]:
+    """epsilon_norm_table in Fraction arithmetic: the projection applied to
+    each kernel element of S^r entry by entry, the largest |entry| kept
+    cumulatively in r."""
+    proj = unit_root_projection(ctx)
+    rows = []
+    best = Fraction(0)
+    for r in range(index.radius + 1):
+        for g in index.sphere(r):
+            if g.texp != 0:
+                continue
+            for row in proj:
+                entry = sum((x * y for x, y in zip(row, g.kpart)), Fraction(0))
+                best = max(best, abs(entry))
+        rows.append((r, best))
+    return rows
 
 
 def are_conjugate(ctx: GroupContext, g: Element, h: Element) -> bool:

@@ -11,6 +11,7 @@ from _oracles import (
     conjugate,
     conjugation_sweep,
     det_int,
+    lamplighter_rotation_key,
     matrix_form_minimum,
     matrix_orbit_min,
     matrix_shift_canonical,
@@ -58,6 +59,18 @@ def key_partition(ctx, index, r):
 
 # ---------------------------------------------------------------------------
 # Key examples per family
+
+
+@pytest.mark.parametrize("m, radius", [(2, 12), (3, 10), (0, 8)])
+def test_lamplighter_key_matches_all_rotations(m, radius):
+    # the key takes the windows of sums + sums; the oracle builds each
+    # rotation; the p = 0 key has no rotations
+    ctx = LamplighterContext(m)
+    index = enumerate_ball(ctx, radius)
+    moving = [g for g in index.elements() if g.texp]
+    assert moving
+    for g in moving:
+        assert conjugacy_key(ctx, g) == lamplighter_rotation_key(ctx, g)
 # ---------------------------------------------------------------------------
 
 

@@ -9,9 +9,11 @@ from abcgroups.groups import (
     Element,
     LamplighterContext,
     MatrixContext,
+    QuotientDescriptor,
     load_matrix_config,
     parse_group_descriptor,
 )
+from abcgroups.linalg import identity_matrix
 
 HYP = ((2, 1), (1, 1))
 
@@ -157,6 +159,28 @@ def test_canonical_idempotent(cfg):
     assert ctx.canonical_kpart(once) == once
     assert all(v == 1 for _, v in once)
     assert [i for i, _ in once] == sorted(i for i, _ in once)
+
+
+matrix_then_two_vectors = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-(10**9), 10**9), min_size=n, max_size=n),
+        min_size=n + 2,
+        max_size=n + 2,
+    )
+)
+
+
+@given(matrix_then_two_vectors, st.lists(st.integers(1, 60), min_size=4, max_size=4))
+def test_matrix_kernels_match_generator_formulas(rows, diag):
+    # rows: n rows of a matrix U, then two vectors a and b
+    n = len(rows[0])
+    left, a, b = tuple(map(tuple, rows[:n])), tuple(rows[n]), tuple(rows[n + 1])
+    ctx = MatrixContext(identity_matrix(n))
+    assert ctx.kpart_add(a, b) == tuple(x + y for x, y in zip(a, b))
+    assert ctx.kpart_neg(a) == tuple(-x for x in a)
+    qd = QuotientDescriptor(tuple(diag[:n]), left, identity_matrix(n))
+    w = tuple(sum(x * y for x, y in zip(row, a)) for row in left)
+    assert qd.coords(a) == tuple(x % d for x, d in zip(w, qd.diag))
 
 
 def test_parse_group_descriptor():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -43,6 +45,29 @@ def test_mat_pow_matches_repeated_product(entries, e):
     for _ in range(e):
         acc = mat_mul(acc, a)
     assert mat_pow(a, e) == acc
+
+
+fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+# rows of int or Fraction entries, and an int vector of the same width
+matrix_and_vector = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.lists(st.integers(-50, 50) | fractions, min_size=n, max_size=n),
+            max_size=4,
+        ),
+        st.lists(st.integers(-(10**6), 10**6), min_size=n, max_size=n),
+    )
+)
+
+
+@given(matrix_and_vector)
+def test_mat_vec_matches_generator_formula(case):
+    rows, v = case
+    a = tuple(map(tuple, rows))
+    expected = tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    out = mat_vec(a, tuple(v))
+    assert out == expected
+    assert [type(x) for x in out] == [type(x) for x in expected]
 
 
 def test_mat_pow_rejects_negative_exponent():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import integer_kernel_basis
+from _oracles import epsilon_norm_reference, integer_kernel_basis
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import MatrixContext
 from abcgroups.linalg import (
@@ -241,6 +241,37 @@ def test_epsilon_norm_table():
     rows = epsilon_norm_table(ctx, index)
     # the projection keeps the first coordinate, whose reach grows with r
     assert rows == [(r, Fraction(r)) for r in range(5)]
+
+
+DEN5 = ((-1, 1, 1), (0, 2, 1), (0, 1, 1))
+DEN3 = ((0, -1, 1, 0), (1, 0, 0, 1), (0, 0, 2, 1), (0, 0, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "rows, radius, den", [(DEN5, 7, 5), (DEN3, 5, 3), (MIXED3, 8, 1)]
+)
+def test_epsilon_norm_table_matches_fraction_reference(rows, radius, den):
+    # the table scans den P in integers; the reference applies P in Fractions
+    ctx = MatrixContext(rows)
+    proj = unit_root_projection(ctx)
+    assert math.lcm(*(x.denominator for row in proj for x in row)) == den
+    index = enumerate_ball(ctx, radius)
+    table = epsilon_norm_table(ctx, index)
+    assert table == epsilon_norm_reference(ctx, index)
+    assert all(isinstance(v, Fraction) for _, v in table)
+
+
+@pytest.mark.parametrize("rows, den", [(DEN5, 5), (DEN3, 3)])
+def test_epsilon_norm_table_fractional_norms(rows, den):
+    # with R = {0, +-e_3} the kernel elements of S^r reach |P v| = 2r / den,
+    # so the integer scan must divide by den at every radius
+    n = len(rows)
+    e3 = tuple(1 if i == 2 else 0 for i in range(n))
+    ctx = MatrixContext(rows, kgens=[(0,) * n, e3, tuple(-x for x in e3)])
+    index = enumerate_ball(ctx, 8)
+    table = epsilon_norm_table(ctx, index)
+    assert table == [(r, Fraction(2 * r, den)) for r in range(9)]
+    assert table == epsilon_norm_reference(ctx, index)
 
 
 def test_epsilon_norm_table_is_monotone():
