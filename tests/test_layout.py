@@ -14,12 +14,12 @@ NamedTuple fields) and every self.x attribute must be read as an attribute
 somewhere in src/abcgroups or bench/, which reads ctx.family.  A read
 through a resolved receiver counts as a read of that field only for the
 receiver's class C and its bases: self.x in the methods of C, and x.f in a
-function where every binding of the name x is x = C(...).  A helper that
-only tests need belongs in tests/.
+function where every binding of the name x is x = C(...) or the parameter
+x: C.  A helper that only tests need belongs in tests/.
 
-Other receivers, parameters among them, are matched by name, so a field
-that shares its name with one read elsewhere through such a receiver
-passes unseen.  Methods are matched by name for every receiver, self
+Other receivers, unannotated parameters among them, are matched by name,
+so a field that shares its name with one read elsewhere through such a
+receiver passes unseen.  Methods are matched by name for every receiver, self
 included, because self.f() in a base class also calls the overrides of f.
 """
 
@@ -189,9 +189,10 @@ def uncalled_methods(src: Path = SRC, package: str = "abcgroups") -> list[str]:
     return out
 
 
-def _constructed_receivers(tree: ast.Module, classes) -> dict[int, str]:
+def _resolved_receivers(tree: ast.Module, classes) -> dict[int, str]:
     """id of each attribute node x.f -> C, where every binding of the name x
-    in the function that binds it is x = C(...) for a class C in classes."""
+    in the function that binds it is x = C(...) or the parameter x: C, for
+    one class C in classes."""
     out = {}
     # ast.walk visits an outer function before the functions nested in it,
     # so a name an inner function binds again is decided there
@@ -211,7 +212,11 @@ def _constructed_receivers(tree: ast.Module, classes) -> dict[int, str]:
         bindings: dict[str, set] = {}
         for node in ast.walk(fn):
             if isinstance(node, ast.arg):
-                bindings.setdefault(node.arg, set()).add(None)
+                hint = node.annotation
+                cls = hint.id if isinstance(hint, ast.Name) else None
+                bindings.setdefault(node.arg, set()).add(
+                    cls if cls in classes else None
+                )
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 bindings.setdefault(node.id, set()).add(built.get(id(node)))
         for node in ast.walk(fn):
@@ -239,7 +244,7 @@ def unread_fields(src: Path = SRC, readers=(SRC, BENCH)) -> list[str]:
     for folder in readers:
         for path in sorted(folder.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
-            owner = _constructed_receivers(tree, lineages)
+            owner = _resolved_receivers(tree, lineages)
             owner.update(
                 (id(sub), cls.name)
                 for cls in _classes(tree)
@@ -374,6 +379,7 @@ def test_guard_resolves_constructor_bound_receivers(tmp_path):
         "class Box:\n    width: int\n\n\n"
         "@dataclass\n"
         "class Pane:\n    width: int\n\n\n"
+        "def texp_of(g: Element):\n    return g.texp\n\n\n"
         "def key(kpart, texp):\n"
         "    g = Element(kpart, texp)\n"
         "    qd = QuotientDescriptor((3,), g.texp)\n"
@@ -384,6 +390,7 @@ def test_guard_resolves_constructor_bound_receivers(tmp_path):
         "    return box.width\n",
         encoding="utf-8",
     )
-    # g.texp reads Element.texp only; box may be a Pane, so box.width is
-    # matched by name and counts for Pane.width too
+    # g.texp reads Element.texp only, for g = Element(...) and for g: Element;
+    # box may be a Pane, so box.width is matched by name and counts for
+    # Pane.width too
     assert unread_fields(tmp_path, (tmp_path,)) == ["mod:QuotientDescriptor.texp"]
