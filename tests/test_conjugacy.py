@@ -59,6 +59,7 @@ def key_partition(ctx, index, r):
 
 # ---------------------------------------------------------------------------
 # Key examples per family
+# ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("m, radius", [(2, 12), (3, 10), (0, 8)])
@@ -71,7 +72,6 @@ def test_lamplighter_key_matches_all_rotations(m, radius):
     assert moving
     for g in moving:
         assert conjugacy_key(ctx, g) == lamplighter_rotation_key(ctx, g)
-# ---------------------------------------------------------------------------
 
 
 def test_bs_positive_stratum():

@@ -19,8 +19,9 @@ x: C.  A helper that only tests need belongs in tests/.
 
 Other receivers, unannotated parameters among them, are matched by name,
 so a field that shares its name with one read elsewhere through such a
-receiver passes unseen.  Methods are matched by name for every receiver, self
-included, because self.f() in a base class also calls the overrides of f.
+receiver passes unseen.  Methods are matched by name for every receiver,
+self included, because self.f() in a base class also calls the overrides
+of f.
 """
 
 import ast
@@ -213,9 +214,9 @@ def _resolved_receivers(tree: ast.Module, classes) -> dict[int, str]:
         for node in ast.walk(fn):
             if isinstance(node, ast.arg):
                 hint = node.annotation
-                cls = hint.id if isinstance(hint, ast.Name) else None
+                annotated = isinstance(hint, ast.Name) and hint.id in classes
                 bindings.setdefault(node.arg, set()).add(
-                    cls if cls in classes else None
+                    hint.id if annotated else None
                 )
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 bindings.setdefault(node.id, set()).add(built.get(id(node)))
