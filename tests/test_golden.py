@@ -27,6 +27,8 @@ GOLDEN = {
     "folner_csv": ["folner", "--k", "2", "--n", "3", "--emit", "csv"],
     "spectral_unit_root": ["spectral", "--matrix", "unit_root.json", "--radius", "6"],
     "spectral_den5": ["spectral", "--matrix", "den5.json", "--radius", "7"],
+    # R = {0, +-e_3, +-e_2} makes the epsilon maximum fractional: it reads 2r/5
+    "spectral_den5_frac": ["spectral", "--matrix", "den5_frac.json", "--radius", "6"],
     "rewrite_bs2": ["rewrite", "--group", "bs:2", "T g0 t t"],
     "rewrite_lamplighter2": ["rewrite", "--group", "lamplighter:2", "t g0 t G0 T g0 t"],
     "conjtest_hyperbolic": [
