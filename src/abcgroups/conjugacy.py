@@ -21,25 +21,20 @@ that quotient, and every orbit is just the |p| images phi^j(x),
   holds whenever no eigenvalue of M is a root of unity).  The minimum is
   memoised for every class of the orbit on the stratum's cached
   QuotientDescriptor, so each orbit is computed once per context.
-* matrix, p = 0: the class is the orbit {M^i v}.  When M's roots are real
-  and distinct, MatrixContext.trace_form gives an integer positive-definite
-  Q with Q M = M^T Q, that is Q = W^T W for a real W with W M = D W, D the
-  diagonal of the roots l_k.  Then f(i) = Q(M^i v) = sum_k c_k l_k^(2i)
-  with c_k = (W v)_k^2 >= 0, and
-  f(i+1) + f(i-1) - 2 f(i) = sum_k c_k l_k^(2i-2) (l_k^2 - 1)^2 > 0 for
-  v != 0, since W is invertible and no l_k is +-1 (roots of unity are
-  refused).  f takes positive integer values on the nonzero orbit, so it
-  cannot tend to 0 in either direction and, being a sum of exponentials,
-  tends to infinity in both.  So f is strictly convex with a minimum
-  attained at one i or at two adjacent ones, and a walk from v in the
-  direction where f strictly drops stops there after finitely many steps,
-  each of which lowers a positive integer.  The key is the lexicographically
-  least minimiser: exact, with no bound.  Spectra without such a form
-  (complex or repeated roots, as in the Pisot companion, or no cyclic
-  vector among e_i and e_1 + ... + e_n)
-  keep a bounded search: a window of P0_WINDOW = 64 steps on each side of
-  a centre, which moves to the window's least (sup-norm, lex) point until
-  it is the least itself.  Nothing certifies that search.
+* matrix, p = 0: the class is the orbit {M^i v}.  MatrixContext.convex_form
+  is an integer symmetric P with P > 0 and C = M^T P M + M^-T P M^-1 - 2P
+  > 0, both checked exactly.  For v != 0, f(i) = P(M^i v) has second
+  difference f(i+1) + f(i-1) - 2 f(i) = (M^i v)^T C (M^i v), a positive
+  integer, so at least 1.  Hence f(i) >= f(0) + i (f(1) - f(0)) + i(i-1)/2
+  grows without bound in both directions, and f is strictly convex with
+  its minimum attained at one i or at two adjacent ones.  A walk from v in
+  the direction where f strictly drops lowers an integer that is bounded
+  below on the orbit, so it stops there after finitely many steps.  The
+  key is the lexicographically least minimiser: exact, with no bound and
+  no assumption on the spectrum.  Floats only propose P; when no proposal
+  passes the check (an eigenvalue on the unit circle that is not a root of
+  unity, where no such P exists, or a non-semisimple spectrum), the key
+  raises ValueError.
 
 Each context class implements its family's key as conjugacy_key(g), the
 stratum solver of the oracle below as block_solver(p) and, where a closed

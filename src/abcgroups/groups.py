@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from math import prod
 from operator import add, mod, neg
 from typing import Any, Iterable, NamedTuple, Optional
@@ -99,10 +99,6 @@ class GroupContext:
         raise NotImplementedError
 
     # Conjugacy data supplied by each family.
-
-    # keys computed so far by a bounded search that nothing certifies (only
-    # the matrix p = 0 window, for spectra without a trace form)
-    window_keys = 0
 
     def conjugacy_key(self, g: Element):
         """Canonical, order-comparable conjugacy invariant of g."""
@@ -526,11 +522,6 @@ class BaumslagSolitarContext(GroupContext):
 # Matrix family Z^n x| <t>
 # ---------------------------------------------------------------------------
 
-# steps searched on each side of the centre by the p = 0 key's orbit window,
-# which keys the spectra that have no trace form
-P0_WINDOW = 64
-
-
 def _int_entries(values, what: str) -> tuple[int, ...]:
     """The entries as a tuple; floats, bools and other non-ints are refused."""
     out = tuple(values)
@@ -636,10 +627,7 @@ class MatrixContext(GroupContext):
             )
         p = g.texp
         if p == 0:
-            form = self.trace_form
-            if form is None:
-                return (0, self._shift_canonical(g.kpart))
-            return (0, self._descend(form, g.kpart))
+            return (0, self._descend(self.convex_form, g.kpart))
         qd = self.quotient(p)
         best = qd.orbit_min.get(qd.coords(g.kpart))
         if best is None:
@@ -650,40 +638,84 @@ class MatrixContext(GroupContext):
         return (p, best)
 
     @cached_property
-    def trace_form(self) -> Optional[tuple[tuple[int, ...], ...]]:
-        """An integer Q > 0 with Q M = M^T Q, or None (see below).
+    def convex_form(self) -> tuple[tuple[int, ...], ...]:
+        """An integer P > 0 with C = M^T P M + M^-T P M^-1 - 2P > 0.
 
-        Hermite's trace form H = (tr M^(i+j)) satisfies H C = C^T H for the
-        companion C = P^-1 M P, P = [u, Mu, ...] for the first cyclic u
-        among e_1..e_n and e_1 + ... + e_n, so Q = adj(P)^T H adj(P)
-        satisfies Q M = M^T Q.  H, and with it Q, is positive definite
-        exactly when the roots are real and distinct.  None when they are
-        not, or when none of those u is cyclic.
+        Then i -> P(M^i v) has integer second difference (M^i v)^T C (M^i v)
+        >= 1 for v != 0, so _descend is exact (see the conjugacy module).
+        Floats only propose P: for a semisimple M with no root l on the unit
+        circle, T = sum_l E_l^H E_l over the spectral projectors E_l gives
+        C = sum_l (|l| - 1/|l|)^2 E_l^H E_l > 0, and T rounded to b bits is
+        tried for growing b.  The exact check decides, and ValueError when
+        no proposal passes it.
         """
-        n = self.n
-        sums = [
-            sum(self.matrix_power(j)[i][i] for i in range(n)) for j in range(2 * n - 1)
-        ]
-        hankel = tuple(tuple(sums[i + j] for j in range(n)) for i in range(n))
-        for u in (*identity_matrix(n), (1,) * n):
-            # column j is M^j u
-            krylov = tuple(zip(*(self.phi_power(u, j) for j in range(n))))
-            snf = smith_normal_form(krylov)
-            if 0 not in snf.diag:
-                break
-        else:
-            return None
-        # U P V = D gives adj(P) = +-V (det D) D^-1 U; the sign cancels in Q
-        det = prod(snf.diag)
-        scaled = tuple(
-            tuple(det // d * x for x in row) for d, row in zip(snf.diag, snf.left)
+        m, inv = self.matrix, self._inverse
+        try:
+            proposals = self._proposals()
+        except (OverflowError, ValueError, ZeroDivisionError):
+            # floats overflowed, or the root search diverged: nothing is proposed
+            proposals = []
+        for form in proposals:
+            ahead, back = (mat_mul(tuple(zip(*a)), mat_mul(form, a)) for a in (m, inv))
+            curvature = tuple(
+                tuple(x + y - 2 * z for x, y, z in zip(*rows))
+                for rows in zip(ahead, back, form)
+            )
+            if positive_definite(form) and positive_definite(curvature):
+                return form
+        raise ValueError(
+            "no certified convex form for the p = 0 conjugacy key: no proposal "
+            "passed the exact check, as for an eigenvalue on the unit circle "
+            "that is not a root of unity (Salem type) or a non-semisimple spectrum"
         )
-        adj = mat_mul(snf.right, scaled)
-        form = mat_mul(tuple(zip(*adj)), mat_mul(hankel, adj))
-        return form if positive_definite(form) else None
+
+    def _proposals(self) -> list[tuple[tuple[int, ...], ...]]:
+        """T rounded to b bits, from the Durand-Kerner roots l of M and
+        E_l = prod_(m != l) (M - m) / (l - m) (see convex_form)."""
+        n = self.n
+        ident = identity_matrix(n)
+        # Newton's identities, k c_k = -sum_j c_(k-j) tr M^j, give the
+        # characteristic polynomial x^n + c_1 x^(n-1) + ... + c_n
+        sums = [sum(self.matrix_power(j)[i][i] for i in range(n)) for j in range(n + 1)]
+        coeffs = [1]
+        for k in range(1, n + 1):
+            coeffs.append(-sum(coeffs[k - j] * sums[j] for j in range(1, k + 1)) // k)
+        roots = [(0.4 + 0.9j) ** k for k in range(n)]
+        for _ in range(500):
+            moved = 0.0
+            for i, z in enumerate(roots):
+                value = reduce(lambda acc, c: acc * z + c, coeffs, 0j)
+                step = value / prod(z - w for j, w in enumerate(roots) if j != i)
+                roots[i] = z - step
+                moved = max(moved, abs(step))
+            if moved < 1e-14:
+                break
+        # a root met again within 1e-6 is the same root
+        distinct = [
+            z for i, z in enumerate(roots) if all(abs(z - w) > 1e-6 for w in roots[:i])
+        ]
+        t = [[0.0] * n for _ in range(n)]
+        for lam in distinct:
+            others = [mu for mu in distinct if mu != lam]
+            proj = ident
+            for mu in others:
+                shift = tuple(tuple(mu * x for x in row) for row in ident)
+                proj = mat_mul(proj, mat_sub(self.matrix, shift))
+            weight = abs(prod(lam - mu for mu in others)) ** -2
+            adjoint = tuple(tuple(x.conjugate() for x in col) for col in zip(*proj))
+            for row, gram_row in zip(t, mat_mul(adjoint, proj)):
+                row[:] = [x + weight * y.real for x, y in zip(row, gram_row)]
+        big = max(abs(x) for row in t for x in row)
+        return [
+            tuple(
+                tuple(round((x + y) * 2 ** (bits - 1) / big) for x, y in zip(row, col))
+                for row, col in zip(t, zip(*t))
+            )
+            for bits in (4, 8, 16, 32, 64)
+        ]
 
     def _descend(self, form, v) -> tuple[int, ...]:
-        # i -> Q(M^i v) is strictly convex with at most two minimisers, so
+        # i -> P(M^i v) is strictly convex with at most two minimisers, so
         # walk downhill while it strictly drops (see the conjugacy module)
         def height(w):
             return sum(x * y for x, y in zip(w, mat_vec(form, w)))
@@ -701,36 +733,6 @@ class MatrixContext(GroupContext):
                 h = height(w)
             return min(best, w) if h == low else best
         return best
-
-    def _shift_canonical(self, v) -> tuple[int, ...]:
-        # minimize (sup-norm, lex) over the orbit window; the composite order
-        # makes the result orbit-invariant whenever both endpoints see the
-        # norm dip, which a hyperbolic M guarantees at these scales
-        zero = self.kpart_zero()
-        if v == zero:
-            return zero
-        self.window_keys += 1
-        # i -> (sup-norm, M^i v), computed once and shared by every window
-        # that contains i; each window is scanned outwards from its centre,
-        # so the neighbour a new point is computed from is always there
-        ranks = {0: (max(map(abs, v)), v)}
-        centre = 0
-        while True:
-            best, best_rank = centre, ranks[centre]
-            for step in (1, -1):
-                m = self.matrix_power(step)
-                i = centre
-                for _ in range(P0_WINDOW):
-                    i += step
-                    r = ranks.get(i)
-                    if r is None:
-                        w = mat_vec(m, ranks[i - step][1])
-                        r = ranks[i] = (max(map(abs, w)), w)
-                    if r < best_rank:
-                        best, best_rank = i, r
-            if best == centre:
-                return best_rank[1]
-            centre = best
 
     def quotient(self, texp: int) -> QuotientDescriptor:
         """Quotient descriptor for the stratum of t-exponent texp != 0."""

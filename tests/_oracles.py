@@ -299,11 +299,12 @@ def lamplighter_rotation_key(ctx: LamplighterContext, g: Element):
 
 
 def matrix_shift_canonical(ctx: MatrixContext, v) -> tuple[int, ...]:
-    """The matrix p = 0 key, recomputing every window from its centre.
+    """A bounded p = 0 orbit search, the partition reference for the key.
 
     Minimizes (sup-norm, lex) over M^i cur for |i| <= 64, scanning
     i = 1..64 then -1..-64 with strict <, and re-centres at the winner
-    until the centre itself wins.
+    until the centre itself wins.  Nothing certifies it, but it shares no
+    code with the convex form, so equal partitions check both.
     """
     zero = ctx.kpart_zero()
     if v == zero:
@@ -335,19 +336,26 @@ def leading_minors(matrix: Matrix) -> list[int]:
 
 
 def matrix_form_minimum(ctx: MatrixContext, v) -> tuple[int, ...]:
-    """The matrix p = 0 key under the trace form, by a plain orbit scan.
+    """The matrix p = 0 key under the convex form, by a plain orbit scan.
 
-    Checks on its own that Q = ctx.trace_form satisfies Q M = M^T Q and has
-    every leading minor > 0, then returns the w with the least (Q(w), w)
-    over w = M^i v for |i| <= 64; no descent and no re-centring.
+    Checks on its own that P = ctx.convex_form and
+    C = M^T P M + M^-T P M^-1 - 2P have every leading minor > 0, then
+    returns the w with the least (P(w), w) over w = M^i v for |i| <= 64;
+    no descent and no re-centring.
     """
-    q = ctx.trace_form
-    m = ctx.matrix
-    assert mat_mul(q, m) == mat_mul(tuple(zip(*m)), q)
-    assert all(minor > 0 for minor in leading_minors(q))
+    p = ctx.convex_form
+    m, inv = ctx.matrix, ctx.matrix_power(-1)
+    ahead = mat_mul(tuple(zip(*m)), mat_mul(p, m))
+    back = mat_mul(tuple(zip(*inv)), mat_mul(p, inv))
+    c = tuple(
+        tuple(x + y - 2 * z for x, y, z in zip(ra, rb, rp))
+        for ra, rb, rp in zip(ahead, back, p)
+    )
+    assert all(minor > 0 for minor in leading_minors(p))
+    assert all(minor > 0 for minor in leading_minors(c))
 
     def height(w):
-        return sum(x * y for x, y in zip(w, mat_vec(q, w)))
+        return sum(x * y for x, y in zip(w, mat_vec(p, w)))
 
     orbit = [v]
     for step in (1, -1):

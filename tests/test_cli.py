@@ -251,6 +251,33 @@ def test_spectral_refuses_non_semisimple(tmp_path, capsys):
     assert "semisimple" in capsys.readouterr().err
 
 
+# companions of the Salem x^4 - x^3 - x^2 - x + 1, with two roots on the
+# unit circle that are not roots of unity, and of (x^2 - 3x + 1)^2
+SALEM = [[0, 0, 0, -1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
+DOUBLE_ROOTS = [[0, 0, 0, -1], [1, 0, 0, 6], [0, 1, 0, -11], [0, 0, 1, 6]]
+
+
+@pytest.mark.parametrize(
+    "rows,cause",
+    [
+        ([[0, -1], [1, 0]], "root-of-unity"),
+        (SALEM, "Salem"),
+        (DOUBLE_ROOTS, "non-semisimple"),
+        # hyperbolic, but its roots 10^200 and 10^-200 overflow the floats
+        ([[10**200 + 1, 10**200], [1, 1]], "no proposal passed"),
+    ],
+    ids=["rotation", "salem", "double-roots", "float-range"],
+)
+def test_ratio_refuses_matrices_without_exact_keys(tmp_path, capsys, rows, cause):
+    group = f"matrix:{matrix_path(tmp_path, rows)}"
+    assert run(["enumerate", "--group", group, "--radius", "3"]) == 0
+    capsys.readouterr()
+    assert run(["ratio", "--group", group, "--radius", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert cause in captured.err
+
+
 def test_rewrite(capsys):
     assert run(["rewrite", "--group", "bs:2", "T g0 t t"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -246,23 +246,19 @@ def test_every_stratum_solver_matches_adjugate():
 # ---------------------------------------------------------------------------
 
 
-def reference_key(ctx, g, p0_reference):
+def reference_key(ctx, g):
     p = g.texp
     if p == 0:
-        return (0, p0_reference(ctx, g.kpart))
+        return (0, matrix_form_minimum(ctx, g.kpart))
     return (p, matrix_orbit_min(ctx, ctx.quotient(p), g.kpart))
 
 
 @pytest.mark.parametrize(
-    "rows,r,p0_only,p0_reference,p0_classes",
-    [
-        (HYP, 9, False, matrix_form_minimum, 125),
-        (PISOT, 6, False, matrix_shift_canonical, 97),
-        (HYP, 11, True, matrix_form_minimum, 265),
-    ],
+    "rows,r,p0_only,p0_classes",
+    [(HYP, 9, False, 125), (PISOT, 6, False, 97), (HYP, 11, True, 265)],
     ids=["rows0-9", "rows1-6", "rows2-11-p0"],
 )
-def test_matrix_keys_match_reference(rows, r, p0_only, p0_reference, p0_classes):
+def test_matrix_keys_match_reference(rows, r, p0_only, p0_classes):
     # the p != 0 reference walk is too slow for the whole r11 ball (68,607
     # elements), so that case checks its t-exponent-0 stratum (1,465)
     ctx = MatrixContext(rows)
@@ -271,7 +267,7 @@ def test_matrix_keys_match_reference(rows, r, p0_only, p0_reference, p0_classes)
         if p0_only and g.texp != 0:
             continue
         key = conjugacy_key(ctx, g)
-        assert key == reference_key(ctx, g, p0_reference)
+        assert key == reference_key(ctx, g)
         if g.texp == 0:
             pairs.add((key, matrix_shift_canonical(ctx, g.kpart)))
     # on p = 0 the keys and the window search induce the same partition
@@ -290,11 +286,14 @@ def test_matrix_keys_do_not_depend_on_order():
 
 # a symmetric hyperbolic matrix with three real roots (x^3 - 2x^2 - x + 1)
 SYM3 = ((1, 1, 1), (1, 1, 0), (1, 0, 0))
+# companions of x^3 - x^2 - 1 and x^4 - x - 1: complex pairs off the circle
+PISOT_B = ((0, 0, 1), (1, 0, 0), (0, 1, 1))
+QUARTIC = ((0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0))
 # each root twice, so no vector is cyclic
 HYP_SUM = ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1))
 
 
-# two real blocks with disjoint spectra: no e_i is cyclic, e_1 + ... + e_4 is
+# two real blocks with disjoint spectra
 HYP_PLUS = ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 3, 1), (0, 0, 2, 1))
 
 
@@ -314,23 +313,25 @@ def conjugated(draw, base):
     return m
 
 
-@given(data=st.data(), base=st.sampled_from([HYP, ((3, 1), (2, 1)), SYM3]))
+CONVEX_BASES = [HYP, ((3, 1), (2, 1)), SYM3, PISOT, PISOT_B, QUARTIC, HYP_SUM, HYP_PLUS]
+
+
+@given(data=st.data(), base=st.sampled_from(CONVEX_BASES))
 @settings(deadline=None)
-def test_trace_form_key_is_orbit_invariant(data, base):
+def test_convex_form_key_is_orbit_invariant(data, base):
+    # real, complex and repeated roots alike: the reference checks P > 0
+    # and C > 0 itself, then scans the orbit without the descent
     m = data.draw(conjugated(base))
     ctx = MatrixContext(m)
-    assert ctx.trace_form is not None
     v = data.draw(st.tuples(*[st.integers(-50, 50)] * len(m)))
     key = conjugacy_key(ctx, Element(v, 0))
-    # the reference checks Q M = M^T Q and Q > 0 itself
     assert key == (0, matrix_form_minimum(ctx, v))
     for j in data.draw(st.lists(st.integers(-40, 40), min_size=1, max_size=4)):
         assert conjugacy_key(ctx, Element(ctx.phi_power(v, j), 0)) == key
 
 
-def test_trace_form_from_the_all_ones_vector():
+def test_convex_form_key_on_two_real_blocks():
     ctx = MatrixContext(HYP_PLUS)
-    assert ctx.trace_form is not None
     pairs = {
         (conjugacy_key(ctx, g), matrix_shift_canonical(ctx, g.kpart))
         for g in enumerate_ball(ctx, 3).elements()
@@ -344,17 +345,6 @@ def test_trace_form_from_the_all_ones_vector():
         assert key == (0, matrix_form_minimum(ctx, v))
         for j in (-9, 4):
             assert conjugacy_key(ctx, Element(ctx.phi_power(v, j), 0)) == key
-
-
-@given(data=st.data(), base=st.sampled_from([PISOT, HYP_SUM]))
-@settings(deadline=None)
-def test_spectra_without_trace_form_keep_the_window_key(data, base):
-    # the Pisot companion's Hermite form has leading minors 3, 6, -23
-    m = data.draw(conjugated(base))
-    ctx = MatrixContext(m)
-    assert ctx.trace_form is None
-    v = data.draw(st.tuples(*[st.integers(-20, 20)] * len(m)))
-    assert conjugacy_key(ctx, Element(v, 0)) == (0, matrix_shift_canonical(ctx, v))
 
 
 RESIDUE_CONTEXTS = [
