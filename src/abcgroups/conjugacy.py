@@ -33,8 +33,8 @@ that quotient, and every orbit is just the |p| images phi^j(x),
   key is the lexicographically least minimiser: exact, with no bound and
   no assumption on the spectrum.  Floats only propose P; when no proposal
   passes the check (an eigenvalue on the unit circle that is not a root of
-  unity, where no such P exists, or a non-semisimple spectrum), the key
-  raises ValueError.
+  unity, where no such P exists, a non-semisimple spectrum, or roots beyond
+  float range), the key raises ValueError.
 
 Each context class implements its family's key as conjugacy_key(g), the
 stratum solver of the oracle below as block_solver(p) and, where a closed
