@@ -330,6 +330,25 @@ def test_convex_form_key_is_orbit_invariant(data, base):
         assert conjugacy_key(ctx, Element(ctx.phi_power(v, j), 0)) == key
 
 
+@given(data=st.data(), base=st.sampled_from([PISOT, HYP_SUM]))
+@settings(deadline=None)
+def test_convex_form_key_matches_the_window_partition(data, base):
+    # the Pisot companion and HYP_SUM have no positive Q with Q M = M^T Q;
+    # their convex-form keys must still split p = 0 as the window search does
+    m = data.draw(conjugated(base))
+    ctx = MatrixContext(m)
+    vs = data.draw(
+        st.lists(st.tuples(*[st.integers(-20, 20)] * len(m)), min_size=1, max_size=3)
+    )
+    js = data.draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3))
+    vs = vs + [ctx.phi_power(v, j) for v in vs for j in js]
+    keys = [conjugacy_key(ctx, Element(v, 0)) for v in vs]
+    window = [matrix_shift_canonical(ctx, v) for v in vs]
+    for a in range(len(vs)):
+        for b in range(len(vs)):
+            assert (keys[a] == keys[b]) == (window[a] == window[b])
+
+
 def test_convex_form_key_on_two_real_blocks():
     ctx = MatrixContext(HYP_PLUS)
     pairs = {
