@@ -1,8 +1,13 @@
 """Breadth-first enumeration of word-metric balls.
 
-The index stores, per element of the ball S^R: the word length and the
-minimum number of t letters over all geodesics (computed layer by layer:
-an element at distance r minimizes over its distance r-1 predecessors).
+The index stores the word length of each element of the ball S^R, and per
+layer the minimum number of t letters over all geodesics of each element
+of that sphere, in sphere order (computed layer by layer: an element at
+distance r minimizes over its distance r-1 predecessors).
+
+Candidates are probed as plain (kpart, texp) tuples, which hash and compare
+like the Element NamedTuple, so an Element is built only for an element
+met for the first time.
 """
 
 from __future__ import annotations
@@ -26,12 +31,13 @@ class ResourceCapError(RuntimeError):
 
 
 class BallIndex:
-    """Ball S^R with per-element word length and t-count."""
+    """Ball S^R with per-element word length and per-layer t-counts."""
 
-    def __init__(self, radius: int, records, layers):
+    def __init__(self, radius: int, records, layers, t_layers):
         self.radius = radius
-        self._records = records  # Element -> (dist, min_t)
+        self._records = records  # Element -> word length
         self._layers = layers  # layers[r]: list of Element, sorted by ctx.sort_key
+        self._t_layers = t_layers  # t_layers[r][i]: min t-count of layers[r][i]
 
     def __contains__(self, g: Element) -> bool:
         return g in self._records
@@ -39,28 +45,29 @@ class BallIndex:
     def __len__(self) -> int:
         return len(self._records)
 
-    def _record(self, g: Element):
-        rec = self._records.get(g)
-        if rec is None:
-            raise KeyError(f"element outside the radius-{self.radius} ball: {g!r}")
-        return rec
-
     def word_length(self, g: Element) -> int:
-        return self._record(g)[0]
+        dist = self._records.get(g)
+        if dist is None:
+            raise KeyError(f"element outside the radius-{self.radius} ball: {g!r}")
+        return dist
 
-    def min_t_count(self, g: Element) -> int:
-        return self._record(g)[1]
-
-    def sphere(self, r: int) -> list[Element]:
+    def _check_radius(self, r: int) -> None:
         if not 0 <= r <= self.radius:
             raise ValueError(f"radius {r} outside [0, {self.radius}]")
+
+    def sphere(self, r: int) -> list[Element]:
+        self._check_radius(r)
         return list(self._layers[r])
+
+    def t_counts(self, r: int) -> list[int]:
+        """Least t-letter count over the geodesics of each sphere(r) element."""
+        self._check_radius(r)
+        return list(self._t_layers[r])
 
     def ball_size(self, r: Optional[int] = None) -> int:
         if r is None:
             r = self.radius
-        if not 0 <= r <= self.radius:
-            raise ValueError(f"radius {r} outside [0, {self.radius}]")
+        self._check_radius(r)
         return sum(len(self._layers[i]) for i in range(r + 1))
 
     def elements(self, max_radius: Optional[int] = None) -> Iterator[Element]:
@@ -76,43 +83,47 @@ def enumerate_ball(
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     identity = ctx.identity
-    kmoves = []  # (gen index, kernel part), shift cached per t-level
+    kgens = []  # kernel parts of the kernel generators
     tmoves = []  # +-1
-    for idx, s in enumerate(ctx.generators()):
+    for s in ctx.generators():
         if s.texp == 0:
-            kmoves.append((idx, s.kpart))
+            kgens.append(s.kpart)
         else:
             tmoves.append(s.texp)
 
     kadd = ctx.kpart_add
     phip = ctx.phi_power
-    shift_cache: dict[tuple[int, int], object] = {}
+    shifts_at: dict[int, list] = {}  # p -> [phi^p(d) for d in kgens]
 
-    records: dict[Element, tuple[int, int]] = {identity: (0, 0)}
+    records: dict[Element, int] = {identity: 0}
     layers: list[list[Element]] = [[identity]]
+    t_layers: list[list[int]] = [[0]]
     for r in range(1, radius + 1):
         pending: dict[Element, int] = {}  # Element -> min_t
-        for g in layers[r - 1]:
+        for g, min_t in zip(layers[r - 1], t_layers[r - 1]):
             a, p = g
-            min_t = records[g][1]
-            for idx, dk in kmoves:
-                key = (idx, p)
-                shifted = shift_cache.get(key)
-                if shifted is None:
-                    shifted = shift_cache[key] = phip(dk, p)
-                h = Element(kadd(a, shifted), p)
+            shifts = shifts_at.get(p)
+            if shifts is None:
+                shifts = shifts_at[p] = [phip(d, p) for d in kgens]
+            for d in shifts:
+                b = kadd(a, d)
+                h = (b, p)
                 if h in records:
                     continue
                 seen = pending.get(h)
-                if seen is None or min_t < seen:
-                    pending[h] = min_t
+                if seen is None:
+                    pending[Element(b, p)] = min_t
+                elif min_t < seen:
+                    pending[h] = min_t  # the key stays the Element stored first
+            nt = min_t + 1
             for dt in tmoves:
-                h = Element(a, p + dt)
+                h = (a, p + dt)
                 if h in records:
                     continue
-                nt = min_t + 1
                 seen = pending.get(h)
-                if seen is None or nt < seen:
+                if seen is None:
+                    pending[Element(a, p + dt)] = nt
+                elif nt < seen:
                     pending[h] = nt
         if len(records) + len(pending) > element_cap:
             raise ResourceCapError(
@@ -120,7 +131,7 @@ def enumerate_ball(
             )
         layer = sorted(pending, key=ctx.sort_key)
         for h in layer:
-            records[h] = (r, pending[h])
+            records[h] = r
         layers.append(layer)
-    return BallIndex(radius, records, layers)
-
+        t_layers.append([pending[h] for h in layer])
+    return BallIndex(radius, records, layers, t_layers)

@@ -79,7 +79,7 @@ def ratio_table(
             key = conjugacy_key(ctx, g)
             if key not in seen_keys:
                 new_hist[key] = new_hist.get(key, 0) + 1
-            m = index.min_t_count(g)
+        for m in index.t_counts(r):
             t_hist[m] = t_hist.get(m, 0) + 1
         seen_keys.update(new_hist)
         bound = bound_at(r)

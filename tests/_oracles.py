@@ -254,12 +254,20 @@ def sphere_class_histogram(ctx: GroupContext, index: BallIndex, r: int) -> dict:
     return out
 
 
+def t_count_map(index: BallIndex) -> dict[Element, int]:
+    """Each ball element's least t-letter count, read off the sphere layers."""
+    out: dict[Element, int] = {}
+    for r in range(index.radius + 1):
+        out.update(zip(index.sphere(r), index.t_counts(r)))
+    return out
+
+
 def low_t_count(index: BallIndex, r: int, bound: int) -> int:
     """Number of elements of B^r with a geodesic using at most bound t-letters."""
     total = 0
     for rr in range(r + 1):
-        for g in index.sphere(rr):
-            if index.min_t_count(g) <= bound:
+        for m in index.t_counts(rr):
+            if m <= bound:
                 total += 1
     return total
 

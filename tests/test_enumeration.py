@@ -1,14 +1,16 @@
 import hashlib
+import json
 
 import pytest
 
-from _oracles import geodesic_words, word_ball
+from _oracles import geodesic_words, t_count_map, word_ball
 from abcgroups.enumeration import ResourceCapError, enumerate_ball
 from abcgroups.groups import (
     BaumslagSolitarContext,
     Element,
     LamplighterContext,
     MatrixContext,
+    load_matrix_config,
 )
 from abcgroups.words import evaluate, format_word, t_exponent
 
@@ -25,14 +27,46 @@ def contexts():
     ]
 
 
-def test_ball_matches_word_oracle():
-    for ctx, radius in contexts():
+def other_generating_sets(tmp_path):
+    # more than one pair of kernel generators, so each t-level shifts
+    # several deltas
+    path = tmp_path / "den5.json"
+    path.write_text(
+        json.dumps(
+            {"rows": [[-1, 1, 1], [0, 2, 1], [0, 1, 1]], "generators": [[0, 0, 1], [0, 1, 0]]}
+        )
+    )
+    return [
+        (BaumslagSolitarContext(2, kgens=((0, 0), (1, 0), (-1, 0), (3, 0), (-3, 0))), 6),
+        (LamplighterContext(2, kgens=((), ((0, 1),), ((1, 1),), ((0, 1), (1, 1)))), 6),
+        (load_matrix_config(str(path)), 5),
+    ]
+
+
+def test_ball_matches_word_oracle(tmp_path):
+    for ctx, radius in contexts() + other_generating_sets(tmp_path):
         index = enumerate_ball(ctx, radius)
         oracle = word_ball(ctx, radius)
         assert len(index) == len(oracle)
+        t_count = t_count_map(index)
         for g, (dist, min_t) in oracle.items():
             assert index.word_length(g) == dist
-            assert index.min_t_count(g) == min_t
+            assert t_count[g] == min_t
+
+
+def test_ball_types_and_shapes(tmp_path):
+    # layers hold Elements, never the plain tuples the BFS probes with, and
+    # a plain tuple looks up the same record as the equal Element
+    for ctx, radius in contexts() + other_generating_sets(tmp_path):
+        index = enumerate_ball(ctx, radius)
+        for r in range(radius + 1):
+            sphere = index.sphere(r)
+            assert all(type(g) is Element for g in sphere)
+            assert len(index.t_counts(r)) == len(sphere)
+            for g in sphere:
+                assert index.word_length(tuple(g)) == index.word_length(g) == r
+    with pytest.raises(ValueError):
+        index.t_counts(radius + 1)
 
 
 def test_frozen_ball_sizes():
@@ -48,7 +82,7 @@ def test_far_lamp_needs_a_long_word():
     index = enumerate_ball(ctx, 11)
     g = Element(((5, 1),), 0)
     assert index.word_length(g) == 11
-    assert index.min_t_count(g) == 10
+    assert t_count_map(index)[g] == 10
 
 
 def test_sphere_and_elements():
@@ -80,19 +114,19 @@ def test_geodesic_words():
     for ctx, radius in contexts():
         index = enumerate_ball(ctx, radius)
         words = geodesic_words(ctx, index, radius)
+        t_count = t_count_map(index)
         for g in index.elements():
             w = words[g]
             assert len(w) == index.word_length(g)
             assert evaluate(ctx, w) == g
             tcount = sum(1 for x in w if x in ("t", "T"))
-            assert tcount >= index.min_t_count(g)
+            assert tcount >= t_count[g]
 
 
 def test_min_t_parity_and_bound():
     ctx = BaumslagSolitarContext(2)
     index = enumerate_ball(ctx, 6)
-    for g in index.elements():
-        m = index.min_t_count(g)
+    for g, m in t_count_map(index).items():
         assert m >= abs(g.texp)
         assert (m - g.texp) % 2 == 0
 
@@ -162,7 +196,7 @@ def test_determinism():
     assert list(a.elements()) == list(b.elements())
     for g in a.elements():
         assert a.word_length(g) == b.word_length(g)
-        assert a.min_t_count(g) == b.min_t_count(g)
+    assert [a.t_counts(r) for r in range(5)] == [b.t_counts(r) for r in range(5)]
 
 
 def test_geodesic_t_exponent_matches():
