@@ -35,6 +35,7 @@ from .linalg import (
     mat_vec,
     positive_definite,
     smith_normal_form,
+    squarefree_part,
     unimodular_inverse,
 )
 
@@ -680,20 +681,19 @@ class MatrixContext(GroupContext):
         coeffs = [1]
         for k in range(1, n + 1):
             coeffs.append(-sum(coeffs[k - j] * sums[j] for j in range(1, k + 1)) // k)
-        roots = [(0.4 + 0.9j) ** k for k in range(n)]
+        # Durand-Kerner converges slowly on a repeated root, so it runs on the
+        # square-free part, whose roots are the distinct eigenvalues
+        simple = [float(c) for c in reversed(squarefree_part(coeffs[::-1]))]
+        distinct = [(0.4 + 0.9j) ** k for k in range(len(simple) - 1)]
         for _ in range(500):
             moved = 0.0
-            for i, z in enumerate(roots):
-                value = reduce(lambda acc, c: acc * z + c, coeffs, 0j)
-                step = value / prod(z - w for j, w in enumerate(roots) if j != i)
-                roots[i] = z - step
+            for i, z in enumerate(distinct):
+                value = reduce(lambda acc, c: acc * z + c, simple, 0j)
+                step = value / prod(z - w for j, w in enumerate(distinct) if j != i)
+                distinct[i] = z - step
                 moved = max(moved, abs(step))
             if moved < 1e-14:
                 break
-        # a root met again within 1e-6 is the same root
-        distinct = [
-            z for i, z in enumerate(roots) if all(abs(z - w) > 1e-6 for w in roots[:i])
-        ]
         t = [[0.0] * n for _ in range(n)]
         for lam in distinct:
             others = [mu for mu in distinct if mu != lam]

@@ -1,6 +1,7 @@
 """Exact integer matrix helpers: products, Smith normal form and what it
 yields (unimodular inverses, singularity tests), a positive-definiteness
-test, and the root-of-unity orders in a matrix's spectrum.
+test, the root-of-unity orders in a matrix's spectrum, and the square-free
+part of a polynomial.
 
 Matrices are tuples of row tuples of Python ints, so everything here is
 arbitrary precision and hashable.  mat_vec also takes Fraction entries, in
@@ -26,6 +27,7 @@ __all__ = [
     "totient",
     "cyclotomic_poly",
     "cyclotomic_orders",
+    "squarefree_part",
 ]
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -297,3 +299,29 @@ def cyclotomic_orders(matrix) -> list[int]:
         if 0 in smith_normal_form(_poly_at_matrix(cyclotomic_poly(d), matrix)).diag:
             out.append(d)
     return out
+
+
+def _poly_divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of polynomials over Q, low degree first; the
+    leading coefficient of b is nonzero, and the remainder is trimmed."""
+    rem = [Fraction(x) for x in a]
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in reversed(range(len(quot))):
+        q = quot[i] = rem[i + len(b) - 1] / b[-1]
+        for j, bv in enumerate(b):
+            rem[i + j] -= q * bv
+    rem = rem[: len(b) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def squarefree_part(coeffs) -> list[Fraction]:
+    """f / gcd(f, f') made monic, for f of positive degree given low degree
+    first: the same roots as f, each a simple root."""
+    f = [Fraction(x) for x in coeffs]
+    g, h = f, [i * x for i, x in enumerate(f)][1:]
+    while h:
+        g, h = h, _poly_divmod(g, h)[1]
+    quot = _poly_divmod(f, g)[0]
+    return [x / quot[-1] for x in quot]

@@ -14,6 +14,7 @@ from abcgroups.linalg import (
     mat_vec,
     positive_definite,
     smith_normal_form,
+    squarefree_part,
     totient,
     unimodular_inverse,
 )
@@ -285,3 +286,25 @@ def reference_orders(m) -> list[int]:
 @settings(max_examples=150)
 def test_cyclotomic_orders_match_determinant_scan(m):
     assert cyclotomic_orders(m) == reference_orders(m)
+
+
+def poly_from_roots(roots) -> list[int]:
+    """prod (x - r) over roots, low degree first."""
+    out = [1]
+    for r in roots:
+        out = [b - r * a for a, b in zip(out + [0], [0] + out)]
+    return out
+
+
+def test_squarefree_part_examples():
+    # (x^2 - 3x + 1)^2, the companion polynomial that has no certified form
+    assert squarefree_part([1, -6, 11, -6, 1]) == [1, -3, 1]
+    # x^3 - x^2 - 1 is already square-free
+    assert squarefree_part([-1, 0, -1, 1]) == [-1, 0, -1, 1]
+    assert squarefree_part([-3, 2]) == [Fraction(-3, 2), 1]
+
+
+@given(st.dictionaries(st.integers(-5, 5), st.integers(1, 3), min_size=1, max_size=4))
+def test_squarefree_part_keeps_each_root_once(multiplicity):
+    roots = [r for r, m in multiplicity.items() for _ in range(m)]
+    assert squarefree_part(poly_from_roots(roots)) == poly_from_roots(multiplicity)
