@@ -149,7 +149,7 @@ def _cmd_conjtest(args: argparse.Namespace) -> int:
                     "elements": [ctx.format_element(g) for g in block],
                 }
             )
-    for key, members in sorted(by_key.items()):
+    for members in by_key.values():
         ids = {block_of[g] for g in members}
         if len(ids) > 1:
             mismatches.append(

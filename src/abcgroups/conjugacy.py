@@ -91,6 +91,11 @@ class UnionFind:
         self._size[ra] += self._size[rb]
 
     def blocks(self) -> list[list]:
+        """The sets as lists, in item order.
+
+        Blocks come in the order of their first member, and each block lists
+        its members in the order the items were given.
+        """
         by_root: dict = {}
         for x in self._parent:
             by_root.setdefault(self.find(x), []).append(x)
@@ -230,6 +235,4 @@ def brute_force_partition(
                             break
             buckets.setdefault(orbit[0], []).append(g)
 
-    blocks = [sorted(block, key=ctx.sort_key) for block in uf.blocks()]
-    blocks.sort(key=lambda block: ctx.sort_key(block[0]))
-    return blocks
+    return uf.blocks()

@@ -36,7 +36,7 @@ class BallIndex:
     def __init__(self, radius: int, records, layers, t_layers):
         self.radius = radius
         self._records = records  # Element -> word length
-        self._layers = layers  # layers[r]: list of Element, sorted by ctx.sort_key
+        self._layers = layers  # layers[r]: list of Element, in discovery order
         self._t_layers = t_layers  # t_layers[r][i]: min t-count of layers[r][i]
 
     def __contains__(self, g: Element) -> bool:
@@ -129,7 +129,7 @@ def enumerate_ball(
             raise ResourceCapError(
                 f"ball exceeds the element cap ({element_cap}) at radius {r}"
             )
-        layer = sorted(pending, key=ctx.sort_key)
+        layer = list(pending)
         for h in layer:
             records[h] = r
         layers.append(layer)

@@ -90,15 +90,6 @@ class GroupContext:
     def format_kpart(self, a) -> str:
         raise NotImplementedError
 
-    def sort_key(self, g: Element):
-        """Tuple key fixing the deterministic order of layers and blocks.
-
-        Each family's key orders elements exactly as the byte codec of
-        earlier versions did, so layers and block listings match results
-        recorded with those versions.
-        """
-        raise NotImplementedError
-
     # Conjugacy data supplied by each family.
 
     def conjugacy_key(self, g: Element):
@@ -238,9 +229,6 @@ class LamplighterContext(GroupContext):
         if i == 0 or not a:
             return a
         return tuple((idx + i, v) for idx, v in a)
-
-    def sort_key(self, g: Element):
-        return (g.texp, len(g.kpart), g.kpart)
 
     def format_kpart(self, a) -> str:
         if not a:
@@ -398,10 +386,6 @@ class BaumslagSolitarContext(GroupContext):
             num //= k
             e -= 1
         return (num, e)
-
-    def sort_key(self, g: Element):
-        num, e = g.kpart
-        return (g.texp, e, num)
 
     def format_kpart(self, a) -> str:
         num, e = a
@@ -613,9 +597,6 @@ class MatrixContext(GroupContext):
         if i == 0:
             return a
         return mat_vec(self.matrix_power(i), a)
-
-    def sort_key(self, g: Element):
-        return (g.texp, g.kpart)
 
     def format_kpart(self, a) -> str:
         return "(" + ",".join(str(x) for x in a) + ")"
