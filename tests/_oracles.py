@@ -204,7 +204,8 @@ def pairwise_partition(
     """brute_force_partition without residue buckets.
 
     Solves for a conjugator of g to h for every pair (g, h) of a stratum,
-    g listed first, at every |j| <= RC.  Blocks are sorted the same way.
+    g listed first, at every |j| <= RC.  Blocks come in the same order,
+    ball order by first member and within each block.
     """
     big = index if index.radius >= conjugator_radius else enumerate_ball(
         ctx, conjugator_radius
@@ -240,9 +241,7 @@ def pairwise_partition(
                         uf.union(g, h)
                         break
 
-    blocks = [sorted(block, key=ctx.sort_key) for block in uf.blocks()]
-    blocks.sort(key=lambda block: ctx.sort_key(block[0]))
-    return blocks
+    return uf.blocks()
 
 
 def sphere_class_histogram(ctx: GroupContext, index: BallIndex, r: int) -> dict:
