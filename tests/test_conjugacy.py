@@ -626,16 +626,18 @@ def test_partition_blocks_are_sorted():
     ctx = BaumslagSolitarContext(2)
     index = enumerate_ball(ctx, 4)
     blocks = brute_force_partition(ctx, index, 2, 4)
+    # sorted by ball position: within each block, and blocks by first member
+    position = {g: i for i, g in enumerate(index.elements(2))}
     for block in blocks:
-        assert block == sorted(block, key=ctx.sort_key)
-    firsts = [ctx.sort_key(b[0]) for b in blocks]
+        assert block == sorted(block, key=position.__getitem__)
+    firsts = [position[b[0]] for b in blocks]
     assert firsts == sorted(firsts)
 
 
 # sha256 over one line per oracle block, in block order, each block's
 # elements by format_element: pins the block order the conjtest mismatch
 # listing prints, which no golden file shows while the keys agree
-BLOCK_ORDER_DIGEST = "efd7793af6f8b0c9be0a7d86d85b37f8ee058bcf749fc9bcc0a0a2dd1cb0ee98"
+BLOCK_ORDER_DIGEST = "b433912ad5aee2b633f7dc9b7312579e09dc065fcdf301839b28b8b228c91a13"
 
 
 def test_matrix_block_order_is_pinned():

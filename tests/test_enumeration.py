@@ -89,7 +89,7 @@ def test_sphere_and_elements():
     ctx = BaumslagSolitarContext(2)
     index = enumerate_ball(ctx, 3)
     assert index.sphere(0) == [ctx.identity]
-    assert sorted(index.sphere(1), key=ctx.sort_key) == index.sphere(1)
+    assert index.sphere(1) == ctx.generators()
     assert list(index.elements()) == [
         g for r in range(4) for g in index.sphere(r)
     ]
@@ -144,6 +144,26 @@ def test_negative_radius():
         enumerate_ball(BaumslagSolitarContext(2), -1)
 
 
+def assert_discovery_order(ctx, index, radius):
+    # BFS reaches h on sphere r from the earliest g on sphere r - 1 with
+    # g s_i = h, ties going to the lower generator index i, and lists the
+    # sphere in the order it first reached each element
+    gens = ctx.generators()
+    assert index.sphere(1) == gens
+    for r in range(2, radius + 1):
+        first: dict = {}
+        for pos, g in enumerate(index.sphere(r - 1)):
+            for i, s in enumerate(gens):
+                first.setdefault(ctx.multiply(g, s), (pos, i))
+        sphere = index.sphere(r)
+        assert sphere == sorted(sphere, key=first.__getitem__)
+
+
+def test_spheres_are_in_discovery_order(tmp_path):
+    for ctx, radius in contexts() + other_generating_sets(tmp_path):
+        assert_discovery_order(ctx, enumerate_ball(ctx, min(radius, 4)), min(radius, 4))
+
+
 @pytest.mark.parametrize(
     "ctx, r, texp, listing",
     [
@@ -151,42 +171,44 @@ def test_negative_radius():
             LamplighterContext(2),
             5,
             2,
-            ["(1@-1; t^2)", "(1@3; t^2)", "(1@0+1@1+1@2; t^2)"],
+            ["(1@0+1@1+1@2; t^2)", "(1@3; t^2)", "(1@-1; t^2)"],
         ),
         (
             LamplighterContext(0),
             3,
             1,
             [
-                "(-2@0; t^1)",
                 "(2@0; t^1)",
-                "(-2@1; t^1)",
-                "(2@1; t^1)",
-                "(-1@0+-1@1; t^1)",
-                "(-1@0+1@1; t^1)",
-                "(1@0+-1@1; t^1)",
                 "(1@0+1@1; t^1)",
+                "(1@0+-1@1; t^1)",
+                "(-2@0; t^1)",
+                "(-1@0+1@1; t^1)",
+                "(-1@0+-1@1; t^1)",
+                "(2@1; t^1)",
+                "(-2@1; t^1)",
             ],
         ),
         (
             BaumslagSolitarContext(2),
             2,
             -1,
-            ["(-1; t^-1)", "(1; t^-1)", "(-1/2^1; t^-1)", "(1/2^1; t^-1)"],
+            ["(1; t^-1)", "(-1; t^-1)", "(1/2^1; t^-1)", "(-1/2^1; t^-1)"],
         ),
         (
             MatrixContext(HYP),
             1,
             0,
-            ["((-1,0); t^0)", "((0,-1); t^0)", "((0,1); t^0)", "((1,0); t^0)"],
+            ["((1,0); t^0)", "((-1,0); t^0)", "((0,1); t^0)", "((0,-1); t^0)"],
         ),
     ],
     ids=["lamplighter-2", "lamplighter-0", "bs-2", "matrix"],
 )
 def test_sphere_order_is_frozen(ctx, r, texp, listing):
-    # recorded before sort_key replaced the byte codec: fewer lamps first,
-    # then lamps by index; denominator exponent before numerator
-    sphere = enumerate_ball(ctx, r).sphere(r)
+    # discovery order, which follows the previous sphere and the
+    # generator order
+    index = enumerate_ball(ctx, r)
+    assert_discovery_order(ctx, index, r)
+    sphere = index.sphere(r)
     assert [ctx.format_element(g) for g in sphere if g.texp == texp] == listing
 
 
@@ -206,23 +228,24 @@ def test_geodesic_t_exponent_matches():
         assert t_exponent(w) == g.texp
 
 
-# sha256 over "element word\n" lines in elements() order, recorded from the
-# predecessor chain the BFS once stored: the oracle picks the same geodesics
+# sha256 over "element word\n" lines in elements() order, with spheres in
+# discovery order: each word ends in the letter by which BFS first reached
+# its element
 GEODESIC_DIGESTS = [
     (
         BaumslagSolitarContext(2),
         6,
-        "9066a3720d0feb2a7da78d3ea3dfe0ddb0d6b7441922c97261a9ef236837b123",
+        "9c576ade4b6eaeafe4782e6cb3b440c000c2b68b7a8428dbfb742c12ffd061e4",
     ),
     (
         LamplighterContext(2),
         6,
-        "3d4e5a48bdb2697871564b0f8865c5a55891fcc56c373425f98633d1f972649d",
+        "18e65c25dbad7237f58fb9d7ade280535a3414c19bd491765879e425ebdc4f4d",
     ),
     (
         MatrixContext(HYP),
         5,
-        "27298ec66f3f9aba44cfcc90712f05c55dae2495f2c6c3262830913aa7fdc488",
+        "e811e56aec3396088b612679fbbfc4243037087aa64eeec293527c94599b83ab",
     ),
 ]
 
