@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,6 +22,7 @@ from _oracles import (
     pairwise_partition,
     quotient_representative,
 )
+import abcgroups
 from abcgroups.conjugacy import (
     UnionFind,
     brute_force_partition,
@@ -647,6 +652,46 @@ def test_matrix_block_order_is_pinned():
         " ".join(ctx.format_element(g) for g in block) + "\n" for block in blocks
     )
     assert hashlib.sha256(text.encode()).hexdigest() == BLOCK_ORDER_DIGEST
+
+
+# prints sha256 digests of the sphere listing and the block listing, one
+# format_element line per element and one line per block
+ORDER_SCRIPT = """
+import hashlib
+from abcgroups.conjugacy import brute_force_partition
+from abcgroups.enumeration import enumerate_ball
+from abcgroups.groups import LamplighterContext, MatrixContext
+
+HYP = MatrixContext(((2, 1), (1, 1)))
+for ctx, r, rc in ((LamplighterContext(2), 6, 12), (HYP, 4, 8)):
+    index = enumerate_ball(ctx, rc)
+    spheres = "".join(ctx.format_element(g) + "\\n" for g in index.elements())
+    blocks = "".join(
+        " ".join(map(ctx.format_element, b)) + "\\n"
+        for b in brute_force_partition(ctx, index, r, rc)
+    )
+    for text in (spheres, blocks):
+        print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_listing_order_ignores_the_hash_seed():
+    # spheres and blocks keep BFS discovery order, which no set or hash
+    # order enters, so two interpreters with different string hashing agree
+    src = str(Path(abcgroups.__file__).resolve().parents[1])
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", ORDER_SCRIPT],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("1", "2")
+    ]
+    outputs = [run.communicate(timeout=60)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert len(outputs[0].split()) == 4
+    assert outputs[0] == outputs[1]
 
 
 def test_partition_argument_validation():
