@@ -243,22 +243,6 @@ def totient(d: int) -> int:
     return out
 
 
-def _poly_divexact(a: list[int], b) -> list[int]:
-    rem = list(a)
-    out = [0] * (len(rem) - len(b) + 1)
-    for i in reversed(range(len(out))):
-        lead = rem[i + len(b) - 1]
-        q, r = divmod(lead, b[-1])
-        if r:
-            raise ValueError("inexact polynomial division")
-        out[i] = q
-        for j, bv in enumerate(b):
-            rem[i + j] -= q * bv
-    if any(rem):
-        raise ValueError("inexact polynomial division")
-    return out
-
-
 _CYCLOTOMIC_CACHE: dict[int, tuple[int, ...]] = {1: (-1, 1)}
 
 
@@ -271,7 +255,9 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
     coeffs = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            coeffs = _poly_divexact(coeffs, cyclotomic_poly(e))
+            quot, rem = _poly_divmod(coeffs, cyclotomic_poly(e))
+            assert not rem and all(q.denominator == 1 for q in quot)
+            coeffs = [int(q) for q in quot]
     out = tuple(coeffs)
     _CYCLOTOMIC_CACHE[d] = out
     return out
