@@ -2,8 +2,13 @@
 
 The index stores the word length of each element of the ball S^R, and per
 layer the minimum number of t letters over all geodesics of each element
-of that sphere, in sphere order (computed layer by layer: an element at
-distance r minimizes over its distance r-1 predecessors).
+of that sphere (computed layer by layer: an element at distance r
+minimizes over its distance r-1 predecessors).
+
+Each layer lists its elements in discovery order: by the earliest element
+of the previous layer that reaches them, ties going to the generator that
+comes first in ctx.generators().  The order follows from the previous
+layer and the generator order alone, so no set or hash order enters it.
 
 Candidates are probed as plain (kpart, texp) tuples, which hash and compare
 like the Element NamedTuple, so an Element is built only for an element

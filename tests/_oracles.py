@@ -2,10 +2,10 @@
 
 Everything here recomputes results from first principles (raw generator
 words, elementwise conjugation sweeps, geodesic words rebuilt from the
-sphere order) or by the plain exhaustive loop a fast path replaced
-(pairwise conjugator solving, step-by-step orbit walks, whole-window
-orbit scans, all-rotations keys, Fraction projection scans), so the fast
-code paths have an independent answer to match.
+discovery order of the spheres) or by the plain exhaustive loop a fast
+path replaced (pairwise conjugator solving, step-by-step orbit walks,
+whole-window orbit scans, all-rotations keys, Fraction projection scans),
+so the fast code paths have an independent answer to match.
 Helpers that only tests call live here too: element construction from a
 raw kernel part, conjugation, are_conjugate, quotient representatives,
 integer kernel bases, the decay fit of a ratio table and the bs

@@ -4,8 +4,9 @@ Each command runs through ``cli.run`` from inside ``tests/golden``, so the
 matrix configs stored there are named by relative paths and the outputs
 do not depend on where the repository lives.  The outputs pin every
 printed figure; a change that alters any of them must say so and
-re-record the file deliberately.  The oracle's block order, which the
-conjtest mismatch listing prints, is pinned by digest in test_conjugacy.
+re-record the file deliberately.  The oracle's block order, ball order
+by first member and within each block, which the conjtest mismatch
+listing prints, is pinned by digest in test_conjugacy.
 """
 
 from pathlib import Path
