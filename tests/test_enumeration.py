@@ -161,7 +161,7 @@ def assert_discovery_order(ctx, index, radius):
 
 def test_spheres_are_in_discovery_order(tmp_path):
     for ctx, radius in contexts() + other_generating_sets(tmp_path):
-        assert_discovery_order(ctx, enumerate_ball(ctx, min(radius, 4)), min(radius, 4))
+        assert_discovery_order(ctx, enumerate_ball(ctx, radius), radius)
 
 
 @pytest.mark.parametrize(
