@@ -144,24 +144,23 @@ def test_negative_radius():
         enumerate_ball(BaumslagSolitarContext(2), -1)
 
 
-def assert_discovery_order(ctx, index, radius):
+def test_spheres_are_in_discovery_order(tmp_path):
     # BFS reaches h on sphere r from the earliest g on sphere r - 1 with
     # g s_i = h, ties going to the lower generator index i, and lists the
     # sphere in the order it first reached each element
-    gens = ctx.generators()
-    assert index.sphere(1) == gens
-    for r in range(2, radius + 1):
-        first: dict = {}
-        for pos, g in enumerate(index.sphere(r - 1)):
-            for i, s in enumerate(gens):
-                first.setdefault(ctx.multiply(g, s), (pos, i))
-        sphere = index.sphere(r)
-        assert sphere == sorted(sphere, key=first.__getitem__)
-
-
-def test_spheres_are_in_discovery_order(tmp_path):
-    for ctx, radius in contexts() + other_generating_sets(tmp_path):
-        assert_discovery_order(ctx, enumerate_ball(ctx, radius), radius)
+    for ctx, radius in contexts() + other_generating_sets(tmp_path) + [
+        (LamplighterContext(0), 3)
+    ]:
+        index = enumerate_ball(ctx, radius)
+        gens = ctx.generators()
+        assert index.sphere(1) == gens
+        for r in range(2, radius + 1):
+            first: dict = {}
+            for pos, g in enumerate(index.sphere(r - 1)):
+                for i, s in enumerate(gens):
+                    first.setdefault(ctx.multiply(g, s), (pos, i))
+            sphere = index.sphere(r)
+            assert sphere == sorted(sphere, key=first.__getitem__)
 
 
 @pytest.mark.parametrize(
@@ -206,9 +205,7 @@ def test_spheres_are_in_discovery_order(tmp_path):
 def test_sphere_order_is_frozen(ctx, r, texp, listing):
     # discovery order, which follows the previous sphere and the
     # generator order
-    index = enumerate_ball(ctx, r)
-    assert_discovery_order(ctx, index, r)
-    sphere = index.sphere(r)
+    sphere = enumerate_ball(ctx, r).sphere(r)
     assert [ctx.format_element(g) for g in sphere if g.texp == texp] == listing
 
 
