@@ -14,7 +14,10 @@ that quotient, and every orbit is just the |p| images phi^j(x),
   the numerator with all factors of k removed, sign preserved.
 * lamplighter, p != 0: summing a configuration over each residue class of
   indices mod |p| kills (1 - phi^p) K exactly, and shifting rotates the
-  |p| sums, so the key is the lexicographically least rotation.
+  |p| sums, so the key is the lexicographically least rotation.  It is
+  memoised on the context for every rotation of the orbit, so each orbit
+  is computed once per context; the sums of p and -p rotate alike, and
+  the length of the sums tuple is |p|, so one memo serves every stratum.
 * lamplighter, p = 0: the support-shifted normal form of the configuration.
 * matrix, p != 0: coordinates in Z^n / (I - M^p) Z^n via the Smith form,
   minimized over the |p| images M^j v (needs det(I - M^p) != 0, which

@@ -180,6 +180,8 @@ class LamplighterContext(GroupContext):
         standard = ((), delta, self.kpart_neg(delta))
         self._set_kgens(standard if kgens is None else kgens)
         self._standard_gens = set(self.kgen_nonzero) == set(standard[1:])
+        # class sums -> their least rotation; a tuple's length is its |p|
+        self._least_rotation: dict[tuple, tuple] = {}
 
     def kpart_zero(self):
         return ()
@@ -267,9 +269,14 @@ class LamplighterContext(GroupContext):
             return (0, tuple((i - base, v) for i, v in conf))
         n = abs(p)
         sums = self._class_sums(n, conf)
-        # the rotations of sums are the windows of length n of sums + sums
-        doubled = sums + sums
-        return (p, min([doubled[i : i + n] for i in range(n)]))
+        best = self._least_rotation.get(sums)
+        if best is None:
+            # the rotations of sums are the windows of length n of sums + sums
+            doubled = sums + sums
+            orbit = [doubled[i : i + n] for i in range(n)]
+            best = min(orbit)
+            self._least_rotation.update(dict.fromkeys(orbit, best))
+        return (p, best)
 
     def _class_sums(self, n: int, conf) -> tuple:
         # lamp sums over each class of indices mod n: the class of conf in

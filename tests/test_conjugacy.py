@@ -69,8 +69,9 @@ def key_partition(ctx, index, r):
 
 @pytest.mark.parametrize("m, radius", [(2, 12), (3, 10), (0, 8)])
 def test_lamplighter_key_matches_all_rotations(m, radius):
-    # the key takes the windows of sums + sums; the oracle builds each
-    # rotation; the p = 0 key has no rotations
+    # the key takes the least window of sums + sums, memoised for every
+    # rotation of the orbit; the oracle builds each rotation afresh; the
+    # p = 0 key has no rotations
     ctx = LamplighterContext(m)
     index = enumerate_ball(ctx, radius)
     moving = [g for g in index.elements() if g.texp]
@@ -287,6 +288,20 @@ def test_matrix_keys_do_not_depend_on_order():
     fresh = MatrixContext(HYP)
     backward = [conjugacy_key(fresh, g) for g in reversed(ball)]
     assert backward[::-1] == forward
+
+
+def test_lamplighter_keys_do_not_depend_on_order():
+    # the rotation memo fills in the opposite order and gives the same keys
+    for m, radius in ((2, 10), (0, 7)):
+        ctx = LamplighterContext(m)
+        ball = list(enumerate_ball(ctx, radius).elements())
+        forward = [conjugacy_key(ctx, g) for g in ball]
+        fresh = LamplighterContext(m)
+        backward = [conjugacy_key(fresh, g) for g in reversed(ball)]
+        assert backward[::-1] == forward
+        for g, key in zip(ball, forward):
+            if g.texp:
+                assert key == lamplighter_rotation_key(ctx, g)
 
 
 # a symmetric hyperbolic matrix with three real roots (x^3 - 2x^2 - x + 1)
