@@ -1,9 +1,18 @@
 """Breadth-first enumeration of word-metric balls.
 
-The index stores the word length of each element of the ball S^R, and per
-layer the minimum number of t letters over all geodesics of each element
-of that sphere (computed layer by layer: an element at distance r
-minimizes over its distance r-1 predecessors).
+The index stores the spheres of the ball S^R, and per sphere the minimum
+number of t letters over all geodesics of each of its elements (computed
+layer by layer: an element at distance r minimizes over its distance r-1
+predecessors).
+
+BFS tests whether a candidate is already known against the two previous
+layers only.  The generating set is symmetric (_set_kgens refuses a kernel
+generator set without inverses, and t and t^-1 are both generators), so a
+neighbour h = g s of g on sphere r-1 has g = h s^-1 with s^-1 a generator,
+hence r-1 <= |h| + 1, and |h| is r-2, r-1 or r.  The map from each
+element to its word length, which membership and word_length read, is
+built from the spheres on the first such lookup; ratio and spectral
+tables never build it.
 
 Each layer lists its elements in discovery order: by the earliest element
 of the previous layer that reaches them, ties going to the generator that
@@ -17,6 +26,7 @@ met for the first time.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .groups import Element, GroupContext
@@ -36,19 +46,26 @@ class ResourceCapError(RuntimeError):
 
 
 class BallIndex:
-    """Ball S^R with per-element word length and per-layer t-counts."""
+    """Ball S^R as its spheres in discovery order, with per-sphere t-counts.
 
-    def __init__(self, radius: int, records, layers, t_layers):
+    Membership and word_length read an element -> word length map that the
+    first such lookup builds from the spheres.
+    """
+
+    def __init__(self, radius: int, layers, t_layers):
         self.radius = radius
-        self._records = records  # Element -> word length
         self._layers = layers  # layers[r]: list of Element, in discovery order
         self._t_layers = t_layers  # t_layers[r][i]: min t-count of layers[r][i]
+
+    @cached_property
+    def _records(self) -> dict[Element, int]:
+        return {g: r for r, layer in enumerate(self._layers) for g in layer}
 
     def __contains__(self, g: Element) -> bool:
         return g in self._records
 
     def __len__(self) -> int:
-        return len(self._records)
+        return sum(map(len, self._layers))
 
     def word_length(self, g: Element) -> int:
         dist = self._records.get(g)
@@ -100,12 +117,14 @@ def enumerate_ball(
     phip = ctx.phi_power
     shifts_at: dict[int, list] = {}  # p -> [phi^p(d) for d in kgens]
 
-    records: dict[Element, int] = {identity: 0}
     layers: list[list[Element]] = [[identity]]
     t_layers: list[list[int]] = [[0]]
+    older: dict[Element, int] = {}  # sphere r-2: Element -> min_t
+    last: dict[Element, int] = {identity: 0}  # sphere r-1
+    size = 1
     for r in range(1, radius + 1):
-        pending: dict[Element, int] = {}  # Element -> min_t
-        for g, min_t in zip(layers[r - 1], t_layers[r - 1]):
+        pending: dict[Element, int] = {}  # sphere r
+        for g, min_t in last.items():
             a, p = g
             shifts = shifts_at.get(p)
             if shifts is None:
@@ -113,7 +132,7 @@ def enumerate_ball(
             for d in shifts:
                 b = kadd(a, d)
                 h = (b, p)
-                if h in records:
+                if h in older or h in last:
                     continue
                 seen = pending.get(h)
                 if seen is None:
@@ -123,20 +142,19 @@ def enumerate_ball(
             nt = min_t + 1
             for dt in tmoves:
                 h = (a, p + dt)
-                if h in records:
+                if h in older or h in last:
                     continue
                 seen = pending.get(h)
                 if seen is None:
                     pending[Element(a, p + dt)] = nt
                 elif nt < seen:
                     pending[h] = nt
-        if len(records) + len(pending) > element_cap:
+        size += len(pending)
+        if size > element_cap:
             raise ResourceCapError(
                 f"ball exceeds the element cap ({element_cap}) at radius {r}"
             )
-        layer = list(pending)
-        for h in layer:
-            records[h] = r
-        layers.append(layer)
-        t_layers.append([pending[h] for h in layer])
-    return BallIndex(radius, records, layers, t_layers)
+        layers.append(list(pending))
+        t_layers.append(list(pending.values()))
+        older, last = last, pending
+    return BallIndex(radius, layers, t_layers)

@@ -3,9 +3,10 @@
 Everything here recomputes results from first principles (raw generator
 words, elementwise conjugation sweeps, geodesic words rebuilt from the
 discovery order of the spheres) or by the plain exhaustive loop a fast
-path replaced (pairwise conjugator solving, step-by-step orbit walks,
-whole-window orbit scans, all-rotations keys, Fraction projection scans),
-so the fast code paths have an independent answer to match.
+path replaced (BFS against a whole-ball dict, pairwise conjugator
+solving, step-by-step orbit walks, whole-window orbit scans,
+all-rotations keys, Fraction projection scans), so the fast code paths
+have an independent answer to match.
 Helpers that only tests call live here too: element construction from a
 raw kernel part, conjugation, are_conjugate, quotient representatives,
 integer kernel bases, the decay fit of a ratio table and the bs
@@ -24,7 +25,12 @@ from math import log
 from typing import NamedTuple, Optional
 
 from abcgroups.conjugacy import UnionFind, conjugacy_key
-from abcgroups.enumeration import BallIndex, enumerate_ball
+from abcgroups.enumeration import (
+    DEFAULT_ELEMENT_CAP,
+    BallIndex,
+    ResourceCapError,
+    enumerate_ball,
+)
 from abcgroups.folner import _require_bs
 from abcgroups.groups import Element, GroupContext, LamplighterContext, MatrixContext
 from abcgroups.linalg import (
@@ -140,6 +146,72 @@ def word_ball(ctx: GroupContext, radius: int) -> dict[Element, tuple[int, int]]:
                     best[h] = (dist, state[1])
         frontier = nxt
     return best
+
+
+def whole_ball_bfs(
+    ctx: GroupContext, radius: int, element_cap: int = DEFAULT_ELEMENT_CAP
+) -> tuple[dict[Element, int], list[list[Element]], list[list[int]]]:
+    """enumerate_ball with a whole-ball dict of known elements.
+
+    Returns (records, layers, t_layers): records maps each ball element to
+    its distance, and every candidate is tested against it rather than
+    against the two previous layers.
+    """
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
+    identity = ctx.identity
+    kgens = []  # kernel parts of the kernel generators
+    tmoves = []  # +-1
+    for s in ctx.generators():
+        if s.texp == 0:
+            kgens.append(s.kpart)
+        else:
+            tmoves.append(s.texp)
+
+    kadd = ctx.kpart_add
+    phip = ctx.phi_power
+    shifts_at: dict[int, list] = {}  # p -> [phi^p(d) for d in kgens]
+
+    records: dict[Element, int] = {identity: 0}
+    layers: list[list[Element]] = [[identity]]
+    t_layers: list[list[int]] = [[0]]
+    for r in range(1, radius + 1):
+        pending: dict[Element, int] = {}  # Element -> min_t
+        for g, min_t in zip(layers[r - 1], t_layers[r - 1]):
+            a, p = g
+            shifts = shifts_at.get(p)
+            if shifts is None:
+                shifts = shifts_at[p] = [phip(d, p) for d in kgens]
+            for d in shifts:
+                b = kadd(a, d)
+                h = (b, p)
+                if h in records:
+                    continue
+                seen = pending.get(h)
+                if seen is None:
+                    pending[Element(b, p)] = min_t
+                elif min_t < seen:
+                    pending[h] = min_t  # the key stays the Element stored first
+            nt = min_t + 1
+            for dt in tmoves:
+                h = (a, p + dt)
+                if h in records:
+                    continue
+                seen = pending.get(h)
+                if seen is None:
+                    pending[Element(a, p + dt)] = nt
+                elif nt < seen:
+                    pending[h] = nt
+        if len(records) + len(pending) > element_cap:
+            raise ResourceCapError(
+                f"ball exceeds the element cap ({element_cap}) at radius {r}"
+            )
+        layer = list(pending)
+        for h in layer:
+            records[h] = r
+        layers.append(layer)
+        t_layers.append([pending[h] for h in layer])
+    return records, layers, t_layers
 
 
 def geodesic_words(

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from _oracles import geodesic_words, t_count_map, word_ball
+from _oracles import geodesic_words, t_count_map, whole_ball_bfs, word_ball
 from abcgroups.enumeration import ResourceCapError, enumerate_ball
 from abcgroups.groups import (
     BaumslagSolitarContext,
@@ -52,6 +52,33 @@ def test_ball_matches_word_oracle(tmp_path):
         for g, (dist, min_t) in oracle.items():
             assert index.word_length(g) == dist
             assert t_count[g] == min_t
+
+
+def test_ball_matches_whole_ball_bfs(tmp_path):
+    # probing the two previous layers finds what probing the whole ball
+    # finds: the same spheres in the same order, t-counts and lengths, and
+    # a cap that raises at the same radius
+    for ctx, radius in contexts() + other_generating_sets(tmp_path) + [
+        (LamplighterContext(0), 4)
+    ]:
+        index = enumerate_ball(ctx, radius)
+        records, layers, t_layers = whole_ball_bfs(ctx, radius)
+        assert [index.sphere(r) for r in range(radius + 1)] == layers
+        assert [index.t_counts(r) for r in range(radius + 1)] == t_layers
+        assert len(index) == len(records)
+        for g, dist in records.items():
+            assert g in index
+            assert index.word_length(g) == dist
+        for g in layers[radius]:
+            for s in ctx.generators():
+                h = ctx.multiply(g, s)
+                assert (h in index) == (h in records)
+        for cap in (len(index) - 1, len(index) - len(layers[radius])):
+            with pytest.raises(ResourceCapError) as fast:
+                enumerate_ball(ctx, radius, element_cap=cap)
+            with pytest.raises(ResourceCapError) as slow:
+                whole_ball_bfs(ctx, radius, element_cap=cap)
+            assert str(fast.value) == str(slow.value)
 
 
 def test_ball_types_and_shapes(tmp_path):
