@@ -17,7 +17,12 @@ import sys
 from .conjugacy import brute_force_partition, closed_form_lengths, conjugacy_key
 from .enumeration import DEFAULT_ELEMENT_CAP, ResourceCapError, enumerate_ball
 from .folner import DEFAULT_BOX_CAP, translate_experiment
-from .groups import BaumslagSolitarContext, load_matrix_config, parse_group_descriptor
+from .groups import (
+    BaumslagSolitarContext,
+    load_matrix_config,
+    parse_group_descriptor,
+    parse_int,
+)
 from .ratios import format_csv, gnuplot_script, ratio_table
 from .spectral import epsilon_norm_table, relative_growth_table
 from .words import (
@@ -43,9 +48,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def integer(text: str) -> int:
+    """argparse type: an integer written as [+-]?[0-9]+ and nothing else."""
+    return parse_int(text, "integer")
+
+
 def positive_int(text: str) -> int:
     """argparse type for caps: an integer of at least 1."""
-    value = int(text)
+    value = integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -57,33 +67,33 @@ def build_parser() -> _Parser:
 
     enum = sub.add_parser("enumerate", help="enumerate a ball and report sizes")
     enum.add_argument("--group", required=True)
-    enum.add_argument("--radius", type=int, required=True)
+    enum.add_argument("--radius", type=integer, required=True)
     enum.add_argument("--element-cap", type=positive_int, default=DEFAULT_ELEMENT_CAP)
 
     ratio = sub.add_parser("ratio", help="conjugacy ratio table as CSV")
     ratio.add_argument("--group", required=True)
-    ratio.add_argument("--radius", type=int, required=True)
+    ratio.add_argument("--radius", type=integer, required=True)
     ratio.add_argument("--f", default="sqrt", help="sqrt, log2 or const:<c>")
     ratio.add_argument("--out", help="CSV path; a .gp script is written next to it")
     ratio.add_argument("--element-cap", type=positive_int, default=DEFAULT_ELEMENT_CAP)
 
     conj = sub.add_parser("conjtest", help="compare keys against the oracle")
     conj.add_argument("--group", required=True)
-    conj.add_argument("--radius", type=int, required=True)
-    conj.add_argument("--oracle-radius", type=int)
+    conj.add_argument("--radius", type=integer, required=True)
+    conj.add_argument("--oracle-radius", type=integer)
     conj.add_argument("--out")
     conj.add_argument("--element-cap", type=positive_int, default=DEFAULT_ELEMENT_CAP)
 
     fol = sub.add_parser("folner", help="translated-box experiment report")
-    fol.add_argument("--k", type=int, default=2)
-    fol.add_argument("--n", type=int, required=True)
+    fol.add_argument("--k", type=integer, default=2)
+    fol.add_argument("--n", type=integer, required=True)
     fol.add_argument("--emit", choices=("json", "csv"), default="json")
     fol.add_argument("--out")
     fol.add_argument("--element-cap", type=positive_int, default=DEFAULT_BOX_CAP)
 
     spec = sub.add_parser("spectral", help="periodic part and projection norms")
     spec.add_argument("--matrix", required=True, help="matrix family JSON path")
-    spec.add_argument("--radius", type=int, required=True)
+    spec.add_argument("--radius", type=integer, required=True)
     spec.add_argument("--out")
     spec.add_argument("--element-cap", type=positive_int, default=DEFAULT_ELEMENT_CAP)
 

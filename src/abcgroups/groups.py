@@ -20,6 +20,7 @@ length for their standard generators; the conjugacy module explains them.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from math import prod
@@ -48,6 +49,7 @@ __all__ = [
     "QuotientDescriptor",
     "load_matrix_config",
     "parse_group_descriptor",
+    "parse_int",
 ]
 
 
@@ -785,15 +787,26 @@ def _is_list_of_lists(value) -> bool:
     return isinstance(value, list) and all(isinstance(row, list) for row in value)
 
 
+def parse_int(text: str, what: str) -> int:
+    """An integer written as [+-]?[0-9]+ and nothing else.
+
+    int() would also take underscores, surrounding whitespace and non-ASCII
+    digits; such text is refused with ValueError naming it.
+    """
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"{what} must be a decimal integer, got {text!r}")
+    return int(text)
+
+
 def parse_group_descriptor(desc: str) -> GroupContext:
     """Parse "lamplighter:m", "bs:k" or "matrix:<config path>"."""
     head, sep, rest = desc.partition(":")
     if not sep:
         raise ValueError(f"bad group descriptor {desc!r}: expected family:parameter")
     if head == "lamplighter":
-        return LamplighterContext(int(rest))
+        return LamplighterContext(parse_int(rest, f"lamp modulus in {desc!r}"))
     if head == "bs":
-        return BaumslagSolitarContext(int(rest))
+        return BaumslagSolitarContext(parse_int(rest, f"base in {desc!r}"))
     if head == "matrix":
         return load_matrix_config(rest)
     raise ValueError(f"unknown group family {head!r}")

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .conjugacy import conjugacy_key
 from .enumeration import BallIndex
-from .groups import GroupContext
+from .groups import GroupContext, parse_int
 
 __all__ = [
     "RatioRow",
@@ -51,10 +51,7 @@ def threshold_function(spec: str) -> Callable[[int], int]:
     if spec == "log2":
         return lambda r: 0 if r == 0 else ceil(log(r) ** 2)
     if spec.startswith("const:"):
-        try:
-            c = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad constant threshold {spec!r}") from None
+        c = parse_int(spec.split(":", 1)[1], f"constant threshold in {spec!r}")
         if c < 0:
             raise ValueError(f"threshold constant must be nonnegative, got {c}")
         return lambda r: c

@@ -215,6 +215,41 @@ def test_nonpositive_element_cap_is_refused(argv, cap, capsys):
     assert "--element-cap" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["enumerate", "--group", "bs:1_0", "--radius", "1"], "1_0"),
+        (["enumerate", "--group", "bs:\uff12", "--radius", "1"], "\uff12"),
+        (["enumerate", "--group", "lamplighter: 2", "--radius", "1"], " 2"),
+        (["enumerate", "--group", "bs:2", "--radius", "1_0"], "1_0"),
+        (["enumerate", "--group", "bs:2", "--radius", "1", "--element-cap", "1_000"], "1_000"),
+        (["ratio", "--group", "bs:2", "--radius", "2", "--f", "const:1_0"], "1_0"),
+        (["conjtest", "--group", "bs:2", "--radius", "1", "--oracle-radius", " 3"], " 3"),
+        (["folner", "--k", "\uff12", "--n", "1"], "\uff12"),
+        (["folner", "--k", "2", "--n", "1\n"], "1\n"),
+        (["spectral", "--matrix", str(GOLDEN_DIR / "unit_root.json"), "--radius", "\u0661"], "\u0661"),
+    ],
+    ids=[
+        "bs-underscore",
+        "bs-fullwidth",
+        "lamplighter-space",
+        "radius",
+        "element-cap",
+        "const",
+        "oracle-radius",
+        "k",
+        "n",
+        "spectral-radius",
+    ],
+)
+def test_integers_are_not_coerced(argv, text, capsys):
+    # int() would take each of these; they are refused, naming the text
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert repr(text) in captured.err
+
+
 def test_spectral_csv(tmp_path, capsys):
     path = matrix_path(tmp_path)
     assert run(["spectral", "--matrix", path, "--radius", "3"]) == 0
