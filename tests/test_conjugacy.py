@@ -299,9 +299,9 @@ def test_lamplighter_keys_do_not_depend_on_order():
         fresh = LamplighterContext(m)
         backward = [conjugacy_key(fresh, g) for g in reversed(ball)]
         assert backward[::-1] == forward
-        for g, key in zip(ball, forward):
+        for g, key in zip(reversed(ball), backward):
             if g.texp:
-                assert key == lamplighter_rotation_key(ctx, g)
+                assert key == lamplighter_rotation_key(fresh, g)
 
 
 # a symmetric hyperbolic matrix with three real roots (x^3 - 2x^2 - x + 1)
