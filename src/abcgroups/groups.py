@@ -28,6 +28,7 @@ from operator import add, mod, neg
 from typing import Any, Iterable, NamedTuple, Optional
 
 from .linalg import (
+    charpoly,
     cyclotomic_orders,
     identity_matrix,
     mat_mul,
@@ -665,15 +666,9 @@ class MatrixContext(GroupContext):
         E_l = prod_(m != l) (M - m) / (l - m) (see convex_form)."""
         n = self.n
         ident = identity_matrix(n)
-        # Newton's identities, k c_k = -sum_j c_(k-j) tr M^j, give the
-        # characteristic polynomial x^n + c_1 x^(n-1) + ... + c_n
-        sums = [sum(self.matrix_power(j)[i][i] for i in range(n)) for j in range(n + 1)]
-        coeffs = [1]
-        for k in range(1, n + 1):
-            coeffs.append(-sum(coeffs[k - j] * sums[j] for j in range(1, k + 1)) // k)
         # Durand-Kerner converges slowly on a repeated root, so it runs on the
-        # square-free part, whose roots are the distinct eigenvalues
-        simple = [float(c) for c in reversed(squarefree_part(coeffs[::-1]))]
+        # square-free part of chi_M, whose roots are the distinct eigenvalues
+        simple = [float(c) for c in reversed(squarefree_part(charpoly(self.matrix)))]
         distinct = [(0.4 + 0.9j) ** k for k in range(len(simple) - 1)]
         for _ in range(500):
             moved = 0.0

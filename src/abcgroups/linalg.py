@@ -1,7 +1,8 @@
 """Exact integer matrix helpers: products, Smith normal form and what it
 yields (unimodular inverses, singularity tests), a positive-definiteness
-test, the root-of-unity orders in a matrix's spectrum, and the square-free
-part of a polynomial.
+test, and polynomials: the characteristic polynomial, the one source of
+spectral facts, with the root-of-unity orders it holds, a polynomial at a
+matrix, and the square-free part.
 
 Matrices are tuples of row tuples of Python ints, so everything here is
 arbitrary precision and hashable.  mat_vec also takes Fraction entries, in
@@ -11,6 +12,7 @@ the matrix or the vector, and then returns Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from operator import mul
 from typing import NamedTuple
 
@@ -24,8 +26,10 @@ __all__ = [
     "smith_normal_form",
     "unimodular_inverse",
     "positive_definite",
+    "charpoly",
     "totient",
     "cyclotomic_poly",
+    "poly_at_matrix",
     "cyclotomic_orders",
     "squarefree_part",
 ]
@@ -215,15 +219,30 @@ def positive_definite(matrix: Matrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic orders of a spectrum
+# The characteristic polynomial and the root-of-unity orders it holds
 #
-# A primitive d-th root of unity is an eigenvalue of M exactly when the
-# d-th cyclotomic polynomial kills a nonzero vector, i.e. when Phi_d(M) is
-# singular: its Smith diagonal has a zero.  Only finitely many d can occur:
-# deg Phi_d = phi(d) must be at most n, and phi(d) >= sqrt(d/2) bounds the
-# scan by 2 n^2 + 2.
-# Polynomials are integer coefficient lists, low degree first.
+# Polynomials are integer coefficient lists, low degree first.  A primitive
+# d-th root of unity is an eigenvalue of M exactly when the d-th cyclotomic
+# polynomial divides chi_M, because Phi_d is irreducible over Q.  Only
+# finitely many d can occur: deg Phi_d = phi(d) must be at most n, and
+# phi(d) >= sqrt(d/2) bounds the scan by 2 n^2 + 2.
 # ---------------------------------------------------------------------------
+
+
+def charpoly(matrix: Matrix) -> tuple[int, ...]:
+    """Coefficients of chi_M = det(xI - M), low degree first.
+
+    Newton's identities, k c_k = -sum_j c_(k-j) tr M^j over 1 <= j <= k,
+    give x^n + c_1 x^(n-1) + ... + c_n from the power sums tr M^j; each
+    division by k is exact.
+    """
+    n = len(matrix)
+    powers = accumulate(repeat(matrix, n), mat_mul)
+    sums = [n] + [sum(p[i][i] for i in range(n)) for p in powers]
+    coeffs = [1]
+    for k in range(1, n + 1):
+        coeffs.append(-sum(coeffs[k - j] * sums[j] for j in range(1, k + 1)) // k)
+    return tuple(reversed(coeffs))
 
 
 def totient(d: int) -> int:
@@ -263,28 +282,27 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
     return out
 
 
-def _poly_at_matrix(coeffs, matrix):
+def poly_at_matrix(coeffs, matrix: Matrix) -> Matrix:
+    """f(M) for an integer polynomial f, low degree first, by Horner's rule."""
     n = len(matrix)
-    ident = identity_matrix(n)
-    acc = tuple(tuple(0 for _ in range(n)) for _ in range(n))
+    acc = ((0,) * n,) * n
     for c in reversed(coeffs):
-        acc = mat_mul(acc, matrix)
         acc = tuple(
-            tuple(x + c * e for x, e in zip(ra, re)) for ra, re in zip(acc, ident)
+            tuple(x + c * (i == j) for j, x in enumerate(row))
+            for i, row in enumerate(mat_mul(acc, matrix))
         )
     return acc
 
 
-def cyclotomic_orders(matrix) -> list[int]:
+def cyclotomic_orders(matrix: Matrix) -> list[int]:
     """Orders d such that some eigenvalue of M is a primitive d-th root of unity."""
     n = len(matrix)
-    out = []
-    for d in range(1, 2 * n * n + 3):
-        if totient(d) > n:
-            continue
-        if 0 in smith_normal_form(_poly_at_matrix(cyclotomic_poly(d), matrix)).diag:
-            out.append(d)
-    return out
+    chi = charpoly(matrix)
+    return [
+        d
+        for d in range(1, 2 * n * n + 3)
+        if totient(d) <= n and not _poly_divmod(chi, cyclotomic_poly(d))[1]
+    ]
 
 
 def _poly_divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:

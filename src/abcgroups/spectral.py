@@ -1,15 +1,15 @@
 """Unit-root spectrum of an integer matrix and the periodic-part projection.
 
-The unit-root period N is the lcm of the root-of-unity orders in the
-spectrum, which the MatrixContext scans once when it is built
-(linalg.cyclotomic_orders).  The periodic subgroup is P = ker A with
-A = M^N - I.  One Smith form U A V = diag of rank r gives both halves of
-the splitting: the columns of V past r span ker A, and the first r columns
-of A V span im A.  When the unit-root part of M is semisimple these two
-subspaces are complementary and im A is M-invariant, so the projection
-onto P along im A is the unique M-equivariant one; otherwise ker A meets
-im A, the change of basis is singular and the projection is refused.
-Everything is exact (integer matrices, Fraction projections).
+Every spectral fact here comes from one exact characteristic polynomial
+(linalg.charpoly).  The unit-root period N is the lcm of the root-of-unity
+orders in the spectrum, the d whose cyclotomic polynomial divides chi_M,
+which the MatrixContext finds once when it is built
+(linalg.cyclotomic_orders).  The periodic subgroup is P = ker(B - I) with
+B = M^N.  Splitting chi_B = (x - 1)^a r(x) gives the projection onto P as
+r(B) / r(1), a polynomial in M and so the unique M-equivariant projection
+along im(B - I), once (B - I) r(B) = 0 certifies that the unit-root part of
+M is semisimple; otherwise the projection is refused.  Everything is exact
+(integer matrices, Fraction projections).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .enumeration import BallIndex
 from .groups import MatrixContext
-from .linalg import identity_matrix, mat_mul, mat_sub, mat_vec, smith_normal_form
+from .linalg import charpoly, mat_mul, mat_vec, poly_at_matrix
 
 __all__ = [
     "unit_root_projection",
@@ -34,44 +34,28 @@ __all__ = [
 
 
 def unit_root_projection(ctx: MatrixContext) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix of the projection onto P = ker(M^N - I) along im(M^N - I).
+    """Matrix of the projection onto P = ker(B - I) along im(B - I), B = M^N.
 
-    With U A V = diag of rank r, the basis [V_ker | (A V)_img] (columns of
-    V past r, then the first r columns of A V) is inverted through its own
-    Smith form, U' B V' = diag' giving B^-1 = V' diag'^-1 U', and the
-    projection is B[:, :k] B^-1[:k, :] with k = n - r.  A 0 on diag' means
-    ker A meets im A: the unit-root part of M is not semisimple, no
-    invariant complement exists and this raises.
+    Write chi_B = (x - 1)^a r(x) with r(1) != 0.  By Cayley-Hamilton r(B)
+    vanishes on the other generalised eigenspaces of B, and on that of 1,
+    where B = I + J with J nilpotent, (B - I) r(B) = r(1) J + r'(1) J^2 + ...
+    is 0 exactly when J = 0.  So BP = P certifies P = r(B) / r(1): it gives
+    P^2 = P, and P is a polynomial in M, so it commutes with M.  Otherwise
+    the unit-root part of M is not semisimple, no invariant complement
+    exists and this raises.
     """
-    n = ctx.n
-    shifted = mat_sub(
-        ctx.matrix_power(math.lcm(*ctx.unit_root_orders)), identity_matrix(n)
-    )
-    snf = smith_normal_form(shifted)
-    rank = sum(1 for d in snf.diag if d)
-    image = mat_mul(shifted, snf.right)
-    change = tuple(
-        kernel_row[rank:] + image_row[:rank]
-        for kernel_row, image_row in zip(snf.right, image)
-    )
-    inv = smith_normal_form(change)
-    if 0 in inv.diag:
+    power = ctx.matrix_power(math.lcm(*ctx.unit_root_orders))
+    rest = charpoly(power)
+    while not sum(rest):
+        # rest(1) = 0: the quotient by x - 1 has the suffix sums as coefficients
+        rest = [sum(rest[i + 1 :]) for i in range(len(rest) - 1)]
+    scaled = poly_at_matrix(rest, power)
+    if mat_mul(power, scaled) != scaled:
         raise ValueError(
             "no invariant complement to the periodic subgroup: the unit-root "
             "part of M is not semisimple"
         )
-    scaled_left = tuple(
-        tuple(Fraction(x, d) for x in row) for row, d in zip(inv.left, inv.diag)
-    )
-    change_inv = mat_mul(inv.right, scaled_left)
-    k = n - rank
-    return tuple(
-        tuple(
-            sum((change[i][s] * change_inv[s][j] for s in range(k)), start=Fraction(0))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    return tuple(tuple(Fraction(x, sum(rest)) for x in row) for row in scaled)
 
 
 # ---------------------------------------------------------------------------

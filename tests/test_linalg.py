@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from _oracles import adjugate, det_int, integer_kernel_basis, leading_minors
 from abcgroups.linalg import (
+    charpoly,
     cyclotomic_orders,
     cyclotomic_poly,
     identity_matrix,
@@ -97,6 +98,49 @@ def test_adjugate_identity(m):
 
 def test_adjugate_base_case():
     assert adjugate(((7,),)) == ((1,),)
+
+
+def assert_charpoly_matches_determinants(m):
+    # chi_M has degree n, so its values at x = 0 .. n determine it
+    n = len(m)
+    chi = charpoly(m)
+    assert len(chi) == n + 1 and chi[-1] == 1
+    for x in range(n + 1):
+        scalar = tuple(tuple(x * e for e in row) for row in identity_matrix(n))
+        assert sum(c * x**k for k, c in enumerate(chi)) == det_int(mat_sub(scalar, m))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        ((2, 1), (1, 1)),
+        ((0, -1), (1, 0)),
+        ((0, -1), (1, 1)),
+        ((1, 1), (0, 1)),
+        ((0, 0, 1), (1, 0, 1), (0, 1, 0)),
+        ((1, 0, 0), (0, 2, 1), (0, 1, 1)),
+        ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1)),
+        ((0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0)),
+        ((0, 0, 0, -1), (1, 0, 0, 6), (0, 1, 0, -11), (0, 0, 1, 6)),
+        ((7,),),
+    ],
+)
+def test_charpoly_named_matrices(m):
+    assert_charpoly_matches_determinants(m)
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        ).map(lambda rows: tuple(tuple(r) for r in rows))
+    )
+)
+@settings(max_examples=150)
+def test_charpoly_matches_determinants(m):
+    assert_charpoly_matches_determinants(m)
 
 
 def test_unimodular_inverse():

@@ -209,6 +209,10 @@ def test_projection_refuses_non_semisimple():
         unit_root_projection(MatrixContext(((1, 1), (0, 1))))
     with pytest.raises(ValueError):
         unit_root_projection(MatrixContext(((1, 0), (1, 1))))
+    # chi = (x - 1)^2 r(x) with r = x^2 - 2x - 1 and r'(1) = 0, so r(M) / r(1)
+    # is idempotent although the eigenvalue 1 is not semisimple
+    with pytest.raises(ValueError, match="semisimple"):
+        unit_root_projection(MatrixContext(block_sum([JORDAN, ((0, 1), (1, 2))])))
 
 
 @given(st.tuples(*(st.integers(-30, 30) for _ in range(4))))
