@@ -37,7 +37,7 @@ __all__ = [
     "cyclic_reduce",
 ]
 
-_LETTER_RE = re.compile(r"^(t|T|[gG]\d+)$")
+_LETTER_RE = re.compile(r"^(t|T|[gG][0-9]+)$")
 
 
 def parse_word(text: str) -> tuple[str, ...]:

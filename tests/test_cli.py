@@ -336,6 +336,12 @@ def test_rewrite_bad_letter(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_rewrite_refuses_non_ascii_digits(capsys):
+    # an Arabic-Indic zero is a digit to int() but not to the word syntax
+    assert run(["rewrite", "--group", "bs:2", "g\u0660 t"]) == 1
+    assert "bad word letter" in capsys.readouterr().err
+
+
 def test_exit_codes(capsys):
     assert run(["enumerate", "--group", "heisenberg:3", "--radius", "2"]) == 1
     capsys.readouterr()
