@@ -76,6 +76,13 @@ def test_conjtest_agreement(capsys):
     assert report["oracle_radius"] == 6
 
 
+def test_conjtest_default_oracle_radius(capsys):
+    assert run(["conjtest", "--group", "bs:2", "--radius", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["oracle_radius"] == 10
+    assert report["agreement"] is True
+
+
 def test_conjtest_bad_oracle_radius(capsys):
     code = run(
         ["conjtest", "--group", "bs:2", "--radius", "4", "--oracle-radius", "2"]
@@ -162,6 +169,23 @@ def test_enumerate_rejects_bad_matrix_config(tmp_path, capsys, config):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([[2, 1], [1, 1]], "matrix config must be a JSON object"),
+        (
+            {"rows": [[2, 1], [1, 1]], "generators": [[1, 0, 0]]},
+            "kernel vector must have length 2",
+        ),
+    ],
+)
+def test_enumerate_bad_matrix_config_message(tmp_path, capsys, config, message):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(config))
+    assert run(["enumerate", "--group", f"matrix:{path}", "--radius", "3"]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_folner_json(capsys):
