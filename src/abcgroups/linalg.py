@@ -285,11 +285,12 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
 def poly_at_matrix(coeffs, matrix: Matrix) -> Matrix:
     """f(M) for an integer polynomial f, low degree first, by Horner's rule."""
     n = len(matrix)
-    acc = ((0,) * n,) * n
+    ident = identity_matrix(n)
+    acc = tuple(tuple(0 for _ in range(n)) for _ in range(n))
     for c in reversed(coeffs):
+        acc = mat_mul(acc, matrix)
         acc = tuple(
-            tuple(x + c * (i == j) for j, x in enumerate(row))
-            for i, row in enumerate(mat_mul(acc, matrix))
+            tuple(x + c * e for x, e in zip(ra, re)) for ra, re in zip(acc, ident)
         )
     return acc
 

@@ -1,15 +1,12 @@
 """Unit-root spectrum of an integer matrix and the periodic-part projection.
 
-Every spectral fact here comes from one exact characteristic polynomial
-(linalg.charpoly).  The unit-root period N is the lcm of the root-of-unity
-orders in the spectrum, the d whose cyclotomic polynomial divides chi_M,
-which the MatrixContext finds once when it is built
-(linalg.cyclotomic_orders).  The periodic subgroup is P = ker(B - I) with
-B = M^N.  Splitting chi_B = (x - 1)^a r(x) gives the projection onto P as
-r(B) / r(1), a polynomial in M and so the unique M-equivariant projection
-along im(B - I), once (B - I) r(B) = 0 certifies that the unit-root part of
-M is semisimple; otherwise the projection is refused.  Everything is exact
-(integer matrices, Fraction projections).
+The unit-root period N is the lcm of the root-of-unity orders in the
+spectrum, which the MatrixContext finds once when it is built, as the
+cyclotomic factors of the characteristic polynomial (linalg.charpoly and
+cyclotomic_orders).  The periodic subgroup is P = ker(M^N - I), and the
+projection onto it is read off the characteristic polynomial of M^N, or
+refused when the unit-root part of M is not semisimple.  Everything is
+exact (integer matrices, Fraction projections).
 """
 
 from __future__ import annotations
