@@ -110,6 +110,9 @@ def assert_charpoly_matches_determinants(m):
         assert sum(c * x**k for k, c in enumerate(chi)) == det_int(mat_sub(scalar, m))
 
 
+# [[2,1],[1,1]], the order-4 and order-6 rotations, J2(1), the Pisot
+# companion, I + [[2,1],[1,1]], the order-4 rotation + [[2,1],[1,1]], the
+# companions of Phi_12 and of (x^2 - 3x + 1)^2, and [[7]]
 @pytest.mark.parametrize(
     "m",
     [
