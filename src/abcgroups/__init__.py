@@ -26,7 +26,6 @@ from .groups import (
 )
 from .linalg import (
     cyclotomic_orders,
-    smith_normal_form,
     unimodular_inverse,
 )
 from .ratios import format_csv, ratio_table, threshold_function

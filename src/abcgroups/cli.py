@@ -220,12 +220,12 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     ctx = parse_group_descriptor(args.group)
     word = parse_word(args.word)
     value = evaluate(ctx, word)
+    exponent = t_exponent(word)
     lines = [
         f"word: {format_word(word)}",
         f"value: {ctx.format_element(value)}",
-        f"t_exponent: {t_exponent(word)}",
+        f"t_exponent: {exponent}",
     ]
-    exponent = t_exponent(word)
     if exponent >= 0:
         staircase = to_staircase(word)
         lines.append(f"staircase: {format_word(staircase)}")

@@ -19,8 +19,9 @@ that quotient, and every orbit is just the |p| images phi^j(x),
   is computed once per context; the sums of p and -p rotate alike, and
   the length of the sums tuple is |p|, so one memo serves every stratum.
 * lamplighter, p = 0: the support-shifted normal form of the configuration.
-* matrix, p != 0: coordinates in Z^n / (I - M^p) Z^n via the Smith form,
-  minimized over the |p| images M^j v (needs det(I - M^p) != 0, which
+* matrix, p != 0: coordinates adj(D) v mod |det D| in Z^n / D Z^n,
+  D = I - M^p (adj D = det D * D^-1, so they are a complete residue),
+  minimized over the |p| images M^j v (needs det D != 0, which
   holds whenever no eigenvalue of M is a root of unity).  The minimum is
   memoised for every class of the orbit on the stratum's cached
   QuotientDescriptor, so each orbit is computed once per context.
@@ -129,7 +130,7 @@ class UnionFind:
 # pair has no conjugator part at all, of any length, so skipping it leaves
 # the relation unchanged.  The residues are the ones the keys use: the
 # class mod k^|p| - 1 (bs), the class sums over indices mod |p| (lamplighter)
-# and the Smith coordinates of the quotient (matrix).  A bucketed pair
+# and the adjugate coordinates of the quotient (matrix).  A bucketed pair
 # without a solution means residue and solver disagree, and raises.  The
 # residue of phi^j(g.kpart) depends only on j mod |p| (module doc), so it is
 # computed for |p| shifts only, and phi^j(g.kpart) only for a shift at which

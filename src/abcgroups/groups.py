@@ -24,19 +24,20 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from math import prod
-from operator import add, mod, neg
+from operator import add, neg
 from typing import Any, Iterable, NamedTuple, Optional
 
 from .linalg import (
+    adjugate,
     charpoly,
     cyclotomic_orders,
     identity_matrix,
+    lattice_index,
     mat_mul,
     mat_pow,
     mat_sub,
     mat_vec,
     positive_definite,
-    smith_normal_form,
     squarefree_part,
     unimodular_inverse,
 )
@@ -528,27 +529,28 @@ def _int_entries(values, what: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class QuotientDescriptor:
-    """Z^n / (I - M^p) Z^n in diagonal coordinates.
+    """Z^n / D Z^n for D = I - M^p with det D != 0, read through adj D.
 
-    With U (I - M^p) V = diag, coords(w) = U w mod diag is a complete
-    residue invariant, and solve() divides it out and applies V.
+    adj D = det D * D^-1, so w lies in D Z^n exactly when adj D w = 0 mod
+    |det D|: coords(w) = adj D w mod |det D| is a complete residue
+    invariant, and solve() divides adj D w by det D.
     orbit_min maps each class met so far to the least class of its orbit.
     """
 
-    diag: tuple[int, ...]
-    left: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]
+    adj: tuple[tuple[int, ...], ...]
+    det: int
     orbit_min: dict = field(default_factory=dict, compare=False, repr=False)
 
     def coords(self, v) -> tuple[int, ...]:
-        return tuple(map(mod, mat_vec(self.left, v), self.diag))
+        d = abs(self.det)
+        return tuple([x % d for x in mat_vec(self.adj, v)])
 
     def solve(self, w) -> Optional[tuple[int, ...]]:
-        """The unique b with (I - M^p) b = w, or None outside the image."""
-        x = mat_vec(self.left, w)
-        if any(xi % d for xi, d in zip(x, self.diag)):
+        """The unique b with D b = w, or None outside the image."""
+        x = mat_vec(self.adj, w)
+        if any(xi % self.det for xi in x):
             return None
-        return mat_vec(self.right, [xi // d for xi, d in zip(x, self.diag)])
+        return tuple([xi // self.det for xi in x])
 
 
 class MatrixContext(GroupContext):
@@ -579,6 +581,13 @@ class MatrixContext(GroupContext):
                 units.append(self.kpart_neg(e))
             kgens = [self.kpart_zero()] + units
         self._set_kgens(kgens)
+        # det M = +-1 makes M^-1 an integer polynomial in M, so the
+        # Z[M, M^-1]-span of the generators is the Z-span of M^i g, 0 <= i < n
+        columns = [self.phi_power(v, i) for v in self.kgen_nonzero for i in range(n)]
+        if lattice_index(columns, n) != 1:
+            raise ValueError(
+                "kernel generators do not generate Z^n as a module over M"
+            )
 
     def matrix_power(self, i: int) -> tuple[tuple[int, ...], ...]:
         cached = self._powers.get(i)
@@ -726,14 +735,12 @@ class MatrixContext(GroupContext):
         qd = self._quotients.get(texp)
         if qd is not None:
             return qd
-        d_mat = mat_sub(identity_matrix(self.n), self.matrix_power(texp))
-        snf = smith_normal_form(d_mat)
-        if 0 in snf.diag:
+        adj, det = adjugate(mat_sub(identity_matrix(self.n), self.matrix_power(texp)))
+        if det == 0:
             raise ValueError(
                 f"I - M^{texp} is singular; the stratum has no finite quotient"
             )
-        qd = QuotientDescriptor(snf.diag, snf.left, snf.right)
-        self._quotients[texp] = qd
+        qd = self._quotients[texp] = QuotientDescriptor(adj, det)
         return qd
 
     def block_solver(self, p: int):
@@ -757,25 +764,13 @@ def load_matrix_config(path: str) -> MatrixContext:
         raise ValueError(f"matrix config 'n' must be an integer, got {n!r}")
     if n != len(rows):
         raise ValueError(f"matrix config declares n={n} but has {len(rows)} rows")
-    if "generators" in data and not _is_list_of_lists(data["generators"]):
+    if "generators" not in data:
+        return MatrixContext(rows)
+    if not _is_list_of_lists(data["generators"]):
         raise ValueError("matrix config 'generators' must be a list of lists")
-    ctx = MatrixContext(rows)
-    if "generators" in data:
-        vectors = [ctx.canonical_kpart(vec) for vec in data["generators"]]
-        # det M = +-1 makes M^-1 an integer polynomial in M, so the
-        # Z[M, M^-1]-span of the generators is the Z-span of M^i g, 0 <= i < n
-        columns = [ctx.phi_power(v, i) for v in vectors for i in range(n)]
-        diag = smith_normal_form(tuple(zip(*columns))).diag if columns else ()
-        if len(diag) != n or any(d != 1 for d in diag):
-            raise ValueError(
-                "matrix config 'generators' do not generate Z^n as a module "
-                f"over M (Smith diagonal {list(diag)})"
-            )
-        kgens = [ctx.kpart_zero()]
-        for v in vectors:
-            kgens.extend((v, ctx.kpart_neg(v)))
-        ctx._set_kgens(kgens)
-    return ctx
+    vectors = [_int_entries(vec, "kernel vector") for vec in data["generators"]]
+    kgens = [(0,) * n] + [w for v in vectors for w in (v, tuple(map(neg, v)))]
+    return MatrixContext(rows, kgens)
 
 
 def _is_list_of_lists(value) -> bool:

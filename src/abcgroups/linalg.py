@@ -1,8 +1,8 @@
-"""Exact integer matrix helpers: products, Smith normal form and what it
-yields (unimodular inverses, singularity tests), a positive-definiteness
-test, and polynomials: the characteristic polynomial, the one source of
-spectral facts, with the root-of-unity orders it holds, a polynomial at a
-matrix, and the square-free part.
+"""Exact integer matrix helpers: products, the index of a lattice, and
+polynomials: the characteristic polynomial, the one source of spectral
+facts, with what it yields (the adjugate and determinant by Cayley-Hamilton,
+unimodular inverses, a positive-definiteness test and the root-of-unity
+orders), a polynomial at a matrix, and the square-free part.
 
 Matrices are tuples of row tuples of Python ints, so everything here is
 arbitrary precision and hashable.  mat_vec also takes Fraction entries, in
@@ -14,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
-from typing import NamedTuple
 
 __all__ = [
     "identity_matrix",
@@ -22,14 +21,14 @@ __all__ = [
     "mat_pow",
     "mat_vec",
     "mat_sub",
-    "SmithNormalForm",
-    "smith_normal_form",
     "unimodular_inverse",
     "positive_definite",
+    "lattice_index",
     "charpoly",
     "totient",
     "cyclotomic_poly",
     "poly_at_matrix",
+    "adjugate",
     "cyclotomic_orders",
     "squarefree_part",
 ]
@@ -70,152 +69,51 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-class SmithNormalForm(NamedTuple):
-    """U A V = diag with U, V unimodular and diag a divisibility chain."""
-
-    diag: tuple[int, ...]
-    left: Matrix
-    right: Matrix
-
-
-def _swap_rows(a, u, i, j):
-    a[i], a[j] = a[j], a[i]
-    u[i], u[j] = u[j], u[i]
-
-
-def _swap_cols(a, v, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-    for row in v:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(a, u, dst, src, q):
-    # row_dst += q * row_src
-    ad, asrc = a[dst], a[src]
-    for c in range(len(ad)):
-        ad[c] += q * asrc[c]
-    ud, usrc = u[dst], u[src]
-    for c in range(len(ud)):
-        ud[c] += q * usrc[c]
-
-
-def _add_col(a, v, dst, src, q):
-    for row in a:
-        row[dst] += q * row[src]
-    for row in v:
-        row[dst] += q * row[src]
-
-
-def smith_normal_form(matrix) -> SmithNormalForm:
-    """Diagonalize an integer matrix over Z with unimodular transforms.
-
-    Returns diag of length min(rows, cols) with nonnegative entries, each
-    dividing the next, zeros at the end.
-    """
-    a = [list(int(x) for x in row) for row in matrix]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    if any(len(row) != nc for row in a):
-        raise ValueError("ragged matrix")
-    u = [list(row) for row in identity_matrix(nr)]
-    v = [list(row) for row in identity_matrix(nc)]
-
-    def pivot_at(t):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(nr, nc):
-        pos = pivot_at(t)
-        if pos is None:
-            break
-        _swap_rows(a, u, t, pos[0])
-        _swap_cols(a, v, t, pos[1])
-        while True:
-            # reduce the pivot column
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    _add_row(a, u, i, t, -q)
-                    if a[i][t]:
-                        _swap_rows(a, u, t, i)
-                        dirty = True
-            if dirty:
-                continue
-            # reduce the pivot row
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    _add_col(a, v, j, t, -q)
-                    if a[t][j]:
-                        _swap_cols(a, v, t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide every remaining entry
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            _add_row(a, u, t, offender, 1)
-        if a[t][t] < 0:
-            for c in range(nc):
-                a[t][c] = -a[t][c]
-            for c in range(nr):
-                u[t][c] = -u[t][c]
-        t += 1
-
-    diag = tuple(a[i][i] for i in range(min(nr, nc)))
-    return SmithNormalForm(
-        diag,
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in v),
-    )
-
-
 def unimodular_inverse(matrix: Matrix) -> Matrix:
-    """Integer inverse of a square matrix with determinant +-1.
-
-    U A V = I gives A^-1 = V U; any other Smith diagonal means |det A| != 1.
-    """
-    snf = smith_normal_form(matrix)
-    if len(snf.left) != len(snf.right) or any(d != 1 for d in snf.diag):
-        raise ValueError(
-            f"matrix must have determinant +-1, its Smith diagonal is {list(snf.diag)}"
-        )
-    return mat_mul(snf.right, snf.left)
+    """Integer inverse det * adj of a square matrix with determinant +-1."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("matrix must be square to have a determinant")
+    adj, det = adjugate(matrix)
+    if det not in (1, -1):
+        raise ValueError(f"matrix must have determinant +-1, got {det}")
+    return tuple(tuple(det * x for x in row) for row in adj)
 
 
 def positive_definite(matrix: Matrix) -> bool:
     """Whether a symmetric integer matrix is positive definite.
 
-    Elimination without row exchanges has k-th pivot equal to the ratio of
-    the k-th and (k-1)-th leading principal minors, so every pivot is > 0
-    exactly when every leading minor is (Sylvester's criterion).
+    Its eigenvalues are real, so they are all > 0 exactly when chi_S(-x)
+    has no root >= 0, that is (Descartes' rule of signs) when the
+    coefficients of chi_S alternate strictly in sign and none is zero.
     """
-    a = [[Fraction(x) for x in row] for row in matrix]
-    n = len(a)
-    for t in range(n):
-        if a[t][t] <= 0:
-            return False
-        for i in range(t + 1, n):
-            r = a[i][t] / a[t][t]
-            for j in range(t, n):
-                a[i][j] -= r * a[t][j]
-    return True
+    n = len(matrix)
+    return all(c * (-1) ** (n - k) > 0 for k, c in enumerate(charpoly(matrix)))
+
+
+def lattice_index(vectors, n: int) -> int:
+    """[Z^n : L] for the lattice L that the vectors span, 0 below rank n.
+
+    Euclid's algorithm on one coordinate at a time leaves a single vector
+    nonzero there, a column echelon form of the same lattice; the index is
+    the product of those pivots.
+    """
+    rows = [list(v) for v in vectors]
+    index = 1
+    for i in range(n):
+        while True:
+            live = [r for r in rows if r[i]]
+            if not live:
+                return 0
+            pivot = min(live, key=lambda r: abs(r[i]))
+            if len(live) == 1:
+                break
+            for r in live:
+                if r is not pivot:
+                    q = r[i] // pivot[i]
+                    r[:] = [x - q * y for x, y in zip(r, pivot)]
+        index *= abs(pivot[i])
+        rows.remove(pivot)
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +191,19 @@ def poly_at_matrix(coeffs, matrix: Matrix) -> Matrix:
             tuple(x + c * e for x, e in zip(ra, re)) for ra, re in zip(acc, ident)
         )
     return acc
+
+
+def adjugate(matrix: Matrix) -> tuple[Matrix, int]:
+    """adj M and det M, with M adj M = det M * I.
+
+    Cayley-Hamilton: chi_M = x q(x) + c_0 vanishes at M and
+    c_0 = (-1)^n det M, so adj M = (-1)^(n+1) q(M).
+    """
+    n = len(matrix)
+    chi = charpoly(matrix)
+    sign = -1 if n % 2 else 1
+    adj = poly_at_matrix([-sign * c for c in chi[1:]], matrix)
+    return adj, sign * chi[0]
 
 
 def cyclotomic_orders(matrix: Matrix) -> list[int]:

@@ -11,10 +11,13 @@ Helpers that only tests call live here too: element construction from a
 raw kernel part, conjugation, are_conjugate, quotient representatives,
 integer kernel bases, the decay fit of a ratio table and the bs
 congruence witnesses and power windows.  det_int and adjugate are the
-Bareiss determinant and cofactor inverse that the Smith-form inverse,
-solve and singularity tests of the package are checked against, and
-leading_minors (Sylvester's criterion) checks its positive-definiteness
-test.
+Bareiss determinant and cofactor adjugate that the package's
+Cayley-Hamilton adjugate, inverse, solve and singularity tests are checked
+against, and leading_minors (Sylvester's criterion) checks its
+positive-definiteness test.  smith_normal_form, the Smith normal form by
+unimodular row and column operations, is the reference for
+linalg.lattice_index and gives integer_kernel_basis; the package itself
+has no Smith form.
 """
 
 from __future__ import annotations
@@ -33,13 +36,7 @@ from abcgroups.enumeration import (
 )
 from abcgroups.folner import _require_bs
 from abcgroups.groups import Element, GroupContext, LamplighterContext, MatrixContext
-from abcgroups.linalg import (
-    Matrix,
-    mat_mul,
-    mat_vec,
-    smith_normal_form,
-    unimodular_inverse,
-)
+from abcgroups.linalg import Matrix, identity_matrix, mat_mul, mat_sub, mat_vec
 from abcgroups.ratios import RatioRow
 from abcgroups.spectral import unit_root_projection
 from abcgroups.words import generator_letters, letter_element
@@ -89,6 +86,122 @@ def adjugate(matrix: Matrix) -> Matrix:
     return tuple(tuple(row) for row in adj)
 
 
+class SmithNormalForm(NamedTuple):
+    """U A V = diag with U, V unimodular and diag a divisibility chain."""
+
+    diag: tuple[int, ...]
+    left: Matrix
+    right: Matrix
+
+
+def _swap_rows(a, u, i, j):
+    a[i], a[j] = a[j], a[i]
+    u[i], u[j] = u[j], u[i]
+
+
+def _swap_cols(a, v, i, j):
+    for row in a:
+        row[i], row[j] = row[j], row[i]
+    for row in v:
+        row[i], row[j] = row[j], row[i]
+
+
+def _add_row(a, u, dst, src, q):
+    # row_dst += q * row_src
+    ad, asrc = a[dst], a[src]
+    for c in range(len(ad)):
+        ad[c] += q * asrc[c]
+    ud, usrc = u[dst], u[src]
+    for c in range(len(ud)):
+        ud[c] += q * usrc[c]
+
+
+def _add_col(a, v, dst, src, q):
+    for row in a:
+        row[dst] += q * row[src]
+    for row in v:
+        row[dst] += q * row[src]
+
+
+def smith_normal_form(matrix) -> SmithNormalForm:
+    """Diagonalize an integer matrix over Z with unimodular transforms.
+
+    Returns diag of length min(rows, cols) with nonnegative entries, each
+    dividing the next, zeros at the end.
+    """
+    a = [list(int(x) for x in row) for row in matrix]
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    if any(len(row) != nc for row in a):
+        raise ValueError("ragged matrix")
+    u = [list(row) for row in identity_matrix(nr)]
+    v = [list(row) for row in identity_matrix(nc)]
+
+    def pivot_at(t):
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(nr, nc):
+        pos = pivot_at(t)
+        if pos is None:
+            break
+        _swap_rows(a, u, t, pos[0])
+        _swap_cols(a, v, t, pos[1])
+        while True:
+            # reduce the pivot column
+            dirty = False
+            for i in range(t + 1, nr):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    _add_row(a, u, i, t, -q)
+                    if a[i][t]:
+                        _swap_rows(a, u, t, i)
+                        dirty = True
+            if dirty:
+                continue
+            # reduce the pivot row
+            for j in range(t + 1, nc):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    _add_col(a, v, j, t, -q)
+                    if a[t][j]:
+                        _swap_cols(a, v, t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # pivot must divide every remaining entry
+            offender = None
+            for i in range(t + 1, nr):
+                for j in range(t + 1, nc):
+                    if a[i][j] % a[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            _add_row(a, u, t, offender, 1)
+        if a[t][t] < 0:
+            for c in range(nc):
+                a[t][c] = -a[t][c]
+            for c in range(nr):
+                u[t][c] = -u[t][c]
+        t += 1
+
+    diag = tuple(a[i][i] for i in range(min(nr, nc)))
+    return SmithNormalForm(
+        diag,
+        tuple(tuple(row) for row in u),
+        tuple(tuple(row) for row in v),
+    )
+
+
 def integer_kernel_basis(matrix) -> tuple[tuple[int, ...], ...]:
     """Basis of the integer kernel {x : A x = 0}, from the Smith form of A."""
     snf = smith_normal_form(matrix)
@@ -111,9 +224,15 @@ def conjugate(ctx: GroupContext, x: Element, g: Element) -> Element:
     return ctx.multiply(ctx.multiply(x, g), ctx.invert(x))
 
 
-def quotient_representative(qd, coords) -> tuple[int, ...]:
-    """A vector whose class in the quotient descriptor qd is coords."""
-    return mat_vec(unimodular_inverse(qd.left), coords)
+def quotient_representative(d_mat: Matrix, coords) -> tuple[int, ...]:
+    """A vector w with adj(D) w = coords mod |det D|: D coords / det D.
+
+    For coords = adj(D) w + |det D| c it is w +- D c, an integer vector.
+    """
+    det = det_int(d_mat)
+    raw = mat_vec(d_mat, coords)
+    assert all(x % det == 0 for x in raw)
+    return tuple(x // det for x in raw)
 
 
 def word_ball(ctx: GroupContext, radius: int) -> dict[Element, tuple[int, int]]:
@@ -343,17 +462,19 @@ def low_t_count(index: BallIndex, r: int, bound: int) -> int:
     return total
 
 
-def matrix_orbit_min(ctx: MatrixContext, qd, v) -> tuple[int, ...]:
+def matrix_orbit_min(ctx: MatrixContext, p: int, v) -> tuple[int, ...]:
     """The matrix p != 0 key, walked one class at a time.
 
     Each step lifts the class to a vector, applies M and reduces again,
     and the walk stops at the first class it has seen; nothing is cached.
     """
+    qd = ctx.quotient(p)
+    d_mat = mat_sub(identity_matrix(ctx.n), ctx.matrix_power(p))
     start = qd.coords(v)
     best = cur = start
     seen = {start}
     while True:
-        cur = qd.coords(ctx.phi_power(quotient_representative(qd, cur), 1))
+        cur = qd.coords(ctx.phi_power(quotient_representative(d_mat, cur), 1))
         if cur in seen:
             return best
         seen.add(cur)

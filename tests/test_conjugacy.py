@@ -1,5 +1,4 @@
 import hashlib
-import math
 import os
 import random
 import subprocess
@@ -23,6 +22,7 @@ from _oracles import (
     quotient_representative,
 )
 import abcgroups
+from abcgroups import linalg
 from abcgroups.conjugacy import (
     UnionFind,
     brute_force_partition,
@@ -43,7 +43,6 @@ from abcgroups.linalg import (
     mat_pow,
     mat_sub,
     mat_vec,
-    smith_normal_form,
 )
 
 HYP = ((2, 1), (1, 1))
@@ -168,12 +167,13 @@ def test_unit_root_refusal():
 def test_quotient_descriptor_round_trip():
     ctx = MatrixContext(HYP)
     qd = ctx.quotient(2)
-    # |det(I - M^2)| = 5
-    assert math.prod(qd.diag) == 5
+    d_mat = mat_sub(identity_matrix(2), ctx.matrix_power(2))
+    # det(I - M^2) = -5, and (r, 0) for r in 0..4 meets every class
+    assert qd.det == det_int(d_mat) == -5
     seen = set()
     for residue in range(5):
-        coords = (0, residue) if qd.diag == (1, 5) else (residue, 0)
-        rep = quotient_representative(qd, coords)
+        coords = qd.coords((residue, 0))
+        rep = quotient_representative(d_mat, coords)
         assert qd.coords(rep) == coords
         seen.add(qd.coords(rep))
     assert len(seen) == 5
@@ -222,8 +222,7 @@ nonsingular_up_to_4 = st.integers(1, 4).flatmap(
 def test_quotient_solve_matches_adjugate(case):
     a, w, b = case
     assume(det_int(a) != 0)
-    snf = smith_normal_form(a)
-    qd = QuotientDescriptor(snf.diag, snf.left, snf.right)
+    qd = QuotientDescriptor(*linalg.adjugate(a))
     assert qd.solve(w) == adjugate_solve(a, w)
     image = mat_vec(a, b)
     assert qd.solve(image) == adjugate_solve(a, image) == tuple(b)
@@ -256,7 +255,7 @@ def reference_key(ctx, g):
     p = g.texp
     if p == 0:
         return (0, matrix_form_minimum(ctx, g.kpart))
-    return (p, matrix_orbit_min(ctx, ctx.quotient(p), g.kpart))
+    return (p, matrix_orbit_min(ctx, p, g.kpart))
 
 
 @pytest.mark.parametrize(
@@ -415,8 +414,7 @@ def test_phi_p_fixes_the_stratum_quotient(data, ctx, p):
         assert residue(ctx.phi_power(w, j)) == residue(ctx.phi_power(w, j % abs(p)))
     if ctx.family == "matrix":
         # the key over |p| images equals the walk until return
-        qd = ctx.quotient(p)
-        assert conjugacy_key(ctx, Element(w, p)) == (p, matrix_orbit_min(ctx, qd, w))
+        assert conjugacy_key(ctx, Element(w, p)) == (p, matrix_orbit_min(ctx, p, w))
 
 
 # ---------------------------------------------------------------------------

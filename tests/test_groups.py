@@ -170,17 +170,19 @@ matrix_then_two_vectors = st.integers(1, 4).flatmap(
 )
 
 
-@given(matrix_then_two_vectors, st.lists(st.integers(1, 60), min_size=4, max_size=4))
-def test_matrix_kernels_match_generator_formulas(rows, diag):
-    # rows: n rows of a matrix U, then two vectors a and b
+@given(matrix_then_two_vectors, st.integers(1, 60))
+def test_matrix_kernels_match_generator_formulas(rows, det):
+    # rows: n rows of a matrix A, then two vectors a and b
     n = len(rows[0])
-    left, a, b = tuple(map(tuple, rows[:n])), tuple(rows[n]), tuple(rows[n + 1])
+    adj, a, b = tuple(map(tuple, rows[:n])), tuple(rows[n]), tuple(rows[n + 1])
     ctx = MatrixContext(identity_matrix(n))
     assert ctx.kpart_add(a, b) == tuple(x + y for x, y in zip(a, b))
     assert ctx.kpart_neg(a) == tuple(-x for x in a)
-    qd = QuotientDescriptor(tuple(diag[:n]), left, identity_matrix(n))
-    w = tuple(sum(x * y for x, y in zip(row, a)) for row in left)
-    assert qd.coords(a) == tuple(x % d for x, d in zip(w, qd.diag))
+    w = tuple(sum(x * y for x, y in zip(row, a)) for row in adj)
+    # residues are taken mod |det|, whatever its sign
+    for signed in (det, -det):
+        qd = QuotientDescriptor(adj, signed)
+        assert qd.coords(a) == tuple(x % det for x in w)
 
 
 def test_parse_group_descriptor():
@@ -262,6 +264,16 @@ def test_load_matrix_config_rejects_proper_submodules(tmp_path, rows, generators
     path.write_text(json.dumps({"rows": rows, "generators": generators}))
     with pytest.raises(ValueError, match="generate"):
         load_matrix_config(str(path))
+
+
+def test_matrix_context_checks_its_kernel_generators():
+    # (2, 0) and M (2, 0) = (4, 2) span a subgroup of index 4
+    with pytest.raises(ValueError, match="generate"):
+        MatrixContext(HYP, kgens=[(0, 0), (2, 0), (-2, 0)])
+    with pytest.raises(ValueError, match="generate"):
+        MatrixContext(HYP, kgens=[(0, 0)])
+    ctx = MatrixContext(HYP, kgens=[(0, 0), (1, 1), (-1, -1)])
+    assert ctx.kgen_nonzero == ((1, 1), (-1, -1))
 
 
 def test_load_matrix_config_accepts_module_generators(tmp_path):

@@ -1,20 +1,28 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from _oracles import adjugate, det_int, integer_kernel_basis, leading_minors
+from _oracles import (
+    adjugate,
+    det_int,
+    integer_kernel_basis,
+    leading_minors,
+    smith_normal_form,
+)
+from abcgroups import linalg
 from abcgroups.linalg import (
     charpoly,
     cyclotomic_orders,
     cyclotomic_poly,
     identity_matrix,
+    lattice_index,
     mat_mul,
     mat_pow,
     mat_sub,
     mat_vec,
     positive_definite,
-    smith_normal_form,
     squarefree_part,
     totient,
     unimodular_inverse,
@@ -231,7 +239,8 @@ def test_unimodular_inverse_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# Smith-form inverse and singularity test against the Bareiss reference
+# Cayley-Hamilton adjugate, inverse and lattice index against the Bareiss
+# and Smith-form references
 # ---------------------------------------------------------------------------
 
 matrix_up_to_4 = st.integers(1, 4).flatmap(
@@ -257,6 +266,44 @@ def unimodular_matrix(draw):
             q = draw(st.integers(-3, 3))
             rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
     return tuple(tuple(row) for row in rows)
+
+
+@given(matrix_up_to_4, st.integers(0, 3))
+@settings(max_examples=200)
+def test_adjugate_matches_cofactors(m, rank_drop):
+    # the last rank_drop rows copy the first, so singular inputs are common
+    rows = [m[0] if i >= len(m) - rank_drop else row for i, row in enumerate(m)]
+    m = tuple(rows)
+    assert linalg.adjugate(m) == (adjugate(m), det_int(m))
+
+
+vectors_in_z_up_to_4 = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n).map(tuple),
+            max_size=2 * n + 1,
+        ),
+    )
+)
+
+
+@given(vectors_in_z_up_to_4)
+@settings(max_examples=200)
+def test_lattice_index_matches_smith_diagonal(case):
+    n, vectors = case
+    columns = tuple(tuple(v[i] for v in vectors) for i in range(n))
+    diag = smith_normal_form(columns).diag
+    expected = math.prod(diag) if len(diag) == n else 0
+    assert lattice_index(vectors, n) == expected
+
+
+def test_lattice_index_examples():
+    assert lattice_index([], 2) == 0
+    assert lattice_index([(1, 2), (2, 4)], 2) == 0
+    assert lattice_index([(2, 0), (4, 2)], 2) == 4
+    assert lattice_index([(3, 5), (2, 3)], 2) == 1
+    assert lattice_index([(0, 0, 1), (0, 1, 0)], 3) == 0
 
 
 @given(unimodular_matrix())

@@ -265,13 +265,18 @@ def test_epsilon_norm_table_matches_fraction_reference(rows, radius, den):
     assert all(isinstance(v, Fraction) for _, v in table)
 
 
-@pytest.mark.parametrize("rows, den", [(DEN5, 5), (DEN3, 3)])
-def test_epsilon_norm_table_fractional_norms(rows, den):
-    # with R = {0, +-e_3} the kernel elements of S^r reach |P v| = 2r / den,
-    # so the integer scan must divide by den at every radius
+@pytest.mark.parametrize(
+    "rows, den, k", [(DEN5, 5, 2), (DEN3, 3, 4)], ids=["rows0-5", "rows1-3"]
+)
+def test_epsilon_norm_table_fractional_norms(rows, den, k):
+    # with R = {0, +-e_3, +-e_k} the kernel elements of S^r reach
+    # |P v| = 2r / den, so the integer scan must divide by den at every
+    # radius; e_3 alone spans a submodule of index 2 (DEN5) or 5 (DEN3),
+    # and e_k completes it to Z^n over M
     n = len(rows)
-    e3 = tuple(1 if i == 2 else 0 for i in range(n))
-    ctx = MatrixContext(rows, kgens=[(0,) * n, e3, tuple(-x for x in e3)])
+    units = [tuple(1 if i == j else 0 for i in range(n)) for j in (2, k - 1)]
+    kgens = [(0,) * n] + [w for e in units for w in (e, tuple(-x for x in e))]
+    ctx = MatrixContext(rows, kgens=kgens)
     index = enumerate_ball(ctx, 8)
     table = epsilon_norm_table(ctx, index)
     assert table == [(r, Fraction(2 * r, den)) for r in range(9)]
