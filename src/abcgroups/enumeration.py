@@ -9,10 +9,10 @@ BFS tests whether a candidate is already known against the two previous
 layers only.  The generating set is symmetric (_set_kgens refuses a kernel
 generator set without inverses, and t and t^-1 are both generators), so a
 neighbour h = g s of g on sphere r-1 has g = h s^-1 with s^-1 a generator,
-hence r-1 <= |h| + 1, and |h| is r-2, r-1 or r.  The map from each
-element to its word length, which membership and word_length read, is
-built from the spheres on the first such lookup; ratio and spectral
-tables never build it.
+hence r-1 <= |h| + 1, and |h| is r-2, r-1 or r.  The index keeps each
+sphere as the dict BFS built for it, element -> t-count: that one store
+gives the sphere, its t-counts, membership (some sphere holds g) and word
+length (the first sphere that holds g).
 
 Each layer lists its elements in discovery order: by the earliest element
 of the previous layer that reaches them, ties going to the generator that
@@ -26,7 +26,6 @@ met for the first time.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterator, Optional
 
 from .groups import Element, GroupContext
@@ -48,30 +47,25 @@ class ResourceCapError(RuntimeError):
 class BallIndex:
     """Ball S^R as its spheres in discovery order, with per-sphere t-counts.
 
-    Membership and word_length read an element -> word length map that the
-    first such lookup builds from the spheres.
+    Each sphere is the dict BFS built for it; membership and word_length
+    ask the spheres in turn, and sphere and t_counts return copies.
     """
 
-    def __init__(self, radius: int, layers, t_layers):
+    def __init__(self, radius: int, layers):
         self.radius = radius
-        self._layers = layers  # layers[r]: list of Element, in discovery order
-        self._t_layers = t_layers  # t_layers[r][i]: min t-count of layers[r][i]
-
-    @cached_property
-    def _records(self) -> dict[Element, int]:
-        return {g: r for r, layer in enumerate(self._layers) for g in layer}
+        self._layers = layers  # layers[r]: Element -> min t-count, in discovery order
 
     def __contains__(self, g: Element) -> bool:
-        return g in self._records
+        return any(g in layer for layer in self._layers)
 
     def __len__(self) -> int:
         return sum(map(len, self._layers))
 
     def word_length(self, g: Element) -> int:
-        dist = self._records.get(g)
-        if dist is None:
-            raise KeyError(f"element outside the radius-{self.radius} ball: {g!r}")
-        return dist
+        for r, layer in enumerate(self._layers):
+            if g in layer:
+                return r
+        raise KeyError(f"element outside the radius-{self.radius} ball: {g!r}")
 
     def _check_radius(self, r: int) -> None:
         if not 0 <= r <= self.radius:
@@ -84,7 +78,7 @@ class BallIndex:
     def t_counts(self, r: int) -> list[int]:
         """Least t-letter count over the geodesics of each sphere(r) element."""
         self._check_radius(r)
-        return list(self._t_layers[r])
+        return list(self._layers[r].values())
 
     def ball_size(self, r: Optional[int] = None) -> int:
         if r is None:
@@ -117,10 +111,9 @@ def enumerate_ball(
     phip = ctx.phi_power
     shifts_at: dict[int, list] = {}  # p -> [phi^p(d) for d in kgens]
 
-    layers: list[list[Element]] = [[identity]]
-    t_layers: list[list[int]] = [[0]]
     older: dict[Element, int] = {}  # sphere r-2: Element -> min_t
     last: dict[Element, int] = {identity: 0}  # sphere r-1
+    layers = [last]
     size = 1
     for r in range(1, radius + 1):
         pending: dict[Element, int] = {}  # sphere r
@@ -154,7 +147,6 @@ def enumerate_ball(
             raise ResourceCapError(
                 f"ball exceeds the element cap ({element_cap}) at radius {r}"
             )
-        layers.append(list(pending))
-        t_layers.append(list(pending.values()))
+        layers.append(pending)
         older, last = last, pending
-    return BallIndex(radius, layers, t_layers)
+    return BallIndex(radius, layers)

@@ -92,6 +92,20 @@ def test_ball_types_and_shapes(tmp_path):
             assert len(index.t_counts(r)) == len(sphere)
             for g in sphere:
                 assert index.word_length(tuple(g)) == index.word_length(g) == r
+        # sphere and t_counts hand out copies: clearing or growing what they
+        # return leaves the index's own spheres as BFS built them
+        size = len(index)
+        for r in range(radius + 1):
+            sphere, counts = index.sphere(r), index.t_counts(r)
+            kept = list(sphere), list(counts)
+            sphere.append(ctx.identity)
+            counts.append(-1)
+            assert (index.sphere(r), index.t_counts(r)) == kept
+            sphere.clear()
+            counts.clear()
+            assert (index.sphere(r), index.t_counts(r)) == kept
+            assert len(index) == size
+            assert all(index.word_length(g) == r for g in kept[0])
     with pytest.raises(ValueError):
         index.t_counts(radius + 1)
 
