@@ -133,8 +133,10 @@ class UnionFind:
 # and the adjugate coordinates of the quotient (matrix).  A bucketed pair
 # without a solution means residue and solver disagree, and raises.  The
 # residue of phi^j(g.kpart) depends only on j mod |p| (module doc), so it is
-# computed for |p| shifts only, and phi^j(g.kpart) only for a shift at which
-# a pair is solved.  The shifts of g are grouped by residue, so each h
+# computed for |p| shifts only.  The shift cache holds -phi^j(g.kpart), so
+# each solve is solve(h.kpart + moved[j]); it is filled only at a shift where
+# a pair is solved, negating once per shift of g, not once per pair tried.
+# The shifts of g are grouped by residue, so each h
 # of a bucket is tried at all the shifts its residue admits, in order of j,
 # stopping at its first conjugator in S^RC, and a pair already in one block
 # is not solved at all.
@@ -154,10 +156,6 @@ def closed_form_lengths(ctx: GroupContext) -> bool:
     except NotImplementedError:
         return False
     return True
-
-
-def _kpart_sub(ctx: GroupContext, a, b):
-    return ctx.kpart_add(a, ctx.kpart_neg(b))
 
 
 def brute_force_partition(
@@ -217,7 +215,7 @@ def brute_force_partition(
             shifts_by_residue: dict = {}
             for j in span:
                 shifts_by_residue.setdefault(orbit[j % n], []).append(j)
-            moved: dict = {}  # j -> phi^j(g.kpart), computed at its first solve
+            moved: dict = {}  # j -> -phi^j(g.kpart), computed at its first solve
             root = uf.find(g)
             for res, shifts in shifts_by_residue.items():
                 for h in buckets.get(res, ()):
@@ -225,8 +223,8 @@ def brute_force_partition(
                         continue
                     for j in shifts:
                         if j not in moved:
-                            moved[j] = ctx.phi_power(g.kpart, j)
-                        b = solve(_kpart_sub(ctx, h.kpart, moved[j]))
+                            moved[j] = ctx.kpart_neg(ctx.phi_power(g.kpart, j))
+                        b = solve(ctx.kpart_add(h.kpart, moved[j]))
                         if b is None:
                             raise RuntimeError(
                                 f"residue admits no conjugator part for "

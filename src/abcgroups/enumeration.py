@@ -26,6 +26,7 @@ met for the first time.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, Optional
 
 from .groups import Element, GroupContext
@@ -87,9 +88,10 @@ class BallIndex:
         return sum(len(self._layers[i]) for i in range(r + 1))
 
     def elements(self, max_radius: Optional[int] = None) -> Iterator[Element]:
-        top = self.radius if max_radius is None else max_radius
-        for r in range(top + 1):
-            yield from self._layers[r]
+        if max_radius is None:
+            max_radius = self.radius
+        self._check_radius(max_radius)
+        return chain.from_iterable(self._layers[: max_radius + 1])
 
 
 def enumerate_ball(

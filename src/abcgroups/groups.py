@@ -301,27 +301,22 @@ class LamplighterContext(GroupContext):
             return self._class_sums(n, w)
 
         def solve(w):
+            # b_i - b_(i-p) = w_i: b_i is the running sum of w over the
+            # indices of its class mod n up to i in the direction of p, so
+            # a finite b exists exactly when every class sum ends at 0
             if not w:
                 return ()
-            by_class: dict[int, list[tuple[int, int]]] = {}
-            for i, v in w:
-                by_class.setdefault(i % n, []).append((i, v))
+            lamps = dict(w)
+            lo, hi = w[0][0], w[-1][0]
+            sums = [0] * n
             out = []
-            for idxs in by_class.values():
-                if p < 0:
-                    idxs = idxs[::-1]
-                running = 0
-                for (i, v), nxt in zip(idxs, idxs[1:] + [None]):
-                    running = norm(running + v)
-                    if nxt is None:
-                        if running:
-                            return None
-                        break
-                    if running:
-                        gap = abs(nxt[0] - i)
-                        step = n if p > 0 else -n
-                        out.extend((i + step * q, running) for q in range(gap // n))
-            return tuple(sorted(out))
+            for i in range(lo, hi + 1) if p > 0 else range(hi, lo - 1, -1):
+                s = sums[i % n] = norm(sums[i % n] + lamps.get(i, 0))
+                if s:
+                    out.append((i, s))
+            if any(sums):
+                return None
+            return tuple(out) if p > 0 else tuple(out[::-1])
 
         return residue, solve
 
@@ -502,11 +497,9 @@ class BaumslagSolitarContext(GroupContext):
             return self._residue(n, w)
 
         def solve(w):
-            if p > 0:
-                num, e = w
-                num = -num
-            else:
-                num, e = self.phi_power(w, n)
+            # (1 - k^p) b = w: b = -w / (k^n - 1) for p > 0 and
+            # k^n w / (k^n - 1) for p < 0; k is prime to k^n - 1
+            num, e = self.kpart_neg(w) if p > 0 else self.phi_power(w, n)
             if num % den:
                 return None
             return self.canonical_kpart((num // den, e))

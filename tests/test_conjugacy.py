@@ -714,6 +714,8 @@ def test_partition_argument_validation():
         brute_force_partition(ctx, index, 4, 3)
     with pytest.raises(ValueError):
         brute_force_partition(ctx, index, 5, 6)
+    with pytest.raises(ValueError):
+        brute_force_partition(ctx, index, -1, 6)
     # bs measures conjugators in closed form, so the index need only cover
     # r; without a closed form it must cover the conjugator radius
     assert brute_force_partition(ctx, index, 2, 6) == brute_force_partition(

@@ -139,6 +139,9 @@ def test_sphere_and_elements():
         index.sphere(4)
     with pytest.raises(ValueError):
         index.ball_size(-1)
+    for r in (4, -1):
+        with pytest.raises(ValueError):
+            list(index.elements(r))
     with pytest.raises(KeyError):
         index.word_length(Element((99, 0), 0))
 

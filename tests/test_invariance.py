@@ -1,11 +1,20 @@
-"""Presentation invariance: isomorphic presentations give one ratio table.
+"""Presentation invariance: isomorphic presentations give one ratio table,
+one conjtest partition and one growth table.
 
 An isomorphism of groups that carries one generating set onto the other
 preserves word length, the t-letter count of geodesics and conjugacy, so
 the ratio CSV of both presentations must agree byte for byte.  One
 comparison covers BFS (the ball and sphere columns), the t-counts (U_count)
 and the class keys (the class columns) at radii the brute-force oracle does
-not reach.  The identities used:
+not reach.  The same isomorphism carries conjugators onto conjugators of
+equal length, so on the ball conjtest builds (S^r where the word length has
+a closed form, otherwise S^RC) the ball size, the oracle's block count and
+block sizes and the key class count agree too; for bs with k^j R that pits
+the closed-form conjugator lengths against lengths read off S^RC.  For a
+matrix with a root-of-unity eigenvalue, v -> A v also carries the fixed
+points of M^N onto those of A M^N A^-1, so the periodic subgroup growth
+table agrees.  The sup-norm of the unit-root projection depends on the
+basis, so the epsilon-norm table is not compared.  The identities used:
 
 - change of basis: M with standard generators against A M A^-1 with
   generators A e_i, through v -> A v;
@@ -14,7 +23,7 @@ not reach.  The identities used:
   lamplighter with R against its shift by delta_j, through conjugation by
   a power of t.
 
-Two negative controls, A M A^-1 with standard generators, must differ:
+The negative controls, A M A^-1 with standard generators, must differ:
 without them a comparison that compared nothing would pass.
 """
 
@@ -22,10 +31,12 @@ from functools import cache
 
 import pytest
 
+from abcgroups.conjugacy import brute_force_partition, closed_form_lengths
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import BaumslagSolitarContext, LamplighterContext, MatrixContext
 from abcgroups.linalg import identity_matrix, mat_mul
 from abcgroups.ratios import format_csv, ratio_table
+from abcgroups.spectral import relative_growth_table
 
 HYP = ((2, 1), (1, 1))
 HYP_BASIS = ((1, 1), (0, 1))
@@ -36,6 +47,9 @@ PISOT = ((0, 0, 1), (1, 0, 1), (0, 1, 0))
 PISOT_BASIS = ((1, 2, 0), (0, 1, 3), (1, 2, 1))
 PISOT_CONJ = ((-13, -4, 15), (3, 1, -2), (-10, -3, 12))
 PISOT_INV = ((-1, 1, 0), (0, 0, 1), (1, 0, 0))
+
+UNIT_ROOT = ((1, 0, 0), (0, 2, 1), (0, 1, 1))
+UNIT_ROOT_CONJ = ((5, 2, -4), (11, 5, -11), (7, 3, -6))  # by PISOT_BASIS
 
 
 def carried_generators(basis):
@@ -54,6 +68,11 @@ PRESENTATIONS = {
     "pisot_conj": lambda: MatrixContext(PISOT_CONJ, carried_generators(PISOT_BASIS)),
     "pisot_conj_standard": lambda: MatrixContext(PISOT_CONJ),
     "pisot_inv": lambda: MatrixContext(PISOT_INV),
+    "unit_root": lambda: MatrixContext(UNIT_ROOT),
+    "unit_root_conj": lambda: MatrixContext(
+        UNIT_ROOT_CONJ, carried_generators(PISOT_BASIS)
+    ),
+    "unit_root_conj_standard": lambda: MatrixContext(UNIT_ROOT_CONJ),
     "bs2": lambda: BaumslagSolitarContext(2),
     "bs2_times_2": lambda: BaumslagSolitarContext(2, [(0, 0), (2, 0), (-2, 0)]),
     "bs2_times_half": lambda: BaumslagSolitarContext(2, [(0, 0), (1, 1), (-1, 1)]),
@@ -68,12 +87,31 @@ def table(name: str, radius: int) -> str:
     return format_csv(ratio_table(ctx, enumerate_ball(ctx, radius)))
 
 
+@cache
+def partition(name: str, r: int, rc: int):
+    """Ball size, oracle block count, key class count and sorted block sizes
+    of S^r with conjugator radius rc, on the ball conjtest builds."""
+    ctx = PRESENTATIONS[name]()
+    index = enumerate_ball(ctx, r if closed_form_lengths(ctx) else rc)
+    blocks = brute_force_partition(ctx, index, r, rc)
+    keys = {ctx.conjugacy_key(g) for g in index.elements(r)}
+    return index.ball_size(r), len(blocks), len(keys), sorted(map(len, blocks))
+
+
+@cache
+def growth(name: str, radius: int) -> list[tuple[int, int, int]]:
+    ctx = PRESENTATIONS[name]()
+    return relative_growth_table(ctx, enumerate_ball(ctx, radius))
+
+
 def test_conjugates_and_inverses_are_what_they_claim():
-    for m, basis, conj, inv in [
-        (HYP, HYP_BASIS, HYP_CONJ, HYP_INV),
-        (PISOT, PISOT_BASIS, PISOT_CONJ, PISOT_INV),
+    for m, basis, conj in [
+        (HYP, HYP_BASIS, HYP_CONJ),
+        (PISOT, PISOT_BASIS, PISOT_CONJ),
+        (UNIT_ROOT, PISOT_BASIS, UNIT_ROOT_CONJ),
     ]:
         assert mat_mul(basis, m) == mat_mul(conj, basis)
+    for m, inv in [(HYP, HYP_INV), (PISOT, PISOT_INV)]:
         assert mat_mul(m, inv) == identity_matrix(len(m))
 
 
@@ -104,3 +142,40 @@ def test_non_isomorphic_generating_sets_differ(base, other, radius, balls):
     tables = [table(base, radius), table(other, radius)]
     assert tables[0] != tables[1]
     assert [int(t.splitlines()[-1].split(",")[1]) for t in tables] == balls
+
+
+@pytest.mark.parametrize(
+    "base, other, r, rc, counts",
+    [
+        ("hyp", "hyp_conj", 5, 10, (663, 69, 69)),
+        ("hyp", "hyp_inv", 5, 10, (663, 69, 69)),
+        ("pisot", "pisot_conj", 3, 6, (157, 23, 23)),
+        ("pisot", "pisot_inv", 3, 6, (157, 23, 23)),
+        ("bs2", "bs2_times_2", 5, 10, (191, 27, 27)),
+        ("bs2", "bs2_times_half", 5, 10, (191, 27, 27)),
+        ("lamp2", "lamp2_shift", 5, 10, (84, 25, 25)),
+    ],
+)
+def test_isomorphic_presentations_give_one_partition(base, other, r, rc, counts):
+    assert partition(base, r, rc)[:3] == counts
+    assert partition(other, r, rc) == partition(base, r, rc)
+
+
+@pytest.mark.parametrize(
+    "base, other, r, rc, counts",
+    [
+        ("hyp", "hyp_conj_standard", 5, 10, (685, 67, 67)),
+        ("pisot", "pisot_conj_standard", 3, 6, (285, 67, 67)),
+    ],
+)
+def test_non_isomorphic_generating_sets_partition_differently(
+    base, other, r, rc, counts
+):
+    assert partition(other, r, rc)[:3] == counts
+    assert partition(other, r, rc) != partition(base, r, rc)
+
+
+def test_isomorphic_presentations_give_one_growth_table():
+    assert growth("unit_root", 7)[-1] == (7, 8557, 15)
+    assert growth("unit_root_conj", 7) == growth("unit_root", 7)
+    assert growth("unit_root_conj_standard", 7)[-1] == (7, 58179, 7)
