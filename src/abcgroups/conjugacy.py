@@ -136,10 +136,9 @@ class UnionFind:
 # computed for |p| shifts only.  The shift cache holds -phi^j(g.kpart), so
 # each solve is solve(h.kpart + moved[j]); it is filled only at a shift where
 # a pair is solved, negating once per shift of g, not once per pair tried.
-# The shifts of g are grouped by residue, so each h
-# of a bucket is tried at all the shifts its residue admits, in order of j,
-# stopping at its first conjugator in S^RC, and a pair already in one block
-# is not solved at all.
+# The shifts of g are grouped by residue, so each h of a bucket is tried at
+# all the shifts its residue admits, in order of j, stopping at its first
+# conjugator in S^RC, and a pair already in one block is not solved at all.
 #
 # Each unordered pair is tested in one orientation: g against the elements
 # before it in its stratum.  x g x^-1 = h exactly when x^-1 h x = g, and
