@@ -41,6 +41,16 @@ GOLDEN = {
         "--oracle-radius",
         "8",
     ],
+    "conjtest_bs2": ["conjtest", "--group", "bs:2", "--radius", "6", "--oracle-radius", "12"],
+    "conjtest_lamplighter2": [
+        "conjtest",
+        "--group",
+        "lamplighter:2",
+        "--radius",
+        "6",
+        "--oracle-radius",
+        "12",
+    ],
 }
 
 
