@@ -2,29 +2,28 @@
 
 Conjugating (x, t^p) by (c, t^j) gives (phi^j(x) + (1 - phi^p)(c), t^p),
 so the t-exponent is invariant and, for p != 0, a class is a phi-orbit in
-K / (1 - phi^p)K.  Since phi^p(x) - x lies in (1 - phi^p)K, phi^p fixes
-that quotient, and every orbit is just the |p| images phi^j(x),
-0 <= j < |p|.  Each family admits an exact canonical form for that data:
+K / (1 - phi^p)K, which is K / (1 - phi^n)K for n = |p|: 1 - phi^-n is the
+unit -phi^-n times 1 - phi^n.  As phi^n(x) - x lies in (1 - phi^n)K, phi^n
+fixes that quotient, and every orbit is just the n images phi^j(x),
+0 <= j < n.  Each family admits an exact canonical form for that data:
 
-* bs, p != 0: (1 - phi^p) Z[1/k] = (k^|p| - 1) Z[1/k] (the two differ by
-  the unit -k^|p|), and Z[1/k] / (k^|p| - 1) = Z / (k^|p| - 1) because k
-  is invertible there (k * k^(|p|-1) = k^|p| = 1).  The key is the minimum
-  of the residue over its orbit under multiplication by k.
+* bs, p != 0: (1 - phi^n) Z[1/k] = (k^n - 1) Z[1/k], and Z[1/k] / (k^n - 1)
+  = Z / (k^n - 1) because k is invertible there (k * k^(n-1) = k^n = 1).
+  The key is the least residue of the orbit under multiplication by k.
 * bs, p = 0: conjugation only multiplies by powers of k, so the key is
   the numerator with all factors of k removed, sign preserved.
 * lamplighter, p != 0: summing a configuration over each residue class of
-  indices mod |p| kills (1 - phi^p) K exactly, and shifting rotates the
-  |p| sums, so the key is the lexicographically least rotation.  It is
-  memoised on the context for every rotation of the orbit, so each orbit
-  is computed once per context; the sums of p and -p rotate alike, and
-  the length of the sums tuple is |p|, so one memo serves every stratum.
+  indices mod n kills (1 - phi^n) K exactly, and shifting rotates the n
+  sums, so the key is the lexicographically least rotation, memoised on
+  the context for every rotation of the orbit: each orbit is computed once
+  per context, in one memo for all strata, as a sums tuple has length n.
 * lamplighter, p = 0: the support-shifted normal form of the configuration.
 * matrix, p != 0: coordinates adj(D) v mod |det D| in Z^n / D Z^n,
-  D = I - M^p (adj D = det D * D^-1, so they are a complete residue),
+  D = I - M^|p| (adj D = det D * D^-1, so they are a complete residue),
   minimized over the |p| images M^j v (needs det D != 0, which
   holds whenever no eigenvalue of M is a root of unity).  The minimum is
-  memoised for every class of the orbit on the stratum's cached
-  QuotientDescriptor, so each orbit is computed once per context.
+  memoised for every class of the orbit on the QuotientDescriptor that
+  the strata +-|p| share, so each orbit is computed once per context.
 * matrix, p = 0: the class is the orbit {M^i v}.  MatrixContext.convex_form
   is an integer symmetric P with P > 0 and C = M^T P M + M^-T P M^-1 - 2P
   > 0, both checked exactly.  For v != 0, f(i) = P(M^i v) has second
@@ -41,7 +40,7 @@ that quotient, and every orbit is just the |p| images phi^j(x),
   float range), the key raises ValueError.
 
 Each context class implements its family's key as conjugacy_key(g), the
-stratum solver of the oracle below as block_solver(p) and, where a closed
+stratum solver of the oracle below as block_solver(n) and, where a closed
 form exists, the conjugator lengths of the oracle as word_length(g); this
 module adds the entry point, the union-find and the oracle.
 """
@@ -111,7 +110,7 @@ class UnionFind:
 #
 # The partition is the union-find closure of the pairs {g, x g x^-1} with
 # g, x g x^-1 in S^r and x in S^RC.  Instead of sweeping every x, a pair
-# (g, h) in a stratum p != 0 is tested by solving
+# (g, h) in a stratum p > 0 is tested by solving
 #     (1 - phi^p)(b) = h.kpart - phi^j(g.kpart)
 # for b at each |j| <= RC; the solution is unique, and the pair merges
 # exactly when some solution (b, t^j) lies in S^RC.  This computes the same
@@ -129,21 +128,22 @@ class UnionFind:
 # is solved only against the bucket of residue(phi^j(g.kpart)).  A skipped
 # pair has no conjugator part at all, of any length, so skipping it leaves
 # the relation unchanged.  The residues are the ones the keys use: the
-# class mod k^|p| - 1 (bs), the class sums over indices mod |p| (lamplighter)
+# class mod k^p - 1 (bs), the class sums over indices mod p (lamplighter)
 # and the adjugate coordinates of the quotient (matrix).  A bucketed pair
 # without a solution means residue and solver disagree, and raises.  The
-# residue of phi^j(g.kpart) depends only on j mod |p| (module doc), so it is
-# computed for |p| shifts only.  The shift cache holds -phi^j(g.kpart), so
+# residue of phi^j(g.kpart) depends only on j mod p (module doc), so it is
+# computed for p shifts only.  The shift cache holds -phi^j(g.kpart), so
 # each solve is solve(h.kpart + moved[j]); it is filled only at a shift where
 # a pair is solved, negating once per shift of g, not once per pair tried.
 # The shifts of g are grouped by residue, so each h of a bucket is tried at
 # all the shifts its residue admits, in order of j, stopping at its first
 # conjugator in S^RC, and a pair already in one block is not solved at all.
 #
-# Each unordered pair is tested in one orientation: g against the elements
-# before it in its stratum.  x g x^-1 = h exactly when x^-1 h x = g, and
-# |x^-1| = |x| because the generating set is symmetric, so a conjugator in
-# S^RC exists in one direction exactly when it exists in the other.
+# Each unordered pair is tested in one orientation, g against the elements
+# before it in its stratum, and only the strata p > 0 are solved.  The
+# generating set is symmetric, so |x^-1| = |x| for every x, and
+# x g x^-1 = h exactly when x^-1 h x = g and when x g^-1 x^-1 = h^-1: each
+# merge (g, h) is also made as (g^-1, h^-1), mirroring stratum p onto -p.
 # ---------------------------------------------------------------------------
 
 
@@ -197,23 +197,20 @@ def brute_force_partition(
         strata.setdefault(g.texp, []).append(g)
 
     span = range(-conjugator_radius, conjugator_radius + 1)
-    for p, els in sorted(strata.items()):
-        if p == 0:
-            for g in els:
-                for j in span:
-                    h = Element(ctx.phi_power(g.kpart, j), 0)
-                    if h in ball_set:
-                        uf.union(g, h)
-            continue
+    for g in strata.get(0, ()):
+        for j in span:
+            h = Element(ctx.phi_power(g.kpart, j), 0)
+            if h in ball_set:
+                uf.union(g, h)
+    for p in range(1, r + 1):  # each stratum -p mirrors p by inversion
         residue, solve = ctx.block_solver(p)
-        n = abs(p)
         buckets: dict = {}
-        for g in els:
-            # phi^p fixes K / (1 - phi^p)K, so shift j has residue orbit[j % n]
-            orbit = [residue(ctx.phi_power(g.kpart, i)) for i in range(n)]
+        for g in strata.get(p, ()):
+            # phi^p fixes K / (1 - phi^p)K, so shift j has residue orbit[j % p]
+            orbit = [residue(ctx.phi_power(g.kpart, i)) for i in range(p)]
             shifts_by_residue: dict = {}
             for j in span:
-                shifts_by_residue.setdefault(orbit[j % n], []).append(j)
+                shifts_by_residue.setdefault(orbit[j % p], []).append(j)
             moved: dict = {}  # j -> -phi^j(g.kpart), computed at its first solve
             root = uf.find(g)
             for res, shifts in shifts_by_residue.items():
@@ -232,6 +229,7 @@ def brute_force_partition(
                             )
                         if length(Element(b, j)) <= conjugator_radius:
                             uf.union(g, h)
+                            uf.union(ctx.invert(g), ctx.invert(h))
                             root = uf.find(g)
                             break
             buckets.setdefault(orbit[0], []).append(g)

@@ -23,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from math import prod
+from math import gcd, prod
 from operator import add, neg
 from typing import Any, Iterable, NamedTuple, Optional
 
@@ -100,11 +100,11 @@ class GroupContext:
         """Canonical, order-comparable conjugacy invariant of g."""
         raise NotImplementedError
 
-    def block_solver(self, p: int):
-        """(residue, solve) for the stratum p != 0.
+    def block_solver(self, n: int):
+        """(residue, solve) for the strata p = +-n; n < 1 raises ValueError.
 
-        residue(w) is the class of w in K / (1 - phi^p) K, and solve(w) is
-        the unique b with (1 - phi^p)(b) = w, or None when there is none.
+        residue(w) is the class of w in K / (1 - phi^n)K = K / (1 - phi^-n)K,
+        and solve(w) is the unique b with (1 - phi^n)(b) = w, or None.
         """
         raise NotImplementedError
 
@@ -160,6 +160,11 @@ class GroupContext:
                     f"kernel generator set is not symmetric: missing inverse of {a!r}"
                 )
         self.kgen_nonzero = tuple(a for a in seen if a != zero)
+
+
+def _check_stratum(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"strata are indexed by n = |p| >= 1, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -293,30 +298,30 @@ class LamplighterContext(GroupContext):
             return tuple([v % m for v in sums])
         return tuple(sums)
 
-    def block_solver(self, p: int):
-        n = abs(p)
+    def block_solver(self, n: int):
+        _check_stratum(n)
         norm = self._norm_value
 
         def residue(w):
             return self._class_sums(n, w)
 
         def solve(w):
-            # b_i - b_(i-p) = w_i: b_i is the running sum of w over the
-            # indices of its class mod n up to i in the direction of p, so
-            # a finite b exists exactly when every class sum ends at 0
+            # b_i - b_(i-n) = w_i: b_i is the running sum of w over the
+            # indices of its class mod n up to i, so a finite b exists
+            # exactly when every class sum ends at 0
             if not w:
                 return ()
             lamps = dict(w)
             lo, hi = w[0][0], w[-1][0]
             sums = [0] * n
             out = []
-            for i in range(lo, hi + 1) if p > 0 else range(hi, lo - 1, -1):
+            for i in range(lo, hi + 1):
                 s = sums[i % n] = norm(sums[i % n] + lamps.get(i, 0))
                 if s:
                     out.append((i, s))
             if any(sums):
                 return None
-            return tuple(out) if p > 0 else tuple(out[::-1])
+            return tuple(out)
 
         return residue, solve
 
@@ -341,6 +346,11 @@ class BaumslagSolitarContext(GroupContext):
         self.k = k
         standard = ((0, 0), (1, 0), (-1, 0))
         self._set_kgens(standard if kgens is None else kgens)
+        # R spans g Z[1/k] over t, g the gcd of its numerators: all of Z[1/k]
+        # when g is a unit there, which is when g divides k^(bit length of g)
+        g = gcd(*(num for num, _ in self.kgen_nonzero))
+        if not g or k ** g.bit_length() % g:
+            raise ValueError("kernel generators do not generate Z[1/k] over t")
         self._standard_gens = set(self.kgen_nonzero) == set(standard[1:])
 
     def kpart_zero(self):
@@ -489,17 +499,16 @@ class BaumslagSolitarContext(GroupContext):
         modulus = k**n - 1
         return num * pow(k, -e % n, modulus) % modulus
 
-    def block_solver(self, p: int):
-        n = abs(p)
+    def block_solver(self, n: int):
+        _check_stratum(n)
         den = self.k**n - 1
 
         def residue(w):
             return self._residue(n, w)
 
         def solve(w):
-            # (1 - k^p) b = w: b = -w / (k^n - 1) for p > 0 and
-            # k^n w / (k^n - 1) for p < 0; k is prime to k^n - 1
-            num, e = self.kpart_neg(w) if p > 0 else self.phi_power(w, n)
+            # (1 - k^n) b = w: b = -w / (k^n - 1); k is prime to k^n - 1
+            num, e = self.kpart_neg(w)
             if num % den:
                 return None
             return self.canonical_kpart((num // den, e))
@@ -522,7 +531,7 @@ def _int_entries(values, what: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class QuotientDescriptor:
-    """Z^n / D Z^n for D = I - M^p with det D != 0, read through adj D.
+    """Z^n / D Z^n for D = I - M^|p| with det D != 0, read through adj D.
 
     adj D = det D * D^-1, so w lies in D Z^n exactly when adj D w = 0 mod
     |det D|: coords(w) = adj D w mod |det D| is a complete residue
@@ -622,10 +631,10 @@ class MatrixContext(GroupContext):
         p = g.texp
         if p == 0:
             return (0, self._descend(self.convex_form, g.kpart))
-        qd = self.quotient(p)
+        qd = self.quotient(abs(p))
         best = qd.orbit_min.get(qd.coords(g.kpart))
         if best is None:
-            # M^p fixes the quotient, so the orbit is the |p| images M^j v
+            # M^|p| fixes the quotient, so the orbit is the |p| images M^j v
             orbit = [qd.coords(self.phi_power(g.kpart, j)) for j in range(abs(p))]
             best = min(orbit)
             qd.orbit_min.update(dict.fromkeys(orbit, best))
@@ -721,23 +730,22 @@ class MatrixContext(GroupContext):
             return min(best, w) if h == low else best
         return best
 
-    def quotient(self, texp: int) -> QuotientDescriptor:
-        """Quotient descriptor for the stratum of t-exponent texp != 0."""
-        if texp == 0:
-            raise ValueError("quotient is only defined for nonzero t-exponent")
-        qd = self._quotients.get(texp)
+    def quotient(self, n: int) -> QuotientDescriptor:
+        """Quotient descriptor of the strata p = +-n, n >= 1 (block_solver)."""
+        _check_stratum(n)
+        qd = self._quotients.get(n)
         if qd is not None:
             return qd
-        adj, det = adjugate(mat_sub(identity_matrix(self.n), self.matrix_power(texp)))
+        adj, det = adjugate(mat_sub(identity_matrix(self.n), self.matrix_power(n)))
         if det == 0:
             raise ValueError(
-                f"I - M^{texp} is singular; the stratum has no finite quotient"
+                f"I - M^{n} is singular; the stratum has no finite quotient"
             )
-        qd = self._quotients[texp] = QuotientDescriptor(adj, det)
+        qd = self._quotients[n] = QuotientDescriptor(adj, det)
         return qd
 
-    def block_solver(self, p: int):
-        qd = self.quotient(p)
+    def block_solver(self, n: int):
+        qd = self.quotient(n)
         return qd.coords, qd.solve
 
 

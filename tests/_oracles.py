@@ -395,8 +395,11 @@ def pairwise_partition(
     """brute_force_partition without residue buckets.
 
     Solves for a conjugator of g to h for every pair (g, h) of a stratum,
-    g listed first, at every |j| <= RC.  Blocks come in the same order,
-    ball order by first member and within each block.
+    g listed first, at every |j| <= RC.  Every stratum p != 0 is solved in
+    its own right, with no mirror by inversion: for p = -n the equation
+    (1 - phi^-n) b = w is (1 - phi^n) b = -phi^n(w), given to the solver
+    of n.  Blocks come in the same order, ball order by first member and
+    within each block.
     """
     big = index if index.radius >= conjugator_radius else enumerate_ball(
         ctx, conjugator_radius
@@ -417,13 +420,16 @@ def pairwise_partition(
                     if h in ball_set:
                         uf.union(g, h)
             continue
-        _, solve = ctx.block_solver(p)
+        n = abs(p)
+        _, solve = ctx.block_solver(n)
         for i, g in enumerate(els):
             for h in els[i + 1 :]:
                 if uf.find(g) == uf.find(h):
                     continue
                 for j in span:
                     w = ctx.kpart_add(h.kpart, ctx.kpart_neg(ctx.phi_power(g.kpart, j)))
+                    if p < 0:
+                        w = ctx.kpart_neg(ctx.phi_power(w, n))
                     b = solve(w)
                     if b is None:
                         continue
@@ -462,14 +468,14 @@ def low_t_count(index: BallIndex, r: int, bound: int) -> int:
     return total
 
 
-def matrix_orbit_min(ctx: MatrixContext, p: int, v) -> tuple[int, ...]:
-    """The matrix p != 0 key, walked one class at a time.
+def matrix_orbit_min(ctx: MatrixContext, n: int, v) -> tuple[int, ...]:
+    """The matrix key of the strata p = +-n, walked one class at a time.
 
     Each step lifts the class to a vector, applies M and reduces again,
     and the walk stops at the first class it has seen; nothing is cached.
     """
-    qd = ctx.quotient(p)
-    d_mat = mat_sub(identity_matrix(ctx.n), ctx.matrix_power(p))
+    qd = ctx.quotient(n)
+    d_mat = mat_sub(identity_matrix(ctx.n), ctx.matrix_power(n))
     start = qd.coords(v)
     best = cur = start
     seen = {start}

@@ -232,18 +232,25 @@ HYP_INV = ((1, -1), (-1, 2))
 
 
 def test_every_stratum_solver_matches_adjugate():
+    # the solver of n answers stratum n as written and stratum -n through
+    # (1 - M^-n) b = w  <=>  (1 - M^n) b = -M^n w, as pairwise_partition uses
     ctx = MatrixContext(HYP)
     rng = random.Random(7)
     for p in [p for p in range(-12, 13) if p]:
-        d_mat = mat_sub(identity_matrix(2), mat_pow(HYP if p > 0 else HYP_INV, abs(p)))
-        residue, solve = ctx.block_solver(p)
-        assert residue == ctx.quotient(p).coords
+        n = abs(p)
+        d_mat = mat_sub(identity_matrix(2), mat_pow(HYP if p > 0 else HYP_INV, n))
+        residue, solve = ctx.block_solver(n)
+        assert residue == ctx.quotient(n).coords
+
+        def solve_p(w):
+            return solve(w if p > 0 else ctx.kpart_neg(ctx.phi_power(w, n)))
+
         for _ in range(100):
             w = (rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
-            assert solve(w) == adjugate_solve(d_mat, w)
+            assert solve_p(w) == adjugate_solve(d_mat, w)
             b = (rng.randint(-50, 50), rng.randint(-50, 50))
             image = mat_vec(d_mat, b)
-            assert solve(image) == adjugate_solve(d_mat, image) == b
+            assert solve_p(image) == adjugate_solve(d_mat, image) == b
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +262,7 @@ def reference_key(ctx, g):
     p = g.texp
     if p == 0:
         return (0, matrix_form_minimum(ctx, g.kpart))
-    return (p, matrix_orbit_min(ctx, p, g.kpart))
+    return (p, matrix_orbit_min(ctx, abs(p), g.kpart))
 
 
 @pytest.mark.parametrize(
@@ -408,13 +415,14 @@ def test_phi_p_fixes_the_stratum_quotient(data, ctx, p):
     for x in letters:
         g = ctx.multiply(g, x)
     w = g.kpart
-    residue, _ = ctx.block_solver(p)
+    n = abs(p)
+    residue, _ = ctx.block_solver(n)
     assert residue(ctx.phi_power(w, p)) == residue(w)
     for j in range(-12, 13):
-        assert residue(ctx.phi_power(w, j)) == residue(ctx.phi_power(w, j % abs(p)))
+        assert residue(ctx.phi_power(w, j)) == residue(ctx.phi_power(w, j % n))
     if ctx.family == "matrix":
         # the key over |p| images equals the walk until return
-        assert conjugacy_key(ctx, Element(w, p)) == (p, matrix_orbit_min(ctx, p, w))
+        assert conjugacy_key(ctx, Element(w, p)) == (p, matrix_orbit_min(ctx, n, w))
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +514,16 @@ def test_partition_matches_keys(family, param, r, rc, expected):
     assert as_block_set(blocks) == as_block_set(classes.values())
 
 
+# R = {0, +-1, +-3} in bs:2 and {0, d_0, d_1, d_0 + d_1} in lamplighter:2
+BS2_ONE_THREE = ((0, 0), (1, 0), (-1, 0), (3, 0), (-3, 0))
+LAMP2_PAIR = ((), ((0, 1),), ((1, 1),), ((0, 1), (1, 1)))
+
+
 @pytest.mark.parametrize(
     "ctx, expected",
     [
-        (
-            BaumslagSolitarContext(2, kgens=((0, 0), (1, 0), (-1, 0), (3, 0), (-3, 0))),
-            57,
-        ),
-        (LamplighterContext(2, kgens=((), ((0, 1),), ((1, 1),), ((0, 1), (1, 1)))), 47),
+        (BaumslagSolitarContext(2, kgens=BS2_ONE_THREE), 57),
+        (LamplighterContext(2, kgens=LAMP2_PAIR), 47),
     ],
     ids=["bs-2-pm1-pm3", "lamplighter-2-d0-d1-d01"],
 )
@@ -546,10 +556,15 @@ def test_matrix_partition_matches_keys():
 def test_partition_matches_elementwise_sweep():
     # the solver-based merge must compute the same closure as literally
     # conjugating by every element of the conjugator ball
+    # the last three have no closed-form lengths, so the oracle looks its
+    # conjugators up in S^RC, and the p < 0 mirror runs on that path too
     for ctx, r, rc in (
         (BaumslagSolitarContext(2), 3, 5),
         (LamplighterContext(2), 3, 5),
         (MatrixContext(HYP), 2, 4),
+        (BaumslagSolitarContext(2, kgens=BS2_ONE_THREE), 3, 5),
+        (LamplighterContext(2, kgens=LAMP2_PAIR), 3, 5),
+        (LamplighterContext(0), 3, 5),
     ):
         index = enumerate_ball(ctx, rc)
         fast = as_block_set(brute_force_partition(ctx, index, r, rc))
@@ -606,18 +621,38 @@ KPART_SAMPLES = {
 @given(data=st.data())
 def test_residue_matches_solver(family, param, data):
     ctx = build(family, param)
-    p = data.draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]))
+    n = data.draw(st.sampled_from([1, 2, 3, 4]))
     a, b, c = (
         ctx.canonical_kpart(data.draw(KPART_SAMPLES[family])) for _ in range(3)
     )
-    residue, solve = ctx.block_solver(p)
+    residue, solve = ctx.block_solver(n)
     if data.draw(st.booleans()):
-        # force a shared residue: b = a + (1 - phi^p)(c), so a - b = -c
-        image = ctx.kpart_add(c, ctx.kpart_neg(ctx.phi_power(c, p)))
+        # force a shared residue: b = a + (1 - phi^n)(c), so a - b = -c
+        image = ctx.kpart_add(c, ctx.kpart_neg(ctx.phi_power(c, n)))
         b = ctx.kpart_add(a, image)
         assert solve(ctx.kpart_add(a, ctx.kpart_neg(b))) == ctx.kpart_neg(c)
+        # (1 - phi^-n)K = (1 - phi^n)K, so the stratum -n shares the residue
+        mirror = ctx.kpart_add(c, ctx.kpart_neg(ctx.phi_power(c, -n)))
+        assert residue(ctx.kpart_add(a, mirror)) == residue(a)
     w = ctx.kpart_add(a, ctx.kpart_neg(b))
     assert (residue(a) == residue(b)) == (solve(w) is not None)
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [BaumslagSolitarContext(2), LamplighterContext(2), MatrixContext(HYP)],
+    ids=["bs", "lamplighter", "matrix"],
+)
+def test_stratum_index_must_be_positive(ctx):
+    # strata are indexed by n = |p|: the oracle mirrors p < 0 and the keys
+    # read quotient(|p|), so a solver for n < 1 would be a silent second path
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="indexed by n"):
+            ctx.block_solver(n)
+    if ctx.family == "matrix":
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="indexed by n"):
+                ctx.quotient(n)
 
 
 def test_partition_coarsens_with_conjugator_radius():

@@ -42,6 +42,25 @@ def test_kgen_set_validation():
         BaumslagSolitarContext(2, kgens=((1, 0), (-1, 0)))
 
 
+def test_bs_kgens_must_generate_the_kernel():
+    # R spans gcd(numerators) Z[1/k], which is Z[1/k] only when every prime
+    # of the gcd divides k; {0, +-3} in bs:2 spans 3 Z[1/2], where the keys
+    # of BS(1,2) find 23 classes at r5 and the oracle 27 blocks at rc12
+    for k, nums in ((2, (3,)), (2, ()), (3, (2, 4)), (6, (5, 10)), (6, (35,))):
+        kgens = [(0, 0)] + [(s * a, 0) for a in nums for s in (1, -1)]
+        with pytest.raises(ValueError, match="generate"):
+            BaumslagSolitarContext(k, kgens=kgens)
+    for k, kgens in (
+        (2, ((0, 0), (2, 0), (-2, 0))),
+        (2, ((0, 0), (1, 1), (-1, 1))),
+        (2, ((0, 0), (1, 0), (-1, 0), (3, 0), (-3, 0))),
+        (2, ((0, 0), (3, 0), (-3, 0), (8, 0), (-8, 0))),
+        (6, ((0, 0), (12, 0), (-12, 0))),
+        (6, ((0, 0), (35, 0), (-35, 0), (36, 0), (-36, 0))),
+    ):
+        BaumslagSolitarContext(k, kgens=kgens)
+
+
 def test_generator_counts_and_order():
     assert len(BaumslagSolitarContext(2).generators()) == 4
     # with mod 2 lamps the lamp generator is its own inverse

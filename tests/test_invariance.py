@@ -21,10 +21,13 @@ basis, so the epsilon-norm table is not compared.  The identities used:
 - t -> t^-1: M against M^-1;
 - phi-images of the kernel generators: bs:k with R against k^j R, and the
   lamplighter with R against its shift by delta_j, through conjugation by
-  a power of t.
+  a power of t;
+- unit multiples: the lamplighter with R against u R for a unit u mod m,
+  through a -> u a on K, which commutes with the shift.
 
-The negative controls, A M A^-1 with standard generators, must differ:
-without them a comparison that compared nothing would pass.
+The negative controls, A M A^-1 with standard generators and a lamplighter
+R scaled by u on one generator only, must differ: without them a
+comparison that compared nothing would pass.
 """
 
 from functools import cache
@@ -78,6 +81,16 @@ PRESENTATIONS = {
     "bs2_times_half": lambda: BaumslagSolitarContext(2, [(0, 0), (1, 1), (-1, 1)]),
     "lamp2": lambda: LamplighterContext(2),
     "lamp2_shift": lambda: LamplighterContext(2, [(), ((1, 1),)]),
+    # {0, +-delta_0, +-delta_1} mod 5, against 2 R and against 2 on delta_1 only
+    "lamp5": lambda: LamplighterContext(
+        5, [(), ((0, 1),), ((0, 4),), ((1, 1),), ((1, 4),)]
+    ),
+    "lamp5_times_2": lambda: LamplighterContext(
+        5, [(), ((0, 2),), ((0, 3),), ((1, 2),), ((1, 3),)]
+    ),
+    "lamp5_mixed": lambda: LamplighterContext(
+        5, [(), ((0, 1),), ((0, 4),), ((1, 2),), ((1, 3),)]
+    ),
 }
 
 
@@ -125,6 +138,7 @@ def test_conjugates_and_inverses_are_what_they_claim():
         ("bs2", "bs2_times_2", 12),
         ("bs2", "bs2_times_half", 12),
         ("lamp2", "lamp2_shift", 10),
+        ("lamp5", "lamp5_times_2", 7),
     ],
 )
 def test_isomorphic_presentations_give_one_table(base, other, radius):
@@ -136,6 +150,7 @@ def test_isomorphic_presentations_give_one_table(base, other, radius):
     [
         ("hyp", "hyp_conj_standard", 10, [32_817, 33_101]),
         ("pisot", "pisot_conj_standard", 7, [3_859, 85_845]),
+        ("lamp5", "lamp5_mixed", 7, [4_863, 9_095]),
     ],
 )
 def test_non_isomorphic_generating_sets_differ(base, other, radius, balls):
