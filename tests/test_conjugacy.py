@@ -556,8 +556,8 @@ def test_matrix_partition_matches_keys():
 def test_partition_matches_elementwise_sweep():
     # the solver-based merge must compute the same closure as literally
     # conjugating by every element of the conjugator ball
-    # the last three have no closed-form lengths, so the oracle looks its
-    # conjugators up in S^RC, and the p < 0 mirror runs on that path too
+    # the last three are bs and lamplighter contexts without closed-form
+    # lengths, so the p < 0 mirror also runs where conjugators are looked up
     for ctx, r, rc in (
         (BaumslagSolitarContext(2), 3, 5),
         (LamplighterContext(2), 3, 5),
