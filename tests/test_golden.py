@@ -51,6 +51,35 @@ GOLDEN = {
         "--oracle-radius",
         "12",
     ],
+    # middle radii: the oracle checks the keys about halfway to the bench's
+    # ratio radii, each in under half a second
+    "conjtest_bs2_r12": [
+        "conjtest",
+        "--group",
+        "bs:2",
+        "--radius",
+        "12",
+        "--oracle-radius",
+        "24",
+    ],
+    "conjtest_lamplighter2_r14": [
+        "conjtest",
+        "--group",
+        "lamplighter:2",
+        "--radius",
+        "14",
+        "--oracle-radius",
+        "26",
+    ],
+    "conjtest_hyperbolic_r8": [
+        "conjtest",
+        "--group",
+        "matrix:hyperbolic.json",
+        "--radius",
+        "8",
+        "--oracle-radius",
+        "12",
+    ],
 }
 
 
