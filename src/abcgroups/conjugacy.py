@@ -34,10 +34,12 @@ fixes that quotient, and every orbit is just the n images phi^j(x),
   the direction where f strictly drops lowers an integer that is bounded
   below on the orbit, so it stops there after finitely many steps.  The
   key is the lexicographically least minimiser: exact, with no bound and
-  no assumption on the spectrum.  Floats only propose P; when no proposal
-  passes the check (an eigenvalue on the unit circle that is not a root of
-  unity, where no such P exists, a non-semisimple spectrum, or roots beyond
-  float range), the key raises ValueError.
+  no assumption on the spectrum.  P is the tent sum of the Gram matrices
+  G_i = (M^i)^T M^i with weights K - |i| over |i| < K, whose C is
+  G_K + G_-K - 2I; the least K that makes it positive exists exactly when
+  no eigenvalue lies on the unit circle, semisimple or not.  For an
+  eigenvalue on the circle that is not a root of unity no such P exists,
+  and the key raises ValueError, as it does past K = TENT_K_MAX.
 
 Each context class implements its family's key as conjugacy_key(g), the
 stratum solver of the oracle below as block_solver(n) and, where a closed

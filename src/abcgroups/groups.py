@@ -22,23 +22,22 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from math import gcd, prod
+from functools import cached_property
+from math import gcd
 from operator import add, neg
 from typing import Any, Iterable, NamedTuple, Optional
 
 from .linalg import (
     adjugate,
-    charpoly,
     cyclotomic_orders,
     identity_matrix,
     lattice_index,
+    mat_add,
     mat_mul,
     mat_pow,
     mat_sub,
     mat_vec,
     positive_definite,
-    squarefree_part,
     unimodular_inverse,
 )
 
@@ -555,6 +554,18 @@ class QuotientDescriptor:
         return tuple([xi // self.det for xi in x])
 
 
+# the widest tent sum MatrixContext.convex_form tries; K grows with the log
+# of the condition number of a basis that splits M's spectrum at the circle
+TENT_K_MAX = 1024
+
+
+def _convex(form, m, inv) -> bool:
+    """Whether P > 0 and M^T P M + M^-T P M^-1 - 2P > 0, checked exactly."""
+    ahead, back = (mat_mul(tuple(zip(*a)), mat_mul(form, a)) for a in (m, inv))
+    curvature = mat_sub(mat_add(ahead, back), mat_add(form, form))
+    return positive_definite(form) and positive_definite(curvature)
+
+
 class MatrixContext(GroupContext):
     """K = Z^n with phi(v) = M v for an integer matrix M, |det M| = 1."""
 
@@ -646,69 +657,31 @@ class MatrixContext(GroupContext):
 
         Then i -> P(M^i v) has integer second difference (M^i v)^T C (M^i v)
         >= 1 for v != 0, so _descend is exact (see the conjugacy module).
-        Floats only propose P: for a semisimple M with no root l on the unit
-        circle, T = sum_l E_l^H E_l over the spectral projectors E_l gives
-        C = sum_l (|l| - 1/|l|)^2 E_l^H E_l > 0, and T rounded to b bits is
-        tried for growing b.  The exact check decides, and ValueError when
-        no proposal passes it.
+        P is the tent sum P_K = sum_(|i|<K) (K - |i|) G_i of the Gram
+        matrices G_i = (M^i)^T M^i, for the least K <= TENT_K_MAX with
+        C_K = G_K + G_-K - 2I > 0: M^T G_i M = G_(i+1), and the tent weights
+        have second difference -2 at 0 and 1 at +-K, so C = C_K.  Such a K
+        exists exactly when no eigenvalue lies on the unit circle.  The exact
+        check of P and C decides, and ValueError when no K passes it.
         """
         m, inv = self.matrix, self._inverse
-        try:
-            proposals = self._proposals()
-        except (OverflowError, ValueError, ZeroDivisionError):
-            # floats overflowed, or the root search diverged: nothing is proposed
-            proposals = []
-        for form in proposals:
-            ahead, back = (mat_mul(tuple(zip(*a)), mat_mul(form, a)) for a in (m, inv))
-            curvature = tuple(
-                tuple(x + y - 2 * z for x, y, z in zip(*rows))
-                for rows in zip(ahead, back, form)
-            )
-            if positive_definite(form) and positive_definite(curvature):
+        ident = identity_matrix(self.n)
+        twice = mat_add(ident, ident)
+        # P_(K+1) = P_K + S_(K+1), with the window S_K = sum_(|i|<K) G_i
+        form = window = ahead = back = ident
+        for _ in range(TENT_K_MAX):
+            ahead, back = mat_mul(m, ahead), mat_mul(inv, back)
+            grams = mat_add(*(mat_mul(tuple(zip(*a)), a) for a in (ahead, back)))
+            if positive_definite(mat_sub(grams, twice)) and _convex(form, m, inv):
                 return form
+            window = mat_add(window, grams)
+            form = mat_add(form, window)
         raise ValueError(
-            "no certified convex form for the p = 0 conjugacy key: no proposal "
-            "passed the exact check, as for an eigenvalue on the unit circle "
-            "that is not a root of unity (Salem type) or a non-semisimple spectrum"
+            "no certified convex form for the p = 0 conjugacy key: no tent sum "
+            f"of width K <= {TENT_K_MAX} passed the exact check, as for an "
+            "eigenvalue on the unit circle that is not a root of unity "
+            "(Salem type), where none can"
         )
-
-    def _proposals(self) -> list[tuple[tuple[int, ...], ...]]:
-        """T rounded to b bits, from the Durand-Kerner roots l of M and
-        E_l = prod_(m != l) (M - m) / (l - m) (see convex_form)."""
-        n = self.n
-        ident = identity_matrix(n)
-        # Durand-Kerner converges slowly on a repeated root, so it runs on the
-        # square-free part of chi_M, whose roots are the distinct eigenvalues
-        simple = [float(c) for c in reversed(squarefree_part(charpoly(self.matrix)))]
-        distinct = [(0.4 + 0.9j) ** k for k in range(len(simple) - 1)]
-        for _ in range(500):
-            moved = 0.0
-            for i, z in enumerate(distinct):
-                value = reduce(lambda acc, c: acc * z + c, simple, 0j)
-                step = value / prod(z - w for j, w in enumerate(distinct) if j != i)
-                distinct[i] = z - step
-                moved = max(moved, abs(step))
-            if moved < 1e-14:
-                break
-        t = [[0.0] * n for _ in range(n)]
-        for lam in distinct:
-            others = [mu for mu in distinct if mu != lam]
-            proj = ident
-            for mu in others:
-                shift = tuple(tuple(mu * x for x in row) for row in ident)
-                proj = mat_mul(proj, mat_sub(self.matrix, shift))
-            weight = abs(prod(lam - mu for mu in others)) ** -2
-            adjoint = tuple(tuple(x.conjugate() for x in col) for col in zip(*proj))
-            for row, gram_row in zip(t, mat_mul(adjoint, proj)):
-                row[:] = [x + weight * y.real for x, y in zip(row, gram_row)]
-        big = max(abs(x) for row in t for x in row)
-        return [
-            tuple(
-                tuple(round((x + y) * 2 ** (bits - 1) / big) for x, y in zip(row, col))
-                for row, col in zip(t, zip(*t))
-            )
-            for bits in (4, 8, 16, 32, 64)
-        ]
 
     def _descend(self, form, v) -> tuple[int, ...]:
         # i -> P(M^i v) is strictly convex with at most two minimisers, so

@@ -2,7 +2,7 @@
 polynomials: the characteristic polynomial, the one source of spectral
 facts, with what it yields (the adjugate and determinant by Cayley-Hamilton,
 unimodular inverses, a positive-definiteness test and the root-of-unity
-orders), a polynomial at a matrix, and the square-free part.
+orders), and a polynomial at a matrix.
 
 Matrices are tuples of row tuples of Python ints, so everything here is
 arbitrary precision and hashable.  mat_vec also takes Fraction entries, in
@@ -17,6 +17,7 @@ from operator import mul
 
 __all__ = [
     "identity_matrix",
+    "mat_add",
     "mat_mul",
     "mat_pow",
     "mat_vec",
@@ -30,7 +31,6 @@ __all__ = [
     "poly_at_matrix",
     "adjugate",
     "cyclotomic_orders",
-    "squarefree_part",
 ]
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -63,6 +63,10 @@ def mat_pow(a: Matrix, e: int) -> Matrix:
 
 def mat_vec(a: Matrix, v) -> tuple:
     return tuple([sum(map(mul, row, v)) for row in a])
+
+
+def mat_add(*matrices: Matrix) -> Matrix:
+    return tuple(tuple(map(sum, zip(*rows))) for rows in zip(*matrices))
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -230,14 +234,3 @@ def _poly_divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
     while rem and rem[-1] == 0:
         rem.pop()
     return quot, rem
-
-
-def squarefree_part(coeffs) -> list[Fraction]:
-    """f / gcd(f, f') made monic, for f of positive degree given low degree
-    first: the same roots as f, each a simple root."""
-    f = [Fraction(x) for x in coeffs]
-    g, h = f, [i * x for i, x in enumerate(f)][1:]
-    while h:
-        g, h = h, _poly_divmod(g, h)[1]
-    quot = _poly_divmod(f, g)[0]
-    return [x / quot[-1] for x in quot]

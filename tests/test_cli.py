@@ -314,18 +314,14 @@ def test_spectral_refuses_non_semisimple(tmp_path, capsys):
 # unit circle that are not roots of unity, and of (x^2 - 3x + 1)^2
 SALEM = [[0, 0, 0, -1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
 DOUBLE_ROOTS = [[0, 0, 0, -1], [1, 0, 0, 6], [0, 1, 0, -11], [0, 0, 1, 6]]
+# hyperbolic, with roots near 10^200 and 10^-200
+HUGE = [[10**200 + 1, 10**200], [1, 1]]
 
 
 @pytest.mark.parametrize(
     "rows,cause",
-    [
-        ([[0, -1], [1, 0]], "root-of-unity"),
-        (SALEM, "Salem"),
-        (DOUBLE_ROOTS, "non-semisimple"),
-        # hyperbolic, but its roots 10^200 and 10^-200 overflow the floats
-        ([[10**200 + 1, 10**200], [1, 1]], "no proposal passed"),
-    ],
-    ids=["rotation", "salem", "double-roots", "float-range"],
+    [([[0, -1], [1, 0]], "root-of-unity"), (SALEM, "Salem")],
+    ids=["rotation", "salem"],
 )
 def test_ratio_refuses_matrices_without_exact_keys(tmp_path, capsys, rows, cause):
     group = f"matrix:{matrix_path(tmp_path, rows)}"
@@ -335,6 +331,26 @@ def test_ratio_refuses_matrices_without_exact_keys(tmp_path, capsys, rows, cause
     captured = capsys.readouterr()
     assert captured.out == ""
     assert cause in captured.err
+
+
+@pytest.mark.parametrize("rows", [DOUBLE_ROOTS, HUGE], ids=["double-roots", "float-range"])
+def test_ratio_keys_matrices_off_the_unit_circle(tmp_path, capsys, rows):
+    # a non-semisimple spectrum and entries past the float range: the tent
+    # sum certifies both, where a float root search once refused them
+    group = f"matrix:{matrix_path(tmp_path, rows)}"
+    assert run(["ratio", "--group", group, "--radius", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert len(captured.out.splitlines()) == 5
+
+
+def test_conjtest_agrees_on_huge_entries(tmp_path, capsys):
+    group = f"matrix:{matrix_path(tmp_path, HUGE)}"
+    argv = ["conjtest", "--group", group, "--radius", "3", "--oracle-radius", "6"]
+    assert run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["agreement"] is True
+    assert report["classes_by_key"] == report["classes_by_oracle"] == 43
 
 
 def test_rewrite(capsys):

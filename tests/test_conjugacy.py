@@ -321,6 +321,8 @@ HYP_SUM = ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1))
 
 # two real blocks with disjoint spectra
 HYP_PLUS = ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 3, 1), (0, 0, 2, 1))
+# companion of (x^2 - 3x + 1)^2: each root twice, in one Jordan block
+DOUBLE_ROOTS = ((0, 0, 0, -1), (1, 0, 0, 6), (0, 1, 0, -11), (0, 0, 1, 6))
 
 
 @st.composite
@@ -339,14 +341,24 @@ def conjugated(draw, base):
     return m
 
 
-CONVEX_BASES = [HYP, ((3, 1), (2, 1)), SYM3, PISOT, PISOT_B, QUARTIC, HYP_SUM, HYP_PLUS]
+CONVEX_BASES = [
+    HYP,
+    ((3, 1), (2, 1)),
+    SYM3,
+    PISOT,
+    PISOT_B,
+    QUARTIC,
+    HYP_SUM,
+    HYP_PLUS,
+    DOUBLE_ROOTS,
+]
 
 
 @given(data=st.data(), base=st.sampled_from(CONVEX_BASES))
 @settings(deadline=None)
 def test_convex_form_key_is_orbit_invariant(data, base):
-    # real, complex and repeated roots alike: the reference checks P > 0
-    # and C > 0 itself, then scans the orbit without the descent
+    # real, complex, repeated and non-semisimple roots alike: the reference
+    # checks P > 0 and C > 0 itself, then scans the orbit without the descent
     m = data.draw(conjugated(base))
     ctx = MatrixContext(m)
     v = data.draw(st.tuples(*[st.integers(-50, 50)] * len(m)))
@@ -356,11 +368,12 @@ def test_convex_form_key_is_orbit_invariant(data, base):
         assert conjugacy_key(ctx, Element(ctx.phi_power(v, j), 0)) == key
 
 
-@given(data=st.data(), base=st.sampled_from([PISOT, HYP_SUM]))
+@given(data=st.data(), base=st.sampled_from([PISOT, HYP_SUM, DOUBLE_ROOTS]))
 @settings(deadline=None)
 def test_convex_form_key_matches_the_window_partition(data, base):
-    # the Pisot companion and HYP_SUM have no positive Q with Q M = M^T Q;
-    # their convex-form keys must still split p = 0 as the window search does
+    # none of these has a positive Q with Q M = M^T Q, and DOUBLE_ROOTS is not
+    # semisimple; their convex-form keys must still split p = 0 as the window
+    # search does
     m = data.draw(conjugated(base))
     ctx = MatrixContext(m)
     vs = data.draw(
@@ -375,21 +388,49 @@ def test_convex_form_key_matches_the_window_partition(data, base):
             assert (keys[a] == keys[b]) == (window[a] == window[b])
 
 
-def test_convex_form_key_on_two_real_blocks():
-    ctx = MatrixContext(HYP_PLUS)
+def check_convex_form_key_on_a_ball(base, radius, classes):
+    ctx = MatrixContext(base)
     pairs = {
         (conjugacy_key(ctx, g), matrix_shift_canonical(ctx, g.kpart))
-        for g in enumerate_ball(ctx, 3).elements()
+        for g in enumerate_ball(ctx, radius).elements()
         if g.texp == 0
     }
     # on p = 0 the descent and the window search induce the same partition
     keys, window = zip(*pairs)
-    assert len(set(keys)) == len(set(window)) == len(pairs) == 111
+    assert len(set(keys)) == len(set(window)) == len(pairs) == classes
     for v in ((1, 0, 0, 0), (3, -1, 2, 5)):
         key = conjugacy_key(ctx, Element(v, 0))
         assert key == (0, matrix_form_minimum(ctx, v))
         for j in (-9, 4):
             assert conjugacy_key(ctx, Element(ctx.phi_power(v, j), 0)) == key
+
+
+def test_convex_form_key_on_two_real_blocks():
+    check_convex_form_key_on_a_ball(HYP_PLUS, 3, 111)
+
+
+def test_convex_form_key_on_a_jordan_block():
+    check_convex_form_key_on_a_ball(DOUBLE_ROOTS, 4, 197)
+
+
+def tent_form(m, width):
+    """sum_(|i| < width) (width - |i|) (M^i)^T M^i, one power at a time."""
+    inv = linalg.unimodular_inverse(m)
+    out = [[0] * len(m) for _ in m]
+    for i in range(1 - width, width):
+        a = mat_pow(m, i) if i >= 0 else mat_pow(inv, -i)
+        gram = mat_mul(tuple(zip(*a)), a)
+        for row, gram_row in zip(out, gram):
+            row[:] = [x + (width - abs(i)) * y for x, y in zip(row, gram_row)]
+    return tuple(map(tuple, out))
+
+
+def test_convex_form_is_the_least_tent_sum():
+    # C_1 = G_1 + G_-1 - 2I > 0 already for [[2,1],[1,1]], so P = I; the
+    # Pisot companion and the non-semisimple DOUBLE_ROOTS need width 4
+    assert MatrixContext(HYP).convex_form == identity_matrix(2)
+    for base in (PISOT, DOUBLE_ROOTS):
+        assert MatrixContext(base).convex_form == tent_form(base, 4)
 
 
 RESIDUE_CONTEXTS = [

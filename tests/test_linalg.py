@@ -18,12 +18,12 @@ from abcgroups.linalg import (
     cyclotomic_poly,
     identity_matrix,
     lattice_index,
+    mat_add,
     mat_mul,
     mat_pow,
     mat_sub,
     mat_vec,
     positive_definite,
-    squarefree_part,
     totient,
     unimodular_inverse,
 )
@@ -42,6 +42,7 @@ def test_mat_helpers():
     b = ((0, 1), (1, 0))
     assert mat_mul(a, b) == ((2, 1), (4, 3))
     assert mat_sub(a, b) == ((1, 1), (2, 4))
+    assert mat_add(a, b, b) == ((1, 4), (5, 4))
     assert mat_vec(a, (1, -1)) == (-1, -1)
 
 
@@ -380,25 +381,3 @@ def reference_orders(m) -> list[int]:
 @settings(max_examples=150)
 def test_cyclotomic_orders_match_determinant_scan(m):
     assert cyclotomic_orders(m) == reference_orders(m)
-
-
-def poly_from_roots(roots) -> list[int]:
-    """prod (x - r) over roots, low degree first."""
-    out = [1]
-    for r in roots:
-        out = [b - r * a for a, b in zip(out + [0], [0] + out)]
-    return out
-
-
-def test_squarefree_part_examples():
-    # (x^2 - 3x + 1)^2, the companion polynomial that has no certified form
-    assert squarefree_part([1, -6, 11, -6, 1]) == [1, -3, 1]
-    # x^3 - x^2 - 1 is already square-free
-    assert squarefree_part([-1, 0, -1, 1]) == [-1, 0, -1, 1]
-    assert squarefree_part([-3, 2]) == [Fraction(-3, 2), 1]
-
-
-@given(st.dictionaries(st.integers(-5, 5), st.integers(1, 3), min_size=1, max_size=4))
-def test_squarefree_part_keeps_each_root_once(multiplicity):
-    roots = [r for r, m in multiplicity.items() for _ in range(m)]
-    assert squarefree_part(poly_from_roots(roots)) == poly_from_roots(multiplicity)
