@@ -39,6 +39,7 @@ from .linalg import (
     mat_vec,
     positive_definite,
     unimodular_inverse,
+    unit_ideal,
 )
 
 __all__ = [
@@ -187,6 +188,15 @@ class LamplighterContext(GroupContext):
         delta = ((0, 1),)
         standard = ((), delta, self.kpart_neg(delta))
         self._set_kgens(standard if kgens is None else kgens)
+        # R spans the ideal of Z/m[x, 1/x] (Z[x, 1/x] for m = 0) that its
+        # configurations sum v_i x^i generate, so R generates K over t
+        # exactly when that ideal is the unit ideal
+        polys = [
+            [dict(a).get(i, 0) for i in range(a[0][0], a[-1][0] + 1)]
+            for a in self.kgen_nonzero
+        ]
+        if not unit_ideal(polys, m):
+            raise ValueError("kernel generators do not generate the lamps over t")
         self._standard_gens = set(self.kgen_nonzero) == set(standard[1:])
         # class sums -> their least rotation; a tuple's length is its |p|
         self._least_rotation: dict[tuple, tuple] = {}

@@ -2,7 +2,8 @@
 polynomials: the characteristic polynomial, the one source of spectral
 facts, with what it yields (the adjugate and determinant by Cayley-Hamilton,
 unimodular inverses, a positive-definiteness test and the root-of-unity
-orders), and a polynomial at a matrix.
+orders), a polynomial at a matrix, and whether polynomials generate the
+unit ideal of a ring of Laurent polynomials.
 
 Matrices are tuples of row tuples of Python ints, so everything here is
 arbitrary precision and hashable.  mat_vec also takes Fraction entries, in
@@ -26,11 +27,13 @@ __all__ = [
     "positive_definite",
     "lattice_index",
     "charpoly",
+    "prime_factors",
     "totient",
     "cyclotomic_poly",
     "poly_at_matrix",
     "adjugate",
     "cyclotomic_orders",
+    "unit_ideal",
 ]
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -147,20 +150,25 @@ def charpoly(matrix: Matrix) -> tuple[int, ...]:
     return tuple(reversed(coeffs))
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
 def totient(d: int) -> int:
     if d < 1:
         raise ValueError(f"totient needs a positive argument, got {d}")
     out = d
-    rem = d
-    p = 2
-    while p * p <= rem:
-        if rem % p == 0:
-            out -= out // p
-            while rem % p == 0:
-                rem //= p
-        p += 1
-    if rem > 1:
-        out -= out // rem
+    for p in prime_factors(d):
+        out -= out // p
     return out
 
 
@@ -234,3 +242,46 @@ def _poly_divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
     while rem and rem[-1] == 0:
         rem.pop()
     return quot, rem
+
+
+def unit_ideal(polys, m: int) -> bool:
+    """Whether integer polynomials, low degree first, generate the unit
+    ideal of Z/m[x, 1/x] for m >= 2, or of Z[x, 1/x] for m = 0.
+
+    By the Chinese remainder theorem, and as l is nilpotent mod l^e, they
+    do for m >= 2 exactly when their gcd over F_l is a monomial for every
+    prime l | m.  For m = 0 their gcd over Q must be a monomial N x^j with
+    N in the ideal (see _pseudo_gcd); the ideal then contains N, and the
+    test for m = |N| decides.
+    """
+    if not m:
+        g = _pseudo_gcd(polys, 0)
+        if sum(map(bool, g)) != 1:
+            return False
+        m = abs(sum(g))
+    return all(sum(map(bool, _pseudo_gcd(polys, l))) == 1 for l in prime_factors(m))
+
+
+def _pseudo_gcd(polys, modulus: int) -> list[int]:
+    """A gcd of integer polynomials over F_modulus for a prime modulus, or
+    over Q for modulus 0, trimmed and low degree first; [] when all vanish.
+
+    Euclid divides by pseudo-remainders lead(b) a - lead(a) x^s b, so every
+    polynomial it makes is a Z[x]-combination of the inputs: over Q the gcd
+    it returns lies in the ideal they generate over Z.
+    """
+
+    def trim(f):
+        f = [c % modulus for c in f] if modulus else list(f)
+        while f and not f[-1]:
+            f.pop()
+        return f
+
+    g = []
+    for f in map(trim, polys):
+        while f:
+            while len(g) >= len(f):
+                shifted = [0] * (len(g) - len(f)) + f
+                g = trim([f[-1] * x - g[-1] * y for x, y in zip(g, shifted)])
+            g, f = f, g
+    return g

@@ -61,6 +61,41 @@ def test_bs_kgens_must_generate_the_kernel():
         BaumslagSolitarContext(k, kgens=kgens)
 
 
+def symmetric(m, *confs):
+    """{0} and each configuration with its negative, lamps mod m."""
+    return [()] + [
+        tuple((i, s * v % m if m else s * v) for i, v in conf)
+        for conf in confs
+        for s in (1, -1)
+    ]
+
+
+def test_lamplighter_kgens_must_generate_the_kernel():
+    # R generates K over t when its Laurent polynomials sum v_i x^i generate
+    # Z/m[x, 1/x]; {0, d_0 + d_1} in lamplighter:2 spans only the even lamp
+    # counts, where the keys find 28 classes at r6 and the oracle 36 at rc12
+    pair, two, three = ((0, 1), (1, 1)), ((0, 2),), ((0, 3),)
+    for m, confs in (
+        (2, [pair]),
+        (4, [two]),
+        (0, [two]),
+        (2, []),
+        (0, [pair, ((0, 1), (1, -1))]),
+        (0, [((0, 2), (1, 1)), three]),
+    ):
+        with pytest.raises(ValueError, match="generate"):
+            LamplighterContext(m, kgens=symmetric(m, *confs))
+    for m, confs in (
+        (6, [two, three]),
+        (0, [pair, ((0, 1), (1, 2))]),
+        (2, [((0, 1),), ((1, 1),), pair]),
+        (2, [((1, 1),)]),
+        (5, [((-3, 2),)]),
+        (3, [((2, 1), (5, 1)), ((3, 1),)]),
+    ):
+        LamplighterContext(m, kgens=symmetric(m, *confs))
+
+
 def test_generator_counts_and_order():
     assert len(BaumslagSolitarContext(2).generators()) == 4
     # with mod 2 lamps the lamp generator is its own inverse
