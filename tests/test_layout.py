@@ -15,7 +15,8 @@ somewhere in src/abcgroups or bench/, which reads ctx.family.  A read
 through a resolved receiver counts as a read of that field only for the
 receiver's class C and its bases: self.x in the methods of C, and x.f in a
 function where every binding of the name x is x = C(...) or the parameter
-x: C.  A helper that only tests need belongs in tests/.
+x: C.  A helper that only tests need belongs in tests/.  No module imports
+a name it does not use.
 
 Other receivers, unannotated parameters among them, are matched by name,
 so a field that shares its name with one read elsewhere through such a
@@ -266,6 +267,56 @@ def unread_fields(src: Path = SRC, readers=(SRC, BENCH)) -> list[str]:
         for cls in _classes(tree)
         for name in _class_fields(cls)
         if name not in loads and (cls.name, name) not in resolved_loads
+    ]
+
+
+def unused_imports(src: Path = SRC) -> list[str]:
+    """module:name for each name a module imports and never uses.
+
+    A use is a Name node anywhere in the module, which covers attribute
+    chains (os.path starts with the Name os) and annotations, or an entry of
+    its __all__; __future__ imports and the package __init__ are exempt.
+    """
+    out = []
+    for module, tree in _module_trees(src).items():
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in tree.body:
+            if _defined_names(node) == ["__all__"]:
+                used |= {elt.value for elt in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        out.append(f"{module}:{name}")
+    return out
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
+
+
+def test_guard_flags_an_unused_import(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from functools import cached_property, reduce\n"
+        "from math import gcd, prod\n"
+        "from .linalg import charpoly, mat_add\n\n"
+        '__all__ = ["mat_add"]\n\n\n'
+        "def f(xs) -> js.JSONDecoder:\n"
+        "    return os.path.join(*xs), gcd(*xs)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "__init__.py").write_text("from .mod import unused\n")
+    assert unused_imports(tmp_path) == [
+        "mod:cached_property",
+        "mod:reduce",
+        "mod:prod",
+        "mod:charpoly",
     ]
 
 
