@@ -192,8 +192,8 @@ class LamplighterContext(GroupContext):
         # configurations sum v_i x^i generate, so R generates K over t
         # exactly when that ideal is the unit ideal
         polys = [
-            [dict(a).get(i, 0) for i in range(a[0][0], a[-1][0] + 1)]
-            for a in self.kgen_nonzero
+            [lamps.get(i, 0) for i in range(min(lamps), max(lamps) + 1)]
+            for lamps in map(dict, self.kgen_nonzero)
         ]
         if not unit_ideal(polys, m):
             raise ValueError("kernel generators do not generate the lamps over t")
