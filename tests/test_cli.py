@@ -335,8 +335,8 @@ def test_ratio_refuses_matrices_without_exact_keys(tmp_path, capsys, rows, cause
 
 @pytest.mark.parametrize("rows", [DOUBLE_ROOTS, HUGE], ids=["double-roots", "float-range"])
 def test_ratio_keys_matrices_off_the_unit_circle(tmp_path, capsys, rows):
-    # a non-semisimple spectrum and entries past the float range: the tent
-    # sum certifies both, where a float root search once refused them
+    # a non-semisimple spectrum and 200-digit entries: no eigenvalue lies on
+    # the unit circle, so the tent sum certifies both
     group = f"matrix:{matrix_path(tmp_path, rows)}"
     assert run(["ratio", "--group", group, "--radius", "3"]) == 0
     captured = capsys.readouterr()
