@@ -5,6 +5,20 @@ of conjugacy classes meeting the ball (cumulative) and the number first
 reached at r (new), their ratios cr and scr, the size of the thin part
 F(r) of the new-class sphere under a threshold function f, and the count
 of ball elements whose geodesics can avoid more than f(r) t-type letters.
+
+Only the strata p >= 0 are keyed.  The generating set is symmetric (the
+context refuses a kernel set without inverses, and t, t^-1 are both
+generators), so |g^-1| = |g| and inversion is a bijection of each sphere.
+It maps conjugacy classes onto conjugacy classes, since
+(x g x^-1)^-1 = x g^-1 x^-1, and stratum p onto stratum -p.  So for p != 0
+the class C^-1 is not C, and C^-1 meets every sphere S_r in as many
+elements as C does: it is new at the same radius, with the same sphere
+count.  Each new class of a stratum p > 0 is therefore counted twice, and
+the new, cumulative and thin-part columns over p < 0 come out equal to
+their values over p > 0.  A class of p = 0 can be its own inverse, so
+stratum 0 is keyed in full and each of its classes counts once.  The ball,
+sphere and U_count columns come from the spheres and their t-counts, which
+are all kept.
 """
 
 from __future__ import annotations
@@ -61,9 +75,15 @@ def threshold_function(spec: str) -> Callable[[int], int]:
 def ratio_table(
     ctx: GroupContext, index: BallIndex, f: str = "sqrt"
 ) -> tuple[RatioRow, ...]:
-    """One row per radius of the index, under the threshold spec f."""
+    """One row per radius of the index, under the threshold spec f.
+
+    Keys only the sphere elements with p >= 0 and counts each new class of
+    a stratum p > 0 twice, once for its inverse class in stratum -p: the
+    rows equal those of a key for every element (see the module doc).
+    """
     bound_at = threshold_function(f)
-    seen_keys: set = set()
+    seen: set = set()
+    classes_cum = 0
     # t_hist[m] counts ball elements whose geodesics need m t-letters
     t_hist: dict[int, int] = {}
     rows = []
@@ -71,27 +91,32 @@ def ratio_table(
     for r in range(index.radius + 1):
         sphere = index.sphere(r)
         ball += len(sphere)
+        # (key, weight) -> count on this sphere; a class of stratum p > 0
+        # weighs 2, as it stands for its inverse class in stratum -p too
         new_hist: dict = {}
         for g in sphere:
-            key = conjugacy_key(ctx, g)
-            if key not in seen_keys:
-                new_hist[key] = new_hist.get(key, 0) + 1
+            if g.texp >= 0:
+                entry = (conjugacy_key(ctx, g), 2 if g.texp else 1)
+                if entry not in seen:
+                    new_hist[entry] = new_hist.get(entry, 0) + 1
         for m in index.t_counts(r):
             t_hist[m] = t_hist.get(m, 0) + 1
-        seen_keys.update(new_hist)
+        seen.update(new_hist)
         bound = bound_at(r)
         u_count = sum(count for m, count in t_hist.items() if m <= bound)
-        f_classes = sum(1 for c in new_hist.values() if c <= bound)
-        f_size = sum(c for c in new_hist.values() if c <= bound)
+        classes_new = sum(w for _, w in new_hist)
+        classes_cum += classes_new
+        f_classes = sum(w for (_, w), c in new_hist.items() if c <= bound)
+        f_size = sum(w * c for (_, w), c in new_hist.items() if c <= bound)
         rows.append(
             RatioRow(
                 r=r,
                 ball=ball,
                 sphere=len(sphere),
-                classes_cum=len(seen_keys),
-                classes_new=len(new_hist),
-                cr=len(seen_keys) / ball,
-                scr=len(new_hist) / len(sphere),
+                classes_cum=classes_cum,
+                classes_new=classes_new,
+                cr=classes_cum / ball,
+                scr=classes_new / len(sphere),
                 f_size=f_size,
                 f_classes=f_classes,
                 u_count=u_count,

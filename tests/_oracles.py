@@ -5,7 +5,8 @@ words, elementwise conjugation sweeps, geodesic words rebuilt from the
 discovery order of the spheres) or by the plain exhaustive loop a fast
 path replaced (BFS against a whole-ball dict, pairwise conjugator
 solving, step-by-step orbit walks, whole-window orbit scans,
-all-rotations keys, Fraction projection scans), so the fast code paths
+all-rotations keys, Fraction projection scans, a ratio table keyed on
+both signs of p), so the fast code paths
 have an independent answer to match.
 Helpers that only tests call live here too: element construction from a
 raw kernel part, conjugation, are_conjugate, quotient representatives,
@@ -37,7 +38,7 @@ from abcgroups.enumeration import (
 from abcgroups.folner import _require_bs
 from abcgroups.groups import Element, GroupContext, LamplighterContext, MatrixContext
 from abcgroups.linalg import Matrix, identity_matrix, mat_mul, mat_sub, mat_vec
-from abcgroups.ratios import RatioRow
+from abcgroups.ratios import RatioRow, threshold_function
 from abcgroups.spectral import unit_root_projection
 from abcgroups.words import generator_letters, letter_element
 
@@ -590,6 +591,48 @@ def epsilon_norm_reference(
                 best = max(best, abs(entry))
         rows.append((r, best))
     return rows
+
+
+def full_ratio_table(
+    ctx: GroupContext, index: BallIndex, f: str = "sqrt"
+) -> tuple[RatioRow, ...]:
+    """ratio_table with a key for every ball element, both signs of p."""
+    bound_at = threshold_function(f)
+    seen_keys: set = set()
+    # t_hist[m] counts ball elements whose geodesics need m t-letters
+    t_hist: dict[int, int] = {}
+    rows = []
+    ball = 0
+    for r in range(index.radius + 1):
+        sphere = index.sphere(r)
+        ball += len(sphere)
+        new_hist: dict = {}
+        for g in sphere:
+            key = conjugacy_key(ctx, g)
+            if key not in seen_keys:
+                new_hist[key] = new_hist.get(key, 0) + 1
+        for m in index.t_counts(r):
+            t_hist[m] = t_hist.get(m, 0) + 1
+        seen_keys.update(new_hist)
+        bound = bound_at(r)
+        u_count = sum(count for m, count in t_hist.items() if m <= bound)
+        f_classes = sum(1 for c in new_hist.values() if c <= bound)
+        f_size = sum(c for c in new_hist.values() if c <= bound)
+        rows.append(
+            RatioRow(
+                r=r,
+                ball=ball,
+                sphere=len(sphere),
+                classes_cum=len(seen_keys),
+                classes_new=len(new_hist),
+                cr=len(seen_keys) / ball,
+                scr=len(new_hist) / len(sphere),
+                f_size=f_size,
+                f_classes=f_classes,
+                u_count=u_count,
+            )
+        )
+    return tuple(rows)
 
 
 def are_conjugate(ctx: GroupContext, g: Element, h: Element) -> bool:

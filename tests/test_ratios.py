@@ -2,9 +2,16 @@ from math import log
 
 import pytest
 
-from _oracles import decay_fit, low_t_count, sphere_class_histogram, t_count_map
+from _oracles import (
+    decay_fit,
+    full_ratio_table,
+    low_t_count,
+    sphere_class_histogram,
+    t_count_map,
+)
+from abcgroups.conjugacy import conjugacy_key
 from abcgroups.enumeration import enumerate_ball
-from abcgroups.groups import BaumslagSolitarContext, LamplighterContext
+from abcgroups.groups import BaumslagSolitarContext, LamplighterContext, MatrixContext
 from abcgroups.ratios import (
     CSV_HEADER,
     RatioRow,
@@ -74,6 +81,105 @@ def test_ratio_table_cumulative_consistency():
         assert row.scr == row.classes_new / row.sphere
         assert 0 <= row.f_classes <= row.classes_new
         assert 0 <= row.f_size
+
+
+HYP = ((2, 1), (1, 1))
+
+# balls on which ratio_table's p < 0 mirror is checked, with non-standard
+# kernel generating sets: R = {0, +-1, +-3} in bs:2, {0, d_0, d_1, d_0 + d_1}
+# in lamplighter:2 and {0, +-e_1, +-(1, 1)} for [[2,1],[1,1]]; the last
+# ball is the companion of x^3 - x - 1
+MIRROR_BALLS = [
+    pytest.param(
+        lambda: BaumslagSolitarContext(
+            2, kgens=((0, 0), (1, 0), (-1, 0), (3, 0), (-3, 0))
+        ),
+        8,
+        id="bs-2-pm1-pm3-r8",
+    ),
+    pytest.param(lambda: BaumslagSolitarContext(3), 10, id="bs-3-r10"),
+    pytest.param(lambda: BaumslagSolitarContext(5), 8, id="bs-5-r8"),
+    pytest.param(lambda: LamplighterContext(3), 10, id="lamplighter-3-r10"),
+    pytest.param(lambda: LamplighterContext(0), 8, id="lamplighter-0-r8"),
+    pytest.param(
+        lambda: LamplighterContext(
+            2, kgens=((), ((0, 1),), ((1, 1),), ((0, 1), (1, 1)))
+        ),
+        7,
+        id="lamplighter-2-d0-d1-d01-r7",
+    ),
+    pytest.param(lambda: MatrixContext(HYP), 9, id="hyperbolic-r9"),
+    pytest.param(
+        lambda: MatrixContext(HYP, kgens=((0, 0), (1, 0), (-1, 0), (1, 1), (-1, -1))),
+        7,
+        id="hyperbolic-e1-11-r7",
+    ),
+    pytest.param(
+        lambda: MatrixContext(((0, 0, 1), (1, 0, 1), (0, 1, 0))), 6, id="pisot-r6"
+    ),
+]
+
+
+@pytest.mark.parametrize("make_ctx, radius", MIRROR_BALLS)
+def test_mirrored_table_equals_full_key_pass(make_ctx, radius):
+    ctx = make_ctx()
+    index = enumerate_ball(ctx, radius)
+    for f in ("sqrt", "log2", "const:3"):
+        assert ratio_table(ctx, index, f) == full_ratio_table(ctx, index, f)
+
+
+def inversion_breaks(ctx, index) -> list[str]:
+    """Which of the facts ratio_table's mirror rests on fail on the index:
+    g -> g^-1 maps each sphere onto itself with equal t-counts, it maps each
+    class of a stratum p > 0 into one class of stratum -p with the same
+    count on the sphere, and the strata p and -p have the same multiset of
+    class counts."""
+    t_count = t_count_map(index)
+    broken = []
+    for r in range(index.radius + 1):
+        sphere = index.sphere(r)
+        if {ctx.invert(g): t_count[g] for g in sphere} != dict(
+            zip(sphere, index.t_counts(r))
+        ):
+            broken.append(f"S_{r} is not closed under inversion")
+            continue
+        hist = sphere_class_histogram(ctx, index, r)
+        stratum = {}
+        inverse_keys: dict = {}  # key of a class with p > 0 -> keys of g^-1
+        for g in sphere:
+            key = conjugacy_key(ctx, g)
+            stratum[key] = g.texp
+            if g.texp > 0:
+                inverse = conjugacy_key(ctx, ctx.invert(g))
+                inverse_keys.setdefault(key, set()).add(inverse)
+        for key, keys in inverse_keys.items():
+            if len(keys) != 1:
+                broken.append(f"key(g^-1) varies on the class {key} of S_{r}")
+                continue
+            (inverse,) = keys
+            if stratum[inverse] != -stratum[key] or hist[inverse] != hist[key]:
+                broken.append(f"the class {key} and its inverse differ on S_{r}")
+        for p in {abs(q) for q in stratum.values()} - {0}:
+            counts = [
+                sorted(c for key, c in hist.items() if stratum[key] == q)
+                for q in (p, -p)
+            ]
+            if counts[0] != counts[1]:
+                broken.append(f"strata {p} and {-p} differ on S_{r}")
+    return broken
+
+
+@pytest.mark.parametrize("make_ctx, radius", MIRROR_BALLS)
+def test_inversion_pairs_spheres_and_classes(make_ctx, radius):
+    ctx = make_ctx()
+    assert inversion_breaks(ctx, enumerate_ball(ctx, radius)) == []
+
+
+def test_inversion_check_flags_a_non_symmetric_generating_set():
+    # the context refuses R = {0, +-1, 3}; set it behind the check's back
+    ctx = BaumslagSolitarContext(2, kgens=((0, 0), (1, 0), (-1, 0), (3, 0), (-3, 0)))
+    ctx.kgen_nonzero = ((1, 0), (-1, 0), (3, 0))
+    assert inversion_breaks(ctx, enumerate_ball(ctx, 4))
 
 
 def test_histogram_sums_to_sphere():
