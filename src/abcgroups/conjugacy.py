@@ -146,6 +146,7 @@ class UnionFind:
 # generating set is symmetric, so |x^-1| = |x| for every x, and
 # x g x^-1 = h exactly when x^-1 h x = g and when x g^-1 x^-1 = h^-1: each
 # merge (g, h) is also made as (g^-1, h^-1), mirroring stratum p onto -p.
+# ratios.ratio_table counts the classes of p < 0 by the same fact.
 # ---------------------------------------------------------------------------
 
 

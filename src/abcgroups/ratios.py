@@ -6,19 +6,13 @@ reached at r (new), their ratios cr and scr, the size of the thin part
 F(r) of the new-class sphere under a threshold function f, and the count
 of ball elements whose geodesics can avoid more than f(r) t-type letters.
 
-Only the strata p >= 0 are keyed.  The generating set is symmetric (the
-context refuses a kernel set without inverses, and t, t^-1 are both
-generators), so |g^-1| = |g| and inversion is a bijection of each sphere.
-It maps conjugacy classes onto conjugacy classes, since
-(x g x^-1)^-1 = x g^-1 x^-1, and stratum p onto stratum -p.  So for p != 0
-the class C^-1 is not C, and C^-1 meets every sphere S_r in as many
-elements as C does: it is new at the same radius, with the same sphere
-count.  Each new class of a stratum p > 0 is therefore counted twice, and
-the new, cumulative and thin-part columns over p < 0 come out equal to
-their values over p > 0.  A class of p = 0 can be its own inverse, so
-stratum 0 is keyed in full and each of its classes counts once.  The ball,
-sphere and U_count columns come from the spheres and their t-counts, which
-are all kept.
+Only the strata p >= 0 are keyed.  The generating set is symmetric, so
+inversion is a bijection of each sphere, and it maps conjugacy classes onto
+conjugacy classes, as (x g x^-1)^-1 = x g^-1 x^-1, and stratum p onto -p.
+So for p != 0 the inverse class C^-1 is not C and meets every sphere in as
+many elements as C, and each new class of a stratum p > 0 is counted twice.
+A class of p = 0 can be its own inverse, so stratum 0 is keyed in full and
+each of its classes counts once.
 """
 
 from __future__ import annotations
@@ -77,9 +71,8 @@ def ratio_table(
 ) -> tuple[RatioRow, ...]:
     """One row per radius of the index, under the threshold spec f.
 
-    Keys only the sphere elements with p >= 0 and counts each new class of
-    a stratum p > 0 twice, once for its inverse class in stratum -p: the
-    rows equal those of a key for every element (see the module doc).
+    Keys only the elements with p >= 0 and counts each new class of a
+    stratum p > 0 twice, for its inverse class in -p (see the module doc).
     """
     bound_at = threshold_function(f)
     seen: set = set()
@@ -91,8 +84,7 @@ def ratio_table(
     for r in range(index.radius + 1):
         sphere = index.sphere(r)
         ball += len(sphere)
-        # (key, weight) -> count on this sphere; a class of stratum p > 0
-        # weighs 2, as it stands for its inverse class in stratum -p too
+        # (key, weight) -> sphere count; a class of p > 0 weighs 2, for C^-1
         new_hist: dict = {}
         for g in sphere:
             if g.texp >= 0:

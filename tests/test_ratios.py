@@ -21,6 +21,9 @@ from abcgroups.ratios import (
     threshold_function,
 )
 
+HYP = ((2, 1), (1, 1))
+BS2_ONE_THREE = ((0, 0), (1, 0), (-1, 0), (3, 0), (-3, 0))
+
 
 def test_threshold_sqrt():
     f = threshold_function("sqrt")
@@ -83,19 +86,13 @@ def test_ratio_table_cumulative_consistency():
         assert 0 <= row.f_size
 
 
-HYP = ((2, 1), (1, 1))
-
 # balls on which ratio_table's p < 0 mirror is checked, with non-standard
 # kernel generating sets: R = {0, +-1, +-3} in bs:2, {0, d_0, d_1, d_0 + d_1}
 # in lamplighter:2 and {0, +-e_1, +-(1, 1)} for [[2,1],[1,1]]; the last
 # ball is the companion of x^3 - x - 1
 MIRROR_BALLS = [
     pytest.param(
-        lambda: BaumslagSolitarContext(
-            2, kgens=((0, 0), (1, 0), (-1, 0), (3, 0), (-3, 0))
-        ),
-        8,
-        id="bs-2-pm1-pm3-r8",
+        lambda: BaumslagSolitarContext(2, kgens=BS2_ONE_THREE), 8, id="bs-2-pm1-pm3-r8"
     ),
     pytest.param(lambda: BaumslagSolitarContext(3), 10, id="bs-3-r10"),
     pytest.param(lambda: BaumslagSolitarContext(5), 8, id="bs-5-r8"),
@@ -177,7 +174,7 @@ def test_inversion_pairs_spheres_and_classes(make_ctx, radius):
 
 def test_inversion_check_flags_a_non_symmetric_generating_set():
     # the context refuses R = {0, +-1, 3}; set it behind the check's back
-    ctx = BaumslagSolitarContext(2, kgens=((0, 0), (1, 0), (-1, 0), (3, 0), (-3, 0)))
+    ctx = BaumslagSolitarContext(2, kgens=BS2_ONE_THREE)
     ctx.kgen_nonzero = ((1, 0), (-1, 0), (3, 0))
     assert inversion_breaks(ctx, enumerate_ball(ctx, 4))
 
