@@ -21,7 +21,8 @@ layer and the generator order alone, so no set or hash order enters it.
 
 Candidates are probed as plain (kpart, texp) tuples, which hash and compare
 like the Element NamedTuple, so an Element is built only for an element
-met for the first time.
+met for the first time, and then from its probe tuple by tuple.__new__,
+in C, without the NamedTuple's Python-level constructor.
 """
 
 from __future__ import annotations
@@ -111,6 +112,7 @@ def enumerate_ball(
 
     kadd = ctx.kpart_add
     phip = ctx.phi_power
+    new = tuple.__new__
     shifts_at: dict[int, list] = {}  # p -> [phi^p(d) for d in kgens]
 
     older: dict[Element, int] = {}  # sphere r-2: Element -> min_t
@@ -131,7 +133,7 @@ def enumerate_ball(
                     continue
                 seen = pending.get(h)
                 if seen is None:
-                    pending[Element(b, p)] = min_t
+                    pending[new(Element, h)] = min_t
                 elif min_t < seen:
                     pending[h] = min_t  # the key stays the Element stored first
             nt = min_t + 1
@@ -141,7 +143,7 @@ def enumerate_ball(
                     continue
                 seen = pending.get(h)
                 if seen is None:
-                    pending[Element(a, p + dt)] = nt
+                    pending[new(Element, h)] = nt
                 elif nt < seen:
                     pending[h] = nt
         size += len(pending)

@@ -83,11 +83,9 @@ def folner_box(
         raise ResourceCapError(
             f"box size {n * width} exceeds the cap {element_cap}"
         )
-    elements = frozenset(
-        Element(ctx.canonical_kpart((b, n)), p)
-        for b in range(width)
-        for p in range(n)
-    )
+    # one K-part per b, shared by the box's n layers
+    kparts = (ctx.canonical_kpart((b, n)) for b in range(width))
+    elements = frozenset(Element(a, p) for a in kparts for p in range(n))
     return FolnerBox(elements)
 
 

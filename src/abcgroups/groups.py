@@ -126,10 +126,10 @@ class GroupContext:
         return Element(self.kpart_zero(), 0)
 
     def multiply(self, g: Element, h: Element) -> Element:
-        return Element(
-            self.kpart_add(g.kpart, self.phi_power(h.kpart, g.texp)),
-            g.texp + h.texp,
-        )
+        # tuple.__new__ builds the Element in C, without the NamedTuple's
+        # Python-level __new__; this is the kernel's hottest constructor
+        kpart = self.kpart_add(g.kpart, self.phi_power(h.kpart, g.texp))
+        return tuple.__new__(Element, (kpart, g.texp + h.texp))
 
     def invert(self, g: Element) -> Element:
         return Element(self.phi_power(self.kpart_neg(g.kpart), -g.texp), -g.texp)

@@ -1,3 +1,4 @@
+import gc
 import json
 import sys
 from pathlib import Path
@@ -405,3 +406,61 @@ def test_exit_codes(capsys):
     assert run(["frobnicate"]) == 1
     capsys.readouterr()
 
+
+
+def test_collector_is_paused_for_the_handler(monkeypatch, capsys):
+    seen = []
+
+    def stub(args):
+        seen.append(gc.isenabled())
+        return 0
+
+    monkeypatch.setitem(cli._HANDLERS, "enumerate", stub)
+    assert gc.isenabled()
+    assert run(["enumerate", "--group", "bs:2", "--radius", "1"]) == 0
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["enumerate", "--group", "bs:2", "--radius", "2"], 0),
+        (["ratio", "--group", "bs:1", "--radius", "2"], 1),
+        (["enumerate", "--group", "bs:2", "--radius", "12", "--element-cap", "10"], 2),
+    ],
+    ids=["exit0", "exit1", "exit2"],
+)
+def test_collector_state_is_restored_on_every_exit(enabled, argv, code, capsys):
+    try:
+        if not enabled:
+            gc.disable()
+        assert run(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "command, sizes",
+    [
+        (["ratio", "--group", "bs:2", "--radius"], (6, 10)),
+        (["ratio", "--group", "lamplighter:2", "--radius"], (6, 10)),
+        (["ratio", "--group", "matrix:{hyp}", "--radius"], (4, 7)),
+        (["conjtest", "--group", "bs:2", "--radius"], (3, 5)),
+        (["folner", "--n"], (2, 3)),
+    ],
+    ids=["ratio-bs", "ratio-lamplighter", "ratio-matrix", "conjtest", "folner"],
+)
+def test_paused_commands_leave_no_growing_cyclic_garbage(command, sizes, tmp_path, capsys):
+    # the premise of the pause: what a command leaves for the collector is
+    # argparse's parser, whatever the size of the ball or box
+    hyp = matrix_path(tmp_path, [list(row) for row in HYP])
+    argv = [arg.format(hyp=hyp) for arg in command]
+    found = []
+    for size in sizes:
+        gc.collect()
+        assert run(argv + [str(size)]) == 0
+        found.append(gc.collect())
+    assert found[0] == found[1]

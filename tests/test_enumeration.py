@@ -92,6 +92,15 @@ def test_ball_types_and_shapes(tmp_path):
             assert len(index.t_counts(r)) == len(sphere)
             for g in sphere:
                 assert index.word_length(tuple(g)) == index.word_length(g) == r
+        # multiply builds its Element by tuple.__new__, so pin its type and
+        # fields against the generic formula
+        outer = index.sphere(radius)
+        for g in outer[:20]:
+            for h in ctx.generators() + outer[:5]:
+                gh = ctx.multiply(g, h)
+                assert type(gh) is Element
+                assert gh.kpart == ctx.kpart_add(g.kpart, ctx.phi_power(h.kpart, g.texp))
+                assert gh.texp == g.texp + h.texp
         # sphere and t_counts hand out copies: clearing or growing what they
         # return leaves the index's own spheres as BFS built them
         size = len(index)
