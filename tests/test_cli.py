@@ -407,7 +407,6 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
-
 def test_collector_is_paused_for_the_handler(monkeypatch, capsys):
     seen = []
 
@@ -456,7 +455,7 @@ def test_collector_state_is_restored_on_every_exit(enabled, argv, code, capsys):
 def test_paused_commands_leave_no_growing_cyclic_garbage(command, sizes, tmp_path, capsys):
     # the premise of the pause: what a command leaves for the collector is
     # argparse's parser, whatever the size of the ball or box
-    hyp = matrix_path(tmp_path, [list(row) for row in HYP])
+    hyp = matrix_path(tmp_path, HYP)
     argv = [arg.format(hyp=hyp) for arg in command]
     found = []
     for size in sizes:
