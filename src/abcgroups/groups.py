@@ -24,22 +24,23 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from operator import add, neg
-from typing import Any, Iterable, NamedTuple, Optional
+from operator import mul, neg
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .linalg import (
     adjugate,
     cyclotomic_orders,
     identity_matrix,
     lattice_index,
+    linear_map,
     mat_add,
     mat_mul,
     mat_pow,
     mat_sub,
-    mat_vec,
     positive_definite,
     unimodular_inverse,
     unit_ideal,
+    vector_add,
 )
 
 __all__ = [
@@ -552,13 +553,17 @@ class QuotientDescriptor:
     det: int
     orbit_min: dict = field(default_factory=dict, compare=False, repr=False)
 
+    @cached_property
+    def _adj_map(self):
+        return linear_map(self.adj)
+
     def coords(self, v) -> tuple[int, ...]:
         d = abs(self.det)
-        return tuple([x % d for x in mat_vec(self.adj, v)])
+        return tuple([x % d for x in self._adj_map(v)])
 
     def solve(self, w) -> Optional[tuple[int, ...]]:
         """The unique b with D b = w, or None outside the image."""
-        x = mat_vec(self.adj, w)
+        x = self._adj_map(w)
         if any(xi % self.det for xi in x):
             return None
         return tuple([xi // self.det for xi in x])
@@ -577,7 +582,12 @@ def _convex(form, m, inv) -> bool:
 
 
 class MatrixContext(GroupContext):
-    """K = Z^n with phi(v) = M v for an integer matrix M, |det M| = 1."""
+    """K = Z^n with phi(v) = M v for an integer matrix M, |det M| = 1.
+
+    The vector arithmetic runs on linalg's straight-line kernels: kpart_add
+    is built for n when the context is, and v -> M^i v once per power i
+    that phi_power meets.
+    """
 
     family = "matrix"
 
@@ -588,12 +598,15 @@ class MatrixContext(GroupContext):
             raise ValueError("matrix must be square and nonempty")
         self.matrix = matrix
         self.n = n
+        # the built function itself: a method around it costs one more call per add
+        self.kpart_add = vector_add(n)
         self._inverse = unimodular_inverse(matrix)
         self._powers: dict[int, tuple[tuple[int, ...], ...]] = {
             0: identity_matrix(n),
             1: matrix,
             -1: self._inverse,
         }
+        self._maps: dict[int, Callable] = {}  # i -> v -> M^i v
         self.unit_root_orders = cyclotomic_orders(matrix)
         self._quotients: dict[int, QuotientDescriptor] = {}
         if kgens is None:
@@ -620,11 +633,15 @@ class MatrixContext(GroupContext):
         result = self._powers[i] = mat_pow(base, abs(i))
         return result
 
+    def power_map(self, i: int) -> Callable:
+        """v -> M^i v, built once per power."""
+        apply = self._maps.get(i)
+        if apply is None:
+            apply = self._maps[i] = linear_map(self.matrix_power(i))
+        return apply
+
     def kpart_zero(self):
         return (0,) * self.n
-
-    def kpart_add(self, a, b):
-        return tuple(map(add, a, b))
 
     def kpart_neg(self, a):
         return tuple(map(neg, a))
@@ -638,7 +655,7 @@ class MatrixContext(GroupContext):
     def phi_power(self, a, i: int):
         if i == 0:
             return a
-        return mat_vec(self.matrix_power(i), a)
+        return (self._maps.get(i) or self.power_map(i))(a)
 
     def format_kpart(self, a) -> str:
         return "(" + ",".join(str(x) for x in a) + ")"
@@ -651,7 +668,7 @@ class MatrixContext(GroupContext):
             )
         p = g.texp
         if p == 0:
-            return (0, self._descend(self.convex_form, g.kpart))
+            return (0, self._descend(g.kpart))
         qd = self.quotient(abs(p))
         best = qd.orbit_min.get(qd.coords(g.kpart))
         if best is None:
@@ -693,22 +710,26 @@ class MatrixContext(GroupContext):
             "(Salem type), where none can"
         )
 
-    def _descend(self, form, v) -> tuple[int, ...]:
+    @cached_property
+    def _height(self) -> Callable:
+        """v -> v^T P v for P the convex form."""
+        apply = linear_map(self.convex_form)
+        return lambda w: sum(map(mul, w, apply(w)))
+
+    def _descend(self, v) -> tuple[int, ...]:
         # i -> P(M^i v) is strictly convex with at most two minimisers, so
         # walk downhill while it strictly drops (see the conjugacy module)
-        def height(w):
-            return sum(x * y for x, y in zip(w, mat_vec(form, w)))
-
+        height = self._height
         best, low = v, height(v)
         for step in (1, -1):
-            m = self.matrix_power(step)
-            w = mat_vec(m, best)
+            apply = self.power_map(step)
+            w = apply(best)
             h = height(w)
             if h > low:
                 continue
             while h < low:
                 best, low = w, h
-                w = mat_vec(m, w)
+                w = apply(w)
                 h = height(w)
             return min(best, w) if h == low else best
         return best

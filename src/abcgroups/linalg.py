@@ -1,27 +1,28 @@
-"""Exact integer matrix helpers: products, the index of a lattice, and
-polynomials: the characteristic polynomial, the one source of spectral
-facts, with what it yields (the adjugate and determinant by Cayley-Hamilton,
-unimodular inverses, a positive-definiteness test and the root-of-unity
-orders), a polynomial at a matrix, and whether polynomials generate the
-unit ideal of a ring of Laurent polynomials.
+"""Exact integer matrix helpers: products, the straight-line kernels
+v -> M v and (a, b) -> a + b that the Z^n arithmetic runs on, the index of a
+lattice, and polynomials: the characteristic polynomial, the one source of
+spectral facts, with what it yields (the adjugate and determinant by
+Cayley-Hamilton, unimodular inverses, a positive-definiteness test and the
+root-of-unity orders), a polynomial at a matrix, and whether polynomials
+generate the unit ideal of a ring of Laurent polynomials.
 
 Matrices are tuples of row tuples of Python ints, so everything here is
-arbitrary precision and hashable.  mat_vec also takes Fraction entries, in
-the matrix or the vector, and then returns Fractions.
+arbitrary precision and hashable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import mul
+from typing import Callable
 
 __all__ = [
     "identity_matrix",
     "mat_add",
     "mat_mul",
     "mat_pow",
-    "mat_vec",
+    "linear_map",
+    "vector_add",
     "mat_sub",
     "unimodular_inverse",
     "positive_definite",
@@ -64,8 +65,48 @@ def mat_pow(a: Matrix, e: int) -> Matrix:
     return acc
 
 
-def mat_vec(a: Matrix, v) -> tuple:
-    return tuple([sum(map(mul, row, v)) for row in a])
+def linear_map(matrix: Matrix) -> Callable[[tuple], tuple]:
+    """The function v -> matrix v, its sums written out once.
+
+    Its body is one tuple expression, row i being m_i_0 * v0 + m_i_1 * v1
+    + ..., so a call pays for the arithmetic and no map, zip or sum.
+    """
+    width = len(matrix[0]) if matrix else 0
+    rows = [
+        " + ".join(f"m_{i}_{j} * v{j}" for j in range(width)) or "0"
+        for i in range(len(matrix))
+    ]
+    entries = {
+        f"m_{i}_{j}": x for i, row in enumerate(matrix) for j, x in enumerate(row)
+    }
+    return _straight_line({"v": width}, rows, entries)
+
+
+def vector_add(n: int) -> Callable[[tuple, tuple], tuple]:
+    """The function (a, b) -> a + b on vectors of length n, written out."""
+    return _straight_line({"a": n, "b": n}, [f"a{j} + b{j}" for j in range(n)], {})
+
+
+def _straight_line(args: dict[str, int], exprs: list[str], names: dict):
+    """A function of the vector arguments args (name -> length), each
+    unpacked into name0, name1, ..., returning the tuple of exprs.
+
+    As collections.namedtuple builds its methods, the source text holds
+    only names: the values in names are bound in the function's namespace,
+    never pasted into the text, so an entry of any size or type is read as
+    it is and the text has one shape for every matrix of that shape.
+    """
+    unpack = "".join(
+        f"    {''.join(f'{arg}{j}, ' for j in range(size))}= {arg}\n"
+        for arg, size in args.items()
+        if size
+    )
+    body = "".join(f"{expr}, " for expr in exprs)
+    source = f"def straight_line({', '.join(args)}):\n{unpack}    return ({body})\n"
+    namespace = {"__builtins__": {}, **names}
+    exec(source, namespace)
+    # popped, so the function and its namespace form no reference cycle
+    return namespace.pop("straight_line")
 
 
 def mat_add(*matrices: Matrix) -> Matrix:

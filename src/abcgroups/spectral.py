@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .enumeration import BallIndex
 from .groups import MatrixContext
-from .linalg import charpoly, mat_mul, mat_vec, poly_at_matrix
+from .linalg import charpoly, linear_map, mat_mul, poly_at_matrix
 
 __all__ = [
     "unit_root_projection",
@@ -64,7 +64,7 @@ def relative_growth_table(
     ctx: MatrixContext, index: BallIndex
 ) -> list[tuple[int, int, int]]:
     """Rows (r, |S^r|, |P intersect S^r|) with both counts cumulative."""
-    mpow = ctx.matrix_power(math.lcm(*ctx.unit_root_orders))
+    period_map = linear_map(ctx.matrix_power(math.lcm(*ctx.unit_root_orders)))
     rows = []
     ball = 0
     inside = 0
@@ -72,7 +72,7 @@ def relative_growth_table(
         sphere = index.sphere(r)
         ball += len(sphere)
         for g in sphere:
-            if g.texp == 0 and mat_vec(mpow, g.kpart) == g.kpart:
+            if g.texp == 0 and period_map(g.kpart) == g.kpart:
                 inside += 1
         rows.append((r, ball, inside))
     return rows
@@ -90,14 +90,14 @@ def epsilon_norm_table(
     """
     proj = unit_root_projection(ctx)
     den = math.lcm(*(x.denominator for row in proj for x in row))
-    scaled = tuple(tuple(int(x * den) for x in row) for row in proj)
+    project = linear_map(tuple(tuple(int(x * den) for x in row) for row in proj))
     rows = []
     best = 0
     for r in range(index.radius + 1):
         for g in index.sphere(r):
             if g.texp != 0:
                 continue
-            norm = max(map(abs, mat_vec(scaled, g.kpart)))
+            norm = max(map(abs, project(g.kpart)))
             if norm > best:
                 best = norm
         rows.append((r, Fraction(best, den)))

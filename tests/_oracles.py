@@ -18,7 +18,8 @@ against, and leading_minors (Sylvester's criterion) checks its
 positive-definiteness test.  smith_normal_form, the Smith normal form by
 unimodular row and column operations, is the reference for
 linalg.lattice_index and gives integer_kernel_basis; the package itself
-has no Smith form.
+has no Smith form.  mat_vec, the matrix-vector product as a sum over each
+row, is the reference for the straight-line maps of linalg.linear_map.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
+from operator import mul
 from typing import NamedTuple, Optional
 
 from abcgroups.conjugacy import UnionFind, conjugacy_key
@@ -37,10 +39,15 @@ from abcgroups.enumeration import (
 )
 from abcgroups.folner import _require_bs
 from abcgroups.groups import Element, GroupContext, LamplighterContext, MatrixContext
-from abcgroups.linalg import Matrix, identity_matrix, mat_mul, mat_sub, mat_vec
+from abcgroups.linalg import Matrix, identity_matrix, mat_mul, mat_sub
 from abcgroups.ratios import RatioRow, threshold_function
 from abcgroups.spectral import unit_root_projection
 from abcgroups.words import generator_letters, letter_element
+
+
+def mat_vec(a: Matrix, v) -> tuple:
+    """a v, each entry the sum over a row; Fraction entries give Fractions."""
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def det_int(matrix: Matrix) -> int:

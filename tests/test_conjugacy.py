@@ -17,6 +17,7 @@ from _oracles import (
     lamplighter_rotation_key,
     matrix_form_minimum,
     matrix_orbit_min,
+    mat_vec,
     matrix_shift_canonical,
     pairwise_partition,
     quotient_representative,
@@ -42,7 +43,6 @@ from abcgroups.linalg import (
     mat_mul,
     mat_pow,
     mat_sub,
-    mat_vec,
 )
 
 HYP = ((2, 1), (1, 1))

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import conjugate, element
+from _oracles import adjugate, conjugate, det_int, element, mat_vec
 from abcgroups.groups import (
     BaumslagSolitarContext,
     Element,
@@ -13,9 +13,12 @@ from abcgroups.groups import (
     load_matrix_config,
     parse_group_descriptor,
 )
-from abcgroups.linalg import identity_matrix
+from abcgroups.linalg import identity_matrix, mat_mul, mat_sub
 
 HYP = ((2, 1), (1, 1))
+# companions of x^3 - x - 1 and x^4 - x - 1
+PISOT = ((0, 0, 1), (1, 0, 1), (0, 1, 0))
+QUARTIC = ((0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0))
 
 
 def test_constructor_validation():
@@ -215,24 +218,56 @@ def test_canonical_idempotent(cfg):
     assert [i for i, _ in once] == sorted(i for i, _ in once)
 
 
-matrix_then_two_vectors = st.integers(1, 4).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(-(10**9), 10**9), min_size=n, max_size=n),
-        min_size=n + 2,
-        max_size=n + 2,
+KERNEL_BASES = [identity_matrix(n) for n in range(1, 5)] + [
+    ((-1,),),
+    HYP,
+    PISOT,
+    QUARTIC,
+]
+# a base M, then n rows of a matrix A and two vectors a and b
+base_then_rows = st.sampled_from(KERNEL_BASES).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.lists(
+            st.lists(st.integers(-(10**9), 10**9), min_size=len(m), max_size=len(m)),
+            min_size=len(m) + 2,
+            max_size=len(m) + 2,
+        ),
     )
 )
 
 
-@given(matrix_then_two_vectors, st.integers(1, 60))
-def test_matrix_kernels_match_generator_formulas(rows, det):
-    # rows: n rows of a matrix A, then two vectors a and b
-    n = len(rows[0])
+@given(base_then_rows, st.integers(1, 60))
+def test_matrix_kernels_match_generator_formulas(case, det):
+    m, rows = case
+    n = len(m)
     adj, a, b = tuple(map(tuple, rows[:n])), tuple(rows[n]), tuple(rows[n + 1])
-    ctx = MatrixContext(identity_matrix(n))
+    ctx = MatrixContext(m)
     assert ctx.kpart_add(a, b) == tuple(x + y for x, y in zip(a, b))
     assert ctx.kpart_neg(a) == tuple(-x for x in a)
-    w = tuple(sum(x * y for x, y in zip(row, a)) for row in adj)
+    # phi^i by i steps of M, or of M^-1 = det M adj M with the cofactor adjugate
+    inverse = tuple(tuple(det_int(m) * x for x in row) for row in adjugate(m))
+    for i in range(-3, 4):
+        w = a
+        for _ in range(abs(i)):
+            w = mat_vec(m if i > 0 else inverse, w)
+        assert ctx.phi_power(a, i) == w
+    power = identity_matrix(n)
+    for k in range(1, 4):
+        power = mat_mul(power, m)
+        d_mat = mat_sub(identity_matrix(n), power)
+        d_det = det_int(d_mat)
+        if not d_det:
+            with pytest.raises(ValueError, match="singular"):
+                ctx.quotient(k)
+            continue
+        qd = ctx.quotient(k)
+        raw = mat_vec(adjugate(d_mat), a)
+        assert qd.coords(a) == tuple(x % abs(d_det) for x in raw)
+        exact = all(x % d_det == 0 for x in raw)
+        assert qd.solve(a) == (tuple(x // d_det for x in raw) if exact else None)
+        assert qd.solve(mat_vec(d_mat, b)) == b
+    w = mat_vec(adj, a)
     # residues are taken mod |det|, whatever its sign
     for signed in (det, -det):
         qd = QuotientDescriptor(adj, signed)

@@ -28,8 +28,14 @@ basis, so the epsilon-norm table is not compared.  The identities used:
 The negative controls, A M A^-1 with standard generators and a lamplighter
 R scaled by u on one generator only, must differ: without them a
 comparison that compared nothing would pass.
+
+Beyond the fixed bases above, A is also drawn from GL_2(Z) and GL_3(Z) by
+fixed seeds, with entries in the hundreds and |det A| = 1 certified by
+linalg.adjugate, so the change of basis reaches numbers no hand-picked
+basis does.
 """
 
+import random
 from functools import cache
 
 import pytest
@@ -37,7 +43,7 @@ import pytest
 from abcgroups.conjugacy import brute_force_partition, closed_form_lengths
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import BaumslagSolitarContext, LamplighterContext, MatrixContext
-from abcgroups.linalg import identity_matrix, mat_mul
+from abcgroups.linalg import adjugate, identity_matrix, mat_mul
 from abcgroups.ratios import format_csv, ratio_table
 from abcgroups.spectral import relative_growth_table
 
@@ -188,6 +194,46 @@ def test_non_isomorphic_generating_sets_partition_differently(
 ):
     assert partition(other, r, rc)[:3] == counts
     assert partition(other, r, rc) != partition(base, r, rc)
+
+
+def draw_basis(seed: int, n: int):
+    """A in GL_n(Z) with largest entry in [100, 999], from a fixed seed.
+
+    Row operations r_i += c r_j with |c| <= 3 keep |det| = 1; they are
+    applied until the largest entry reaches 100, and the draw starts again
+    if it passes 999 on the way.
+    """
+    rng = random.Random(seed)
+    while True:
+        rows = [list(row) for row in identity_matrix(n)]
+        top = 1
+        while top < 100:
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            top = max(abs(x) for row in rows for x in row)
+        if top <= 999:
+            return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize(
+    "base, seed, radius",
+    [("hyp", seed, 10) for seed in range(1, 6)]
+    + [("pisot", seed, 7) for seed in range(1, 6)],
+)
+def test_drawn_changes_of_basis_give_one_table(base, seed, radius):
+    m = {"hyp": HYP, "pisot": PISOT}[base]
+    basis = draw_basis(seed, len(m))
+    adj, det = adjugate(basis)
+    assert det in (1, -1)
+    inverse = tuple(tuple(det * x for x in row) for row in adj)
+    assert mat_mul(basis, inverse) == identity_matrix(len(m))
+    conj = mat_mul(mat_mul(basis, m), inverse)
+    assert max(abs(x) for row in conj for x in row) > 1000
+    ctx = MatrixContext(conj, carried_generators(basis))
+    assert format_csv(ratio_table(ctx, enumerate_ball(ctx, radius))) == table(
+        base, radius
+    )
 
 
 def test_isomorphic_presentations_give_one_growth_table():

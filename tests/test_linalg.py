@@ -9,6 +9,7 @@ from _oracles import (
     det_int,
     integer_kernel_basis,
     leading_minors,
+    mat_vec,
     smith_normal_form,
 )
 from abcgroups import linalg
@@ -18,14 +19,15 @@ from abcgroups.linalg import (
     cyclotomic_poly,
     identity_matrix,
     lattice_index,
+    linear_map,
     mat_add,
     mat_mul,
     mat_pow,
     mat_sub,
-    mat_vec,
     positive_definite,
     totient,
     unimodular_inverse,
+    vector_add,
 )
 
 
@@ -43,7 +45,8 @@ def test_mat_helpers():
     assert mat_mul(a, b) == ((2, 1), (4, 3))
     assert mat_sub(a, b) == ((1, 1), (2, 4))
     assert mat_add(a, b, b) == ((1, 4), (5, 4))
-    assert mat_vec(a, (1, -1)) == (-1, -1)
+    assert linear_map(a)((1, -1)) == (-1, -1)
+    assert vector_add(2)((1, 2), (3, -5)) == (4, -3)
 
 
 @given(
@@ -58,25 +61,57 @@ def test_mat_pow_matches_repeated_product(entries, e):
     assert mat_pow(a, e) == acc
 
 
+HUGE = 10**200
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
-# rows of int or Fraction entries, and an int vector of the same width
-matrix_and_vector = st.integers(1, 4).flatmap(
+# ints up to 10^200 in size, small ones and zeros more often, or Fractions
+entries = (
+    st.integers(-HUGE, HUGE) | st.integers(-50, 50) | st.sampled_from([0, 1, -1])
+) | fractions
+# 0-6 rows of width 1-6, and a vector of that width, both of ints or Fractions
+matrix_and_vector = st.integers(1, 6).flatmap(
     lambda n: st.tuples(
-        st.lists(
-            st.lists(st.integers(-50, 50) | fractions, min_size=n, max_size=n),
-            max_size=4,
-        ),
-        st.lists(st.integers(-(10**6), 10**6), min_size=n, max_size=n),
+        st.lists(st.lists(entries, min_size=n, max_size=n), max_size=6),
+        st.lists(entries, min_size=n, max_size=n),
     )
 )
 
 
 @given(matrix_and_vector)
-def test_mat_vec_matches_generator_formula(case):
+@example(([], [3]))
+@example(([[HUGE, -HUGE]] * 6, [HUGE, HUGE - 1]))
+@example(([[Fraction(1, 2)] * 6, [0] * 6], [Fraction(-2, 3)] * 6))
+@example(([[0] * 6], [Fraction(1, 3)] * 6))
+def test_linear_map_matches_mat_vec(case):
     rows, v = case
     a = tuple(map(tuple, rows))
-    expected = tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-    out = mat_vec(a, tuple(v))
+    expected = mat_vec(a, tuple(v))
+    out = linear_map(a)(tuple(v))
+    assert type(out) is tuple
+    assert out == expected
+    assert [type(x) for x in out] == [type(x) for x in expected]
+
+
+def test_linear_map_binds_entries_not_text():
+    # the entries are names in the function's namespace: the compiled text
+    # is the same for every matrix of one shape, whatever it holds
+    first = linear_map(((2, 1), (1, 1)))
+    second = linear_map(((10**200, Fraction(-1, 3)), (0, -7)))
+    assert first.__code__ is not second.__code__
+    for attr in ("co_code", "co_consts", "co_names"):
+        assert getattr(first.__code__, attr) == getattr(second.__code__, attr)
+    assert second((3, 6)) == (3 * 10**200 - 2, -42)
+    with pytest.raises(ValueError):
+        first((1, 2, 3))  # a vector of the wrong length is refused
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=2, max_size=2)
+))
+def test_vector_add_matches_the_sum_of_entries(pair):
+    a, b = map(tuple, pair)
+    out = vector_add(len(a))(a, b)
+    expected = tuple(x + y for x, y in zip(a, b))
+    assert type(out) is tuple
     assert out == expected
     assert [type(x) for x in out] == [type(x) for x in expected]
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import epsilon_norm_reference, integer_kernel_basis
+from _oracles import epsilon_norm_reference, integer_kernel_basis, mat_vec
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import MatrixContext
 from abcgroups.linalg import (
@@ -14,7 +14,6 @@ from abcgroups.linalg import (
     mat_mul,
     mat_pow,
     mat_sub,
-    mat_vec,
     totient,
 )
 from abcgroups.spectral import (
