@@ -64,7 +64,7 @@ def relative_growth_table(
     ctx: MatrixContext, index: BallIndex
 ) -> list[tuple[int, int, int]]:
     """Rows (r, |S^r|, |P intersect S^r|) with both counts cumulative."""
-    period_map = linear_map(ctx.matrix_power(math.lcm(*ctx.unit_root_orders)))
+    period_map = ctx.power_map(math.lcm(*ctx.unit_root_orders))
     rows = []
     ball = 0
     inside = 0
