@@ -96,7 +96,6 @@ def test_linear_map_binds_entries_not_text():
     # is the same for every matrix of one shape, whatever it holds
     first = linear_map(((2, 1), (1, 1)))
     second = linear_map(((10**200, Fraction(-1, 3)), (0, -7)))
-    assert first.__code__ is not second.__code__
     for attr in ("co_code", "co_consts", "co_names"):
         assert getattr(first.__code__, attr) == getattr(second.__code__, attr)
     assert second((3, 6)) == (3 * 10**200 - 2, -42)
@@ -104,9 +103,14 @@ def test_linear_map_binds_entries_not_text():
         first((1, 2, 3))  # a vector of the wrong length is refused
 
 
-@given(st.integers(1, 6).flatmap(
-    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=2, max_size=2)
-))
+vector_pairs = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=2, max_size=2
+    )
+)
+
+
+@given(vector_pairs)
 def test_vector_add_matches_the_sum_of_entries(pair):
     a, b = map(tuple, pair)
     out = vector_add(len(a))(a, b)
