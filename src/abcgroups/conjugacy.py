@@ -43,8 +43,8 @@ fixes that quotient, and every orbit is just the n images phi^j(x),
 
 Each context class implements its family's key as conjugacy_key(g), the
 stratum solver of the oracle below as block_solver(n) and, where a closed
-form exists, the conjugator lengths of the oracle as word_length(g); this
-module adds the entry point, the union-find and the oracle.
+form exists, the conjugator lengths of the oracle as word_length(g, bound);
+this module adds the entry point, the union-find and the oracle.
 """
 
 from __future__ import annotations
@@ -123,7 +123,12 @@ class UnionFind:
 # generators), so the oracle needs only the ball S^r and, for these
 # families, rests on that formula; tests/ checks it against BFS on whole
 # balls.  Every other context looks the conjugator up in a ball that covers
-# S^RC.
+# S^RC.  Either length is asked with the bound RC and returns
+# min(|x|, RC + 1): the bs digit program starts from RC + 1 as its best
+# candidate and stops once no walk can come in under it, and the ball
+# decides |x| <= RC in one pass over its spheres up to RC.  The stratum
+# p = 0 is probed with plain (kpart, 0) tuples, as BFS probes, and an
+# Element is built only for a hit.
 #
 # A solution exists exactly when h.kpart and phi^j(g.kpart) have the same
 # residue in K / (1 - phi^p)K, so each stratum is bucketed by residue and g
@@ -133,13 +138,26 @@ class UnionFind:
 # class mod k^p - 1 (bs), the class sums over indices mod p (lamplighter)
 # and the adjugate coordinates of the quotient (matrix).  A bucketed pair
 # without a solution means residue and solver disagree, and raises.  The
-# residue of phi^j(g.kpart) depends only on j mod p (module doc), so it is
-# computed for p shifts only.  The shift cache holds -phi^j(g.kpart), so
-# each solve is solve(h.kpart + moved[j]); it is filled only at a shift where
-# a pair is solved, negating once per shift of g, not once per pair tried.
-# The shifts of g are grouped by residue, so each h of a bucket is tried at
-# all the shifts its residue admits, in order of j, stopping at its first
-# conjugator in S^RC, and a pair already in one block is not solved at all.
+# residue of phi^j(g.kpart) depends only on j mod p (module doc), and the
+# solver's residues(w) lists the p of them from the residue of w alone: k
+# times the last mod k^p - 1 (bs), a rotation of the class sums
+# (lamplighter), M times the last coordinates mod |det D| (matrix).  The
+# shifts j in [-RC, RC] are split by j mod p once per stratum, so g's
+# residue at index i of that list is tried at the i-th class of shifts, in
+# order of j, stopping at the first conjugator in S^RC.  The shift cache
+# holds -phi^j(g.kpart), so each solve is solve(h.kpart + moved[j]); it is
+# filled only at a shift where a pair is solved, negating once per shift of
+# g, not once per pair tried.
+#
+# Each bucket keeps its members in groups, by the block root each member
+# had at insertion; a group's members share one block then and forever, so
+# one find per group skips every member in g's own block, and a pair
+# already in one block is not solved at all.  After g merges with one
+# member, the rest of that group lies in g's block too, and the group is
+# not tried further.  Every member stays: two members of one block may
+# need conjugators of different lengths to reach g.  Union order does not
+# change UnionFind.blocks(), so the blocks and their order are those of the
+# plain pairwise loop.
 #
 # Each unordered pair is tested in one orientation, g against the elements
 # before it in its stratum, and only the strata p > 0 are solved.  The
@@ -177,64 +195,68 @@ def brute_force_partition(
         raise ValueError(
             f"conjugator radius {conjugator_radius} is below the ball radius {r}"
         )
-    if closed_form_lengths(ctx):
-        needed = r
-        length = ctx.word_length
-    else:
-        needed = conjugator_radius
-
-        def length(x):
-            return index.word_length(x) if x in index else conjugator_radius + 1
-
+    closed = closed_form_lengths(ctx)
+    needed = r if closed else conjugator_radius
     if index.radius < needed:
         raise ValueError(
             f"index radius {index.radius} does not cover the radius {needed} "
             f"the oracle needs"
         )
+    length = ctx.word_length if closed else index.word_length
 
     ball = list(index.elements(r))
     ball_set = set(ball)
     uf = UnionFind(ball)
+    find = uf.find
     strata: dict[int, list[Element]] = {}
     for g in ball:
         strata.setdefault(g.texp, []).append(g)
 
-    span = range(-conjugator_radius, conjugator_radius + 1)
+    rc = conjugator_radius
+    new = tuple.__new__
+    phip = ctx.phi_power
+    kadd = ctx.kpart_add
     for g in strata.get(0, ()):
-        for j in span:
-            h = Element(ctx.phi_power(g.kpart, j), 0)
+        a = g.kpart
+        for j in range(-rc, rc + 1):
+            h = (phip(a, j), 0)  # probed as a plain tuple, as BFS does
             if h in ball_set:
-                uf.union(g, h)
+                uf.union(g, new(Element, h))
     for p in range(1, r + 1):  # each stratum -p mirrors p by inversion
-        residue, solve = ctx.block_solver(p)
-        buckets: dict = {}
+        residues, solve = ctx.block_solver(p)
+        # the shifts j in [-RC, RC] by j mod p, each class in order of j
+        shift_classes = [range(-rc + (i + rc) % p, rc + 1, p) for i in range(p)]
+        buckets: dict = {}  # residue -> {root at insertion: members}
         for g in strata.get(p, ()):
-            # phi^p fixes K / (1 - phi^p)K, so shift j has residue orbit[j % p]
-            orbit = [residue(ctx.phi_power(g.kpart, i)) for i in range(p)]
-            shifts_by_residue: dict = {}
-            for j in span:
-                shifts_by_residue.setdefault(orbit[j % p], []).append(j)
+            a = g.kpart
+            orbit = residues(a)
             moved: dict = {}  # j -> -phi^j(g.kpart), computed at its first solve
-            root = uf.find(g)
-            for res, shifts in shifts_by_residue.items():
-                for h in buckets.get(res, ()):
-                    if uf.find(h) == root:
+            root = find(g)
+            for res, shifts in zip(orbit, shift_classes):
+                for key, members in buckets.get(res, {}).items():
+                    if find(key) == root:
                         continue
-                    for j in shifts:
-                        if j not in moved:
-                            moved[j] = ctx.kpart_neg(ctx.phi_power(g.kpart, j))
-                        b = solve(ctx.kpart_add(h.kpart, moved[j]))
-                        if b is None:
-                            raise RuntimeError(
-                                f"residue admits no conjugator part for "
-                                f"{ctx.format_element(g)} and "
-                                f"{ctx.format_element(h)}"
-                            )
-                        if length(Element(b, j)) <= conjugator_radius:
-                            uf.union(g, h)
-                            uf.union(ctx.invert(g), ctx.invert(h))
-                            root = uf.find(g)
-                            break
-            buckets.setdefault(orbit[0], []).append(g)
+                    for h in members:
+                        for j in shifts:
+                            w = moved.get(j)
+                            if w is None:
+                                w = moved[j] = ctx.kpart_neg(phip(a, j))
+                            b = solve(kadd(h.kpart, w))
+                            if b is None:
+                                raise RuntimeError(
+                                    f"residue admits no conjugator part for "
+                                    f"{ctx.format_element(g)} and "
+                                    f"{ctx.format_element(h)}"
+                                )
+                            if length(new(Element, (b, j)), rc) <= rc:
+                                break
+                        else:
+                            continue  # no shift reaches h within RC
+                        # the whole group now lies in the block of g
+                        uf.union(g, h)
+                        uf.union(ctx.invert(g), ctx.invert(h))
+                        root = find(g)
+                        break
+            buckets.setdefault(orbit[0], {}).setdefault(root, []).append(g)
 
     return uf.blocks()

@@ -63,11 +63,19 @@ class BallIndex:
     def __len__(self) -> int:
         return sum(map(len, self._layers))
 
-    def word_length(self, g: Element) -> int:
-        for r, layer in enumerate(self._layers):
+    def word_length(self, g: Element, bound: Optional[int] = None) -> int:
+        """|g|, or with a bound min(|g|, bound + 1), in one pass over the
+        spheres up to the bound; the ball must cover the bound."""
+        layers = self._layers
+        if bound is not None:
+            self._check_radius(bound)
+            layers = layers[: bound + 1]
+        for r, layer in enumerate(layers):
             if g in layer:
                 return r
-        raise KeyError(f"element outside the radius-{self.radius} ball: {g!r}")
+        if bound is None:
+            raise KeyError(f"element outside the radius-{self.radius} ball: {g!r}")
+        return bound + 1
 
     def _check_radius(self, r: int) -> None:
         if not 0 <= r <= self.radius:

@@ -144,8 +144,9 @@ def separating_translate(
     n2 = max(e for (_, e), _ in elems)
     cleared = [num * k ** (n2 - e) for (num, e), _ in elems]
     shift = 2 * max(abs(v) for v in cleared) + 1
+    largest = shift + max(cleared)
     digits = 0
-    while k**digits <= shift + max(cleared):
+    while k**digits <= largest:
         digits += 1
     n1 = 1 - min(el.texp for el in elems) + max(0, 2 * digits - n2)
     g = Element(ctx.phi_power(ctx.canonical_kpart((shift, 0)), n1), n1 + n2)

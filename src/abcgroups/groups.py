@@ -23,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
+from math import gcd, inf
 from operator import mul, neg
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
@@ -102,17 +102,21 @@ class GroupContext:
         raise NotImplementedError
 
     def block_solver(self, n: int):
-        """(residue, solve) for the strata p = +-n; n < 1 raises ValueError.
+        """(residues, solve) for the strata p = +-n; n < 1 raises ValueError.
 
-        residue(w) is the class of w in K / (1 - phi^n)K = K / (1 - phi^-n)K,
-        and solve(w) is the unique b with (1 - phi^n)(b) = w, or None.
+        residues(w) lists the classes of phi^i(w), 0 <= i < n, in
+        K / (1 - phi^n)K = K / (1 - phi^-n)K, which phi^n fixes: phi^j(w) has
+        class residues(w)[j % n], and residues(w)[0] is the class of w.
+        solve(w) is the unique b with (1 - phi^n)(b) = w, or None.
         """
         raise NotImplementedError
 
-    def word_length(self, g: Element) -> int:
+    def word_length(self, g: Element, bound: Optional[int] = None) -> int:
         """Exact word length of g over generators(), without a ball.
 
-        Families with a closed form implement it for their standard
+        Given a bound, it returns min(|g|, bound + 1), which decides
+        |g| <= bound with less work where the family's program can stop
+        early.  Families with a closed form implement it for their standard
         generating set only; every other context raises, and its lengths
         come from an enumerated ball.
         """
@@ -256,7 +260,7 @@ class LamplighterContext(GroupContext):
             return "0"
         return "+".join(f"{v}@{i}" for i, v in a)
 
-    def word_length(self, g: Element) -> int:
+    def word_length(self, g: Element, bound: Optional[int] = None) -> int:
         """Word length of g for the standard generators, in closed form.
 
         Cleary and Taback (Q. J. Math. 2005), after Parry (Trans. AMS 1992):
@@ -266,17 +270,18 @@ class LamplighterContext(GroupContext):
         2 (hi - lo) - |p| of turning at whichever end lies away from p.
         """
         if not self._standard_gens:
-            return super().word_length(g)
+            return super().word_length(g, bound)
         m = self.m
         conf = g.kpart
         p = g.texp
         if m:
-            lamps = sum(min(v, m - v) for _, v in conf)
+            lamps = sum([v if v + v <= m else m - v for _, v in conf])
         else:
-            lamps = sum(abs(v) for _, v in conf)
+            lamps = sum([v if v > 0 else -v for _, v in conf])
         # lamps are sorted by index
         ends = (0, p, conf[0][0], conf[-1][0]) if conf else (0, p)
-        return lamps + 2 * (max(ends) - min(ends)) - abs(p)
+        length = lamps + 2 * (max(ends) - min(ends)) - abs(p)
+        return length if bound is None or length <= bound else bound + 1
 
     def conjugacy_key(self, g: Element):
         p = g.texp
@@ -286,13 +291,10 @@ class LamplighterContext(GroupContext):
                 return (0, ())
             base = conf[0][0]
             return (0, tuple((i - base, v) for i, v in conf))
-        n = abs(p)
-        sums = self._class_sums(n, conf)
+        sums = self._class_sums(abs(p), conf)
         best = self._least_rotation.get(sums)
         if best is None:
-            # the rotations of sums are the windows of length n of sums + sums
-            doubled = sums + sums
-            orbit = [doubled[i : i + n] for i in range(n)]
+            orbit = _rotations(sums)
             best = min(orbit)
             self._least_rotation.update(dict.fromkeys(orbit, best))
         return (p, best)
@@ -310,10 +312,10 @@ class LamplighterContext(GroupContext):
 
     def block_solver(self, n: int):
         _check_stratum(n)
-        norm = self._norm_value
+        m = self.m
 
-        def residue(w):
-            return self._class_sums(n, w)
+        def residues(w):
+            return _rotations(self._class_sums(n, w))
 
         def solve(w):
             # b_i - b_(i-n) = w_i: b_i is the running sum of w over the
@@ -321,19 +323,36 @@ class LamplighterContext(GroupContext):
             # exactly when every class sum ends at 0
             if not w:
                 return ()
-            lamps = dict(w)
-            lo, hi = w[0][0], w[-1][0]
             sums = [0] * n
             out = []
-            for i in range(lo, hi + 1):
-                s = sums[i % n] = norm(sums[i % n] + lamps.get(i, 0))
+            i = w[0][0]
+            for lamp, v in w:
+                if i < lamp:  # no lamp of w in between: b_x = b_(x-n)
+                    out += [(x, s) for x in range(i, lamp) if (s := sums[x % n])]
+                c = lamp % n
+                s = sums[c] + v
+                if m:
+                    s %= m
+                sums[c] = s
                 if s:
-                    out.append((i, s))
+                    out.append((lamp, s))
+                i = lamp + 1
             if any(sums):
                 return None
             return tuple(out)
 
-        return residue, solve
+        return residues, solve
+
+
+def _rotations(sums: tuple) -> list[tuple]:
+    """The class sums of the n shifts of a configuration, n = len(sums).
+
+    Shifting by i moves the sum of class c to class c + i mod n, so shift i
+    has the window of length n of sums + sums that starts at n - i.
+    """
+    n = len(sums)
+    doubled = sums + sums
+    return [doubled[n - i : 2 * n - i] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +438,7 @@ class BaumslagSolitarContext(GroupContext):
             return str(num)
         return f"{num}/{self.k}^{e}"
 
-    def word_length(self, g: Element) -> int:
+    def word_length(self, g: Element, bound: Optional[int] = None) -> int:
         """Word length of g = (num / k^e, t^p) for the generators a, t.
 
         Reading a word left to right, a letter a^c at t-level l adds c k^l,
@@ -444,41 +463,49 @@ class BaumslagSolitarContext(GroupContext):
         b.  Writing v + 1 instead of v costs at most 1 more (one unit on
         the current digit), and back, so the pass may start from a = 0,
         b = 1 without changing any minimum.  Each level H >= max(0, p)
-        gives the candidate path + min(a + |v|, b + |v + 1|).  min(a, b)
-        never falls while the path grows by 2 a level, so the pass stops
-        once path + min(a, b) reaches the best candidate, or when v is 0
-        or -1 at a level H: v then stays there and no later candidate is
-        lower.  Elder (Illinois J. Math. 2010) gives linear-time geodesics
-        in BS(1, k).
+        gives the candidate path + min(a + |v|, b + |v + 1|), where the
+        path is 2 (H - L) - |p|.  min(a, b) never falls as the pass goes
+        up, and no candidate has a shorter path than the level max(0, p),
+        so the pass stops once min(a, b) plus the path of the current
+        level, or of that first candidate level below it, reaches the best
+        candidate.  It also stops when v is 0 or -1 at a level H: v then
+        stays there and no later candidate is lower.  A bound starts the
+        pass with best = bound + 1, so it stops as soon as no candidate
+        can come in under the bound.  Elder (Illinois J. Math. 2010) gives
+        linear-time geodesics in BS(1, k).
         """
         if not self._standard_gens:
-            return super().word_length(g)
+            return super().word_length(g, bound)
         k = self.k
         num, e = g.kpart
         p = g.texp
         low = min(0, p, -e)
-        top = max(0, p)
         # a and b: least digit sums with v and with v + 1 still to write
         v = num * k ** (-e - low)
         a, b = 0, 1
-        best = None
-        level = low
+        below = max(0, p) - low  # levels left below the first candidate
+        path = 2 * below - abs(p)  # of that level, then of the current one
+        best = inf if bound is None else bound + 1
         while True:
-            path = 2 * (level - low) - abs(p)
-            if best is not None and path + min(a, b) >= best:
+            least = a if a < b else b
+            if path + least >= best:
                 return best
-            if level >= top:
-                here = path + min(a + abs(v), b + abs(v + 1))
-                if best is None or here < best:
+            if below:
+                below -= 1
+            else:
+                x = a + abs(v)
+                y = b + abs(v + 1)
+                here = path + (x if x < y else y)
+                if here < best:
                     best = here
-                if v in (0, -1):
+                if v == 0 or v == -1:
                     return best
-            q, r = divmod(v, k)
-            # q from v by digit r or from v + 1 by r + 1, q + 1 by r - k or
-            # r + 1 - k; the digits +-k this admits are valid, never better
-            a, b = r + min(a, b + 1), k - r - 1 + min(a + 1, b)
-            v = q
-            level += 1
+                path += 2
+            v, r = divmod(v, k)
+            # v from v by digit r or from v + 1 by r + 1, v + 1 by r - k or
+            # r + 1 - k; the digits +-k this admits are valid, never better.
+            # The comparisons are min(a, b + 1) and min(a + 1, b).
+            a, b = r + least + (a > b), k - r - 1 + least + (a < b)
 
     def conjugacy_key(self, g: Element):
         p = g.texp
@@ -488,8 +515,7 @@ class BaumslagSolitarContext(GroupContext):
             return (0, self._strip_factors(num))
         n = abs(p)
         modulus = k**n - 1
-        res = self._residue(n, g.kpart)
-        best = res
+        res = best = self._residue(g.kpart, n, modulus)
         for _ in range(n - 1):
             res = res * k % modulus
             if res < best:
@@ -502,19 +528,24 @@ class BaumslagSolitarContext(GroupContext):
             num //= k
         return num
 
-    def _residue(self, n: int, w) -> int:
-        # class of w = num / k^e in Z[1/k] / (k^n - 1) = Z / (k^n - 1)
+    def _residue(self, w, n: int, modulus: int) -> int:
+        # class of w = num / k^e in Z[1/k] / (k^n - 1) = Z / (k^n - 1), the
+        # modulus; phi multiplies the class by k
         num, e = w
-        k = self.k
-        modulus = k**n - 1
-        return num * pow(k, -e % n, modulus) % modulus
+        return num * pow(self.k, -e % n, modulus) % modulus
 
     def block_solver(self, n: int):
         _check_stratum(n)
-        den = self.k**n - 1
+        k = self.k
+        den = k**n - 1
 
-        def residue(w):
-            return self._residue(n, w)
+        def residues(w):
+            res = self._residue(w, n, den)
+            out = [res]
+            for _ in range(n - 1):
+                res = res * k % den
+                out.append(res)
+            return out
 
         def solve(w):
             # (1 - k^n) b = w: b = -w / (k^n - 1); k is prime to k^n - 1
@@ -523,7 +554,7 @@ class BaumslagSolitarContext(GroupContext):
                 return None
             return self.canonical_kpart((num // den, e))
 
-        return residue, solve
+        return residues, solve
 
 
 # ---------------------------------------------------------------------------
@@ -669,11 +700,13 @@ class MatrixContext(GroupContext):
         p = g.texp
         if p == 0:
             return (0, self._descend(g.kpart))
-        qd = self.quotient(abs(p))
-        best = qd.orbit_min.get(qd.coords(g.kpart))
+        n = abs(p)
+        qd = self.quotient(n)
+        c = qd.coords(g.kpart)
+        best = qd.orbit_min.get(c)
         if best is None:
-            # M^|p| fixes the quotient, so the orbit is the |p| images M^j v
-            orbit = [qd.coords(self.phi_power(g.kpart, j)) for j in range(abs(p))]
+            # M^n fixes the quotient, so the orbit is the n images M^j v
+            orbit = self._orbit_coords(qd, n, c)
             best = min(orbit)
             qd.orbit_min.update(dict.fromkeys(orbit, best))
         return (p, best)
@@ -748,9 +781,27 @@ class MatrixContext(GroupContext):
         qd = self._quotients[n] = QuotientDescriptor(adj, det)
         return qd
 
+    def _orbit_coords(self, qd: QuotientDescriptor, n: int, c) -> list:
+        """Coordinates of M^j v, 0 <= j < n, from c = qd.coords(v).
+
+        adj D is a polynomial in D = I - M^n, so it commutes with M, and
+        coords(M v) = M coords(v) mod |det D|.
+        """
+        step = self.power_map(1)
+        d = abs(qd.det)
+        out = [c]
+        for _ in range(n - 1):
+            c = tuple([x % d for x in step(c)])
+            out.append(c)
+        return out
+
     def block_solver(self, n: int):
         qd = self.quotient(n)
-        return qd.coords, qd.solve
+
+        def residues(w):
+            return self._orbit_coords(qd, n, qd.coords(w))
+
+        return residues, qd.solve
 
 
 def load_matrix_config(path: str) -> MatrixContext:

@@ -239,14 +239,14 @@ def test_every_stratum_solver_matches_adjugate():
     for p in [p for p in range(-12, 13) if p]:
         n = abs(p)
         d_mat = mat_sub(identity_matrix(2), mat_pow(HYP if p > 0 else HYP_INV, n))
-        residue, solve = ctx.block_solver(n)
-        assert residue == ctx.quotient(n).coords
+        residues, solve = ctx.block_solver(n)
 
         def solve_p(w):
             return solve(w if p > 0 else ctx.kpart_neg(ctx.phi_power(w, n)))
 
         for _ in range(100):
             w = (rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+            assert residues(w)[0] == ctx.quotient(n).coords(w)
             assert solve_p(w) == adjugate_solve(d_mat, w)
             b = (rng.randint(-50, 50), rng.randint(-50, 50))
             image = mat_vec(d_mat, b)
@@ -457,10 +457,13 @@ def test_phi_p_fixes_the_stratum_quotient(data, ctx, p):
         g = ctx.multiply(g, x)
     w = g.kpart
     n = abs(p)
-    residue, _ = ctx.block_solver(n)
-    assert residue(ctx.phi_power(w, p)) == residue(w)
+    residues, _ = ctx.block_solver(n)
+    orbit = residues(w)
+    assert len(orbit) == n
+    assert residues(ctx.phi_power(w, p)) == orbit
+    # the orbit lists the residue of phi^j(w) at j mod n, from w's alone
     for j in range(-12, 13):
-        assert residue(ctx.phi_power(w, j)) == residue(ctx.phi_power(w, j % n))
+        assert residues(ctx.phi_power(w, j))[0] == orbit[j % n]
     if ctx.family == "matrix":
         # the key over |p| images equals the walk until return
         assert conjugacy_key(ctx, Element(w, p)) == (p, matrix_orbit_min(ctx, n, w))
@@ -624,11 +627,16 @@ def test_partition_matches_elementwise_sweep():
         ("lamplighter", 3, 4, 8),
         ("lamplighter", 0, 4, 8),
         ("matrix", HYP, 4, 8),
+        # buckets whose member groups are cut short by a merge 132 and 26
+        # times, against 0 to 14 times in the cases above
+        ("bs", 3, 7, 14),
+        ("lamplighter", 2, 8, 14),
     ],
 )
 def test_partition_matches_pairwise_reference(family, param, r, rc):
-    # the residue buckets only skip pairs that have no conjugator, so the
-    # blocks and their order equal those of the exhaustive pairwise loop
+    # the residue buckets only skip pairs that have no conjugator, and the
+    # member groups only pairs already in one block, so the blocks and
+    # their order equal those of the exhaustive pairwise loop
     ctx = build(family, param)
     index = enumerate_ball(ctx, rc)
     assert brute_force_partition(ctx, index, r, rc) == pairwise_partition(
@@ -666,7 +674,11 @@ def test_residue_matches_solver(family, param, data):
     a, b, c = (
         ctx.canonical_kpart(data.draw(KPART_SAMPLES[family])) for _ in range(3)
     )
-    residue, solve = ctx.block_solver(n)
+    residues, solve = ctx.block_solver(n)
+
+    def residue(w):
+        return residues(w)[0]
+
     if data.draw(st.booleans()):
         # force a shared residue: b = a + (1 - phi^n)(c), so a - b = -c
         image = ctx.kpart_add(c, ctx.kpart_neg(ctx.phi_power(c, n)))
@@ -677,6 +689,26 @@ def test_residue_matches_solver(family, param, data):
         assert residue(ctx.kpart_add(a, mirror)) == residue(a)
     w = ctx.kpart_add(a, ctx.kpart_neg(b))
     assert (residue(a) == residue(b)) == (solve(w) is not None)
+    # residues(a) lists the residue of each of the n shifts of a
+    assert residues(a) == [residue(ctx.phi_power(a, i)) for i in range(n)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 0])
+def test_lamplighter_solver_inverts_one_minus_phi(m):
+    # dense configurations on a short window, so that w = (1 - phi^n)(c)
+    # cancels inside c and leaves runs of indices without a lamp, where the
+    # solver carries its class sums across
+    ctx = LamplighterContext(m)
+    rng = random.Random(11)
+    values = range(1, m) if m else [v for v in range(-3, 4) if v]
+    for _ in range(400):
+        c = ctx.canonical_kpart(
+            (i, rng.choice(values)) for i in range(-5, 6) if rng.random() < 0.6
+        )
+        for n in range(1, 6):
+            _, solve = ctx.block_solver(n)
+            w = ctx.kpart_add(c, ctx.kpart_neg(ctx.phi_power(c, n)))
+            assert solve(w) == c
 
 
 @pytest.mark.parametrize(

@@ -344,3 +344,51 @@ def test_lamplighter_lengths_match_closed_form(m, radius):
 def test_bs_lengths_match_digit_program(k, radius):
     ctx = BaumslagSolitarContext(k)
     check_closed_form_lengths(ctx, enumerate_ball(ctx, radius))
+
+
+def check_bounded_lengths(ctx, index):
+    # the oracle asks for min(|g|, bound + 1); BFS is the reference, on the
+    # whole ball and on the sphere R + 1 that the sphere R reaches
+    radius = index.radius
+    lengths = {g: index.word_length(g) for g in index.elements()}
+    for g in index.sphere(radius):
+        for s in ctx.generators():
+            lengths.setdefault(ctx.multiply(g, s), radius + 1)
+    for bound in range(radius + 2):
+        for g, length in lengths.items():
+            assert ctx.word_length(g, bound) == min(length, bound + 1)
+
+
+@pytest.mark.parametrize("k, radius", [(2, 10), (3, 8), (5, 6)])
+def test_bs_bounded_lengths_match_bfs(k, radius):
+    ctx = BaumslagSolitarContext(k)
+    check_bounded_lengths(ctx, enumerate_ball(ctx, radius))
+
+
+@pytest.mark.parametrize("m, radius", [(2, 8), (0, 5)])
+def test_lamplighter_bounded_lengths_match_bfs(m, radius):
+    ctx = LamplighterContext(m)
+    check_bounded_lengths(ctx, enumerate_ball(ctx, radius))
+
+
+def test_ball_lengths_take_a_bound():
+    # the ball reads min(|g|, bound + 1) off its spheres up to the bound,
+    # which it must cover
+    ctx = MatrixContext(HYP)
+    index = enumerate_ball(ctx, 5)
+    for g in index.elements():
+        length = index.word_length(g)
+        for bound in range(6):
+            assert index.word_length(g, bound) == min(length, bound + 1)
+    outside = [
+        h
+        for g in index.sphere(5)
+        for s in ctx.generators()
+        if (h := ctx.multiply(g, s)) not in index
+    ]
+    assert outside
+    assert {index.word_length(h, 5) for h in outside} == {6}
+    with pytest.raises(KeyError):
+        index.word_length(outside[0])
+    with pytest.raises(ValueError):
+        index.word_length(ctx.identity, 6)
