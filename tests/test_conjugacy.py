@@ -461,7 +461,7 @@ def test_phi_p_fixes_the_stratum_quotient(data, ctx, p):
     orbit = residues(w)
     assert len(orbit) == n
     assert residues(ctx.phi_power(w, p)) == orbit
-    # the orbit lists the residue of phi^j(w) at j mod n, from w's alone
+    # the orbit holds the residue of phi^j(w) at index j mod n
     for j in range(-12, 13):
         assert residues(ctx.phi_power(w, j))[0] == orbit[j % n]
     if ctx.family == "matrix":
