@@ -105,8 +105,6 @@ def brute_force_partition(
     kadd = ctx.kpart_add
     phip = ctx.phi_power
     jumps = [j for i in range(1, conjugator_radius + 1) for j in (i, -i)]
-    # p -> [d - phi^p(d) for d in kgens]; these moves are 0 at p = 0
-    moves_at: dict[int, list] = {0: []}
 
     blocks = []
     for g in ball:
@@ -114,9 +112,8 @@ def brute_force_partition(
             continue  # already in the block of an earlier element
         unvisited.remove(g)
         p = g.texp
-        moves = moves_at.get(p)
-        if moves is None:
-            moves = moves_at[p] = [kadd(d, ctx.kpart_neg(phip(d, p))) for d in kgens]
+        # conjugating by d adds d - phi^p(d), which is 0 at p = 0
+        moves = [kadd(d, ctx.kpart_neg(phip(d, p))) for d in kgens] if p else []
         powers = (1, -1) if p else jumps
         members = [position[g]]
         stack = [g.kpart]
