@@ -13,9 +13,11 @@ raw kernel part, conjugation, are_conjugate, quotient representatives,
 integer kernel bases, the word lengths of a ball, the decay fit of a
 ratio table and the bs congruence witnesses and power windows.  The
 closed-form word lengths of bs and the lamplighter with their standard
-generators are references that BFS is checked against.  det_int and adjugate are the
-Bareiss determinant and cofactor adjugate that the package's
-Cayley-Hamilton adjugate, inverse, solve and singularity tests are checked
+generators are references that BFS is checked against, and
+stratum_preimage, the preimage under 1 - phi^n, is the one the keys'
+residues are checked against.  det_int and adjugate are the Bareiss
+determinant and cofactor adjugate that the package's
+Cayley-Hamilton adjugate, inverse and singularity tests are checked
 against, and leading_minors (Sylvester's criterion) checks its
 positive-definiteness test.  smith_normal_form, the Smith normal form by
 unimodular row and column operations, is the reference for

@@ -512,10 +512,8 @@ def test_other_generating_sets_use_the_conjugator_ball(ctx, expected):
     with pytest.raises(ValueError):
         brute_force_partition(ctx, enumerate_ball(ctx, 7), 6, 12)
     index = enumerate_ball(ctx, 8)
-    assert brute_force_partition(ctx, index, 6, 12) == walk_partition(
-        ctx, index, 6, 12, 8
-    )
     blocks = brute_force_partition(ctx, index, 6, 12)
+    assert blocks == walk_partition(ctx, index, 6, 12, 8)
     classes = key_partition(ctx, index, 6)
     assert len(blocks) == len(classes) == expected
     assert as_block_set(blocks) == as_block_set(classes.values())
@@ -533,7 +531,7 @@ def test_matrix_partition_matches_keys():
 def test_partition_matches_elementwise_sweep():
     # the walk inside S^(r+2) must compute the same closure as literally
     # conjugating by every element of the conjugator ball, here S^(r+2);
-    # the last three are bs and lamplighter contexts with other generators
+    # the fourth and fifth contexts have other generating sets
     for ctx, r, rc in (
         (BaumslagSolitarContext(2), 3, 5),
         (LamplighterContext(2), 3, 5),
@@ -595,6 +593,17 @@ def test_walk_radius_is_r_plus_two(rows, r, classes, short_blocks):
     classes_by_key = key_partition(ctx, index, r)
     assert len(blocks) == len(classes_by_key) == classes
     assert as_block_set(blocks) == as_block_set(classes_by_key.values())
+
+
+def test_walk_needs_the_p0_jumps():
+    # at RC = 1 the jumps t^j g t^-j are the t-steps alone, and the walk
+    # splits classes of the PISOT conjugate at r3; RC = 6 gives the keys
+    ctx = MatrixContext(PISOT_CONJ)
+    index = enumerate_ball(ctx, 5)
+    assert len(walk_partition(ctx, index, 3, 1, 5)) == 51
+    blocks = brute_force_partition(ctx, index, 3, 6)
+    assert as_block_set(blocks) == as_block_set(key_partition(ctx, index, 3).values())
+    assert len(blocks) == 43
 
 
 # A stratum's residue must agree exactly when the difference has a preimage
