@@ -427,13 +427,12 @@ def walk_partition(
             g = parent[g]
         return g
 
+    gens = ctx.generators()
     zero = ctx.kpart_zero()
-    spans = range(1, conjugator_radius + 1)
-    jumps = [Element(zero, j) for i in spans for j in (i, -i)]
+    jumps = [Element(zero, j) for i in range(1, conjugator_radius + 1) for j in (i, -i)]
     for g in ball:
-        conjugators = ctx.generators() + (jumps if g.texp == 0 else [])
-        for x in conjugators:
-            h = ctx.multiply(ctx.multiply(x, g), ctx.invert(x))
+        for x in gens + jumps if g.texp == 0 else gens:
+            h = conjugate(ctx, x, g)
             if h in parent:
                 parent[find(h)] = find(g)
     blocks: dict[Element, list[Element]] = {}
