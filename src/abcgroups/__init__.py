@@ -2,7 +2,11 @@
 conjugacy invariants, class-growth ratios, Folner-box experiments and
 unit-root spectral tables."""
 
-from .conjugacy import brute_force_partition, conjugacy_key
+from .conjugacy import (
+    UnionFind,
+    brute_force_partition,
+    conjugacy_key,
+)
 from .enumeration import BallIndex, ResourceCapError, enumerate_ball
 from .folner import (
     folner_box,

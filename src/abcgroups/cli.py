@@ -15,7 +15,7 @@ import gc
 import json
 import sys
 
-from .conjugacy import brute_force_partition, conjugacy_key
+from .conjugacy import brute_force_partition, closed_form_lengths, conjugacy_key
 from .enumeration import DEFAULT_ELEMENT_CAP, ResourceCapError, enumerate_ball
 from .folner import DEFAULT_BOX_CAP, translate_experiment
 from .groups import (
@@ -141,8 +141,9 @@ def _cmd_conjtest(args: argparse.Namespace) -> int:
         raise ValueError(
             f"oracle radius {oracle_radius} is below the ball radius {args.radius}"
         )
-    # the oracle walks inside S^(r+2), which holds every one-step conjugate
-    index = enumerate_ball(ctx, args.radius + 2, args.element_cap)
+    # the oracle reads conjugator lengths off S^RC only without a closed form
+    ball_radius = args.radius if closed_form_lengths(ctx) else oracle_radius
+    index = enumerate_ball(ctx, ball_radius, args.element_cap)
     key_of = {g: conjugacy_key(ctx, g) for g in index.elements(args.radius)}
     by_key: dict = {}
     for g, key in key_of.items():

@@ -41,32 +41,24 @@ fixes that quotient, and every orbit is just the n images phi^j(x),
   eigenvalue on the circle that is not a root of unity no such P exists,
   and the key raises ValueError, as it does past K = TENT_K_MAX.
 
-Each context class implements its family's key as conjugacy_key(g); this
-module adds the entry point and the brute-force oracle, which uses none
-of the keys' residues and only the group law: generators, kpart_add,
-kpart_neg and phi_power.
-
-The oracle joins two elements of S^r when a path of one-step conjugations
-leads from one to the other through S^(r+2).  One step conjugates
-g = (a, t^p) by a generator s: a kernel generator d gives
-(a + d - phi^p(d), t^p), and t^(+-1) gives (phi^(+-1)(a), t^p).  In the
-stratum p = 0 the conjugations by t^j, 1 <= |j| <= RC, are single steps
-too, the jumps a -> phi^j(a).  Every step is a conjugation, so the blocks
-are sound: merged elements are conjugate.  They may under-merge, as the
-conjugator search they replace did.  |s g s^-1| <= |g| + 2, so S^(r+2) is
-the least ball that holds every one-step conjugate of S^r; a walk inside
-S^(r+1) misses classes of the conjugated [[2,1],[1,1]], and one without
-the p = 0 jumps misses classes of the conjugated x^3 - x - 1 companion.
+Each context class implements its family's key as conjugacy_key(g), the
+stratum solver of the oracle below as block_solver(n) and, where a closed
+form exists, the conjugator lengths of the oracle as word_length(g, bound);
+this module adds the entry point, the union-find and the oracle.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from .enumeration import BallIndex
 from .groups import Element, GroupContext
 
 __all__ = [
     "conjugacy_key",
+    "UnionFind",
     "brute_force_partition",
+    "closed_form_lengths",
 ]
 
 
@@ -75,58 +67,196 @@ def conjugacy_key(ctx: GroupContext, g: Element):
     return ctx.conjugacy_key(g)
 
 
+# ---------------------------------------------------------------------------
+# Union-find
+# ---------------------------------------------------------------------------
+
+
+class UnionFind:
+    """Disjoint sets over a fixed item collection, path halving plus size."""
+
+    def __init__(self, items: Iterable):
+        self._parent = {x: x for x in items}
+        self._size = {x: 1 for x in self._parent}
+
+    def find(self, x):
+        parent = self._parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self._size[ra] < self._size[rb]:
+            ra, rb = rb, ra
+        self._parent[rb] = ra
+        self._size[ra] += self._size[rb]
+
+    def blocks(self) -> list[list]:
+        """The sets as lists, in item order.
+
+        Blocks come in the order of their first member, and each block lists
+        its members in the order the items were given.
+        """
+        by_root: dict = {}
+        for x in self._parent:
+            by_root.setdefault(self.find(x), []).append(x)
+        return list(by_root.values())
+
+
+# ---------------------------------------------------------------------------
+# Brute-force partition
+#
+# The partition is the union-find closure of the pairs {g, x g x^-1} with
+# g, x g x^-1 in S^r and x in S^RC.  Instead of sweeping every x, a pair
+# (g, h) in a stratum p > 0 is tested by solving
+#     (1 - phi^p)(b) = h.kpart - phi^j(g.kpart)
+# for b at each |j| <= RC; the solution is unique, and the pair merges
+# exactly when some solution (b, t^j) lies in S^RC.  This computes the same
+# relation as the elementwise sweep.
+#
+# |(b, t^j)| <= RC is read off the family's closed-form word length when it
+# has one (ctx.word_length: bs and the lamplighter with their standard
+# generators), so the oracle needs only the ball S^r and, for these
+# families, rests on that formula; tests/ checks it against BFS on whole
+# balls.  Every other context looks the conjugator up in a ball that covers
+# S^RC.  Either length is asked with the bound RC and returns
+# min(|x|, RC + 1): the bs digit program starts from RC + 1 as its best
+# candidate and stops once no walk can come in under it, and the ball
+# decides |x| <= RC in one pass over its spheres up to RC.  The stratum
+# p = 0 is probed with plain (kpart, 0) tuples, as BFS probes, and an
+# Element is built only for a hit.
+#
+# A solution exists exactly when h.kpart and phi^j(g.kpart) have the same
+# residue in K / (1 - phi^p)K, so each stratum is bucketed by residue and g
+# is solved only against the bucket of residue(phi^j(g.kpart)).  A skipped
+# pair has no conjugator part at all, of any length, so skipping it leaves
+# the relation unchanged.  The residues are the ones the keys use: the
+# class mod k^p - 1 (bs), the class sums over indices mod p (lamplighter)
+# and the adjugate coordinates of the quotient (matrix).  A bucketed pair
+# without a solution means residue and solver disagree, and raises.  The
+# residue of phi^j(g.kpart) depends only on j mod p (module doc), and the
+# solver's residues(w) lists the p of them from the residue of w alone: k
+# times the last mod k^p - 1 (bs), a rotation of the class sums
+# (lamplighter), M times the last coordinates mod |det D| (matrix).  The
+# shifts j in [-RC, RC] are split by j mod p once per stratum, so g's
+# residue at index i of that list is tried at the i-th class of shifts, in
+# order of j, stopping at the first conjugator in S^RC.  The shift cache
+# holds -phi^j(g.kpart), so each solve is solve(h.kpart + moved[j]); it is
+# filled only at a shift where a pair is solved, negating once per shift of
+# g, not once per pair tried.
+#
+# Each bucket keeps its members in groups, by the block root each member
+# had at insertion; a group's members share one block then and forever, so
+# one find per group skips every member in g's own block, and a pair
+# already in one block is not solved at all.  After g merges with one
+# member, the rest of that group lies in g's block too, and the group is
+# not tried further.  Every member stays: two members of one block may
+# need conjugators of different lengths to reach g.  Union order does not
+# change UnionFind.blocks(), so the blocks and their order are those of the
+# plain pairwise loop.
+#
+# Each unordered pair is tested in one orientation, g against the elements
+# before it in its stratum, and only the strata p > 0 are solved.  The
+# generating set is symmetric, so |x^-1| = |x| for every x, and
+# x g x^-1 = h exactly when x^-1 h x = g and when x g^-1 x^-1 = h^-1: each
+# merge (g, h) is also made as (g^-1, h^-1), mirroring stratum p onto -p.
+# ratios.ratio_table counts the classes of p < 0 by the same fact.
+# ---------------------------------------------------------------------------
+
+
+def closed_form_lengths(ctx: GroupContext) -> bool:
+    """Whether ctx.word_length gives exact lengths; without it the oracle
+    reads conjugator lengths off a ball that covers the conjugator radius."""
+    try:
+        ctx.word_length(ctx.identity)
+    except NotImplementedError:
+        return False
+    return True
+
+
 def brute_force_partition(
     ctx: GroupContext,
     index: BallIndex,
     r: int,
     conjugator_radius: int,
 ) -> list[list[Element]]:
-    """Partition of S^r into the components of the one-step conjugation
-    walk inside S^(r+2) (module doc), with jumps phi^j, |j| <= RC, at p = 0.
+    """Partition of S^r merged under conjugation by every element of S^RC.
 
-    Sound by construction: merged pairs are genuinely conjugate.  Blocks
-    come in the ball order of their first member, each listing its members
-    in ball order.  The conjugator radius must cover r, and the index must
-    cover r + 2.
+    Sound by construction: merged pairs are genuinely conjugate.  Small
+    conjugator radii may under-merge.  The conjugator radius must cover r,
+    and the index must cover r, or the conjugator radius when the context
+    has no closed-form word length.
     """
     if conjugator_radius < r:
         raise ValueError(
             f"conjugator radius {conjugator_radius} is below the ball radius {r}"
         )
-    if index.radius < r + 2:
+    closed = closed_form_lengths(ctx)
+    needed = r if closed else conjugator_radius
+    if index.radius < needed:
         raise ValueError(
-            f"index radius {index.radius} does not cover the radius {r + 2} "
-            f"the oracle walks in"
+            f"index radius {index.radius} does not cover the radius {needed} "
+            f"the oracle needs"
         )
-    ball = list(index.elements(r))
-    position = {g: i for i, g in enumerate(ball)}
-    unvisited = set(index.elements(r + 2))
-    kgens = [s.kpart for s in ctx.generators() if s.texp == 0]
-    kadd = ctx.kpart_add
-    phip = ctx.phi_power
-    jumps = [j for i in range(1, conjugator_radius + 1) for j in (i, -i)]
+    length = ctx.word_length if closed else index.word_length
 
-    blocks = []
+    ball = list(index.elements(r))
+    ball_set = set(ball)
+    uf = UnionFind(ball)
+    find = uf.find
+    strata: dict[int, list[Element]] = {}
     for g in ball:
-        if g not in unvisited:
-            continue  # already in the block of an earlier element
-        unvisited.remove(g)
-        p = g.texp
-        # conjugating by d adds d - phi^p(d), which is 0 at p = 0
-        moves = [kadd(d, ctx.kpart_neg(phip(d, p))) for d in kgens] if p else []
-        powers = (1, -1) if p else jumps
-        members = [position[g]]
-        stack = [g.kpart]
-        while stack:
-            a = stack.pop()
-            for b in [kadd(a, c) for c in moves] + [phip(a, j) for j in powers]:
-                h = (b, p)  # probed as a plain tuple, as BFS does
-                if h in unvisited:
-                    unvisited.remove(h)
-                    stack.append(b)
-                    i = position.get(h)
-                    if i is not None:
-                        members.append(i)
-        members.sort()
-        blocks.append([ball[i] for i in members])
-    return blocks
+        strata.setdefault(g.texp, []).append(g)
+
+    rc = conjugator_radius
+    new = tuple.__new__
+    phip = ctx.phi_power
+    kadd = ctx.kpart_add
+    for g in strata.get(0, ()):
+        a = g.kpart
+        for j in range(-rc, rc + 1):
+            h = (phip(a, j), 0)  # probed as a plain tuple, as BFS does
+            if h in ball_set:
+                uf.union(g, new(Element, h))
+    for p in range(1, r + 1):  # each stratum -p mirrors p by inversion
+        residues, solve = ctx.block_solver(p)
+        # the shifts j in [-RC, RC] by j mod p, each class in order of j
+        shift_classes = [range(-rc + (i + rc) % p, rc + 1, p) for i in range(p)]
+        buckets: dict = {}  # residue -> {root at insertion: members}
+        for g in strata.get(p, ()):
+            a = g.kpart
+            orbit = residues(a)
+            moved: dict = {}  # j -> -phi^j(g.kpart), computed at its first solve
+            root = find(g)
+            for res, shifts in zip(orbit, shift_classes):
+                for key, members in buckets.get(res, {}).items():
+                    if find(key) == root:
+                        continue
+                    for h in members:
+                        for j in shifts:
+                            w = moved.get(j)
+                            if w is None:
+                                w = moved[j] = ctx.kpart_neg(phip(a, j))
+                            b = solve(kadd(h.kpart, w))
+                            if b is None:
+                                raise RuntimeError(
+                                    f"residue admits no conjugator part for "
+                                    f"{ctx.format_element(g)} and "
+                                    f"{ctx.format_element(h)}"
+                                )
+                            if length(new(Element, (b, j)), rc) <= rc:
+                                break
+                        else:
+                            continue  # no shift reaches h within RC
+                        # the whole group now lies in the block of g
+                        uf.union(g, h)
+                        uf.union(ctx.invert(g), ctx.invert(h))
+                        root = find(g)
+                        break
+            buckets.setdefault(orbit[0], {}).setdefault(root, []).append(g)
+
+    return uf.blocks()

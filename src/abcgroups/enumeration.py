@@ -11,7 +11,8 @@ generator set without inverses, and t and t^-1 are both generators), so a
 neighbour h = g s of g on sphere r-1 has g = h s^-1 with s^-1 a generator,
 hence r-1 <= |h| + 1, and |h| is r-2, r-1 or r.  The index keeps each
 sphere as the dict BFS built for it, element -> t-count: that one store
-gives the sphere, its t-counts and membership (some sphere holds g).
+gives the sphere, its t-counts, membership (some sphere holds g) and word
+length (the first sphere that holds g).
 
 Each layer lists its elements in discovery order: by the earliest element
 of the previous layer that reaches them, ties going to the generator that
@@ -48,8 +49,8 @@ class ResourceCapError(RuntimeError):
 class BallIndex:
     """Ball S^R as its spheres in discovery order, with per-sphere t-counts.
 
-    Each sphere is the dict BFS built for it; membership asks the spheres
-    in turn, and sphere and t_counts return copies.
+    Each sphere is the dict BFS built for it; membership and word_length
+    ask the spheres in turn, and sphere and t_counts return copies.
     """
 
     def __init__(self, radius: int, layers):
@@ -61,6 +62,20 @@ class BallIndex:
 
     def __len__(self) -> int:
         return sum(map(len, self._layers))
+
+    def word_length(self, g: Element, bound: Optional[int] = None) -> int:
+        """|g|, or with a bound min(|g|, bound + 1), in one pass over the
+        spheres up to the bound; the ball must cover the bound."""
+        layers = self._layers
+        if bound is not None:
+            self._check_radius(bound)
+            layers = layers[: bound + 1]
+        for r, layer in enumerate(layers):
+            if g in layer:
+                return r
+        if bound is None:
+            raise KeyError(f"element outside the radius-{self.radius} ball: {g!r}")
+        return bound + 1
 
     def _check_radius(self, r: int) -> None:
         if not 0 <= r <= self.radius:

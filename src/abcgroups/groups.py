@@ -12,9 +12,9 @@ Three kernel families are supported:
 * bs: K = Z[1/k] for Baumslag-Solitar BS(1,k), phi multiplies by k.
 * matrix: K = Z^n with phi given by an integer matrix of determinant +-1.
 
-Each family's context also supplies its conjugacy key, which the
-conjugacy module explains; the brute-force oracle there needs only the
-kernel arithmetic above.
+Each family's context also supplies its conjugacy key and the conjugator
+solver of the brute-force oracle, and bs and the lamplighter an exact word
+length for their standard generators; the conjugacy module explains them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
+from math import gcd, inf
 from operator import mul, neg
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
@@ -100,6 +100,29 @@ class GroupContext:
     def conjugacy_key(self, g: Element):
         """Canonical, order-comparable conjugacy invariant of g."""
         raise NotImplementedError
+
+    def block_solver(self, n: int):
+        """(residues, solve) for the strata p = +-n; n < 1 raises ValueError.
+
+        residues(w) lists the classes of phi^i(w), 0 <= i < n, in
+        K / (1 - phi^n)K = K / (1 - phi^-n)K, which phi^n fixes: phi^j(w) has
+        class residues(w)[j % n], and residues(w)[0] is the class of w.
+        solve(w) is the unique b with (1 - phi^n)(b) = w, or None.
+        """
+        raise NotImplementedError
+
+    def word_length(self, g: Element, bound: Optional[int] = None) -> int:
+        """Exact word length of g over generators(), without a ball.
+
+        Given a bound, it returns min(|g|, bound + 1), which decides
+        |g| <= bound with less work where the family's program can stop
+        early.  Families with a closed form implement it for their standard
+        generating set only; every other context raises, and its lengths
+        come from an enumerated ball.
+        """
+        raise NotImplementedError(
+            f"no closed-form word length for this {self.family} generating set"
+        )
 
     # Element level operations.
 
@@ -179,6 +202,7 @@ class LamplighterContext(GroupContext):
         ]
         if not unit_ideal(polys, m):
             raise ValueError("kernel generators do not generate the lamps over t")
+        self._standard_gens = set(self.kgen_nonzero) == set(standard[1:])
         # class sums -> their least rotation; a tuple's length is its |p|
         self._least_rotation: dict[tuple, tuple] = {}
 
@@ -236,6 +260,29 @@ class LamplighterContext(GroupContext):
             return "0"
         return "+".join(f"{v}@{i}" for i, v in a)
 
+    def word_length(self, g: Element, bound: Optional[int] = None) -> int:
+        """Word length of g for the standard generators, in closed form.
+
+        Cleary and Taback (Q. J. Math. 2005), after Parry (Trans. AMS 1992):
+        each lamp of value v costs min(v, m - v) letters (|v| for integer
+        lamps), and the cursor walks from 0 to p past every lit lamp, so it
+        covers [lo, hi], the hull of {0, p, lit lamps}, at the least cost
+        2 (hi - lo) - |p| of turning at whichever end lies away from p.
+        """
+        if not self._standard_gens:
+            return super().word_length(g, bound)
+        m = self.m
+        conf = g.kpart
+        p = g.texp
+        if m:
+            lamps = sum([v if v + v <= m else m - v for _, v in conf])
+        else:
+            lamps = sum([v if v > 0 else -v for _, v in conf])
+        # lamps are sorted by index
+        ends = (0, p, conf[0][0], conf[-1][0]) if conf else (0, p)
+        length = lamps + 2 * (max(ends) - min(ends)) - abs(p)
+        return length if bound is None or length <= bound else bound + 1
+
     def conjugacy_key(self, g: Element):
         p = g.texp
         conf = g.kpart
@@ -262,6 +309,40 @@ class LamplighterContext(GroupContext):
         if m:
             return tuple([v % m for v in sums])
         return tuple(sums)
+
+    def block_solver(self, n: int):
+        _check_stratum(n)
+        m = self.m
+
+        def residues(w):
+            return _rotations(self._class_sums(n, w))
+
+        def solve(w):
+            # b_i - b_(i-n) = w_i: b_i is the running sum of w over the
+            # indices of its class mod n up to i, so a finite b exists
+            # exactly when every class sum ends at 0
+            if not w:
+                return ()
+            sums = [0] * n
+            out = []
+            i = w[0][0]
+            for lamp, v in w:
+                if i < lamp:  # no lamp of w in between: b_x = b_(x-n)
+                    out += [(x, s) for x in range(i, lamp) if (s := sums[x % n])]
+                c = lamp % n
+                s = sums[c] + v
+                if m:
+                    s %= m
+                sums[c] = s
+                if s:
+                    out.append((lamp, s))
+                i = lamp + 1
+            if any(sums):
+                return None
+            return tuple(out)
+
+        return residues, solve
+
 
 def _rotations(sums: tuple) -> list[tuple]:
     """The class sums of the n shifts of a configuration, n = len(sums).
@@ -299,6 +380,7 @@ class BaumslagSolitarContext(GroupContext):
         g = gcd(*(num for num, _ in self.kgen_nonzero))
         if not g or k ** g.bit_length() % g:
             raise ValueError("kernel generators do not generate Z[1/k] over t")
+        self._standard_gens = set(self.kgen_nonzero) == set(standard[1:])
 
     def kpart_zero(self):
         return (0, 0)
@@ -356,6 +438,75 @@ class BaumslagSolitarContext(GroupContext):
             return str(num)
         return f"{num}/{self.k}^{e}"
 
+    def word_length(self, g: Element, bound: Optional[int] = None) -> int:
+        """Word length of g = (num / k^e, t^p) for the generators a, t.
+
+        Reading a word left to right, a letter a^c at t-level l adds c k^l,
+        and the t-letters walk from level 0 to p.  A walk that covers the
+        interval [L, H] (L <= min(0, p), H >= max(0, p)) costs at least
+        2 (H - L) - |p| t-letters, turning at whichever end lies away from
+        p, and a walk of that cost can drop a^(c_l) at each level l of
+        [L, H] on its first visit.  So |g| is the least 2 (H - L) - |p|
+        + sum |c_l| over intervals and digits with sum c_l k^l = num / k^e.
+
+        The digits need L <= -e.  Going lower never helps: a nonzero
+        lowest digit below -e is a multiple of k, and moving it up one
+        level as c / k makes the digit sum smaller.  So L = min(0, p, -e),
+        and the digits write N = num k^(-e-L) as sum c_j k^j, j = l - L.
+        Below the top level H every digit lies in (-k, k): a digit c >= k
+        becomes c - k with one more on the next level, which saves k - 1
+        or more, and likewise for c <= -k.  So with v the value still to
+        write at a level and r = v mod k, its digit is r or r - k, the next
+        level writes (v - digit) / k, and the top digit is the whole value
+        left.  Those next values are q = v div k and q + 1, so one pass
+        upward from L keeps just v and v + 1, with least digit sums a and
+        b.  Writing v + 1 instead of v costs at most 1 more (one unit on
+        the current digit), and back, so the pass may start from a = 0,
+        b = 1 without changing any minimum.  Each level H >= max(0, p)
+        gives the candidate path + min(a + |v|, b + |v + 1|), where the
+        path is 2 (H - L) - |p|.  min(a, b) never falls as the pass goes
+        up, and no candidate has a shorter path than the level max(0, p),
+        so the pass stops once min(a, b) plus the path of the current
+        level, or of that first candidate level below it, reaches the best
+        candidate.  It also stops when v is 0 or -1 at a level H: v then
+        stays there and no later candidate is lower.  A bound starts the
+        pass with best = bound + 1, so it stops as soon as no candidate
+        can come in under the bound.  Elder (Illinois J. Math. 2010) gives
+        linear-time geodesics in BS(1, k).
+        """
+        if not self._standard_gens:
+            return super().word_length(g, bound)
+        k = self.k
+        num, e = g.kpart
+        p = g.texp
+        low = min(0, p, -e)
+        # a and b: least digit sums with v and with v + 1 still to write
+        v = num * k ** (-e - low)
+        a, b = 0, 1
+        below = max(0, p) - low  # levels left below the first candidate
+        path = 2 * below - abs(p)  # of that level, then of the current one
+        best = inf if bound is None else bound + 1
+        while True:
+            least = a if a < b else b
+            if path + least >= best:
+                return best
+            if below:
+                below -= 1
+            else:
+                x = a + abs(v)
+                y = b + abs(v + 1)
+                here = path + (x if x < y else y)
+                if here < best:
+                    best = here
+                if v == 0 or v == -1:
+                    return best
+                path += 2
+            v, r = divmod(v, k)
+            # v from v by digit r or from v + 1 by r + 1, v + 1 by r - k or
+            # r + 1 - k; the digits +-k this admits are valid, never better.
+            # The comparisons are min(a, b + 1) and min(a + 1, b).
+            a, b = r + least + (a > b), k - r - 1 + least + (a < b)
+
     def conjugacy_key(self, g: Element):
         p = g.texp
         num = g.kpart[0]
@@ -383,6 +534,29 @@ class BaumslagSolitarContext(GroupContext):
         num, e = w
         return num * pow(self.k, -e % n, modulus) % modulus
 
+    def block_solver(self, n: int):
+        _check_stratum(n)
+        k = self.k
+        den = k**n - 1
+
+        def residues(w):
+            res = self._residue(w, n, den)
+            out = [res]
+            for _ in range(n - 1):
+                res = res * k % den
+                out.append(res)
+            return out
+
+        def solve(w):
+            # (1 - k^n) b = w: b = -w / (k^n - 1); k is prime to k^n - 1
+            num, e = self.kpart_neg(w)
+            if num % den:
+                return None
+            return self.canonical_kpart((num // den, e))
+
+        return residues, solve
+
+
 # ---------------------------------------------------------------------------
 # Matrix family Z^n x| <t>
 # ---------------------------------------------------------------------------
@@ -402,7 +576,7 @@ class QuotientDescriptor:
 
     adj D = det D * D^-1, so w lies in D Z^n exactly when adj D w = 0 mod
     |det D|: coords(w) = adj D w mod |det D| is a complete residue
-    invariant.
+    invariant, and solve() divides adj D w by det D.
     orbit_min maps each class met so far to the least class of its orbit.
     """
 
@@ -417,6 +591,14 @@ class QuotientDescriptor:
     def coords(self, v) -> tuple[int, ...]:
         d = abs(self.det)
         return tuple([x % d for x in self._adj_map(v)])
+
+    def solve(self, w) -> Optional[tuple[int, ...]]:
+        """The unique b with D b = w, or None outside the image."""
+        x = self._adj_map(w)
+        if any(xi % self.det for xi in x):
+            return None
+        return tuple([xi // self.det for xi in x])
+
 
 # the widest tent sum MatrixContext.convex_form tries; K grows with the log
 # of the condition number of a basis that splits M's spectrum at the circle
@@ -586,7 +768,7 @@ class MatrixContext(GroupContext):
         return best
 
     def quotient(self, n: int) -> QuotientDescriptor:
-        """Quotient descriptor of the strata p = +-n, n >= 1."""
+        """Quotient descriptor of the strata p = +-n, n >= 1 (block_solver)."""
         _check_stratum(n)
         qd = self._quotients.get(n)
         if qd is not None:
@@ -612,6 +794,15 @@ class MatrixContext(GroupContext):
             c = tuple([x % d for x in step(c)])
             out.append(c)
         return out
+
+    def block_solver(self, n: int):
+        qd = self.quotient(n)
+
+        def residues(w):
+            return self._orbit_coords(qd, n, qd.coords(w))
+
+        return residues, qd.solve
+
 
 def load_matrix_config(path: str) -> MatrixContext:
     """Build a matrix context from a JSON file {"n":, "rows":, "generators":?}."""

@@ -3,21 +3,17 @@
 Everything here recomputes results from first principles (raw generator
 words, elementwise conjugation sweeps, geodesic words rebuilt from the
 discovery order of the spheres) or by the plain exhaustive loop a fast
-path replaced (BFS against a whole-ball dict, the conjugation walk by
-multiply and invert with a union-find, step-by-step orbit walks,
-whole-window orbit scans, all-rotations keys, Fraction projection scans,
-a ratio table keyed on both signs of p), so the fast code paths
+path replaced (BFS against a whole-ball dict, pairwise conjugator
+solving, step-by-step orbit walks, whole-window orbit scans,
+all-rotations keys, Fraction projection scans, a ratio table keyed on
+both signs of p), so the fast code paths
 have an independent answer to match.
 Helpers that only tests call live here too: element construction from a
 raw kernel part, conjugation, are_conjugate, quotient representatives,
-integer kernel bases, the word lengths of a ball, the decay fit of a
-ratio table and the bs congruence witnesses and power windows.  The
-closed-form word lengths of bs and the lamplighter with their standard
-generators are references that BFS is checked against, and
-stratum_preimage, the preimage under 1 - phi^n, is the one the keys'
-residues are checked against.  det_int and adjugate are the Bareiss
-determinant and cofactor adjugate that the package's
-Cayley-Hamilton adjugate, inverse and singularity tests are checked
+integer kernel bases, the decay fit of a ratio table and the bs
+congruence witnesses and power windows.  det_int and adjugate are the
+Bareiss determinant and cofactor adjugate that the package's
+Cayley-Hamilton adjugate, inverse, solve and singularity tests are checked
 against, and leading_minors (Sylvester's criterion) checks its
 positive-definiteness test.  smith_normal_form, the Smith normal form by
 unimodular row and column operations, is the reference for
@@ -30,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, log
+from math import log
 from operator import mul
 from typing import NamedTuple, Optional
 
-from abcgroups.conjugacy import conjugacy_key
+from abcgroups.conjugacy import UnionFind, conjugacy_key
 from abcgroups.enumeration import (
     DEFAULT_ELEMENT_CAP,
     BallIndex,
@@ -42,13 +38,7 @@ from abcgroups.enumeration import (
     enumerate_ball,
 )
 from abcgroups.folner import _require_bs
-from abcgroups.groups import (
-    BaumslagSolitarContext,
-    Element,
-    GroupContext,
-    LamplighterContext,
-    MatrixContext,
-)
+from abcgroups.groups import Element, GroupContext, LamplighterContext, MatrixContext
 from abcgroups.linalg import Matrix, identity_matrix, mat_mul, mat_sub
 from abcgroups.ratios import RatioRow, threshold_function
 from abcgroups.spectral import unit_root_projection
@@ -407,178 +397,56 @@ def conjugation_sweep(
     return {frozenset(v) for v in blocks.values()}
 
 
-def walk_partition(
-    ctx: GroupContext, index: BallIndex, r: int, conjugator_radius: int, walk_radius: int
+def pairwise_partition(
+    ctx: GroupContext, index, r: int, conjugator_radius: int
 ) -> list[list[Element]]:
-    """brute_force_partition by the group law, walking inside S^walk_radius.
+    """brute_force_partition without residue buckets.
 
-    Unions g with s g s^-1 for every generator s, and at p = 0 with
-    t^j g t^-j for 1 <= |j| <= RC, wherever both ends lie in S^walk_radius;
-    conjugates come from multiply and invert, and a plain union-find closes
-    them.  Blocks are the S^r members of each set, in ball order by first
-    member and within each block.
+    Solves for a conjugator of g to h for every pair (g, h) of a stratum,
+    g listed first, at every |j| <= RC.  Every stratum p != 0 is solved in
+    its own right, with no mirror by inversion: for p = -n the equation
+    (1 - phi^-n) b = w is (1 - phi^n) b = -phi^n(w), given to the solver
+    of n.  Blocks come in the same order, ball order by first member and
+    within each block.
     """
-    ball = list(index.elements(walk_radius))
-    parent = {g: g for g in ball}
-
-    def find(g: Element) -> Element:
-        while parent[g] != g:
-            parent[g] = parent[parent[g]]
-            g = parent[g]
-        return g
-
-    gens = ctx.generators()
-    zero = ctx.kpart_zero()
-    jumps = [Element(zero, j) for i in range(1, conjugator_radius + 1) for j in (i, -i)]
+    big = index if index.radius >= conjugator_radius else enumerate_ball(
+        ctx, conjugator_radius
+    )
+    ball = list(index.elements(r))
+    ball_set = set(ball)
+    uf = UnionFind(ball)
+    strata: dict[int, list[Element]] = {}
     for g in ball:
-        for x in gens + jumps if g.texp == 0 else gens:
-            h = conjugate(ctx, x, g)
-            if h in parent:
-                parent[find(h)] = find(g)
-    blocks: dict[Element, list[Element]] = {}
-    for g in index.elements(r):
-        blocks.setdefault(find(g), []).append(g)
-    return list(blocks.values())
+        strata.setdefault(g.texp, []).append(g)
 
+    span = range(-conjugator_radius, conjugator_radius + 1)
+    for p, els in sorted(strata.items()):
+        if p == 0:
+            for g in els:
+                for j in span:
+                    h = Element(ctx.phi_power(g.kpart, j), 0)
+                    if h in ball_set:
+                        uf.union(g, h)
+            continue
+        n = abs(p)
+        _, solve = ctx.block_solver(n)
+        for i, g in enumerate(els):
+            for h in els[i + 1 :]:
+                if uf.find(g) == uf.find(h):
+                    continue
+                for j in span:
+                    w = ctx.kpart_add(h.kpart, ctx.kpart_neg(ctx.phi_power(g.kpart, j)))
+                    if p < 0:
+                        w = ctx.kpart_neg(ctx.phi_power(w, n))
+                    b = solve(w)
+                    if b is None:
+                        continue
+                    x = Element(b, j)
+                    if x in big and big.word_length(x) <= conjugator_radius:
+                        uf.union(g, h)
+                        break
 
-def stratum_preimage(ctx: GroupContext, n: int, w):
-    """The unique b with (1 - phi^n)(b) = w for n >= 1, or None.
-
-    A reference for the keys' residues: w lies in (1 - phi^n)K exactly when
-    the preimage exists.  bs: b = -w / (k^n - 1), in Z[1/k] exactly when
-    k^n - 1 divides the numerator, since k is prime to it.  lamplighter:
-    b_i - b_(i-n) = w_i, so b_i is the running sum of w over the indices of
-    its class mod n up to i, and b is finite exactly when every class sum
-    ends at 0.  matrix: adj(D) w / det D for D = I - M^n, by the cofactor
-    adjugate and the Bareiss determinant here.
-    """
-    if ctx.family == "bs":
-        den = ctx.k**n - 1
-        num, e = w
-        return None if num % den else ctx.canonical_kpart((-num // den, e))
-    if ctx.family == "matrix":
-        d_mat = mat_sub(identity_matrix(ctx.n), ctx.matrix_power(n))
-        det = det_int(d_mat)
-        raw = mat_vec(adjugate(d_mat), w)
-        return None if any(x % det for x in raw) else tuple(x // det for x in raw)
-    if not w:
-        return ()
-    sums = [0] * n
-    out = []
-    i = w[0][0]
-    for lamp, v in w:
-        # between the lamps of w, b_x = b_(x-n)
-        out += [(x, sums[x % n]) for x in range(i, lamp) if sums[x % n]]
-        c = lamp % n
-        sums[c] = (sums[c] + v) % ctx.m if ctx.m else sums[c] + v
-        if sums[c]:
-            out.append((lamp, sums[c]))
-        i = lamp + 1
-    return None if any(sums) else tuple(out)
-
-
-def length_map(index: BallIndex) -> dict[Element, int]:
-    """Each ball element's word length, read off the sphere layers."""
-    out: dict[Element, int] = {}
-    for r in range(index.radius + 1):
-        out.update(dict.fromkeys(index.sphere(r), r))
-    return out
-
-
-def lamplighter_word_length(
-    ctx: LamplighterContext, g: Element, bound: Optional[int] = None
-) -> int:
-    """Word length of g for the standard generators, in closed form.
-
-    Cleary and Taback (Q. J. Math. 2005), after Parry (Trans. AMS 1992):
-    each lamp of value v costs min(v, m - v) letters (|v| for integer
-    lamps), and the cursor walks from 0 to p past every lit lamp, so it
-    covers [lo, hi], the hull of {0, p, lit lamps}, at the least cost
-    2 (hi - lo) - |p| of turning at whichever end lies away from p.
-    Given a bound, it returns min(|g|, bound + 1).
-    """
-    m = ctx.m
-    conf = g.kpart
-    p = g.texp
-    if m:
-        lamps = sum([v if v + v <= m else m - v for _, v in conf])
-    else:
-        lamps = sum([v if v > 0 else -v for _, v in conf])
-    # lamps are sorted by index
-    ends = (0, p, conf[0][0], conf[-1][0]) if conf else (0, p)
-    length = lamps + 2 * (max(ends) - min(ends)) - abs(p)
-    return length if bound is None or length <= bound else bound + 1
-
-
-def bs_word_length(
-    ctx: BaumslagSolitarContext, g: Element, bound: Optional[int] = None
-) -> int:
-    """Word length of g = (num / k^e, t^p) for the generators a, t.
-
-    Reading a word left to right, a letter a^c at t-level l adds c k^l,
-    and the t-letters walk from level 0 to p.  A walk that covers the
-    interval [L, H] (L <= min(0, p), H >= max(0, p)) costs at least
-    2 (H - L) - |p| t-letters, turning at whichever end lies away from
-    p, and a walk of that cost can drop a^(c_l) at each level l of
-    [L, H] on its first visit.  So |g| is the least 2 (H - L) - |p|
-    + sum |c_l| over intervals and digits with sum c_l k^l = num / k^e.
-
-    The digits need L <= -e.  Going lower never helps: a nonzero
-    lowest digit below -e is a multiple of k, and moving it up one
-    level as c / k makes the digit sum smaller.  So L = min(0, p, -e),
-    and the digits write N = num k^(-e-L) as sum c_j k^j, j = l - L.
-    Below the top level H every digit lies in (-k, k): a digit c >= k
-    becomes c - k with one more on the next level, which saves k - 1
-    or more, and likewise for c <= -k.  So with v the value still to
-    write at a level and r = v mod k, its digit is r or r - k, the next
-    level writes (v - digit) / k, and the top digit is the whole value
-    left.  Those next values are q = v div k and q + 1, so one pass
-    upward from L keeps just v and v + 1, with least digit sums a and
-    b.  Writing v + 1 instead of v costs at most 1 more (one unit on
-    the current digit), and back, so the pass may start from a = 0,
-    b = 1 without changing any minimum.  Each level H >= max(0, p)
-    gives the candidate path + min(a + |v|, b + |v + 1|), where the
-    path is 2 (H - L) - |p|.  min(a, b) never falls as the pass goes
-    up, and no candidate has a shorter path than the level max(0, p),
-    so the pass stops once min(a, b) plus the path of the current
-    level, or of that first candidate level below it, reaches the best
-    candidate.  It also stops when v is 0 or -1 at a level H: v then
-    stays there and no later candidate is lower.  A bound starts the
-    pass with best = bound + 1, so it stops as soon as no candidate
-    can come in under the bound, and returns min(|g|, bound + 1).
-    Elder (Illinois J. Math. 2010) gives linear-time geodesics in
-    BS(1, k).
-    """
-    k = ctx.k
-    num, e = g.kpart
-    p = g.texp
-    low = min(0, p, -e)
-    # a and b: least digit sums with v and with v + 1 still to write
-    v = num * k ** (-e - low)
-    a, b = 0, 1
-    below = max(0, p) - low  # levels left below the first candidate
-    path = 2 * below - abs(p)  # of that level, then of the current one
-    best = inf if bound is None else bound + 1
-    while True:
-        least = a if a < b else b
-        if path + least >= best:
-            return best
-        if below:
-            below -= 1
-        else:
-            x = a + abs(v)
-            y = b + abs(v + 1)
-            here = path + (x if x < y else y)
-            if here < best:
-                best = here
-            if v == 0 or v == -1:
-                return best
-            path += 2
-        v, r = divmod(v, k)
-        # v from v by digit r or from v + 1 by r + 1, v + 1 by r - k or
-        # r + 1 - k; the digits +-k this admits are valid, never better.
-        # The comparisons are min(a, b + 1) and min(a + 1, b).
-        a, b = r + least + (a > b), k - r - 1 + least + (a < b)
+    return uf.blocks()
 
 
 def sphere_class_histogram(ctx: GroupContext, index: BallIndex, r: int) -> dict:

@@ -92,16 +92,6 @@ def test_conjtest_bad_oracle_radius(capsys):
     assert "oracle radius" in capsys.readouterr().err
 
 
-def test_conjtest_cap_covers_the_walk_ball(capsys):
-    # the oracle walks inside S^(r+2): S^6 of bs:2 has 375 elements and S^8
-    # has 1,317, so a cap of 1,000 stops r = 6 at radius 8
-    argv = ["conjtest", "--group", "bs:2", "--radius", "6"]
-    assert run([*argv, "--element-cap", "1000"]) == 2
-    assert "element cap (1000) at radius 8" in capsys.readouterr().err
-    assert run([*argv, "--element-cap", "1317"]) == 0
-    assert json.loads(capsys.readouterr().out)["ball"] == 375
-
-
 def test_conjtest_has_no_orbit_bound_option(capsys):
     code = run(
         ["conjtest", "--group", "bs:2", "--radius", "2", "--orbit-bound", "5"]

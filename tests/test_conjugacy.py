@@ -6,9 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import (
+    adjugate,
     are_conjugate,
     conjugate,
     conjugation_sweep,
@@ -16,21 +17,26 @@ from _oracles import (
     lamplighter_rotation_key,
     matrix_form_minimum,
     matrix_orbit_min,
+    mat_vec,
     matrix_shift_canonical,
+    pairwise_partition,
     quotient_representative,
-    stratum_preimage,
-    walk_partition,
 )
 import abcgroups
 from abcgroups import linalg
-from abcgroups.conjugacy import brute_force_partition, conjugacy_key
+from abcgroups.conjugacy import (
+    UnionFind,
+    brute_force_partition,
+    closed_form_lengths,
+    conjugacy_key,
+)
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import (
     BaumslagSolitarContext,
     Element,
     LamplighterContext,
     MatrixContext,
-    _rotations,
+    QuotientDescriptor,
 )
 from abcgroups.linalg import (
     identity_matrix,
@@ -42,6 +48,8 @@ from abcgroups.linalg import (
 HYP = ((2, 1), (1, 1))
 # companion of x^3 - x - 1: one real eigenvalue above 1, a complex pair inside
 PISOT = ((0, 0, 1), (1, 0, 1), (0, 1, 0))
+# a conjugate S M S^-1 of [[3,1],[2,1]] (trace 4, determinant 1)
+HYP32_CONJ = ((-14, -23), (11, 18))
 
 
 def as_block_set(blocks):
@@ -187,6 +195,64 @@ def test_quotient_coords_well_defined():
 def test_matrix_quotient_is_cached():
     ctx = MatrixContext(HYP)
     assert ctx.quotient(3) is ctx.quotient(3)
+
+
+def adjugate_solve(a, w):
+    """The unique b with a b = w as adj(a) w / det a, or None if not integral."""
+    det = det_int(a)
+    raw = mat_vec(adjugate(a), w)
+    if any(x % det for x in raw):
+        return None
+    return tuple(x // det for x in raw)
+
+
+nonsingular_up_to_4 = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        ).map(lambda rows: tuple(tuple(r) for r in rows)),
+        st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+        st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+    )
+)
+
+
+@given(nonsingular_up_to_4)
+@settings(max_examples=200)
+def test_quotient_solve_matches_adjugate(case):
+    a, w, b = case
+    assume(det_int(a) != 0)
+    qd = QuotientDescriptor(*linalg.adjugate(a))
+    assert qd.solve(w) == adjugate_solve(a, w)
+    image = mat_vec(a, b)
+    assert qd.solve(image) == adjugate_solve(a, image) == tuple(b)
+
+
+HYP_INV = ((1, -1), (-1, 2))
+
+
+def test_every_stratum_solver_matches_adjugate():
+    # the solver of n answers stratum n as written and stratum -n through
+    # (1 - M^-n) b = w  <=>  (1 - M^n) b = -M^n w, as pairwise_partition uses
+    ctx = MatrixContext(HYP)
+    rng = random.Random(7)
+    for p in [p for p in range(-12, 13) if p]:
+        n = abs(p)
+        d_mat = mat_sub(identity_matrix(2), mat_pow(HYP if p > 0 else HYP_INV, n))
+        residues, solve = ctx.block_solver(n)
+
+        def solve_p(w):
+            return solve(w if p > 0 else ctx.kpart_neg(ctx.phi_power(w, n)))
+
+        for _ in range(100):
+            w = (rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+            assert residues(w)[0] == ctx.quotient(n).coords(w)
+            assert solve_p(w) == adjugate_solve(d_mat, w)
+            b = (rng.randint(-50, 50), rng.randint(-50, 50))
+            image = mat_vec(d_mat, b)
+            assert solve_p(image) == adjugate_solve(d_mat, image) == b
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +445,6 @@ RESIDUE_CONTEXTS = [
 ]
 
 
-def stratum_residue(ctx, n):
-    """w -> the class of w in K / (1 - phi^n)K, as the family's key reads it:
-    mod k^n - 1 (bs), the class sums mod n (lamplighter), the adjugate
-    coordinates (matrix)."""
-    if ctx.family == "bs":
-        return lambda w: ctx._residue(w, n, ctx.k**n - 1)
-    if ctx.family == "lamplighter":
-        return lambda w: ctx._class_sums(n, w)
-    return ctx.quotient(n).coords
-
-
 @given(
     data=st.data(),
     ctx=st.sampled_from(RESIDUE_CONTEXTS),
@@ -397,27 +452,23 @@ def stratum_residue(ctx, n):
 )
 @settings(deadline=None)
 def test_phi_p_fixes_the_stratum_quotient(data, ctx, p):
-    # the key reads the residue of every shift j off the |p| images
+    # the oracle reads the residue of every shift j off the |p| images
     letters = data.draw(st.lists(st.sampled_from(ctx.generators()), max_size=20))
     g = ctx.identity
     for x in letters:
         g = ctx.multiply(g, x)
     w = g.kpart
     n = abs(p)
-    residue = stratum_residue(ctx, n)
-    orbit = [residue(ctx.phi_power(w, i)) for i in range(n)]
-    assert residue(ctx.phi_power(w, p)) == orbit[0] == residue(w)
+    residues, _ = ctx.block_solver(n)
+    orbit = residues(w)
+    assert len(orbit) == n
+    assert residues(ctx.phi_power(w, p)) == orbit
     # the orbit holds the residue of phi^j(w) at index j mod n
     for j in range(-12, 13):
-        assert residue(ctx.phi_power(w, j)) == orbit[j % n]
-    # the keys' orbit helpers list the same n residues, and the key is the least
-    if ctx.family == "lamplighter":
-        assert _rotations(orbit[0]) == orbit
+        assert residues(ctx.phi_power(w, j))[0] == orbit[j % n]
     if ctx.family == "matrix":
-        assert ctx._orbit_coords(ctx.quotient(n), n, orbit[0]) == orbit
         # the key over |p| images equals the walk until return
         assert conjugacy_key(ctx, Element(w, p)) == (p, matrix_orbit_min(ctx, n, w))
-    assert conjugacy_key(ctx, Element(w, p)) == (p, min(orbit))
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +505,22 @@ def test_key_is_conjugation_invariant(family, param):
 
 
 # ---------------------------------------------------------------------------
+# Union-find
+# ---------------------------------------------------------------------------
+
+
+def test_union_find():
+    uf = UnionFind(range(6))
+    uf.union(0, 1)
+    uf.union(2, 3)
+    uf.union(1, 2)
+    assert uf.find(0) == uf.find(3)
+    assert uf.find(0) != uf.find(4)
+    blocks = {frozenset(b) for b in uf.blocks()}
+    assert blocks == {frozenset({0, 1, 2, 3}), frozenset({4}), frozenset({5})}
+
+
+# ---------------------------------------------------------------------------
 # Brute-force partition against the key partition and the raw sweep
 # ---------------------------------------------------------------------------
 
@@ -467,10 +534,15 @@ AGREEMENT_CASES = [
     ("lamplighter", 3, 6, 12, 79),
     ("lamplighter", 0, 5, 10, 95),
     ("matrix", HYP, 6, 12, 111),
-    # far inside the conjugator radius: S^20 of bs:2 has 1,062,841 elements,
-    # and the walk needs only S^(r+2)
+    # past the reach of the conjugator ball: S^20 of bs:2 has 1,062,841
+    # elements, and the closed-form lengths need only S^r
     ("bs", 2, 10, 20, 163),
     ("lamplighter", 2, 12, 22, 225),
+    # a conjugate of [[3,1],[2,1]] with large entries: conjugation by
+    # generators, walked inside S^(r+2), splits its strata +-1 here (the
+    # shortest conjugator of (1,0; t) and (0,1; t) is (3,-2), of length 5)
+    ("matrix", HYP32_CONJ, 2, 5, 19),
+    ("matrix", HYP32_CONJ, 3, 6, 37),
 ]
 
 
@@ -485,7 +557,8 @@ def build(family, param):
 @pytest.mark.parametrize("family,param,r,rc,expected", AGREEMENT_CASES)
 def test_partition_matches_keys(family, param, r, rc, expected):
     ctx = build(family, param)
-    index = enumerate_ball(ctx, r + 2)
+    # bs and the lamplighter measure conjugators in closed form
+    index = enumerate_ball(ctx, r if closed_form_lengths(ctx) else rc)
     blocks = brute_force_partition(ctx, index, r, rc)
     classes = key_partition(ctx, index, r)
     assert len(blocks) == len(classes) == expected
@@ -506,14 +579,17 @@ LAMP2_PAIR = ((), ((0, 1),), ((1, 1),), ((0, 1), (1, 1)))
     ids=["bs-2-pm1-pm3", "lamplighter-2-d0-d1-d01"],
 )
 def test_other_generating_sets_use_the_conjugator_ball(ctx, expected):
-    # the walk conjugates by these generators, inside the ball S^8 of their
-    # own word metric (a^3 has length 1 in the first group), and refuses a
-    # ball that is smaller
+    # the standard-generator formula does not hold here (a^3 has length 1
+    # in the first group, and on the radius-12 balls it is wrong for 37,580
+    # and 11,336 elements), so word_length refuses, and the oracle reads
+    # conjugator lengths off S^RC and refuses a ball that is smaller
+    with pytest.raises(NotImplementedError):
+        ctx.word_length(ctx.identity)
+    assert not closed_form_lengths(ctx)
     with pytest.raises(ValueError):
-        brute_force_partition(ctx, enumerate_ball(ctx, 7), 6, 12)
-    index = enumerate_ball(ctx, 8)
+        brute_force_partition(ctx, enumerate_ball(ctx, 6), 6, 12)
+    index = enumerate_ball(ctx, 12)
     blocks = brute_force_partition(ctx, index, 6, 12)
-    assert blocks == walk_partition(ctx, index, 6, 12, 8)
     classes = key_partition(ctx, index, 6)
     assert len(blocks) == len(classes) == expected
     assert as_block_set(blocks) == as_block_set(classes.values())
@@ -529,9 +605,10 @@ def test_matrix_partition_matches_keys():
 
 
 def test_partition_matches_elementwise_sweep():
-    # the walk inside S^(r+2) must compute the same closure as literally
-    # conjugating by every element of the conjugator ball, here S^(r+2);
-    # the fourth and fifth contexts have other generating sets
+    # the solver-based merge must compute the same closure as literally
+    # conjugating by every element of the conjugator ball
+    # the last three are bs and lamplighter contexts without closed-form
+    # lengths, so the p < 0 mirror also runs where conjugators are looked up
     for ctx, r, rc in (
         (BaumslagSolitarContext(2), 3, 5),
         (LamplighterContext(2), 3, 5),
@@ -557,57 +634,26 @@ def test_partition_matches_elementwise_sweep():
         ("lamplighter", 3, 4, 8),
         ("lamplighter", 0, 4, 8),
         ("matrix", HYP, 4, 8),
+        # buckets whose member groups are cut short by a merge 132 and 26
+        # times, against 0 to 14 times in the cases above
         ("bs", 3, 7, 14),
         ("lamplighter", 2, 8, 14),
     ],
 )
 def test_partition_matches_pairwise_reference(family, param, r, rc):
-    # the reference unions each pair {g, x g x^-1} of S^(r+2) by multiply and
-    # invert; the blocks and their order must equal the oracle's
+    # the residue buckets only skip pairs that have no conjugator, and the
+    # member groups only pairs already in one block, so the blocks and
+    # their order equal those of the exhaustive pairwise loop
     ctx = build(family, param)
-    index = enumerate_ball(ctx, r + 2)
-    assert brute_force_partition(ctx, index, r, rc) == walk_partition(
-        ctx, index, r, rc, r + 2
+    index = enumerate_ball(ctx, rc)
+    assert brute_force_partition(ctx, index, r, rc) == pairwise_partition(
+        ctx, index, r, rc
     )
 
 
-# conjugates S M S^-1 of HYP and SYM3, and of PISOT
-HYP_CONJ = ((5, 11), (-1, -2))
-SYM3_CONJ = ((0, 1, 1), (0, 0, -1), (1, 0, 2))
-PISOT_CONJ = ((2, -5, 0), (1, -3, -1), (0, 1, 1))
-
-
-@pytest.mark.parametrize(
-    "rows, r, classes, short_blocks",
-    [(HYP_CONJ, 2, 17, 25), (SYM3_CONJ, 5, 137, 139), (PISOT_CONJ, 4, 79, 79)],
-    ids=["hyp-conj-2", "sym3-conj-5", "pisot-conj-4"],
-)
-def test_walk_radius_is_r_plus_two(rows, r, classes, short_blocks):
-    # s g s^-1 lies in S^(r+2) for g in S^r: a walk inside S^(r+1) splits
-    # classes of the first two, and the walk inside S^(r+2) gives the keys
-    ctx = MatrixContext(rows)
-    index = enumerate_ball(ctx, r + 2)
-    rc = r + 3
-    assert len(walk_partition(ctx, index, r, rc, r + 1)) == short_blocks
-    blocks = brute_force_partition(ctx, index, r, rc)
-    classes_by_key = key_partition(ctx, index, r)
-    assert len(blocks) == len(classes_by_key) == classes
-    assert as_block_set(blocks) == as_block_set(classes_by_key.values())
-
-
-def test_walk_needs_the_p0_jumps():
-    # at RC = 1 the jumps t^j g t^-j are the t-steps alone, and the walk
-    # splits classes of the PISOT conjugate at r3; RC = 6 gives the keys
-    ctx = MatrixContext(PISOT_CONJ)
-    index = enumerate_ball(ctx, 5)
-    assert len(walk_partition(ctx, index, 3, 1, 5)) == 51
-    blocks = brute_force_partition(ctx, index, 3, 6)
-    assert as_block_set(blocks) == as_block_set(key_partition(ctx, index, 3).values())
-    assert len(blocks) == 43
-
-
-# A stratum's residue must agree exactly when the difference has a preimage
-# under (1 - phi^p); otherwise the keys would split or merge classes.
+# A stratum's residue must vanish on a K-part exactly when the solver finds
+# its preimage under (1 - phi^p); otherwise the buckets would drop pairs
+# that have a conjugator.
 KPART_SAMPLES = {
     "bs": st.tuples(st.integers(-(10**6), 10**6), st.integers(0, 6)),
     "lamplighter": st.lists(
@@ -635,26 +681,30 @@ def test_residue_matches_solver(family, param, data):
     a, b, c = (
         ctx.canonical_kpart(data.draw(KPART_SAMPLES[family])) for _ in range(3)
     )
-    residue = stratum_residue(ctx, n)
+    residues, solve = ctx.block_solver(n)
+
+    def residue(w):
+        return residues(w)[0]
+
     if data.draw(st.booleans()):
         # force a shared residue: b = a + (1 - phi^n)(c), so a - b = -c
         image = ctx.kpart_add(c, ctx.kpart_neg(ctx.phi_power(c, n)))
         b = ctx.kpart_add(a, image)
-        assert stratum_preimage(ctx, n, ctx.kpart_add(a, ctx.kpart_neg(b))) == (
-            ctx.kpart_neg(c)
-        )
+        assert solve(ctx.kpart_add(a, ctx.kpart_neg(b))) == ctx.kpart_neg(c)
         # (1 - phi^-n)K = (1 - phi^n)K, so the stratum -n shares the residue
         mirror = ctx.kpart_add(c, ctx.kpart_neg(ctx.phi_power(c, -n)))
         assert residue(ctx.kpart_add(a, mirror)) == residue(a)
     w = ctx.kpart_add(a, ctx.kpart_neg(b))
-    assert (residue(a) == residue(b)) == (stratum_preimage(ctx, n, w) is not None)
+    assert (residue(a) == residue(b)) == (solve(w) is not None)
+    # residues(a) lists the residue of each of the n shifts of a
+    assert residues(a) == [residue(ctx.phi_power(a, i)) for i in range(n)]
 
 
 @pytest.mark.parametrize("m", [2, 3, 0])
 def test_lamplighter_solver_inverts_one_minus_phi(m):
     # dense configurations on a short window, so that w = (1 - phi^n)(c)
     # cancels inside c and leaves runs of indices without a lamp, where the
-    # reference preimage carries its class sums across
+    # solver carries its class sums across
     ctx = LamplighterContext(m)
     rng = random.Random(11)
     values = range(1, m) if m else [v for v in range(-3, 4) if v]
@@ -663,17 +713,26 @@ def test_lamplighter_solver_inverts_one_minus_phi(m):
             (i, rng.choice(values)) for i in range(-5, 6) if rng.random() < 0.6
         )
         for n in range(1, 6):
+            _, solve = ctx.block_solver(n)
             w = ctx.kpart_add(c, ctx.kpart_neg(ctx.phi_power(c, n)))
-            assert stratum_preimage(ctx, n, w) == c
+            assert solve(w) == c
 
 
-@pytest.mark.parametrize("ctx", [MatrixContext(HYP)], ids=["matrix"])
+@pytest.mark.parametrize(
+    "ctx",
+    [BaumslagSolitarContext(2), LamplighterContext(2), MatrixContext(HYP)],
+    ids=["bs", "lamplighter", "matrix"],
+)
 def test_stratum_index_must_be_positive(ctx):
-    # strata are indexed by n = |p|: the keys read quotient(|p|), so a
-    # quotient for n < 1 would be a silent second path
-    for n in (0, -2):
+    # strata are indexed by n = |p|: the oracle mirrors p < 0 and the keys
+    # read quotient(|p|), so a solver for n < 1 would be a silent second path
+    for n in (0, -1):
         with pytest.raises(ValueError, match="indexed by n"):
-            ctx.quotient(n)
+            ctx.block_solver(n)
+    if ctx.family == "matrix":
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="indexed by n"):
+                ctx.quotient(n)
 
 
 def test_partition_coarsens_with_conjugator_radius():
@@ -767,21 +826,19 @@ def test_partition_argument_validation():
     ctx = BaumslagSolitarContext(2)
     index = enumerate_ball(ctx, 4)
     with pytest.raises(ValueError):
-        brute_force_partition(ctx, index, 2, 1)
+        brute_force_partition(ctx, index, 4, 3)
     with pytest.raises(ValueError):
-        brute_force_partition(ctx, index, 3, 6)
+        brute_force_partition(ctx, index, 5, 6)
     with pytest.raises(ValueError):
         brute_force_partition(ctx, index, -1, 6)
-    # the index must cover r + 2 and may reach further, for every family
+    # bs measures conjugators in closed form, so the index need only cover
+    # r; without a closed form it must cover the conjugator radius
     assert brute_force_partition(ctx, index, 2, 6) == brute_force_partition(
         ctx, enumerate_ball(ctx, 6), 2, 6
     )
     matrix = MatrixContext(HYP)
     with pytest.raises(ValueError):
-        brute_force_partition(matrix, enumerate_ball(matrix, 3), 2, 6)
-    assert brute_force_partition(
-        matrix, enumerate_ball(matrix, 4), 2, 6
-    ) == brute_force_partition(matrix, enumerate_ball(matrix, 6), 2, 6)
+        brute_force_partition(matrix, enumerate_ball(matrix, 4), 2, 6)
 
 
 def test_key_partition_closed_under_inversion():

@@ -3,15 +3,7 @@ import json
 
 import pytest
 
-from _oracles import (
-    bs_word_length,
-    geodesic_words,
-    lamplighter_word_length,
-    length_map,
-    t_count_map,
-    whole_ball_bfs,
-    word_ball,
-)
+from _oracles import geodesic_words, t_count_map, whole_ball_bfs, word_ball
 from abcgroups.enumeration import ResourceCapError, enumerate_ball
 from abcgroups.groups import (
     BaumslagSolitarContext,
@@ -56,10 +48,9 @@ def test_ball_matches_word_oracle(tmp_path):
         index = enumerate_ball(ctx, radius)
         oracle = word_ball(ctx, radius)
         assert len(index) == len(oracle)
-        length = length_map(index)
         t_count = t_count_map(index)
         for g, (dist, min_t) in oracle.items():
-            assert length[g] == dist
+            assert index.word_length(g) == dist
             assert t_count[g] == min_t
 
 
@@ -75,10 +66,9 @@ def test_ball_matches_whole_ball_bfs(tmp_path):
         assert [index.sphere(r) for r in range(radius + 1)] == layers
         assert [index.t_counts(r) for r in range(radius + 1)] == t_layers
         assert len(index) == len(records)
-        length = length_map(index)
         for g, dist in records.items():
             assert g in index
-            assert length[g] == dist
+            assert index.word_length(g) == dist
         for g in layers[radius]:
             for s in ctx.generators():
                 h = ctx.multiply(g, s)
@@ -96,14 +86,12 @@ def test_ball_types_and_shapes(tmp_path):
     # a plain tuple looks up the same record as the equal Element
     for ctx, radius in contexts() + other_generating_sets(tmp_path):
         index = enumerate_ball(ctx, radius)
-        length = length_map(index)
         for r in range(radius + 1):
             sphere = index.sphere(r)
             assert all(type(g) is Element for g in sphere)
             assert len(index.t_counts(r)) == len(sphere)
             for g in sphere:
-                assert tuple(g) in index
-                assert length[tuple(g)] == length[g] == r
+                assert index.word_length(tuple(g)) == index.word_length(g) == r
         # multiply builds its Element by tuple.__new__, so pin its type and
         # fields against the generic formula
         outer = index.sphere(radius)
@@ -126,8 +114,7 @@ def test_ball_types_and_shapes(tmp_path):
             counts.clear()
             assert (index.sphere(r), index.t_counts(r)) == kept
             assert len(index) == size
-            after = length_map(index)
-            assert all(after[g] == r for g in kept[0])
+            assert all(index.word_length(g) == r for g in kept[0])
     with pytest.raises(ValueError):
         index.t_counts(radius + 1)
 
@@ -144,7 +131,7 @@ def test_far_lamp_needs_a_long_word():
     ctx = LamplighterContext(2)
     index = enumerate_ball(ctx, 11)
     g = Element(((5, 1),), 0)
-    assert length_map(index)[g] == 11
+    assert index.word_length(g) == 11
     assert t_count_map(index)[g] == 10
 
 
@@ -164,26 +151,26 @@ def test_sphere_and_elements():
     for r in (4, -1):
         with pytest.raises(ValueError):
             list(index.elements(r))
-    assert Element((99, 0), 0) not in index
+    with pytest.raises(KeyError):
+        index.word_length(Element((99, 0), 0))
 
 
 def test_inversion_symmetry():
     # the generating set is symmetric, so d(1, g) = d(1, g^-1)
     for ctx, radius in contexts()[:3]:
-        length = length_map(enumerate_ball(ctx, radius))
-        for g, r in length.items():
-            assert length[ctx.invert(g)] == r
+        index = enumerate_ball(ctx, radius)
+        for g in index.elements():
+            assert index.word_length(ctx.invert(g)) == index.word_length(g)
 
 
 def test_geodesic_words():
     for ctx, radius in contexts():
         index = enumerate_ball(ctx, radius)
         words = geodesic_words(ctx, index, radius)
-        length = length_map(index)
         t_count = t_count_map(index)
         for g in index.elements():
             w = words[g]
-            assert len(w) == length[g]
+            assert len(w) == index.word_length(g)
             assert evaluate(ctx, w) == g
             tcount = sum(1 for x in w if x in ("t", "T"))
             assert tcount >= t_count[g]
@@ -279,7 +266,8 @@ def test_determinism():
     a = enumerate_ball(LamplighterContext(3), 4)
     b = enumerate_ball(LamplighterContext(3), 4)
     assert list(a.elements()) == list(b.elements())
-    assert length_map(a) == length_map(b)
+    for g in a.elements():
+        assert a.word_length(g) == b.word_length(g)
     assert [a.t_counts(r) for r in range(5)] == [b.t_counts(r) for r in range(5)]
 
 
@@ -325,58 +313,82 @@ def test_geodesic_choice_is_pinned(ctx, radius, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def check_closed_form_lengths(word_length, ctx, index):
+def check_closed_form_lengths(ctx, index):
     # BFS is the reference: equal lengths on the whole ball, every neighbour
     # of the inner ball inside it, and every neighbour of the sphere outside
     # it at length R + 1; those neighbours are the whole sphere R + 1
     gens = ctx.generators()
     radius = index.radius
-    for g, length in length_map(index).items():
-        assert word_length(ctx, g) == length
+    for g in index.elements():
+        length = index.word_length(g)
+        assert ctx.word_length(g) == length
         for s in gens:
             h = ctx.multiply(g, s)
             if length < radius:
                 assert h in index
             elif h not in index:
-                assert word_length(ctx, h) == radius + 1
+                assert ctx.word_length(h) == radius + 1
 
 
 def test_lamplighter2_lengths_match_closed_form(lamp18):
-    check_closed_form_lengths(lamplighter_word_length, *lamp18)
+    check_closed_form_lengths(*lamp18)
 
 
 @pytest.mark.parametrize("m, radius", [(3, 12), (0, 10)])
 def test_lamplighter_lengths_match_closed_form(m, radius):
     ctx = LamplighterContext(m)
-    check_closed_form_lengths(lamplighter_word_length, ctx, enumerate_ball(ctx, radius))
+    check_closed_form_lengths(ctx, enumerate_ball(ctx, radius))
 
 
 @pytest.mark.parametrize("k, radius", [(2, 14), (3, 10), (5, 8)])
 def test_bs_lengths_match_digit_program(k, radius):
     ctx = BaumslagSolitarContext(k)
-    check_closed_form_lengths(bs_word_length, ctx, enumerate_ball(ctx, radius))
+    check_closed_form_lengths(ctx, enumerate_ball(ctx, radius))
 
 
-def check_bounded_lengths(word_length, ctx, index):
-    # a bound gives min(|g|, bound + 1); BFS is the reference, on the whole
-    # ball and on the sphere R + 1 that the sphere R reaches
+def check_bounded_lengths(ctx, index):
+    # the oracle asks for min(|g|, bound + 1); BFS is the reference, on the
+    # whole ball and on the sphere R + 1 that the sphere R reaches
     radius = index.radius
-    lengths = length_map(index)
+    lengths = {g: index.word_length(g) for g in index.elements()}
     for g in index.sphere(radius):
         for s in ctx.generators():
             lengths.setdefault(ctx.multiply(g, s), radius + 1)
     for bound in range(radius + 2):
         for g, length in lengths.items():
-            assert word_length(ctx, g, bound) == min(length, bound + 1)
+            assert ctx.word_length(g, bound) == min(length, bound + 1)
 
 
 @pytest.mark.parametrize("k, radius", [(2, 10), (3, 8), (5, 6)])
 def test_bs_bounded_lengths_match_bfs(k, radius):
     ctx = BaumslagSolitarContext(k)
-    check_bounded_lengths(bs_word_length, ctx, enumerate_ball(ctx, radius))
+    check_bounded_lengths(ctx, enumerate_ball(ctx, radius))
 
 
 @pytest.mark.parametrize("m, radius", [(2, 8), (0, 5)])
 def test_lamplighter_bounded_lengths_match_bfs(m, radius):
     ctx = LamplighterContext(m)
-    check_bounded_lengths(lamplighter_word_length, ctx, enumerate_ball(ctx, radius))
+    check_bounded_lengths(ctx, enumerate_ball(ctx, radius))
+
+
+def test_ball_lengths_take_a_bound():
+    # the ball reads min(|g|, bound + 1) off its spheres up to the bound,
+    # which it must cover
+    ctx = MatrixContext(HYP)
+    index = enumerate_ball(ctx, 5)
+    for g in index.elements():
+        length = index.word_length(g)
+        for bound in range(6):
+            assert index.word_length(g, bound) == min(length, bound + 1)
+    outside = [
+        h
+        for g in index.sphere(5)
+        for s in ctx.generators()
+        if (h := ctx.multiply(g, s)) not in index
+    ]
+    assert outside
+    assert {index.word_length(h, 5) for h in outside} == {6}
+    with pytest.raises(KeyError):
+        index.word_length(outside[0])
+    with pytest.raises(ValueError):
+        index.word_length(ctx.identity, 6)

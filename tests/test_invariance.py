@@ -40,7 +40,7 @@ from functools import cache
 
 import pytest
 
-from abcgroups.conjugacy import brute_force_partition
+from abcgroups.conjugacy import brute_force_partition, closed_form_lengths
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import BaumslagSolitarContext, LamplighterContext, MatrixContext
 from abcgroups.linalg import adjugate, identity_matrix, mat_mul
@@ -111,7 +111,7 @@ def partition(name: str, r: int, rc: int):
     """Ball size, oracle block count, key class count and sorted block sizes
     of S^r with conjugator radius rc, on the ball conjtest builds."""
     ctx = PRESENTATIONS[name]()
-    index = enumerate_ball(ctx, r + 2)
+    index = enumerate_ball(ctx, r if closed_form_lengths(ctx) else rc)
     blocks = brute_force_partition(ctx, index, r, rc)
     keys = {ctx.conjugacy_key(g) for g in index.elements(r)}
     return index.ball_size(r), len(blocks), len(keys), sorted(map(len, blocks))
