@@ -538,9 +538,9 @@ AGREEMENT_CASES = [
     # elements, and the closed-form lengths need only S^r
     ("bs", 2, 10, 20, 163),
     ("lamplighter", 2, 12, 22, 225),
-    # a conjugate of [[3,1],[2,1]] with large entries: conjugation by
-    # generators, walked inside S^(r+2), splits its strata +-1 here (the
-    # shortest conjugator of (1,0; t) and (0,1; t) is (3,-2), of length 5)
+    # a conjugate of [[3,1],[2,1]] with large entries: the shortest
+    # conjugator of (1,0; t) and (0,1; t) is (3,-2), of length 5, and a
+    # walk of one-generator conjugations inside S^(r+2) does not join them
     ("matrix", HYP32_CONJ, 2, 5, 19),
     ("matrix", HYP32_CONJ, 3, 6, 37),
 ]
