@@ -25,6 +25,8 @@ GOLDEN = {
     "ratio_hyperbolic": ["ratio", "--group", "matrix:hyperbolic.json", "--radius", "9"],
     "folner_json": ["folner", "--k", "2", "--n", "2"],
     "folner_k3_json": ["folner", "--k", "3", "--n", "2"],
+    # the bench's largest folner job: 59,049 elements
+    "folner_k3n3_json": ["folner", "--k", "3", "--n", "3"],
     "folner_csv": ["folner", "--k", "2", "--n", "3", "--emit", "csv"],
     "spectral_unit_root": ["spectral", "--matrix", "unit_root.json", "--radius", "6"],
     "spectral_den5": ["spectral", "--matrix", "den5.json", "--radius", "7"],
