@@ -23,6 +23,17 @@ counts the classes; a repeated key there means two elements differ by a
 power of k, which t^s conjugates for every n1, so the collection is
 refused.
 
+Every pass works layer by layer.  A collection is grouped by t-exponent
+into layers of K-parts; the n layers of a box are one shared set B of
+k^{3n} K-parts, which the box stores once.  With x = (r, t^q), the right
+translate of layer p is {a + phi^p(r) : a in it} in layer p + q, one shift
+for the whole layer (none when phi^p(r) is zero), and the left translate
+is {r + phi^q(a)}, whatever the layer, so it is computed once per distinct
+set.  Either defect counts what a translated layer leaves its target layer
+by a set difference.  Likewise g (a, t^p) has the K-part
+L k^{n1} + k^{n1 + n2} a in every layer, so the key pass makes one product
+per K-part and keys it once for each layer that holds it.
+
 Right defects are computed once per inverse pair of generators:
 |F x^-1 sym-diff F| = |(F sym-diff F x) x^-1| = |F sym-diff F x|.
 """
@@ -52,14 +63,24 @@ __all__ = [
 
 DEFAULT_BOX_CAP = 5_000_000
 
+_EMPTY = frozenset()
+
 
 @dataclass(frozen=True)
 class FolnerBox:
-    elements: frozenset
+    """The n t-layers 0 <= p < n, each holding the one K-part set kparts."""
+
+    kparts: frozenset
+    n: int
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return self.n * len(self.kparts)
+
+    @property
+    def elements(self) -> frozenset:
+        """The box as a set of Elements, built anew on each read."""
+        return frozenset(Element(a, p) for a in self.kparts for p in range(self.n))
 
 
 def _require_bs(ctx: GroupContext) -> BaumslagSolitarContext:
@@ -78,38 +99,76 @@ def folner_box(
     if n < 1:
         raise ValueError(f"box parameter must be at least 1, got {n}")
     k = ctx.k
-    width = k ** (3 * n)
-    if n * width > element_cap:
+    # k^(3n) >= 2^(3n (bits of k - 1)), so a box that bound puts past the
+    # cap is refused before the power, which can have millions of digits,
+    # is built
+    if (
+        3 * n * (k.bit_length() - 1) >= element_cap.bit_length()
+        or n * k ** (3 * n) > element_cap
+    ):
         raise ResourceCapError(
-            f"box size {n * width} exceeds the cap {element_cap}"
+            f"the box for n = {n} has n * {k}^(3n) elements, over the cap "
+            f"{element_cap}"
         )
     # one K-part per b, shared by the box's n layers
-    kparts = (ctx.canonical_kpart((b, n)) for b in range(width))
-    elements = frozenset(Element(a, p) for a in kparts for p in range(n))
-    return FolnerBox(elements)
+    return FolnerBox(
+        frozenset(ctx.canonical_kpart((b, n)) for b in range(k ** (3 * n))), n
+    )
 
 
-def _element_set(collection) -> frozenset:
+def _layers(collection) -> dict:
+    """t-exponent -> the set of K-parts of the collection in that layer.
+
+    A box's layers are all its one K-part set; a plain collection is
+    grouped in one pass.
+    """
     if isinstance(collection, FolnerBox):
-        return collection.elements
-    out = frozenset(collection)
-    if not out:
+        return dict.fromkeys(range(collection.n), collection.kparts)
+    layers: dict = {}
+    for a, p in collection:
+        layers.setdefault(p, set()).add(a)
+    if not layers:
         raise ValueError("defects need a nonempty set")
-    return out
+    return layers
+
+
+def _shared(layers: dict) -> list:
+    """(K-part set, the t-exponents of the layers holding it) per distinct set."""
+    out: dict = {}
+    for p, kparts in layers.items():
+        out.setdefault(id(kparts), (kparts, []))[1].append(p)
+    return list(out.values())
+
+
+def _ratio(moved: int, layers: dict) -> Fraction:
+    # |F x| = |F|, so the symmetric difference is twice the escaped part
+    return Fraction(2 * moved, sum(map(len, layers.values())))
 
 
 def right_defect(ctx: GroupContext, collection, x: Element) -> Fraction:
     """|Fx symmetric-difference F| / |F|, exactly."""
-    elems = _element_set(collection)
-    moved = sum(1 for e in elems if ctx.multiply(e, x) not in elems)
-    # |Fx| = |F|, so the symmetric difference is twice the escaped part
-    return Fraction(2 * moved, len(elems))
+    layers = _layers(collection)
+    r, q = x
+    zero = ctx.kpart_zero()
+    moved = 0
+    for p, kparts in layers.items():
+        # (a, t^p) x = (a + phi^p(r), t^(p+q)): one shift c for the layer
+        c = ctx.phi_power(r, p)
+        image = kparts if c == zero else {ctx.kpart_add(a, c) for a in kparts}
+        moved += len(image - layers.get(p + q, _EMPTY))
+    return _ratio(moved, layers)
 
 
 def left_defect(ctx: GroupContext, collection, x: Element) -> Fraction:
-    elems = _element_set(collection)
-    moved = sum(1 for e in elems if ctx.multiply(x, e) not in elems)
-    return Fraction(2 * moved, len(elems))
+    """|xF symmetric-difference F| / |F|, exactly."""
+    layers = _layers(collection)
+    r, q = x
+    moved = 0
+    for kparts, ps in _shared(layers):
+        # x (a, t^p) = (r + phi^q(a), t^(q+p)): the same K-part in every layer
+        image = {ctx.kpart_add(r, ctx.phi_power(a, q)) for a in kparts}
+        moved += sum(len(image - layers.get(p + q, _EMPTY)) for p in ps)
+    return _ratio(moved, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -139,26 +198,38 @@ def separating_translate(
     so no translate of this form separates them.
     """
     ctx = _require_bs(ctx)
-    elems = _element_set(collection)
+    layers = _layers(collection)
+    shared = _shared(layers)
     k = ctx.k
-    n2 = max(e for (_, e), _ in elems)
-    cleared = [num * k ** (n2 - e) for (num, e), _ in elems]
-    shift = 2 * max(abs(v) for v in cleared) + 1
+    n2 = max(e for kparts, _ in shared for _, e in kparts)
+    cleared = [num * k ** (n2 - e) for kparts, _ in shared for num, e in kparts]
+    shift = 2 * max(map(abs, cleared)) + 1
     largest = shift + max(cleared)
     digits = 0
     while k**digits <= largest:
         digits += 1
-    n1 = 1 - min(el.texp for el in elems) + max(0, 2 * digits - n2)
-    g = Element(ctx.phi_power(ctx.canonical_kpart((shift, 0)), n1), n1 + n2)
-    owners: dict = {}
-    for el in elems:
-        other = owners.setdefault(conjugacy_key(ctx, ctx.multiply(g, el)), el)
-        if other != el:
-            raise ValueError(
-                f"no translate separates {ctx.format_element(other)} and "
-                f"{ctx.format_element(el)}: their shifted K-parts differ "
-                f"by a power of {k}"
-            )
+    n1 = 1 - min(layers) + max(0, 2 * digits - n2)
+    exponent = n1 + n2
+    g = Element(ctx.phi_power(ctx.canonical_kpart((shift, 0)), n1), exponent)
+    owners: dict = {}  # key -> the K-part whose translate has it
+    for kparts, ps in shared:
+        for a in kparts:
+            # g (a, t^p) = (g.kpart + phi^exponent(a), t^(exponent + p)): one
+            # product for every layer
+            product = ctx.kpart_add(g.kpart, ctx.phi_power(a, exponent))
+            for p in ps:
+                translated = tuple.__new__(Element, (product, exponent + p))
+                key = conjugacy_key(ctx, translated)
+                other = owners.setdefault(key, a)
+                if other != a:
+                    # conjugate elements share their t-exponent, so both
+                    # lie in layer p
+                    raise ValueError(
+                        f"no translate separates "
+                        f"{ctx.format_element(Element(other, p))} and "
+                        f"{ctx.format_element(Element(a, p))}: their shifted "
+                        f"K-parts differ by a power of {k}"
+                    )
     return SeparatingTranslate(g, n1, n2, shift, len(owners))
 
 

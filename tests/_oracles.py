@@ -6,8 +6,8 @@ discovery order of the spheres) or by the plain exhaustive loop a fast
 path replaced (BFS against a whole-ball dict, pairwise conjugator
 solving, step-by-step orbit walks, whole-window orbit scans,
 all-rotations keys, Fraction projection scans, a ratio table keyed on
-both signs of p), so the fast code paths
-have an independent answer to match.
+both signs of p, one multiply per element for the Folner defects), so
+the fast code paths have an independent answer to match.
 Helpers that only tests call live here too: element construction from a
 raw kernel part, conjugation, are_conjugate, quotient representatives,
 integer kernel bases, the decay fit of a ratio table and the bs
@@ -640,6 +640,21 @@ def full_ratio_table(
             )
         )
     return tuple(rows)
+
+
+def right_defect_elementwise(ctx: GroupContext, elements, x: Element) -> Fraction:
+    """|Fx sym-diff F| / |F| by one multiply per element of F, the loop that
+    folner.right_defect's layer-by-layer pass replaced."""
+    elems = frozenset(elements)
+    moved = sum(1 for e in elems if ctx.multiply(e, x) not in elems)
+    return Fraction(2 * moved, len(elems))
+
+
+def left_defect_elementwise(ctx: GroupContext, elements, x: Element) -> Fraction:
+    """|xF sym-diff F| / |F| by one multiply per element of F."""
+    elems = frozenset(elements)
+    moved = sum(1 for e in elems if ctx.multiply(x, e) not in elems)
+    return Fraction(2 * moved, len(elems))
 
 
 def are_conjugate(ctx: GroupContext, g: Element, h: Element) -> bool:

@@ -1,6 +1,7 @@
 import gc
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,19 @@ def test_folner_csv(capsys):
 def test_folner_rejects_bad_n(capsys):
     assert run(["folner", "--k", "2", "--n", "0"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [100_000, 10_000_000])
+def test_folner_huge_box_hits_the_cap_at_once(n, capsys):
+    # n k^(3n) has more digits than Python converts to a string, and
+    # k^(3n) alone takes seconds to build at n = 10^7
+    start = time.perf_counter()
+    assert run(["folner", "--k", "3", "--n", str(n)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"n = {n}" in captured.err
+    assert "cap 5000000" in captured.err
 
 
 def test_folner_n1_cap_is_applied(capsys):

@@ -9,6 +9,8 @@ from _oracles import (
     congruence_witness,
     element,
     finite_n_solutions,
+    left_defect_elementwise,
+    right_defect_elementwise,
     window_nonempty,
 )
 from abcgroups.conjugacy import conjugacy_key
@@ -334,6 +336,64 @@ def test_right_defect_is_inverse_symmetric(k, n):
     box = folner_box(ctx, n)
     for gen in ctx.generators():
         assert right_defect(ctx, box, gen) == right_defect(ctx, box, ctx.invert(gen))
+
+
+@pytest.mark.parametrize("k,n", SCANNED_BOXES)
+def test_layered_defects_match_elementwise(k, n):
+    ctx = BaumslagSolitarContext(k)
+    box = folner_box(ctx, n)
+    elements = box.elements
+    probes = [
+        *ctx.generators(),
+        ctx.identity,
+        element(ctx, (3, 0), 2),
+        element(ctx, (1, 1), -1),
+    ]
+    for x in probes:
+        assert right_defect(ctx, box, x) == right_defect_elementwise(ctx, elements, x)
+        assert left_defect(ctx, box, x) == left_defect_elementwise(ctx, elements, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(2, 4),
+    raw=st.lists(
+        st.tuples(st.integers(-20, 20), st.integers(0, 2), st.integers(-3, 3)),
+        min_size=1,
+        max_size=12,
+    ),
+    repeats=st.lists(st.integers(0, 11), max_size=4),
+    x=st.tuples(st.integers(-9, 9), st.integers(0, 2), st.integers(-3, 3)),
+)
+def test_layered_defects_match_elementwise_on_plain_sets(k, raw, repeats, x):
+    # layers at negative and positive t-exponents, each with its own
+    # K-parts, and some elements listed twice
+    ctx = BaumslagSolitarContext(k)
+    coll = [element(ctx, (num, e), p) for num, e, p in raw]
+    coll += [coll[i % len(coll)] for i in repeats]
+    probe = element(ctx, x[:2], x[2])
+    assert right_defect(ctx, coll, probe) == right_defect_elementwise(ctx, coll, probe)
+    assert left_defect(ctx, coll, probe) == left_defect_elementwise(ctx, coll, probe)
+
+
+class CountingBaumslagSolitar(BaumslagSolitarContext):
+    def __init__(self, k):
+        super().__init__(k)
+        self.adds = 0
+
+    def kpart_add(self, a, b):
+        self.adds += 1
+        return super().kpart_add(a, b)
+
+
+def test_separating_translate_adds_once_per_kpart():
+    # g (a, t^p) has the same K-part in every layer p of the box
+    ctx = CountingBaumslagSolitar(2)
+    box = folner_box(ctx, 3)
+    ctx.adds = 0
+    sep = separating_translate(ctx, box)
+    assert sep.classes == box.size == 3 * len(box.kparts)
+    assert ctx.adds == len(box.kparts)
 
 
 def test_translate_experiment_reports_the_key_pass_count():
