@@ -99,9 +99,9 @@ def folner_box(
     if n < 1:
         raise ValueError(f"box parameter must be at least 1, got {n}")
     k = ctx.k
-    # k^(3n) >= 2^(3n (bits of k - 1)), so a box that bound puts past the
-    # cap is refused before the power, which can have millions of digits,
-    # is built
+    # k^(3n) >= 2^(3n (b - 1)) for b the bit length of k: a box that this
+    # bound already puts past the cap is refused without building k^(3n),
+    # which has millions of digits at n = 10^7
     if (
         3 * n * (k.bit_length() - 1) >= element_cap.bit_length()
         or n * k ** (3 * n) > element_cap
@@ -218,6 +218,7 @@ def separating_translate(
             # product for every layer
             product = ctx.kpart_add(g.kpart, ctx.phi_power(a, exponent))
             for p in ps:
+                # built in C, as GroupContext.multiply builds its Elements
                 translated = tuple.__new__(Element, (product, exponent + p))
                 key = conjugacy_key(ctx, translated)
                 other = owners.setdefault(key, a)
