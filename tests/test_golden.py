@@ -25,7 +25,8 @@ GOLDEN = {
     "ratio_hyperbolic": ["ratio", "--group", "matrix:hyperbolic.json", "--radius", "9"],
     "folner_json": ["folner", "--k", "2", "--n", "2"],
     "folner_k3_json": ["folner", "--k", "3", "--n", "2"],
-    # the bench's largest folner job: 59,049 elements
+    # the bench's two folner jobs: 16,384 and 59,049 elements
+    "folner_k2n4_json": ["folner", "--k", "2", "--n", "4"],
     "folner_k3n3_json": ["folner", "--k", "3", "--n", "3"],
     "folner_csv": ["folner", "--k", "2", "--n", "3", "--emit", "csv"],
     "spectral_unit_root": ["spectral", "--matrix", "unit_root.json", "--radius", "6"],
