@@ -189,11 +189,16 @@ def _cmd_folner(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     if args.emit == "csv":
+        # the largest box first, so that its cap check runs before any other
+        # box is built and keyed
+        reports = [
+            translate_experiment(ctx, n, args.element_cap)
+            for n in range(args.n, 0, -1)
+        ]
         lines = ["n,box_size,classes,ratio,right_defect_t,left_defect_t"]
-        for n in range(1, args.n + 1):
-            report = translate_experiment(ctx, n, args.element_cap)
+        for report in reversed(reports):
             lines.append(
-                f"{n},{report.box_size},{report.classes},{report.ratio},"
+                f"{report.n},{report.box_size},{report.classes},{report.ratio},"
                 f"{report.right_defects['t']},{report.left_defect_t}"
             )
         _write_text(args.out, "\n".join(lines) + "\n")

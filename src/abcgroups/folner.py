@@ -7,32 +7,34 @@ sequence is right-Folner but not left-Folner.  Translating F_n on the
 left by a suitable g makes every element lie in its own conjugacy class,
 which keeps the conjugacy-to-size ratio of the translated boxes at 1.
 
-The separating translate g = t^{n1} (L, 1) t^{n2} comes from the box
-itself: n2 clears all denominators of A, and L = 2 max|k^{n2} a_i| + 1
-shifts the cleared K-parts to positive values x, all below k^D for D the
-base-k digit count of the largest.  An element of gA in stratum
-P = n1 + n2 + p is (k^{n1} x, t^P), and its class key is the least
-cyclic rotation of the P-digit base-k string of x.  Taking
-n1 = (1 - min texp) + max(0, 2D - n2) makes every P exceed 2D, so the
-wrap-around zero run (at least P - D > D digits) is the unique longest
-run of that string, and two parts in one stratum share a key only when
-their ratio is a power of k.  The box's cleared parts lie in [0, M], so
-its x lie in [2M + 1, 3M + 1], where every ratio is below 3/2 < k, and
-every element of gF_n has its own class.  One key pass over gA still
-counts the classes; a repeated key there means two elements differ by a
-power of k, which t^s conjugates for every n1, so the collection is
-refused.
+The box's n layers 0 <= p < n all hold one set B of k^{3n} K-parts,
+which the box stores once.  The separating translate
+g = t^{n1} (L, 1) t^{n2} comes from B itself: n2 clears all denominators
+of B, and L = 2 max|k^{n2} a_i| + 1 shifts the cleared K-parts to
+positive values x, all below k^D for D the base-k digit count of the
+largest.  An element of gF_n in stratum P = n1 + n2 + p is
+(k^{n1} x, t^P), and its class key is the least cyclic rotation of the
+P-digit base-k string of x.  Taking n1 = 1 + max(0, 2D - n2) makes every
+P exceed 2D, so the wrap-around zero run (at least P - D > D digits) is
+the unique longest run of that string, and two parts in one stratum share
+a key only when their ratio is a power of k.  The box's cleared parts lie
+in [0, M], so its x lie in [2M + 1, 3M + 1], where every ratio is below
+3/2 < k, and every element of gF_n has its own class.  One key pass over
+gF_n still counts the classes and certifies the argument: a repeated key
+would mean two elements differ by a power of k, and the pass raises,
+naming both, rather than report a ratio below 1.
 
-Every pass works layer by layer.  A collection is grouped by t-exponent
-into layers of K-parts; the n layers of a box are one shared set B of
-k^{3n} K-parts, which the box stores once.  With x = (r, t^q), the right
-translate of layer p is {a + phi^p(r) : a in it} in layer p + q, one shift
-for the whole layer (none when phi^p(r) is zero), and the left translate
-is {r + phi^q(a)}, whatever the layer, so it is computed once per distinct
-set.  Either defect counts what a translated layer leaves its target layer
-by a set difference.  Likewise g (a, t^p) has the K-part
-L k^{n1} + k^{n1 + n2} a in every layer, so the key pass makes one product
-per K-part and keys it once for each layer that holds it.
+Every pass works layer by layer.  With x = (r, t^q), the right translate
+of layer p is {a + phi^p(r) : a in B} in layer p + q, one shift for the
+whole layer (none when phi^p(r) is zero); a layer with p + q outside
+[0, n) leaves the box whole.  The left translate is {r + phi^q(a)} in
+every layer, so it is computed once; max(0, n - |q|) layers land on a
+layer of the box and the other min(n, |q|) outside it.  Either defect
+counts what a translated layer leaves its target layer by a set
+difference.  Likewise g (a, t^p) has the K-part L k^{n1} + k^{n1 + n2} a
+in every layer, so the key pass makes one product per K-part and keys it
+once per layer.  Conjugate elements share their t-exponent, so each
+layer's keys are checked for repeats on their own.
 
 Right defects are computed once per inverse pair of generators:
 |F x^-1 sym-diff F| = |(F sym-diff F x) x^-1| = |F sym-diff F x|.
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .conjugacy import conjugacy_key
 from .enumeration import ResourceCapError
@@ -62,8 +63,6 @@ __all__ = [
 ]
 
 DEFAULT_BOX_CAP = 5_000_000
-
-_EMPTY = frozenset()
 
 
 @dataclass(frozen=True)
@@ -116,59 +115,35 @@ def folner_box(
     )
 
 
-def _layers(collection) -> dict:
-    """t-exponent -> the set of K-parts of the collection in that layer.
-
-    A box's layers are all its one K-part set; a plain collection is
-    grouped in one pass.
-    """
-    if isinstance(collection, FolnerBox):
-        return dict.fromkeys(range(collection.n), collection.kparts)
-    layers: dict = {}
-    for a, p in collection:
-        layers.setdefault(p, set()).add(a)
-    if not layers:
-        raise ValueError("defects need a nonempty set")
-    return layers
-
-
-def _shared(layers: dict) -> list:
-    """(K-part set, the t-exponents of the layers holding it) per distinct set."""
-    out: dict = {}
-    for p, kparts in layers.items():
-        out.setdefault(id(kparts), (kparts, []))[1].append(p)
-    return list(out.values())
-
-
-def _ratio(moved: int, layers: dict) -> Fraction:
-    # |F x| = |F|, so the symmetric difference is twice the escaped part
-    return Fraction(2 * moved, sum(map(len, layers.values())))
-
-
-def right_defect(ctx: GroupContext, collection, x: Element) -> Fraction:
+def right_defect(ctx: GroupContext, box: FolnerBox, x: Element) -> Fraction:
     """|Fx symmetric-difference F| / |F|, exactly."""
-    layers = _layers(collection)
+    kparts, n = box.kparts, box.n
     r, q = x
     zero = ctx.kpart_zero()
     moved = 0
-    for p, kparts in layers.items():
+    for p in range(n):
+        if not 0 <= p + q < n:
+            # the whole layer lands outside the box
+            moved += len(kparts)
+            continue
         # (a, t^p) x = (a + phi^p(r), t^(p+q)): one shift c for the layer
         c = ctx.phi_power(r, p)
-        image = kparts if c == zero else {ctx.kpart_add(a, c) for a in kparts}
-        moved += len(image - layers.get(p + q, _EMPTY))
-    return _ratio(moved, layers)
+        if c != zero:
+            moved += len({ctx.kpart_add(a, c) for a in kparts} - kparts)
+    # |F x| = |F|, so the symmetric difference is twice the escaped part
+    return Fraction(2 * moved, box.size)
 
 
-def left_defect(ctx: GroupContext, collection, x: Element) -> Fraction:
+def left_defect(ctx: GroupContext, box: FolnerBox, x: Element) -> Fraction:
     """|xF symmetric-difference F| / |F|, exactly."""
-    layers = _layers(collection)
+    n = box.n
     r, q = x
-    moved = 0
-    for kparts, ps in _shared(layers):
-        # x (a, t^p) = (r + phi^q(a), t^(q+p)): the same K-part in every layer
-        image = {ctx.kpart_add(r, ctx.phi_power(a, q)) for a in kparts}
-        moved += sum(len(image - layers.get(p + q, _EMPTY)) for p in ps)
-    return _ratio(moved, layers)
+    # x (a, t^p) = (r + phi^q(a), t^(q+p)): the same K-part in every layer
+    image = {ctx.kpart_add(r, ctx.phi_power(a, q)) for a in box.kparts}
+    # min(n, |q|) layers land outside the box, the others on a layer of it
+    outside = min(n, abs(q))
+    moved = (n - outside) * len(image - box.kparts) + outside * len(image)
+    return Fraction(2 * moved, box.size)
 
 
 # ---------------------------------------------------------------------------
@@ -185,53 +160,49 @@ class SeparatingTranslate:
     classes: int
 
 
-def separating_translate(
-    ctx: GroupContext, collection: Iterable[Element]
-) -> SeparatingTranslate:
-    """A left translate g with every element of gA in its own class.
+def separating_translate(ctx: GroupContext, box: FolnerBox) -> SeparatingTranslate:
+    """A left translate g with every element of gF_n in its own class.
 
     g = t^{n1} (shift, 1) t^{n2}, with n1 derived from the digit count of
     the shifted K-parts as in the module doc.  The conjugacy key of every
-    element of gA is computed, so ``classes`` is the number of distinct
+    element of gF_n is computed, so ``classes`` is the number of distinct
     keys found in that pass.  Raises ValueError, naming the pair, when two
-    elements share a key: their shifted K-parts differ by a power of k,
-    so no translate of this form separates them.
+    elements share a key, which the module doc's argument rules out.
     """
     ctx = _require_bs(ctx)
-    layers = _layers(collection)
-    shared = _shared(layers)
+    kparts = box.kparts
     k = ctx.k
-    n2 = max(e for kparts, _ in shared for _, e in kparts)
-    cleared = [num * k ** (n2 - e) for kparts, _ in shared for num, e in kparts]
+    n2 = max(e for _, e in kparts)
+    cleared = [num * k ** (n2 - e) for num, e in kparts]
     shift = 2 * max(map(abs, cleared)) + 1
     largest = shift + max(cleared)
     digits = 0
     while k**digits <= largest:
         digits += 1
-    n1 = 1 - min(layers) + max(0, 2 * digits - n2)
+    n1 = 1 + max(0, 2 * digits - n2)
     exponent = n1 + n2
     g = Element(ctx.phi_power(ctx.canonical_kpart((shift, 0)), n1), exponent)
-    owners: dict = {}  # key -> the K-part whose translate has it
-    for kparts, ps in shared:
-        for a in kparts:
-            # g (a, t^p) = (g.kpart + phi^exponent(a), t^(exponent + p)): one
-            # product for every layer
-            product = ctx.kpart_add(g.kpart, ctx.phi_power(a, exponent))
-            for p in ps:
-                # built in C, as GroupContext.multiply builds its Elements
-                translated = tuple.__new__(Element, (product, exponent + p))
-                key = conjugacy_key(ctx, translated)
-                other = owners.setdefault(key, a)
-                if other != a:
-                    # conjugate elements share their t-exponent, so both
-                    # lie in layer p
-                    raise ValueError(
-                        f"no translate separates "
-                        f"{ctx.format_element(Element(other, p))} and "
-                        f"{ctx.format_element(Element(a, p))}: their shifted "
-                        f"K-parts differ by a power of {k}"
-                    )
-    return SeparatingTranslate(g, n1, n2, shift, len(owners))
+    # g (a, t^p) = (g.kpart + phi^exponent(a), t^(exponent + p)): one product
+    # per K-part, shared by every layer, in the iteration order of kparts
+    products = [ctx.kpart_add(g.kpart, ctx.phi_power(a, exponent)) for a in kparts]
+    classes = 0
+    for p in range(box.n):
+        # conjugate elements share their t-exponent, so a repeated key lies
+        # within one layer
+        owners: dict = {}  # key -> the K-part whose translate has it
+        for a, product in zip(kparts, products):
+            # built in C, as GroupContext.multiply builds its Elements
+            translated = tuple.__new__(Element, (product, exponent + p))
+            other = owners.setdefault(conjugacy_key(ctx, translated), a)
+            if other != a:
+                raise ValueError(
+                    f"no translate separates "
+                    f"{ctx.format_element(Element(other, p))} and "
+                    f"{ctx.format_element(Element(a, p))}: their shifted "
+                    f"K-parts differ by a power of {k}"
+                )
+        classes += len(owners)
+    return SeparatingTranslate(g, n1, n2, shift, classes)
 
 
 @dataclass(frozen=True)
@@ -271,7 +242,6 @@ def translate_experiment(
     ctx: GroupContext, n: int, element_cap: int = DEFAULT_BOX_CAP
 ) -> TranslateReport:
     """Translate the box F_n so that its conjugacy-to-size ratio is 1."""
-    ctx = _require_bs(ctx)
     box = folner_box(ctx, n, element_cap)
     sep = separating_translate(ctx, box)
     gens = ctx.generators()

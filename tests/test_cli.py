@@ -226,6 +226,23 @@ def test_folner_huge_box_hits_the_cap_at_once(n, capsys):
     assert "cap 5000000" in captured.err
 
 
+def test_folner_csv_checks_the_largest_box_first(monkeypatch, capsys):
+    # n = 7 is over the default cap; no smaller box is built or keyed first
+    calls = []
+    experiment = cli.translate_experiment
+
+    def recording(ctx, n, *args):
+        calls.append(n)
+        return experiment(ctx, n, *args)
+
+    monkeypatch.setattr(cli, "translate_experiment", recording)
+    assert run(["folner", "--k", "2", "--n", "7", "--emit", "csv"]) == 2
+    assert calls == [7]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n = 7" in captured.err
+
+
 def test_folner_n1_cap_is_applied(capsys):
     # n1 is derived from the box (the golden files pin it), so no cap on
     # it is accepted

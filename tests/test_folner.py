@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 from fractions import Fraction
 
@@ -82,14 +84,6 @@ def test_right_defects_decrease():
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_defect_of_plain_set():
-    ctx = BaumslagSolitarContext(2)
-    shard = {Element((a, 0), 0) for a in range(4)}
-    assert right_defect(ctx, shard, Element((1, 0), 0)) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        right_defect(ctx, set(), Element((1, 0), 0))
-
-
 def test_congruence_witness_examples():
     ctx = BaumslagSolitarContext(2)
     assert congruence_witness(ctx, 5, 5, 1) == 0
@@ -146,69 +140,35 @@ def test_finite_n_solutions_rejects_power_ratios():
         finite_n_solutions(ctx, 0, 3, 10)
 
 
-def test_separating_translate_singleton():
-    ctx = BaumslagSolitarContext(2)
-    sep = separating_translate(ctx, [Element((1, 0), 1)])
-    # shift + max cleared part = 4 has D = 3 binary digits, so n1 = 0 + 6
-    assert sep.element == Element((192, 0), 6)
-    assert (sep.n1, sep.n2, sep.shift) == (6, 0, 3)
-
-
-def test_separating_translate_pair():
-    ctx = BaumslagSolitarContext(2)
-    coll = [Element((1, 0), 1), Element((3, 0), 1)]
-    sep = separating_translate(ctx, coll)
-    assert (sep.n1, sep.n2, sep.shift) == (8, 0, 7)
-    assert sep.element == Element((1792, 0), 8)
-    keys = {conjugacy_key(ctx, ctx.multiply(sep.element, g)) for g in coll}
-    assert len(keys) == 2
-
-
-def test_separating_translate_mixed_strata():
-    ctx = BaumslagSolitarContext(2)
-    coll = [Element((1, 0), 1), Element((1, 0), 2)]
-    sep = separating_translate(ctx, coll)
-    assert (sep.n1, sep.n2) == (6, 0)
-
-
-def test_separating_translate_negative_texp():
-    ctx = BaumslagSolitarContext(2)
-    sep = separating_translate(ctx, [Element((1, 0), -2)])
-    # n1 = (1 - min texp) + 2D with D = 3 digits of 3 + 1
-    assert sep.n1 == 9
-    assert sep.element == Element((1536, 0), 9)
-
-
-def test_separating_translate_clears_denominators():
-    ctx = BaumslagSolitarContext(2)
-    coll = [Element((1, 1), 1), Element((3, 0), 1)]
-    sep = separating_translate(ctx, coll)
-    assert sep.n2 == 1
-    assert sep.shift == 13
-    keys = {conjugacy_key(ctx, ctx.multiply(sep.element, g)) for g in coll}
-    assert len(keys) == 2
-
-
 def test_separating_translate_validation():
+    with pytest.raises(ValueError, match="needs a bs context"):
+        separating_translate(
+            LamplighterContext(2), folner_box(BaumslagSolitarContext(2), 1)
+        )
+
+
+class MergingBaumslagSolitar(BaumslagSolitarContext):
+    """A bs context whose key puts the element ``merged`` in the class of
+    ``kept``, as a wrong key would."""
+
+    def __init__(self, k, kept, merged):
+        super().__init__(k)
+        self.kept, self.merged = kept, merged
+
+    def conjugacy_key(self, g):
+        return super().conjugacy_key(self.kept if g == self.merged else g)
+
+
+def test_separating_translate_refuses_a_repeated_key():
+    # the translates of (1/2, t) and (3/2, t) share a key in layer 1 of F_2
     ctx = BaumslagSolitarContext(2)
-    with pytest.raises(ValueError):
-        separating_translate(ctx, [])
-    with pytest.raises(ValueError):
-        separating_translate(LamplighterContext(2), [Element((), 1)])
-    # shifted by 7, the K-parts -3 and 1 become 4 and 8, which t conjugates
+    g = separating_translate(ctx, folner_box(ctx, 2)).element
+    kept, merged = (ctx.multiply(g, element(ctx, (b, 1), 1)) for b in (1, 3))
+    merging = MergingBaumslagSolitar(2, kept, merged)
     with pytest.raises(ValueError, match="power of 2") as refused:
-        separating_translate(ctx, [Element((-3, 0), 1), Element((1, 0), 1)])
-    assert "(-3; t^1)" in str(refused.value)
-    assert "(1; t^1)" in str(refused.value)
-
-
-def test_separation_always_verified():
-    # the returned class count comes from a key pass over gA
-    ctx = BaumslagSolitarContext(3)
-    coll = [Element((a, 0), 2) for a in (1, 2, 5, 7)]
-    sep = separating_translate(ctx, coll)
-    keys = {conjugacy_key(ctx, ctx.multiply(sep.element, g)) for g in coll}
-    assert len(keys) == len(coll)
+        separating_translate(merging, folner_box(merging, 2))
+    assert "(1/2^1; t^1)" in str(refused.value)
+    assert "(3/2^1; t^1)" in str(refused.value)
 
 
 def test_translate_experiment_small():
@@ -266,15 +226,6 @@ def shifted_parts(ctx, collection) -> dict:
     return out
 
 
-def power_of_k_ratio(k: int, x: int, y: int) -> bool:
-    def strip(v):
-        while v % k == 0:
-            v //= k
-        return v
-
-    return strip(x) == strip(y)
-
-
 @pytest.mark.parametrize("k,n", SCANNED_BOXES)
 def test_separating_translate_rechecked_by_full_scan(k, n):
     ctx = BaumslagSolitarContext(k)
@@ -291,43 +242,25 @@ def test_separating_translate_rechecked_by_full_scan(k, n):
                 assert congruence_witness(ctx, x, y, exponent) is None
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    k=st.integers(2, 5),
-    raw=st.lists(
-        st.tuples(st.integers(-40, 40), st.integers(0, 3), st.integers(-3, 3)),
-        min_size=1,
-        max_size=6,
-    ),
-    twin=st.none() | st.tuples(st.integers(0, 10**6), st.integers(-3, 3)),
-)
-def test_separating_translate_refuses_exactly_power_of_k_pairs(k, raw, twin):
+@pytest.mark.parametrize("k,n", SCANNED_BOXES)
+def test_separating_translate_follows_the_module_doc(k, n):
     ctx = BaumslagSolitarContext(k)
-    coll = {element(ctx, (num, e), p) for num, e, p in raw}
-    if twin is not None:
-        # shifted parts lie in [M + 1, 3M + 1]; add x and kx in one stratum
-        # without moving n2 or M (there is room only for k = 2)
-        pick, p = twin
-        n2 = max(e for (_, e), _ in coll)
-        m = max(abs(num * k ** (n2 - e)) for (num, e), _ in coll)
-        room = (3 * m + 1) // k - m
-        if room > 0:
-            x = m + 1 + pick % room
-            for part in (x, k * x):
-                coll.add(element(ctx, (part - 2 * m - 1, n2), p))
-    fused = any(
-        power_of_k_ratio(k, x, y)
-        for parts in shifted_parts(ctx, coll).values()
-        for i, x in enumerate(parts)
-        for y in parts[i + 1 :]
-    )
-    if fused:
-        with pytest.raises(ValueError):
-            separating_translate(ctx, coll)
-    else:
-        sep = separating_translate(ctx, coll)
-        assert sep.classes == len(coll)
-        assert full_key_count(ctx, sep.element, coll) == len(coll)
+    box = folner_box(ctx, n)
+    sep = separating_translate(ctx, box)
+    # the box's finest grid is k^-n, and its cleared parts fill [0, M]
+    n2 = max(e for (_, e), _ in box.elements)
+    assert n2 == n
+    parts = shifted_parts(ctx, box.elements)
+    assert sorted(parts) == list(range(n))
+    shifted = sorted(parts[0])
+    assert all(sorted(layer) == shifted for layer in parts.values())
+    shift = shifted[0]
+    # shifted by L = 2M + 1, the parts lie in [2M + 1, 3M + 1]
+    assert shifted[-1] == 3 * (shift - 1) // 2 + 1
+    digits = next(d for d in itertools.count() if k**d > shifted[-1])
+    n1 = 1 + max(0, 2 * digits - n2)
+    assert (sep.n1, sep.n2, sep.shift) == (n1, n2, shift)
+    assert sep.element == element(ctx, (shift * k**n1, 0), n1 + n2)
 
 
 @pytest.mark.parametrize("k,n", SCANNED_BOXES)
@@ -354,26 +287,32 @@ def test_layered_defects_match_elementwise(k, n):
         assert left_defect(ctx, box, x) == left_defect_elementwise(ctx, elements, x)
 
 
+@functools.cache
+def box_and_elements(k, n):
+    ctx = BaumslagSolitarContext(k)
+    box = folner_box(ctx, n)
+    return ctx, box, box.elements
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    k=st.integers(2, 4),
-    raw=st.lists(
-        st.tuples(st.integers(-20, 20), st.integers(0, 2), st.integers(-3, 3)),
-        min_size=1,
-        max_size=12,
+    # |q| up to n + 1, so that whole layers of the box leave it
+    knq=st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2)]).flatmap(
+        lambda kn: st.tuples(st.just(kn), st.integers(-kn[1] - 1, kn[1] + 1))
     ),
-    repeats=st.lists(st.integers(0, 11), max_size=4),
-    x=st.tuples(st.integers(-9, 9), st.integers(0, 2), st.integers(-3, 3)),
+    num=st.integers(-20, 20),
+    e=st.integers(0, 2),
 )
-def test_layered_defects_match_elementwise_on_plain_sets(k, raw, repeats, x):
-    # layers at negative and positive t-exponents, each with its own
-    # K-parts, and some elements listed twice
-    ctx = BaumslagSolitarContext(k)
-    coll = [element(ctx, (num, e), p) for num, e, p in raw]
-    coll += [coll[i % len(coll)] for i in repeats]
-    probe = element(ctx, x[:2], x[2])
-    assert right_defect(ctx, coll, probe) == right_defect_elementwise(ctx, coll, probe)
-    assert left_defect(ctx, coll, probe) == left_defect_elementwise(ctx, coll, probe)
+def test_layered_defects_match_elementwise_on_boxes(knq, num, e):
+    (k, n), q = knq
+    ctx, box, elements = box_and_elements(k, n)
+    probe = element(ctx, (num, e), q)
+    assert right_defect(ctx, box, probe) == right_defect_elementwise(
+        ctx, elements, probe
+    )
+    assert left_defect(ctx, box, probe) == left_defect_elementwise(
+        ctx, elements, probe
+    )
 
 
 class CountingBaumslagSolitar(BaumslagSolitarContext):
