@@ -9,7 +9,8 @@ fixes that quotient, and every orbit is just the n images phi^j(x),
 
 * bs, p != 0: (1 - phi^n) Z[1/k] = (k^n - 1) Z[1/k], and Z[1/k] / (k^n - 1)
   = Z / (k^n - 1) because k is invertible there (k * k^(n-1) = k^n = 1).
-  The key is the least residue of the orbit under multiplication by k.
+  The class of num / k^e is num k^-e, a power of k times num, so the key
+  is the least residue of the orbit of num under multiplication by k.
 * bs, p = 0: conjugation only multiplies by powers of k, so the key is
   the numerator with all factors of k removed, sign preserved.
 * lamplighter, p != 0: summing a configuration over each residue class of
@@ -41,10 +42,20 @@ fixes that quotient, and every orbit is just the n images phi^j(x),
   eigenvalue on the circle that is not a root of unity no such P exists,
   and the key raises ValueError, as it does past K = TENT_K_MAX.
 
-Each context class implements its family's key as conjugacy_key(g), the
-stratum solver of the oracle below as block_solver(n) and, where a closed
-form exists, the conjugator lengths of the oracle as word_length(g, bound);
-this module adds the entry point, the union-find and the oracle.
+Each context class implements its family's key once per stratum:
+GroupContext.stratum_key(p) returns a function kpart -> key of (kpart, t^p),
+built on first use and cached on the context.  It holds what the stratum
+shares: k^n - 1 (bs); n, m and the rotation memo (lamplighter); the
+quotient's adjugate map, |det D| and orbit minima (matrix), whose
+refusals, of a root-of-unity eigenvalue or a singular stratum, are made
+when the function is built.  GroupContext.conjugacy_key(g) applies the
+function of g's stratum, and a pass over many elements of one stratum
+(ratios.ratio_table, folner.separating_translate) fetches the function
+once and applies it to the K-parts directly.  Each context also
+implements the stratum solver of the oracle below as block_solver(n) and,
+where a closed form exists, the conjugator lengths of the oracle as
+word_length(g, bound); this module adds the entry point, the union-find
+and the oracle.
 """
 
 from __future__ import annotations

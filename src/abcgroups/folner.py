@@ -33,8 +33,10 @@ layer of the box and the other min(n, |q|) outside it.  Either defect
 counts what a translated layer leaves its target layer by a set
 difference.  Likewise g (a, t^p) has the K-part L k^{n1} + k^{n1 + n2} a
 in every layer, so the key pass makes one product per K-part and keys it
-once per layer.  Conjugate elements share their t-exponent, so each
-layer's keys are checked for repeats on their own.
+once per layer, through the stratum key function of the layer's
+t-exponent (GroupContext.stratum_key), fetched once per layer and applied
+to the products themselves.  Conjugate elements share their t-exponent,
+so each layer's keys are checked for repeats on their own.
 
 Right defects are computed once per inverse pair of generators:
 |F x^-1 sym-diff F| = |(F sym-diff F x) x^-1| = |F sym-diff F x|.
@@ -45,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conjugacy import conjugacy_key
 from .enumeration import ResourceCapError
 from .groups import BaumslagSolitarContext, Element, GroupContext
 from .words import generator_letters
@@ -188,12 +189,12 @@ def separating_translate(ctx: GroupContext, box: FolnerBox) -> SeparatingTransla
     classes = 0
     for p in range(box.n):
         # conjugate elements share their t-exponent, so a repeated key lies
-        # within one layer
+        # within one layer, and the layer's products are keyed by one
+        # function
+        key = ctx.stratum_key(exponent + p)
         owners: dict = {}  # key -> the K-part whose translate has it
         for a, product in zip(kparts, products):
-            # built in C, as GroupContext.multiply builds its Elements
-            translated = tuple.__new__(Element, (product, exponent + p))
-            other = owners.setdefault(conjugacy_key(ctx, translated), a)
+            other = owners.setdefault(key(product), a)
             if other != a:
                 raise ValueError(
                     f"no translate separates "

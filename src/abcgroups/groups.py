@@ -12,9 +12,10 @@ Three kernel families are supported:
 * bs: K = Z[1/k] for Baumslag-Solitar BS(1,k), phi multiplies by k.
 * matrix: K = Z^n with phi given by an integer matrix of determinant +-1.
 
-Each family's context also supplies its conjugacy key and the conjugator
-solver of the brute-force oracle, and bs and the lamplighter an exact word
-length for their standard generators; the conjugacy module explains them.
+Each family's context also supplies its conjugacy key, as one function
+per stratum, and the conjugator solver of the brute-force oracle, and bs
+and the lamplighter an exact word length for their standard generators;
+the conjugacy module explains them.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ class GroupContext:
 
     family: str = ""
 
+    def __init__(self):
+        # p -> the key function of stratum p (stratum_key)
+        self._stratum_keys: dict[int, Callable] = {}
+
     # Kernel primitives supplied by each family.  kparts are canonical
     # immutable tuples so elements are hashable dictionary keys.
 
@@ -99,6 +104,21 @@ class GroupContext:
 
     def conjugacy_key(self, g: Element):
         """Canonical, order-comparable conjugacy invariant of g."""
+        return self.stratum_key(g.texp)(g.kpart)
+
+    def stratum_key(self, p: int) -> Callable:
+        """kpart -> the conjugacy key of (kpart, t^p), built once per p.
+
+        The function holds what every element of the stratum shares, so a
+        pass over one stratum computes it once.  It holds nothing that
+        refers back to the context, which stays free of reference cycles.
+        """
+        key = self._stratum_keys.get(p)
+        if key is None:
+            key = self._stratum_keys[p] = self._build_stratum_key(p)
+        return key
+
+    def _build_stratum_key(self, p: int) -> Callable:
         raise NotImplementedError
 
     def block_solver(self, n: int):
@@ -189,6 +209,7 @@ class LamplighterContext(GroupContext):
     def __init__(self, m: int, kgens: Optional[Iterable] = None):
         if m == 1 or m < 0:
             raise ValueError(f"lamp modulus must be 0 (integer lamps) or >= 2, got {m}")
+        super().__init__()
         self.m = m
         delta = ((0, 1),)
         standard = ((), delta, self.kpart_neg(delta))
@@ -283,39 +304,37 @@ class LamplighterContext(GroupContext):
         length = lamps + 2 * (max(ends) - min(ends)) - abs(p)
         return length if bound is None or length <= bound else bound + 1
 
-    def conjugacy_key(self, g: Element):
-        p = g.texp
-        conf = g.kpart
+    def _build_stratum_key(self, p: int) -> Callable:
         if p == 0:
-            if not conf:
-                return (0, ())
-            base = conf[0][0]
-            return (0, tuple((i - base, v) for i, v in conf))
-        sums = self._class_sums(abs(p), conf)
-        best = self._least_rotation.get(sums)
-        if best is None:
-            orbit = _rotations(sums)
-            best = min(orbit)
-            self._least_rotation.update(dict.fromkeys(orbit, best))
-        return (p, best)
 
-    def _class_sums(self, n: int, conf) -> tuple:
-        # lamp sums over each class of indices mod n: the class of conf in
-        # K / (1 - phi^n) K
-        sums = [0] * n
-        for i, v in conf:
-            sums[i % n] += v
-        m = self.m
-        if m:
-            return tuple([v % m for v in sums])
-        return tuple(sums)
+            def shifted(conf):
+                if not conf:
+                    return (0, ())
+                base = conf[0][0]
+                return (0, tuple([(i - base, v) for i, v in conf]))
+
+            return shifted
+        class_sums = _class_sums(abs(p), self.m)
+        memo = self._least_rotation
+
+        def key(conf):
+            sums = class_sums(conf)
+            best = memo.get(sums)
+            if best is None:
+                orbit = _rotations(sums)
+                best = min(orbit)
+                memo.update(dict.fromkeys(orbit, best))
+            return (p, best)
+
+        return key
 
     def block_solver(self, n: int):
         _check_stratum(n)
         m = self.m
+        class_sums = _class_sums(n, m)
 
         def residues(w):
-            return _rotations(self._class_sums(n, w))
+            return _rotations(class_sums(w))
 
         def solve(w):
             # b_i - b_(i-n) = w_i: b_i is the running sum of w over the
@@ -342,6 +361,21 @@ class LamplighterContext(GroupContext):
             return tuple(out)
 
         return residues, solve
+
+
+def _class_sums(n: int, m: int) -> Callable:
+    """conf -> its lamp sums over each class of indices mod n, reduced mod
+    m when m >= 2: the class of conf in K / (1 - phi^n) K."""
+
+    def class_sums(conf):
+        sums = [0] * n
+        for i, v in conf:
+            sums[i % n] += v
+        if m:
+            return tuple([v % m for v in sums])
+        return tuple(sums)
+
+    return class_sums
 
 
 def _rotations(sums: tuple) -> list[tuple]:
@@ -372,6 +406,7 @@ class BaumslagSolitarContext(GroupContext):
     def __init__(self, k: int, kgens: Optional[Iterable] = None):
         if k < 2:
             raise ValueError(f"bs parameter k must be >= 2, got {k}")
+        super().__init__()
         self.k = k
         standard = ((0, 0), (1, 0), (-1, 0))
         self._set_kgens(standard if kgens is None else kgens)
@@ -507,40 +542,43 @@ class BaumslagSolitarContext(GroupContext):
             # The comparisons are min(a, b + 1) and min(a + 1, b).
             a, b = r + least + (a > b), k - r - 1 + least + (a < b)
 
-    def conjugacy_key(self, g: Element):
-        p = g.texp
-        num = g.kpart[0]
+    def _build_stratum_key(self, p: int) -> Callable:
         k = self.k
         if p == 0:
-            return (0, self._strip_factors(num))
-        n = abs(p)
-        modulus = k**n - 1
-        res = best = self._residue(g.kpart, n, modulus)
-        for _ in range(n - 1):
-            res = res * k % modulus
-            if res < best:
-                best = res
-        return (p, best)
 
-    def _strip_factors(self, num: int) -> int:
-        k = self.k
-        while num and num % k == 0:
-            num //= k
-        return num
+            def stripped(a):
+                num = a[0]
+                while num and num % k == 0:
+                    num //= k
+                return (0, num)
 
-    def _residue(self, w, n: int, modulus: int) -> int:
-        # class of w = num / k^e in Z[1/k] / (k^n - 1) = Z / (k^n - 1), the
-        # modulus; phi multiplies the class by k
-        num, e = w
-        return num * pow(self.k, -e % n, modulus) % modulus
+            return stripped
+        modulus = k ** abs(p) - 1
+        rest = range(abs(p) - 1)
+
+        def key(a):
+            # num / k^e has the class num k^-e, a power of k times num, so
+            # its orbit, and the least residue of it, are those of num
+            res = best = a[0] % modulus
+            for _ in rest:
+                res = res * k % modulus
+                if res < best:
+                    best = res
+            return (p, best)
+
+        return key
 
     def block_solver(self, n: int):
         _check_stratum(n)
         k = self.k
         den = k**n - 1
+        # the class of num / k^e in Z[1/k] / (k^n - 1) = Z / (k^n - 1) is
+        # num * k^-e = num * unit[e % n], as k^n = 1 there
+        unit = [pow(k, -e % n, den) for e in range(n)]
 
         def residues(w):
-            res = self._residue(w, n, den)
+            num, e = w
+            res = num * unit[e % n] % den
             out = [res]
             for _ in range(n - 1):
                 res = res * k % den
@@ -585,16 +623,17 @@ class QuotientDescriptor:
     orbit_min: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
-    def _adj_map(self):
+    def adj_map(self) -> Callable:
+        """w -> adj D w."""
         return linear_map(self.adj)
 
     def coords(self, v) -> tuple[int, ...]:
         d = abs(self.det)
-        return tuple([x % d for x in self._adj_map(v)])
+        return tuple([x % d for x in self.adj_map(v)])
 
     def solve(self, w) -> Optional[tuple[int, ...]]:
         """The unique b with D b = w, or None outside the image."""
-        x = self._adj_map(w)
+        x = self.adj_map(w)
         if any(xi % self.det for xi in x):
             return None
         return tuple([xi // self.det for xi in x])
@@ -624,6 +663,7 @@ class MatrixContext(GroupContext):
 
     def __init__(self, rows: Iterable[Iterable[int]], kgens: Optional[Iterable] = None):
         matrix = tuple(_int_entries(row, "matrix") for row in rows)
+        super().__init__()
         n = len(matrix)
         if n == 0 or any(len(row) != n for row in matrix):
             raise ValueError("matrix must be square and nonempty")
@@ -691,32 +731,38 @@ class MatrixContext(GroupContext):
     def format_kpart(self, a) -> str:
         return "(" + ",".join(str(x) for x in a) + ")"
 
-    def conjugacy_key(self, g: Element):
+    def _build_stratum_key(self, p: int) -> Callable:
         if self.unit_root_orders:
             raise ValueError(
                 f"conjugacy invariants are unavailable: M has root-of-unity "
                 f"eigenvalues of orders {self.unit_root_orders}"
             )
-        p = g.texp
         if p == 0:
-            return (0, self._descend(g.kpart))
+            height, steps = self._height, (self.power_map(1), self.power_map(-1))
+            return lambda v: (0, _descend(v, height, steps))
         n = abs(p)
         qd = self.quotient(n)
-        c = qd.coords(g.kpart)
-        best = qd.orbit_min.get(c)
-        if best is None:
-            # M^n fixes the quotient, so the orbit is the n images M^j v
-            orbit = self._orbit_coords(qd, n, c)
-            best = min(orbit)
-            qd.orbit_min.update(dict.fromkeys(orbit, best))
-        return (p, best)
+        d, adj_map, orbit_min = abs(qd.det), qd.adj_map, qd.orbit_min
+        step = self.power_map(1)
+
+        def key(v):
+            c = tuple([x % d for x in adj_map(v)])
+            best = orbit_min.get(c)
+            if best is None:
+                # M^n fixes the quotient, so the orbit is the n images M^j v
+                orbit = _orbit_coords(step, d, n, c)
+                best = min(orbit)
+                orbit_min.update(dict.fromkeys(orbit, best))
+            return (p, best)
+
+        return key
 
     @cached_property
     def convex_form(self) -> tuple[tuple[int, ...], ...]:
         """An integer P > 0 with C = M^T P M + M^-T P M^-1 - 2P > 0.
 
         Then i -> P(M^i v) has integer second difference (M^i v)^T C (M^i v)
-        >= 1 for v != 0, so _descend is exact (see the conjugacy module).
+        >= 1 for v != 0, so the p = 0 descent is exact (see the conjugacy module).
         P is the tent sum P_K = sum_(|i|<K) (K - |i|) G_i of the Gram
         matrices G_i = (M^i)^T M^i, for the least K <= TENT_K_MAX with
         C_K = G_K + G_-K - 2I > 0: M^T G_i M = G_(i+1), and the tent weights
@@ -749,24 +795,6 @@ class MatrixContext(GroupContext):
         apply = linear_map(self.convex_form)
         return lambda w: sum(map(mul, w, apply(w)))
 
-    def _descend(self, v) -> tuple[int, ...]:
-        # i -> P(M^i v) is strictly convex with at most two minimisers, so
-        # walk downhill while it strictly drops (see the conjugacy module)
-        height = self._height
-        best, low = v, height(v)
-        for step in (1, -1):
-            apply = self.power_map(step)
-            w = apply(best)
-            h = height(w)
-            if h > low:
-                continue
-            while h < low:
-                best, low = w, h
-                w = apply(w)
-                h = height(w)
-            return min(best, w) if h == low else best
-        return best
-
     def quotient(self, n: int) -> QuotientDescriptor:
         """Quotient descriptor of the strata p = +-n, n >= 1 (block_solver)."""
         _check_stratum(n)
@@ -781,27 +809,47 @@ class MatrixContext(GroupContext):
         qd = self._quotients[n] = QuotientDescriptor(adj, det)
         return qd
 
-    def _orbit_coords(self, qd: QuotientDescriptor, n: int, c) -> list:
-        """Coordinates of M^j v, 0 <= j < n, from c = qd.coords(v).
-
-        adj D is a polynomial in D = I - M^n, so it commutes with M, and
-        coords(M v) = M coords(v) mod |det D|.
-        """
-        step = self.power_map(1)
-        d = abs(qd.det)
-        out = [c]
-        for _ in range(n - 1):
-            c = tuple([x % d for x in step(c)])
-            out.append(c)
-        return out
-
     def block_solver(self, n: int):
         qd = self.quotient(n)
+        step, d = self.power_map(1), abs(qd.det)
 
         def residues(w):
-            return self._orbit_coords(qd, n, qd.coords(w))
+            return _orbit_coords(step, d, n, qd.coords(w))
 
         return residues, qd.solve
+
+
+def _descend(v, height, steps) -> tuple[int, ...]:
+    """The least minimiser of height over the orbit of v under the maps
+    steps = (M, M^-1), for height the convex form's v -> v^T P v."""
+    # i -> P(M^i v) is strictly convex with at most two minimisers, so walk
+    # downhill while it strictly drops (see the conjugacy module)
+    best, low = v, height(v)
+    for apply in steps:
+        w = apply(best)
+        h = height(w)
+        if h > low:
+            continue
+        while h < low:
+            best, low = w, h
+            w = apply(w)
+            h = height(w)
+        return min(best, w) if h == low else best
+    return best
+
+
+def _orbit_coords(step, d: int, n: int, c) -> list:
+    """Coordinates of M^j v, 0 <= j < n, from c = qd.coords(v), d = |det D|
+    and step = v -> M v.
+
+    adj D is a polynomial in D = I - M^n, so it commutes with M, and
+    coords(M v) = M coords(v) mod |det D|.
+    """
+    out = [c]
+    for _ in range(n - 1):
+        c = tuple([x % d for x in step(c)])
+        out.append(c)
+    return out
 
 
 def load_matrix_config(path: str) -> MatrixContext:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from math import ceil, isqrt, log
 from typing import Callable
 
-from .conjugacy import conjugacy_key
 from .enumeration import BallIndex
 from .groups import GroupContext, parse_int
 
@@ -81,14 +80,18 @@ def ratio_table(
     t_hist: dict[int, int] = {}
     rows = []
     ball = 0
+    keys: dict = {}  # p -> the key function of stratum p
     for r in range(index.radius + 1):
         sphere = index.sphere(r)
         ball += len(sphere)
         # (key, weight) -> sphere count; a class of p > 0 weighs 2, for C^-1
         new_hist: dict = {}
-        for g in sphere:
-            if g.texp >= 0:
-                entry = (conjugacy_key(ctx, g), 2 if g.texp else 1)
+        for a, p in sphere:
+            if p >= 0:
+                key = keys.get(p)
+                if key is None:
+                    key = keys[p] = ctx.stratum_key(p)
+                entry = (key(a), 2 if p else 1)
                 if entry not in seen:
                     new_hist[entry] = new_hist.get(entry, 0) + 1
         for m in index.t_counts(r):

@@ -5,7 +5,7 @@ words, elementwise conjugation sweeps, geodesic words rebuilt from the
 discovery order of the spheres) or by the plain exhaustive loop a fast
 path replaced (BFS against a whole-ball dict, pairwise conjugator
 solving, step-by-step orbit walks, whole-window orbit scans,
-all-rotations keys, Fraction projection scans, a ratio table keyed on
+all-rotations keys, bs key residues from Fractions, Fraction projection scans, a ratio table keyed on
 both signs of p, one multiply per element for the Folner defects), so
 the fast code paths have an independent answer to match.
 Helpers that only tests call live here too: element construction from a
@@ -38,7 +38,13 @@ from abcgroups.enumeration import (
     enumerate_ball,
 )
 from abcgroups.folner import _require_bs
-from abcgroups.groups import Element, GroupContext, LamplighterContext, MatrixContext
+from abcgroups.groups import (
+    BaumslagSolitarContext,
+    Element,
+    GroupContext,
+    LamplighterContext,
+    MatrixContext,
+)
 from abcgroups.linalg import Matrix, identity_matrix, mat_mul, mat_sub
 from abcgroups.ratios import RatioRow, threshold_function
 from abcgroups.spectral import unit_root_projection
@@ -494,6 +500,31 @@ def matrix_orbit_min(ctx: MatrixContext, n: int, v) -> tuple[int, ...]:
         seen.add(cur)
         if cur < best:
             best = cur
+
+
+def bs_class_residues(ctx: BaumslagSolitarContext, n: int, kpart) -> list[int]:
+    """The classes of phi^j(w), 0 <= j < n, mod k^n - 1, from Fractions alone.
+
+    w = num / k^e, and phi^j(w) = num k^(j - e) is a Fraction, made an
+    integer by factors k^n, which are 1 mod k^n - 1, and then reduced; no
+    modular inverse and no table of units.
+    """
+    k = ctx.k
+    num, e = kpart
+    modulus = k**n - 1
+    residues = []
+    for j in range(n):
+        value = Fraction(num) * Fraction(k) ** (j - e)
+        while value.denominator != 1:
+            value *= k**n
+        residues.append(int(value) % modulus)
+    return residues
+
+
+def bs_orbit_min(ctx: BaumslagSolitarContext, n: int, kpart) -> int:
+    """The bs key residue of the strata p = +-n: the least of
+    num k^(j - e) mod k^n - 1 over 0 <= j < n (bs_class_residues)."""
+    return min(bs_class_residues(ctx, n, kpart))
 
 
 def lamplighter_rotation_key(ctx: LamplighterContext, g: Element):

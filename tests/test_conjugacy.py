@@ -11,6 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 from _oracles import (
     adjugate,
     are_conjugate,
+    bs_class_residues,
+    bs_orbit_min,
     conjugate,
     conjugation_sweep,
     det_int,
@@ -310,6 +312,69 @@ def test_lamplighter_keys_do_not_depend_on_order():
         for g, key in zip(reversed(ball), backward):
             if g.texp:
                 assert key == lamplighter_rotation_key(fresh, g)
+
+
+# ---------------------------------------------------------------------------
+# Stratum key functions against a reference per family
+# ---------------------------------------------------------------------------
+
+
+def family_reference_key(ctx, g):
+    """The key of g from the tests' own references, one per family."""
+    p, a = g.texp, g.kpart
+    if isinstance(ctx, MatrixContext):
+        return reference_key(ctx, g)
+    if isinstance(ctx, LamplighterContext):
+        if p:
+            return lamplighter_rotation_key(ctx, g)
+        # the configuration shifted to start at index 0
+        return (0, tuple((i - a[0][0], v) for i, v in a) if a else ())
+    if p:
+        return (p, bs_orbit_min(ctx, abs(p), a))
+    num = a[0]
+    while num and num % ctx.k == 0:
+        num //= ctx.k
+    return (0, num)
+
+
+@pytest.mark.parametrize(
+    "make, r",
+    [
+        (lambda: BaumslagSolitarContext(2), 10),
+        (lambda: BaumslagSolitarContext(3), 7),
+        (lambda: LamplighterContext(2), 10),
+        (lambda: MatrixContext(HYP), 7),
+    ],
+    ids=["bs2-10", "bs3-7", "lamplighter2-10", "hyperbolic-7"],
+)
+def test_stratum_keys_match_the_family_references(make, r):
+    ctx = make()
+    ball = list(enumerate_ball(ctx, r).elements())
+    for g in ball:
+        key = ctx.stratum_key(g.texp)(g.kpart)
+        assert key == conjugacy_key(ctx, g) == family_reference_key(ctx, g)
+    # every stratum of the ball was keyed, negative p included
+    assert {g.texp for g in ball} == set(range(-r, r + 1))
+    if isinstance(ctx, BaumslagSolitarContext):
+        # K-parts num / k^e with e >= |p| > 0, whose class num k^-e the
+        # reference reduces only after clearing the denominator
+        assert any(0 < abs(g.texp) <= g.kpart[1] for g in ball)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(2, 5),
+    p=st.integers(-7, 7).filter(bool),
+    num=st.integers(-(10**8), 10**8),
+    e=st.integers(0, 24),
+)
+def test_bs_stratum_key_and_residues_match_fraction_residues(k, p, num, e):
+    # e runs past |p|, so the solver's table of units is read at e mod |p|
+    ctx = BaumslagSolitarContext(k)
+    a = ctx.canonical_kpart((num, e))
+    assert ctx.stratum_key(p)(a) == (p, bs_orbit_min(ctx, abs(p), a))
+    residues, _ = ctx.block_solver(abs(p))
+    assert residues(a) == bs_class_residues(ctx, abs(p), a)
 
 
 # a symmetric hyperbolic matrix with three real roots (x^3 - 2x^2 - x + 1)

@@ -148,15 +148,19 @@ def test_separating_translate_validation():
 
 
 class MergingBaumslagSolitar(BaumslagSolitarContext):
-    """A bs context whose key puts the element ``merged`` in the class of
-    ``kept``, as a wrong key would."""
+    """A bs context whose stratum key puts the element ``merged`` in the
+    class of ``kept``, as a wrong key would."""
 
     def __init__(self, k, kept, merged):
         super().__init__(k)
         self.kept, self.merged = kept, merged
 
-    def conjugacy_key(self, g):
-        return super().conjugacy_key(self.kept if g == self.merged else g)
+    def stratum_key(self, p):
+        key = super().stratum_key(p)
+        if p != self.merged.texp:
+            return key
+        kept, merged = self.kept.kpart, self.merged.kpart
+        return lambda a: key(kept if a == merged else a)
 
 
 def test_separating_translate_refuses_a_repeated_key():
@@ -333,6 +337,36 @@ def test_separating_translate_adds_once_per_kpart():
     sep = separating_translate(ctx, box)
     assert sep.classes == box.size == 3 * len(box.kparts)
     assert ctx.adds == len(box.kparts)
+
+
+class KeyCountingBaumslagSolitar(BaumslagSolitarContext):
+    """Counts the stratum key functions built and the per-element keys."""
+
+    def __init__(self, k):
+        super().__init__(k)
+        self.built = []
+        self.element_keys = 0
+
+    def _build_stratum_key(self, p):
+        self.built.append(p)
+        return super()._build_stratum_key(p)
+
+    def conjugacy_key(self, g):
+        self.element_keys += 1
+        return super().conjugacy_key(g)
+
+
+@pytest.mark.parametrize("k,n", SCANNED_BOXES)
+def test_separating_translate_builds_one_key_per_layer(k, n):
+    # the key pass keys every product of a layer through that layer's
+    # stratum function, with no Element and no per-element key call
+    ctx = KeyCountingBaumslagSolitar(k)
+    box = folner_box(ctx, n)
+    sep = separating_translate(ctx, box)
+    assert sep.classes == box.size
+    exponent = sep.n1 + sep.n2
+    assert ctx.built == [exponent + p for p in range(n)]
+    assert ctx.element_keys == 0
 
 
 def test_translate_experiment_reports_the_key_pass_count():
