@@ -46,9 +46,10 @@ Each context class implements its family's key once per stratum:
 GroupContext.stratum_key(p) returns a function kpart -> key of (kpart, t^p),
 built on first use and cached on the context.  It holds what the stratum
 shares: k^n - 1 (bs); n, m and the rotation memo (lamplighter); the
-quotient's adjugate map, |det D| and orbit minima (matrix), whose
-refusals, of a root-of-unity eigenvalue or a singular stratum, are made
-when the function is built.  GroupContext.conjugacy_key(g) applies the
+quotient's adjugate map, |det D| and orbit minima, or for p = 0 the
+convex form (matrix), whose refusals, of a root-of-unity eigenvalue, a
+singular stratum or a missing convex form, are made when the function is
+built.  GroupContext.conjugacy_key(g) applies the
 function of g's stratum, and a pass over many elements of one stratum
 (ratios.ratio_table, folner.separating_translate) fetches the function
 once and applies it to the K-parts directly.  Each context also

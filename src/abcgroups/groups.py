@@ -762,7 +762,8 @@ class MatrixContext(GroupContext):
         """An integer P > 0 with C = M^T P M + M^-T P M^-1 - 2P > 0.
 
         Then i -> P(M^i v) has integer second difference (M^i v)^T C (M^i v)
-        >= 1 for v != 0, so the p = 0 descent is exact (see the conjugacy module).
+        >= 1 for v != 0, so the p = 0 descent is exact (see the conjugacy
+        module).
         P is the tent sum P_K = sum_(|i|<K) (K - |i|) G_i of the Gram
         matrices G_i = (M^i)^T M^i, for the least K <= TENT_K_MAX with
         C_K = G_K + G_-K - 2I > 0: M^T G_i M = G_(i+1), and the tent weights

@@ -5,9 +5,10 @@ words, elementwise conjugation sweeps, geodesic words rebuilt from the
 discovery order of the spheres) or by the plain exhaustive loop a fast
 path replaced (BFS against a whole-ball dict, pairwise conjugator
 solving, step-by-step orbit walks, whole-window orbit scans,
-all-rotations keys, bs key residues from Fractions, Fraction projection scans, a ratio table keyed on
-both signs of p, one multiply per element for the Folner defects), so
-the fast code paths have an independent answer to match.
+all-rotations keys, bs key residues from Fractions, Fraction projection
+scans, a ratio table keyed on both signs of p, one multiply per element
+for the Folner defects), so the fast code paths have an independent
+answer to match.
 Helpers that only tests call live here too: element construction from a
 raw kernel part, conjugation, are_conjugate, quotient representatives,
 integer kernel bases, the decay fit of a ratio table and the bs

@@ -320,13 +320,26 @@ def test_layered_defects_match_elementwise_on_boxes(knq, num, e):
 
 
 class CountingBaumslagSolitar(BaumslagSolitarContext):
+    """Counts kpart_add calls, the strata whose key function is built, and
+    the per-element conjugacy_key calls."""
+
     def __init__(self, k):
         super().__init__(k)
         self.adds = 0
+        self.built = []
+        self.element_keys = 0
 
     def kpart_add(self, a, b):
         self.adds += 1
         return super().kpart_add(a, b)
+
+    def _build_stratum_key(self, p):
+        self.built.append(p)
+        return super()._build_stratum_key(p)
+
+    def conjugacy_key(self, g):
+        self.element_keys += 1
+        return super().conjugacy_key(g)
 
 
 def test_separating_translate_adds_once_per_kpart():
@@ -339,28 +352,11 @@ def test_separating_translate_adds_once_per_kpart():
     assert ctx.adds == len(box.kparts)
 
 
-class KeyCountingBaumslagSolitar(BaumslagSolitarContext):
-    """Counts the stratum key functions built and the per-element keys."""
-
-    def __init__(self, k):
-        super().__init__(k)
-        self.built = []
-        self.element_keys = 0
-
-    def _build_stratum_key(self, p):
-        self.built.append(p)
-        return super()._build_stratum_key(p)
-
-    def conjugacy_key(self, g):
-        self.element_keys += 1
-        return super().conjugacy_key(g)
-
-
 @pytest.mark.parametrize("k,n", SCANNED_BOXES)
 def test_separating_translate_builds_one_key_per_layer(k, n):
     # the key pass keys every product of a layer through that layer's
     # stratum function, with no Element and no per-element key call
-    ctx = KeyCountingBaumslagSolitar(k)
+    ctx = CountingBaumslagSolitar(k)
     box = folner_box(ctx, n)
     sep = separating_translate(ctx, box)
     assert sep.classes == box.size
