@@ -118,7 +118,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     index = enumerate_ball(ctx, args.radius, args.element_cap)
     lines = ["r,ball,sphere"]
     for r in range(args.radius + 1):
-        lines.append(f"{r},{index.ball_size(r)},{len(index.sphere(r))}")
+        sphere = sum(map(len, index.strata(r).values()))
+        lines.append(f"{r},{index.ball_size(r)},{sphere}")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -138,9 +138,9 @@ class UnionFind:
 # S^RC.  Either length is asked with the bound RC and returns
 # min(|x|, RC + 1): the bs digit program starts from RC + 1 as its best
 # candidate and stops once no walk can come in under it, and the ball
-# decides |x| <= RC in one pass over its spheres up to RC.  The stratum
-# p = 0 is probed with plain (kpart, 0) tuples, as BFS probes, and an
-# Element is built only for a hit.
+# decides |x| <= RC in one pass over its spheres up to RC.  The strata of
+# S^r come from the index (BallIndex.strata), and p = 0 is probed with bare
+# K-parts against the set of its stratum-0 K-parts.
 #
 # A solution exists exactly when h.kpart and phi^j(g.kpart) have the same
 # residue in K / (1 - phi^p)K, so each stratum is bucketed by residue and g
@@ -217,30 +217,32 @@ def brute_force_partition(
     length = ctx.word_length if closed else index.word_length
 
     ball = list(index.elements(r))
-    ball_set = set(ball)
     uf = UnionFind(ball)
     find = uf.find
-    strata: dict[int, list[Element]] = {}
-    for g in ball:
-        strata.setdefault(g.texp, []).append(g)
+    strata: dict[int, list] = {}  # p -> the K-parts of stratum p, in ball order
+    for s in range(r + 1):
+        for p, stratum in index.strata(s).items():
+            strata.setdefault(p, []).extend(stratum)
 
     rc = conjugator_radius
     new = tuple.__new__
     phip = ctx.phi_power
     kadd = ctx.kpart_add
-    for g in strata.get(0, ()):
-        a = g.kpart
+    zero = strata.get(0, [])
+    zero_set = set(zero)
+    for a in zero:
+        g = new(Element, (a, 0))
         for j in range(-rc, rc + 1):
-            h = (phip(a, j), 0)  # probed as a plain tuple, as BFS does
-            if h in ball_set:
-                uf.union(g, new(Element, h))
+            b = phip(a, j)
+            if b in zero_set:
+                uf.union(g, new(Element, (b, 0)))
     for p in range(1, r + 1):  # each stratum -p mirrors p by inversion
         residues, solve = ctx.block_solver(p)
         # the shifts j in [-RC, RC] by j mod p, each class in order of j
         shift_classes = [range(-rc + (i + rc) % p, rc + 1, p) for i in range(p)]
         buckets: dict = {}  # residue -> {root at insertion: members}
-        for g in strata.get(p, ()):
-            a = g.kpart
+        for a in strata.get(p, ()):
+            g = new(Element, (a, p))
             orbit = residues(a)
             moved: dict = {}  # j -> -phi^j(g.kpart), computed at its first solve
             root = find(g)

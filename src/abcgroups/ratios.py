@@ -6,17 +6,19 @@ reached at r (new), their ratios cr and scr, the size of the thin part
 F(r) of the new-class sphere under a threshold function f, and the count
 of ball elements whose geodesics can avoid more than f(r) t-type letters.
 
-Only the strata p >= 0 are keyed.  The generating set is symmetric, so
-inversion is a bijection of each sphere, and it maps conjugacy classes onto
-conjugacy classes, as (x g x^-1)^-1 = x g^-1 x^-1, and stratum p onto -p.
-So for p != 0 the inverse class C^-1 is not C and meets every sphere in as
-many elements as C, and each new class of a stratum p > 0 is counted twice.
-A class of p = 0 can be its own inverse, so stratum 0 is keyed in full and
+Each sphere is read stratum by stratum (BallIndex.strata), and only the
+strata p >= 0 are keyed.  The generating set is symmetric, so inversion is
+a bijection of each sphere, and it maps conjugacy classes onto conjugacy
+classes, as (x g x^-1)^-1 = x g^-1 x^-1, and stratum p onto -p.  So for
+p != 0 the inverse class C^-1 is not C and meets every sphere in as many
+elements as C, and each new class of a stratum p > 0 is counted twice.  A
+class of p = 0 can be its own inverse, so stratum 0 is keyed in full and
 each of its classes counts once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import ceil, isqrt, log
 from typing import Callable
@@ -70,48 +72,47 @@ def ratio_table(
 ) -> tuple[RatioRow, ...]:
     """One row per radius of the index, under the threshold spec f.
 
-    Keys only the elements with p >= 0 and counts each new class of a
-    stratum p > 0 twice, for its inverse class in -p (see the module doc).
+    Works stratum by stratum: keys only the strata p >= 0, each through one
+    key function, and counts each new class of a stratum p > 0 twice, for
+    its inverse class in -p (see the module doc).
     """
     bound_at = threshold_function(f)
-    seen: set = set()
+    seen: set = set()  # the keys of the classes met so far
     classes_cum = 0
     # t_hist[m] counts ball elements whose geodesics need m t-letters
-    t_hist: dict[int, int] = {}
+    t_hist: Counter = Counter()
     rows = []
     ball = 0
-    keys: dict = {}  # p -> the key function of stratum p
     for r in range(index.radius + 1):
-        sphere = index.sphere(r)
-        ball += len(sphere)
-        # (key, weight) -> sphere count; a class of p > 0 weighs 2, for C^-1
-        new_hist: dict = {}
-        for a, p in sphere:
-            if p >= 0:
-                key = keys.get(p)
-                if key is None:
-                    key = keys[p] = ctx.stratum_key(p)
-                entry = (key(a), 2 if p else 1)
-                if entry not in seen:
-                    new_hist[entry] = new_hist.get(entry, 0) + 1
-        for m in index.t_counts(r):
-            t_hist[m] = t_hist.get(m, 0) + 1
-        seen.update(new_hist)
         bound = bound_at(r)
+        sphere = classes_new = f_size = f_classes = 0
+        for p, stratum in index.strata(r).items():
+            sphere += len(stratum)
+            t_hist.update(stratum.values())
+            if p < 0:
+                continue
+            # key -> sphere count, for the classes new at r
+            hist = Counter(map(ctx.stratum_key(p), stratum))
+            for key in seen.intersection(hist):
+                del hist[key]
+            seen.update(hist)
+            weight = 2 if p else 1  # a class of p > 0 stands for C^-1 too
+            small = [count for count in hist.values() if count <= bound]
+            classes_new += weight * len(hist)
+            f_classes += weight * len(small)
+            f_size += weight * sum(small)
+        ball += sphere
         u_count = sum(count for m, count in t_hist.items() if m <= bound)
-        classes_new = sum(w for _, w in new_hist)
         classes_cum += classes_new
-        f_classes = sum(w for (_, w), c in new_hist.items() if c <= bound)
-        f_size = sum(w * c for (_, w), c in new_hist.items() if c <= bound)
         rows.append(
             RatioRow(
                 r=r,
                 ball=ball,
-                sphere=len(sphere),
+                sphere=sphere,
                 classes_cum=classes_cum,
                 classes_new=classes_new,
                 cr=classes_cum / ball,
-                scr=classes_new / len(sphere),
+                scr=classes_new / sphere,
                 f_size=f_size,
                 f_classes=f_classes,
                 u_count=u_count,

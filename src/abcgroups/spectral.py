@@ -63,18 +63,14 @@ def unit_root_projection(ctx: MatrixContext) -> tuple[tuple[Fraction, ...], ...]
 def relative_growth_table(
     ctx: MatrixContext, index: BallIndex
 ) -> list[tuple[int, int, int]]:
-    """Rows (r, |S^r|, |P intersect S^r|) with both counts cumulative."""
+    """Rows (r, |S^r|, |P intersect S^r|) with both counts cumulative; P
+    lies in the kernel, so only stratum 0 of each sphere is scanned."""
     period_map = ctx.power_map(math.lcm(*ctx.unit_root_orders))
     rows = []
-    ball = 0
     inside = 0
     for r in range(index.radius + 1):
-        sphere = index.sphere(r)
-        ball += len(sphere)
-        for g in sphere:
-            if g.texp == 0 and period_map(g.kpart) == g.kpart:
-                inside += 1
-        rows.append((r, ball, inside))
+        inside += sum(period_map(a) == a for a in index.strata(r).get(0, ()))
+        rows.append((r, index.ball_size(r), inside))
     return rows
 
 
@@ -82,7 +78,7 @@ def epsilon_norm_table(
     ctx: MatrixContext, index: BallIndex
 ) -> list[tuple[int, Fraction]]:
     """Rows (r, max sup-norm of the projection over kernel elements of S^r),
-    cumulative in r.
+    cumulative in r; the kernel elements of a sphere are its stratum 0.
 
     The scan runs in integers: with den the lcm of the projection's
     denominators, den P is an integer matrix and max |P v| is
@@ -94,10 +90,8 @@ def epsilon_norm_table(
     rows = []
     best = 0
     for r in range(index.radius + 1):
-        for g in index.sphere(r):
-            if g.texp != 0:
-                continue
-            norm = max(map(abs, project(g.kpart)))
+        for a in index.strata(r).get(0, ()):
+            norm = max(map(abs, project(a)))
             if norm > best:
                 best = norm
         rows.append((r, Fraction(best, den)))

@@ -6,13 +6,15 @@ discovery order of the spheres) or by the plain exhaustive loop a fast
 path replaced (BFS against a whole-ball dict, pairwise conjugator
 solving, step-by-step orbit walks, whole-window orbit scans,
 all-rotations keys, bs key residues from Fractions, Fraction projection
-scans, a ratio table keyed on both signs of p, one multiply per element
+scans, a ratio table keyed on both signs of p, the ratio and spectral
+tables element by element over whole spheres, one multiply per element
 for the Folner defects), so the fast code paths have an independent
 answer to match.
-Helpers that only tests call live here too: element construction from a
-raw kernel part, conjugation, are_conjugate, quotient representatives,
-integer kernel bases, the decay fit of a ratio table and the bs
-congruence witnesses and power windows.  det_int and adjugate are the
+Helpers that only tests call live here too: each sphere's t-counts in
+sphere order (t_counts), element construction from a raw kernel part,
+conjugation, are_conjugate, quotient representatives, integer kernel
+bases, the decay fit of a ratio table and the bs congruence witnesses and
+power windows.  det_int and adjugate are the
 Bareiss determinant and cofactor adjugate that the package's
 Cayley-Hamilton adjugate, inverse, solve and singularity tests are checked
 against, and leading_minors (Sylvester's criterion) checks its
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
+from math import lcm, log
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -46,7 +48,7 @@ from abcgroups.groups import (
     LamplighterContext,
     MatrixContext,
 )
-from abcgroups.linalg import Matrix, identity_matrix, mat_mul, mat_sub
+from abcgroups.linalg import Matrix, identity_matrix, linear_map, mat_mul, mat_sub
 from abcgroups.ratios import RatioRow, threshold_function
 from abcgroups.spectral import unit_root_projection
 from abcgroups.words import generator_letters, letter_element
@@ -465,11 +467,18 @@ def sphere_class_histogram(ctx: GroupContext, index: BallIndex, r: int) -> dict:
     return out
 
 
+def t_counts(index: BallIndex, r: int) -> list[int]:
+    """Least t-letter count over the geodesics of each sphere(r) element,
+    in sphere order, looked up element by element in the strata."""
+    strata = index.strata(r)
+    return [strata[p][a] for a, p in index.sphere(r)]
+
+
 def t_count_map(index: BallIndex) -> dict[Element, int]:
     """Each ball element's least t-letter count, read off the sphere layers."""
     out: dict[Element, int] = {}
     for r in range(index.radius + 1):
-        out.update(zip(index.sphere(r), index.t_counts(r)))
+        out.update(zip(index.sphere(r), t_counts(index, r)))
     return out
 
 
@@ -477,7 +486,7 @@ def low_t_count(index: BallIndex, r: int, bound: int) -> int:
     """Number of elements of B^r with a geodesic using at most bound t-letters."""
     total = 0
     for rr in range(r + 1):
-        for m in index.t_counts(rr):
+        for m in t_counts(index, rr):
             if m <= bound:
                 total += 1
     return total
@@ -632,6 +641,94 @@ def epsilon_norm_reference(
     return rows
 
 
+def relative_growth_table_by_sphere(
+    ctx: MatrixContext, index: BallIndex
+) -> list[tuple[int, int, int]]:
+    """relative_growth_table over whole spheres of Elements, each element's
+    t-exponent tested on its own."""
+    period_map = ctx.power_map(lcm(*ctx.unit_root_orders))
+    rows = []
+    ball = 0
+    inside = 0
+    for r in range(index.radius + 1):
+        sphere = index.sphere(r)
+        ball += len(sphere)
+        for g in sphere:
+            if g.texp == 0 and period_map(g.kpart) == g.kpart:
+                inside += 1
+        rows.append((r, ball, inside))
+    return rows
+
+
+def epsilon_norm_table_by_sphere(
+    ctx: MatrixContext, index: BallIndex
+) -> list[tuple[int, Fraction]]:
+    """epsilon_norm_table over whole spheres of Elements, each element's
+    t-exponent tested on its own."""
+    proj = unit_root_projection(ctx)
+    den = lcm(*(x.denominator for row in proj for x in row))
+    project = linear_map(tuple(tuple(int(x * den) for x in row) for row in proj))
+    rows = []
+    best = 0
+    for r in range(index.radius + 1):
+        for g in index.sphere(r):
+            if g.texp != 0:
+                continue
+            norm = max(map(abs, project(g.kpart)))
+            if norm > best:
+                best = norm
+        rows.append((r, Fraction(best, den)))
+    return rows
+
+
+def ratio_table_by_sphere(
+    ctx: GroupContext, index: BallIndex, f: str = "sqrt"
+) -> tuple[RatioRow, ...]:
+    """ratio_table element by element over whole spheres: each element with
+    p >= 0 keyed on its own, a class of p > 0 counted twice, and the
+    t-count histogram grown one t-count at a time."""
+    bound_at = threshold_function(f)
+    seen: set = set()
+    classes_cum = 0
+    t_hist: dict[int, int] = {}
+    rows = []
+    ball = 0
+    for r in range(index.radius + 1):
+        sphere = index.sphere(r)
+        ball += len(sphere)
+        # (key, weight) -> sphere count; a class of p > 0 weighs 2, for C^-1
+        new_hist: dict = {}
+        for a, p in sphere:
+            if p >= 0:
+                entry = (ctx.stratum_key(p)(a), 2 if p else 1)
+                if entry not in seen:
+                    new_hist[entry] = new_hist.get(entry, 0) + 1
+        for m in t_counts(index, r):
+            t_hist[m] = t_hist.get(m, 0) + 1
+        seen.update(new_hist)
+        bound = bound_at(r)
+        u_count = sum(count for m, count in t_hist.items() if m <= bound)
+        classes_new = sum(w for _, w in new_hist)
+        classes_cum += classes_new
+        f_classes = sum(w for (_, w), c in new_hist.items() if c <= bound)
+        f_size = sum(w * c for (_, w), c in new_hist.items() if c <= bound)
+        rows.append(
+            RatioRow(
+                r=r,
+                ball=ball,
+                sphere=len(sphere),
+                classes_cum=classes_cum,
+                classes_new=classes_new,
+                cr=classes_cum / ball,
+                scr=classes_new / len(sphere),
+                f_size=f_size,
+                f_classes=f_classes,
+                u_count=u_count,
+            )
+        )
+    return tuple(rows)
+
+
 def full_ratio_table(
     ctx: GroupContext, index: BallIndex, f: str = "sqrt"
 ) -> tuple[RatioRow, ...]:
@@ -650,7 +747,7 @@ def full_ratio_table(
             key = conjugacy_key(ctx, g)
             if key not in seen_keys:
                 new_hist[key] = new_hist.get(key, 0) + 1
-        for m in index.t_counts(r):
+        for m in t_counts(index, r):
             t_hist[m] = t_hist.get(m, 0) + 1
         seen_keys.update(new_hist)
         bound = bound_at(r)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from _oracles import geodesic_words, t_count_map, whole_ball_bfs, word_ball
+from _oracles import geodesic_words, t_count_map, t_counts, whole_ball_bfs, word_ball
 from abcgroups.enumeration import ResourceCapError, enumerate_ball
 from abcgroups.groups import (
     BaumslagSolitarContext,
@@ -15,6 +15,9 @@ from abcgroups.groups import (
 from abcgroups.words import evaluate, format_word, t_exponent
 
 HYP = ((2, 1), (1, 1))
+# I + [[2,1],[1,1]] on the last two coordinates: a unit-root eigenvalue and
+# six kernel generators +-e_i
+UNIT_ROOT = ((1, 0, 0), (0, 2, 1), (0, 1, 1))
 
 
 def contexts():
@@ -59,12 +62,13 @@ def test_ball_matches_whole_ball_bfs(tmp_path):
     # finds: the same spheres in the same order, t-counts and lengths, and
     # caps that raise at the same radius, the last or the one before it
     for ctx, radius in contexts() + other_generating_sets(tmp_path) + [
-        (LamplighterContext(0), 4)
+        (LamplighterContext(0), 4),
+        (MatrixContext(UNIT_ROOT), 4),
     ]:
         index = enumerate_ball(ctx, radius)
         records, layers, t_layers = whole_ball_bfs(ctx, radius)
         assert [index.sphere(r) for r in range(radius + 1)] == layers
-        assert [index.t_counts(r) for r in range(radius + 1)] == t_layers
+        assert [t_counts(index, r) for r in range(radius + 1)] == t_layers
         assert len(index) == len(records)
         for g, dist in records.items():
             assert g in index
@@ -89,7 +93,7 @@ def test_ball_types_and_shapes(tmp_path):
         for r in range(radius + 1):
             sphere = index.sphere(r)
             assert all(type(g) is Element for g in sphere)
-            assert len(index.t_counts(r)) == len(sphere)
+            assert len(t_counts(index, r)) == len(sphere)
             for g in sphere:
                 assert index.word_length(tuple(g)) == index.word_length(g) == r
         # multiply builds its Element by tuple.__new__, so pin its type and
@@ -101,22 +105,45 @@ def test_ball_types_and_shapes(tmp_path):
                 assert type(gh) is Element
                 assert gh.kpart == ctx.kpart_add(g.kpart, ctx.phi_power(h.kpart, g.texp))
                 assert gh.texp == g.texp + h.texp
-        # sphere and t_counts hand out copies: clearing or growing what they
-        # return leaves the index's own spheres as BFS built them
+        # sphere hands out copies and strata read-only views: clearing or
+        # growing what they return leaves the index's own spheres as BFS
+        # built them
         size = len(index)
         for r in range(radius + 1):
-            sphere, counts = index.sphere(r), index.t_counts(r)
+            sphere, counts = index.sphere(r), t_counts(index, r)
             kept = list(sphere), list(counts)
             sphere.append(ctx.identity)
-            counts.append(-1)
-            assert (index.sphere(r), index.t_counts(r)) == kept
             sphere.clear()
-            counts.clear()
-            assert (index.sphere(r), index.t_counts(r)) == kept
+            strata = index.strata(r)
+            for stratum in strata.values():
+                with pytest.raises(TypeError):
+                    stratum[ctx.identity.kpart] = -1
+            strata.clear()
+            assert (index.sphere(r), t_counts(index, r)) == kept
             assert len(index) == size
             assert all(index.word_length(g) == r for g in kept[0])
     with pytest.raises(ValueError):
-        index.t_counts(radius + 1)
+        index.strata(radius + 1)
+
+
+def test_strata_group_the_sphere(tmp_path):
+    # strata(r) is sphere(r) grouped by t-exponent: each stratum lists the
+    # K-parts of its elements in sphere order, never Elements, with each
+    # element's t-count, and holds no empty stratum
+    for ctx, radius in contexts() + other_generating_sets(tmp_path) + [
+        (MatrixContext(UNIT_ROOT), 4)
+    ]:
+        index = enumerate_ball(ctx, radius)
+        _, _, t_layers = whole_ball_bfs(ctx, radius)
+        for r in range(radius + 1):
+            grouped: dict = {}
+            for g, m in zip(index.sphere(r), t_layers[r]):
+                grouped.setdefault(g.texp, []).append((g.kpart, m))
+            strata = index.strata(r)
+            assert sorted(strata) == sorted(grouped)
+            for p, stratum in strata.items():
+                assert list(stratum.items()) == grouped[p]
+                assert not any(type(a) is Element for a in stratum)
 
 
 def test_frozen_ball_sizes():
@@ -268,7 +295,7 @@ def test_determinism():
     assert list(a.elements()) == list(b.elements())
     for g in a.elements():
         assert a.word_length(g) == b.word_length(g)
-    assert [a.t_counts(r) for r in range(5)] == [b.t_counts(r) for r in range(5)]
+    assert [t_counts(a, r) for r in range(5)] == [t_counts(b, r) for r in range(5)]
 
 
 def test_geodesic_t_exponent_matches():

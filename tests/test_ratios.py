@@ -6,8 +6,10 @@ from _oracles import (
     decay_fit,
     full_ratio_table,
     low_t_count,
+    ratio_table_by_sphere,
     sphere_class_histogram,
     t_count_map,
+    t_counts,
 )
 from abcgroups.conjugacy import conjugacy_key
 from abcgroups.enumeration import enumerate_ball
@@ -125,6 +127,28 @@ def test_mirrored_table_equals_full_key_pass(make_ctx, radius):
         assert ratio_table(ctx, index, f) == full_ratio_table(ctx, index, f)
 
 
+SPHERE_ORACLE_BALLS = [
+    pytest.param(lambda: BaumslagSolitarContext(2), 10, id="bs-2-r10"),
+    pytest.param(lambda: BaumslagSolitarContext(3), 7, id="bs-3-r7"),
+    pytest.param(lambda: LamplighterContext(2), 10, id="lamplighter-2-r10"),
+    pytest.param(lambda: LamplighterContext(0), 6, id="lamplighter-0-r6"),
+    pytest.param(lambda: MatrixContext(HYP), 7, id="hyperbolic-r7"),
+    pytest.param(
+        lambda: BaumslagSolitarContext(2, kgens=BS2_ONE_THREE), 7, id="bs-2-pm1-pm3-r7"
+    ),
+]
+
+
+@pytest.mark.parametrize("make_ctx, radius", SPHERE_ORACLE_BALLS)
+def test_stratum_table_equals_sphere_table(make_ctx, radius):
+    # ratio_table counts stratum by stratum from the index's strata; the
+    # oracle keys each element of each whole sphere on its own
+    ctx = make_ctx()
+    index = enumerate_ball(ctx, radius)
+    for f in ("sqrt", "log2", "const:3"):
+        assert ratio_table(ctx, index, f) == ratio_table_by_sphere(ctx, index, f)
+
+
 def inversion_breaks(ctx, index) -> list[str]:
     """Which of the facts ratio_table's mirror rests on fail on the index:
     g -> g^-1 maps each sphere onto itself with equal t-counts, it maps each
@@ -136,7 +160,7 @@ def inversion_breaks(ctx, index) -> list[str]:
     for r in range(index.radius + 1):
         sphere = index.sphere(r)
         if {ctx.invert(g): t_count[g] for g in sphere} != dict(
-            zip(sphere, index.t_counts(r))
+            zip(sphere, t_counts(index, r))
         ):
             broken.append(f"S_{r} is not closed under inversion")
             continue

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import epsilon_norm_reference, integer_kernel_basis, mat_vec
+from _oracles import (
+    epsilon_norm_reference,
+    epsilon_norm_table_by_sphere,
+    integer_kernel_basis,
+    mat_vec,
+    relative_growth_table_by_sphere,
+)
 from abcgroups.enumeration import enumerate_ball
 from abcgroups.groups import MatrixContext
 from abcgroups.linalg import (
@@ -280,6 +286,25 @@ def test_epsilon_norm_table_fractional_norms(rows, den, k):
     table = epsilon_norm_table(ctx, index)
     assert table == [(r, Fraction(2 * r, den)) for r in range(9)]
     assert table == epsilon_norm_reference(ctx, index)
+
+
+@pytest.mark.parametrize(
+    "ctx, radius",
+    [
+        (MatrixContext(MIXED3), 7),
+        # the den5 config: R = {0, +-e_3, +-e_2}
+        (MatrixContext(DEN5, kgens=((0, 0, 0), (0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0))), 6),
+    ],
+    ids=["unit-root-r7", "den5-r6"],
+)
+def test_stratum_tables_equal_sphere_tables(ctx, radius):
+    # the tables scan stratum 0 of each sphere; the oracles test the
+    # t-exponent of every element of each whole sphere
+    index = enumerate_ball(ctx, radius)
+    assert relative_growth_table(ctx, index) == relative_growth_table_by_sphere(
+        ctx, index
+    )
+    assert epsilon_norm_table(ctx, index) == epsilon_norm_table_by_sphere(ctx, index)
 
 
 def test_epsilon_norm_table_is_monotone():
