@@ -86,8 +86,9 @@ def test_ball_matches_whole_ball_bfs(tmp_path):
 
 
 def test_ball_types_and_shapes(tmp_path):
-    # layers hold Elements, never the plain tuples the BFS probes with, and
-    # a plain tuple looks up the same record as the equal Element
+    # spheres list Elements, never plain tuples, though the index keys its
+    # strata by K-part, and a plain tuple looks up the same record as the
+    # equal Element
     for ctx, radius in contexts() + other_generating_sets(tmp_path):
         index = enumerate_ball(ctx, radius)
         for r in range(radius + 1):
