@@ -15,16 +15,12 @@ fixes that quotient, and every orbit is just the n images phi^j(x),
   the numerator with all factors of k removed, sign preserved.
 * lamplighter, p != 0: summing a configuration over each residue class of
   indices mod n kills (1 - phi^n) K exactly, and shifting rotates the n
-  sums, so the key is the lexicographically least rotation, memoised on
-  the context for every rotation of the orbit: each orbit is computed once
-  per context, in one memo for all strata, as a sums tuple has length n.
+  sums, so the key is the lexicographically least rotation.
 * lamplighter, p = 0: the support-shifted normal form of the configuration.
 * matrix, p != 0: coordinates adj(D) v mod |det D| in Z^n / D Z^n,
   D = I - M^|p| (adj D = det D * D^-1, so they are a complete residue),
   minimized over the |p| images M^j v (needs det D != 0, which
-  holds whenever no eigenvalue of M is a root of unity).  The minimum is
-  memoised for every class of the orbit on the QuotientDescriptor that
-  the strata +-|p| share, so each orbit is computed once per context.
+  holds whenever no eigenvalue of M is a root of unity).
 * matrix, p = 0: the class is the orbit {M^i v}.  MatrixContext.convex_form
   is an integer symmetric P with P > 0 and C = M^T P M + M^-T P M^-1 - 2P
   > 0, both checked exactly.  For v != 0, f(i) = P(M^i v) has second
@@ -42,19 +38,26 @@ fixes that quotient, and every orbit is just the n images phi^j(x),
   eigenvalue on the circle that is not a root of unity no such P exists,
   and the key raises ValueError, as it does past K = TENT_K_MAX.
 
-Each context class implements its family's key once per stratum:
-GroupContext.stratum_key(p) returns a function kpart -> key of (kpart, t^p),
-built on first use and cached on the context.  It holds what the stratum
-shares: k^n - 1 (bs); n, m and the rotation memo (lamplighter); the
-quotient's adjugate map, |det D| and orbit minima, or for p = 0 the
-convex form (matrix), whose refusals, of a root-of-unity eigenvalue, a
-singular stratum or a missing convex form, are made when the function is
-built.  GroupContext.conjugacy_key(g) applies the
+Each family implements its quotient once: _build_quotient(n) returns
+coords(w), the class of w in Q_n = K / (1 - phi^n)K, step(c), the class
+of phi(w) from the class c of w, and solve(w), the unique b with
+(1 - phi^n)(b) = w or None.  GroupContext.quotient(n) caches it for the
+strata +-n with one memo that both share.  From it GroupContext builds
+the p != 0 key, the least class of the orbit, memoised for every class
+of it, and block_solver(n), the oracle's solver, whose residues are the
+n classes of that orbit in order.  bs keeps its own p != 0 key, an
+inline loop with no memo (see groups), and each family builds its p = 0
+key.
+
+GroupContext.stratum_key(p) returns a function kpart -> key of
+(kpart, t^p), built on first use and cached on the context, that holds
+what the stratum shares.  The matrix refusals, of a root-of-unity
+eigenvalue, a singular stratum or a missing convex form, are made when
+the function is built.  GroupContext.conjugacy_key(g) applies the
 function of g's stratum, and a pass over many elements of one stratum
 (ratios.ratio_table, folner.separating_translate) fetches the function
-once and applies it to the K-parts directly.  Each context also
-implements the stratum solver of the oracle below as block_solver(n) and,
-where a closed form exists, the conjugator lengths of the oracle as
+once and applies it to the K-parts directly.  Where a closed form exists,
+each context also gives the conjugator lengths of the oracle as
 word_length(g, bound); this module adds the entry point, the union-find
 and the oracle.
 """

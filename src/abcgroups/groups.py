@@ -12,17 +12,20 @@ Three kernel families are supported:
 * bs: K = Z[1/k] for Baumslag-Solitar BS(1,k), phi multiplies by k.
 * matrix: K = Z^n with phi given by an integer matrix of determinant +-1.
 
-Each family's context also supplies its conjugacy key, as one function
-per stratum, and the conjugator solver of the brute-force oracle, and bs
-and the lamplighter an exact word length for their standard generators;
-the conjugacy module explains them.
+Each family's context supplies its p = 0 conjugacy key and, for the
+strata p = +-n, the quotient Q_n = K / (1 - phi^n)K: the class of w, the
+class of phi(w) from that of w, and the solver of (1 - phi^n)(b) = w.
+GroupContext builds from the quotient the p != 0 key, one function per
+stratum, and the conjugator solver of the brute-force oracle.  bs and the
+lamplighter also give an exact word length for their standard
+generators.  The conjugacy module explains them.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, inf
 from operator import mul, neg
@@ -69,14 +72,29 @@ class Element(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+class Quotient(NamedTuple):
+    """Q_n = K / (1 - phi^n)K = K / (1 - phi^-n)K, of the strata p = +-n."""
+
+    coords: Callable  # w -> the class of w
+    step: Callable  # the class of w -> the class of phi(w)
+    solve: Callable  # w -> the unique b with (1 - phi^n)(b) = w, or None
+    memo: dict  # class -> the least class of its orbit, as the key met it
+
+
 class GroupContext:
-    """Family-independent element operations on top of kernel arithmetic."""
+    """Family-independent element operations on top of kernel arithmetic.
+
+    No cached quotient or key refers back to the context, which stays free
+    of reference cycles: cli.run pauses the cyclic collector.
+    """
 
     family: str = ""
 
     def __init__(self):
         # p -> the key function of stratum p (stratum_key)
         self._stratum_keys: dict[int, Callable] = {}
+        # n -> the quotient of the strata +-n (quotient)
+        self._quotients: dict[int, Quotient] = {}
 
     # Kernel primitives supplied by each family.  kparts are canonical
     # immutable tuples so elements are hashable dictionary keys.
@@ -102,6 +120,25 @@ class GroupContext:
 
     # Conjugacy data supplied by each family.
 
+    def _build_quotient(self, n: int) -> tuple[Callable, Callable, Callable]:
+        """(coords, step, solve) of Q_n, n >= 1, as in Quotient."""
+        raise NotImplementedError
+
+    def _build_zero_key(self) -> Callable:
+        """kpart -> the conjugacy key of (kpart, t^0)."""
+        raise NotImplementedError
+
+    # Conjugacy data built from the quotient.
+
+    def quotient(self, n: int) -> Quotient:
+        """The quotient of the strata p = +-n, built once; n < 1 raises."""
+        if n < 1:
+            raise ValueError(f"strata are indexed by n = |p| >= 1, got {n}")
+        q = self._quotients.get(n)
+        if q is None:
+            q = self._quotients[n] = Quotient(*self._build_quotient(n), {})
+        return q
+
     def conjugacy_key(self, g: Element):
         """Canonical, order-comparable conjugacy invariant of g."""
         return self.stratum_key(g.texp)(g.kpart)
@@ -110,8 +147,7 @@ class GroupContext:
         """kpart -> the conjugacy key of (kpart, t^p), built once per p.
 
         The function holds what every element of the stratum shares, so a
-        pass over one stratum computes it once.  It holds nothing that
-        refers back to the context, which stays free of reference cycles.
+        pass over one stratum computes it once.
         """
         key = self._stratum_keys.get(p)
         if key is None:
@@ -119,17 +155,39 @@ class GroupContext:
         return key
 
     def _build_stratum_key(self, p: int) -> Callable:
-        raise NotImplementedError
+        if p == 0:
+            return self._build_zero_key()
+        n = abs(p)
+        q = self.quotient(n)
+        coords, step, memo = q.coords, q.step, q.memo
+
+        def key(w):
+            # the least class of the orbit, memoised for every class of it
+            c = coords(w)
+            best = memo.get(c)
+            if best is None:
+                orbit = _orbit(step, c, n)
+                best = min(orbit)
+                memo.update(dict.fromkeys(orbit, best))
+            return (p, best)
+
+        return key
 
     def block_solver(self, n: int):
         """(residues, solve) for the strata p = +-n; n < 1 raises ValueError.
 
-        residues(w) lists the classes of phi^i(w), 0 <= i < n, in
-        K / (1 - phi^n)K = K / (1 - phi^-n)K, which phi^n fixes: phi^j(w) has
-        class residues(w)[j % n], and residues(w)[0] is the class of w.
-        solve(w) is the unique b with (1 - phi^n)(b) = w, or None.
+        residues(w) lists the classes of phi^i(w), 0 <= i < n, in Q_n, which
+        phi^n fixes: phi^j(w) has class residues(w)[j % n], and
+        residues(w)[0] is the class of w.  solve(w) is the unique b with
+        (1 - phi^n)(b) = w, or None.
         """
-        raise NotImplementedError
+        q = self.quotient(n)
+        coords, step = q.coords, q.step
+
+        def residues(w):
+            return _orbit(step, coords(w), n)
+
+        return residues, q.solve
 
     def word_length(self, g: Element, bound: Optional[int] = None) -> int:
         """Exact word length of g over generators(), without a ball.
@@ -187,9 +245,14 @@ class GroupContext:
         self.kgen_nonzero = tuple(a for a in seen if a != zero)
 
 
-def _check_stratum(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"strata are indexed by n = |p| >= 1, got {n}")
+def _orbit(step: Callable, c, n: int) -> list:
+    """The classes of phi^j(w), 0 <= j < n, from the class c of w; phi^n
+    fixes Q_n, so they are the whole orbit of c."""
+    out = [c]
+    for _ in range(n - 1):
+        c = step(c)
+        out.append(c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +287,6 @@ class LamplighterContext(GroupContext):
         if not unit_ideal(polys, m):
             raise ValueError("kernel generators do not generate the lamps over t")
         self._standard_gens = set(self.kgen_nonzero) == set(standard[1:])
-        # class sums -> their least rotation; a tuple's length is its |p|
-        self._least_rotation: dict[tuple, tuple] = {}
 
     def kpart_zero(self):
         return ()
@@ -304,37 +365,27 @@ class LamplighterContext(GroupContext):
         length = lamps + 2 * (max(ends) - min(ends)) - abs(p)
         return length if bound is None or length <= bound else bound + 1
 
-    def _build_stratum_key(self, p: int) -> Callable:
-        if p == 0:
+    def _build_zero_key(self) -> Callable:
+        def shifted(conf):
+            if not conf:
+                return (0, ())
+            base = conf[0][0]
+            return (0, tuple([(i - base, v) for i, v in conf]))
 
-            def shifted(conf):
-                if not conf:
-                    return (0, ())
-                base = conf[0][0]
-                return (0, tuple([(i - base, v) for i, v in conf]))
+        return shifted
 
-            return shifted
-        class_sums = _class_sums(abs(p), self.m)
-        memo = self._least_rotation
-
-        def key(conf):
-            sums = class_sums(conf)
-            best = memo.get(sums)
-            if best is None:
-                orbit = _rotations(sums)
-                best = min(orbit)
-                memo.update(dict.fromkeys(orbit, best))
-            return (p, best)
-
-        return key
-
-    def block_solver(self, n: int):
-        _check_stratum(n)
+    def _build_quotient(self, n: int):
         m = self.m
-        class_sums = _class_sums(n, m)
 
-        def residues(w):
-            return _rotations(class_sums(w))
+        def class_sums(conf):
+            # summing the lamps over each class of indices mod n, reduced
+            # mod m when m >= 2, kills (1 - phi^n)K exactly
+            sums = [0] * n
+            for i, v in conf:
+                sums[i % n] += v
+            if m:
+                return tuple([v % m for v in sums])
+            return tuple(sums)
 
         def solve(w):
             # b_i - b_(i-n) = w_i: b_i is the running sum of w over the
@@ -360,33 +411,8 @@ class LamplighterContext(GroupContext):
                 return None
             return tuple(out)
 
-        return residues, solve
-
-
-def _class_sums(n: int, m: int) -> Callable:
-    """conf -> its lamp sums over each class of indices mod n, reduced mod
-    m when m >= 2: the class of conf in K / (1 - phi^n) K."""
-
-    def class_sums(conf):
-        sums = [0] * n
-        for i, v in conf:
-            sums[i % n] += v
-        if m:
-            return tuple([v % m for v in sums])
-        return tuple(sums)
-
-    return class_sums
-
-
-def _rotations(sums: tuple) -> list[tuple]:
-    """The class sums of the n shifts of a configuration, n = len(sums).
-
-    Shifting by i moves the sum of class c to class c + i mod n, so shift i
-    has the window of length n of sums + sums that starts at n - i.
-    """
-    n = len(sums)
-    doubled = sums + sums
-    return [doubled[n - i : 2 * n - i] for i in range(n)]
+        # phi moves the sum of class c to class c + 1 mod n
+        return class_sums, lambda sums: sums[-1:] + sums[:-1], solve
 
 
 # ---------------------------------------------------------------------------
@@ -542,17 +568,25 @@ class BaumslagSolitarContext(GroupContext):
             # The comparisons are min(a, b + 1) and min(a + 1, b).
             a, b = r + least + (a > b), k - r - 1 + least + (a < b)
 
-    def _build_stratum_key(self, p: int) -> Callable:
+    def _build_zero_key(self) -> Callable:
         k = self.k
+
+        def stripped(a):
+            num = a[0]
+            while num and num % k == 0:
+                num //= k
+            return (0, num)
+
+        return stripped
+
+    def _build_stratum_key(self, p: int) -> Callable:
+        # bs keeps its own p != 0 key, an inline loop with no memo: every
+        # residue of a Folner key pass is distinct, so the memo of the
+        # quotient's key only grows; on a 2-vCPU box it took folner --k 3
+        # --n 3 from 0.3-0.5 to 0.8-1.3 s and its peak RSS from 26 to 148 MB
         if p == 0:
-
-            def stripped(a):
-                num = a[0]
-                while num and num % k == 0:
-                    num //= k
-                return (0, num)
-
-            return stripped
+            return self._build_zero_key()
+        k = self.k
         modulus = k ** abs(p) - 1
         rest = range(abs(p) - 1)
 
@@ -568,31 +602,27 @@ class BaumslagSolitarContext(GroupContext):
 
         return key
 
-    def block_solver(self, n: int):
-        _check_stratum(n)
+    def _build_quotient(self, n: int):
         k = self.k
         den = k**n - 1
         # the class of num / k^e in Z[1/k] / (k^n - 1) = Z / (k^n - 1) is
         # num * k^-e = num * unit[e % n], as k^n = 1 there
         unit = [pow(k, -e % n, den) for e in range(n)]
 
-        def residues(w):
+        def coords(w):
             num, e = w
-            res = num * unit[e % n] % den
-            out = [res]
-            for _ in range(n - 1):
-                res = res * k % den
-                out.append(res)
-            return out
+            return num * unit[e % n] % den
 
         def solve(w):
-            # (1 - k^n) b = w: b = -w / (k^n - 1); k is prime to k^n - 1
-            num, e = self.kpart_neg(w)
+            # (1 - k^n) b = w: b = -w / (k^n - 1).  k is prime to k^n - 1,
+            # so k divides the quotient only where it divides num, and
+            # (-num / den, e) is canonical as w is
+            num, e = w
             if num % den:
                 return None
-            return self.canonical_kpart((num // den, e))
+            return (-num // den, e)
 
-        return residues, solve
+        return coords, lambda c: c * k % den, solve
 
 
 # ---------------------------------------------------------------------------
@@ -615,21 +645,21 @@ class QuotientDescriptor:
     adj D = det D * D^-1, so w lies in D Z^n exactly when adj D w = 0 mod
     |det D|: coords(w) = adj D w mod |det D| is a complete residue
     invariant, and solve() divides adj D w by det D.
-    orbit_min maps each class met so far to the least class of its orbit.
     """
 
     adj: tuple[tuple[int, ...], ...]
     det: int
-    orbit_min: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def adj_map(self) -> Callable:
         """w -> adj D w."""
         return linear_map(self.adj)
 
-    def coords(self, v) -> tuple[int, ...]:
-        d = abs(self.det)
-        return tuple([x % d for x in self.adj_map(v)])
+    @cached_property
+    def coords(self) -> Callable:
+        """w -> adj D w mod |det D|."""
+        adj_map, d = self.adj_map, abs(self.det)
+        return lambda v: tuple([x % d for x in adj_map(v)])
 
     def solve(self, w) -> Optional[tuple[int, ...]]:
         """The unique b with D b = w, or None outside the image."""
@@ -679,7 +709,6 @@ class MatrixContext(GroupContext):
         }
         self._maps: dict[int, Callable] = {}  # i -> v -> M^i v
         self.unit_root_orders = cyclotomic_orders(matrix)
-        self._quotients: dict[int, QuotientDescriptor] = {}
         if kgens is None:
             units = []
             for i in range(n):
@@ -737,25 +766,11 @@ class MatrixContext(GroupContext):
                 f"conjugacy invariants are unavailable: M has root-of-unity "
                 f"eigenvalues of orders {self.unit_root_orders}"
             )
-        if p == 0:
-            height, steps = self._height, (self.power_map(1), self.power_map(-1))
-            return lambda v: (0, _descend(v, height, steps))
-        n = abs(p)
-        qd = self.quotient(n)
-        d, adj_map, orbit_min = abs(qd.det), qd.adj_map, qd.orbit_min
-        step = self.power_map(1)
+        return super()._build_stratum_key(p)
 
-        def key(v):
-            c = tuple([x % d for x in adj_map(v)])
-            best = orbit_min.get(c)
-            if best is None:
-                # M^n fixes the quotient, so the orbit is the n images M^j v
-                orbit = _orbit_coords(step, d, n, c)
-                best = min(orbit)
-                orbit_min.update(dict.fromkeys(orbit, best))
-            return (p, best)
-
-        return key
+    def _build_zero_key(self) -> Callable:
+        height, steps = self._height, (self.power_map(1), self.power_map(-1))
+        return lambda v: (0, _descend(v, height, steps))
 
     @cached_property
     def convex_form(self) -> tuple[tuple[int, ...], ...]:
@@ -796,28 +811,17 @@ class MatrixContext(GroupContext):
         apply = linear_map(self.convex_form)
         return lambda w: sum(map(mul, w, apply(w)))
 
-    def quotient(self, n: int) -> QuotientDescriptor:
-        """Quotient descriptor of the strata p = +-n, n >= 1 (block_solver)."""
-        _check_stratum(n)
-        qd = self._quotients.get(n)
-        if qd is not None:
-            return qd
+    def _build_quotient(self, n: int):
         adj, det = adjugate(mat_sub(identity_matrix(self.n), self.matrix_power(n)))
         if det == 0:
             raise ValueError(
                 f"I - M^{n} is singular; the stratum has no finite quotient"
             )
-        qd = self._quotients[n] = QuotientDescriptor(adj, det)
-        return qd
-
-    def block_solver(self, n: int):
-        qd = self.quotient(n)
-        step, d = self.power_map(1), abs(qd.det)
-
-        def residues(w):
-            return _orbit_coords(step, d, n, qd.coords(w))
-
-        return residues, qd.solve
+        qd = QuotientDescriptor(adj, det)
+        # adj D is a polynomial in D = I - M^n, so it commutes with M, and
+        # the class of M v is M times the class of v, mod |det D|
+        apply, d = self.power_map(1), abs(det)
+        return qd.coords, lambda c: tuple([x % d for x in apply(c)]), qd.solve
 
 
 def _descend(v, height, steps) -> tuple[int, ...]:
@@ -837,20 +841,6 @@ def _descend(v, height, steps) -> tuple[int, ...]:
             h = height(w)
         return min(best, w) if h == low else best
     return best
-
-
-def _orbit_coords(step, d: int, n: int, c) -> list:
-    """Coordinates of M^j v, 0 <= j < n, from c = qd.coords(v), d = |det D|
-    and step = v -> M v.
-
-    adj D is a polynomial in D = I - M^n, so it commutes with M, and
-    coords(M v) = M coords(v) mod |det D|.
-    """
-    out = [c]
-    for _ in range(n - 1):
-        c = tuple([x % d for x in step(c)])
-        out.append(c)
-    return out
 
 
 def load_matrix_config(path: str) -> MatrixContext:

@@ -13,8 +13,10 @@ answer to match.
 Helpers that only tests call live here too: each sphere's t-counts in
 sphere order (t_counts), element construction from a raw kernel part,
 conjugation, are_conjugate, quotient representatives, integer kernel
-bases, the decay fit of a ratio table and the bs congruence witnesses and
-power windows.  det_int and adjugate are the
+bases, the decay fit of a ratio table, the bs congruence witnesses and
+power windows, and the certificates of the p != 0 keys: each stratum's
+key count against its Burnside count of classes, and a conjugator for
+every key merge.  det_int and adjugate are the
 Bareiss determinant and cofactor adjugate that the package's
 Cayley-Hamilton adjugate, inverse, solve and singularity tests are checked
 against, and leading_minors (Sylvester's criterion) checks its
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, log
+from math import gcd, lcm, log
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -551,6 +553,81 @@ def lamplighter_rotation_key(ctx: LamplighterContext, g: Element):
         sums = [v % ctx.m for v in sums]
     sums = tuple(sums)
     return (g.texp, min(sums[i:] + sums[:i] for i in range(n)))
+
+
+def burnside_count(ctx: GroupContext, n: int) -> int:
+    """C(n), the number of phi-orbits on Q_n = K / (1 - phi^n)K, n >= 1.
+
+    phi^n fixes Q_n, so <phi> acts as a cyclic group of order n, and
+    Burnside's lemma counts its orbits as (1/n) sum_(d|n) totient(n/d)
+    |Fix phi^d|, where |Fix phi^d| = |K / (1 - phi^d)K| is k^d - 1 (bs:k),
+    m^d (lamplighter:m, m >= 2) or |det(I - M^d)| (a matrix).  The counts
+    are read off the family's parameters, not off the package's quotient.
+    """
+
+    def fixed(d: int) -> int:
+        if ctx.family == "bs":
+            return ctx.k**d - 1
+        if ctx.family == "lamplighter":
+            assert ctx.m, "lamplighter:0 has infinite quotients"
+            return ctx.m**d
+        size = abs(det_int(mat_sub(identity_matrix(ctx.n), ctx.matrix_power(d))))
+        assert size, f"I - M^{d} is singular: Q_{n} is infinite"
+        return size
+
+    def totient(q: int) -> int:
+        return sum(1 for i in range(1, q + 1) if gcd(i, q) == 1)
+
+    total = sum(totient(n // d) * fixed(d) for d in range(1, n + 1) if n % d == 0)
+    assert total % n == 0
+    return total // n
+
+
+def stratum_census(ctx: GroupContext, index: BallIndex, r: int) -> dict:
+    """p -> (the distinct stratum_key(p) values of stratum p in B^r, C(|p|))
+    for each stratum p != 0 of the ball."""
+    strata: dict[int, list] = {}
+    for s in range(r + 1):
+        for p, stratum in index.strata(s).items():
+            strata.setdefault(p, []).extend(stratum)
+    return {
+        p: (len(set(map(ctx.stratum_key(p), kparts))), burnside_count(ctx, abs(p)))
+        for p, kparts in strata.items()
+        if p
+    }
+
+
+def witness_merges(ctx: GroupContext, index: BallIndex, r: int) -> int:
+    """Certify every key merge of the strata p != 0 of B^r; the merge count.
+
+    For each key class, its first member g0 and each other member h, j is
+    the place of h's residue in g0's block_solver orbit, and x = (b, t^j)
+    with (1 - phi^p)(b) = h - phi^j(g0), which p < 0 solves as
+    (1 - phi^n)(b) = -phi^n(h - phi^j(g0)), n = |p|, since
+    1 - phi^-n = -phi^-n (1 - phi^n).  x g0 x^-1 = h is then checked with
+    multiply and invert alone, so a wrong residue can fail the search but
+    cannot certify a false merge.
+    """
+    classes: dict = {}  # key -> the members of its class, in ball order
+    for g in index.elements(r):
+        if g.texp:
+            classes.setdefault(conjugacy_key(ctx, g), []).append(g)
+    merges = 0
+    for (p, _), (g0, *rest) in classes.items():
+        n = abs(p)
+        residues, solve = ctx.block_solver(n)
+        orbit = residues(g0.kpart)
+        for h in rest:
+            j = orbit.index(residues(h.kpart)[0])
+            w = ctx.kpart_add(h.kpart, ctx.kpart_neg(ctx.phi_power(g0.kpart, j)))
+            if p < 0:
+                w = ctx.kpart_neg(ctx.phi_power(w, n))
+            b = solve(w)
+            assert b is not None, f"no conjugator part for {g0} and {h}"
+            x = Element(b, j)
+            assert conjugate(ctx, x, g0) == h, f"{x} does not conjugate {g0} to {h}"
+            merges += 1
+    return merges
 
 
 def matrix_shift_canonical(ctx: MatrixContext, v) -> tuple[int, ...]:

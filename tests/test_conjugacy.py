@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,8 @@ from _oracles import (
     matrix_shift_canonical,
     pairwise_partition,
     quotient_representative,
+    stratum_census,
+    witness_merges,
 )
 import abcgroups
 from abcgroups import linalg
@@ -170,16 +174,16 @@ def test_unit_root_refusal():
 
 def test_quotient_descriptor_round_trip():
     ctx = MatrixContext(HYP)
-    qd = ctx.quotient(2)
+    q = ctx.quotient(2)
     d_mat = mat_sub(identity_matrix(2), ctx.matrix_power(2))
     # det(I - M^2) = -5, and (r, 0) for r in 0..4 meets every class
-    assert qd.det == det_int(d_mat) == -5
+    assert linalg.adjugate(d_mat)[1] == det_int(d_mat) == -5
     seen = set()
     for residue in range(5):
-        coords = qd.coords((residue, 0))
+        coords = q.coords((residue, 0))
         rep = quotient_representative(d_mat, coords)
-        assert qd.coords(rep) == coords
-        seen.add(qd.coords(rep))
+        assert q.coords(rep) == coords
+        seen.add(q.coords(rep))
     assert len(seen) == 5
 
 
@@ -194,9 +198,45 @@ def test_quotient_coords_well_defined():
         assert qd.coords(v) == qd.coords(moved)
 
 
-def test_matrix_quotient_is_cached():
-    ctx = MatrixContext(HYP)
-    assert ctx.quotient(3) is ctx.quotient(3)
+FAMILY_CONTEXTS = {
+    "bs": lambda: BaumslagSolitarContext(2),
+    "lamplighter": lambda: LamplighterContext(2),
+    "matrix": lambda: MatrixContext(HYP),
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_CONTEXTS)
+def test_quotient_is_cached(family):
+    # the strata +-3 share one quotient, and its memo with it; the bs key
+    # keeps no memo (see groups)
+    ctx = FAMILY_CONTEXTS[family]()
+    q = ctx.quotient(3)
+    assert ctx.quotient(3) is q
+    a = ctx.kgen_nonzero[0]
+    least = ctx.stratum_key(3)(a)[1]
+    filled = len(q.memo)
+    assert ctx.stratum_key(-3)(a) == (-3, least)
+    assert len(q.memo) == filled == (0 if family == "bs" else 3)
+
+
+@pytest.mark.parametrize("family", FAMILY_CONTEXTS)
+def test_cached_keys_and_solvers_do_not_hold_the_context(family):
+    # cli.run pauses the cyclic collector, so a cached key, quotient or
+    # solver that referred back to its context would keep it alive
+    ctx = FAMILY_CONTEXTS[family]()
+    held = [ctx.stratum_key(0)]
+    for n in range(1, 5):
+        held += [ctx.stratum_key(n), ctx.stratum_key(-n), *ctx.block_solver(n)]
+    ref = weakref.ref(ctx)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del ctx
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(held) == 17
 
 
 def adjugate_solve(a, w):
@@ -794,10 +834,9 @@ def test_stratum_index_must_be_positive(ctx):
     for n in (0, -1):
         with pytest.raises(ValueError, match="indexed by n"):
             ctx.block_solver(n)
-    if ctx.family == "matrix":
-        for n in (0, -2):
-            with pytest.raises(ValueError, match="indexed by n"):
-                ctx.quotient(n)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="indexed by n"):
+            ctx.quotient(n)
 
 
 def test_partition_coarsens_with_conjugator_radius():
@@ -919,3 +958,53 @@ def test_key_partition_closed_under_inversion():
                     if are_conjugate(ctx, g, h):
                         assert are_conjugate(ctx, ctx.invert(g), ctx.invert(h))
 
+
+
+# ---------------------------------------------------------------------------
+# Census and witnesses: every stratum p != 0 against its Burnside count, and
+# a conjugator for every key merge
+# ---------------------------------------------------------------------------
+
+# the kernel generators {0, +-1, +-3} of bs:2
+BS2_R13 = [(0, 0), (1, 0), (-1, 0), (3, 0), (-3, 0)]
+
+# name -> (context, census radius, the strata |p| <= s it saturates,
+# witness radius, the merges witnessed there)
+CERTIFIED = {
+    "bs2": (lambda: BaumslagSolitarContext(2), 14, 9, 12, 12_908),
+    "bs3": (lambda: BaumslagSolitarContext(3), 11, 5, 9, 5_678),
+    "lamplighter2": (None, 18, 9, 12, 3_852),
+    "hyperbolic": (lambda: MatrixContext(HYP), 9, 5, 7, 3_026),
+    "bs2-R13": (lambda: BaumslagSolitarContext(2, BS2_R13), 10, 7, 8, 3_358),
+}
+
+
+@pytest.fixture(scope="module", params=CERTIFIED)
+def certified(request):
+    """(context, ball, census radius, saturation, witness radius, merges),
+    one ball per case; lamplighter:2 reuses the session's r18 ball."""
+    make, r, saturated, rw, merges = CERTIFIED[request.param]
+    if make is None:
+        ctx, index = request.getfixturevalue("lamp18")
+    else:
+        ctx = make()
+        index = enumerate_ball(ctx, r)
+    return ctx, index, r, saturated, rw, merges
+
+
+def test_no_stratum_exceeds_its_burnside_count(certified):
+    # the classes of stratum p != 0 are the phi-orbits on Q_|p|, C(|p|) of
+    # them, so a stratum with more keys splits a class; a stratum with C(|p|)
+    # keys is saturated, its keys complete at any radius
+    ctx, index, r, saturated, _, _ = certified
+    census = stratum_census(ctx, index, r)
+    assert sorted(census) == [p for p in range(-r, r + 1) if p]
+    assert all(found <= total for found, total in census.values())
+    full = sorted(p for p, (found, total) in census.items() if found == total)
+    assert full == [p for p in range(-saturated, saturated + 1) if p]
+
+
+def test_every_key_merge_has_a_conjugator(certified):
+    # both signs of p are witnessed directly, not mirrored by inversion
+    ctx, index, _, _, rw, merges = certified
+    assert witness_merges(ctx, index, rw) == merges
