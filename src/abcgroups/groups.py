@@ -53,6 +53,7 @@ __all__ = [
     "LamplighterContext",
     "BaumslagSolitarContext",
     "MatrixContext",
+    "Quotient",
     "QuotientDescriptor",
     "load_matrix_config",
     "parse_group_descriptor",

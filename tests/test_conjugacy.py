@@ -982,10 +982,11 @@ CERTIFIED = {
 @pytest.fixture(scope="module", params=CERTIFIED)
 def certified(request):
     """(context, ball, census radius, saturation, witness radius, merges),
-    one ball per case; lamplighter:2 reuses the session's r18 ball."""
+    one ball per case.  lamplighter:2 reuses the session's r18 ball with a
+    context of its own, so that its key memos end with this module."""
     make, r, saturated, rw, merges = CERTIFIED[request.param]
     if make is None:
-        ctx, index = request.getfixturevalue("lamp18")
+        ctx, index = LamplighterContext(2), request.getfixturevalue("lamp18")[1]
     else:
         ctx = make()
         index = enumerate_ball(ctx, r)
