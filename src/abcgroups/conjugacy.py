@@ -39,27 +39,26 @@ fixes that quotient, and every orbit is just the n images phi^j(x),
   and the key raises ValueError, as it does past K = TENT_K_MAX.
 
 Each family implements its quotient once: _build_quotient(n) returns
-coords(w), the class of w in Q_n = K / (1 - phi^n)K, step(c), the class
-of phi(w) from the class c of w, and solve(w), the unique b with
-(1 - phi^n)(b) = w or None.  GroupContext.quotient(n) caches it for the
-strata +-n with one memo that both share.  From it GroupContext builds
-the p != 0 key, the least class of the orbit, memoised for every class
-of it, and block_solver(n), the oracle's solver, whose residues are the
-n classes of that orbit in order.  bs keeps its own p != 0 key, an
-inline loop with no memo (see groups), and each family builds its p = 0
-key.
+coords(w), the class of w in Q_n = K / (1 - phi^n)K, orbit(c), the n
+classes of phi^j(w), 0 <= j < n, in order, from the class c of w, and
+solve(w), the unique b with (1 - phi^n)(b) = w or None.
+GroupContext.quotient(n) caches it for the strata +-n with one memo that
+both share.  From it GroupContext builds the p != 0 key, the least class
+of the orbit, memoised for every class of it; the oracle below reads the
+quotient directly.  bs keeps its own p != 0 key, an inline loop with no
+memo (see groups), and each family builds its p = 0 key.
 
 GroupContext.stratum_key(p) returns a function kpart -> key of
 (kpart, t^p), built on first use and cached on the context, that holds
 what the stratum shares.  The matrix refusals, of a root-of-unity
 eigenvalue, a singular stratum or a missing convex form, are made when
-the function is built.  GroupContext.conjugacy_key(g) applies the
-function of g's stratum, and a pass over many elements of one stratum
-(ratios.ratio_table, folner.separating_translate) fetches the function
-once and applies it to the K-parts directly.  Where a closed form exists,
-each context also gives the conjugator lengths of the oracle as
-word_length(g, bound); this module adds the entry point, the union-find
-and the oracle.
+the function is built.  conjugacy_key(ctx, g), the one entry point per
+element, applies the function of g's stratum, and a pass over many
+elements of one stratum (ratios.ratio_table, folner.separating_translate)
+fetches the function once and applies it to the K-parts directly.  Where
+a closed form exists, each context also gives the conjugator lengths of
+the oracle as word_length(g, bound); this module adds the entry point,
+the union-find and the oracle.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ __all__ = [
 
 def conjugacy_key(ctx: GroupContext, g: Element):
     """Canonical, order-comparable conjugacy invariant (complete; see module doc)."""
-    return ctx.conjugacy_key(g)
+    return ctx.stratum_key(g.texp)(g.kpart)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +153,9 @@ class UnionFind:
 # and the adjugate coordinates of the quotient (matrix).  A bucketed pair
 # without a solution means residue and solver disagree, and raises.  The
 # residue of phi^j(g.kpart) depends only on j mod p (module doc), and the
-# solver's residues(w) lists the p of them from the residue of w alone: k
-# times the last mod k^p - 1 (bs), a rotation of the class sums
-# (lamplighter), M times the last coordinates mod |det D| (matrix).  The
+# quotient's orbit lists the p of them from the residue of g.kpart alone:
+# k^j times it mod k^p - 1 (bs), its class sums rotated j places
+# (lamplighter), M^j times its coordinates mod |det D| (matrix).  The
 # shifts j in [-RC, RC] are split by j mod p once per stratum, so g's
 # residue at index i of that list is tried at the i-th class of shifts, in
 # order of j, stopping at the first conjugator in S^RC.  The shift cache
@@ -240,13 +239,14 @@ def brute_force_partition(
             if b in zero_set:
                 uf.union(g, new(Element, (b, 0)))
     for p in range(1, r + 1):  # each stratum -p mirrors p by inversion
-        residues, solve = ctx.block_solver(p)
+        q = ctx.quotient(p)
+        coords, residues, solve = q.coords, q.orbit, q.solve
         # the shifts j in [-RC, RC] by j mod p, each class in order of j
         shift_classes = [range(-rc + (i + rc) % p, rc + 1, p) for i in range(p)]
         buckets: dict = {}  # residue -> {root at insertion: members}
         for a in strata.get(p, ()):
             g = new(Element, (a, p))
-            orbit = residues(a)
+            orbit = residues(coords(a))
             moved: dict = {}  # j -> -phi^j(g.kpart), computed at its first solve
             root = find(g)
             for res, shifts in zip(orbit, shift_classes):

@@ -13,19 +13,19 @@ Three kernel families are supported:
 * matrix: K = Z^n with phi given by an integer matrix of determinant +-1.
 
 Each family's context supplies its p = 0 conjugacy key and, for the
-strata p = +-n, the quotient Q_n = K / (1 - phi^n)K: the class of w, the
-class of phi(w) from that of w, and the solver of (1 - phi^n)(b) = w.
-GroupContext builds from the quotient the p != 0 key, one function per
-stratum, and the conjugator solver of the brute-force oracle.  bs and the
-lamplighter also give an exact word length for their standard
-generators.  The conjugacy module explains them.
+strata p = +-n, the quotient Q_n = K / (1 - phi^n)K as (coords, orbit,
+solve): the class of w, the n classes of phi^j(w), 0 <= j < n, from the
+class of w, and the solver of (1 - phi^n)(b) = w.  GroupContext builds
+from the quotient the p != 0 key, one function per stratum; the
+brute-force oracle reads the quotient directly.  bs and the lamplighter
+also give an exact word length for their standard generators.  The
+conjugacy module explains them.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, inf
 from operator import mul, neg
@@ -54,7 +54,6 @@ __all__ = [
     "BaumslagSolitarContext",
     "MatrixContext",
     "Quotient",
-    "QuotientDescriptor",
     "load_matrix_config",
     "parse_group_descriptor",
     "parse_int",
@@ -74,10 +73,14 @@ class Element(NamedTuple):
 
 
 class Quotient(NamedTuple):
-    """Q_n = K / (1 - phi^n)K = K / (1 - phi^-n)K, of the strata p = +-n."""
+    """Q_n = K / (1 - phi^n)K = K / (1 - phi^-n)K, of the strata p = +-n.
+
+    phi^n fixes Q_n, so the orbit of a class is the n classes of phi^j(w),
+    0 <= j < n, and phi^j(w) has class orbit(coords(w))[j % n].
+    """
 
     coords: Callable  # w -> the class of w
-    step: Callable  # the class of w -> the class of phi(w)
+    orbit: Callable  # the class of w -> the classes of phi^j(w), 0 <= j < n
     solve: Callable  # w -> the unique b with (1 - phi^n)(b) = w, or None
     memo: dict  # class -> the least class of its orbit, as the key met it
 
@@ -122,7 +125,7 @@ class GroupContext:
     # Conjugacy data supplied by each family.
 
     def _build_quotient(self, n: int) -> tuple[Callable, Callable, Callable]:
-        """(coords, step, solve) of Q_n, n >= 1, as in Quotient."""
+        """(coords, orbit, solve) of Q_n, n >= 1, as in Quotient."""
         raise NotImplementedError
 
     def _build_zero_key(self) -> Callable:
@@ -140,10 +143,6 @@ class GroupContext:
             q = self._quotients[n] = Quotient(*self._build_quotient(n), {})
         return q
 
-    def conjugacy_key(self, g: Element):
-        """Canonical, order-comparable conjugacy invariant of g."""
-        return self.stratum_key(g.texp)(g.kpart)
-
     def stratum_key(self, p: int) -> Callable:
         """kpart -> the conjugacy key of (kpart, t^p), built once per p.
 
@@ -158,37 +157,20 @@ class GroupContext:
     def _build_stratum_key(self, p: int) -> Callable:
         if p == 0:
             return self._build_zero_key()
-        n = abs(p)
-        q = self.quotient(n)
-        coords, step, memo = q.coords, q.step, q.memo
+        q = self.quotient(abs(p))
+        coords, orbit, memo = q.coords, q.orbit, q.memo
 
         def key(w):
             # the least class of the orbit, memoised for every class of it
             c = coords(w)
             best = memo.get(c)
             if best is None:
-                orbit = _orbit(step, c, n)
-                best = min(orbit)
-                memo.update(dict.fromkeys(orbit, best))
+                classes = orbit(c)
+                best = min(classes)
+                memo.update(dict.fromkeys(classes, best))
             return (p, best)
 
         return key
-
-    def block_solver(self, n: int):
-        """(residues, solve) for the strata p = +-n; n < 1 raises ValueError.
-
-        residues(w) lists the classes of phi^i(w), 0 <= i < n, in Q_n, which
-        phi^n fixes: phi^j(w) has class residues(w)[j % n], and
-        residues(w)[0] is the class of w.  solve(w) is the unique b with
-        (1 - phi^n)(b) = w, or None.
-        """
-        q = self.quotient(n)
-        coords, step = q.coords, q.step
-
-        def residues(w):
-            return _orbit(step, coords(w), n)
-
-        return residues, q.solve
 
     def word_length(self, g: Element, bound: Optional[int] = None) -> int:
         """Exact word length of g over generators(), without a ball.
@@ -244,16 +226,6 @@ class GroupContext:
                     f"kernel generator set is not symmetric: missing inverse of {a!r}"
                 )
         self.kgen_nonzero = tuple(a for a in seen if a != zero)
-
-
-def _orbit(step: Callable, c, n: int) -> list:
-    """The classes of phi^j(w), 0 <= j < n, from the class c of w; phi^n
-    fixes Q_n, so they are the whole orbit of c."""
-    out = [c]
-    for _ in range(n - 1):
-        c = step(c)
-        out.append(c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +384,12 @@ class LamplighterContext(GroupContext):
                 return None
             return tuple(out)
 
-        # phi moves the sum of class c to class c + 1 mod n
-        return class_sums, lambda sums: sums[-1:] + sums[:-1], solve
+        def orbit(sums):
+            # phi moves the sum of class c to class c + 1 mod n, so phi^j
+            # rotates the sums j places
+            return [sums[n - j :] + sums[: n - j] for j in range(n)]
+
+        return class_sums, orbit, solve
 
 
 # ---------------------------------------------------------------------------
@@ -609,10 +585,15 @@ class BaumslagSolitarContext(GroupContext):
         # the class of num / k^e in Z[1/k] / (k^n - 1) = Z / (k^n - 1) is
         # num * k^-e = num * unit[e % n], as k^n = 1 there
         unit = [pow(k, -e % n, den) for e in range(n)]
+        # phi^j multiplies the class by k^j, which is below den for j < n
+        powers = [k**j for j in range(n)]
 
         def coords(w):
             num, e = w
             return num * unit[e % n] % den
+
+        def orbit(c):
+            return [c * u % den for u in powers]
 
         def solve(w):
             # (1 - k^n) b = w: b = -w / (k^n - 1).  k is prime to k^n - 1,
@@ -623,7 +604,7 @@ class BaumslagSolitarContext(GroupContext):
                 return None
             return (-num // den, e)
 
-        return coords, lambda c: c * k % den, solve
+        return coords, orbit, solve
 
 
 # ---------------------------------------------------------------------------
@@ -637,37 +618,6 @@ def _int_entries(values, what: str) -> tuple[int, ...]:
         if type(x) is not int:
             raise ValueError(f"{what} entries must be integers, got {x!r}")
     return out
-
-
-@dataclass(frozen=True)
-class QuotientDescriptor:
-    """Z^n / D Z^n for D = I - M^|p| with det D != 0, read through adj D.
-
-    adj D = det D * D^-1, so w lies in D Z^n exactly when adj D w = 0 mod
-    |det D|: coords(w) = adj D w mod |det D| is a complete residue
-    invariant, and solve() divides adj D w by det D.
-    """
-
-    adj: tuple[tuple[int, ...], ...]
-    det: int
-
-    @cached_property
-    def adj_map(self) -> Callable:
-        """w -> adj D w."""
-        return linear_map(self.adj)
-
-    @cached_property
-    def coords(self) -> Callable:
-        """w -> adj D w mod |det D|."""
-        adj_map, d = self.adj_map, abs(self.det)
-        return lambda v: tuple([x % d for x in adj_map(v)])
-
-    def solve(self, w) -> Optional[tuple[int, ...]]:
-        """The unique b with D b = w, or None outside the image."""
-        x = self.adj_map(w)
-        if any(xi % self.det for xi in x):
-            return None
-        return tuple([xi // self.det for xi in x])
 
 
 # the widest tent sum MatrixContext.convex_form tries; K grows with the log
@@ -703,11 +653,6 @@ class MatrixContext(GroupContext):
         # the built function itself: a method around it costs one more call per add
         self.kpart_add = vector_add(n)
         self._inverse = unimodular_inverse(matrix)
-        self._powers: dict[int, tuple[tuple[int, ...], ...]] = {
-            0: identity_matrix(n),
-            1: matrix,
-            -1: self._inverse,
-        }
         self._maps: dict[int, Callable] = {}  # i -> v -> M^i v
         self.unit_root_orders = cyclotomic_orders(matrix)
         if kgens is None:
@@ -727,12 +672,9 @@ class MatrixContext(GroupContext):
             )
 
     def matrix_power(self, i: int) -> tuple[tuple[int, ...], ...]:
-        cached = self._powers.get(i)
-        if cached is not None:
-            return cached
-        base = self.matrix if i > 0 else self._inverse
-        result = self._powers[i] = mat_pow(base, abs(i))
-        return result
+        """M^i, computed afresh: power_map, quotient and the spectral
+        projection each ask for a given power once."""
+        return mat_pow(self.matrix if i > 0 else self._inverse, abs(i))
 
     def power_map(self, i: int) -> Callable:
         """v -> M^i v, built once per power."""
@@ -818,11 +760,30 @@ class MatrixContext(GroupContext):
             raise ValueError(
                 f"I - M^{n} is singular; the stratum has no finite quotient"
             )
-        qd = QuotientDescriptor(adj, det)
-        # adj D is a polynomial in D = I - M^n, so it commutes with M, and
-        # the class of M v is M times the class of v, mod |det D|
-        apply, d = self.power_map(1), abs(det)
-        return qd.coords, lambda c: tuple([x % d for x in apply(c)]), qd.solve
+        # adj D = det D * D^-1 for D = I - M^n, so w lies in D Z^n exactly
+        # when adj D w = 0 mod |det D|: that residue is the class of w, and
+        # solve divides adj D w by det D
+        adj_map, d, apply = linear_map(adj), abs(det), self.power_map(1)
+
+        def coords(w):
+            return tuple([x % d for x in adj_map(w)])
+
+        def orbit(c):
+            # adj D is a polynomial in D, so it commutes with M, and the
+            # class of M v is M times the class of v, mod |det D|
+            out = [c]
+            for _ in range(n - 1):
+                c = tuple([x % d for x in apply(c)])
+                out.append(c)
+            return out
+
+        def solve(w):
+            x = adj_map(w)
+            if any(xi % det for xi in x):
+                return None
+            return tuple([xi // det for xi in x])
+
+        return coords, orbit, solve
 
 
 def _descend(v, height, steps) -> tuple[int, ...]:

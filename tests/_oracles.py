@@ -417,8 +417,8 @@ def pairwise_partition(
     g listed first, at every |j| <= RC.  Every stratum p != 0 is solved in
     its own right, with no mirror by inversion: for p = -n the equation
     (1 - phi^-n) b = w is (1 - phi^n) b = -phi^n(w), given to the solver
-    of n.  Blocks come in the same order, ball order by first member and
-    within each block.
+    of quotient(n).  Blocks come in the same order, ball order by first
+    member and within each block.
     """
     big = index if index.radius >= conjugator_radius else enumerate_ball(
         ctx, conjugator_radius
@@ -440,7 +440,7 @@ def pairwise_partition(
                         uf.union(g, h)
             continue
         n = abs(p)
-        _, solve = ctx.block_solver(n)
+        solve = ctx.quotient(n).solve
         for i, g in enumerate(els):
             for h in els[i + 1 :]:
                 if uf.find(g) == uf.find(h):
@@ -601,7 +601,7 @@ def witness_merges(ctx: GroupContext, index: BallIndex, r: int) -> int:
     """Certify every key merge of the strata p != 0 of B^r; the merge count.
 
     For each key class, its first member g0 and each other member h, j is
-    the place of h's residue in g0's block_solver orbit, and x = (b, t^j)
+    the place of h's residue in the quotient's orbit of g0, and x = (b, t^j)
     with (1 - phi^p)(b) = h - phi^j(g0), which p < 0 solves as
     (1 - phi^n)(b) = -phi^n(h - phi^j(g0)), n = |p|, since
     1 - phi^-n = -phi^-n (1 - phi^n).  x g0 x^-1 = h is then checked with
@@ -615,14 +615,14 @@ def witness_merges(ctx: GroupContext, index: BallIndex, r: int) -> int:
     merges = 0
     for (p, _), (g0, *rest) in classes.items():
         n = abs(p)
-        residues, solve = ctx.block_solver(n)
-        orbit = residues(g0.kpart)
+        q = ctx.quotient(n)
+        orbit = q.orbit(q.coords(g0.kpart))
         for h in rest:
-            j = orbit.index(residues(h.kpart)[0])
+            j = orbit.index(q.coords(h.kpart))
             w = ctx.kpart_add(h.kpart, ctx.kpart_neg(ctx.phi_power(g0.kpart, j)))
             if p < 0:
                 w = ctx.kpart_neg(ctx.phi_power(w, n))
-            b = solve(w)
+            b = q.solve(w)
             assert b is not None, f"no conjugator part for {g0} and {h}"
             x = Element(b, j)
             assert conjugate(ctx, x, g0) == h, f"{x} does not conjugate {g0} to {h}"

@@ -42,7 +42,6 @@ from abcgroups.groups import (
     Element,
     LamplighterContext,
     MatrixContext,
-    QuotientDescriptor,
 )
 from abcgroups.linalg import (
     identity_matrix,
@@ -221,12 +220,12 @@ def test_quotient_is_cached(family):
 
 @pytest.mark.parametrize("family", FAMILY_CONTEXTS)
 def test_cached_keys_and_solvers_do_not_hold_the_context(family):
-    # cli.run pauses the cyclic collector, so a cached key, quotient or
-    # solver that referred back to its context would keep it alive
+    # cli.run pauses the cyclic collector, so a cached key or quotient
+    # that referred back to its context would keep it alive
     ctx = FAMILY_CONTEXTS[family]()
     held = [ctx.stratum_key(0)]
     for n in range(1, 5):
-        held += [ctx.stratum_key(n), ctx.stratum_key(-n), *ctx.block_solver(n)]
+        held += [ctx.stratum_key(n), ctx.stratum_key(-n), ctx.quotient(n)]
     ref = weakref.ref(ctx)
     enabled = gc.isenabled()
     gc.disable()
@@ -236,7 +235,7 @@ def test_cached_keys_and_solvers_do_not_hold_the_context(family):
     finally:
         if enabled:
             gc.enable()
-    assert len(held) == 17
+    assert len(held) == 13
 
 
 def adjugate_solve(a, w):
@@ -248,28 +247,52 @@ def adjugate_solve(a, w):
     return tuple(x // det for x in raw)
 
 
-nonsingular_up_to_4 = st.integers(1, 4).flatmap(
+def elementary_product(n, ops, flip):
+    """A unimodular n x n matrix: the product of the elementary matrices
+    I + c E_ij of ops, then the sign flip of row 0 when flip is set."""
+    m = identity_matrix(n)
+    for i, j, c in ops:
+        if i % n != j % n:
+            e = [list(row) for row in identity_matrix(n)]
+            e[i % n][j % n] = c
+            m = mat_mul(tuple(map(tuple, e)), m)
+    return ((tuple(-x for x in m[0]),) + m[1:]) if flip else m
+
+
+unimodular_up_to_4 = st.integers(1, 4).flatmap(
     lambda n: st.tuples(
-        st.lists(
-            st.lists(st.integers(-5, 5), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
-        ).map(lambda rows: tuple(tuple(r) for r in rows)),
+        st.builds(
+            elementary_product,
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2)),
+                max_size=6,
+            ),
+            st.booleans(),
+        ),
+        st.integers(1, 4),
         st.lists(st.integers(-30, 30), min_size=n, max_size=n),
         st.lists(st.integers(-30, 30), min_size=n, max_size=n),
     )
 )
 
 
-@given(nonsingular_up_to_4)
-@settings(max_examples=200)
+@given(unimodular_up_to_4)
+@settings(max_examples=200, deadline=None)
 def test_quotient_solve_matches_adjugate(case):
-    a, w, b = case
-    assume(det_int(a) != 0)
-    qd = QuotientDescriptor(*linalg.adjugate(a))
-    assert qd.solve(w) == adjugate_solve(a, w)
-    image = mat_vec(a, b)
-    assert qd.solve(image) == adjugate_solve(a, image) == tuple(b)
+    m, n, w, b = case
+    d_mat = mat_sub(identity_matrix(len(m)), mat_pow(m, n))
+    det = det_int(d_mat)
+    if not det:
+        with pytest.raises(ValueError, match="singular"):
+            MatrixContext(m).quotient(n)
+        return
+    q = MatrixContext(m).quotient(n)
+    w = tuple(w)
+    assert q.coords(w) == tuple(x % abs(det) for x in mat_vec(adjugate(d_mat), w))
+    assert q.solve(w) == adjugate_solve(d_mat, w)
+    image = mat_vec(d_mat, b)
+    assert q.solve(image) == adjugate_solve(d_mat, image) == tuple(b)
 
 
 HYP_INV = ((1, -1), (-1, 2))
@@ -283,14 +306,14 @@ def test_every_stratum_solver_matches_adjugate():
     for p in [p for p in range(-12, 13) if p]:
         n = abs(p)
         d_mat = mat_sub(identity_matrix(2), mat_pow(HYP if p > 0 else HYP_INV, n))
-        residues, solve = ctx.block_solver(n)
+        q = ctx.quotient(n)
 
         def solve_p(w):
-            return solve(w if p > 0 else ctx.kpart_neg(ctx.phi_power(w, n)))
+            return q.solve(w if p > 0 else ctx.kpart_neg(ctx.phi_power(w, n)))
 
         for _ in range(100):
             w = (rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
-            assert residues(w)[0] == ctx.quotient(n).coords(w)
+            assert q.orbit(q.coords(w))[0] == q.coords(w)
             assert solve_p(w) == adjugate_solve(d_mat, w)
             b = (rng.randint(-50, 50), rng.randint(-50, 50))
             image = mat_vec(d_mat, b)
@@ -413,8 +436,8 @@ def test_bs_stratum_key_and_residues_match_fraction_residues(k, p, num, e):
     ctx = BaumslagSolitarContext(k)
     a = ctx.canonical_kpart((num, e))
     assert ctx.stratum_key(p)(a) == (p, bs_orbit_min(ctx, abs(p), a))
-    residues, _ = ctx.block_solver(abs(p))
-    assert residues(a) == bs_class_residues(ctx, abs(p), a)
+    q = ctx.quotient(abs(p))
+    assert q.orbit(q.coords(a)) == bs_class_residues(ctx, abs(p), a)
 
 
 # a symmetric hyperbolic matrix with three real roots (x^3 - 2x^2 - x + 1)
@@ -564,7 +587,11 @@ def test_phi_p_fixes_the_stratum_quotient(data, ctx, p):
         g = ctx.multiply(g, x)
     w = g.kpart
     n = abs(p)
-    residues, _ = ctx.block_solver(n)
+    q = ctx.quotient(n)
+
+    def residues(w):
+        return q.orbit(q.coords(w))
+
     orbit = residues(w)
     assert len(orbit) == n
     assert residues(ctx.phi_power(w, p)) == orbit
@@ -786,7 +813,11 @@ def test_residue_matches_solver(family, param, data):
     a, b, c = (
         ctx.canonical_kpart(data.draw(KPART_SAMPLES[family])) for _ in range(3)
     )
-    residues, solve = ctx.block_solver(n)
+    q = ctx.quotient(n)
+    solve = q.solve
+
+    def residues(w):
+        return q.orbit(q.coords(w))
 
     def residue(w):
         return residues(w)[0]
@@ -818,9 +849,8 @@ def test_lamplighter_solver_inverts_one_minus_phi(m):
             (i, rng.choice(values)) for i in range(-5, 6) if rng.random() < 0.6
         )
         for n in range(1, 6):
-            _, solve = ctx.block_solver(n)
             w = ctx.kpart_add(c, ctx.kpart_neg(ctx.phi_power(c, n)))
-            assert solve(w) == c
+            assert ctx.quotient(n).solve(w) == c
 
 
 @pytest.mark.parametrize(
@@ -830,11 +860,8 @@ def test_lamplighter_solver_inverts_one_minus_phi(m):
 )
 def test_stratum_index_must_be_positive(ctx):
     # strata are indexed by n = |p|: the oracle mirrors p < 0 and the keys
-    # read quotient(|p|), so a solver for n < 1 would be a silent second path
-    for n in (0, -1):
-        with pytest.raises(ValueError, match="indexed by n"):
-            ctx.block_solver(n)
-    for n in (0, -2):
+    # read quotient(|p|), so a quotient for n < 1 would be a silent second path
+    for n in (0, -1, -2):
         with pytest.raises(ValueError, match="indexed by n"):
             ctx.quotient(n)
 
@@ -967,6 +994,8 @@ def test_key_partition_closed_under_inversion():
 
 # the kernel generators {0, +-1, +-3} of bs:2
 BS2_R13 = [(0, 0), (1, 0), (-1, 0), (3, 0), (-3, 0)]
+# the kernel generators {0, d0, d1, d0 + d1} of lamplighter:2
+LAMP2_R4 = [(), ((0, 1),), ((1, 1),), ((0, 1), (1, 1))]
 
 # name -> (context, census radius, the strata |p| <= s it saturates,
 # witness radius, the merges witnessed there)
@@ -976,6 +1005,7 @@ CERTIFIED = {
     "lamplighter2": (None, 18, 9, 12, 3_852),
     "hyperbolic": (lambda: MatrixContext(HYP), 9, 5, 7, 3_026),
     "bs2-R13": (lambda: BaumslagSolitarContext(2, BS2_R13), 10, 7, 8, 3_358),
+    "lamplighter2-R4": (lambda: LamplighterContext(2, LAMP2_R4), 12, 8, 10, 3_754),
 }
 
 
@@ -1009,3 +1039,37 @@ def test_every_key_merge_has_a_conjugator(certified):
     # both signs of p are witnessed directly, not mirrored by inversion
     ctx, index, _, _, rw, merges = certified
     assert witness_merges(ctx, index, rw) == merges
+
+
+def off_the_unit_roots(m):
+    # a 2 x 2 M of det +-1 has a root-of-unity eigenvalue exactly when
+    # |tr M| <= 2 (det 1) or tr M = 0 (det -1)
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    trace = m[0][0] + m[1][1]
+    return abs(trace) > 2 if det == 1 else trace != 0
+
+
+@given(
+    st.builds(
+        elementary_product,
+        st.just(2),
+        st.lists(
+            st.tuples(st.just(0), st.just(1), st.sampled_from([-2, -1, 1, 2]))
+            | st.tuples(st.just(1), st.just(0), st.sampled_from([-2, -1, 1, 2])),
+            min_size=2,
+            max_size=6,
+        ),
+        st.booleans(),
+    ).filter(off_the_unit_roots)
+)
+@settings(max_examples=20, deadline=None)
+def test_census_and_witnesses_hold_off_the_unit_roots(m):
+    # every 2 x 2 det +-1 matrix with no unit-root eigenvalue has finite
+    # quotients Q_n, so no stratum of B^5 may exceed C(|p|), and every key
+    # merge there has a conjugator (witness_merges asserts each one)
+    ctx = MatrixContext(m)
+    index = enumerate_ball(ctx, 5)
+    census = stratum_census(ctx, index, 5)
+    assert sorted(census) == [p for p in range(-5, 6) if p]
+    assert all(found <= total for found, total in census.values())
+    assert witness_merges(ctx, index, 5) > 0

@@ -320,14 +320,15 @@ def test_layered_defects_match_elementwise_on_boxes(knq, num, e):
 
 
 class CountingBaumslagSolitar(BaumslagSolitarContext):
-    """Counts kpart_add calls, the strata whose key function is built, and
-    the per-element conjugacy_key calls."""
+    """Counts kpart_add calls, and records the strata whose key function
+    is built and every fetch of a stratum's key function; conjugacy_key
+    fetches one per element."""
 
     def __init__(self, k):
         super().__init__(k)
         self.adds = 0
         self.built = []
-        self.element_keys = 0
+        self.fetched = []
 
     def kpart_add(self, a, b):
         self.adds += 1
@@ -337,9 +338,9 @@ class CountingBaumslagSolitar(BaumslagSolitarContext):
         self.built.append(p)
         return super()._build_stratum_key(p)
 
-    def conjugacy_key(self, g):
-        self.element_keys += 1
-        return super().conjugacy_key(g)
+    def stratum_key(self, p):
+        self.fetched.append(p)
+        return super().stratum_key(p)
 
 
 def test_separating_translate_adds_once_per_kpart():
@@ -361,8 +362,7 @@ def test_separating_translate_builds_one_key_per_layer(k, n):
     sep = separating_translate(ctx, box)
     assert sep.classes == box.size
     exponent = sep.n1 + sep.n2
-    assert ctx.built == [exponent + p for p in range(n)]
-    assert ctx.element_keys == 0
+    assert ctx.built == ctx.fetched == [exponent + p for p in range(n)]
 
 
 def test_translate_experiment_reports_the_key_pass_count():
