@@ -113,8 +113,14 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
+def _ball_reach(radius: int) -> int:
+    """The bs reach of enumerate and ratio: a K-part num / k^e of S^R has
+    e <= R, and the bench's kernel timings apply phi^-R to it."""
+    return 2 * max(radius, 0)
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    ctx = parse_group_descriptor(args.group)
+    ctx = parse_group_descriptor(args.group, reach=_ball_reach(args.radius))
     index = enumerate_ball(ctx, args.radius, args.element_cap)
     lines = ["r,ball,sphere"]
     for r in range(args.radius + 1):
@@ -125,7 +131,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ratio(args: argparse.Namespace) -> int:
-    ctx = parse_group_descriptor(args.group)
+    ctx = parse_group_descriptor(args.group, reach=_ball_reach(args.radius))
     index = enumerate_ball(ctx, args.radius, args.element_cap)
     _write_text(args.out, format_csv(ratio_table(ctx, index, args.f)))
     if args.out is not None:
@@ -134,10 +140,12 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjtest(args: argparse.Namespace) -> int:
-    ctx = parse_group_descriptor(args.group)
     oracle_radius = args.oracle_radius
     if oracle_radius is None:
         oracle_radius = args.radius + 8
+    # the oracle applies phi^j, |j| <= RC, to K-parts num / k^e of S^R, e <= R
+    reach = max(args.radius + oracle_radius, 0)
+    ctx = parse_group_descriptor(args.group, reach=reach)
     if oracle_radius < args.radius:
         raise ValueError(
             f"oracle radius {oracle_radius} is below the ball radius {args.radius}"
@@ -186,9 +194,14 @@ def _cmd_conjtest(args: argparse.Namespace) -> int:
 
 
 def _cmd_folner(args: argparse.Namespace) -> int:
-    ctx = BaumslagSolitarContext(args.k)
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
+    # reach n covers the grid k^-n of the box F_n.  A box over the cap is
+    # refused before any K-part is built, and every box under it has
+    # 2^(3n) <= cap, so the reach stops at the cap's bit length rather than
+    # build k^n at n = 10^7
+    reach = min(args.n, args.element_cap.bit_length())
+    ctx = BaumslagSolitarContext(args.k, reach=reach)
     if args.emit == "csv":
         # the largest box first, so that its cap check runs before any other
         # box is built and keyed
@@ -224,8 +237,9 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
 
 
 def _cmd_rewrite(args: argparse.Namespace) -> int:
-    ctx = parse_group_descriptor(args.group)
     word = parse_word(args.word)
+    # each letter moves the exponent e of the running K-part by at most 1
+    ctx = parse_group_descriptor(args.group, reach=len(word))
     value = evaluate(ctx, word)
     exponent = t_exponent(word)
     lines = [

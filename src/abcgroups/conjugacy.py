@@ -11,8 +11,11 @@ fixes that quotient, and every orbit is just the n images phi^j(x),
   = Z / (k^n - 1) because k is invertible there (k * k^(n-1) = k^n = 1).
   The class of num / k^e is num k^-e, a power of k times num, so the key
   is the least residue of the orbit of num under multiplication by k.
+  The stored K-part a = num k^(E - e) (groups) lies in that orbit too, so
+  the key reads a mod k^n - 1 with no unpacking.
 * bs, p = 0: conjugation only multiplies by powers of k, so the key is
-  the numerator with all factors of k removed, sign preserved.
+  the numerator with all factors of k removed, sign preserved, which is
+  the stored a with all its factors of k removed.
 * lamplighter, p != 0: summing a configuration over each residue class of
   indices mod n kills (1 - phi^n) K exactly, and shifting rotates the n
   sums, so the key is the lexicographically least rotation.
@@ -239,8 +242,7 @@ def brute_force_partition(
             if b in zero_set:
                 uf.union(g, new(Element, (b, 0)))
     for p in range(1, r + 1):  # each stratum -p mirrors p by inversion
-        q = ctx.quotient(p)
-        coords, residues, solve = q.coords, q.orbit, q.solve
+        coords, residues, solve, _ = ctx.quotient(p)
         # the shifts j in [-RC, RC] by j mod p, each class in order of j
         shift_classes = [range(-rc + (i + rc) % p, rc + 1, p) for i in range(p)]
         buckets: dict = {}  # residue -> {root at insertion: members}

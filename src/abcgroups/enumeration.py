@@ -33,7 +33,7 @@ from itertools import chain
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional
 
-from .groups import Element, GroupContext
+from .groups import Element, GroupContext, ResourceCapError
 
 __all__ = [
     "BallIndex",
@@ -43,10 +43,6 @@ __all__ = [
 ]
 
 DEFAULT_ELEMENT_CAP = 50_000_000
-
-
-class ResourceCapError(RuntimeError):
-    """An explicit resource cap was hit; results were not truncated."""
 
 
 class BallIndex:

@@ -110,10 +110,10 @@ def folner_box(
             f"the box for n = {n} has n * {k}^(3n) elements, over the cap "
             f"{element_cap}"
         )
-    # one K-part per b, shared by the box's n layers
-    return FolnerBox(
-        frozenset(ctx.canonical_kpart((b, n)) for b in range(k ** (3 * n))), n
-    )
+    # one K-part b k^-n per b, shared by the box's n layers: b times the
+    # int kpart of k^-n, which raises past the context's reach
+    step = ctx.canonical_kpart((1, n))
+    return FolnerBox(frozenset(range(0, step * k ** (3 * n), step)), n)
 
 
 def right_defect(ctx: GroupContext, box: FolnerBox, x: Element) -> Fraction:
@@ -173,8 +173,10 @@ def separating_translate(ctx: GroupContext, box: FolnerBox) -> SeparatingTransla
     ctx = _require_bs(ctx)
     kparts = box.kparts
     k = ctx.k
-    n2 = max(e for _, e in kparts)
-    cleared = [num * k ** (n2 - e) for num, e in kparts]
+    # the box's finest grid is k^-n, and its kparts are x k^E, E >= n
+    n2 = box.n
+    scale = k ** (ctx.reach - n2)
+    cleared = [a // scale for a in kparts]
     shift = 2 * max(map(abs, cleared)) + 1
     largest = shift + max(cleared)
     digits = 0
@@ -184,8 +186,10 @@ def separating_translate(ctx: GroupContext, box: FolnerBox) -> SeparatingTransla
     exponent = n1 + n2
     g = Element(ctx.phi_power(ctx.canonical_kpart((shift, 0)), n1), exponent)
     # g (a, t^p) = (g.kpart + phi^exponent(a), t^(exponent + p)): one product
-    # per K-part, shared by every layer, in the iteration order of kparts
-    products = [ctx.kpart_add(g.kpart, ctx.phi_power(a, exponent)) for a in kparts]
+    # per K-part, shared by every layer, in the iteration order of kparts;
+    # phi^exponent multiplies a kpart by k^exponent
+    add, offset, factor = ctx.kpart_add, g.kpart, k**exponent
+    products = [add(offset, a * factor) for a in kparts]
     classes = 0
     for p in range(box.n):
         # conjugate elements share their t-exponent, so a repeated key lies

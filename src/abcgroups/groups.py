@@ -9,7 +9,8 @@ Three kernel families are supported:
 
 * lamplighter: K = finitely supported configurations Z -> Z_m (or Z when
   m = 0), phi shifts the support up by one.
-* bs: K = Z[1/k] for Baumslag-Solitar BS(1,k), phi multiplies by k.
+* bs: K = Z[1/k] for Baumslag-Solitar BS(1,k), phi multiplies by k; x is
+  stored as the int x k^E, E the context's reach (BaumslagSolitarContext).
 * matrix: K = Z^n with phi given by an integer matrix of determinant +-1.
 
 Each family's context supplies its p = 0 conjugacy key and, for the
@@ -28,7 +29,7 @@ import json
 import re
 from functools import cached_property
 from math import gcd, inf
-from operator import mul, neg
+from operator import add, mul, neg
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .linalg import (
@@ -54,10 +55,15 @@ __all__ = [
     "BaumslagSolitarContext",
     "MatrixContext",
     "Quotient",
+    "ResourceCapError",
     "load_matrix_config",
     "parse_group_descriptor",
     "parse_int",
 ]
+
+
+class ResourceCapError(RuntimeError):
+    """An explicit resource cap was hit; results were not truncated."""
 
 
 class Element(NamedTuple):
@@ -101,7 +107,7 @@ class GroupContext:
         self._quotients: dict[int, Quotient] = {}
 
     # Kernel primitives supplied by each family.  kparts are canonical
-    # immutable tuples so elements are hashable dictionary keys.
+    # immutable tuples or (bs) ints, so elements are hashable dict keys.
 
     def kpart_zero(self):
         raise NotImplementedError
@@ -157,8 +163,7 @@ class GroupContext:
     def _build_stratum_key(self, p: int) -> Callable:
         if p == 0:
             return self._build_zero_key()
-        q = self.quotient(abs(p))
-        coords, orbit, memo = q.coords, q.orbit, q.memo
+        coords, orbit, _, memo = self.quotient(abs(p))
 
         def key(w):
             # the least class of the orbit, memoised for every class of it
@@ -223,7 +228,8 @@ class GroupContext:
         for a in seen:
             if self.kpart_neg(a) not in seen:
                 raise ValueError(
-                    f"kernel generator set is not symmetric: missing inverse of {a!r}"
+                    "kernel generator set is not symmetric: missing inverse "
+                    f"of {self.format_kpart(a)}"
                 )
         self.kgen_nonzero = tuple(a for a in seen if a != zero)
 
@@ -397,84 +403,80 @@ class LamplighterContext(GroupContext):
 # ---------------------------------------------------------------------------
 
 
-class BaumslagSolitarContext(GroupContext):
-    """K = Z[1/k]; kpart (num, e) stands for num * k**-e.
+# E of a library bs context; bench/child.py's metamorphic check conjugates
+# radius-8 bs:2 balls by words of up to 40 letters, so it meets e <= 48
+DEFAULT_REACH = 64
 
-    Canonical form keeps e >= 0 minimal, so k does not divide num unless
-    e = 0, and zero is (0, 0).
+
+class BaumslagSolitarContext(GroupContext):
+    """K = Z[1/k]; the kpart of x is the Python int x * k**reach.
+
+    One exponent E = reach serves the whole context, so kpart_add is a + b
+    and kpart_neg is -a (the C functions themselves), phi^i multiplies by
+    k^i and phi^-i divides exactly by k^i, and equal K-parts are equal
+    ints.  A K-part outside k^-E Z raises ResourceCapError, never a rounded
+    value.  The CLI takes E from each command's parameters: 2R for
+    enumerate and ratio, R + RC for conjtest, n for folner and the word's
+    length for rewrite.  canonical_kpart packs the pair (num, e) for
+    num / k^e; format_kpart and word_length unpack it with e >= 0 minimal.
     """
 
     family = "bs"
 
-    def __init__(self, k: int, kgens: Optional[Iterable] = None):
+    def __init__(
+        self, k: int, kgens: Optional[Iterable] = None, reach: int = DEFAULT_REACH
+    ):
         if k < 2:
             raise ValueError(f"bs parameter k must be >= 2, got {k}")
+        if reach < 0:
+            raise ValueError(f"bs reach must be >= 0, got {reach}")
         super().__init__()
         self.k = k
-        standard = ((0, 0), (1, 0), (-1, 0))
-        self._set_kgens(standard if kgens is None else kgens)
+        self.reach = reach
+        one = self._one = k**reach
+        # C functions, bound as MatrixContext binds its add: no method call
+        self.kpart_add = add
+        self.kpart_neg = neg
+        kgens = ((0, 0), (1, 0), (-1, 0)) if kgens is None else tuple(kgens)
+        self._set_kgens(kgens)
         # R spans g Z[1/k] over t, g the gcd of its numerators: all of Z[1/k]
         # when g is a unit there, which is when g divides k^(bit length of g)
-        g = gcd(*(num for num, _ in self.kgen_nonzero))
+        g = gcd(*(num for num, _ in kgens))
         if not g or k ** g.bit_length() % g:
             raise ValueError("kernel generators do not generate Z[1/k] over t")
-        self._standard_gens = set(self.kgen_nonzero) == set(standard[1:])
+        self._standard_gens = set(self.kgen_nonzero) == {one, self.kpart_neg(one)}
 
     def kpart_zero(self):
-        return (0, 0)
+        return 0
 
     def canonical_kpart(self, a):
+        """The kpart of num / k^e, given as the pair (num, e)."""
         num, e = a
-        if num == 0:
-            return (0, 0)
-        k = self.k
-        if e < 0:
-            return (num * k ** (-e), 0)
-        while e > 0 and num % k == 0:
-            num //= k
-            e -= 1
-        return (num, e)
-
-    def kpart_add(self, a, b):
-        na, ea = a
-        nb, eb = b
-        k = self.k
-        if ea == eb:
-            num, e = na + nb, ea
-        elif ea > eb:
-            num, e = na + nb * k ** (ea - eb), ea
-        else:
-            num, e = na * k ** (eb - ea) + nb, eb
-        if num == 0:
-            return (0, 0)
-        while e > 0 and num % k == 0:
-            num //= k
-            e -= 1
-        return (num, e)
-
-    def kpart_neg(self, a):
-        return (-a[0], a[1])
+        return self.phi_power(num * self._one, -e)
 
     def phi_power(self, a, i: int):
-        num, e = a
-        if i == 0 or num == 0:
-            return a
-        e -= i
-        if e < 0:
-            return (num * self.k ** (-e), 0)
-        # canonical inputs with e = 0 may carry factors of k in num; pulling
-        # them out keeps the result canonical when i is negative
-        k = self.k
-        while e > 0 and num % k == 0:
-            num //= k
-            e -= 1
-        return (num, e)
+        if i >= 0:
+            return a * self.k**i
+        q, r = divmod(a, self.k**-i)
+        if r:
+            raise ResourceCapError(
+                f"{self.format_kpart(a)} / {self.k}^{-i} is past the reach {self.reach}"
+            )
+        return q
+
+    def _fraction(self, a) -> tuple[int, int]:
+        """(num, e) with kpart a standing for num / k^e, e >= 0 minimal."""
+        k, e = self.k, self.reach if a else 0
+        # strip min(E, factors of k in a) factors of k, 2^j at a time
+        for step in (1 << j for j in reversed(range(e.bit_length()))):
+            if step <= e and not a % k**step:
+                a //= k**step
+                e -= step
+        return a, e
 
     def format_kpart(self, a) -> str:
-        num, e = a
-        if e == 0:
-            return str(num)
-        return f"{num}/{self.k}^{e}"
+        num, e = self._fraction(a)
+        return f"{num}/{self.k}^{e}" if e else str(num)
 
     def word_length(self, g: Element, bound: Optional[int] = None) -> int:
         """Word length of g = (num / k^e, t^p) for the generators a, t.
@@ -515,7 +517,7 @@ class BaumslagSolitarContext(GroupContext):
         if not self._standard_gens:
             return super().word_length(g, bound)
         k = self.k
-        num, e = g.kpart
+        num, e = self._fraction(g.kpart)
         p = g.texp
         low = min(0, p, -e)
         # a and b: least digit sums with v and with v + 1 still to write
@@ -549,10 +551,9 @@ class BaumslagSolitarContext(GroupContext):
         k = self.k
 
         def stripped(a):
-            num = a[0]
-            while num and num % k == 0:
-                num //= k
-            return (0, num)
+            while a and not a % k:
+                a //= k
+            return (0, a)
 
         return stripped
 
@@ -568,9 +569,9 @@ class BaumslagSolitarContext(GroupContext):
         rest = range(abs(p) - 1)
 
         def key(a):
-            # num / k^e has the class num k^-e, a power of k times num, so
-            # its orbit, and the least residue of it, are those of num
-            res = best = a[0] % modulus
+            # a = num k^(E - e) for x = num / k^e is a power of k times num,
+            # so its orbit, and the least residue of it, are those of num
+            res = best = a % modulus
             for _ in rest:
                 res = res * k % modulus
                 if res < best:
@@ -582,27 +583,22 @@ class BaumslagSolitarContext(GroupContext):
     def _build_quotient(self, n: int):
         k = self.k
         den = k**n - 1
-        # the class of num / k^e in Z[1/k] / (k^n - 1) = Z / (k^n - 1) is
-        # num * k^-e = num * unit[e % n], as k^n = 1 there
-        unit = [pow(k, -e % n, den) for e in range(n)]
+        # the class of x in Z[1/k] / (k^n - 1) = Z / (k^n - 1) is a k^-E for
+        # its kpart a, and k^-E = k^(-E mod n) there, as k^n = 1
+        unit = pow(k, -self.reach % n, den)
         # phi^j multiplies the class by k^j, which is below den for j < n
         powers = [k**j for j in range(n)]
 
         def coords(w):
-            num, e = w
-            return num * unit[e % n] % den
+            return w * unit % den
 
         def orbit(c):
             return [c * u % den for u in powers]
 
         def solve(w):
-            # (1 - k^n) b = w: b = -w / (k^n - 1).  k is prime to k^n - 1,
-            # so k divides the quotient only where it divides num, and
-            # (-num / den, e) is canonical as w is
-            num, e = w
-            if num % den:
-                return None
-            return (-num // den, e)
+            # (1 - k^n) b = w: b = -w / (k^n - 1), and k is prime to
+            # k^n - 1, so b lies in k^-E Z exactly when den divides w
+            return None if w % den else -w // den
 
         return coords, orbit, solve
 
@@ -845,15 +841,15 @@ def parse_int(text: str, what: str) -> int:
     return int(text)
 
 
-def parse_group_descriptor(desc: str) -> GroupContext:
-    """Parse "lamplighter:m", "bs:k" or "matrix:<config path>"."""
+def parse_group_descriptor(desc: str, reach: int = DEFAULT_REACH) -> GroupContext:
+    """Parse "lamplighter:m", "bs:k" of the given reach, or "matrix:<path>"."""
     head, sep, rest = desc.partition(":")
     if not sep:
         raise ValueError(f"bad group descriptor {desc!r}: expected family:parameter")
     if head == "lamplighter":
         return LamplighterContext(parse_int(rest, f"lamp modulus in {desc!r}"))
     if head == "bs":
-        return BaumslagSolitarContext(parse_int(rest, f"base in {desc!r}"))
+        return BaumslagSolitarContext(parse_int(rest, f"base in {desc!r}"), reach=reach)
     if head == "matrix":
         return load_matrix_config(rest)
     raise ValueError(f"unknown group family {head!r}")

@@ -5,11 +5,11 @@ words, elementwise conjugation sweeps, geodesic words rebuilt from the
 discovery order of the spheres) or by the plain exhaustive loop a fast
 path replaced (BFS against a whole-ball dict, pairwise conjugator
 solving, step-by-step orbit walks, whole-window orbit scans,
-all-rotations keys, bs key residues from Fractions, Fraction projection
-scans, a ratio table keyed on both signs of p, the ratio and spectral
-tables element by element over whole spheres, one multiply per element
-for the Folner defects), so the fast code paths have an independent
-answer to match.
+all-rotations keys, bs K-parts and key residues as Fractions, Fraction
+projection scans, a ratio table keyed on both signs of p, the ratio and
+spectral tables element by element over whole spheres, one multiply per
+element for the Folner defects), so the fast code paths have an
+independent answer to match.
 Helpers that only tests call live here too: each sphere's t-counts in
 sphere order (t_counts), element construction from a raw kernel part,
 conjugation, are_conjugate, quotient representatives, integer kernel
@@ -514,19 +514,23 @@ def matrix_orbit_min(ctx: MatrixContext, n: int, v) -> tuple[int, ...]:
             best = cur
 
 
+def bs_value(ctx: BaumslagSolitarContext, a) -> Fraction:
+    """The element of Z[1/k] that the kpart a stands for, a / k^E."""
+    return Fraction(a, ctx.k**ctx.reach)
+
+
 def bs_class_residues(ctx: BaumslagSolitarContext, n: int, kpart) -> list[int]:
     """The classes of phi^j(w), 0 <= j < n, mod k^n - 1, from Fractions alone.
 
-    w = num / k^e, and phi^j(w) = num k^(j - e) is a Fraction, made an
-    integer by factors k^n, which are 1 mod k^n - 1, and then reduced; no
-    modular inverse and no table of units.
+    phi^j(w) = w k^j is a Fraction (bs_value), made an integer by factors
+    k^n, which are 1 mod k^n - 1, and then reduced; no modular inverse and
+    no table of units.
     """
     k = ctx.k
-    num, e = kpart
     modulus = k**n - 1
     residues = []
     for j in range(n):
-        value = Fraction(num) * Fraction(k) ** (j - e)
+        value = bs_value(ctx, kpart) * k**j
         while value.denominator != 1:
             value *= k**n
         residues.append(int(value) % modulus)
@@ -535,7 +539,7 @@ def bs_class_residues(ctx: BaumslagSolitarContext, n: int, kpart) -> list[int]:
 
 def bs_orbit_min(ctx: BaumslagSolitarContext, n: int, kpart) -> int:
     """The bs key residue of the strata p = +-n: the least of
-    num k^(j - e) mod k^n - 1 over 0 <= j < n (bs_class_residues)."""
+    w k^j mod k^n - 1 over 0 <= j < n (bs_class_residues)."""
     return min(bs_class_residues(ctx, n, kpart))
 
 

@@ -403,6 +403,98 @@ def test_rewrite_negative_exponent_skips_forms(capsys):
     assert lines[2] == "t_exponent: -2"
 
 
+# ---------------------------------------------------------------------------
+# The bs reach E of each command: every K-part it meets lies in k^-E Z
+# ---------------------------------------------------------------------------
+
+
+def recorded_reaches(monkeypatch) -> list:
+    """The reach the CLI passes with each group descriptor it parses."""
+    reaches = []
+    parse = cli.parse_group_descriptor
+
+    def recording(desc, reach):
+        reaches.append(reach)
+        return parse(desc, reach=reach)
+
+    monkeypatch.setattr(cli, "parse_group_descriptor", recording)
+    return reaches
+
+
+@pytest.mark.parametrize(
+    "argv, reach",
+    [
+        (["enumerate", "--group", "bs:2", "--radius", "5"], 10),
+        (["ratio", "--group", "bs:3", "--radius", "4"], 8),
+        (["conjtest", "--group", "bs:2", "--radius", "3"], 14),
+        (["conjtest", "--group", "bs:2", "--radius", "2", "--oracle-radius", "5"], 7),
+        (["rewrite", "--group", "bs:2", "T T g0 t"], 4),
+    ],
+)
+def test_each_command_takes_its_reach_from_its_parameters(
+    monkeypatch, capsys, argv, reach
+):
+    reaches = recorded_reaches(monkeypatch)
+    assert run(argv) == 0
+    assert reaches == [reach]
+
+
+def test_folner_reach_is_the_box_grid(monkeypatch, capsys):
+    reaches = []
+    experiment = cli.translate_experiment
+
+    def recording(ctx, n, *args):
+        reaches.append(ctx.reach)
+        return experiment(ctx, n, *args)
+
+    monkeypatch.setattr(cli, "translate_experiment", recording)
+    assert run(["folner", "--k", "3", "--n", "2"]) == 0
+    assert run(["folner", "--k", "2", "--n", "3", "--emit", "csv"]) == 0
+    assert reaches == [2, 3, 3, 3]
+
+
+# T^70 g0 t^70 = (1/2^70; t^0), 141 letters
+DEEP_WORD = " ".join(["T"] * 70 + ["g0"] + ["t"] * 70)
+
+
+def test_rewrite_reaches_a_deep_word(monkeypatch, capsys):
+    reaches = recorded_reaches(monkeypatch)
+    assert run(["rewrite", "--group", "bs:2", DEEP_WORD]) == 0
+    assert reaches == [141]
+    assert capsys.readouterr().out == (
+        f"word: {DEEP_WORD}\nvalue: (1/2^70; t^0)\nt_exponent: 0\n"
+        f"staircase: {DEEP_WORD}\n"
+    )
+
+
+def test_conjtest_reach_covers_the_oracle_shifts(monkeypatch, capsys):
+    # the oracle applies phi^j, |j| <= 40, to the K-parts of S^3
+    reaches = recorded_reaches(monkeypatch)
+    argv = ["conjtest", "--group", "bs:2", "--radius", "3", "--oracle-radius", "40"]
+    assert run(argv) == 0
+    assert reaches == [43]
+    assert json.loads(capsys.readouterr().out) == {
+        "agreement": True,
+        "ball": 43,
+        "classes_by_key": 13,
+        "classes_by_oracle": 13,
+        "group": "bs:2",
+        "mismatch_count": 0,
+        "mismatches": [],
+        "oracle_radius": 40,
+        "radius": 3,
+    }
+
+
+def test_a_kpart_past_the_reach_exits_2(monkeypatch, capsys):
+    # BFS to radius 4 builds 1/2^3 (T T T g0), past a reach of 2
+    monkeypatch.setattr(cli, "_ball_reach", lambda radius: radius - 2)
+    assert run(["enumerate", "--group", "bs:2", "--radius", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "reach 2" in captured.err
+
+
 def test_rewrite_bad_letter(capsys):
     assert run(["rewrite", "--group", "bs:2", "g0 q t"]) == 1
     assert "error:" in capsys.readouterr().err

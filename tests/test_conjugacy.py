@@ -15,9 +15,11 @@ from _oracles import (
     are_conjugate,
     bs_class_residues,
     bs_orbit_min,
+    bs_value,
     conjugate,
     conjugation_sweep,
     det_int,
+    element,
     lamplighter_rotation_key,
     matrix_form_minimum,
     matrix_orbit_min,
@@ -86,33 +88,38 @@ def test_lamplighter_key_matches_all_rotations(m, radius):
         assert conjugacy_key(ctx, g) == lamplighter_rotation_key(ctx, g)
 
 
+def bs_conjugate(ctx, g, h):
+    """are_conjugate on elements given as ((num, e), p) for num / k^e."""
+    return are_conjugate(ctx, element(ctx, *g), element(ctx, *h))
+
+
 def test_bs_positive_stratum():
     ctx = BaumslagSolitarContext(2)
     # conjugation multiplies the kernel entry by powers of 2 mod 2^2 - 1
-    assert are_conjugate(ctx, Element((1, 0), 2), Element((2, 0), 2))
-    assert not are_conjugate(ctx, Element((1, 0), 2), Element((3, 0), 2))
-    assert are_conjugate(ctx, Element((3, 0), 2), Element((0, 0), 2))
+    assert bs_conjugate(ctx, ((1, 0), 2), ((2, 0), 2))
+    assert not bs_conjugate(ctx, ((1, 0), 2), ((3, 0), 2))
+    assert bs_conjugate(ctx, ((3, 0), 2), ((0, 0), 2))
     # every (a, t) is conjugate into (0, t)
-    assert are_conjugate(ctx, Element((5, 2), 1), Element((0, 0), 1))
+    assert bs_conjugate(ctx, ((5, 2), 1), ((0, 0), 1))
     # negative strata behave symmetrically
-    assert are_conjugate(ctx, Element((1, 0), -2), Element((2, 0), -2))
-    assert not are_conjugate(ctx, Element((1, 0), -2), Element((3, 0), -2))
+    assert bs_conjugate(ctx, ((1, 0), -2), ((2, 0), -2))
+    assert not bs_conjugate(ctx, ((1, 0), -2), ((3, 0), -2))
 
 
 def test_bs_zero_stratum():
     ctx = BaumslagSolitarContext(2)
     # t-conjugation scales by 2, so the odd part is the invariant
-    assert are_conjugate(ctx, Element((1, 0), 0), Element((2, 0), 0))
-    assert are_conjugate(ctx, Element((3, 2), 0), Element((12, 0), 0))
-    assert not are_conjugate(ctx, Element((1, 0), 0), Element((-1, 0), 0))
-    assert not are_conjugate(ctx, Element((1, 0), 0), Element((3, 0), 0))
-    assert not are_conjugate(ctx, Element((1, 0), 0), Element((0, 0), 0))
+    assert bs_conjugate(ctx, ((1, 0), 0), ((2, 0), 0))
+    assert bs_conjugate(ctx, ((3, 2), 0), ((12, 0), 0))
+    assert not bs_conjugate(ctx, ((1, 0), 0), ((-1, 0), 0))
+    assert not bs_conjugate(ctx, ((1, 0), 0), ((3, 0), 0))
+    assert not bs_conjugate(ctx, ((1, 0), 0), ((0, 0), 0))
 
 
 def test_texp_is_invariant():
     ctx = BaumslagSolitarContext(2)
-    assert not are_conjugate(ctx, Element((0, 0), 1), Element((0, 0), -1))
-    assert not are_conjugate(ctx, Element((1, 0), 0), Element((1, 0), 2))
+    assert not bs_conjugate(ctx, ((0, 0), 1), ((0, 0), -1))
+    assert not bs_conjugate(ctx, ((1, 0), 0), ((1, 0), 2))
 
 
 def test_lamplighter_positive_stratum():
@@ -394,7 +401,11 @@ def family_reference_key(ctx, g):
         return (0, tuple((i - a[0][0], v) for i, v in a) if a else ())
     if p:
         return (p, bs_orbit_min(ctx, abs(p), a))
-    num = a[0]
+    # the value times a power of k, with every factor of k then removed
+    value = bs_value(ctx, a)
+    while value.denominator != 1:
+        value *= ctx.k
+    num = int(value)
     while num and num % ctx.k == 0:
         num //= ctx.k
     return (0, num)
@@ -421,7 +432,10 @@ def test_stratum_keys_match_the_family_references(make, r):
     if isinstance(ctx, BaumslagSolitarContext):
         # K-parts num / k^e with e >= |p| > 0, whose class num k^-e the
         # reference reduces only after clearing the denominator
-        assert any(0 < abs(g.texp) <= g.kpart[1] for g in ball)
+        assert any(
+            0 < ctx.k ** abs(g.texp) <= bs_value(ctx, g.kpart).denominator
+            for g in ball
+        )
 
 
 @settings(max_examples=200, deadline=None)
@@ -987,6 +1001,30 @@ def test_key_partition_closed_under_inversion():
 
 
 
+@pytest.mark.parametrize("k, radius", [(2, 8), (3, 6)])
+def test_default_reach_covers_the_bench_conjugations(k, radius):
+    # bench/child.py's metamorphic check builds bs:2 and bs:3 with the
+    # library default reach and tests key(x g x^-1) = key(g) on ball
+    # elements g and words x of up to 40 letters; T^40 takes the deepest
+    # K-part of S^r, 1/k^(r-1), to 1/k^(r+39)
+    ctx = BaumslagSolitarContext(k)
+    letters = [s for s in ctx.generators() if s != ctx.identity]
+    ball = sorted(enumerate_ball(ctx, radius).elements())
+    rng = random.Random(11)
+    pairs = [
+        (g, [rng.choice(letters) for _ in range(rng.randint(1, 40))])
+        for g in rng.sample(ball, 150)
+    ]
+    deepest = max(ball, key=lambda g: bs_value(ctx, g.kpart).denominator)
+    assert bs_value(ctx, deepest.kpart).denominator == k ** (radius - 1)
+    pairs.append((deepest, [letters[-1]] * 40))  # T^40
+    for g, word in pairs:
+        x = ctx.identity
+        for s in word:
+            x = ctx.multiply(x, s)
+        assert conjugacy_key(ctx, conjugate(ctx, x, g)) == conjugacy_key(ctx, g)
+
+
 # ---------------------------------------------------------------------------
 # Census and witnesses: every stratum p != 0 against its Burnside count, and
 # a conjugator for every key merge
@@ -1002,6 +1040,7 @@ LAMP2_R4 = [(), ((0, 1),), ((1, 1),), ((0, 1), (1, 1))]
 CERTIFIED = {
     "bs2": (lambda: BaumslagSolitarContext(2), 14, 9, 12, 12_908),
     "bs3": (lambda: BaumslagSolitarContext(3), 11, 5, 9, 5_678),
+    "bs5": (lambda: BaumslagSolitarContext(5), 7, 2, 6, 786),
     "lamplighter2": (None, 18, 9, 12, 3_852),
     "hyperbolic": (lambda: MatrixContext(HYP), 9, 5, 7, 3_026),
     "bs2-R13": (lambda: BaumslagSolitarContext(2, BS2_R13), 10, 7, 8, 3_358),

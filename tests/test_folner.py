@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import (
     are_conjugate,
+    bs_value,
     congruence_witness,
     element,
     finite_n_solutions,
@@ -39,11 +40,11 @@ def test_box_contents():
     ctx = BaumslagSolitarContext(2)
     box = folner_box(ctx, 2)
     assert ctx.identity in box.elements
-    for (num, e), p in box.elements:
+    for a, p in box.elements:
         assert 0 <= p < 2
-        assert 0 <= e <= 2
         # the kernel entry lies on the grid 2^-2 Z inside [0, 2^4)
-        value = Fraction(num, 2**e)
+        value = bs_value(ctx, a)
+        assert value.denominator in (1, 2, 4)
         assert 0 <= value < 2**4
 
 
@@ -59,8 +60,8 @@ def test_box_rejects_bad_arguments():
 
 def test_right_defect_values():
     ctx = BaumslagSolitarContext(2)
-    g0 = Element((1, 0), 0)
-    t = Element((0, 0), 1)
+    g0 = element(ctx, (1, 0), 0)
+    t = element(ctx, (0, 0), 1)
     expected = {1: Fraction(1, 2), 2: Fraction(3, 16), 3: Fraction(7, 96)}
     for n, value in expected.items():
         box = folner_box(ctx, n)
@@ -71,7 +72,7 @@ def test_right_defect_values():
 
 def test_left_defect_values():
     ctx = BaumslagSolitarContext(2)
-    t = Element((0, 0), 1)
+    t = element(ctx, (0, 0), 1)
     for n, value in ((1, Fraction(2)), (2, Fraction(3, 2)), (3, Fraction(4, 3))):
         assert left_defect(ctx, folner_box(ctx, n), t) == value
 
@@ -218,11 +219,21 @@ def full_key_count(ctx, g, elements) -> int:
     return len({conjugacy_key(ctx, ctx.multiply(g, x)) for x in elements})
 
 
+def denominator_exponent(ctx, collection) -> int:
+    """The least n2 with every K-part of the collection in k^-n2 Z."""
+    values = [bs_value(ctx, a) for a, _ in collection]
+    return next(
+        n2
+        for n2 in itertools.count()
+        if all((v * ctx.k**n2).denominator == 1 for v in values)
+    )
+
+
 def shifted_parts(ctx, collection) -> dict:
     """texp -> shifted cleared K-parts of the collection, from the module
     doc's formulas: n2 = max denominator exponent, shift = 2 max|v| + 1."""
-    n2 = max(e for (_, e), _ in collection)
-    cleared = [(num * ctx.k ** (n2 - e), p) for (num, e), p in collection]
+    n2 = denominator_exponent(ctx, collection)
+    cleared = [(int(bs_value(ctx, a) * ctx.k**n2), p) for a, p in collection]
     shift = 2 * max(abs(v) for v, _ in cleared) + 1
     out: dict = {}
     for v, p in cleared:
@@ -252,7 +263,7 @@ def test_separating_translate_follows_the_module_doc(k, n):
     box = folner_box(ctx, n)
     sep = separating_translate(ctx, box)
     # the box's finest grid is k^-n, and its cleared parts fill [0, M]
-    n2 = max(e for (_, e), _ in box.elements)
+    n2 = denominator_exponent(ctx, box.elements)
     assert n2 == n
     parts = shifted_parts(ctx, box.elements)
     assert sorted(parts) == list(range(n))
@@ -329,10 +340,13 @@ class CountingBaumslagSolitar(BaumslagSolitarContext):
         self.adds = 0
         self.built = []
         self.fetched = []
+        add = self.kpart_add  # the context's own add, bound per instance
 
-    def kpart_add(self, a, b):
-        self.adds += 1
-        return super().kpart_add(a, b)
+        def counting_add(a, b):
+            self.adds += 1
+            return add(a, b)
+
+        self.kpart_add = counting_add
 
     def _build_stratum_key(self, p):
         self.built.append(p)

@@ -1,9 +1,12 @@
+import functools
 import json
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from _oracles import adjugate, conjugate, det_int, element, mat_vec
+from _oracles import adjugate, bs_value, conjugate, det_int, element, mat_vec
+from abcgroups.enumeration import ResourceCapError, enumerate_ball
 from abcgroups.groups import (
     BaumslagSolitarContext,
     Element,
@@ -111,22 +114,27 @@ def test_generator_counts_and_order():
 
 def test_bs_arithmetic():
     ctx = BaumslagSolitarContext(2)
-    t = Element((0, 0), 1)
-    g0 = Element((1, 0), 0)
-    assert conjugate(ctx, t, g0) == Element((2, 0), 0)
-    assert conjugate(ctx, ctx.invert(t), g0) == Element((1, 1), 0)
-    g = ctx.multiply(Element((1, 0), 1), Element((1, 0), 1))
-    assert g == Element((3, 0), 2)
+    t = element(ctx, (0, 0), 1)
+    g0 = element(ctx, (1, 0), 0)
+    assert conjugate(ctx, t, g0) == element(ctx, (2, 0), 0)
+    assert conjugate(ctx, ctx.invert(t), g0) == element(ctx, (1, 1), 0)
+    g = ctx.multiply(element(ctx, (1, 0), 1), element(ctx, (1, 0), 1))
+    assert g == element(ctx, (3, 0), 2)
     assert ctx.multiply(g, ctx.invert(g)) == ctx.identity
 
 
 def test_bs_canonical_kpart():
     ctx = BaumslagSolitarContext(2)
-    assert ctx.canonical_kpart((4, 2)) == (1, 0)
-    assert ctx.canonical_kpart((6, 1)) == (3, 0)
-    assert ctx.canonical_kpart((0, 5)) == (0, 0)
-    assert ctx.canonical_kpart((3, -2)) == (12, 0)
-    assert ctx.canonical_kpart((5, 3)) == (5, 3)
+    # each pair (num, e) and the pair of its value with e minimal
+    for raw, least in [
+        ((4, 2), (1, 0)),
+        ((6, 1), (3, 0)),
+        ((0, 5), (0, 0)),
+        ((3, -2), (12, 0)),
+        ((5, 3), (5, 3)),
+    ]:
+        assert ctx.canonical_kpart(raw) == ctx.canonical_kpart(least)
+        assert bs_value(ctx, ctx.canonical_kpart(raw)) == Fraction(least[0], 2 ** least[1])
 
 
 def test_lamplighter_arithmetic():
@@ -321,7 +329,7 @@ def test_load_matrix_config(tmp_path):
 
 def test_format_element():
     ctx = BaumslagSolitarContext(2)
-    assert ctx.format_element(Element((3, 2), -1)) == "(3/2^2; t^-1)"
+    assert ctx.format_element(element(ctx, (3, 2), -1)) == "(3/2^2; t^-1)"
     lamp = LamplighterContext(3)
     assert lamp.format_element(Element(((0, 2), (5, 1)), 4)) == "(2@0+1@5; t^4)"
     assert lamp.format_element(lamp.identity) == "(0; t^0)"
@@ -395,3 +403,98 @@ def test_matrix_context_rejects_non_integer_entries():
     ctx = MatrixContext(HYP)
     with pytest.raises(ValueError):
         ctx.canonical_kpart((1.9, 0))
+
+
+# ---------------------------------------------------------------------------
+# bs K-parts as one integer x k^E, checked against Fractions
+# ---------------------------------------------------------------------------
+
+
+def least_pair(k: int, value: Fraction) -> tuple[int, int]:
+    """(num, e) with value = num / k^e and e >= 0 minimal, the pair a bs
+    K-part was stored as before it became one integer."""
+    e = 0
+    while (value * k**e).denominator != 1:
+        e += 1
+    return int(value * k**e), e
+
+
+# bs:k and a ball of it on which word_length is checked
+BS_BALL_RADIUS = {2: 11, 3: 8, 5: 7}
+
+
+@functools.cache
+def bs_ball(k):
+    ctx = BaumslagSolitarContext(k)
+    return ctx, enumerate_ball(ctx, BS_BALL_RADIUS[k])
+
+
+raw_kparts = st.tuples(st.integers(-(10**6), 10**6), st.integers(-3, 20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.sampled_from([2, 3, 5]),
+    x=raw_kparts,
+    y=raw_kparts,
+    i=st.integers(-90, 90),
+)
+def test_bs_kparts_match_fraction_arithmetic(k, x, y, i):
+    ctx = BaumslagSolitarContext(k)
+    a, b = ctx.canonical_kpart(x), ctx.canonical_kpart(y)
+    va = Fraction(x[0]) * Fraction(k) ** -x[1]
+    vb = Fraction(y[0]) * Fraction(k) ** -y[1]
+    assert bs_value(ctx, a) == va
+    assert bs_value(ctx, ctx.kpart_add(a, b)) == va + vb
+    assert bs_value(ctx, ctx.kpart_neg(a)) == -va
+    image = va * Fraction(k) ** i
+    if (image * k**ctx.reach).denominator == 1:
+        assert bs_value(ctx, ctx.phi_power(a, i)) == image
+    else:
+        # phi^i leaves k^-E Z: refused, never rounded
+        with pytest.raises(ResourceCapError):
+            ctx.phi_power(a, i)
+    # the (num, e) form the K-parts were printed in
+    num, e = least_pair(k, va)
+    assert ctx.format_kpart(a) == (str(num) if e == 0 else f"{num}/{k}^{e}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.sampled_from([2, 3, 5]),
+    num=st.integers(-40, 40),
+    e=st.integers(0, 4),
+    p=st.integers(-4, 4),
+    bound=st.integers(0, 12),
+)
+def test_bs_word_length_matches_the_ball(k, num, e, p, bound):
+    ctx, index = bs_ball(k)
+    g = element(ctx, (num, e), p)
+    length = ctx.word_length(g)
+    if g in index:
+        assert length == index.word_length(g)
+    else:
+        assert length > index.radius
+    assert ctx.word_length(g, bound) == min(length, bound + 1)
+
+
+def test_bs_kparts_past_the_reach_raise():
+    ctx = BaumslagSolitarContext(2, reach=5)
+    one = ctx.canonical_kpart((1, 0))
+    assert bs_value(ctx, one) == 1
+    assert bs_value(ctx, ctx.phi_power(one, -5)) == Fraction(1, 32)
+    with pytest.raises(ResourceCapError, match="reach 5"):
+        ctx.phi_power(one, -6)
+    with pytest.raises(ResourceCapError, match="reach 5"):
+        ctx.canonical_kpart((1, 6))
+    with pytest.raises(ResourceCapError, match="reach 5"):
+        ctx.invert(Element(one, 6))
+    # an exact division stays inside: 6 / 2^6 = 3 / 2^5
+    assert ctx.phi_power(ctx.canonical_kpart((6, 0)), -6) == ctx.canonical_kpart((3, 5))
+    assert ctx.canonical_kpart((2, 6)) == ctx.canonical_kpart((1, 5))
+    # phi^i for i >= 0 never leaves k^-E Z
+    assert bs_value(ctx, ctx.phi_power(one, 200)) == 2**200
+    assert BaumslagSolitarContext(3).reach == 64
+    assert parse_group_descriptor("bs:3", reach=7).reach == 7
+    with pytest.raises(ValueError, match="reach"):
+        BaumslagSolitarContext(2, reach=-1)

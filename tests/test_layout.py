@@ -11,7 +11,10 @@ body), and an attribute that is not called when its name is also a field
 or self.x name, since obj.x then most likely reads that field.  Every
 field (an annotated name in a class body, which covers dataclass and
 NamedTuple fields) and every self.x attribute must be read as an attribute
-somewhere in src/abcgroups or bench/, which reads ctx.family.  A read
+somewhere in src/abcgroups or bench/, which reads ctx.family, or, for a
+NamedTuple field, be unpacked there by place: a, b, ... = f(...), one
+name per field, where f is the class or a function annotated to return
+it, reads each field whose name is not _.  A read
 through a resolved receiver counts as a read of that field only for the
 receiver's class C and its bases: self.x in the methods of C, and x.f in a
 function where every binding of the name x is x = C(...) or the parameter
@@ -236,16 +239,67 @@ def _resolved_receivers(tree: ast.Module, classes) -> dict[int, str]:
     return out
 
 
+def _unpacking_returns(trees) -> tuple[dict[str, list[str]], dict[str, str]]:
+    """The NamedTuple classes, name -> fields, and name -> class for each
+    of them and each function or method annotated to return one."""
+    fields = {
+        cls.name: [target.id for target in _annotated_names(cls)]
+        for tree in trees
+        for cls in _classes(tree)
+        if any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases)
+    }
+    returns = {name: name for name in fields}
+    for tree in trees:
+        for fn in ast.walk(tree):
+            if (
+                isinstance(fn, ast.FunctionDef)
+                and isinstance(fn.returns, ast.Name)
+                and fn.returns.id in fields
+            ):
+                returns[fn.name] = fn.returns.id
+    return fields, returns
+
+
+def _unpacked_fields(tree: ast.Module, fields, returns) -> set[tuple[str, str]]:
+    """(class, field) for each field that an assignment a, b, ... = f(...)
+    binds to a name other than _, where f returns that class's NamedTuple
+    and there is one name per field."""
+    out = set()
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Tuple)
+            and isinstance(node.value, ast.Call)
+        ):
+            continue
+        func = node.value.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        cls = returns.get(name)
+        names = node.targets[0].elts
+        if cls is None or len(names) != len(fields[cls]):
+            continue
+        out.update(
+            (cls, field)
+            for target, field in zip(names, fields[cls])
+            if isinstance(target, ast.Name) and target.id != "_"
+        )
+    return out
+
+
 def unread_fields(src: Path = SRC, readers=(SRC, BENCH)) -> list[str]:
     """module:Class.field for each field or self.x attribute that no
-    attribute load in the reader directories reads."""
+    attribute load in the reader directories reads, and no unpacking there
+    of a call that returns the field's NamedTuple binds to a name."""
     trees = _module_trees(src)
     lineages = _lineages(trees.values())
+    named_tuples, returns = _unpacking_returns(trees.values())
     loads = set()  # names read through a receiver that is not resolved
     resolved_loads = set()  # (class, name) for each resolved read of name
     for folder in readers:
         for path in sorted(folder.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
+            resolved_loads |= _unpacked_fields(tree, named_tuples, returns)
             owner = _resolved_receivers(tree, lineages)
             owner.update(
                 (id(sub), cls.name)
@@ -383,6 +437,12 @@ def test_guard_flags_a_field_only_tests_read(tmp_path):
         "@dataclass\n"
         "class Box:\n    size: int\n    orphan: int\n\n\n"
         "class Pair(NamedTuple):\n    left: int\n    right: int\n\n\n"
+        "class Span(NamedTuple):\n    lo: int\n    hi: int\n    step: int\n\n\n"
+        "def span() -> Span:\n    return Span(0, 1, 1)\n\n\n"
+        "def width():\n"
+        "    lo, _, step = span()\n"
+        "    left, right = span()\n"
+        "    return step - lo + left + right\n\n\n"
         "class Index:\n"
         "    family: str = ''\n\n"
         "    def __init__(self, ctx, radius):\n"
@@ -403,16 +463,20 @@ def test_guard_flags_a_field_only_tests_read(tmp_path):
     )
     (bench / "probe.py").write_text("def probe(index):\n    return index.family\n")
     # TranslateReport reads self.n, which does not count for FolnerBox.n;
-    # Shell reads self.width, which counts for its base Index
+    # Shell reads self.width, which counts for its base Index; width()
+    # unpacks a Span into lo and step, but not hi, which it binds to _, and
+    # its two names for a three-field Span read none of them
     assert unread_fields(src, (src, bench)) == [
         "mod:Box.orphan",
         "mod:Pair.right",
+        "mod:Span.hi",
         "mod:Index.ctx",
         "mod:FolnerBox.n",
     ]
     assert unread_fields(src, (src,)) == [
         "mod:Box.orphan",
         "mod:Pair.right",
+        "mod:Span.hi",
         "mod:Index.family",
         "mod:Index.ctx",
         "mod:FolnerBox.n",

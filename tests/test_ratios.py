@@ -199,7 +199,7 @@ def test_inversion_pairs_spheres_and_classes(make_ctx, radius):
 def test_inversion_check_flags_a_non_symmetric_generating_set():
     # the context refuses R = {0, +-1, 3}; set it behind the check's back
     ctx = BaumslagSolitarContext(2, kgens=BS2_ONE_THREE)
-    ctx.kgen_nonzero = ((1, 0), (-1, 0), (3, 0))
+    ctx.kgen_nonzero = tuple(map(ctx.canonical_kpart, ((1, 0), (-1, 0), (3, 0))))
     assert inversion_breaks(ctx, enumerate_ball(ctx, 4))
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import conjugate
+from _oracles import conjugate, element
 from abcgroups.conjugacy import conjugacy_key
 from abcgroups.groups import (
     BaumslagSolitarContext,
@@ -48,10 +48,10 @@ def test_parse_format_round_trip():
 
 def test_letter_element():
     ctx = BaumslagSolitarContext(2)
-    assert letter_element(ctx, "t") == Element((0, 0), 1)
-    assert letter_element(ctx, "T") == Element((0, 0), -1)
-    assert letter_element(ctx, "g0") == Element((1, 0), 0)
-    assert letter_element(ctx, "G0") == Element((-1, 0), 0)
+    assert letter_element(ctx, "t") == element(ctx, (0, 0), 1)
+    assert letter_element(ctx, "T") == element(ctx, (0, 0), -1)
+    assert letter_element(ctx, "g0") == element(ctx, (1, 0), 0)
+    assert letter_element(ctx, "G0") == element(ctx, (-1, 0), 0)
     with pytest.raises(ValueError):
         letter_element(ctx, "g7")
 
@@ -59,9 +59,9 @@ def test_letter_element():
 def test_evaluate():
     ctx = BaumslagSolitarContext(2)
     # t g0 T multiplies the kernel entry by k
-    assert evaluate(ctx, parse_word("t g0 T")) == Element((2, 0), 0)
-    assert evaluate(ctx, parse_word("T g0 t")) == Element((1, 1), 0)
-    assert evaluate(ctx, parse_word("g0 t g0 t")) == Element((3, 0), 2)
+    assert evaluate(ctx, parse_word("t g0 T")) == element(ctx, (2, 0), 0)
+    assert evaluate(ctx, parse_word("T g0 t")) == element(ctx, (1, 1), 0)
+    assert evaluate(ctx, parse_word("g0 t g0 t")) == element(ctx, (3, 0), 2)
     lamp = LamplighterContext(2)
     assert evaluate(lamp, parse_word("g0 t g0 T")) == Element(((0, 1), (1, 1)), 0)
 
@@ -105,7 +105,7 @@ def test_cyclic_reduce_examples():
     # conjugate values: T g0 t t evaluates to (1/2; t), g0 t to (1; t)
     a = evaluate(ctx, w)
     b = evaluate(ctx, red)
-    conj = Element((0, 0), -1)
+    conj = element(ctx, (0, 0), -1)
     assert conjugate(ctx, conj, b) == a
     with pytest.raises(ValueError):
         cyclic_reduce(parse_word("g0"))
