@@ -523,8 +523,8 @@ def bs_class_residues(ctx: BaumslagSolitarContext, n: int, kpart) -> list[int]:
     """The classes of phi^j(w), 0 <= j < n, mod k^n - 1, from Fractions alone.
 
     phi^j(w) = w k^j is a Fraction (bs_value), made an integer by factors
-    k^n, which are 1 mod k^n - 1, and then reduced; no modular inverse and
-    no table of units.
+    k^n, which are 1 mod k^n - 1, and then reduced, with no modular
+    inverse.
     """
     k = ctx.k
     modulus = k**n - 1

@@ -444,10 +444,12 @@ def test_stratum_keys_match_the_family_references(make, r):
     p=st.integers(-7, 7).filter(bool),
     num=st.integers(-(10**8), 10**8),
     e=st.integers(0, 24),
+    reach=st.integers(24, 70),
 )
-def test_bs_stratum_key_and_residues_match_fraction_residues(k, p, num, e):
-    # e runs past |p|, so the solver's table of units is read at e mod |p|
-    ctx = BaumslagSolitarContext(k)
+def test_bs_stratum_key_and_residues_match_fraction_residues(k, p, num, e, reach):
+    # e runs past |p|: the class of num / k^e is num k^(-e mod |p|), read off
+    # the kpart num k^(E - e) through k^(-E mod |p|), for every E mod |p|
+    ctx = BaumslagSolitarContext(k, reach=reach)
     a = ctx.canonical_kpart((num, e))
     assert ctx.stratum_key(p)(a) == (p, bs_orbit_min(ctx, abs(p), a))
     q = ctx.quotient(abs(p))
