@@ -1044,6 +1044,7 @@ CERTIFIED = {
     "bs3": (lambda: BaumslagSolitarContext(3), 11, 5, 9, 5_678),
     "bs5": (lambda: BaumslagSolitarContext(5), 7, 2, 6, 786),
     "lamplighter2": (None, 18, 9, 12, 3_852),
+    "lamplighter3": (lambda: LamplighterContext(3), 12, 6, 9, 4_562),
     "hyperbolic": (lambda: MatrixContext(HYP), 9, 5, 7, 3_026),
     "bs2-R13": (lambda: BaumslagSolitarContext(2, BS2_R13), 10, 7, 8, 3_358),
     "lamplighter2-R4": (lambda: LamplighterContext(2, LAMP2_R4), 12, 8, 10, 3_754),
@@ -1080,6 +1081,13 @@ def test_every_key_merge_has_a_conjugator(certified):
     # both signs of p are witnessed directly, not mirrored by inversion
     ctx, index, _, _, rw, merges = certified
     assert witness_merges(ctx, index, rw) == merges
+
+
+def test_integer_lamp_merges_have_conjugators():
+    # lamplighter:0 has the infinite quotients Q_n = Z^n, so no Burnside
+    # count bounds its strata; its key merges are still each witnessed
+    ctx = LamplighterContext(0)
+    assert witness_merges(ctx, enumerate_ball(ctx, 9), 9) == 17_016
 
 
 def off_the_unit_roots(m):
