@@ -114,8 +114,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _ball_reach(radius: int) -> int:
-    """The bs reach of enumerate and ratio: a K-part num / k^e of S^R has
-    e <= R, and the bench's kernel timings apply phi^-R to it."""
+    """The reach of enumerate and ratio: a K-part of S^R is num / k^e with
+    e <= R (bs) or has its lamps in [-R, R] (lamplighter), and the bench's
+    kernel timings apply phi^+-R to it."""
     return 2 * max(radius, 0)
 
 
@@ -143,7 +144,8 @@ def _cmd_conjtest(args: argparse.Namespace) -> int:
     oracle_radius = args.oracle_radius
     if oracle_radius is None:
         oracle_radius = args.radius + 8
-    # the oracle applies phi^j, |j| <= RC, to K-parts num / k^e of S^R, e <= R
+    # the oracle applies phi^j, |j| <= RC, to the K-parts of S^R, whose
+    # bs exponents e and lamp indices |i| are at most R
     reach = max(args.radius + oracle_radius, 0)
     ctx = parse_group_descriptor(args.group, reach=reach)
     if oracle_radius < args.radius:
@@ -238,7 +240,8 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
 
 def _cmd_rewrite(args: argparse.Namespace) -> int:
     word = parse_word(args.word)
-    # each letter moves the exponent e of the running K-part by at most 1
+    # each letter moves the exponent e of the running bs K-part, or the
+    # lamp cursor, by at most 1
     ctx = parse_group_descriptor(args.group, reach=len(word))
     value = evaluate(ctx, word)
     exponent = t_exponent(word)

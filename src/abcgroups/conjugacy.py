@@ -18,8 +18,12 @@ fixes that quotient, and every orbit is just the n images phi^j(x),
   the stored a with all its factors of k removed.
 * lamplighter, p != 0: summing a configuration over each residue class of
   indices mod n kills (1 - phi^n) K exactly, and shifting rotates the n
-  sums, so the key is the lexicographically least rotation.
-* lamplighter, p = 0: the support-shifted normal form of the configuration.
+  sums, so the key is the least rotation.  The stored K-part (groups) is
+  one int, lamp i in field i + E; lifted by (-E) mod n fields, its blocks
+  of n fields fold onto the lowest (xor for m = 2, the field add
+  otherwise) into the n class sums, and phi rotates those n fields.
+* lamplighter, p = 0: the support-shifted normal form of the configuration:
+  the int shifted down until its lowest lit lamp sits at field 0.
 * matrix, p != 0: coordinates adj(D) v mod |det D| in Z^n / D Z^n,
   D = I - M^|p| (adj D = det D * D^-1, so they are a complete residue),
   minimized over the |p| images M^j v (needs det D != 0, which

@@ -8,7 +8,9 @@ defining automorphism of K.
 Three kernel families are supported:
 
 * lamplighter: K = finitely supported configurations Z -> Z_m (or Z when
-  m = 0), phi shifts the support up by one.
+  m = 0), phi shifts the support up by one; a configuration is stored as
+  one int, lamp i in a field at bit w (i + E), E the context's reach
+  (LamplighterContext).
 * bs: K = Z[1/k] for Baumslag-Solitar BS(1,k), phi multiplies by k; x is
   stored as the int x k^E, E the context's reach (BaumslagSolitarContext).
 * matrix: K = Z^n with phi given by an integer matrix of determinant +-1.
@@ -29,7 +31,7 @@ import json
 import re
 from functools import cached_property
 from math import gcd, inf
-from operator import add, mul, neg
+from operator import add, mul, neg, pos, xor
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .linalg import (
@@ -107,7 +109,8 @@ class GroupContext:
         self._quotients: dict[int, Quotient] = {}
 
     # Kernel primitives supplied by each family.  kparts are canonical
-    # immutable tuples or (bs) ints, so elements are hashable dict keys.
+    # ints (bs, lamplighter) or immutable tuples (matrix), so elements are
+    # hashable dict keys.
 
     def kpart_zero(self):
         raise NotImplementedError
@@ -234,6 +237,17 @@ class GroupContext:
         self.kgen_nonzero = tuple(a for a in seen if a != zero)
 
 
+# E of a library context; bench/child.py's metamorphic check conjugates
+# radius-8 balls by words of up to 40 letters, so it meets bs K-parts with
+# e <= 48 and lamps at indices |i| <= 48
+DEFAULT_REACH = 64
+
+
+def _fields(value: int, width: int, count: int) -> int:
+    """The int with value in each of count fields of width bits."""
+    return value * ((1 << width * count) - 1) // ((1 << width) - 1)
+
+
 # ---------------------------------------------------------------------------
 # Lamplighter family
 # ---------------------------------------------------------------------------
@@ -242,84 +256,141 @@ class GroupContext:
 class LamplighterContext(GroupContext):
     """Z_m (or Z) lamps indexed by Z; t shifts the configuration up by one.
 
-    kparts are tuples of (index, value) pairs sorted by index with all
-    values nonzero, values taken in [1, m-1] when m >= 2.
+    The kpart is one Python int: lamp i, -E <= i <= E for E = reach, is the
+    w-bit field at bit w (i + E).  phi^i shifts by w i bits, equal K-parts
+    are equal ints, and a lamp moved past [-E, E] raises ResourceCapError,
+    never a dropped lamp.  kpart_add is bound per m:
+
+    * m = 2: w = 1 and kpart_add is xor (C, no method call);
+    * m >= 3: w = m.bit_length() + 1 and each field holds v in [0, m).  A
+      sum of two fields is below 2m < 2^w, so a + b carries nowhere; adding
+      C = 2^(w-1) - m per field sets the top bit of the fields at m or
+      above, and they lose m;
+    * m = 0: the kpart is sum v_i 2^(w (i + E)) with signed v_i, so the add
+      is a + b and kpart_neg is -a.  The valid values are [-2^g, 2^g),
+      2^g > E max|v| over the lamps of R, and w leaves room for a sum of
+      2E + 1 of them, so class sums and the solver's running sums stay
+      exact; an add or a solution with a value past the valid range raises
+      ResourceCapError.
+
+    The CLI takes E from each command's parameters as for bs (cli).
+    canonical_kpart packs (index, value) pairs and format_kpart unpacks
+    them, values in [1, m-1] when m >= 2.
     """
 
     family = "lamplighter"
 
-    def __init__(self, m: int, kgens: Optional[Iterable] = None):
+    def __init__(
+        self, m: int, kgens: Optional[Iterable] = None, reach: int = DEFAULT_REACH
+    ):
         if m == 1 or m < 0:
             raise ValueError(f"lamp modulus must be 0 (integer lamps) or >= 2, got {m}")
+        if reach < 0:
+            raise ValueError(f"lamplighter reach must be >= 0, got {reach}")
         super().__init__()
         self.m = m
-        delta = ((0, 1),)
-        standard = ((), delta, self.kpart_neg(delta))
-        self._set_kgens(standard if kgens is None else kgens)
+        self.reach = reach
+        if kgens is None:
+            kgens = ((), ((0, 1),), ((0, -1),))
+        kgens = [tuple(conf) for conf in kgens]
+        span = 2 * reach + 1
+        if m == 2:
+            width = 1
+            # C functions, bound as MatrixContext binds its add
+            self.kpart_add, self.kpart_neg = xor, pos
+            self._lamp_cost = int.bit_count
+            self._checked = pos  # values mod m never leave their fields
+        elif m:
+            width = m.bit_length() + 1
+            self.kpart_add, self.kpart_neg, self._lamp_cost = _modular_fields(
+                m, width, span
+            )
+            self._checked = pos
+        else:
+            top = max(
+                (abs(v) for conf in kgens for v in self._collect(conf).values()),
+                default=1,
+            )
+            low = max(reach * top, 1).bit_length()
+            width = low + span.bit_length() + 3
+            (self.kpart_add, self._checked, self._lamp_cost) = _integer_fields(
+                low, width, span, reach
+            )
+            self.kpart_neg = neg
+        self.width = width
+        self._span = span
+        # m = 0 stores signed fields, read as digits in [-2^(w-1), 2^(w-1))
+        self._signed = not m
+        self._set_kgens(kgens)
         # R spans the ideal of Z/m[x, 1/x] (Z[x, 1/x] for m = 0) that its
         # configurations sum v_i x^i generate, so R generates K over t
         # exactly when that ideal is the unit ideal
         polys = [
             [lamps.get(i, 0) for i in range(min(lamps), max(lamps) + 1)]
-            for lamps in map(dict, self.kgen_nonzero)
+            for lamps in map(dict, map(self._lamps, self.kgen_nonzero))
         ]
         if not unit_ideal(polys, m):
             raise ValueError("kernel generators do not generate the lamps over t")
-        self._standard_gens = set(self.kgen_nonzero) == set(standard[1:])
+        one = self.canonical_kpart(((0, 1),))
+        self._standard_gens = set(self.kgen_nonzero) == {one, self.kpart_neg(one)}
 
     def kpart_zero(self):
-        return ()
+        return 0
 
-    def _norm_value(self, v: int) -> int:
-        return v % self.m if self.m else v
-
-    def kpart_add(self, a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        out = []
-        i = j = 0
-        la, lb = len(a), len(b)
-        while i < la and j < lb:
-            ia, va = a[i]
-            ib, vb = b[j]
-            if ia < ib:
-                out.append(a[i])
-                i += 1
-            elif ib < ia:
-                out.append(b[j])
-                j += 1
-            else:
-                v = self._norm_value(va + vb)
-                if v:
-                    out.append((ia, v))
-                i += 1
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return tuple(out)
-
-    def kpart_neg(self, a):
+    def _collect(self, pairs) -> dict[int, int]:
+        """index -> value of the nonzero lamps that the (index, value) pairs
+        sum to, values reduced mod m when m >= 2."""
+        acc: dict[int, int] = {}
+        for i, v in pairs:
+            acc[i] = acc.get(i, 0) + v
         if self.m:
-            return tuple([(i, self.m - v) for i, v in a])
-        return tuple([(i, -v) for i, v in a])
+            acc = {i: v % self.m for i, v in acc.items()}
+        return {i: v for i, v in acc.items() if v}
 
     def canonical_kpart(self, a):
-        acc: dict[int, int] = {}
-        for i, v in a:
-            acc[i] = self._norm_value(acc.get(i, 0) + v)
-        return tuple((i, acc[i]) for i in sorted(acc) if acc[i])
+        """The kpart of the lamps given as (index, value) pairs."""
+        reach, width = self.reach, self.width
+        out = 0
+        for i, v in self._collect(a).items():
+            if not -reach <= i <= reach:
+                raise ResourceCapError(f"lamp {i} is past the reach {reach}")
+            out += v << width * (i + reach)
+        return self._checked(out)
+
+    def _lamps(self, a) -> list[tuple[int, int]]:
+        """The (index, value) pairs of the nonzero lamps of a, by index."""
+        width, out, i = self.width, [], -self.reach
+        field = (1 << width) - 1
+        half = 1 << width - 1 if self._signed else 0
+        while a:
+            v = ((a + half) & field) - half
+            if v:
+                out.append((i, v))
+            a = (a - v) >> width
+            i += 1
+        return out
 
     def phi_power(self, a, i: int):
-        if i == 0 or not a:
-            return a
-        return tuple([(idx + i, v) for idx, v in a])
+        if i >= 0:
+            b = a << self.width * i
+            # the top field lies at bit length // w (signed) or (length - 1) // w
+            if abs(b).bit_length() > self.width * self._span - self._signed:
+                raise ResourceCapError(
+                    f"{self.format_kpart(a)} moved by t^{i} is past the reach "
+                    f"{self.reach}"
+                )
+            return b
+        cut = -self.width * i
+        if a & ((1 << cut) - 1):
+            raise ResourceCapError(
+                f"{self.format_kpart(a)} moved by t^{i} is past the reach {self.reach}"
+            )
+        return a >> cut
 
     def format_kpart(self, a) -> str:
         if not a:
             return "0"
-        return "+".join(f"{v}@{i}" for i, v in a)
+        return "+".join(f"{v}@{i}" for i, v in self._lamps(a))
 
     def word_length(self, g: Element, bound: Optional[int] = None) -> int:
         """Word length of g for the standard generators, in closed form.
@@ -329,83 +400,173 @@ class LamplighterContext(GroupContext):
         lamps), and the cursor walks from 0 to p past every lit lamp, so it
         covers [lo, hi], the hull of {0, p, lit lamps}, at the least cost
         2 (hi - lo) - |p| of turning at whichever end lies away from p.
+        The lamp costs are summed field by field in the int, and lo and hi
+        are the lowest and the highest nonzero field.
         """
         if not self._standard_gens:
             return super().word_length(g, bound)
-        m = self.m
-        conf = g.kpart
-        p = g.texp
-        if m:
-            lamps = sum([v if v + v <= m else m - v for _, v in conf])
+        a, p = g
+        length = self._lamp_cost(a) - abs(p)
+        if a:
+            width, reach = self.width, self.reach
+            lo = ((a & -a).bit_length() - 1) // width - reach
+            hi = (abs(a).bit_length() - (not self._signed)) // width - reach
+            length += 2 * (max(hi, p, 0) - min(lo, p, 0))
         else:
-            lamps = sum([v if v > 0 else -v for _, v in conf])
-        # lamps are sorted by index
-        ends = (0, p, conf[0][0], conf[-1][0]) if conf else (0, p)
-        length = lamps + 2 * (max(ends) - min(ends)) - abs(p)
+            length += 2 * abs(p)
         return length if bound is None or length <= bound else bound + 1
 
     def _build_zero_key(self) -> Callable:
-        def shifted(conf):
-            if not conf:
-                return (0, ())
-            base = conf[0][0]
-            return (0, tuple([(i - base, v) for i, v in conf]))
+        width = self.width
+
+        def shifted(a):
+            # the configuration moved down to start at field 0
+            low = (a & -a).bit_length() - 1
+            return (0, a >> low - low % width) if a else (0, 0)
 
         return shifted
 
     def _build_quotient(self, n: int):
-        m = self.m
+        width, span, signed = self.width, self._span, self._signed
+        # class sums and running sums: the field add mod m, or the plain add
+        # for integer lamps, whose sums may pass the range of one lamp
+        plus = self.kpart_add if self.m else add
 
-        def class_sums(conf):
-            # summing the lamps over each class of indices mod n, reduced
-            # mod m when m >= 2, kills (1 - phi^n)K exactly
-            sums = [0] * n
-            for i, v in conf:
-                sums[i % n] += v
-            if m:
-                return tuple([v % m for v in sums])
-            return tuple(sums)
+        def bias(bits):
+            # x = low + (x + bias) >> bits << bits splits x at bits, with
+            # low read as signed fields (m = 0) or unsigned ones
+            return 1 << bits >> 1 if signed else 0
+
+        # lamp i sits at field i + E; lifted by (-E) mod n more fields it
+        # sits at a field of its class i mod n, and the fold then adds the
+        # blocks of n fields onto the lowest one, halving their count
+        lift = -self.reach % n * width
+        blocks = -(-(span + lift // width) // n)
+        folds = []  # (bits of the lower blocks, their mask, the split's bias)
+        while blocks > 1:
+            blocks = (blocks + 1) // 2
+            cut = blocks * n * width
+            folds.append((cut, (1 << cut) - 1, bias(cut)))
+
+        def coords(w):
+            # the n class sums, class r at field r, reduced mod m when m >= 2
+            x = w << lift
+            if signed:
+                # signed fields split at cut; the unsigned ones just mask,
+                # which keeps the key pass's loop short
+                for cut, _, half in folds:
+                    high = (x + half) >> cut
+                    x += high - (high << cut)
+            else:
+                for cut, mask, _ in folds:
+                    x = plus(x & mask, x >> cut)
+            return x
+
+        # phi moves the sum of class r to class r + 1 mod n, so phi^j
+        # rotates the n fields j places up
+        below = (n - 1) * width
+        top_half = bias(below)
+
+        def orbit(c):
+            out = [c]
+            for _ in range(n - 1):
+                high = (c + top_half) >> below
+                c = ((c - (high << below)) << width) + high
+                out.append(c)
+            return out
+
+        # b_i - b_(i-n) = w_i: b_i is the running sum of w over the indices
+        # of its class mod n up to i, a stride-n prefix sum built by
+        # doubling within the 2E + 1 fields; a finite b exists exactly when
+        # every class sum, which the top n fields then hold, is 0
+        doublings = []
+        stride = n
+        while stride < span:
+            doublings.append(stride * width)
+            stride *= 2
+        bits, cut = span * width, max(span - n, 0) * width
+        span_half, cut_half = bias(bits), bias(cut)
+        checked = self._checked
 
         def solve(w):
-            # b_i - b_(i-n) = w_i: b_i is the running sum of w over the
-            # indices of its class mod n up to i, so a finite b exists
-            # exactly when every class sum ends at 0
-            if not w:
-                return ()
-            sums = [0] * n
-            out = []
-            i = w[0][0]
-            for lamp, v in w:
-                if i < lamp:  # no lamp of w in between: b_x = b_(x-n)
-                    out += [(x, s) for x in range(i, lamp) if (s := sums[x % n])]
-                c = lamp % n
-                s = sums[c] + v
-                if m:
-                    s %= m
-                sums[c] = s
-                if s:
-                    out.append((lamp, s))
-                i = lamp + 1
-            if any(sums):
-                return None
-            return tuple(out)
+            x = w
+            for shift in doublings:
+                y = x << shift
+                x = plus(x, y - ((y + span_half) >> bits << bits))
+            return None if (x + cut_half) >> cut else checked(x)
 
-        def orbit(sums):
-            # phi moves the sum of class c to class c + 1 mod n, so phi^j
-            # rotates the sums j places
-            return [sums[n - j :] + sums[: n - j] for j in range(n)]
+        return coords, orbit, solve
 
-        return class_sums, orbit, solve
+
+def _modular_fields(m: int, width: int, span: int):
+    """kpart_add, kpart_neg and the lamp cost of Z_m lamps, m >= 3, in span
+    fields of width bits."""
+    shift = width - 1
+    tops = _fields(1 << shift, width, span)
+    # v + (2^(w-1) - m) sets the top bit exactly when v >= m
+    carry = _fields((1 << shift) - m, width, span)
+    # v + (2^(w-1) - m // 2 - 1) sets it exactly when 2 v > m
+    far = _fields((1 << shift) - m // 2 - 1, width, span)
+    every = _fields(m, width, span)
+    ones = _fields(1, width, span)
+    field = (1 << width) - 1
+
+    def add(a, b):
+        s = a + b
+        return s - (((s + carry) & tops) >> shift) * m
+
+    def negate(a):
+        # m - v lies in [1, m], and the fields at m go to 0
+        s = every - a
+        return s - (((s + carry) & tops) >> shift) * m
+
+    def cost(a):
+        # min(v, m - v) per field, then the fields summed bit plane by plane
+        flip = ((a + far) & tops) >> shift
+        c = a + flip * m - 2 * (a & flip * field)
+        return sum(((c >> b) & ones).bit_count() << b for b in range(width))
+
+    return add, negate, cost
+
+
+def _integer_fields(low: int, width: int, span: int, reach: int):
+    """kpart_add, the range check and the lamp cost of integer lamps, valid
+    in [-2^low, 2^low), as signed fields of width bits, span of them."""
+    half = 1 << width - 1
+    # v + 2^(w-1) + 2^low has bits low+1 .. w-1 equal to 10..0 exactly when
+    # v is valid; for a sum of two valid values it lies in [0, 2^w)
+    offset = _fields(half + (1 << low), width, span)
+    band = _fields(((1 << width) - 1) & ~((2 << low) - 1), width, span)
+    tops = _fields(half, width, span)
+    field = (1 << width) - 1
+    shift = width - 1
+
+    def checked(s):
+        if (s + offset) & band != tops:
+            raise ResourceCapError(
+                f"a lamp value is past [-2^{low}, 2^{low}), the range of the "
+                f"reach {reach}"
+            )
+        return s
+
+    def add(a, b):
+        return checked(a + b)
+
+    def cost(a):
+        # |v| per field: less twice the negative fields, whose top bit is
+        # clear once 2^(w-1) is added to each; the sum of the fields is
+        # below 2^w - 1, so it is their residue mod 2^w - 1
+        u = a + tops
+        negative = (~u & tops) >> shift
+        c = a - 2 * ((u & negative * field) - (negative << shift))
+        return c % field
+
+    return add, checked, cost
 
 
 # ---------------------------------------------------------------------------
 # Baumslag-Solitar family BS(1,k)
 # ---------------------------------------------------------------------------
-
-
-# E of a library bs context; bench/child.py's metamorphic check conjugates
-# radius-8 bs:2 balls by words of up to 40 letters, so it meets e <= 48
-DEFAULT_REACH = 64
 
 
 class BaumslagSolitarContext(GroupContext):
@@ -842,12 +1003,14 @@ def parse_int(text: str, what: str) -> int:
 
 
 def parse_group_descriptor(desc: str, reach: int = DEFAULT_REACH) -> GroupContext:
-    """Parse "lamplighter:m", "bs:k" of the given reach, or "matrix:<path>"."""
+    """Parse "lamplighter:m" or "bs:k" of the given reach, or "matrix:<path>"."""
     head, sep, rest = desc.partition(":")
     if not sep:
         raise ValueError(f"bad group descriptor {desc!r}: expected family:parameter")
     if head == "lamplighter":
-        return LamplighterContext(parse_int(rest, f"lamp modulus in {desc!r}"))
+        return LamplighterContext(
+            parse_int(rest, f"lamp modulus in {desc!r}"), reach=reach
+        )
     if head == "bs":
         return BaumslagSolitarContext(parse_int(rest, f"base in {desc!r}"), reach=reach)
     if head == "matrix":

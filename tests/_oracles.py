@@ -5,8 +5,10 @@ words, elementwise conjugation sweeps, geodesic words rebuilt from the
 discovery order of the spheres) or by the plain exhaustive loop a fast
 path replaced (BFS against a whole-ball dict, pairwise conjugator
 solving, step-by-step orbit walks, whole-window orbit scans,
-all-rotations keys, bs K-parts and key residues as Fractions, Fraction
-projection scans, a ratio table keyed on both signs of p, the ratio and
+all-rotations keys, bs K-parts and key residues as Fractions, lamplighter
+K-parts as (index, value) pairs with their merge, class sums, solver and
+closed-form length, Fraction projection scans, a ratio table keyed on
+both signs of p, the ratio and
 spectral tables element by element over whole spheres, one multiply per
 element for the Folner defects), so the fast code paths have an
 independent answer to match.
@@ -543,20 +545,102 @@ def bs_orbit_min(ctx: BaumslagSolitarContext, n: int, kpart) -> int:
     return min(bs_class_residues(ctx, n, kpart))
 
 
+def lamp_fields(ctx: LamplighterContext, x: int, count: int) -> tuple[int, ...]:
+    """The count fields of ctx.width bits of x, lowest first, each the digit
+    x mod 2^w taken in [0, 2^w) (m >= 2) or in [-2^(w-1), 2^(w-1)) (m = 0)."""
+    size = 1 << ctx.width
+    out = []
+    for _ in range(count):
+        x, digit = divmod(x, size)
+        if not ctx.m and 2 * digit >= size:
+            x, digit = x + 1, digit - size
+        out.append(digit)
+    assert x == 0, "bits above the fields"
+    return tuple(out)
+
+
+def lamp_pairs(ctx: LamplighterContext, a: int) -> tuple:
+    """The packed K-part a as the sorted (index, value) pairs of its nonzero
+    lamps: lamp i is field i + E, E = ctx.reach."""
+    fields = lamp_fields(ctx, a, 2 * ctx.reach + 1)
+    return tuple((f - ctx.reach, v) for f, v in enumerate(fields) if v)
+
+
+def lamp_canonical(m: int, pairs) -> tuple:
+    """The (index, value) pairs summed per index, sorted, zeros dropped."""
+    acc: dict[int, int] = {}
+    for i, v in pairs:
+        acc[i] = acc.get(i, 0) + v
+    out = ((i, v % m if m else v) for i, v in sorted(acc.items()))
+    return tuple((i, v) for i, v in out if v)
+
+
+def lamp_kpart_add(m: int, a: tuple, b: tuple) -> tuple:
+    """The sum of two sorted pair tuples, merged lamp by lamp."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (ia, va), (ib, vb) = a[i], b[j]
+        if ia < ib:
+            out.append(a[i])
+            i += 1
+        elif ib < ia:
+            out.append(b[j])
+            j += 1
+        else:
+            v = (va + vb) % m if m else va + vb
+            if v:
+                out.append((ia, v))
+            i += 1
+            j += 1
+    return tuple(out + list(a[i:]) + list(b[j:]))
+
+
+def lamp_class_sums(m: int, n: int, conf: tuple) -> tuple[int, ...]:
+    """The lamps of a pair tuple summed over each class of indices mod n."""
+    sums = [0] * n
+    for i, v in conf:
+        sums[i % n] += v
+    return tuple(v % m if m else v for v in sums)
+
+
+def lamp_solve(m: int, n: int, w: tuple) -> Optional[tuple]:
+    """The b with b_i - b_(i-n) = w_i, the running sum of w over the indices
+    of each class mod n, or None when a class sum is not 0."""
+    if not w:
+        return ()
+    values, sums, out = dict(w), [0] * n, []
+    for i in range(w[0][0], w[-1][0] + 1):
+        s = sums[i % n] + values.get(i, 0)
+        sums[i % n] = s % m if m else s
+        if sums[i % n]:
+            out.append((i, sums[i % n]))
+    return None if any(sums) else tuple(out)
+
+
+def lamp_word_length(m: int, conf: tuple, p: int) -> int:
+    """The closed-form length of (conf, t^p) on pair tuples: each lamp costs
+    min(v, m - v) (|v| when m = 0), plus a walk over the hull of 0, p and
+    the lit lamps."""
+    lamps = sum(min(v, m - v) if m else abs(v) for _, v in conf)
+    ends = [0, p] + [i for i, _ in conf]
+    return lamps + 2 * (max(ends) - min(ends)) - abs(p)
+
+
 def lamplighter_rotation_key(ctx: LamplighterContext, g: Element):
     """The lamplighter p != 0 key, building every rotation of the class sums.
 
-    Sums the lamps over each index class mod |p|, reduces mod m, and takes
-    the least of the |p| rotations sums[i:] + sums[:i].
+    Sums the lamps over each index class mod |p|, reduces mod m, packs
+    each of the |p| rotations sums[i:] + sums[:i] with sums[r] at field r,
+    and takes the least.
     """
     n = abs(g.texp)
-    sums = [0] * n
-    for i, v in g.kpart:
-        sums[i % n] += v
-    if ctx.m:
-        sums = [v % ctx.m for v in sums]
-    sums = tuple(sums)
-    return (g.texp, min(sums[i:] + sums[:i] for i in range(n)))
+    sums = lamp_class_sums(ctx.m, n, lamp_pairs(ctx, g.kpart))
+    rotations = (sums[i:] + sums[:i] for i in range(n))
+    return (
+        g.texp,
+        min(sum(v << ctx.width * r for r, v in enumerate(rot)) for rot in rotations),
+    )
 
 
 def burnside_count(ctx: GroupContext, n: int) -> int:

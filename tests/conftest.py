@@ -18,7 +18,9 @@ def record_acceptance(line: str) -> None:
 @pytest.fixture(scope="session")
 def lamp18():
     """lamplighter:2 and its radius-18 ball, shared by the acceptance gate
-    and the closed-form word-length check."""
+    and the closed-form word-length check.  The context has the library's
+    default reach: a context that reads the ball must have the reach it
+    was built with (test_conjugacy's certified fixture builds its own)."""
     ctx = LamplighterContext(2)
     return ctx, enumerate_ball(ctx, 18)
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import sys
 import time
@@ -404,7 +405,8 @@ def test_rewrite_negative_exponent_skips_forms(capsys):
 
 
 # ---------------------------------------------------------------------------
-# The bs reach E of each command: every K-part it meets lies in k^-E Z
+# The reach E of each command: every bs K-part it meets lies in k^-E Z, and
+# every lamp in [-E, E]
 # ---------------------------------------------------------------------------
 
 
@@ -429,6 +431,10 @@ def recorded_reaches(monkeypatch) -> list:
         (["conjtest", "--group", "bs:2", "--radius", "3"], 14),
         (["conjtest", "--group", "bs:2", "--radius", "2", "--oracle-radius", "5"], 7),
         (["rewrite", "--group", "bs:2", "T T g0 t"], 4),
+        (["enumerate", "--group", "lamplighter:2", "--radius", "5"], 10),
+        (["ratio", "--group", "lamplighter:0", "--radius", "4"], 8),
+        (["conjtest", "--group", "lamplighter:3", "--radius", "3"], 14),
+        (["rewrite", "--group", "lamplighter:2", "t t g0 T"], 4),
     ],
 )
 def test_each_command_takes_its_reach_from_its_parameters(
@@ -493,6 +499,73 @@ def test_a_kpart_past_the_reach_exits_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "reach 2" in captured.err
+
+
+def test_lamplighter_enumerate_reach_covers_the_ball(monkeypatch, capsys):
+    # S^6 of lamplighter:0 lights lamps at +-5 (t^5 g0 at radius 6), inside
+    # the reach 12; one short of them BFS exits 2
+    reaches = recorded_reaches(monkeypatch)
+    assert run(["enumerate", "--group", "lamplighter:0", "--radius", "6"]) == 0
+    assert reaches == [12]
+    assert capsys.readouterr().out == (
+        "r,ball,sphere\n0,1,1\n1,5,4\n2,17,12\n3,53,36\n4,153,100\n"
+        "5,421,268\n6,1125,704\n"
+    )
+    monkeypatch.setattr(cli, "_ball_reach", lambda radius: radius - 2)
+    assert run(["enumerate", "--group", "lamplighter:0", "--radius", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "reach 4" in captured.err
+
+
+def test_lamplighter_ratio_reach_covers_the_keys(capsys):
+    # the keys fold the lamp fields of reach 12 into class sums mod 3
+    assert run(["ratio", "--group", "lamplighter:3", "--radius", "6"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f97a6fd8da119b7fbd7279211b51b39a9d6755105fc0aa2dc369522e4b1477a3"
+    )
+    assert text.splitlines()[-1] == (
+        "6,515,286,79,32,0.1533980582524272,0.11188811188811189,34,14,289"
+    )
+
+
+@pytest.mark.parametrize(
+    "group, rc, ball, classes", [("lamplighter:2", 40, 22, 12), ("lamplighter:0", 30, 53, 25)]
+)
+def test_lamplighter_conjtest_reach_covers_the_oracle_shifts(
+    monkeypatch, capsys, group, rc, ball, classes
+):
+    # the oracle moves the lamps of S^3 by t^j, |j| <= RC
+    reaches = recorded_reaches(monkeypatch)
+    argv = ["conjtest", "--group", group, "--radius", "3", "--oracle-radius", str(rc)]
+    assert run(argv) == 0
+    assert reaches == [3 + rc]
+    assert json.loads(capsys.readouterr().out) == {
+        "agreement": True,
+        "ball": ball,
+        "classes_by_key": classes,
+        "classes_by_oracle": classes,
+        "group": group,
+        "mismatch_count": 0,
+        "mismatches": [],
+        "oracle_radius": rc,
+        "radius": 3,
+    }
+
+
+# t^70 g0 T^70 = (1@70; t^0), 141 letters
+DEEP_LAMP_WORD = " ".join(["t"] * 70 + ["g0"] + ["T"] * 70)
+
+
+def test_lamplighter_rewrite_reaches_a_deep_word(monkeypatch, capsys):
+    reaches = recorded_reaches(monkeypatch)
+    assert run(["rewrite", "--group", "lamplighter:2", DEEP_LAMP_WORD]) == 0
+    assert reaches == [141]
+    assert capsys.readouterr().out == (
+        f"word: {DEEP_LAMP_WORD}\nvalue: (1@70; t^0)\nt_exponent: 0\n"
+        f"staircase: {DEEP_LAMP_WORD}\n"
+    )
 
 
 def test_rewrite_bad_letter(capsys):

@@ -20,6 +20,7 @@ from _oracles import (
     conjugation_sweep,
     det_int,
     element,
+    lamp_pairs,
     lamplighter_rotation_key,
     matrix_form_minimum,
     matrix_orbit_min,
@@ -124,21 +125,23 @@ def test_texp_is_invariant():
 
 def test_lamplighter_positive_stratum():
     ctx = LamplighterContext(2)
-    a = Element(((0, 1), (3, 1)), 2)
-    b = Element(((1, 1), (2, 1)), 2)
+    a = element(ctx, ((0, 1), (3, 1)), 2)
+    b = element(ctx, ((1, 1), (2, 1)), 2)
     assert are_conjugate(ctx, a, b)
     # a lone lamp cannot reach an even split across both residues
-    assert not are_conjugate(ctx, Element(((0, 1), (1, 1)), 2), Element(((0, 1),), 2))
+    assert not are_conjugate(
+        ctx, element(ctx, ((0, 1), (1, 1)), 2), element(ctx, ((0, 1),), 2)
+    )
 
 
 def test_lamplighter_zero_stratum():
     ctx = LamplighterContext(2)
-    assert are_conjugate(ctx, Element(((0, 1),), 0), Element(((5, 1),), 0))
+    assert are_conjugate(ctx, element(ctx, ((0, 1),)), element(ctx, ((5, 1),)))
     assert are_conjugate(
-        ctx, Element(((0, 1), (1, 1)), 0), Element(((3, 1), (4, 1)), 0)
+        ctx, element(ctx, ((0, 1), (1, 1))), element(ctx, ((3, 1), (4, 1)))
     )
     assert not are_conjugate(
-        ctx, Element(((0, 1), (1, 1)), 0), Element(((0, 1), (2, 1)), 0)
+        ctx, element(ctx, ((0, 1), (1, 1))), element(ctx, ((0, 1), (2, 1)))
     )
 
 
@@ -397,8 +400,10 @@ def family_reference_key(ctx, g):
     if isinstance(ctx, LamplighterContext):
         if p:
             return lamplighter_rotation_key(ctx, g)
-        # the configuration shifted to start at index 0
-        return (0, tuple((i - a[0][0], v) for i, v in a) if a else ())
+        # the configuration shifted to start at field 0, index -E
+        lamps = lamp_pairs(ctx, a)
+        base = lamps[0][0] if lamps else 0
+        return (0, sum(v << ctx.width * (i - base) for i, v in lamps))
     if p:
         return (p, bs_orbit_min(ctx, abs(p), a))
     # the value times a power of k, with every factor of k then removed
@@ -1055,7 +1060,9 @@ CERTIFIED = {
 def certified(request):
     """(context, ball, census radius, saturation, witness radius, merges),
     one ball per case.  lamplighter:2 reuses the session's r18 ball with a
-    context of its own, so that its key memos end with this module."""
+    context of its own, so that its key memos end with this module; both
+    contexts have the default reach, as the ball's K-parts are read only
+    at the reach they were built with."""
     make, r, saturated, rw, merges = CERTIFIED[request.param]
     if make is None:
         ctx, index = LamplighterContext(2), request.getfixturevalue("lamp18")[1]

@@ -3,7 +3,14 @@ import json
 
 import pytest
 
-from _oracles import geodesic_words, t_count_map, t_counts, whole_ball_bfs, word_ball
+from _oracles import (
+    element,
+    geodesic_words,
+    t_count_map,
+    t_counts,
+    whole_ball_bfs,
+    word_ball,
+)
 from abcgroups.enumeration import ResourceCapError, enumerate_ball
 from abcgroups.groups import (
     BaumslagSolitarContext,
@@ -158,7 +165,7 @@ def test_far_lamp_needs_a_long_word():
     # lighting only the lamp at 5 costs t^5 g0 T^5
     ctx = LamplighterContext(2)
     index = enumerate_ball(ctx, 11)
-    g = Element(((5, 1),), 0)
+    g = element(ctx, ((5, 1),))
     assert index.word_length(g) == 11
     assert t_count_map(index)[g] == 10
 

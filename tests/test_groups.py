@@ -5,7 +5,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import adjugate, bs_value, conjugate, det_int, element, mat_vec
+from _oracles import (
+    adjugate,
+    bs_value,
+    conjugate,
+    det_int,
+    element,
+    lamp_canonical,
+    lamp_class_sums,
+    lamp_fields,
+    lamp_kpart_add,
+    lamp_pairs,
+    lamp_solve,
+    lamp_word_length,
+    mat_vec,
+)
 from abcgroups.enumeration import ResourceCapError, enumerate_ball
 from abcgroups.groups import (
     BaumslagSolitarContext,
@@ -139,23 +153,23 @@ def test_bs_canonical_kpart():
 
 def test_lamplighter_arithmetic():
     ctx = LamplighterContext(2)
-    t = Element((), 1)
-    delta0 = Element(((0, 1),), 0)
-    assert conjugate(ctx, t, delta0) == Element(((1, 1),), 0)
+    t = element(ctx, (), 1)
+    delta0 = element(ctx, ((0, 1),))
+    assert conjugate(ctx, t, delta0) == element(ctx, ((1, 1),))
     # mod 2: the same lamp toggled twice goes dark
     assert ctx.multiply(delta0, delta0) == ctx.identity
     ctx3 = LamplighterContext(3)
-    d = Element(((0, 1),), 0)
-    assert ctx3.multiply(d, d) == Element(((0, 2),), 0)
-    assert ctx3.invert(d) == Element(((0, 2),), 0)
+    d = element(ctx3, ((0, 1),))
+    assert ctx3.multiply(d, d) == element(ctx3, ((0, 2),))
+    assert ctx3.invert(d) == element(ctx3, ((0, 2),))
 
 
 def test_integer_lamps():
     ctx = LamplighterContext(0)
-    d = Element(((0, 1),), 0)
+    d = element(ctx, ((0, 1),))
     g = ctx.multiply(ctx.multiply(d, d), d)
-    assert g == Element(((0, 3),), 0)
-    assert ctx.invert(g) == Element(((0, -3),), 0)
+    assert g == element(ctx, ((0, 3),))
+    assert ctx.invert(g) == element(ctx, ((0, -3),))
 
 
 def test_matrix_arithmetic():
@@ -220,9 +234,10 @@ def test_phi_power_additive(num, e, i, j):
 def test_canonical_idempotent(cfg):
     ctx = LamplighterContext(2)
     once = ctx.canonical_kpart(cfg)
-    assert ctx.canonical_kpart(once) == once
-    assert all(v == 1 for _, v in once)
-    assert [i for i, _ in once] == sorted(i for i, _ in once)
+    pairs = lamp_pairs(ctx, once)
+    assert ctx.canonical_kpart(pairs) == once
+    assert all(v == 1 for _, v in pairs)
+    assert pairs == lamp_canonical(2, cfg)
 
 
 KERNEL_BASES = [identity_matrix(n) for n in range(1, 5)] + [
@@ -331,7 +346,7 @@ def test_format_element():
     ctx = BaumslagSolitarContext(2)
     assert ctx.format_element(element(ctx, (3, 2), -1)) == "(3/2^2; t^-1)"
     lamp = LamplighterContext(3)
-    assert lamp.format_element(Element(((0, 2), (5, 1)), 4)) == "(2@0+1@5; t^4)"
+    assert lamp.format_element(element(lamp, ((5, 1), (0, 2)), 4)) == "(2@0+1@5; t^4)"
     assert lamp.format_element(lamp.identity) == "(0; t^0)"
 
 
@@ -498,3 +513,123 @@ def test_bs_kparts_past_the_reach_raise():
     assert parse_group_descriptor("bs:3", reach=7).reach == 7
     with pytest.raises(ValueError, match="reach"):
         BaumslagSolitarContext(2, reach=-1)
+
+
+# ---------------------------------------------------------------------------
+# Lamplighter K-parts as one integer of lamp fields, checked against the
+# (index, value) pairs they were stored as before
+# ---------------------------------------------------------------------------
+
+# the kernel generators {0, d0, d1, d0 + d1} of lamplighter:2, and
+# {0, +-(d0 + d1), +-(d0 + 2 d1)} of lamplighter:0, whose values size wider
+# fields than the standard ones
+LAMP2_R4 = [(), ((0, 1),), ((1, 1),), ((0, 1), (1, 1))]
+LAMP0_R12 = [(), ((0, 1), (1, 1)), ((0, -1), (1, -1)), ((0, 1), (1, 2)), ((0, -1), (1, -2))]
+LAMP_CONTEXTS = {
+    "m2": (2, None),
+    "m3": (3, None),
+    "m5": (5, None),
+    "m0": (0, None),
+    "m2-R4": (2, LAMP2_R4),
+    "m0-R12": (0, LAMP0_R12),
+}
+
+
+@functools.cache
+def lamp_context(name: str, reach: int) -> LamplighterContext:
+    m, kgens = LAMP_CONTEXTS[name]
+    return LamplighterContext(m, kgens, reach=reach)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(LAMP_CONTEXTS)),
+    # E mod n meets every residue of every n <= 6
+    reach=st.integers(12, 40),
+    n=st.integers(1, 6),
+)
+def test_lamplighter_kparts_match_the_pair_reference(data, name, reach, n):
+    ctx = lamp_context(name, reach)
+    m = ctx.m
+    # integer lamps stay within E / 2, so that every sum below is valid
+    value = st.integers(1, m - 1) if m else st.sampled_from([-2, -1, 1, 2])
+    config = st.lists(
+        st.tuples(st.integers(-reach, reach), value), max_size=6 if m else 3
+    )
+    x, y = data.draw(config), data.draw(config)
+    a, b = ctx.canonical_kpart(x), ctx.canonical_kpart(y)
+    ra, rb = lamp_canonical(m, x), lamp_canonical(m, y)
+    assert lamp_pairs(ctx, a) == ra
+    assert lamp_pairs(ctx, ctx.kpart_add(a, b)) == lamp_kpart_add(m, ra, rb)
+    neg_a = lamp_canonical(m, [(i, -v) for i, v in ra])
+    assert lamp_pairs(ctx, ctx.kpart_neg(a)) == neg_a
+    assert ctx.format_kpart(a) == ("+".join(f"{v}@{i}" for i, v in ra) or "0")
+    i = data.draw(st.integers(-2 * reach - 1, 2 * reach + 1))
+    moved = tuple((j + i, v) for j, v in ra)
+    if all(-reach <= j <= reach for j, _ in moved):
+        assert lamp_pairs(ctx, ctx.phi_power(a, i)) == moved
+    else:
+        # a lamp would leave [-E, E]: refused, never dropped
+        with pytest.raises(ResourceCapError, match=f"reach {reach}"):
+            ctx.phi_power(a, i)
+    # the quotient of the strata +-n: class sums, their rotations, solver
+    q = ctx.quotient(n)
+    sums = lamp_class_sums(m, n, ra)
+    assert lamp_fields(ctx, q.coords(a), n) == sums
+    assert [lamp_fields(ctx, c, n) for c in q.orbit(q.coords(a))] == [
+        sums[n - j :] + sums[: n - j] for j in range(n)
+    ]
+    c = ctx.canonical_kpart([(j, v) for j, v in ra if j + n <= reach])
+    image = ctx.kpart_add(c, ctx.kpart_neg(ctx.phi_power(c, n)))
+    for w in (a, image, ctx.kpart_add(a, image)):
+        expected = lamp_solve(m, n, lamp_pairs(ctx, w))
+        solved = q.solve(w)
+        assert (solved is None) == (expected is None)
+        if expected is not None:
+            assert lamp_pairs(ctx, solved) == expected
+    assert q.solve(image) == c
+    if LAMP_CONTEXTS[name][1] is None:  # the closed form needs the standard R
+        p = data.draw(st.integers(-reach, reach))
+        bound = data.draw(st.integers(0, 4 * reach))
+        length = lamp_word_length(m, ra, p)
+        assert ctx.word_length(Element(a, p)) == length
+        assert ctx.word_length(Element(a, p), bound) == min(length, bound + 1)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 0])
+def test_lamplighter_kparts_past_the_reach_raise(m):
+    ctx = LamplighterContext(m, reach=3)
+    edge = ctx.canonical_kpart(((3, 1), (-3, 1)))
+    for i in (1, -1, 7, -7):
+        with pytest.raises(ResourceCapError, match="reach 3"):
+            ctx.phi_power(edge, i)
+    low, high = ctx.canonical_kpart(((-3, 1),)), ctx.canonical_kpart(((3, 1),))
+    assert ctx.phi_power(low, 6) == high and ctx.phi_power(high, -6) == low
+    with pytest.raises(ResourceCapError, match="reach 3"):
+        ctx.canonical_kpart(((4, 1),))
+    with pytest.raises(ResourceCapError, match="reach 3"):
+        ctx.invert(Element(high, -1))
+    with pytest.raises(ResourceCapError, match="reach 3"):
+        ctx.multiply(Element(0, 1), Element(high, 0))
+    assert LamplighterContext(m).reach == 64
+    assert parse_group_descriptor(f"lamplighter:{m}", reach=7).reach == 7
+    with pytest.raises(ValueError, match="reach"):
+        LamplighterContext(m, reach=-1)
+
+
+@pytest.mark.parametrize("kgens, top", [(None, 1), (LAMP0_R12, 2)])
+def test_integer_lamp_overflow_raises(kgens, top):
+    # every value up to E max|R| is valid; the adds stay exact until a
+    # value leaves the range of the fields, and that add raises
+    ctx = LamplighterContext(0, kgens, reach=5)
+    edge = 5 * top
+    a = ctx.canonical_kpart(((0, edge), (2, -edge), (-5, 1)))
+    assert lamp_pairs(ctx, a) == ((-5, 1), (0, edge), (2, -edge))
+    acc = 0
+    with pytest.raises(ResourceCapError, match="reach 5"):
+        for count in range(1, 1 << 12):
+            acc = ctx.kpart_add(acc, a)
+            assert lamp_pairs(ctx, acc) == ((-5, count), (0, count * edge), (2, -count * edge))
+    with pytest.raises(ResourceCapError, match="reach 5"):
+        ctx.canonical_kpart(((0, 10**6),))

@@ -5,7 +5,6 @@ from _oracles import conjugate, element
 from abcgroups.conjugacy import conjugacy_key
 from abcgroups.groups import (
     BaumslagSolitarContext,
-    Element,
     GroupContext,
     LamplighterContext,
 )
@@ -63,7 +62,7 @@ def test_evaluate():
     assert evaluate(ctx, parse_word("T g0 t")) == element(ctx, (1, 1), 0)
     assert evaluate(ctx, parse_word("g0 t g0 t")) == element(ctx, (3, 0), 2)
     lamp = LamplighterContext(2)
-    assert evaluate(lamp, parse_word("g0 t g0 T")) == Element(((0, 1), (1, 1)), 0)
+    assert evaluate(lamp, parse_word("g0 t g0 T")) == element(lamp, ((0, 1), (1, 1)))
 
 
 def test_t_exponent():
