@@ -294,18 +294,17 @@ class LamplighterContext(GroupContext):
             kgens = ((), ((0, 1),), ((0, -1),))
         kgens = [tuple(conf) for conf in kgens]
         span = 2 * reach + 1
+        self._checked = pos  # values mod m never leave their fields
         if m == 2:
             width = 1
             # C functions, bound as MatrixContext binds its add
             self.kpart_add, self.kpart_neg = xor, pos
             self._lamp_cost = int.bit_count
-            self._checked = pos  # values mod m never leave their fields
         elif m:
             width = m.bit_length() + 1
             self.kpart_add, self.kpart_neg, self._lamp_cost = _modular_fields(
                 m, width, span
             )
-            self._checked = pos
         else:
             top = max(
                 (abs(v) for conf in kgens for v in self._collect(conf).values()),
@@ -313,7 +312,7 @@ class LamplighterContext(GroupContext):
             )
             low = max(reach * top, 1).bit_length()
             width = low + span.bit_length() + 3
-            (self.kpart_add, self._checked, self._lamp_cost) = _integer_fields(
+            self.kpart_add, self._checked, self._lamp_cost = _integer_fields(
                 low, width, span, reach
             )
             self.kpart_neg = neg
@@ -371,21 +370,17 @@ class LamplighterContext(GroupContext):
         return out
 
     def phi_power(self, a, i: int):
+        shift = self.width * i
         if i >= 0:
-            b = a << self.width * i
+            b = a << shift
             # the top field lies at bit length // w (signed) or (length - 1) // w
-            if abs(b).bit_length() > self.width * self._span - self._signed:
-                raise ResourceCapError(
-                    f"{self.format_kpart(a)} moved by t^{i} is past the reach "
-                    f"{self.reach}"
-                )
-            return b
-        cut = -self.width * i
-        if a & ((1 << cut) - 1):
-            raise ResourceCapError(
-                f"{self.format_kpart(a)} moved by t^{i} is past the reach {self.reach}"
-            )
-        return a >> cut
+            if abs(b).bit_length() <= self.width * self._span - self._signed:
+                return b
+        elif not a & ((1 << -shift) - 1):
+            return a >> -shift
+        raise ResourceCapError(
+            f"{self.format_kpart(a)} moved by t^{i} is past the reach {self.reach}"
+        )
 
     def format_kpart(self, a) -> str:
         if not a:

@@ -531,7 +531,8 @@ def test_lamplighter_ratio_reach_covers_the_keys(capsys):
 
 
 @pytest.mark.parametrize(
-    "group, rc, ball, classes", [("lamplighter:2", 40, 22, 12), ("lamplighter:0", 30, 53, 25)]
+    "group, rc, ball, classes",
+    [("lamplighter:2", 40, 22, 12), ("lamplighter:0", 30, 53, 25)],
 )
 def test_lamplighter_conjtest_reach_covers_the_oracle_shifts(
     monkeypatch, capsys, group, rc, ball, classes

@@ -524,14 +524,20 @@ def test_bs_kparts_past_the_reach_raise():
 # {0, +-(d0 + d1), +-(d0 + 2 d1)} of lamplighter:0, whose values size wider
 # fields than the standard ones
 LAMP2_R4 = [(), ((0, 1),), ((1, 1),), ((0, 1), (1, 1))]
-LAMP0_R12 = [(), ((0, 1), (1, 1)), ((0, -1), (1, -1)), ((0, 1), (1, 2)), ((0, -1), (1, -2))]
+LAMP0_R5 = [
+    (),
+    ((0, 1), (1, 1)),
+    ((0, -1), (1, -1)),
+    ((0, 1), (1, 2)),
+    ((0, -1), (1, -2)),
+]
 LAMP_CONTEXTS = {
     "m2": (2, None),
     "m3": (3, None),
     "m5": (5, None),
     "m0": (0, None),
     "m2-R4": (2, LAMP2_R4),
-    "m0-R12": (0, LAMP0_R12),
+    "m0-R5": (0, LAMP0_R5),
 }
 
 
@@ -618,7 +624,7 @@ def test_lamplighter_kparts_past_the_reach_raise(m):
         LamplighterContext(m, reach=-1)
 
 
-@pytest.mark.parametrize("kgens, top", [(None, 1), (LAMP0_R12, 2)])
+@pytest.mark.parametrize("kgens, top", [(None, 1), (LAMP0_R5, 2)])
 def test_integer_lamp_overflow_raises(kgens, top):
     # every value up to E max|R| is valid; the adds stay exact until a
     # value leaves the range of the fields, and that add raises
@@ -630,6 +636,7 @@ def test_integer_lamp_overflow_raises(kgens, top):
     with pytest.raises(ResourceCapError, match="reach 5"):
         for count in range(1, 1 << 12):
             acc = ctx.kpart_add(acc, a)
-            assert lamp_pairs(ctx, acc) == ((-5, count), (0, count * edge), (2, -count * edge))
+            expected = ((-5, count), (0, count * edge), (2, -count * edge))
+            assert lamp_pairs(ctx, acc) == expected
     with pytest.raises(ResourceCapError, match="reach 5"):
         ctx.canonical_kpart(((0, 10**6),))
